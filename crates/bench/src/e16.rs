@@ -26,9 +26,9 @@
 use crate::table::Table;
 use aas_sim::coordinator::{ExecMode, ShardedKernel};
 use aas_sim::fault::FaultKind;
+use aas_sim::kernel::Fired;
 use aas_sim::link::LinkId;
 use aas_sim::network::RegionId;
-use aas_sim::shard::ShardFired;
 use aas_sim::stats::Histogram;
 use aas_sim::time::{SimDuration, SimTime};
 use aas_telecom::planet::{plan_sessions, PlanetEvent, PlanetLoadSpec, PlanetMobility, TierCells};
@@ -200,7 +200,7 @@ pub fn run_cell(nodes: u32, hier: bool, sessions: u64) -> Cell {
     let mut latency = Histogram::new();
     let mut delivered = 0u64;
     for e in &merged {
-        if let ShardFired::Delivered { sent_at, .. } = e.what {
+        if let Fired::Delivered { sent_at, .. } = e.what {
             delivered += 1;
             latency.observe(e.at.saturating_since(sent_at).as_micros() as f64 / 1000.0);
         }

@@ -50,7 +50,6 @@ impl Runtime {
             let env = Envelope {
                 msg: Message::event("heartbeat", Value::Null),
                 to_instance: String::new(),
-                to_port: String::new(),
                 extra_cost: 0.0,
                 via: None,
                 attempt: 0,

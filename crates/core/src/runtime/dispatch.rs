@@ -163,13 +163,7 @@ impl Runtime {
             self.maybe_retry(env, now);
             return;
         };
-        // Successful hand-off: attribute the delivery to the logical shard
-        // of the hosting node so per-shard totals reconcile with the
-        // global counter by construction (exactly one shard bump each).
-        self.shard_map.extend_to(node.0 as usize + 1);
-        let shard = self.shard_map.shard_of(node).0 as usize;
         self.m.delivered.incr();
-        self.m.delivered_by_shard[shard].incr();
         let inst = self.instances.get_mut(&env.to_instance).expect("checked");
         inst.inflight += 1;
         let instance = env.to_instance.clone();
@@ -276,8 +270,8 @@ impl Runtime {
             .and_then(|c| c.spec().retry)
             .is_some();
         for idx in mediation.targets {
-            let (to_inst, to_port) = &targets_decl[idx];
-            let mut env = self.finalize(from, to_inst, to_port, msg.clone(), Some(&via));
+            let (to_inst, _) = &targets_decl[idx];
+            let mut env = self.finalize(from, to_inst, msg.clone(), Some(&via));
             env.extra_cost = mediation.extra_cost;
             let size = (env.msg.wire_size() as f64 * mediation.size_factor) as u64;
             let backup = has_retry.then(|| env.clone());
@@ -310,7 +304,6 @@ impl Runtime {
         &mut self,
         from: &str,
         to_inst: &str,
-        to_port: &str,
         mut msg: Message,
         via: Option<&str>,
     ) -> Envelope {
@@ -346,7 +339,6 @@ impl Runtime {
         Envelope {
             msg,
             to_instance: to_inst.to_owned(),
-            to_port: to_port.to_owned(),
             extra_cost: 0.0,
             via: via.map(str::to_owned),
             attempt: 0,
@@ -385,7 +377,7 @@ impl Runtime {
                 ch
             }
         };
-        let env = self.finalize(from, to, "reply", reply, None);
+        let env = self.finalize(from, to, reply, None);
         let size = env.msg.wire_size();
         if !self.kernel.send(ch, env, size).is_sent() {
             self.m.dropped.incr();

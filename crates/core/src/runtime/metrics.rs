@@ -16,11 +16,6 @@ pub struct RuntimeMetrics {
     pub rtt: Histogram,
     /// Messages successfully handed to a component instance's node.
     pub delivered: u64,
-    /// `delivered` broken down by the logical shard of the hosting node
-    /// (round-robin by node id, matching `aas_sim::shard::ShardMap`); the
-    /// entries always sum to `delivered`. Length is the shard count set
-    /// via [`crate::runtime::Runtime::set_shard_count`] (default 1).
-    pub delivered_by_shard: Vec<u64>,
     /// Messages that found no binding at their source port.
     pub unrouted: u64,
     /// Messages dropped in transit or at delivery.
@@ -49,10 +44,6 @@ pub(super) struct MetricHandles {
     pub(super) e2e_latency: HistogramHandle,
     pub(super) rtt: HistogramHandle,
     pub(super) delivered: Counter,
-    /// One counter per logical shard (`runtime.delivered.shard{i}`); the
-    /// delivery path bumps exactly one of these alongside `delivered`, so
-    /// the per-shard counters reconcile to the global total by summation.
-    pub(super) delivered_by_shard: Vec<Counter>,
     pub(super) unrouted: Counter,
     pub(super) dropped: Counter,
     pub(super) handler_errors: Counter,
@@ -66,17 +57,10 @@ pub(super) struct MetricHandles {
 
 impl MetricHandles {
     pub(super) fn new(obs: &Obs) -> Self {
-        MetricHandles::with_shards(obs, 1)
-    }
-
-    pub(super) fn with_shards(obs: &Obs, shards: u32) -> Self {
         MetricHandles {
             e2e_latency: obs.metrics.histogram("runtime.e2e_latency_ms"),
             rtt: obs.metrics.histogram("runtime.rtt_ms"),
             delivered: obs.metrics.counter("runtime.delivered"),
-            delivered_by_shard: (0..shards)
-                .map(|i| obs.metrics.counter(&format!("runtime.delivered.shard{i}")))
-                .collect(),
             unrouted: obs.metrics.counter("runtime.unrouted"),
             dropped: obs.metrics.counter("runtime.dropped"),
             handler_errors: obs.metrics.counter("runtime.handler_errors"),

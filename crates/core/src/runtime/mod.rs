@@ -56,7 +56,7 @@
 //! crash bookkeeping), `meta` (RAML observation/intercession) and
 //! `metrics` (aggregate metric handles).
 
-use crate::component::{CallCtx, Component, ComponentId, Effect, Lifecycle};
+use crate::component::{CallCtx, Component, Effect, Lifecycle};
 use crate::config::{BindingDecl, ComponentDecl, Configuration};
 use crate::connector::{Connector, ConnectorId, ConnectorSpec};
 use crate::coverage::{AdaptationCoverage, DetectPhase, PlanOutcome};
@@ -75,7 +75,6 @@ use aas_sim::fault::FaultKind;
 use aas_sim::kernel::{Fired, Kernel};
 use aas_sim::network::Topology;
 use aas_sim::node::NodeId;
-use aas_sim::shard::ShardMap;
 use aas_sim::time::{SimDuration, SimTime};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -126,10 +125,6 @@ enum EnvKind {
 struct Envelope {
     msg: Message,
     to_instance: String,
-    /// Target port name; carried for diagnostics and future port-level
-    /// dispatch.
-    #[allow(dead_code)]
-    to_port: String,
     extra_cost: f64,
     /// Connector that mediated this copy, if any.
     via: Option<String>,
@@ -169,8 +164,6 @@ pub enum RuntimeEvent {
 }
 #[derive(Debug)]
 struct Instance {
-    #[allow(dead_code)]
-    id: ComponentId,
     node: NodeId,
     type_name: String,
     version: u32,
@@ -280,7 +273,6 @@ pub struct Runtime {
     seq_key_buf: String,
     pending_requests: BTreeMap<MessageId, (SimTime, String)>,
     next_msg_id: u64,
-    next_component_id: u64,
     next_connector_id: u64,
     pending_connector_swaps: BTreeMap<String, ConnectorSpec>,
     /// Transactional plan-execution state (see [`exec`]).
@@ -300,9 +292,6 @@ pub struct Runtime {
     outbox: Vec<(SimTime, Message)>,
     obs: Obs,
     m: MetricHandles,
-    /// Logical partition of nodes used to attribute deliveries to shards
-    /// (mirrors the sharded kernel's round-robin placement).
-    shard_map: ShardMap,
 }
 
 impl Runtime {
@@ -323,7 +312,6 @@ impl Runtime {
         obs: Obs,
     ) -> Self {
         let m = MetricHandles::new(&obs);
-        let shard_map = ShardMap::round_robin(topology.node_count(), 1);
         let mut kernel = Kernel::new(topology, seed);
         kernel.set_tracer(obs.tracer.clone());
         Runtime {
@@ -339,7 +327,6 @@ impl Runtime {
             seq_key_buf: String::new(),
             pending_requests: BTreeMap::new(),
             next_msg_id: 1,
-            next_component_id: 1,
             next_connector_id: 1,
             pending_connector_swaps: BTreeMap::new(),
             exec: ExecState::default(),
@@ -353,31 +340,9 @@ impl Runtime {
             outbox: Vec::new(),
             obs,
             m,
-            shard_map,
         }
     }
 
-    /// Partitions delivery accounting into `shards` logical shards
-    /// (round-robin by node id, the same placement
-    /// [`aas_sim::coordinator::ShardedKernel`] uses), registering one
-    /// `runtime.delivered.shard{i}` counter per shard. Deliveries recorded
-    /// from then on bump exactly one shard counter alongside
-    /// `runtime.delivered`, so Σ per-shard always reconciles with the
-    /// global total. Call before injecting traffic for an exact breakdown.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    pub fn set_shard_count(&mut self, shards: u32) {
-        self.shard_map = ShardMap::round_robin(self.kernel.topology().node_count(), shards);
-        self.m = MetricHandles::with_shards(&self.obs, shards);
-    }
-
-    /// The logical node→shard partition delivery accounting uses.
-    #[must_use]
-    pub fn shard_map(&self) -> &ShardMap {
-        &self.shard_map
-    }
     // ------------------------------------------------------------------
     // Workload
     // ------------------------------------------------------------------
@@ -393,7 +358,7 @@ impl Runtime {
             .external_channels
             .get(target)
             .ok_or_else(|| RuntimeError::UnknownComponent(target.to_owned()))?;
-        let env = self.finalize(EXTERNAL, target, "in", msg, None);
+        let env = self.finalize(EXTERNAL, target, msg, None);
         let id = env.msg.id;
         let size = env.msg.wire_size();
         if !self.kernel.send(ch, env, size).is_sent() {
@@ -450,7 +415,7 @@ impl Runtime {
                 self.on_topology_fault(kind, at);
                 self.on_fault(kind);
             }
-            Fired::DroppedAtDelivery {
+            Fired::Dropped {
                 msg: env, reason, ..
             } => {
                 // A lost heartbeat *is* the detection signal, not loss.
@@ -540,12 +505,6 @@ impl Runtime {
             e2e_latency: self.m.e2e_latency.snapshot(),
             rtt: self.m.rtt.snapshot(),
             delivered: self.m.delivered.get(),
-            delivered_by_shard: self
-                .m
-                .delivered_by_shard
-                .iter()
-                .map(aas_obs::Counter::get)
-                .collect(),
             unrouted: self.m.unrouted.get(),
             dropped: self.m.dropped.get(),
             handler_errors: self.m.handler_errors.get(),

@@ -44,12 +44,9 @@ impl Runtime {
         let component = self
             .registry
             .instantiate(&decl.type_name, decl.version, &decl.props)?;
-        let id = ComponentId(self.next_component_id);
-        self.next_component_id += 1;
         self.instances.insert(
             name.to_owned(),
             Instance {
-                id,
                 node: decl.node,
                 type_name: decl.type_name.clone(),
                 version: decl.version,

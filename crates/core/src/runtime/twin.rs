@@ -125,7 +125,7 @@ impl Runtime {
         let obs = Obs::new();
         let mut kernel = self.kernel.fork();
         kernel.set_tracer(obs.tracer.clone());
-        let m = MetricHandles::with_shards(&obs, self.shard_map.count());
+        let m = MetricHandles::new(&obs);
         let mut instances = BTreeMap::new();
         for (name, inst) in &self.instances {
             let mut component = self
@@ -146,7 +146,6 @@ impl Runtime {
             instances.insert(
                 name.clone(),
                 Instance {
-                    id: inst.id,
                     node: inst.node,
                     type_name: inst.type_name.clone(),
                     version: inst.version,
@@ -176,7 +175,6 @@ impl Runtime {
             seq_key_buf: String::new(),
             pending_requests: self.pending_requests.clone(),
             next_msg_id: self.next_msg_id,
-            next_component_id: self.next_component_id,
             next_connector_id: self.next_connector_id,
             pending_connector_swaps: self.pending_connector_swaps.clone(),
             exec: ExecState {
@@ -192,7 +190,6 @@ impl Runtime {
             outbox: Vec::new(),
             obs,
             m,
-            shard_map: self.shard_map.clone(),
             twin: TwinState::default(),
         })
     }

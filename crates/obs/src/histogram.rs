@@ -304,39 +304,6 @@ impl AtomicHistogram {
         }
     }
 
-    /// Merges a plain [`Histogram`] (e.g. another registry's snapshot)
-    /// into this atomic histogram, lock-free. Equivalent to having
-    /// replayed every observation the other histogram recorded.
-    pub fn absorb(&self, other: &Histogram) {
-        if other.count == 0 {
-            return;
-        }
-        for (cell, &b) in self.buckets.iter().zip(&other.buckets) {
-            if b != 0 {
-                cell.fetch_add(b, Ordering::Relaxed);
-            }
-        }
-        // `other.count > 0` so min/max are finite non-negative values and
-        // the bit-pattern ordering trick applies.
-        self.min_bits
-            .fetch_min(other.min.to_bits(), Ordering::Relaxed);
-        self.max_bits
-            .fetch_max(other.max.to_bits(), Ordering::Relaxed);
-        let mut cur = self.sum_bits.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(cur) + other.sum).to_bits();
-            match self.sum_bits.compare_exchange_weak(
-                cur,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
     /// Copies the current state into a plain [`Histogram`].
     #[must_use]
     pub fn snapshot(&self) -> Histogram {

@@ -67,11 +67,6 @@ impl HistogramHandle {
         self.0.observe(x);
     }
 
-    /// Merges a plain [`Histogram`] snapshot into this histogram.
-    pub fn absorb(&self, other: &Histogram) {
-        self.0.absorb(other);
-    }
-
     /// Copies the current state into a plain [`Histogram`].
     #[must_use]
     pub fn snapshot(&self) -> Histogram {
@@ -230,30 +225,6 @@ impl MetricsRegistry {
             .map(|(n, _)| n.clone())
     }
 
-    /// Merges a snapshot (typically taken from another registry, e.g. a
-    /// per-shard registry at an epoch barrier) into this registry:
-    /// counters add, gauges take the snapshot's value, histograms merge.
-    /// Metrics not yet registered here are registered on the fly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a snapshot metric name is already registered here as a
-    /// different metric type.
-    pub fn absorb(&self, snap: &MetricsSnapshot) {
-        for (name, v) in &snap.counters {
-            let c = self.counter(name);
-            if *v > 0 {
-                c.add(*v);
-            }
-        }
-        for (name, v) in &snap.gauges {
-            self.gauge(name).set(*v);
-        }
-        for (name, h) in &snap.histograms {
-            self.histogram(name).absorb(h);
-        }
-    }
-
     /// Copies every metric's current value into an immutable snapshot.
     #[must_use]
     pub fn snapshot(&self) -> MetricsSnapshot {
@@ -358,46 +329,6 @@ mod tests {
         g.set(0.5);
         assert_eq!(g.get(), 0.5);
         assert_eq!(reg.snapshot().gauge("util"), Some(0.5));
-    }
-
-    #[test]
-    fn absorb_merges_counters_gauges_histograms() {
-        let a = MetricsRegistry::new();
-        a.counter("kernel.sent").add(3);
-        a.gauge("util").set(0.25);
-        a.histogram("lat").observe(4.0);
-
-        let b = MetricsRegistry::new();
-        b.counter("kernel.sent").add(7);
-        b.counter("kernel.dropped").add(1);
-        b.gauge("util").set(0.75);
-        b.histogram("lat").observe(16.0);
-
-        a.absorb(&b.snapshot());
-        let snap = a.snapshot();
-        assert_eq!(snap.counter("kernel.sent"), Some(10));
-        assert_eq!(snap.counter("kernel.dropped"), Some(1));
-        assert_eq!(snap.gauge("util"), Some(0.75));
-        let h = snap.histogram("lat").unwrap();
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.min(), 4.0);
-        assert_eq!(h.max(), 16.0);
-        assert_eq!(h.sum(), 20.0);
-    }
-
-    #[test]
-    fn absorb_of_empty_snapshot_is_identity() {
-        let a = MetricsRegistry::new();
-        a.counter("c").add(2);
-        a.histogram("h").observe(1.0);
-        let before = a.snapshot();
-        a.absorb(&MetricsRegistry::new().snapshot());
-        a.absorb(&before.clone());
-        // Absorbing itself doubles counters; absorbing empty changes nothing.
-        let after = a.snapshot();
-        assert_eq!(after.counter("c"), Some(4));
-        assert_eq!(after.histogram("h").unwrap().count(), 2);
-        assert_eq!(before.counter("c"), Some(2));
     }
 
     #[test]

@@ -1,17 +1,18 @@
-//! FIFO communication channels with blocking support.
+//! FIFO communication channels with blocking support: ids, statistics
+//! and drop reasons.
 //!
 //! Channels are the unit the reconfiguration engine manipulates: the paper
 //! (after Polylith) requires "blocking communication channels (to manage the
 //! messages in transit) while the module context is encoded". A blocked
 //! channel *holds* deliveries in order instead of handing them to the
 //! application; unblocking releases them without loss, duplication or
-//! reordering.
+//! reordering. The state and transitions live in [`crate::shard`]: a
+//! channel is a send side on its source's core and a delivery side on its
+//! destination's.
 
-use crate::node::NodeId;
 use crate::time::SimTime;
 use core::fmt;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// Identifier of a kernel channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -66,37 +67,6 @@ pub struct ChannelStats {
     pub held: u64,
 }
 
-/// Kernel-internal channel state.
-#[derive(Debug, Clone)]
-pub(crate) struct Channel<M> {
-    /// Own id; redundant with the kernel's index but handy in debug dumps.
-    #[allow(dead_code)]
-    pub id: ChannelId,
-    pub src: NodeId,
-    pub dst: NodeId,
-    pub open: bool,
-    pub blocked: bool,
-    /// Time of the latest scheduled delivery; enforces FIFO.
-    pub fifo_tail: SimTime,
-    pub held: VecDeque<HeldMessage<M>>,
-    pub stats: ChannelStats,
-}
-
-impl<M> Channel<M> {
-    pub(crate) fn new(id: ChannelId, src: NodeId, dst: NodeId) -> Self {
-        Channel {
-            id,
-            src,
-            dst,
-            open: true,
-            blocked: false,
-            fifo_tail: SimTime::ZERO,
-            held: VecDeque::new(),
-            stats: ChannelStats::default(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,14 +83,5 @@ mod tests {
             assert!(s.chars().next().unwrap().is_lowercase());
             assert!(!s.ends_with('.'));
         }
-    }
-
-    #[test]
-    fn new_channel_starts_clean() {
-        let c: Channel<u8> = Channel::new(ChannelId(3), NodeId(0), NodeId(1));
-        assert!(c.open);
-        assert!(!c.blocked);
-        assert_eq!(c.stats, ChannelStats::default());
-        assert!(c.held.is_empty());
     }
 }

@@ -41,21 +41,20 @@
 //! harness in `tests/shard_determinism.rs` checks all of this byte for
 //! byte against K=1.
 
-use crate::channel::{Channel, ChannelId, ChannelStats};
-use crate::event::EventQueue;
+use crate::channel::{ChannelId, ChannelStats};
 use crate::fault::{FaultKind, FaultSchedule};
-use crate::hier::HierStats;
-use crate::kernel::{Kernel, KernelCounter, KernelEvent};
+use crate::hier::{HierStats, Router};
 use crate::link::LinkId;
 use crate::network::{RouteCacheStats, Topology};
 use crate::node::NodeId;
 use crate::shard::{
-    CacheAligned, DeliverBatch, DeliverSide, Entry, EventKey, InboxSlot, MergedEvent, SendSide,
-    ShardCore, ShardEvent, ShardFired, ShardId, ShardMap,
+    apply_sync, sync_runs_first, CacheAligned, DeliverBatch, DeliverSide, Entry, EventKey,
+    InboxSlot, KernelCounter, MergedEvent, Scheduled, SendSide, ShardCore, ShardEvent, ShardId,
+    ShardMap, SyncCmd, SyncEntry,
 };
 use crate::stats::Counters;
 use crate::time::{SimDuration, SimTime};
-use std::cmp::{Ordering, Reverse};
+use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering as AtomicOrd};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
@@ -113,7 +112,15 @@ struct Shared<M> {
     /// locked by its own worker. Inbox locks are only ever taken while
     /// holding one's *own* core lock (never a peer's core), so the
     /// protocol is deadlock-free by lock-order.
-    inboxes: Vec<CacheAligned<Mutex<InboxSlot<M>>>>,
+    ///
+    /// Each mailbox has two lanes, used by sub-round parity ([`lane`]):
+    /// round `r` deposits into one while the owner drains the other, which
+    /// holds exactly round `r - 1`'s deposits. What a shard takes in each
+    /// round is therefore a function of the schedule alone — a fast peer's
+    /// round-`r` deposit can never slip into a slow owner's round-`r`
+    /// drain — so queue lengths, and with them every buffer capacity a
+    /// warm worker needs, repeat exactly from run to run.
+    inboxes: Vec<CacheAligned<[Mutex<InboxSlot<M>>; 2]>>,
     barrier: BarrierCtl,
 }
 
@@ -150,6 +157,8 @@ struct BarrierCtl {
     la: CacheAligned<AtomicU64>,
     bound: CacheAligned<AtomicU64>,
     end: CacheAligned<AtomicU64>,
+    /// Global index of the window's first sub-round (selects the lanes).
+    round: CacheAligned<AtomicU64>,
     shutdown: AtomicBool,
     /// Per-worker "I am parked" flags (Dekker pairing with the epoch
     /// bump: a worker publishes the flag, then re-checks the epoch; the
@@ -171,6 +180,7 @@ impl BarrierCtl {
             la: CacheAligned(AtomicU64::new(0)),
             bound: CacheAligned(AtomicU64::new(0)),
             end: CacheAligned(AtomicU64::new(0)),
+            round: CacheAligned(AtomicU64::new(0)),
             shutdown: AtomicBool::new(false),
             parked: (0..shards)
                 .map(|_| CacheAligned(AtomicBool::new(false)))
@@ -190,17 +200,22 @@ fn next_round_end(b: SimTime, la: SimDuration, bound: SimTime, w_end: SimTime) -
     w_end.min((b + la).max(bound))
 }
 
-/// Moves every deposited batch from this shard's shared inbox into its
+/// The mailbox lane sub-round `round` deposits into. The owner drains
+/// `lane(round + 1)` meanwhile: the previous round's deposits.
+fn lane(round: u64) -> usize {
+    (round & 1) as usize
+}
+
+/// Moves every batch deposited in one mailbox lane into the owner's
 /// queue, recycling spent buffers into the core's free list. `scratch` is
-/// a reusable vector so the inbox lock is held only for two pointer
-/// swaps.
-fn drain_shared_inbox<M>(
-    slot: &CacheAligned<Mutex<InboxSlot<M>>>,
+/// a reusable vector so the lane lock is held only for two pointer swaps.
+fn drain_lane<M>(
+    lane: &Mutex<InboxSlot<M>>,
     core: &mut ShardCore<M>,
     scratch: &mut Vec<DeliverBatch<M>>,
 ) {
     {
-        let mut s = slot.0.lock().expect("inbox lock");
+        let mut s = lane.lock().expect("inbox lock");
         if s.batches.is_empty() {
             return;
         }
@@ -213,18 +228,24 @@ fn drain_shared_inbox<M>(
     }
 }
 
-/// Exchange phase of one sub-round: deposits every non-empty outbox batch
-/// into the destination shard's shared inbox as a whole-buffer move
-/// (O(runs), not O(events)), replacing it from the free list, and checks
-/// the "nothing crosses a barrier early" invariant against the sub-round
-/// end.
-fn flush_outboxes<M>(
+/// One shard's share of sub-round `round`, which ends at `end`: take in
+/// the previous round's deposits, run the window, then the exchange phase
+/// — every non-empty outbox batch goes to the destination shard's mailbox
+/// as a whole-buffer move (O(runs), not O(events)), replaced from the
+/// free list, and is checked against the "nothing crosses a barrier
+/// early" invariant.
+fn run_round<M>(
+    shared: &Shared<M>,
+    world: &World,
     core: &mut ShardCore<M>,
-    inboxes: &[CacheAligned<Mutex<InboxSlot<M>>>],
+    scratch: &mut Vec<DeliverBatch<M>>,
     end: SimTime,
+    round: u64,
 ) {
     let me = core.id as usize;
-    for (d, slot) in inboxes.iter().enumerate() {
+    drain_lane(&shared.inboxes[me].0[lane(round + 1)], core, scratch);
+    core.run_window(&world.topo, &world.map, end);
+    for (d, slot) in shared.inboxes.iter().enumerate() {
         if d == me || core.outboxes[d].is_empty() {
             continue;
         }
@@ -235,7 +256,7 @@ fn flush_outboxes<M>(
         if batch.min_at < end {
             core.early_crossings += batch.len() as u64;
         }
-        let mut s = slot.0.lock().expect("inbox lock");
+        let mut s = slot.0[lane(round)].lock().expect("inbox lock");
         s.min_at = s.min_at.min(batch.min_at);
         s.batches.push(batch);
     }
@@ -264,45 +285,6 @@ fn sub_barrier_wait(bar: &BarrierCtl, k: u32) {
         } else {
             std::thread::park_timeout(Duration::from_micros(100));
         }
-    }
-}
-
-/// A pending synchronization command (executes at the coordinator, in
-/// `(time, cmd)` order, sequentially).
-#[derive(Debug)]
-enum SyncCmd {
-    Fault(FaultKind),
-    Block(ChannelId),
-    Unblock(ChannelId),
-    Close(ChannelId),
-    Rebind(ChannelId, NodeId, NodeId),
-}
-
-#[derive(Debug)]
-struct SyncEntry {
-    at: SimTime,
-    cmd: u64,
-    what: SyncCmd,
-}
-
-impl PartialEq for SyncEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.cmd == other.cmd
-    }
-}
-impl Eq for SyncEntry {}
-impl PartialOrd for SyncEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for SyncEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we pop earliest (at, cmd).
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.cmd.cmp(&self.cmd))
     }
 }
 
@@ -364,7 +346,7 @@ impl ShardedStats {
 /// The parallel kernel: K shard event loops, deterministic epoch
 /// barriers, byte-identical merged output at any K.
 ///
-/// The API mirrors [`Kernel`] where the semantics
+/// The API mirrors [`Kernel`](crate::kernel::Kernel) where the semantics
 /// match, with one structural difference: because shards run whole
 /// windows at a time, occurrences are returned in batches from
 /// [`ShardedKernel::run_until`] / [`ShardedKernel::drain`] instead of
@@ -377,7 +359,7 @@ impl ShardedStats {
 /// ```
 /// use aas_sim::coordinator::ShardedKernel;
 /// use aas_sim::network::Topology;
-/// use aas_sim::shard::ShardFired;
+/// use aas_sim::kernel::Fired;
 /// use aas_sim::time::{SimDuration, SimTime};
 ///
 /// let topo = Topology::clique(4, 100.0, SimDuration::from_millis(1), 1e6);
@@ -386,7 +368,7 @@ impl ShardedStats {
 /// k.send_at(SimTime::ZERO, ch, "ping", 64);
 /// let events = k.drain();
 /// assert_eq!(events.len(), 1);
-/// assert!(matches!(events[0].what, ShardFired::Delivered { .. }));
+/// assert!(matches!(events[0].what, Fired::Delivered { .. }));
 /// ```
 pub struct ShardedKernel<M: Send + 'static> {
     shared: Arc<Shared<M>>,
@@ -396,10 +378,7 @@ pub struct ShardedKernel<M: Send + 'static> {
     next_cmd: u64,
     next_timer_tag: u64,
     sync: BinaryHeap<SyncEntry>,
-    /// Channel directory: `(src, dst)` per channel id, issue order.
-    dir: Vec<(NodeId, NodeId)>,
-    /// Counters owned by the coordinator (released, faults applied).
-    coord_counters: [u64; KernelCounter::COUNT],
+    next_channel: u64,
     stats: ShardedStats,
     policy: WindowPolicy,
     /// Current geometric widening exponent (outer window target width is
@@ -421,19 +400,6 @@ pub struct ShardedKernel<M: Send + 'static> {
     /// coordinator re-reserves the handed-back buffer to the peak —
     /// keeping all growth off the worker threads.
     fired_peak: Vec<usize>,
-    /// Cached merge of every registry, invalidated when a flush moves any
-    /// counter — `merged_metrics` used to re-walk all K registries per
-    /// call even when nothing changed.
-    merged_cache: aas_obs::MetricsSnapshot,
-    metrics_dirty: bool,
-    /// Per-shard metric registries; counter deltas flushed at barriers.
-    regs: Vec<aas_obs::MetricsRegistry>,
-    handles: Vec<[aas_obs::Counter; KernelCounter::COUNT]>,
-    prev_flushed: Vec<[u64; KernelCounter::COUNT]>,
-    /// Coordinator's own registry (released / faults_applied).
-    coord_reg: aas_obs::MetricsRegistry,
-    coord_handles: [aas_obs::Counter; KernelCounter::COUNT],
-    prev_coord_flushed: [u64; KernelCounter::COUNT],
 }
 
 impl<M: Send + std::fmt::Debug + 'static> std::fmt::Debug for ShardedKernel<M> {
@@ -445,10 +411,6 @@ impl<M: Send + std::fmt::Debug + 'static> std::fmt::Debug for ShardedKernel<M> {
             .field("stats", &self.stats)
             .finish_non_exhaustive()
     }
-}
-
-fn counter_handles(reg: &aas_obs::MetricsRegistry) -> [aas_obs::Counter; KernelCounter::COUNT] {
-    std::array::from_fn(|j| reg.counter(&format!("kernel.{}", KernelCounter::ALL[j].name())))
 }
 
 impl<M: Send + 'static> ShardedKernel<M> {
@@ -502,13 +464,18 @@ impl<M: Send + 'static> ShardedKernel<M> {
         let map = ShardMap::round_robin(topo.node_count(), shards);
         let lookahead = map.lookahead(&topo);
         let cores: Vec<CacheAligned<Mutex<ShardCore<M>>>> = (0..shards)
-            .map(|i| CacheAligned(Mutex::new(ShardCore::new(i, shards, &topo))))
+            .map(|i| {
+                let mut core = ShardCore::new(i, &topo);
+                core.outboxes = (0..shards).map(|_| DeliverBatch::default()).collect();
+                core.link_bytes = vec![0; topo.link_count()];
+                CacheAligned(Mutex::new(core))
+            })
             .collect();
         let shared = Arc::new(Shared {
             world: RwLock::new(World { topo, map }),
             shards: cores,
             inboxes: (0..shards)
-                .map(|_| CacheAligned(Mutex::new(InboxSlot::default())))
+                .map(|_| CacheAligned(std::array::from_fn(|_| Mutex::default())))
                 .collect(),
             barrier: BarrierCtl::new(shards),
         });
@@ -525,12 +492,6 @@ impl<M: Send + 'static> ShardedKernel<M> {
         } else {
             Vec::new()
         };
-        let regs: Vec<aas_obs::MetricsRegistry> = (0..shards)
-            .map(|_| aas_obs::MetricsRegistry::new())
-            .collect();
-        let handles = regs.iter().map(counter_handles).collect();
-        let coord_reg = aas_obs::MetricsRegistry::new();
-        let coord_handles = counter_handles(&coord_reg);
         ShardedKernel {
             shared,
             mode,
@@ -539,8 +500,7 @@ impl<M: Send + 'static> ShardedKernel<M> {
             next_cmd: 0,
             next_timer_tag: 0,
             sync: BinaryHeap::new(),
-            dir: Vec::new(),
-            coord_counters: [0; KernelCounter::COUNT],
+            next_channel: 0,
             stats: ShardedStats::default(),
             policy: WindowPolicy::default(),
             widen_log2: 0,
@@ -550,14 +510,6 @@ impl<M: Send + 'static> ShardedKernel<M> {
             prev_busy: vec![0; shards as usize],
             merge_bufs: (0..shards).map(|_| VecDeque::new()).collect(),
             fired_peak: vec![0; shards as usize],
-            merged_cache: aas_obs::MetricsSnapshot::default(),
-            metrics_dirty: true,
-            regs,
-            handles,
-            prev_flushed: vec![[0; KernelCounter::COUNT]; shards as usize],
-            coord_reg,
-            coord_handles,
-            prev_coord_flushed: [0; KernelCounter::COUNT],
         }
     }
 
@@ -565,6 +517,21 @@ impl<M: Send + 'static> ShardedKernel<M> {
         let c = self.next_cmd;
         self.next_cmd += 1;
         c
+    }
+
+    /// Locks the core that `owns` a channel side — the same scan
+    /// `apply_sync` places commands with.
+    fn owner(&self, owns: impl Fn(&ShardCore<M>) -> bool) -> MutexGuard<'_, ShardCore<M>> {
+        let cores = self.shared.shards.iter();
+        cores
+            .map(|m| m.0.lock().expect("shard lock"))
+            .find(|c| owns(c))
+            .expect("channel was opened")
+    }
+
+    fn schedule_sync(&mut self, at: SimTime, ev: SyncCmd) {
+        let key = EventKey::new(self.alloc_cmd(), 0);
+        self.sync.push(Scheduled { at, key, ev });
     }
 
     // ----- caller commands ---------------------------------------------
@@ -580,32 +547,13 @@ impl<M: Send + 'static> ShardedKernel<M> {
         let world = shared.world.read().expect("world lock");
         let n = world.topo.node_count() as u32;
         assert!(src.0 < n && dst.0 < n, "channel endpoint out of bounds");
-        let ch = ChannelId(self.dir.len() as u64);
-        self.dir.push((src, dst));
+        let ch = ChannelId(self.next_channel);
+        self.next_channel += 1;
         let ssh = world.map.shard_of(src).0 as usize;
         let dsh = world.map.shard_of(dst).0 as usize;
-        {
-            let mut core = shared.shards[ssh].0.lock().expect("shard lock");
-            core.ensure_channel_slot(ch);
-            core.send_sides[ch.0 as usize] = Some(SendSide {
-                src,
-                dst,
-                open: true,
-                fifo_tail: SimTime::ZERO,
-                sent: 0,
-                dropped: 0,
-            });
-        }
-        let mut core = shared.shards[dsh].0.lock().expect("shard lock");
-        core.ensure_channel_slot(ch);
-        core.deliver_sides[ch.0 as usize] = Some(DeliverSide {
-            dst,
-            open: true,
-            blocked: false,
-            held: VecDeque::new(),
-            delivered: 0,
-            dropped: 0,
-        });
+        let lock = |i: usize| shared.shards[i].0.lock().expect("shard lock");
+        lock(ssh).put_send_side(ch, SendSide::new(src, dst));
+        lock(dsh).put_deliver_side(ch, DeliverSide::new(dst));
         ch
     }
 
@@ -618,12 +566,8 @@ impl<M: Send + 'static> ShardedKernel<M> {
     /// Panics if `at` is in the past or `ch` was never opened.
     pub fn send_at(&mut self, at: SimTime, ch: ChannelId, msg: M, size: u64) {
         assert!(at >= self.now, "cannot schedule a send in the past");
-        let (src, _) = self.dir[ch.0 as usize];
         let cmd = self.alloc_cmd();
-        let shared = Arc::clone(&self.shared);
-        let world = shared.world.read().expect("world lock");
-        let ssh = world.map.shard_of(src).0 as usize;
-        let mut core = shared.shards[ssh].0.lock().expect("shard lock");
+        let mut core = self.owner(|c| c.send_side(ch).is_some());
         core.queue.push(Entry {
             at,
             key: EventKey::new(cmd, 0),
@@ -647,7 +591,7 @@ impl<M: Send + 'static> ShardedKernel<M> {
     }
 
     /// Schedules a timer at `at`; returns the tag the eventual
-    /// [`ShardFired::Timer`] will carry.
+    /// [`Fired::Timer`](crate::kernel::Fired::Timer) will carry.
     ///
     /// # Panics
     ///
@@ -672,12 +616,7 @@ impl<M: Send + 'static> ShardedKernel<M> {
     /// Schedules a fault at `at` (a sync point: the topology mutation runs
     /// sequentially at the coordinator).
     pub fn fault_at(&mut self, at: SimTime, kind: FaultKind) {
-        let cmd = self.alloc_cmd();
-        self.sync.push(SyncEntry {
-            at,
-            cmd,
-            what: SyncCmd::Fault(kind),
-        });
+        self.schedule_sync(at, SyncCmd::Fault(kind));
     }
 
     /// Schedules every entry of `sched` as a fault sync point.
@@ -691,34 +630,19 @@ impl<M: Send + 'static> ShardedKernel<M> {
     /// quiesce). Messages arriving while blocked are held, invisible, and
     /// re-released in order on unblock.
     pub fn block_channel_at(&mut self, at: SimTime, ch: ChannelId) {
-        let cmd = self.alloc_cmd();
-        self.sync.push(SyncEntry {
-            at,
-            cmd,
-            what: SyncCmd::Block(ch),
-        });
+        self.schedule_sync(at, SyncCmd::Block(ch));
     }
 
     /// Schedules an unblock of `ch` at `at`; held messages re-enter the
     /// queue at `at` in arrival order.
     pub fn unblock_channel_at(&mut self, at: SimTime, ch: ChannelId) {
-        let cmd = self.alloc_cmd();
-        self.sync.push(SyncEntry {
-            at,
-            cmd,
-            what: SyncCmd::Unblock(ch),
-        });
+        self.schedule_sync(at, SyncCmd::Unblock(ch));
     }
 
     /// Schedules a close of `ch` at `at`; later sends and in-flight
     /// deliveries drop with `ChannelClosed`.
     pub fn close_channel_at(&mut self, at: SimTime, ch: ChannelId) {
-        let cmd = self.alloc_cmd();
-        self.sync.push(SyncEntry {
-            at,
-            cmd,
-            what: SyncCmd::Close(ch),
-        });
+        self.schedule_sync(at, SyncCmd::Close(ch));
     }
 
     /// Schedules a rebind of `ch` to new endpoints at `at` (component
@@ -726,12 +650,7 @@ impl<M: Send + 'static> ShardedKernel<M> {
     /// destination, exactly like
     /// [`Kernel::rebind_channel`](crate::kernel::Kernel::rebind_channel).
     pub fn rebind_channel_at(&mut self, at: SimTime, ch: ChannelId, src: NodeId, dst: NodeId) {
-        let cmd = self.alloc_cmd();
-        self.sync.push(SyncEntry {
-            at,
-            cmd,
-            what: SyncCmd::Rebind(ch, src, dst),
-        });
+        self.schedule_sync(at, SyncCmd::Rebind(ch, src, dst));
     }
 
     // ----- the engine --------------------------------------------------
@@ -765,8 +684,8 @@ impl<M: Send + 'static> ShardedKernel<M> {
                         bound = bound.min(core.arrival_bound(la));
                     }
                 }
-                for slot in &shared.inboxes {
-                    tq = tq.min(slot.0.lock().expect("inbox lock").min_at);
+                for lane in shared.inboxes.iter().flat_map(|slot| &slot.0) {
+                    tq = tq.min(lane.lock().expect("inbox lock").min_at);
                 }
                 (tq, bound)
             };
@@ -842,6 +761,7 @@ impl<M: Send + 'static> ShardedKernel<M> {
     /// Executes one outer window `[tq, w_end)` as lookahead-wide
     /// sub-rounds with direct worker-to-worker exchange between them.
     fn dispatch_window(&mut self, tq: SimTime, la: SimDuration, bound: SimTime, w_end: SimTime) {
+        let round = self.stats.subrounds;
         // Count sub-rounds (same boundary walk the workers do).
         let mut b = tq;
         loop {
@@ -853,13 +773,14 @@ impl<M: Send + 'static> ShardedKernel<M> {
             b = end;
         }
         match self.mode {
-            ExecMode::Inline => self.run_rounds_inline(tq, la, bound, w_end),
+            ExecMode::Inline => self.run_rounds_inline(tq, la, bound, w_end, round),
             ExecMode::Threads => {
                 let bar = &self.shared.barrier;
                 bar.tq.0.store(tq.as_micros(), AtomicOrd::Relaxed);
                 bar.la.0.store(la.as_micros(), AtomicOrd::Relaxed);
                 bar.bound.0.store(bound.as_micros(), AtomicOrd::Relaxed);
                 bar.end.0.store(w_end.as_micros(), AtomicOrd::Relaxed);
+                bar.round.0.store(round, AtomicOrd::Relaxed);
                 // The SeqCst bump publishes the parameters and pairs with
                 // the workers' parked-flag protocol (Dekker): we bump,
                 // then check flags; they set the flag, then re-check the
@@ -890,30 +811,35 @@ impl<M: Send + 'static> ShardedKernel<M> {
 
     /// Inline-mode outer window: the same sub-round/exchange schedule the
     /// workers run, executed shard-by-shard on the caller's thread.
-    fn run_rounds_inline(&mut self, tq: SimTime, la: SimDuration, bound: SimTime, w_end: SimTime) {
+    fn run_rounds_inline(
+        &mut self,
+        tq: SimTime,
+        la: SimDuration,
+        bound: SimTime,
+        w_end: SimTime,
+        mut round: u64,
+    ) {
         let shared = Arc::clone(&self.shared);
         let world = shared.world.read().expect("world lock");
-        let mut scratch = std::mem::take(&mut self.inline_scratch);
         let mut b = tq;
         loop {
             let end = next_round_end(b, la, bound, w_end);
-            for (i, m) in shared.shards.iter().enumerate() {
+            for m in &shared.shards {
                 let mut core = m.0.lock().expect("shard lock");
-                drain_shared_inbox(&shared.inboxes[i], &mut core, &mut scratch);
-                core.run_window(&world.topo, &world.map, end);
-                flush_outboxes(&mut core, &shared.inboxes, end);
+                let scratch = &mut self.inline_scratch;
+                run_round(&shared, &world, &mut core, scratch, end, round);
             }
             if end >= w_end {
                 break;
             }
             b = end;
+            round += 1;
         }
-        self.inline_scratch = scratch;
     }
 
     /// Coordinator barrier at the end of an outer window: collect the
-    /// per-shard fired runs, flush metrics, advance the clock, K-way
-    /// merge. Exchange already happened shard-to-shard at sub-round ends.
+    /// per-shard fired runs, advance the clock, K-way merge. Exchange
+    /// already happened shard-to-shard at sub-round ends.
     /// Returns the number of early crossings recorded this window (the
     /// adaptive policy's back-off signal).
     fn barrier_merge(&mut self, out: &mut Vec<MergedEvent<M>>) -> u64 {
@@ -938,15 +864,6 @@ impl<M: Send + 'static> ShardedKernel<M> {
             if core.fired.capacity() < peak {
                 let additional = peak - core.fired.len();
                 core.fired.reserve(additional);
-            }
-            let counters = core.counters;
-            for (j, h) in self.handles[i].iter().enumerate() {
-                let d = counters[j] - self.prev_flushed[i][j];
-                if d > 0 {
-                    h.add(d);
-                    self.prev_flushed[i][j] = counters[j];
-                    self.metrics_dirty = true;
-                }
             }
         }
         self.stats.critical_ns += max_busy;
@@ -997,13 +914,10 @@ impl<M: Send + 'static> ShardedKernel<M> {
         // Pull everything still sitting in the shared inboxes into the
         // queues so same-instant cross-shard events are visible to this
         // step's merge.
-        for (i, slot) in shared.inboxes.iter().enumerate() {
-            let mut s = slot.0.lock().expect("inbox lock");
-            for mut b in s.batches.drain(..) {
-                b.drain_into(&mut cores[i].queue);
-                cores[i].free.push(b);
+        for (slot, core) in shared.inboxes.iter().zip(&mut cores) {
+            for lane in &slot.0 {
+                drain_lane(lane, core, &mut self.inline_scratch);
             }
-            s.min_at = SimTime::MAX;
         }
         loop {
             let mut best: Option<(usize, EventKey)> = None;
@@ -1014,136 +928,28 @@ impl<M: Send + 'static> ShardedKernel<M> {
                     }
                 }
             }
-            let sync_next = self
-                .sync
-                .peek()
-                .filter(|e| e.at == ts)
-                .map(|e| EventKey::new(e.cmd, 0));
-            let take_sync = match (best, sync_next) {
-                (None, None) => break,
-                (None, Some(_)) => true,
-                (Some(_), None) => false,
-                (Some((_, ek)), Some(sk)) => sk < ek,
+            let sync_next = self.sync.peek().filter(|e| e.at == ts);
+            let Some(take_sync) = sync_runs_first(
+                best.map(|(_, key)| (ts, key)),
+                sync_next.map(|e| (ts, e.key)),
+            ) else {
+                break;
             };
             if take_sync {
-                let SyncEntry { cmd, what, .. } = self.sync.pop().expect("peeked");
-                match what {
-                    SyncCmd::Fault(kind) => {
-                        match kind {
-                            FaultKind::NodeCrash(n) => world.topo.set_node_up(n, false),
-                            FaultKind::NodeRecover(n) => world.topo.set_node_up(n, true),
-                            FaultKind::LinkDown(l) => world.topo.set_link_up(l, false),
-                            FaultKind::LinkUp(l) => world.topo.set_link_up(l, true),
-                        }
-                        self.coord_counters[KernelCounter::FaultsApplied as usize] += 1;
-                        out.push(MergedEvent {
-                            at: ts,
-                            key: EventKey::new(cmd, 0),
-                            what: ShardFired::Fault(kind),
-                        });
-                    }
-                    SyncCmd::Block(ch) => {
-                        let dsh = world.map.shard_of(self.dir[ch.0 as usize].1).0 as usize;
-                        if let Some(side) = cores[dsh].deliver_sides[ch.0 as usize].as_mut() {
-                            side.blocked = true;
-                        }
-                    }
-                    SyncCmd::Unblock(ch) => {
-                        let dsh = world.map.shard_of(self.dir[ch.0 as usize].1).0 as usize;
-                        let held = {
-                            let Some(side) = cores[dsh].deliver_sides[ch.0 as usize].as_mut()
-                            else {
-                                continue;
-                            };
-                            side.blocked = false;
-                            std::mem::take(&mut side.held)
-                        };
-                        self.coord_counters[KernelCounter::Released as usize] += held.len() as u64;
-                        for (i, h) in held.into_iter().enumerate() {
-                            cores[dsh].queue.push(Entry {
-                                at: ts,
-                                key: EventKey::new(cmd, i as u32 + 1),
-                                ev: ShardEvent::Deliver {
-                                    ch,
-                                    msg: h.msg,
-                                    size: h.size,
-                                    sent_at: h.sent_at,
-                                },
-                            });
-                        }
-                    }
-                    SyncCmd::Close(ch) => {
-                        let (src, dst) = self.dir[ch.0 as usize];
-                        let ssh = world.map.shard_of(src).0 as usize;
-                        let dsh = world.map.shard_of(dst).0 as usize;
-                        if let Some(side) = cores[ssh].send_sides[ch.0 as usize].as_mut() {
-                            side.open = false;
-                        }
-                        if let Some(side) = cores[dsh].deliver_sides[ch.0 as usize].as_mut() {
-                            side.open = false;
-                        }
-                    }
-                    SyncCmd::Rebind(ch, ns, nd) => {
-                        let n = world.topo.node_count() as u32;
-                        assert!(ns.0 < n && nd.0 < n, "rebind endpoint out of bounds");
-                        let (os, od) = self.dir[ch.0 as usize];
-                        let (ossh, odsh) = (
-                            world.map.shard_of(os).0 as usize,
-                            world.map.shard_of(od).0 as usize,
-                        );
-                        let (nssh, ndsh) = (
-                            world.map.shard_of(ns).0 as usize,
-                            world.map.shard_of(nd).0 as usize,
-                        );
-                        // Move both channel sides to the new owners and
-                        // repoint their endpoints.
-                        let mut sside = cores[ossh].send_sides[ch.0 as usize]
-                            .take()
-                            .expect("send side");
-                        sside.src = ns;
-                        sside.dst = nd;
-                        let mut dside = cores[odsh].deliver_sides[ch.0 as usize]
-                            .take()
-                            .expect("deliver side");
-                        dside.dst = nd;
-                        cores[nssh].ensure_channel_slot(ch);
-                        cores[nssh].send_sides[ch.0 as usize] = Some(sside);
-                        cores[ndsh].ensure_channel_slot(ch);
-                        cores[ndsh].deliver_sides[ch.0 as usize] = Some(dside);
-                        // Migrate queued entries: pending sends follow the
-                        // send side, in-flight deliveries follow the
-                        // delivery side (they arrive at the *new*
-                        // destination, matching the serial kernel).
-                        let mut pending = cores[ossh].queue.extract_channel(ch);
-                        if odsh != ossh {
-                            pending.extend(cores[odsh].queue.extract_channel(ch));
-                        }
-                        for e in pending {
-                            let dest = match e.ev {
-                                ShardEvent::SendCmd { .. } => nssh,
-                                ShardEvent::Deliver { .. } => ndsh,
-                                ShardEvent::Timer { .. } => unreachable!("timers are channel-less"),
-                            };
-                            cores[dest].queue.push(e);
-                        }
-                        // Pending sends may have changed shards; the
-                        // send-time heaps (which drive adaptive window
-                        // bounds) must follow them.
-                        for idx in [ossh, odsh, nssh, ndsh] {
-                            cores[idx].rebuild_send_times();
-                        }
-                        self.dir[ch.0 as usize] = (ns, nd);
-                    }
+                let entry = self.sync.pop().expect("peeked");
+                let key = entry.key;
+                let fired = apply_sync(&mut cores, &mut world.topo, Some(&world.map), entry);
+                if let Some(what) = fired {
+                    out.push(MergedEvent { at: ts, key, what });
                 }
             } else {
-                let (i, _) = best.expect("have a shard event");
+                let (i, key) = best.expect("have a shard event");
                 let entry = cores[i].queue.pop().expect("peeked");
-                cores[i].process(entry, &world.topo, &world.map);
-                // Fired events surface immediately, and cross-shard output
-                // is forwarded right away so a same-instant consequence on
-                // another shard is visible within this step.
-                for e in cores[i].fired.drain(..) {
-                    out.push(e);
+                // The occurrence surfaces immediately, and cross-shard
+                // output is forwarded right away so a same-instant
+                // consequence on another shard is visible within this step.
+                if let Some(what) = cores[i].process(entry, &world.topo, Some(&world.map)) {
+                    out.push(MergedEvent { at: ts, key, what });
                 }
                 for d in 0..k {
                     if cores[i].outboxes[d].is_empty() {
@@ -1196,8 +1002,8 @@ impl<M: Send + 'static> ShardedKernel<M> {
         f(&world.topo)
     }
 
-    /// Global kernel counters, summed across shards and the coordinator —
-    /// same names and meanings as
+    /// Global kernel counters, summed across shards — same names and
+    /// meanings as
     /// [`Kernel::counters`](crate::kernel::Kernel::counters).
     #[must_use]
     pub fn counters(&self) -> Counters {
@@ -1208,14 +1014,14 @@ impl<M: Send + 'static> ShardedKernel<M> {
         c
     }
 
-    /// One global counter, summed across shards and the coordinator.
+    /// One global counter, summed across shards.
     #[must_use]
     pub fn counter(&self, c: KernelCounter) -> u64 {
-        let mut total = self.coord_counters[c as usize];
-        for m in &self.shared.shards {
-            total += m.0.lock().expect("shard lock").counters[c as usize];
-        }
-        total
+        self.shared
+            .shards
+            .iter()
+            .map(|m| m.0.lock().expect("shard lock").counters[c as usize])
+            .sum()
     }
 
     /// Per-channel statistics, merged across the owning shards.
@@ -1233,21 +1039,16 @@ impl<M: Send + 'static> ShardedKernel<M> {
     /// Current `(src, dst)` endpoints of `ch`.
     #[must_use]
     pub fn channel_endpoints(&self, ch: ChannelId) -> (NodeId, NodeId) {
-        self.dir[ch.0 as usize]
+        let core = self.owner(|c| c.send_side(ch).is_some());
+        let s = core.send_side(ch).expect("owner");
+        (s.src, s.dst)
     }
 
     /// Whether `ch`'s delivery side is currently blocked.
     #[must_use]
     pub fn is_blocked(&self, ch: ChannelId) -> bool {
-        let world = self.shared.world.read().expect("world lock");
-        let dsh = world.map.shard_of(self.dir[ch.0 as usize].1).0 as usize;
-        self.shared.shards[dsh]
-            .0
-            .lock()
-            .expect("shard lock")
-            .deliver_sides[ch.0 as usize]
-            .as_ref()
-            .is_some_and(|s| s.blocked)
+        let core = self.owner(|c| c.deliver_side(ch).is_some());
+        core.deliver_side(ch).expect("owner").blocked
     }
 
     /// Route-cache counters summed across every shard's private cache.
@@ -1255,7 +1056,7 @@ impl<M: Send + 'static> ShardedKernel<M> {
     pub fn route_cache_stats(&self) -> RouteCacheStats {
         let mut total = RouteCacheStats::default();
         for m in &self.shared.shards {
-            let s = m.0.lock().expect("shard lock").route_cache_stats();
+            let s = m.0.lock().expect("shard lock").router.flat_stats();
             total.hits += s.hits;
             total.misses += s.misses;
             total.invalidations += s.invalidations;
@@ -1270,7 +1071,7 @@ impl<M: Send + 'static> ShardedKernel<M> {
     /// Call before driving traffic; calling again resets the routers.
     pub fn enable_hier_routing(&mut self) {
         for m in &self.shared.shards {
-            m.0.lock().expect("shard lock").hier = Some(crate::hier::HierRouter::new());
+            m.0.lock().expect("shard lock").router = Router::hier();
         }
     }
 
@@ -1281,7 +1082,7 @@ impl<M: Send + 'static> ShardedKernel<M> {
         let mut total = HierStats::default();
         let mut any = false;
         for m in &self.shared.shards {
-            if let Some(s) = m.0.lock().expect("shard lock").hier_stats() {
+            if let Some(s) = m.0.lock().expect("shard lock").router.hier_stats() {
                 any = true;
                 total.hits += s.hits;
                 total.misses += s.misses;
@@ -1302,7 +1103,8 @@ impl<M: Send + 'static> ShardedKernel<M> {
             .0
             .lock()
             .expect("shard lock")
-            .route_cache_stats()
+            .router
+            .flat_stats()
     }
 
     /// Total bytes accounted to `lid`, summed across shards (u64 addition
@@ -1312,7 +1114,7 @@ impl<M: Send + 'static> ShardedKernel<M> {
         self.shared
             .shards
             .iter()
-            .map(|m| m.0.lock().expect("shard lock").link_bytes(lid))
+            .map(|m| m.0.lock().expect("shard lock").link_bytes[lid.0 as usize])
             .sum()
     }
 
@@ -1330,216 +1132,6 @@ impl<M: Send + 'static> ShardedKernel<M> {
             s.exchange_ops += core.exchange_ops;
         }
         s
-    }
-
-    /// Flushes per-shard and coordinator counter deltas into the metric
-    /// registries (also happens automatically at every barrier).
-    pub fn flush_metrics(&mut self) {
-        for (i, m) in self.shared.shards.iter().enumerate() {
-            let counters = m.0.lock().expect("shard lock").counters;
-            for (j, h) in self.handles[i].iter().enumerate() {
-                let d = counters[j] - self.prev_flushed[i][j];
-                if d > 0 {
-                    h.add(d);
-                    self.prev_flushed[i][j] = counters[j];
-                    self.metrics_dirty = true;
-                }
-            }
-        }
-        for (j, h) in self.coord_handles.iter().enumerate() {
-            let d = self.coord_counters[j] - self.prev_coord_flushed[j];
-            if d > 0 {
-                h.add(d);
-                self.prev_coord_flushed[j] = self.coord_counters[j];
-                self.metrics_dirty = true;
-            }
-        }
-    }
-
-    /// Snapshot of one shard's private metric registry.
-    #[must_use]
-    pub fn shard_metrics(&self, shard: ShardId) -> aas_obs::MetricsSnapshot {
-        self.regs[shard.0 as usize].snapshot()
-    }
-
-    /// Flushes and merges every shard's registry (plus the coordinator's)
-    /// into one global snapshot; `kernel.*` counters here reconcile
-    /// exactly with [`ShardedKernel::counters`].
-    ///
-    /// The merge is cached per flush epoch: re-walking all K registries
-    /// on every call was pure waste when no counter moved between calls,
-    /// so the absorb result is kept and invalidated only when a flush
-    /// actually transfers a delta.
-    pub fn merged_metrics(&mut self) -> aas_obs::MetricsSnapshot {
-        self.flush_metrics();
-        if self.metrics_dirty {
-            let global = aas_obs::MetricsRegistry::new();
-            for reg in &self.regs {
-                global.absorb(&reg.snapshot());
-            }
-            global.absorb(&self.coord_reg.snapshot());
-            self.merged_cache = global.snapshot();
-            self.metrics_dirty = false;
-        }
-        self.merged_cache.clone()
-    }
-}
-
-impl<M: Send + Clone + 'static> ShardedKernel<M> {
-    /// The RNG seed every serial projection starts from. The sharded
-    /// kernel owns no RNG stream (randomness lives with the caller), so
-    /// the projected [`Kernel`]'s stream has to begin somewhere fixed and
-    /// documented; callers that need a different stream can draw from
-    /// their own RNG and discard the projection's.
-    pub const FORK_SEED: u64 = 0x5eed_f02c;
-
-    /// Projects the sharded kernel onto a serial [`Kernel`] fork.
-    ///
-    /// This is the sharded half of the snapshot-and-fork story: at a
-    /// barrier, every shard's pending events, channel halves and counters
-    /// are stitched back into one serial kernel that shares no state with
-    /// the coordinator or its workers. The projection is only faithful
-    /// when nothing is "in between" representations, so it returns `None`
-    /// when:
-    ///
-    /// - synchronous commands (faults, blocks, closes, rebinds) are still
-    ///   queued coordinator-side — they execute outside shard state and
-    ///   cannot be replayed by a serial kernel, or
-    /// - any shard still holds an un-routed `ShardEvent::SendCmd` — the
-    ///   serial kernel routes at `send` time while shards route at the
-    ///   command's scheduled time, so the projection must wait until all
-    ///   sends have routed (i.e. fork after a `drain()`/barrier, not
-    ///   between `send` and `step`).
-    ///
-    /// Pending deliveries and timers re-enter the serial queue in the
-    /// sharded total order `(time, key)`; the serial queue's insertion-seq
-    /// tie-break then reproduces that order exactly, so a drain of the
-    /// fork fires the same events at the same times as a drain of the
-    /// sharded mainline (see `tests/fork_determinism.rs`).
-    pub fn fork_serial(&self) -> Option<Kernel<M>> {
-        if !self.sync.is_empty() {
-            return None;
-        }
-        let world = self.shared.world.read().expect("world lock");
-        let cores: Vec<MutexGuard<'_, ShardCore<M>>> = self
-            .shared
-            .shards
-            .iter()
-            .map(|m| m.0.lock().expect("shard lock"))
-            .collect();
-
-        let mut counters = self.coord_counters;
-        let mut hier = false;
-        let mut pending: Vec<(SimTime, EventKey, KernelEvent<M>)> = Vec::new();
-        for core in &cores {
-            hier |= core.hier.is_some();
-            for (i, c) in core.counters.iter().enumerate() {
-                counters[i] += c;
-            }
-            for e in core.queue.iter() {
-                match &e.ev {
-                    ShardEvent::SendCmd { .. } => return None,
-                    ShardEvent::Deliver {
-                        ch,
-                        msg,
-                        size,
-                        sent_at,
-                    } => pending.push((
-                        e.at,
-                        e.key,
-                        KernelEvent::Deliver {
-                            channel: *ch,
-                            msg: msg.clone(),
-                            size: *size,
-                            sent_at: *sent_at,
-                        },
-                    )),
-                    ShardEvent::Timer { tag } => {
-                        pending.push((e.at, e.key, KernelEvent::Timer { tag: *tag }));
-                    }
-                }
-            }
-        }
-        // In-transit deliveries still parked in the shared inboxes (the
-        // last exchange of a window deposits batches the owner has not
-        // drained yet) are pending events like any other.
-        for slot in &self.shared.inboxes {
-            let s = slot.0.lock().expect("inbox lock");
-            for b in &s.batches {
-                for j in 0..b.len() {
-                    pending.push((
-                        b.ats[j],
-                        b.keys[j],
-                        KernelEvent::Deliver {
-                            channel: b.chs[j],
-                            msg: b.msgs[j].clone(),
-                            size: b.sizes[j],
-                            sent_at: b.sent_ats[j],
-                        },
-                    ));
-                }
-            }
-        }
-        pending.sort_by_key(|e| (e.0, e.1));
-        let mut queue = EventQueue::with_capacity(pending.len());
-        for (at, _, ev) in pending {
-            queue.push(at, ev);
-        }
-
-        // Stitch each channel's send half (source shard) and delivery half
-        // (destination shard) back into one serial channel. The send side
-        // carries the authoritative endpoints — rebinds update it first.
-        let mut channels = Vec::with_capacity(self.dir.len());
-        for (idx, (src0, dst0)) in self.dir.iter().enumerate() {
-            let (mut src, mut dst) = (*src0, *dst0);
-            let mut open = true;
-            let mut blocked = false;
-            let mut fifo_tail = SimTime::ZERO;
-            let mut held = VecDeque::new();
-            let mut stats = ChannelStats::default();
-            for core in &cores {
-                if let Some(Some(s)) = core.send_sides.get(idx) {
-                    src = s.src;
-                    dst = s.dst;
-                    open &= s.open;
-                    fifo_tail = s.fifo_tail;
-                    stats.sent += s.sent;
-                    stats.dropped += s.dropped;
-                }
-                if let Some(Some(d)) = core.deliver_sides.get(idx) {
-                    open &= d.open;
-                    blocked = d.blocked;
-                    held.extend(d.held.iter().cloned());
-                    stats.delivered += d.delivered;
-                    stats.dropped += d.dropped;
-                    stats.held += d.held.len() as u64;
-                }
-            }
-            channels.push(Channel {
-                id: ChannelId(idx as u64),
-                src,
-                dst,
-                open,
-                blocked,
-                fifo_tail,
-                held,
-                stats,
-            });
-        }
-
-        let topo = world.topo.clone();
-        drop(cores);
-        drop(world);
-        Some(Kernel::from_parts(
-            self.now,
-            queue,
-            topo,
-            channels,
-            Self::FORK_SEED,
-            counters,
-            hier,
-            self.next_timer_tag,
-        ))
     }
 }
 
@@ -1594,6 +1186,7 @@ fn worker_loop<M: Send + 'static>(shared: &Shared<M>, idx: usize, hook: Option<f
         let la = SimDuration::from_micros(bar.la.0.load(AtomicOrd::Acquire));
         let bound = SimTime::from_micros(bar.bound.0.load(AtomicOrd::Acquire));
         let w_end = SimTime::from_micros(bar.end.0.load(AtomicOrd::Acquire));
+        let mut round = bar.round.0.load(AtomicOrd::Acquire);
         {
             let world = shared.world.read().expect("world lock");
             let mut core = shared.shards[idx].0.lock().expect("shard lock");
@@ -1603,13 +1196,12 @@ fn worker_loop<M: Send + 'static>(shared: &Shared<M>, idx: usize, hook: Option<f
             let mut b = tq;
             loop {
                 let end = next_round_end(b, la, bound, w_end);
-                drain_shared_inbox(&shared.inboxes[idx], &mut core, &mut scratch);
-                core.run_window(&world.topo, &world.map, end);
-                flush_outboxes(&mut core, &shared.inboxes, end);
+                run_round(shared, &world, &mut core, &mut scratch, end, round);
                 if end >= w_end {
                     break;
                 }
                 b = end;
+                round += 1;
                 sub_barrier_wait(bar, k);
             }
         }
@@ -1645,6 +1237,7 @@ impl<M: Send + 'static> Drop for ShardedKernel<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::Fired;
     use crate::network::Topology;
 
     fn two_node_topo() -> Topology {
@@ -1661,10 +1254,7 @@ mod tests {
         // besides... actually SendCmd produces no fired record, only the
         // delivery does.
         assert_eq!(events.len(), 1);
-        assert!(matches!(
-            events[0].what,
-            ShardFired::Delivered { msg: 7, .. }
-        ));
+        assert!(matches!(events[0].what, Fired::Delivered { msg: 7, .. }));
         assert_eq!(k.counter(KernelCounter::Sent), 1);
         assert_eq!(k.counter(KernelCounter::Delivered), 1);
         assert_eq!(k.stats().early_crossings, 0);
@@ -1712,7 +1302,7 @@ mod tests {
         let msgs: Vec<u32> = after
             .iter()
             .filter_map(|e| match e.what {
-                ShardFired::Delivered { msg, .. } => Some(msg),
+                Fired::Delivered { msg, .. } => Some(msg),
                 _ => None,
             })
             .collect();
@@ -1730,58 +1320,12 @@ mod tests {
         let events = k.drain();
         assert!(events.iter().any(|e| matches!(
             e.what,
-            ShardFired::Dropped {
+            Fired::Dropped {
                 reason: crate::channel::DropReason::DestinationDown,
                 ..
             }
         )));
         assert_eq!(k.counter(KernelCounter::Dropped), 1);
-    }
-
-    #[test]
-    fn merged_metrics_reconcile_with_counters() {
-        let mut k: ShardedKernel<u32> = ShardedKernel::new(two_node_topo(), 2);
-        let ch = k.open_channel(NodeId(0), NodeId(1));
-        for i in 0..10 {
-            k.send_at(SimTime::from_micros(i), ch, i as u32, 64);
-        }
-        let _ = k.drain();
-        let snap = k.merged_metrics();
-        for c in KernelCounter::ALL {
-            let name = format!("kernel.{}", c.name());
-            assert_eq!(
-                snap.counter(&name).unwrap_or(0),
-                k.counter(c),
-                "{name} must reconcile"
-            );
-        }
-    }
-
-    #[test]
-    fn merged_metrics_cache_invalidates_on_flush() {
-        let mut k: ShardedKernel<u32> = ShardedKernel::new(two_node_topo(), 2);
-        let ch = k.open_channel(NodeId(0), NodeId(1));
-        for i in 0..5 {
-            k.send_at(SimTime::from_micros(i), ch, i as u32, 64);
-        }
-        let _ = k.drain();
-        let first = k.merged_metrics();
-        assert!(!k.metrics_dirty, "merge must be cached after a call");
-        // A second call with no traffic in between returns the cache.
-        let second = k.merged_metrics();
-        assert_eq!(
-            first.counter("kernel.delivered"),
-            second.counter("kernel.delivered")
-        );
-        assert!(!k.metrics_dirty);
-        // New traffic moves counters at the next flush — the cache must
-        // be invalidated and the rebuilt merge must see the new deliveries.
-        for i in 0..5 {
-            k.send_at(SimTime::from_millis(20 + i), ch, i as u32, 64);
-        }
-        let _ = k.drain();
-        let third = k.merged_metrics();
-        assert_eq!(third.counter("kernel.delivered"), Some(10));
     }
 
     /// The loom-free cache-line check from the issue: no two shards' hot
@@ -1806,6 +1350,7 @@ mod tests {
         lines.push(std::ptr::from_ref(&bar.done) as usize);
         lines.push(std::ptr::from_ref(&bar.sub_arrived) as usize);
         lines.push(std::ptr::from_ref(&bar.sub_epoch) as usize);
+        lines.push(std::ptr::from_ref(&bar.round) as usize);
         for p in &bar.parked {
             lines.push(std::ptr::from_ref(p) as usize);
         }

@@ -1,6 +1,6 @@
 //! Hierarchical routing with region-scoped partial invalidation.
 //!
-//! At planet scale the flat [`RouteCache`](crate::network::RouteCache)
+//! At planet scale the flat [`RouteCache`]
 //! craters under fault churn: every liveness flap bumps the global routing
 //! epoch, the whole cache flushes, and every active pair re-runs a
 //! whole-graph Dijkstra. [`HierRouter`] replaces that with a two-level
@@ -48,7 +48,9 @@
 //! flap schedules.
 
 use crate::link::LinkId;
-use crate::network::{RegionId, Route, RouteScratch, Topology, LOCAL_TRANSIT};
+use crate::network::{
+    RegionId, Route, RouteCache, RouteCacheStats, RouteScratch, Topology, LOCAL_TRANSIT,
+};
 use crate::node::NodeId;
 use crate::time::SimDuration;
 use std::collections::HashMap;
@@ -575,6 +577,65 @@ impl HierRouter {
         self.stats.settled += std::mem::take(&mut scratch.settled);
         self.scratch = scratch;
         result
+    }
+}
+
+/// The route resolver of one event-loop core: the flat epoch-flushed
+/// [`RouteCache`] by default, a [`HierRouter`] once hierarchical routing
+/// is enabled. Every core of a kernel holds the same variant, so routing
+/// policy never depends on the shard count.
+#[derive(Debug)]
+pub(crate) enum Router {
+    Flat(RouteCache),
+    Hier(Box<HierRouter>),
+}
+
+impl Router {
+    pub fn flat(topo: &Topology) -> Self {
+        Router::Flat(RouteCache::new(topo))
+    }
+
+    pub fn hier() -> Self {
+        Router::Hier(Box::default())
+    }
+
+    /// A cold router of the same kind. Resolution is a pure function of
+    /// the topology, so a cold copy routes identically; only the stats
+    /// restart.
+    pub fn cold_copy(&self, topo: &Topology) -> Self {
+        match self {
+            Router::Flat(_) => Router::flat(topo),
+            Router::Hier(_) => Router::hier(),
+        }
+    }
+
+    pub fn resolve(
+        &mut self,
+        topo: &Topology,
+        src: NodeId,
+        dst: NodeId,
+        size: u64,
+    ) -> Option<Arc<Route>> {
+        match self {
+            Router::Flat(c) => c.resolve(topo, src, dst, size),
+            Router::Hier(h) => h.resolve(topo, src, dst, size),
+        }
+    }
+
+    /// Flat-cache counters; all zero under hierarchical routing.
+    pub fn flat_stats(&self) -> RouteCacheStats {
+        match self {
+            Router::Flat(c) => c.stats(),
+            Router::Hier(_) => RouteCacheStats::default(),
+        }
+    }
+
+    /// Hierarchical-router counters; `None` under flat routing.
+    pub fn hier_stats(&self) -> Option<HierStats> {
+        match self {
+            Router::Flat(_) => None,
+            Router::Hier(h) => Some(h.stats()),
+        }
     }
 }
 

@@ -1,71 +1,33 @@
-//! The discrete-event simulation kernel.
+//! The interactive discrete-event kernel — the K=1 driver of the shard
+//! core.
 //!
-//! A [`Kernel`] owns virtual time, the event queue, the [`Topology`],
-//! channels and the fault schedule. Higher layers (the component runtime in
-//! `aas-core`) drive it by calling [`Kernel::step`] in a loop and reacting
-//! to the [`Fired`] occurrences it yields.
+//! A [`Kernel`] owns virtual time, one `ShardCore` (event queue, channel
+//! sides, router — see [`crate::shard`] for the transitions), the
+//! [`Topology`], an RNG stream and a tracer. Higher layers (the component
+//! runtime in `aas-core`) drive it by calling [`Kernel::step`] in a loop
+//! and reacting to the [`Fired`] occurrences it yields. Commands take
+//! effect *now*: a send runs the core's send transition at the current
+//! time and reports its outcome directly, and block / unblock / close /
+//! rebind apply on the spot through the same sync-command function the
+//! sharded driver runs at its barriers. Only faults are scheduled.
 
-use crate::channel::{Channel, ChannelId, ChannelStats, DropReason, HeldMessage};
-use crate::event::EventQueue;
-use crate::fault::{FaultKind, FaultSchedule};
-use crate::hier::{HierRouter, HierStats};
-use crate::network::{Route, RouteCache, RouteCacheStats, Topology};
+use crate::channel::{ChannelId, ChannelStats, DropReason};
+use crate::fault::FaultSchedule;
+use crate::hier::{HierStats, Router};
+use crate::network::{Route, RouteCacheStats, Topology};
 use crate::node::NodeId;
 use crate::rng::SimRng;
+use crate::shard::{
+    apply_sync, sync_runs_first, DeliverSide, Entry, EventKey, Scheduled, SendSide, ShardCore,
+    ShardEvent, SyncCmd, SyncEntry,
+};
 use crate::stats::Counters;
 use crate::time::{SimDuration, SimTime};
 use aas_obs::{SpanId, Tracer};
-use std::collections::VecDeque;
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-/// The kernel's per-message lifecycle counters, enum-indexed so the hot
-/// path bumps a fixed array slot instead of walking a string-keyed map.
-/// [`Kernel::counters`] exports them into a [`Counters`] under their
-/// historical names (`sent`, `delivered`, …) for reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(usize)]
-pub enum KernelCounter {
-    /// Messages accepted by [`Kernel::send`].
-    Sent,
-    /// Messages handed to the application.
-    Delivered,
-    /// Messages dropped at send or delivery time.
-    Dropped,
-    /// Messages held by blocked channels.
-    Held,
-    /// Held messages released by [`Kernel::unblock_channel`].
-    Released,
-    /// Faults applied to the topology.
-    FaultsApplied,
-}
-
-impl KernelCounter {
-    /// Number of counters (the fast array's length).
-    pub const COUNT: usize = 6;
-
-    /// The historical string name this counter exports under.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            KernelCounter::Sent => "sent",
-            KernelCounter::Delivered => "delivered",
-            KernelCounter::Dropped => "dropped",
-            KernelCounter::Held => "held",
-            KernelCounter::Released => "released",
-            KernelCounter::FaultsApplied => "faults_applied",
-        }
-    }
-
-    /// All counters, in export order.
-    pub const ALL: [KernelCounter; KernelCounter::COUNT] = [
-        KernelCounter::Sent,
-        KernelCounter::Delivered,
-        KernelCounter::Dropped,
-        KernelCounter::Held,
-        KernelCounter::Released,
-        KernelCounter::FaultsApplied,
-    ];
-}
+pub use crate::shard::{Fired, KernelCounter};
 
 /// Outcome of a [`Kernel::send`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,58 +45,6 @@ impl SendOutcome {
     pub fn is_sent(&self) -> bool {
         matches!(self, SendOutcome::Sent(_))
     }
-}
-
-/// Internal event representation. Crate-visible so the sharded kernel's
-/// serial projection ([`crate::coordinator::ShardedKernel::fork_serial`])
-/// can rebuild a serial queue from shard state.
-#[derive(Debug, Clone)]
-pub(crate) enum KernelEvent<M> {
-    Deliver {
-        channel: ChannelId,
-        msg: M,
-        size: u64,
-        sent_at: SimTime,
-    },
-    Timer {
-        tag: u64,
-    },
-    Fault(FaultKind),
-}
-
-/// An occurrence handed to the caller by [`Kernel::step`].
-#[derive(Debug)]
-pub enum Fired<M> {
-    /// A message arrived on a channel.
-    Delivered {
-        /// The channel it arrived on.
-        channel: ChannelId,
-        /// The payload.
-        msg: M,
-        /// Payload size in bytes (as given at send time).
-        size: u64,
-        /// When it was sent; `now - sent_at` is its end-to-end delay.
-        sent_at: SimTime,
-    },
-    /// A timer set with [`Kernel::set_timer`] expired.
-    Timer {
-        /// The tag given at scheduling time.
-        tag: u64,
-    },
-    /// A scheduled fault was applied to the topology. The topology has
-    /// already been updated when this is yielded.
-    Fault(FaultKind),
-    /// A message was dropped at delivery time (destination down or channel
-    /// closed). The payload is handed back so higher layers can account for
-    /// the loss precisely — or retry the send under their own policy.
-    DroppedAtDelivery {
-        /// The channel the message was traveling on.
-        channel: ChannelId,
-        /// The payload that failed to arrive.
-        msg: M,
-        /// Why it was dropped.
-        reason: DropReason,
-    },
 }
 
 /// The simulation kernel.
@@ -161,18 +71,14 @@ pub enum Fired<M> {
 #[derive(Debug)]
 pub struct Kernel<M> {
     now: SimTime,
-    queue: EventQueue<KernelEvent<M>>,
+    core: ShardCore<M>,
+    /// Scheduled faults, in `(time, cmd)` order.
+    sync: BinaryHeap<SyncEntry>,
     topology: Topology,
-    channels: Vec<Channel<M>>,
     rng: SimRng,
-    /// Enum-indexed fast counters; exported on demand by
-    /// [`Kernel::counters`].
-    counters: [u64; KernelCounter::COUNT],
-    route_cache: RouteCache,
-    /// Hierarchical router; when set, routing goes through it instead of
-    /// the flat epoch-flushed cache.
-    hier: Option<HierRouter>,
     tracer: Tracer,
+    /// Issue-order id of the next caller command.
+    next_cmd: u64,
     next_timer_tag: u64,
 }
 
@@ -180,54 +86,24 @@ impl<M> Kernel<M> {
     /// Creates a kernel over `topology`, seeded with `seed`.
     #[must_use]
     pub fn new(topology: Topology, seed: u64) -> Self {
-        let route_cache = RouteCache::new(&topology);
         Kernel {
             now: SimTime::ZERO,
-            queue: EventQueue::new(),
+            core: ShardCore::new(0, &topology),
+            sync: BinaryHeap::new(),
             topology,
-            channels: Vec::new(),
             rng: SimRng::seed_from(seed),
-            counters: [0; KernelCounter::COUNT],
-            route_cache,
-            hier: None,
             tracer: Tracer::new(),
+            next_cmd: 0,
             next_timer_tag: 0,
         }
     }
 
-    /// Crate-internal constructor from pre-built parts — the sharded
-    /// kernel's serial projection assembles a `Kernel` out of shard-owned
-    /// state at a barrier (see
-    /// [`crate::coordinator::ShardedKernel::fork_serial`]).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_parts(
-        now: SimTime,
-        queue: EventQueue<KernelEvent<M>>,
-        topology: Topology,
-        channels: Vec<Channel<M>>,
-        seed: u64,
-        counters: [u64; KernelCounter::COUNT],
-        hier: bool,
-        next_timer_tag: u64,
-    ) -> Self {
-        let route_cache = RouteCache::new(&topology);
-        Kernel {
-            now,
-            queue,
-            topology,
-            channels,
-            rng: SimRng::seed_from(seed),
-            counters,
-            route_cache,
-            hier: hier.then(HierRouter::new),
-            tracer: Tracer::new(),
-            next_timer_tag,
-        }
-    }
-
-    #[inline]
-    fn bump(&mut self, c: KernelCounter) {
-        self.counters[c as usize] += 1;
+    /// The key of the next caller command: issue order breaks
+    /// same-instant ties.
+    fn alloc_key(&mut self) -> EventKey {
+        let cmd = self.next_cmd;
+        self.next_cmd += 1;
+        EventKey::new(cmd, 0)
     }
 
     /// Current virtual time.
@@ -260,7 +136,7 @@ impl<M> Kernel<M> {
     pub fn counters(&self) -> Counters {
         let mut c = Counters::new();
         for k in KernelCounter::ALL {
-            c.add(k.name(), self.counters[k as usize]);
+            c.add(k.name(), self.counter(k));
         }
         c
     }
@@ -268,43 +144,41 @@ impl<M> Kernel<M> {
     /// Reads one fast counter directly, no export.
     #[must_use]
     pub fn counter(&self, c: KernelCounter) -> u64 {
-        self.counters[c as usize]
+        self.core.counters[c as usize]
     }
 
     /// Resolves the route a send on `(src, dst, size)` would take right
     /// now, through the kernel's active router — the hierarchical one when
     /// [`Kernel::enable_hier_routing`] has been called, the flat
-    /// epoch-invalidated [`RouteCache`] otherwise. Exposed so tests and
-    /// benches can audit exactly what the send path uses.
+    /// epoch-invalidated [`RouteCache`](crate::network::RouteCache)
+    /// otherwise. Exposed so tests and benches can audit exactly what the
+    /// send path uses.
     pub fn route(&mut self, src: NodeId, dst: NodeId, size: u64) -> Option<Arc<Route>> {
-        match &mut self.hier {
-            Some(h) => h.resolve(&self.topology, src, dst, size),
-            None => self.route_cache.resolve(&self.topology, src, dst, size),
-        }
+        self.core.router.resolve(&self.topology, src, dst, size)
     }
 
     /// Route-cache performance counters (hits, misses, invalidations).
-    /// Stays at zero after [`Kernel::enable_hier_routing`] — see
+    /// All zero after [`Kernel::enable_hier_routing`] — see
     /// [`Kernel::hier_stats`] then.
     #[must_use]
     pub fn route_cache_stats(&self) -> RouteCacheStats {
-        self.route_cache.stats()
+        self.core.router.flat_stats()
     }
 
-    /// Switches routing to a [`HierRouter`] with region-scoped partial
-    /// invalidation. Requires every node to carry a region assignment
-    /// (see [`Topology::set_node_region`]) to actually route
-    /// hierarchically; unassigned topologies fall back to flat searches
-    /// per query. Calling this again resets the router.
+    /// Switches routing to a [`HierRouter`](crate::hier::HierRouter) with
+    /// region-scoped partial invalidation. Requires every node to carry a
+    /// region assignment (see [`Topology::set_node_region`]) to actually
+    /// route hierarchically; unassigned topologies fall back to flat
+    /// searches per query. Calling this again resets the router.
     pub fn enable_hier_routing(&mut self) {
-        self.hier = Some(HierRouter::new());
+        self.core.router = Router::hier();
     }
 
     /// Hierarchical-router counters; `None` until
     /// [`Kernel::enable_hier_routing`].
     #[must_use]
     pub fn hier_stats(&self) -> Option<HierStats> {
-        self.hier.as_ref().map(HierRouter::stats)
+        self.core.router.hier_stats()
     }
 
     /// Replaces the kernel's tracer, typically with a shared workspace
@@ -330,20 +204,40 @@ impl<M> Kernel<M> {
     pub fn open_channel(&mut self, src: NodeId, dst: NodeId) -> ChannelId {
         assert!((src.0 as usize) < self.topology.node_count(), "bad src");
         assert!((dst.0 as usize) < self.topology.node_count(), "bad dst");
-        let id = ChannelId(self.channels.len() as u64);
-        self.channels.push(Channel::new(id, src, dst));
-        id
+        let ch = ChannelId(self.core.send_sides.len() as u64);
+        self.core.put_send_side(ch, SendSide::new(src, dst));
+        self.core.put_deliver_side(ch, DeliverSide::new(dst));
+        ch
+    }
+
+    /// `ev` at time `at`, under a fresh command id.
+    fn sync_entry(&mut self, at: SimTime, ev: SyncCmd) -> SyncEntry {
+        let key = self.alloc_key();
+        Scheduled { at, key, ev }
+    }
+
+    /// Runs a sync command against the one core.
+    fn apply(&mut self, entry: SyncEntry) -> Option<Fired<M>> {
+        let mut core = &mut self.core;
+        let cores = std::slice::from_mut(&mut core);
+        apply_sync(cores, &mut self.topology, None, entry)
+    }
+
+    /// Applies a sync command right now.
+    fn sync_now(&mut self, ev: SyncCmd) {
+        let entry = self.sync_entry(self.now, ev);
+        self.apply(entry);
     }
 
     /// Closes a channel; messages still in flight will be dropped at
     /// delivery time with [`DropReason::ChannelClosed`].
     pub fn close_channel(&mut self, ch: ChannelId) {
-        self.channel_mut(ch).open = false;
+        self.sync_now(SyncCmd::Close(ch));
     }
 
     /// Rebinds a channel's endpoints (used when a component migrates).
-    /// Messages already in flight are unaffected; new sends use the new
-    /// endpoints.
+    /// New sends use the new endpoints; messages already in flight keep
+    /// their arrival time and are delivered against the new destination.
     ///
     /// # Panics
     ///
@@ -351,30 +245,29 @@ impl<M> Kernel<M> {
     /// validation [`Kernel::open_channel`] applies, so a bad migration
     /// fails at the rebind instead of at a later routing query.
     pub fn rebind_channel(&mut self, ch: ChannelId, src: NodeId, dst: NodeId) {
-        assert!((src.0 as usize) < self.topology.node_count(), "bad src");
-        assert!((dst.0 as usize) < self.topology.node_count(), "bad dst");
-        let c = self.channel_mut(ch);
-        c.src = src;
-        c.dst = dst;
+        self.sync_now(SyncCmd::Rebind(ch, src, dst));
     }
 
     /// The `(src, dst)` endpoints of a channel.
     #[must_use]
     pub fn channel_endpoints(&self, ch: ChannelId) -> (NodeId, NodeId) {
-        let c = self.channel(ch);
-        (c.src, c.dst)
+        let s = self.core.send_side(ch).expect("channel was opened");
+        (s.src, s.dst)
     }
 
     /// Per-channel statistics.
     #[must_use]
     pub fn channel_stats(&self, ch: ChannelId) -> ChannelStats {
-        self.channel(ch).stats
+        let mut stats = ChannelStats::default();
+        self.core.channel_stats_into(ch, &mut stats);
+        stats
     }
 
     /// Whether the channel is currently blocked.
     #[must_use]
     pub fn is_blocked(&self, ch: ChannelId) -> bool {
-        self.channel(ch).blocked
+        let side = self.core.deliver_side(ch).expect("channel was opened");
+        side.blocked
     }
 
     /// Blocks a channel: subsequent deliveries are held, in order, until
@@ -382,7 +275,7 @@ impl<M> Kernel<M> {
     /// travel and then wait at the destination), exactly the Polylith
     /// "manage messages in transit" behaviour the paper describes.
     pub fn block_channel(&mut self, ch: ChannelId) {
-        self.channel_mut(ch).blocked = true;
+        self.sync_now(SyncCmd::Block(ch));
         self.tracer.event(
             SpanId::NONE,
             "queue",
@@ -394,31 +287,14 @@ impl<M> Kernel<M> {
     /// Unblocks a channel, rescheduling all held messages for immediate
     /// delivery in their original order.
     pub fn unblock_channel(&mut self, ch: ChannelId) {
-        let now = self.now;
-        let c = self.channel_mut(ch);
-        c.blocked = false;
-        // Take the deque wholesale and push straight into the event queue —
-        // no intermediate collection.
-        let held: VecDeque<HeldMessage<M>> = std::mem::take(&mut c.held);
-        let held_count = held.len() as u64;
-        c.stats.held = 0;
-        for h in held {
-            self.queue.push(
-                now,
-                KernelEvent::Deliver {
-                    channel: ch,
-                    msg: h.msg,
-                    size: h.size,
-                    sent_at: h.sent_at,
-                },
-            );
-        }
-        self.counters[KernelCounter::Released as usize] += held_count;
+        let before = self.counter(KernelCounter::Released);
+        self.sync_now(SyncCmd::Unblock(ch));
+        let held_count = self.counter(KernelCounter::Released) - before;
         self.tracer.event(
             SpanId::NONE,
             "queue",
             &format!("release ch={} held={held_count}", ch.0),
-            now.as_micros(),
+            self.now.as_micros(),
         );
     }
 
@@ -428,54 +304,25 @@ impl<M> Kernel<M> {
     /// FIFO order per channel is enforced even when later routes would be
     /// faster.
     pub fn send(&mut self, ch: ChannelId, msg: M, size: u64) -> SendOutcome {
-        let (src, dst, open) = {
-            let c = self.channel(ch);
-            (c.src, c.dst, c.open)
-        };
-        if !open {
-            self.channel_mut(ch).stats.dropped += 1;
-            self.bump(KernelCounter::Dropped);
-            return SendOutcome::Dropped(DropReason::ChannelClosed);
-        }
-        let Some(route) = self.route(src, dst, size) else {
-            self.channel_mut(ch).stats.dropped += 1;
-            self.bump(KernelCounter::Dropped);
-            return SendOutcome::Dropped(DropReason::Unreachable);
-        };
-        self.topology.account_route(&route, size);
-        let arrival = (self.now + route.transit).max(self.channel(ch).fifo_tail);
+        let key = self.alloc_key();
+        match self
+            .core
+            .send(self.now, key, ch, msg, size, &self.topology, None)
         {
-            let c = self.channel_mut(ch);
-            c.fifo_tail = arrival;
-            c.stats.sent += 1;
+            Ok((transit, route)) => {
+                self.topology.account_route(&route, size);
+                if self.tracer.sample_hop() {
+                    let (src, dst) = self.channel_endpoints(ch);
+                    self.tracer.hop(
+                        "send",
+                        &format!("ch={} {}->{}", ch.0, src.0, dst.0),
+                        self.now.as_micros(),
+                    );
+                }
+                SendOutcome::Sent(transit)
+            }
+            Err((_, reason)) => SendOutcome::Dropped(reason),
         }
-        self.bump(KernelCounter::Sent);
-        if self.tracer.sample_hop() {
-            self.tracer.hop(
-                "send",
-                &format!("ch={} {}->{}", ch.0, src.0, dst.0),
-                self.now.as_micros(),
-            );
-        }
-        let sent_at = self.now;
-        self.queue.push(
-            arrival,
-            KernelEvent::Deliver {
-                channel: ch,
-                msg,
-                size,
-                sent_at,
-            },
-        );
-        SendOutcome::Sent(arrival.saturating_since(self.now))
-    }
-
-    fn channel(&self, ch: ChannelId) -> &Channel<M> {
-        &self.channels[ch.0 as usize]
-    }
-
-    fn channel_mut(&mut self, ch: ChannelId) -> &mut Channel<M> {
-        &mut self.channels[ch.0 as usize]
     }
 
     // ----- timers -----------------------------------------------------
@@ -484,8 +331,7 @@ impl<M> Kernel<M> {
     pub fn set_timer(&mut self, delay: SimDuration) -> u64 {
         let tag = self.next_timer_tag;
         self.next_timer_tag += 1;
-        self.queue
-            .push(self.now + delay, KernelEvent::Timer { tag });
+        self.set_timer_with_tag(delay, tag);
         tag
     }
 
@@ -493,8 +339,12 @@ impl<M> Kernel<M> {
     /// collide with automatic tags if mixed carelessly; prefer one scheme
     /// per runtime.
     pub fn set_timer_with_tag(&mut self, delay: SimDuration, tag: u64) {
-        self.queue
-            .push(self.now + delay, KernelEvent::Timer { tag });
+        let key = self.alloc_key();
+        self.core.queue.push(Entry {
+            at: self.now + delay,
+            key,
+            ev: ShardEvent::Timer { tag },
+        });
     }
 
     // ----- faults -----------------------------------------------------
@@ -502,103 +352,56 @@ impl<M> Kernel<M> {
     /// Injects every fault in `schedule` as future events.
     pub fn inject_faults(&mut self, schedule: FaultSchedule) {
         for (at, kind) in schedule.into_entries() {
-            self.queue.push(at, KernelEvent::Fault(kind));
+            let entry = self.sync_entry(at, SyncCmd::Fault(kind));
+            self.sync.push(entry);
         }
-    }
-
-    fn apply_fault(&mut self, kind: FaultKind) {
-        // Liveness flips go through the topology-level mutators so the
-        // routing epoch bumps and the route cache invalidates.
-        match kind {
-            FaultKind::NodeCrash(n) => self.topology.set_node_up(n, false),
-            FaultKind::NodeRecover(n) => self.topology.set_node_up(n, true),
-            FaultKind::LinkDown(l) => self.topology.set_link_up(l, false),
-            FaultKind::LinkUp(l) => self.topology.set_link_up(l, true),
-        }
-        self.bump(KernelCounter::FaultsApplied);
     }
 
     // ----- the engine loop ---------------------------------------------
 
-    /// Advances to the next event and returns it, or `None` when the queue
-    /// is empty. Virtual time never goes backwards.
+    /// Advances to the next event and returns it, or `None` when nothing
+    /// is pending. Virtual time never goes backwards.
     pub fn step(&mut self) -> Option<(SimTime, Fired<M>)> {
         loop {
-            let (at, ev) = self.queue.pop()?;
+            let sync = self.sync.peek().map(|e| (e.at, e.key));
+            if sync_runs_first(self.core.queue.peek(), sync)? {
+                let entry = self.sync.pop().expect("peeked");
+                let at = entry.at;
+                debug_assert!(at >= self.now, "time went backwards");
+                self.now = at;
+                if let Some(fired) = self.apply(entry) {
+                    return Some((at, fired));
+                }
+                continue;
+            }
+            let entry = self.core.queue.pop().expect("peeked");
+            let (at, channel) = (entry.at, entry.ev.channel());
             debug_assert!(at >= self.now, "time went backwards");
             self.now = at;
-            match ev {
-                KernelEvent::Timer { tag } => {
-                    return Some((at, Fired::Timer { tag }));
-                }
-                KernelEvent::Fault(kind) => {
-                    self.apply_fault(kind);
-                    return Some((at, Fired::Fault(kind)));
-                }
-                KernelEvent::Deliver {
-                    channel,
-                    msg,
-                    size,
-                    sent_at,
-                } => {
-                    let (open, blocked, dst) = {
-                        let c = self.channel(channel);
-                        (c.open, c.blocked, c.dst)
-                    };
-                    if !open {
-                        self.channel_mut(channel).stats.dropped += 1;
-                        self.bump(KernelCounter::Dropped);
-                        return Some((
-                            at,
-                            Fired::DroppedAtDelivery {
-                                channel,
-                                msg,
-                                reason: DropReason::ChannelClosed,
-                            },
-                        ));
-                    }
-                    if blocked {
-                        let c = self.channel_mut(channel);
-                        c.held.push_back(HeldMessage { msg, size, sent_at });
-                        c.stats.held = c.held.len() as u64;
-                        self.bump(KernelCounter::Held);
+            match self.core.process(entry, &self.topology, None) {
+                Some(fired) => {
+                    if let Fired::Delivered {
+                        channel, sent_at, ..
+                    } = &fired
+                    {
                         if self.tracer.sample_hop() {
-                            self.tracer
-                                .hop("hold", &format!("ch={}", channel.0), at.as_micros());
+                            let delay_us = at.saturating_since(*sent_at).as_micros();
+                            self.tracer.hop(
+                                "deliver",
+                                &format!("ch={} delay_us={delay_us}", channel.0),
+                                at.as_micros(),
+                            );
                         }
-                        continue; // invisible to the application; keep stepping
                     }
-                    if !self.topology.node(dst).is_up() {
-                        self.channel_mut(channel).stats.dropped += 1;
-                        self.bump(KernelCounter::Dropped);
-                        return Some((
-                            at,
-                            Fired::DroppedAtDelivery {
-                                channel,
-                                msg,
-                                reason: DropReason::DestinationDown,
-                            },
-                        ));
+                    return Some((at, fired));
+                }
+                // Held by a blocked channel: invisible to the
+                // application; keep stepping.
+                None => {
+                    if let Some(ch) = channel.filter(|_| self.tracer.sample_hop()) {
+                        self.tracer
+                            .hop("hold", &format!("ch={}", ch.0), at.as_micros());
                     }
-                    self.channel_mut(channel).stats.delivered += 1;
-                    self.bump(KernelCounter::Delivered);
-                    if self.tracer.sample_hop() {
-                        let delay_us = at.saturating_since(sent_at).as_micros();
-                        self.tracer.hop(
-                            "deliver",
-                            &format!("ch={} delay_us={delay_us}", channel.0),
-                            at.as_micros(),
-                        );
-                    }
-                    return Some((
-                        at,
-                        Fired::Delivered {
-                            channel,
-                            msg,
-                            size,
-                            sent_at,
-                        },
-                    ));
                 }
             }
         }
@@ -607,13 +410,18 @@ impl<M> Kernel<M> {
     /// Whether any events are pending.
     #[must_use]
     pub fn has_pending(&self) -> bool {
-        !self.queue.is_empty()
+        self.next_event_time().is_some()
     }
 
     /// Time of the next pending event, if any.
     #[must_use]
     pub fn next_event_time(&self) -> Option<SimTime> {
-        self.queue.peek_time()
+        let event = self.core.queue.peek().map(|(at, _)| at);
+        let sync = self.sync.peek().map(|e| e.at);
+        match (event, sync) {
+            (Some(e), Some(s)) => Some(e.min(s)),
+            (e, s) => e.or(s),
+        }
     }
 
     /// Runs a job of `cost` work units on `node`, returning the total delay
@@ -632,32 +440,30 @@ impl<M> Kernel<M> {
 impl<M: Clone> Kernel<M> {
     /// Forks the kernel: a cheap, O(state) deep copy that shares **no**
     /// mutable state with the original. The fork carries the same virtual
-    /// time, pending event queue (tie order included), topology, channel
-    /// halves (open/blocked flags, FIFO tails, held messages, stats),
-    /// lifecycle counters, RNG stream position and timer-tag allocator —
-    /// so a fork fed the same inputs replays **byte-identically** to the
-    /// mainline, and dropping a fork never perturbs the mainline (see
-    /// `tests/fork_determinism.rs`).
+    /// time, pending events and scheduled faults (tie order included),
+    /// topology, channel sides (open/blocked flags, FIFO tails, held
+    /// messages, stats), lifecycle counters, RNG stream position and
+    /// command-id / timer-tag allocators — so a fork fed the same inputs
+    /// replays **byte-identically** to the mainline, and dropping a fork
+    /// never perturbs the mainline (see `tests/fork_determinism.rs`).
     ///
     /// Two pieces are deliberately rebuilt rather than copied:
     ///
-    /// - the route cache (and hierarchical router, when enabled) starts
-    ///   cold — route *resolution* is a pure function of the topology, so
-    ///   behaviour is identical; only `route_cache_stats` differ;
+    /// - the router starts cold — route *resolution* is a pure function
+    ///   of the topology, so behaviour is identical; only
+    ///   `route_cache_stats` / `hier_stats` differ;
     /// - the tracer is a fresh, inert [`Tracer`] — a fork never writes
     ///   into the mainline's span/event ring.
     #[must_use]
     pub fn fork(&self) -> Kernel<M> {
         Kernel {
             now: self.now,
-            queue: self.queue.clone(),
+            core: self.core.fork(&self.topology),
+            sync: self.sync.clone(),
             topology: self.topology.clone(),
-            channels: self.channels.clone(),
             rng: self.rng.clone(),
-            counters: self.counters,
-            route_cache: RouteCache::new(&self.topology),
-            hier: self.hier.is_some().then(HierRouter::new),
             tracer: Tracer::new(),
+            next_cmd: self.next_cmd,
             next_timer_tag: self.next_timer_tag,
         }
     }
@@ -666,7 +472,7 @@ impl<M: Clone> Kernel<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimDuration;
+    use crate::fault::FaultKind;
 
     fn kernel2() -> (Kernel<u32>, NodeId, NodeId) {
         let topo = Topology::clique(2, 100.0, SimDuration::from_millis(10), 1e6);
@@ -746,7 +552,7 @@ mod tests {
         let events = drain(&mut k);
         assert!(events.iter().any(|(_, f)| matches!(
             f,
-            Fired::DroppedAtDelivery {
+            Fired::Dropped {
                 reason: DropReason::ChannelClosed,
                 ..
             }
@@ -766,7 +572,7 @@ mod tests {
         assert!(events.iter().any(|(_, f)| matches!(f, Fired::Fault(_))));
         assert!(events.iter().any(|(_, f)| matches!(
             f,
-            Fired::DroppedAtDelivery {
+            Fired::Dropped {
                 reason: DropReason::DestinationDown,
                 ..
             }

@@ -1,7 +1,7 @@
 //! # aas-sim — deterministic discrete-event substrate
 //!
 //! The simulation substrate underneath the AAS (auto-adaptive systems)
-//! framework: virtual time, a deterministic event queue, a node/link
+//! framework: virtual time, a deterministic event loop, a node/link
 //! topology with latency- and bandwidth-aware routing, FIFO channels that
 //! can be *blocked* during reconfiguration (after Polylith), resource
 //! fluctuation traces, and fault injection.
@@ -35,20 +35,21 @@
 //! ## Modules
 //!
 //! - [`time`] — [`time::SimTime`] / [`time::SimDuration`] newtypes.
-//! - [`event`] — the deterministic time-ordered [`event::EventQueue`].
 //! - [`rng`] — seeded, splittable randomness ([`rng::SimRng`]).
 //! - [`stats`] — EWMA, running summaries, histograms, counters.
 //! - [`node`] / [`link`] / [`network`] — the deployment graph and routing.
-//! - [`channel`] — FIFO channels with blocking (reconfiguration support).
+//! - [`channel`] — channel ids, per-channel stats and drop reasons.
 //! - [`trace`] — resource-fluctuation signals (rush hour, noise, steps).
 //! - [`fault`] — scheduled node crashes and link outages.
 //! - [`hier`] — hierarchical [`hier::HierRouter`] with region-scoped
 //!   partial cache invalidation.
-//! - [`kernel`] — the [`kernel::Kernel`] tying it all together.
-//! - [`shard`] — shard partitioning, deterministic event keys, per-shard
-//!   event loops.
-//! - [`coordinator`] — the parallel [`coordinator::ShardedKernel`] with
-//!   deterministic epoch barriers.
+//! - [`shard`] — the event-loop core: the one implementation of send /
+//!   deliver / block / unblock / close / rebind / fault semantics, its
+//!   `(time, key)`-ordered queue, and shard partitioning.
+//! - [`kernel`] — the interactive [`kernel::Kernel`], the K=1 driver of
+//!   that core.
+//! - [`coordinator`] — the parallel [`coordinator::ShardedKernel`]: K
+//!   cores under conservative windows and deterministic epoch barriers.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -56,7 +57,6 @@
 
 pub mod channel;
 pub mod coordinator;
-pub mod event;
 pub mod fault;
 pub mod hier;
 pub mod kernel;
@@ -80,6 +80,6 @@ pub use network::{
 };
 pub use node::{NodeId, NodeSpec};
 pub use rng::SimRng;
-pub use shard::{EventKey, MergedEvent, ShardFired, ShardId, ShardMap};
+pub use shard::{EventKey, MergedEvent, ShardId, ShardMap};
 pub use time::{SimDuration, SimTime};
 pub use trace::ResourceTrace;

@@ -1,11 +1,17 @@
-//! Shard-local half of the parallel kernel.
+//! The event-loop core shared by both kernel drivers.
 //!
-//! The sharded kernel partitions [`Topology`]
-//! nodes into K *shards*; each shard runs its own event loop over its own
-//! `KeyedQueue`, route cache and channel state, and talks to the other
-//! shards only through *mailboxes* that the
-//! [`ShardedKernel`](crate::coordinator::ShardedKernel) exchanges at
-//! deterministic epoch barriers.
+//! A `ShardCore` is the single implementation of channel and event
+//! semantics: the send transition (closed / unreachable / FIFO tail), the
+//! delivery transition (closed / blocked-hold / destination down), timers,
+//! and — through `apply_sync` — the commands that touch shared state
+//! (faults, block, unblock, close, rebind). Two drivers sit on top of it:
+//!
+//! - [`Kernel`](crate::kernel::Kernel) owns one core and steps it
+//!   interactively: the K=1 case.
+//! - [`ShardedKernel`](crate::coordinator::ShardedKernel) partitions
+//!   [`Topology`] nodes into K *shards*, runs one core per shard over
+//!   conservative time windows, and lets them talk only through
+//!   *mailboxes* exchanged at deterministic epoch barriers.
 //!
 //! Determinism comes from [`EventKey`]: every caller-issued command (a
 //! send, a timer, a fault, a release) is stamped with a globally unique,
@@ -15,15 +21,107 @@
 //! the merged occurrence stream is byte-identical at K=1 and K=N.
 
 use crate::channel::{ChannelId, ChannelStats, DropReason, HeldMessage};
-use crate::hier::{HierRouter, HierStats};
-use crate::kernel::KernelCounter;
-use crate::link::LinkId;
-use crate::network::{RouteCache, RouteCacheStats, Topology};
+use crate::fault::FaultKind;
+use crate::hier::Router;
+use crate::network::{Route, Topology};
 use crate::node::NodeId;
 use crate::time::{SimDuration, SimTime};
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, VecDeque};
+use std::ops::DerefMut;
+use std::sync::Arc;
 use std::time::Instant;
+
+/// The per-message lifecycle counters, enum-indexed so the hot path bumps
+/// a fixed array slot instead of walking a string-keyed map. Both kernels
+/// export them into a [`Counters`](crate::stats::Counters) under their
+/// historical names (`sent`, `delivered`, …) for reports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(usize)]
+pub enum KernelCounter {
+    /// Messages accepted by the send transition.
+    Sent,
+    /// Messages handed to the application.
+    Delivered,
+    /// Messages dropped at send or delivery time.
+    Dropped,
+    /// Messages held by blocked channels.
+    Held,
+    /// Held messages released by an unblock.
+    Released,
+    /// Faults applied to the topology.
+    FaultsApplied,
+}
+
+impl KernelCounter {
+    /// Number of counters (the fast array's length).
+    pub const COUNT: usize = 6;
+
+    /// The historical string name this counter exports under.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            KernelCounter::Sent => "sent",
+            KernelCounter::Delivered => "delivered",
+            KernelCounter::Dropped => "dropped",
+            KernelCounter::Held => "held",
+            KernelCounter::Released => "released",
+            KernelCounter::FaultsApplied => "faults_applied",
+        }
+    }
+
+    /// All counters, in export order.
+    pub const ALL: [KernelCounter; KernelCounter::COUNT] = [
+        KernelCounter::Sent,
+        KernelCounter::Delivered,
+        KernelCounter::Dropped,
+        KernelCounter::Held,
+        KernelCounter::Released,
+        KernelCounter::FaultsApplied,
+    ];
+}
+
+/// An occurrence handed to the caller — one at a time by
+/// [`Kernel::step`](crate::kernel::Kernel::step), in merged batches by
+/// [`ShardedKernel::run_until`](crate::coordinator::ShardedKernel::run_until).
+#[derive(Debug)]
+pub enum Fired<M> {
+    /// A message arrived on a channel.
+    Delivered {
+        /// The channel it arrived on.
+        channel: ChannelId,
+        /// The payload.
+        msg: M,
+        /// Payload size in bytes (as given at send time).
+        size: u64,
+        /// When it was sent; `now - sent_at` is its end-to-end delay.
+        sent_at: SimTime,
+    },
+    /// A timer expired.
+    Timer {
+        /// The tag given at scheduling time.
+        tag: u64,
+    },
+    /// A scheduled fault was applied to the topology. The topology has
+    /// already been updated when this is yielded.
+    Fault(FaultKind),
+    /// A message was dropped. The payload is handed back so higher layers
+    /// can account for the loss precisely — or retry the send under their
+    /// own policy.
+    Dropped {
+        /// The channel involved.
+        channel: ChannelId,
+        /// The payload that was lost.
+        msg: M,
+        /// Why it was dropped.
+        reason: DropReason,
+        /// True when a *scheduled* send was dropped as its command ran
+        /// (closed channel or no live route); false at delivery time. The
+        /// interactive [`Kernel::send`](crate::kernel::Kernel::send)
+        /// reports send-time drops through its return value instead.
+        at_send: bool,
+    },
+}
 
 /// Pads (and aligns) a value to a 64-byte cache line so two hot fields
 /// owned by different threads never share a line (false sharing turns
@@ -40,8 +138,7 @@ pub struct ShardId(pub u32);
 ///
 /// The assignment is round-robin by node id, so it is a pure function of
 /// `(node_count, shards)` — two runs of the same program at the same K see
-/// the same placement, and a grown topology extends the pattern without
-/// moving existing nodes.
+/// the same placement.
 ///
 /// # Examples
 ///
@@ -79,8 +176,7 @@ impl ShardMap {
     ///
     /// # Panics
     ///
-    /// Panics if `node` is not covered by the map (grow it first with
-    /// [`ShardMap::extend_to`]).
+    /// Panics if `node` is not covered by the map.
     #[must_use]
     pub fn shard_of(&self, node: NodeId) -> ShardId {
         ShardId(self.of_node[node.0 as usize])
@@ -90,19 +186,6 @@ impl ShardMap {
     #[must_use]
     pub fn count(&self) -> u32 {
         self.shards
-    }
-
-    /// Number of nodes covered.
-    #[must_use]
-    pub fn node_count(&self) -> usize {
-        self.of_node.len()
-    }
-
-    /// Extends the round-robin pattern to cover a grown topology.
-    pub fn extend_to(&mut self, node_count: usize) {
-        while self.of_node.len() < node_count {
-            self.of_node.push(self.of_node.len() as u32 % self.shards);
-        }
     }
 
     /// The conservative lookahead for this partition: the minimum
@@ -155,8 +238,8 @@ impl std::fmt::Display for EventKey {
     }
 }
 
-/// Shard-internal event representation.
-#[derive(Debug)]
+/// Core-internal event representation.
+#[derive(Debug, Clone)]
 pub(crate) enum ShardEvent<M> {
     /// A send issued by the caller, processed at the source shard at its
     /// scheduled time (routing, FIFO and accounting all happen then).
@@ -183,42 +266,6 @@ impl<M> ShardEvent<M> {
     }
 }
 
-/// An occurrence in the merged, deterministic output stream.
-#[derive(Debug)]
-pub enum ShardFired<M> {
-    /// A message arrived on a channel.
-    Delivered {
-        /// The channel it arrived on.
-        channel: ChannelId,
-        /// The payload.
-        msg: M,
-        /// Payload size in bytes.
-        size: u64,
-        /// When it was sent.
-        sent_at: SimTime,
-    },
-    /// A timer expired.
-    Timer {
-        /// The tag returned at scheduling time.
-        tag: u64,
-    },
-    /// A scheduled fault was applied to the topology.
-    Fault(crate::fault::FaultKind),
-    /// A message was dropped, either at send time (`at_send`) or at
-    /// delivery time. The payload is handed back for precise accounting.
-    Dropped {
-        /// The channel involved.
-        channel: ChannelId,
-        /// The payload that was lost.
-        msg: M,
-        /// Why it was dropped.
-        reason: DropReason,
-        /// True when the drop happened while processing the send command
-        /// (closed channel or no live route), false at delivery time.
-        at_send: bool,
-    },
-}
-
 /// One record of the merged output stream: an occurrence plus the
 /// `(time, key)` coordinates that totally order it across shards.
 #[derive(Debug)]
@@ -228,29 +275,34 @@ pub struct MergedEvent<M> {
     /// Shard-count-independent total-order key.
     pub key: EventKey,
     /// The occurrence itself.
-    pub what: ShardFired<M>,
+    pub what: Fired<M>,
 }
 
-/// A scheduled entry in a shard queue or mailbox.
-#[derive(Debug)]
-pub(crate) struct Entry<M> {
+/// An event due at `at`. Entries order by `(at, key)` — earliest first out
+/// of a `BinaryHeap` — whatever they carry, so core events and sync
+/// commands share one total order.
+#[derive(Debug, Clone)]
+pub(crate) struct Scheduled<E> {
     pub at: SimTime,
     pub key: EventKey,
-    pub ev: ShardEvent<M>,
+    pub ev: E,
 }
 
-impl<M> PartialEq for Entry<M> {
+/// A scheduled entry in a core's queue.
+pub(crate) type Entry<M> = Scheduled<ShardEvent<M>>;
+
+impl<E> PartialEq for Scheduled<E> {
     fn eq(&self, other: &Self) -> bool {
         self.at == other.at && self.key == other.key
     }
 }
-impl<M> Eq for Entry<M> {}
-impl<M> PartialOrd for Entry<M> {
+impl<E> Eq for Scheduled<E> {}
+impl<E> PartialOrd for Scheduled<E> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<M> Ord for Entry<M> {
+impl<E> Ord for Scheduled<E> {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reversed: BinaryHeap is a max-heap, we pop earliest (time, key).
         other
@@ -359,10 +411,11 @@ impl<M> DeliverBatch<M> {
     }
 }
 
-/// One shard's shared mailbox: batches pushed by other shards during the
-/// exchange phase, drained by the owner at the start of its next
-/// sub-round. Lives outside [`ShardCore`] (under its own lock) so peers
-/// can deposit batches while the owner's core is locked by its worker.
+/// One lane of a shard's shared mailbox: batches pushed by other shards
+/// during one sub-round's exchange phase, drained by the owner at the
+/// start of the next. Lives outside [`ShardCore`] (under its own lock) so
+/// peers can deposit batches while the owner's core is locked by its
+/// worker.
 #[derive(Debug)]
 pub(crate) struct InboxSlot<M> {
     pub batches: Vec<DeliverBatch<M>>,
@@ -379,11 +432,10 @@ impl<M> Default for InboxSlot<M> {
     }
 }
 
-/// A `(time, key)`-ordered event queue. Unlike
-/// [`EventQueue`](crate::event::EventQueue), ties are broken by the
+/// A `(time, key)`-ordered event queue: ties are broken by the
 /// deterministic [`EventKey`] rather than local insertion order, which is
 /// what makes pop order identical regardless of which shard pushed when.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct KeyedQueue<M> {
     heap: BinaryHeap<Entry<M>>,
 }
@@ -410,20 +462,9 @@ impl<M> KeyedQueue<M> {
         self.heap.peek().map(|e| (e.at, e.key))
     }
 
-    #[allow(dead_code)] // used by unit tests and kept for symmetry
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Iterates over every pending entry in arbitrary (heap) order — the
-    /// serial projection collects and re-sorts them itself.
+    /// Iterates over every pending entry in arbitrary (heap) order.
     pub fn iter(&self) -> impl Iterator<Item = &Entry<M>> {
         self.heap.iter()
-    }
-
-    #[allow(dead_code)]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 
     /// Removes and returns every entry belonging to `ch`, preserving
@@ -445,19 +486,34 @@ impl<M> KeyedQueue<M> {
 }
 
 /// Send-side state of a channel, owned by the shard of its source node.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct SendSide {
     pub src: NodeId,
     pub dst: NodeId,
     pub open: bool,
+    /// Time of the latest scheduled delivery; enforces FIFO.
     pub fifo_tail: SimTime,
     pub sent: u64,
     pub dropped: u64,
 }
 
+impl SendSide {
+    /// The send side of a freshly opened channel.
+    pub fn new(src: NodeId, dst: NodeId) -> Self {
+        SendSide {
+            src,
+            dst,
+            open: true,
+            fifo_tail: SimTime::ZERO,
+            sent: 0,
+            dropped: 0,
+        }
+    }
+}
+
 /// Delivery-side state of a channel, owned by the shard of its
 /// destination node.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct DeliverSide<M> {
     pub dst: NodeId,
     pub open: bool,
@@ -467,9 +523,26 @@ pub(crate) struct DeliverSide<M> {
     pub dropped: u64,
 }
 
-/// One shard's event loop state: its queue, the channel sides it owns,
-/// its private route cache and scratch, its fast counters, and the
-/// mailboxes it fills for the other shards.
+impl<M> DeliverSide<M> {
+    /// The delivery side of a freshly opened channel.
+    pub fn new(dst: NodeId) -> Self {
+        DeliverSide {
+            dst,
+            open: true,
+            blocked: false,
+            held: VecDeque::new(),
+            delivered: 0,
+            dropped: 0,
+        }
+    }
+}
+
+/// One event loop's state: its queue, the channel sides it owns, its
+/// router and fast counters — everything the transitions read and write —
+/// plus the window-engine buffers (`fired` through `exchange_ops`) only
+/// the sharded driver fills. Under the K=1 [`Kernel`](crate::kernel::Kernel)
+/// those stay empty: it owns the [`Topology`] and accounts bytes there,
+/// sends at `now` instead of queueing `SendCmd`s, and has no peers.
 #[derive(Debug)]
 pub(crate) struct ShardCore<M> {
     pub id: u32,
@@ -478,11 +551,7 @@ pub(crate) struct ShardCore<M> {
     pub send_sides: Vec<Option<SendSide>>,
     /// Delivery sides indexed by `ChannelId`; `None` when not owned here.
     pub deliver_sides: Vec<Option<DeliverSide<M>>>,
-    pub route_cache: RouteCache,
-    /// Hierarchical router; when set, `process` routes through it instead
-    /// of the flat cache. Enabled on every shard together by the
-    /// coordinator so routing policy is shard-count-independent.
-    pub hier: Option<HierRouter>,
+    pub router: Router,
     pub counters: [u64; KernelCounter::COUNT],
     /// Occurrences produced since the last barrier, in processing
     /// (= `(time, key)`) order; swapped out by the coordinator at the
@@ -527,21 +596,22 @@ pub(crate) struct ShardCore<M> {
 }
 
 impl<M> ShardCore<M> {
-    pub fn new(id: u32, shards: u32, topo: &Topology) -> Self {
+    /// A core with no peers and flat routing; the sharded driver adds the
+    /// `outboxes` and `link_bytes` it needs.
+    pub fn new(id: u32, topo: &Topology) -> Self {
         ShardCore {
             id,
             queue: KeyedQueue::default(),
             send_sides: Vec::new(),
             deliver_sides: Vec::new(),
-            route_cache: RouteCache::new(topo),
-            hier: None,
+            router: Router::flat(topo),
             counters: [0; KernelCounter::COUNT],
             fired: VecDeque::new(),
-            outboxes: (0..shards).map(|_| DeliverBatch::default()).collect(),
+            outboxes: Vec::new(),
             free: Vec::new(),
             send_times: BinaryHeap::new(),
             last_at: SimTime::ZERO,
-            link_bytes: vec![0; topo.link_count()],
+            link_bytes: Vec::new(),
             events_processed: 0,
             busy_ns: 0,
             overrun_events: 0,
@@ -551,16 +621,34 @@ impl<M> ShardCore<M> {
         }
     }
 
-    fn bump(&mut self, c: KernelCounter) {
-        self.counters[c as usize] += 1;
-    }
-
-    pub fn ensure_channel_slot(&mut self, ch: ChannelId) {
+    fn ensure_channel_slot(&mut self, ch: ChannelId) {
         let idx = ch.0 as usize;
         if self.send_sides.len() <= idx {
             self.send_sides.resize_with(idx + 1, || None);
             self.deliver_sides.resize_with(idx + 1, || None);
         }
+    }
+
+    /// `ch`'s send side, if this core owns it.
+    pub fn send_side(&self, ch: ChannelId) -> Option<&SendSide> {
+        self.send_sides.get(ch.0 as usize)?.as_ref()
+    }
+
+    /// `ch`'s delivery side, if this core owns it.
+    pub fn deliver_side(&self, ch: ChannelId) -> Option<&DeliverSide<M>> {
+        self.deliver_sides.get(ch.0 as usize)?.as_ref()
+    }
+
+    /// Installs `ch`'s send side on this core.
+    pub fn put_send_side(&mut self, ch: ChannelId, side: SendSide) {
+        self.ensure_channel_slot(ch);
+        self.send_sides[ch.0 as usize] = Some(side);
+    }
+
+    /// Installs `ch`'s delivery side on this core.
+    pub fn put_deliver_side(&mut self, ch: ChannelId, side: DeliverSide<M>) {
+        self.ensure_channel_slot(ch);
+        self.deliver_sides[ch.0 as usize] = Some(side);
     }
 
     /// Runs this shard's loop over every queued event strictly before
@@ -569,10 +657,7 @@ impl<M> ShardCore<M> {
     /// only reads `topo`/`map` and writes shard-owned state.
     pub fn run_window(&mut self, topo: &Topology, map: &ShardMap, end: SimTime) {
         let t0 = Instant::now();
-        if self.link_bytes.len() < topo.link_count() {
-            self.link_bytes.resize(topo.link_count(), 0);
-        }
-        while let Some((at, _)) = self.queue.peek() {
+        while let Some((at, key)) = self.queue.peek() {
             if at >= end {
                 break;
             }
@@ -580,7 +665,9 @@ impl<M> ShardCore<M> {
             if entry.at >= end {
                 self.overrun_events += 1;
             }
-            self.process(entry, topo, map);
+            if let Some(what) = self.process(entry, topo, Some(map)) {
+                self.fired.push_back(MergedEvent { at, key, what });
+            }
         }
         self.busy_ns += t0.elapsed().as_nanos() as u64;
     }
@@ -628,7 +715,7 @@ impl<M> ShardCore<M> {
     /// Rebuilds the pending-send-time heap from the queue. Needed after a
     /// rebind migrates queued `SendCmd`s between shards (the only
     /// operation that moves pending sends without processing them).
-    pub fn rebuild_send_times(&mut self) {
+    fn rebuild_send_times(&mut self) {
         self.send_times.clear();
         for e in self.queue.iter() {
             if matches!(e.ev, ShardEvent::SendCmd { .. }) {
@@ -637,10 +724,14 @@ impl<M> ShardCore<M> {
         }
     }
 
-    /// Processes one event against shard-owned state. Also used by the
-    /// coordinator's sequential sync steps, which drain the outboxes after
-    /// every call instead of waiting for a barrier.
-    pub fn process(&mut self, entry: Entry<M>, topo: &Topology, map: &ShardMap) {
+    /// Processes one popped event and returns the occurrence it surfaces,
+    /// if any (an accepted send and a held delivery surface nothing).
+    pub fn process(
+        &mut self,
+        entry: Entry<M>,
+        topo: &Topology,
+        map: Option<&ShardMap>,
+    ) -> Option<Fired<M>> {
         self.events_processed += 1;
         let Entry { at, key, ev } = entry;
         self.last_at = at;
@@ -650,67 +741,19 @@ impl<M> ShardCore<M> {
                 // (queue pops are time-ordered), so retiring the heap min
                 // retires exactly this command's scheduled time.
                 self.send_times.pop();
-                let side = self.send_sides[ch.0 as usize]
-                    .as_mut()
-                    .expect("send side owned by this shard");
-                if !side.open {
-                    side.dropped += 1;
-                    self.bump(KernelCounter::Dropped);
-                    self.fired.push_back(MergedEvent {
-                        at,
-                        key,
-                        what: ShardFired::Dropped {
-                            channel: ch,
-                            msg,
-                            reason: DropReason::ChannelClosed,
-                            at_send: true,
-                        },
-                    });
-                    return;
-                }
-                let (src, dst) = (side.src, side.dst);
-                let resolved = match &mut self.hier {
-                    Some(h) => h.resolve(topo, src, dst, size),
-                    None => self.route_cache.resolve(topo, src, dst, size),
-                };
-                let Some(route) = resolved else {
-                    let side = self.send_sides[ch.0 as usize].as_mut().expect("owned");
-                    side.dropped += 1;
-                    self.bump(KernelCounter::Dropped);
-                    self.fired.push_back(MergedEvent {
-                        at,
-                        key,
-                        what: ShardFired::Dropped {
-                            channel: ch,
-                            msg,
-                            reason: DropReason::Unreachable,
-                            at_send: true,
-                        },
-                    });
-                    return;
-                };
-                for &lid in &route.links {
-                    self.link_bytes[lid.0 as usize] += size;
-                }
-                let side = self.send_sides[ch.0 as usize].as_mut().expect("owned");
-                let arrival = (at + route.transit).max(side.fifo_tail);
-                side.fifo_tail = arrival;
-                side.sent += 1;
-                self.bump(KernelCounter::Sent);
-                let dest = map.shard_of(dst);
-                if dest.0 == self.id {
-                    self.queue.push(Entry {
-                        at: arrival,
-                        key,
-                        ev: ShardEvent::Deliver {
-                            ch,
-                            msg,
-                            size,
-                            sent_at: at,
-                        },
-                    });
-                } else {
-                    self.outboxes[dest.0 as usize].push(arrival, key, ch, msg, size, at);
+                match self.send(at, key, ch, msg, size, topo, map) {
+                    Ok((_, route)) => {
+                        for &lid in &route.links {
+                            self.link_bytes[lid.0 as usize] += size;
+                        }
+                        None
+                    }
+                    Err((msg, reason)) => Some(Fired::Dropped {
+                        channel: ch,
+                        msg,
+                        reason,
+                        at_send: true,
+                    }),
                 }
             }
             ShardEvent::Deliver {
@@ -718,96 +761,298 @@ impl<M> ShardCore<M> {
                 msg,
                 size,
                 sent_at,
-            } => {
-                let side = self.deliver_sides[ch.0 as usize]
-                    .as_mut()
-                    .expect("deliver side owned by this shard");
-                if !side.open {
-                    side.dropped += 1;
-                    self.bump(KernelCounter::Dropped);
-                    self.fired.push_back(MergedEvent {
-                        at,
-                        key,
-                        what: ShardFired::Dropped {
-                            channel: ch,
-                            msg,
-                            reason: DropReason::ChannelClosed,
-                            at_send: false,
-                        },
-                    });
-                    return;
-                }
-                if side.blocked {
-                    side.held.push_back(HeldMessage { msg, size, sent_at });
-                    self.bump(KernelCounter::Held);
-                    return; // invisible to the caller, exactly like the kernel
-                }
-                if !topo.node(side.dst).is_up() {
-                    side.dropped += 1;
-                    self.bump(KernelCounter::Dropped);
-                    self.fired.push_back(MergedEvent {
-                        at,
-                        key,
-                        what: ShardFired::Dropped {
-                            channel: ch,
-                            msg,
-                            reason: DropReason::DestinationDown,
-                            at_send: false,
-                        },
-                    });
-                    return;
-                }
-                side.delivered += 1;
-                self.bump(KernelCounter::Delivered);
-                self.fired.push_back(MergedEvent {
-                    at,
-                    key,
-                    what: ShardFired::Delivered {
-                        channel: ch,
-                        msg,
-                        size,
-                        sent_at,
-                    },
-                });
-            }
-            ShardEvent::Timer { tag } => {
-                self.fired.push_back(MergedEvent {
-                    at,
-                    key,
-                    what: ShardFired::Timer { tag },
-                });
-            }
+            } => self.deliver(ch, msg, size, sent_at, topo),
+            ShardEvent::Timer { tag } => Some(Fired::Timer { tag }),
         }
+    }
+
+    /// The send transition: `msg` enters `ch` at time `at` under `key`.
+    /// Routes through this core's router, enforces FIFO behind earlier
+    /// messages even when a later route would be faster, and schedules the
+    /// delivery on the destination's core (`map` is `None` when this core
+    /// is the only one). Returns the transit time and the route taken, for
+    /// the caller's byte accounting; a refused message is handed back.
+    #[allow(clippy::too_many_arguments)]
+    pub fn send(
+        &mut self,
+        at: SimTime,
+        key: EventKey,
+        ch: ChannelId,
+        msg: M,
+        size: u64,
+        topo: &Topology,
+        map: Option<&ShardMap>,
+    ) -> Result<(SimDuration, Arc<Route>), (M, DropReason)> {
+        let side = self.send_sides[ch.0 as usize]
+            .as_mut()
+            .expect("send side owned by this core");
+        let resolved = if side.open {
+            self.router
+                .resolve(topo, side.src, side.dst, size)
+                .ok_or(DropReason::Unreachable)
+        } else {
+            Err(DropReason::ChannelClosed)
+        };
+        let route = match resolved {
+            Ok(route) => route,
+            Err(reason) => {
+                side.dropped += 1;
+                self.counters[KernelCounter::Dropped as usize] += 1;
+                return Err((msg, reason));
+            }
+        };
+        let arrival = (at + route.transit).max(side.fifo_tail);
+        side.fifo_tail = arrival;
+        side.sent += 1;
+        self.counters[KernelCounter::Sent as usize] += 1;
+        let dest = map.map_or(self.id, |m| m.shard_of(side.dst).0);
+        if dest == self.id {
+            self.queue.push(Entry {
+                at: arrival,
+                key,
+                ev: ShardEvent::Deliver {
+                    ch,
+                    msg,
+                    size,
+                    sent_at: at,
+                },
+            });
+        } else {
+            self.outboxes[dest as usize].push(arrival, key, ch, msg, size, at);
+        }
+        Ok((arrival.saturating_since(at), route))
+    }
+
+    /// The delivery transition: a message reaches the end of `ch`. A
+    /// blocked channel holds it, in order and invisibly, until the
+    /// unblock re-queues it.
+    fn deliver(
+        &mut self,
+        ch: ChannelId,
+        msg: M,
+        size: u64,
+        sent_at: SimTime,
+        topo: &Topology,
+    ) -> Option<Fired<M>> {
+        let side = self.deliver_sides[ch.0 as usize]
+            .as_mut()
+            .expect("deliver side owned by this core");
+        let reason = if !side.open {
+            DropReason::ChannelClosed
+        } else if side.blocked {
+            side.held.push_back(HeldMessage { msg, size, sent_at });
+            self.counters[KernelCounter::Held as usize] += 1;
+            return None;
+        } else if !topo.node(side.dst).is_up() {
+            DropReason::DestinationDown
+        } else {
+            side.delivered += 1;
+            self.counters[KernelCounter::Delivered as usize] += 1;
+            return Some(Fired::Delivered {
+                channel: ch,
+                msg,
+                size,
+                sent_at,
+            });
+        };
+        side.dropped += 1;
+        self.counters[KernelCounter::Dropped as usize] += 1;
+        Some(Fired::Dropped {
+            channel: ch,
+            msg,
+            reason,
+            at_send: false,
+        })
     }
 
     /// Merged per-channel stats contribution from the sides this shard
     /// owns.
     pub fn channel_stats_into(&self, ch: ChannelId, stats: &mut ChannelStats) {
-        if let Some(Some(s)) = self.send_sides.get(ch.0 as usize) {
+        if let Some(s) = self.send_side(ch) {
             stats.sent += s.sent;
             stats.dropped += s.dropped;
         }
-        if let Some(Some(d)) = self.deliver_sides.get(ch.0 as usize) {
+        if let Some(d) = self.deliver_side(ch) {
             stats.delivered += d.delivered;
             stats.dropped += d.dropped;
             stats.held += d.held.len() as u64;
         }
     }
+}
 
-    /// This shard's route-cache counters.
-    pub fn route_cache_stats(&self) -> RouteCacheStats {
-        self.route_cache.stats()
+impl<M: Clone> ShardCore<M> {
+    /// A deep copy sharing no mutable state with the original: queue (tie
+    /// order included), channel sides with held messages, FIFO tails and
+    /// stats, counters. The router restarts cold ([`Router::cold_copy`]).
+    /// Taken between windows, when `fired` and the outboxes are empty.
+    pub fn fork(&self, topo: &Topology) -> Self {
+        debug_assert!(self.fired.is_empty() && self.outboxes.iter().all(DeliverBatch::is_empty));
+        ShardCore {
+            queue: self.queue.clone(),
+            send_sides: self.send_sides.clone(),
+            deliver_sides: self.deliver_sides.clone(),
+            router: self.router.cold_copy(topo),
+            send_times: self.send_times.clone(),
+            link_bytes: self.link_bytes.clone(),
+            outboxes: self
+                .outboxes
+                .iter()
+                .map(|_| DeliverBatch::default())
+                .collect(),
+            fired: VecDeque::new(),
+            free: Vec::new(),
+            ..*self
+        }
     }
+}
 
-    /// This shard's hierarchical-router counters, if enabled.
-    pub fn hier_stats(&self) -> Option<HierStats> {
-        self.hier.as_ref().map(HierRouter::stats)
-    }
+/// A command that touches state shared between cores (the topology, or a
+/// channel's two sides at once). Executed sequentially by the driver, in
+/// `(time, cmd)` order, through [`apply_sync`].
+#[derive(Debug, Clone)]
+pub(crate) enum SyncCmd {
+    Fault(FaultKind),
+    Block(ChannelId),
+    Unblock(ChannelId),
+    Close(ChannelId),
+    Rebind(ChannelId, NodeId, NodeId),
+}
 
-    /// Total bytes this shard accounted to `lid`.
-    pub fn link_bytes(&self, lid: LinkId) -> u64 {
-        self.link_bytes.get(lid.0 as usize).copied().unwrap_or(0)
+/// A [`SyncCmd`] scheduled for virtual time `at`. It orders as sub-event 0
+/// of its command id, like any other caller-issued event.
+pub(crate) type SyncEntry = Scheduled<SyncCmd>;
+
+/// Which runs next: the earliest core event or the earliest sync command?
+/// `Some(true)` for the sync command, `None` when both are absent.
+pub(crate) fn sync_runs_first(
+    event: Option<(SimTime, EventKey)>,
+    sync: Option<(SimTime, EventKey)>,
+) -> Option<bool> {
+    match (event, sync) {
+        (None, None) => None,
+        (Some(e), Some(s)) => Some(s < e),
+        (None, Some(_)) => Some(true),
+        (Some(_), None) => Some(false),
     }
+}
+
+/// Applies a sync command to the cores that own the state it touches, and
+/// returns the occurrence it surfaces (faults only).
+/// `map` places nodes on cores; `None` means `cores` is a single core
+/// owning everything.
+///
+/// # Panics
+///
+/// Panics if a channel command names a channel that was never opened, or
+/// a rebind names a node outside the topology.
+pub(crate) fn apply_sync<M, C: DerefMut<Target = ShardCore<M>>>(
+    cores: &mut [C],
+    topo: &mut Topology,
+    map: Option<&ShardMap>,
+    Scheduled { at, key, ev }: SyncEntry,
+) -> Option<Fired<M>> {
+    let shard_of = |n: NodeId| map.map_or(0, |m| m.shard_of(n).0 as usize);
+    let idx = |ch: ChannelId| ch.0 as usize;
+    let send_owner = |cores: &[C], ch| {
+        let owns = |c: &C| c.send_side(ch).is_some();
+        cores.iter().position(owns).expect("channel was opened")
+    };
+    let deliver_owner = |cores: &[C], ch| {
+        let owns = |c: &C| c.deliver_side(ch).is_some();
+        cores.iter().position(owns).expect("channel was opened")
+    };
+    match ev {
+        SyncCmd::Fault(kind) => {
+            // Liveness flips go through the topology-level mutators so
+            // the routing epoch bumps and every router invalidates.
+            match kind {
+                FaultKind::NodeCrash(n) => topo.set_node_up(n, false),
+                FaultKind::NodeRecover(n) => topo.set_node_up(n, true),
+                FaultKind::LinkDown(l) => topo.set_link_up(l, false),
+                FaultKind::LinkUp(l) => topo.set_link_up(l, true),
+            }
+            cores[0].counters[KernelCounter::FaultsApplied as usize] += 1;
+            return Some(Fired::Fault(kind));
+        }
+        SyncCmd::Block(ch) => {
+            let dsh = deliver_owner(cores, ch);
+            cores[dsh].deliver_sides[idx(ch)]
+                .as_mut()
+                .expect("owner")
+                .blocked = true;
+        }
+        SyncCmd::Unblock(ch) => {
+            // Held messages re-enter the queue at `at`, in arrival order,
+            // as sub-events 1.. of this command.
+            let dsh = deliver_owner(cores, ch);
+            let core = &mut *cores[dsh];
+            let side = core.deliver_sides[idx(ch)].as_mut().expect("owner");
+            side.blocked = false;
+            let held = std::mem::take(&mut side.held);
+            core.counters[KernelCounter::Released as usize] += held.len() as u64;
+            for (i, h) in held.into_iter().enumerate() {
+                core.queue.push(Entry {
+                    at,
+                    key: EventKey::new(key.cmd, i as u32 + 1),
+                    ev: ShardEvent::Deliver {
+                        ch,
+                        msg: h.msg,
+                        size: h.size,
+                        sent_at: h.sent_at,
+                    },
+                });
+            }
+        }
+        SyncCmd::Close(ch) => {
+            // Later sends drop at the source, in-flight messages at the
+            // destination, both with `ChannelClosed`.
+            let (ssh, dsh) = (send_owner(cores, ch), deliver_owner(cores, ch));
+            cores[ssh].send_sides[idx(ch)].as_mut().expect("owner").open = false;
+            cores[dsh].deliver_sides[idx(ch)]
+                .as_mut()
+                .expect("owner")
+                .open = false;
+        }
+        SyncCmd::Rebind(ch, ns, nd) => {
+            let n = topo.node_count() as u32;
+            assert!(ns.0 < n && nd.0 < n, "rebind endpoint out of bounds");
+            let (ossh, odsh) = (send_owner(cores, ch), deliver_owner(cores, ch));
+            let (nssh, ndsh) = (shard_of(ns), shard_of(nd));
+            // Repoint both sides; new sends use the new endpoints and
+            // in-flight messages are delivered against the new
+            // destination.
+            let mut sside = cores[ossh].send_sides[idx(ch)].take().expect("owner");
+            sside.src = ns;
+            sside.dst = nd;
+            let mut dside = cores[odsh].deliver_sides[idx(ch)].take().expect("owner");
+            dside.dst = nd;
+            cores[nssh].put_send_side(ch, sside);
+            cores[ndsh].put_deliver_side(ch, dside);
+            if (ossh, odsh) != (nssh, ndsh) {
+                // Queued entries follow their side to its new owner:
+                // pending sends the send side, in-flight deliveries the
+                // delivery side.
+                let mut pending = cores[ossh].queue.extract_channel(ch);
+                if odsh != ossh {
+                    pending.extend(cores[odsh].queue.extract_channel(ch));
+                }
+                for e in pending {
+                    let dest = match e.ev {
+                        ShardEvent::SendCmd { .. } => nssh,
+                        ShardEvent::Deliver { .. } => ndsh,
+                        ShardEvent::Timer { .. } => unreachable!("timers are channel-less"),
+                    };
+                    cores[dest].queue.push(e);
+                }
+                // The send-time heaps (which drive adaptive window
+                // bounds) must follow the pending sends.
+                for i in [ossh, odsh, nssh, ndsh] {
+                    cores[i].rebuild_send_times();
+                }
+            }
+        }
+    }
+    None
 }
 
 #[cfg(test)]
@@ -824,15 +1069,6 @@ mod tests {
             seen[map.shard_of(NodeId(i)).0 as usize] += 1;
         }
         assert_eq!(seen, [4, 4, 4, 4]);
-    }
-
-    #[test]
-    fn extend_continues_the_pattern() {
-        let mut map = ShardMap::round_robin(5, 3);
-        map.extend_to(7);
-        assert_eq!(map.shard_of(NodeId(5)), ShardId(2));
-        assert_eq!(map.shard_of(NodeId(6)), ShardId(0));
-        assert_eq!(map.node_count(), 7);
     }
 
     #[test]
@@ -901,7 +1137,7 @@ mod tests {
         }
         let pulled = q.extract_channel(ChannelId(1));
         assert_eq!(pulled.len(), 3);
-        assert_eq!(q.len(), 3);
+        assert_eq!(q.iter().count(), 3);
         assert!(pulled.iter().all(|e| e.ev.channel() == Some(ChannelId(1))));
     }
 }

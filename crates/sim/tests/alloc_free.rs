@@ -21,7 +21,6 @@ use aas_sim::coordinator::{ExecMode, ShardedKernel};
 use aas_sim::kernel::{Fired, Kernel};
 use aas_sim::network::Topology;
 use aas_sim::node::NodeId;
-use aas_sim::shard::ShardFired;
 use aas_sim::time::{SimDuration, SimTime};
 
 struct CountingAlloc;
@@ -172,7 +171,7 @@ fn sharded_worker_event_loops_allocate_nothing_when_warm() {
     let count_delivered = |events: &[aas_sim::shard::MergedEvent<u64>]| {
         events
             .iter()
-            .filter(|e| matches!(e.what, ShardFired::Delivered { .. }))
+            .filter(|e| matches!(e.what, Fired::Delivered { .. }))
             .count()
     };
 

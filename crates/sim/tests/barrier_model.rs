@@ -18,11 +18,11 @@
 //!    every message exactly once.
 
 use aas_sim::coordinator::{ExecMode, ShardedKernel};
+use aas_sim::kernel::Fired;
 use aas_sim::link::LinkSpec;
 use aas_sim::network::Topology;
 use aas_sim::node::{NodeId, NodeSpec};
 use aas_sim::rng::SimRng;
-use aas_sim::shard::ShardFired;
 use aas_sim::time::{SimDuration, SimTime};
 
 /// A ring: with round-robin sharding every hop crosses a shard boundary,
@@ -79,7 +79,7 @@ fn no_message_crosses_a_barrier_early() {
         );
         let delivered = events
             .iter()
-            .filter(|e| matches!(e.what, ShardFired::Delivered { .. }))
+            .filter(|e| matches!(e.what, Fired::Delivered { .. }))
             .count();
         assert_eq!(delivered, 400, "round {round}: lost messages");
     }
@@ -122,7 +122,7 @@ fn no_shard_advances_past_safe_time_under_misaligned_slices() {
     }
     let delivered = all
         .iter()
-        .filter(|e| matches!(e.what, ShardFired::Delivered { .. }))
+        .filter(|e| matches!(e.what, Fired::Delivered { .. }))
         .count();
     assert_eq!(delivered, 300);
 }

@@ -1,7 +1,6 @@
 //! Differential determinism harness for kernel forking.
 //!
-//! The snapshot-and-fork contract (`Kernel::fork`, and
-//! `ShardedKernel::fork_serial` for the sharded kernel) is what the
+//! The snapshot-and-fork contract (`Kernel::fork`) is what the
 //! digital-twin layer in `aas-core` stands on, so it gets the strongest
 //! check we can write:
 //!
@@ -13,21 +12,12 @@
 //! 2. **Inertness** — taking a fork, even stepping it forward, then
 //!    dropping it must leave the mainline's stream, counters and RNG
 //!    stream exactly as if the fork never existed.
-//! 3. **Serial projection fidelity** — at a barrier, a sharded kernel's
-//!    `fork_serial()` projection drained serially must fire the same
-//!    occurrences at the same times as draining the sharded mainline.
-//! 4. **Projection refusal** — with un-routed send commands or pending
-//!    synchronous commands in flight, `fork_serial()` returns `None`
-//!    instead of a lossy snapshot.
 
-use aas_sim::coordinator::{ExecMode, ShardedKernel};
 use aas_sim::fault::{FaultKind, FaultSchedule};
-use aas_sim::kernel::{Fired, Kernel};
-use aas_sim::link::LinkId;
+use aas_sim::kernel::Kernel;
 use aas_sim::network::Topology;
 use aas_sim::node::NodeId;
 use aas_sim::rng::SimRng;
-use aas_sim::shard::ShardFired;
 use aas_sim::time::{SimDuration, SimTime};
 use std::fmt::Write as _;
 
@@ -275,198 +265,4 @@ fn fork_replay_and_inertness_deep() {
         check_fork_replay(seed);
         check_fork_inertness(seed);
     }
-}
-
-// ---------------------------------------------------------------------
-// Serial projection of the sharded kernel.
-// ---------------------------------------------------------------------
-
-/// Renders a serial `Fired` and a sharded `ShardFired` into one common
-/// line format so the two streams can be compared byte for byte. Send-time
-/// drops never appear after the projection point (all sends have routed by
-/// then — `fork_serial` refuses otherwise), so the two shapes align.
-fn render_serial(at: SimTime, fired: &Fired<u64>) -> String {
-    match fired {
-        Fired::Delivered {
-            channel,
-            msg,
-            size,
-            sent_at,
-        } => format!("{at} deliver {channel:?} {msg} {size} {sent_at}"),
-        Fired::Timer { tag } => format!("{at} timer {tag}"),
-        Fired::Fault(kind) => format!("{at} fault {kind:?}"),
-        Fired::DroppedAtDelivery {
-            channel,
-            msg,
-            reason,
-        } => format!("{at} drop {channel:?} {msg} {reason:?}"),
-    }
-}
-
-fn render_sharded(at: SimTime, what: &ShardFired<u64>) -> Option<String> {
-    match what {
-        ShardFired::Delivered {
-            channel,
-            msg,
-            size,
-            sent_at,
-        } => Some(format!("{at} deliver {channel:?} {msg} {size} {sent_at}")),
-        ShardFired::Timer { tag } => Some(format!("{at} timer {tag}")),
-        ShardFired::Fault(kind) => Some(format!("{at} fault {kind:?}")),
-        ShardFired::Dropped {
-            channel,
-            msg,
-            reason,
-            at_send,
-        } => {
-            assert!(!at_send, "send-time drop after the projection point");
-            Some(format!("{at} drop {channel:?} {msg} {reason:?}"))
-        }
-    }
-}
-
-/// Drives a sharded kernel to a mid-run barrier, projects it onto a
-/// serial fork, then drains both: the remaining streams, final counters
-/// and channel stats must agree.
-fn check_serial_projection(seed: u64, shards: u32, mode: ExecMode) {
-    let mut rng = SimRng::seed_from(seed ^ 0x9A7);
-    let topo = topology(seed);
-    let mut k: ShardedKernel<u64> = ShardedKernel::with_mode(topo, shards, mode);
-    let chans: Vec<_> = (0..4)
-        .map(|_| {
-            k.open_channel(
-                NodeId(rng.below(NODES) as u32),
-                NodeId(rng.below(NODES) as u32),
-            )
-        })
-        .collect();
-
-    let mid = SimTime::from_micros(60_000);
-    // All caller inputs land strictly before the projection point so that
-    // by `run_until(mid)` every send has routed and every sync command
-    // (fault) has executed.
-    for i in 0..60u64 {
-        let at = SimTime::from_micros(rng.below(55_000));
-        let ch = chans[rng.below(chans.len() as u64) as usize];
-        match rng.below(10) {
-            0 => {
-                let node = NodeId(rng.below(NODES) as u32);
-                let kind = if rng.chance(0.5) {
-                    FaultKind::NodeCrash(node)
-                } else {
-                    FaultKind::NodeRecover(node)
-                };
-                k.fault_at(at, kind);
-            }
-            1 => {
-                let _ = k.set_timer_at(SimTime::from_micros(55_000 + rng.below(60_000)));
-            }
-            _ => k.send_at(at, ch, i, [64, 1024, 16384][rng.below(3) as usize]),
-        }
-    }
-
-    let mut sharded_log: Vec<String> = Vec::new();
-    let _ = k.run_until(mid); // pre-fork stream, not compared
-    let fork = k.fork_serial();
-    let mut fork = fork.unwrap_or_else(|| panic!("seed {seed}: projection refused at a barrier"));
-
-    // Counters agree at the projection point...
-    let at_fork: Vec<(String, u64)> = k
-        .counters()
-        .iter()
-        .map(|(n, v)| (n.to_owned(), v))
-        .collect();
-    let fork_at: Vec<(String, u64)> = fork
-        .counters()
-        .iter()
-        .map(|(n, v)| (n.to_owned(), v))
-        .collect();
-    assert_eq!(at_fork, fork_at, "seed {seed}: counters diverge at fork");
-
-    // ...and the remaining event streams are identical.
-    for e in k.drain() {
-        if let Some(line) = render_sharded(e.at, &e.what) {
-            sharded_log.push(line);
-        }
-    }
-    let mut fork_log: Vec<String> = Vec::new();
-    while let Some((at, fired)) = fork.step() {
-        fork_log.push(render_serial(at, &fired));
-    }
-    assert_eq!(
-        sharded_log, fork_log,
-        "seed {seed} K={shards}: serial projection stream diverged from sharded drain"
-    );
-    assert!(
-        !sharded_log.is_empty(),
-        "seed {seed}: nothing pending at the projection point"
-    );
-
-    let final_sharded: Vec<(String, u64)> = k
-        .counters()
-        .iter()
-        .map(|(n, v)| (n.to_owned(), v))
-        .collect();
-    let final_fork: Vec<(String, u64)> = fork
-        .counters()
-        .iter()
-        .map(|(n, v)| (n.to_owned(), v))
-        .collect();
-    assert_eq!(
-        final_sharded, final_fork,
-        "seed {seed}: final counters diverge"
-    );
-    for &ch in &chans {
-        assert_eq!(
-            k.channel_stats(ch),
-            fork.channel_stats(ch),
-            "seed {seed}: channel stats diverge on {ch:?}"
-        );
-        assert_eq!(
-            k.channel_endpoints(ch),
-            fork.channel_endpoints(ch),
-            "seed {seed}: channel endpoints diverge on {ch:?}"
-        );
-    }
-    let _ = k.link_bytes(LinkId(0));
-}
-
-#[test]
-fn serial_projection_matches_sharded_drain() {
-    for seed in 0..32 {
-        check_serial_projection(seed, 4, ExecMode::Inline);
-    }
-    for seed in 0..4 {
-        check_serial_projection(seed, 4, ExecMode::Threads);
-    }
-}
-
-#[test]
-fn serial_projection_refuses_unrouted_sends_and_pending_sync() {
-    let topo = topology(1);
-    let mut k: ShardedKernel<u64> = ShardedKernel::new(topo, 4);
-    let ch = k.open_channel(NodeId(0), NodeId(1));
-
-    // A send scheduled beyond the horizon stays an un-routed command.
-    k.send_at(SimTime::from_micros(50_000), ch, 7, 64);
-    let _ = k.run_until(SimTime::from_micros(10));
-    assert!(
-        k.fork_serial().is_none(),
-        "projection must refuse while a send command is un-routed"
-    );
-    let _ = k.drain();
-    assert!(
-        k.fork_serial().is_some(),
-        "projection must succeed once quiescent"
-    );
-
-    // A pending synchronous command (future fault) also refuses.
-    k.fault_at(
-        SimTime::from_micros(90_000),
-        FaultKind::NodeCrash(NodeId(2)),
-    );
-    assert!(
-        k.fork_serial().is_none(),
-        "projection must refuse while sync commands are queued"
-    );
 }

@@ -1,6 +1,6 @@
 //! Property-based tests for the simulation substrate.
 
-use aas_sim::event::EventQueue;
+use aas_sim::kernel::{Fired, Kernel};
 use aas_sim::link::LinkSpec;
 use aas_sim::network::Topology;
 use aas_sim::node::{NodeId, NodeSpec};
@@ -10,22 +10,27 @@ use aas_sim::trace::ResourceTrace;
 use proptest::prelude::*;
 
 proptest! {
-    /// Events pop in nondecreasing time order; ties keep insertion order.
+    /// Events fire in nondecreasing time order; ties keep issue order.
     #[test]
-    fn event_queue_total_order(times in prop::collection::vec(0u64..10_000, 1..200)) {
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.push(SimTime::from_micros(t), i);
+    fn kernel_events_total_order(times in prop::collection::vec(0u64..10_000, 1..200)) {
+        let mut k: Kernel<()> = Kernel::new(Topology::new(), 1);
+        for &t in &times {
+            // Tags are handed out in issue order.
+            let _ = k.set_timer(SimDuration::from_micros(t));
         }
-        let mut prev: Option<(SimTime, usize)> = None;
-        while let Some((at, idx)) = q.pop() {
-            if let Some((pt, pidx)) = prev {
+        let mut prev: Option<(SimTime, u64)> = None;
+        while let Some((at, fired)) = k.step() {
+            let Fired::Timer { tag } = fired else {
+                panic!("only timers were scheduled");
+            };
+            prop_assert_eq!(at, SimTime::from_micros(times[tag as usize]));
+            if let Some((pt, ptag)) = prev {
                 prop_assert!(at >= pt);
                 if at == pt {
-                    prop_assert!(idx > pidx, "FIFO among ties");
+                    prop_assert!(tag > ptag, "FIFO among ties");
                 }
             }
-            prev = Some((at, idx));
+            prev = Some((at, tag));
         }
     }
 

@@ -1,25 +1,34 @@
-//! Differential determinism harness for the sharded kernel.
+//! Differential determinism harness for the two kernel drivers.
 //!
 //! 256 seeded random schedules — bursts of sends interleaved with faults
 //! (node crashes, link flaps) and reconfiguration commands (block,
-//! unblock, close, rebind) — each executed twice: at K=1 in inline mode
-//! and at K=4 on real worker threads. The merged occurrence streams must
-//! be **byte-identical**, the kernel counters, per-channel stats and
-//! per-link byte totals must be equal, and delivered payloads must show
-//! no duplication (checked with `aas_core`'s `SequenceTracker`). Fault-
-//! free schedules must additionally be loss-free and perfectly in order.
+//! unblock, close, rebind) — each drawn with issue order unrelated to time
+//! order and executed by the sharded kernel at K=1 in inline mode and at
+//! K=4 on real worker threads: the audit logs must be **byte-identical**.
+//! The same schedule sorted into time order then runs through the
+//! interactive serial `Kernel` (its commands act at `now`) and the K=1
+//! inline driver again, and those occurrence streams must be byte-identical
+//! too, send-time drops — which the serial kernel reports through `send`'s
+//! return value — included. In both comparisons the kernel counters,
+//! per-channel stats and per-link byte totals must be equal; delivered
+//! payloads must show no duplication (checked with `aas_core`'s
+//! `SequenceTracker`), and fault-free schedules must additionally be
+//! loss-free and perfectly in order.
 //!
 //! The deep tier (`--ignored`, nightly CI) runs 10× the seeds.
 
 use aas_core::message::SequenceTracker;
 use aas_sim::coordinator::{ExecMode, ShardedKernel};
-use aas_sim::fault::FaultKind;
+use aas_sim::fault::{FaultKind, FaultSchedule};
+use aas_sim::kernel::{Fired, Kernel, SendOutcome};
 use aas_sim::link::{LinkId, LinkSpec};
 use aas_sim::network::Topology;
 use aas_sim::node::{NodeId, NodeSpec};
 use aas_sim::rng::SimRng;
-use aas_sim::shard::ShardFired;
+use aas_sim::stats::Counters;
 use aas_sim::time::{SimDuration, SimTime};
+use aas_sim::{ChannelId, ChannelStats};
+use std::fmt::Write as _;
 
 /// One caller command; a schedule is a `Vec<Op>` applied identically to
 /// every kernel under test (same order → same deterministic event keys).
@@ -58,6 +67,21 @@ enum Op {
     },
 }
 
+impl Op {
+    fn at(&self) -> SimTime {
+        match *self {
+            Op::Send { at, .. }
+            | Op::Timer { at }
+            | Op::Fault { at, .. }
+            | Op::Block { at, .. }
+            | Op::Unblock { at, .. }
+            | Op::Close { at, .. }
+            | Op::Rebind { at, .. } => at,
+        }
+    }
+}
+
+#[derive(Clone)]
 struct Case {
     topo_seed: u64,
     channels: Vec<(NodeId, NodeId)>,
@@ -194,11 +218,17 @@ fn build_case(seed: u64) -> Case {
     }
 }
 
+#[derive(Default)]
 struct RunResult {
-    /// The rendered audit log, one line per merged occurrence.
+    /// The rendered audit log, one line per merged occurrence, keys
+    /// included (sharded runs only: the serial kernel keeps its keys to
+    /// itself).
     log: String,
+    /// The same stream without keys — what the serial kernel can be held
+    /// to.
+    stream: String,
     counters: Vec<(String, u64)>,
-    channel_stats: Vec<String>,
+    channel_stats: Vec<ChannelStats>,
     link_bytes: Vec<u64>,
     delivered: Vec<(usize, u64)>,
     sent_events: u64,
@@ -238,62 +268,149 @@ fn run_case(case: &Case, shards: u32, mode: ExecMode) -> RunResult {
         stats.overrun_events, 0,
         "K={shards}: a shard advanced past the coordinator's safe time"
     );
-    let mut log = String::new();
-    let mut delivered = Vec::new();
+    let mut res = RunResult::default();
     let mut prev = None;
     for e in &events {
-        use std::fmt::Write as _;
-        let _ = writeln!(log, "{} {} {:?}", e.at, e.key, e.what);
+        let _ = writeln!(res.log, "{} {} {:?}", e.at, e.key, e.what);
         // The merged stream must be strictly (time, key)-ordered.
         let cur = (e.at, e.key);
         if let Some(p) = prev {
             assert!(p < cur, "merged stream out of order at {} {}", e.at, e.key);
         }
         prev = Some(cur);
-        if let ShardFired::Delivered { msg, .. } = e.what {
-            delivered.push(((msg >> 40) as usize, msg & ((1 << 40) - 1)));
+        res.record(e.at, &e.what);
+    }
+    res.counters = rendered(&k.counters());
+    res.channel_stats = chans.iter().map(|&ch| k.channel_stats(ch)).collect();
+    res.link_bytes = (0..link_count)
+        .map(|i| k.link_bytes(LinkId(i as u32)))
+        .collect();
+    res
+}
+
+fn rendered(counters: &Counters) -> Vec<(String, u64)> {
+    counters.iter().map(|(n, v)| (n.to_owned(), v)).collect()
+}
+
+impl RunResult {
+    fn record(&mut self, at: SimTime, what: &Fired<u64>) {
+        let _ = writeln!(self.stream, "{at} {what:?}");
+        if let Fired::Delivered { msg, .. } = *what {
+            self.delivered
+                .push(((msg >> 40) as usize, msg & ((1 << 40) - 1)));
+        }
+        self.sent_events += 1;
+    }
+
+    fn assert_same_totals(&self, other: &RunResult, seed: u64, pair: &str) {
+        assert_eq!(
+            self.counters, other.counters,
+            "seed {seed}: {pair} counters diverge"
+        );
+        assert_eq!(
+            self.channel_stats, other.channel_stats,
+            "seed {seed}: {pair} per-channel stats diverge"
+        );
+        assert_eq!(
+            self.link_bytes, other.link_bytes,
+            "seed {seed}: {pair} per-link byte totals diverge"
+        );
+    }
+}
+
+/// Timer tag of the serial runner's clock-pacing timers (the schedule's
+/// own timers get the automatic tags 0, 1, …).
+const PACE: u64 = u64::MAX;
+
+/// Runs a time-ordered schedule through the interactive serial `Kernel`.
+/// Its commands act at `now`, so before each op a pacing timer carries the
+/// clock to the op's time — surfacing, as the sharded kernel does, every
+/// event of an earlier command due by then — and a send the kernel refuses
+/// is recorded where the sharded stream carries its `at_send` drop.
+fn run_serial(case: &Case) -> RunResult {
+    let topo = build_topology(case.topo_seed);
+    let link_count = topo.link_count();
+    let mut k: Kernel<u64> = Kernel::new(topo, case.topo_seed);
+    let chans: Vec<ChannelId> = case
+        .channels
+        .iter()
+        .map(|&(s, d)| k.open_channel(s, d))
+        .collect();
+    let mut res = RunResult::default();
+    for op in &case.ops {
+        let at = op.at();
+        k.set_timer_with_tag(at.saturating_since(k.now()), PACE);
+        loop {
+            let (t, fired) = k.step().expect("the pacing timer is pending");
+            if matches!(fired, Fired::Timer { tag: PACE }) {
+                break;
+            }
+            res.record(t, &fired);
+        }
+        assert_eq!(k.now(), at);
+        match *op {
+            Op::Send { ch, msg, size, .. } => {
+                if let SendOutcome::Dropped(reason) = k.send(chans[ch], msg, size) {
+                    let dropped = Fired::Dropped {
+                        channel: chans[ch],
+                        msg,
+                        reason,
+                        at_send: true,
+                    };
+                    res.record(at, &dropped);
+                }
+            }
+            Op::Timer { .. } => {
+                let _ = k.set_timer(SimDuration::ZERO);
+            }
+            Op::Fault { kind, .. } => {
+                let mut sched = FaultSchedule::new();
+                sched.at(at, kind);
+                k.inject_faults(sched);
+            }
+            Op::Block { ch, .. } => k.block_channel(chans[ch]),
+            Op::Unblock { ch, .. } => k.unblock_channel(chans[ch]),
+            Op::Close { ch, .. } => k.close_channel(chans[ch]),
+            Op::Rebind { ch, src, dst, .. } => {
+                k.rebind_channel(chans[ch], NodeId(src), NodeId(dst));
+            }
         }
     }
-    RunResult {
-        log,
-        counters: k
-            .counters()
-            .iter()
-            .map(|(n, v)| (n.to_owned(), v))
-            .collect(),
-        channel_stats: chans
-            .iter()
-            .map(|&ch| format!("{:?}", k.channel_stats(ch)))
-            .collect(),
-        link_bytes: (0..link_count)
-            .map(|i| k.link_bytes(LinkId(i as u32)))
-            .collect(),
-        delivered,
-        sent_events: events.len() as u64,
+    while let Some((t, fired)) = k.step() {
+        res.record(t, &fired);
     }
+    res.counters = rendered(&k.counters());
+    res.channel_stats = chans.iter().map(|&ch| k.channel_stats(ch)).collect();
+    res.link_bytes = (0..link_count)
+        .map(|i| k.topology().link(LinkId(i as u32)).bytes_carried())
+        .collect();
+    res
 }
 
 fn check_case(seed: u64) {
     let case = build_case(seed);
-    let serial = run_case(&case, 1, ExecMode::Inline);
+    // The two sharded drivers get the schedule as drawn: issue order and
+    // time order are unrelated, which is what `EventKey` has to absorb.
+    let inline = run_case(&case, 1, ExecMode::Inline);
     let sharded = run_case(&case, 4, ExecMode::Threads);
-
     assert_eq!(
-        serial.log, sharded.log,
+        inline.log, sharded.log,
         "seed {seed}: K=1 and K=4 audit logs are not byte-identical"
     );
+    inline.assert_same_totals(&sharded, seed, "K=1 and K=4");
+
+    // The interactive kernel acts at `now`, so it is held to the sharded
+    // K=1 driver on the same schedule in time order (stable: same-instant
+    // ops keep their drawn order).
+    let mut in_time_order = case.clone();
+    in_time_order.ops.sort_by_key(Op::at);
+    let serial = run_serial(&in_time_order);
+    let inline_sorted = run_case(&in_time_order, 1, ExecMode::Inline);
     assert_eq!(
-        serial.counters, sharded.counters,
-        "seed {seed}: counters diverge"
+        serial.stream, inline_sorted.stream,
+        "seed {seed}: serial kernel and sharded K=1 streams are not byte-identical"
     );
-    assert_eq!(
-        serial.channel_stats, sharded.channel_stats,
-        "seed {seed}: per-channel stats diverge"
-    );
-    assert_eq!(
-        serial.link_bytes, sharded.link_bytes,
-        "seed {seed}: per-link byte totals diverge"
-    );
+    serial.assert_same_totals(&inline_sorted, seed, "serial and K=1");
 
     // No duplication, ever: each (channel, seq) payload arrives at most
     // once. (A rebind mid-flight may legitimately *reorder* a channel —
@@ -324,7 +441,7 @@ fn check_case(seed: u64) {
         );
     }
     assert!(
-        serial.sent_events > 0,
+        inline.sent_events > 0 && serial.sent_events > 0,
         "seed {seed}: schedule fired nothing"
     );
 }
