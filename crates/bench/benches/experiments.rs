@@ -1,0 +1,6 @@
+//! The one bench target: `cargo bench -p aas-bench -- [ids…] [smoke|full]`
+//! prints each experiment's table and writes its `BENCH_<id>.json`.
+
+fn main() -> std::process::ExitCode {
+    aas_bench::main(std::env::args().skip(1))
+}

@@ -11,7 +11,7 @@
 //! blackout.
 
 use crate::common::{frame, pipeline_runtime};
-use crate::table::{f2, Table};
+use crate::table::{exact, f2, Table, Tier};
 use aas_core::connector::{ConnectorAspect, ConnectorSpec};
 use aas_core::reconfig::{ReconfigAction, ReconfigPlan, StateTransfer};
 use aas_sim::time::{SimDuration, SimTime};
@@ -99,10 +99,12 @@ fn run_cell(interval: SimDuration, adapt: bool) -> Cell {
 
 /// Runs the full sweep and returns the result table.
 #[must_use]
-pub fn run() -> Table {
+pub fn run(tier: Tier) -> Table {
     let mut table = Table::new(
+        "e01",
+        tier,
         "E1: adaptation vs reconfiguration — latency under change frequency",
-        &[
+        exact(&[
             "interval",
             "mechanism",
             "switches",
@@ -110,7 +112,7 @@ pub fn run() -> Table {
             "mean(ms)",
             "p99(ms)",
             "blackout(ms)",
-        ],
+        ]),
     );
     for interval in [
         SimDuration::from_secs(10),
@@ -130,6 +132,18 @@ pub fn run() -> Table {
             ]);
         }
     }
+    let mut rt = pipeline_runtime(3, 1);
+    let mut flip = false;
+    table.note_ns_per_call("connector interchange ns", 200_000, || {
+        let spec = ConnectorSpec::direct("s2");
+        flip = !flip;
+        let spec = if flip {
+            spec.with_aspect(ConnectorAspect::Metering)
+        } else {
+            spec
+        };
+        rt.adapt_connector("s2", spec).expect("adapt");
+    });
     table
 }
 

@@ -9,9 +9,10 @@
 //! configuration adds over the raw network floor.
 
 use crate::common::{experiment_registry, frame};
-use crate::table::{f2, Table};
+use crate::table::{exact, f2, Table, Tier};
 use aas_core::config::{BindingDecl, ComponentDecl, Configuration};
-use aas_core::connector::{ConnectorAspect, ConnectorSpec};
+use aas_core::connector::{Connector, ConnectorAspect, ConnectorId, ConnectorSpec};
+use aas_core::message::{Message, Value};
 use aas_core::runtime::Runtime;
 use aas_sim::network::Topology;
 use aas_sim::node::NodeId;
@@ -73,10 +74,12 @@ fn measure(kind: &str, bytes: i64) -> f64 {
 
 /// Runs the sweep.
 #[must_use]
-pub fn run() -> Table {
+pub fn run(tier: Tier) -> Table {
     let mut table = Table::new(
+        "e02",
+        tier,
         "E2: connector overhead — latency added over a direct binding",
-        &["payload(B)", "variant", "mean(ms)", "overhead(ms)"],
+        exact(&["payload(B)", "variant", "mean(ms)", "overhead(ms)"]),
     );
     for bytes in [100i64, 10_000, 100_000] {
         let floor = measure("direct", bytes);
@@ -93,6 +96,14 @@ pub fn run() -> Table {
                 f2(mean - floor),
             ]);
         }
+    }
+    let msg = Message::request("op", Value::from(1));
+    for (name, kind) in [
+        ("mediate direct ns", "direct"),
+        ("mediate aspect-chain ns", "aspect-chain"),
+    ] {
+        let mut connector = Connector::new(ConnectorId(0), connector_variant(kind));
+        table.note_ns_per_call(name, 200_000, || connector.mediate(&msg, SimTime::ZERO, 1));
     }
     table
 }

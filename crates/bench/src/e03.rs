@@ -9,8 +9,11 @@
 //! delay spike of the frames held while the channel was blocked.
 
 use crate::common::{frame, pipeline_runtime};
-use crate::table::{f2, Table};
+use crate::table::{exact, f2, Table, Tier};
 use aas_core::reconfig::{ReconfigAction, ReconfigPlan, StateTransfer};
+use aas_sim::kernel::Kernel;
+use aas_sim::network::Topology;
+use aas_sim::node::NodeId;
 use aas_sim::time::{SimDuration, SimTime};
 
 const HORIZON_SECS: u64 = 10;
@@ -79,10 +82,12 @@ pub fn run_cell(rate: u64) -> Cell {
 
 /// Runs the sweep.
 #[must_use]
-pub fn run() -> Table {
+pub fn run(tier: Tier) -> Table {
     let mut table = Table::new(
+        "e03",
+        tier,
         "E3: channel preservation across a strong swap — loss/dup must be 0",
-        &[
+        exact(&[
             "rate(f/s)",
             "offered",
             "delivered",
@@ -91,7 +96,7 @@ pub fn run() -> Table {
             "held",
             "p50(ms)",
             "max(ms)",
-        ],
+        ]),
     );
     for rate in [20, 100, 400, 1000] {
         let c = run_cell(rate);
@@ -106,6 +111,13 @@ pub fn run() -> Table {
             f2(c.max_ms),
         ]);
     }
+    let topo = Topology::clique(2, 100.0, SimDuration::from_millis(1), 1e6);
+    let mut k: Kernel<u32> = Kernel::new(topo, 1);
+    let ch = k.open_channel(NodeId(0), NodeId(1));
+    table.note_ns_per_call("block + unblock channel ns", 1_000_000, || {
+        k.block_channel(ch);
+        k.unblock_channel(ch);
+    });
     table
 }
 

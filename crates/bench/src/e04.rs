@@ -11,7 +11,7 @@
 //! time, delivered quality, level switches.
 
 use crate::common::experiment_registry;
-use crate::table::{f2, f3, pct, Table};
+use crate::table::{exact, f3, pct, Table, Tier};
 use aas_control::control_loop::{Actuation, ControlLoop, Direction};
 use aas_control::fuzzy::FuzzyController;
 use aas_control::pid::PidController;
@@ -98,8 +98,6 @@ fn controller(policy: Policy) -> Option<ControlLoop> {
 /// Runs one policy on the shared rush-hour workload.
 #[must_use]
 pub fn run_cell(policy: Policy) -> Cell {
-    let mut registry = experiment_registry();
-    let _ = &mut registry;
     let mut topo = Topology::new();
     let edge = topo.add_node(aas_sim::node::NodeSpec::new("edge", 250.0));
     let core = topo.add_node(aas_sim::node::NodeSpec::new("core", 500.0));
@@ -109,7 +107,7 @@ pub fn run_cell(policy: Policy) -> Cell {
         SimDuration::from_millis(5),
         2e6,
     ));
-    let mut rt = Runtime::new(topo, 77, registry);
+    let mut rt = Runtime::new(topo, 77, experiment_registry());
     let mut cfg = Configuration::new();
     cfg.component("source", ComponentDecl::new("MediaSource", 1, NodeId(0)));
     cfg.component("coder", ComponentDecl::new("Transcoder", 1, NodeId(0)));
@@ -194,10 +192,12 @@ pub fn run_cell(policy: Policy) -> Cell {
 
 /// Runs all policies.
 #[must_use]
-pub fn run() -> Table {
+pub fn run(tier: Tier) -> Table {
     let mut table = Table::new(
+        "e04",
+        tier,
         "E4: QoS compliance under rush hour — controller comparison",
-        &["policy", "frames", "quality", "violation", "switches"],
+        exact(&["policy", "frames", "quality", "violation", "switches"]),
     );
     for policy in [Policy::None, Policy::Threshold, Policy::Pid, Policy::Fuzzy] {
         let c = run_cell(policy);
@@ -209,7 +209,12 @@ pub fn run() -> Table {
             c.switches.to_string(),
         ]);
     }
-    let _ = f2(0.0);
+    let mut fuzzy = FuzzyController::standard(80.0, 400.0, 12.0);
+    let mut e = 0.0;
+    table.note_ns_per_call("fuzzy inference ns", 1_000_000, || {
+        e += 1.0;
+        aas_control::Controller::update(&mut fuzzy, e % 80.0 - 40.0, 0.25)
+    });
     table
 }
 

@@ -12,7 +12,7 @@
 //! final node-utilization spread.
 
 use crate::common::experiment_registry;
-use crate::table::{f2, f3, Table};
+use crate::table::{exact, f2, f3, Table, Tier};
 use aas_core::config::{ComponentDecl, Configuration};
 use aas_core::message::{Message, Value};
 use aas_core::reconfig::{ReconfigAction, ReconfigPlan};
@@ -111,17 +111,19 @@ pub fn run_cell(rebalance: bool, rate: u64) -> Cell {
 
 /// Runs the sweep.
 #[must_use]
-pub fn run() -> Table {
+pub fn run(tier: Tier) -> Table {
     let mut table = Table::new(
+        "e05",
+        tier,
         "E5: migration-based load balancing vs static placement",
-        &[
+        exact(&[
             "rate(req/s)",
             "policy",
             "mean(ms)",
             "p99(ms)",
             "util-spread",
             "migrations",
-        ],
+        ]),
     );
     for rate in [200u64, 400, 800] {
         for rebalance in [false, true] {
@@ -136,6 +138,10 @@ pub fn run() -> Table {
             ]);
         }
     }
+    let topo = Topology::clique(16, 100.0, SimDuration::from_millis(1), 1e6);
+    table.note_ns_per_call("route 16-node clique ns", 200_000, || {
+        topo.route(NodeId(0), NodeId(15), 1000)
+    });
     table
 }
 

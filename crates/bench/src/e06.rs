@@ -10,7 +10,7 @@
 //! modelled per-message work units and the measured wall-clock nanoseconds
 //! per message of the filter machinery itself.
 
-use crate::table::{f2, Table};
+use crate::table::{ex, exact, timed, Col, Table, Tier};
 use aas_adapt::filters::{FilterMode, FilterPipeline, RejectFilter, TransformFilter};
 use aas_core::message::{Message, Value};
 use std::time::Instant;
@@ -71,20 +71,28 @@ pub fn run_cell(mode: FilterMode, depth: usize) -> Cell {
 
 /// Runs the sweep.
 #[must_use]
-pub fn run() -> Table {
+pub fn run(tier: Tier) -> Table {
     let mut table = Table::new(
+        "e06",
+        tier,
         "E6: inlined vs runtime composition filters — per-message cost",
-        &["depth", "mode", "work-units/msg", "ns/msg"],
+        [
+            exact(&["depth", "mode", "work-units/msg"]),
+            vec![Col::Timed("ns/msg")],
+        ]
+        .concat(),
     );
     for depth in [0usize, 2, 4, 8, 16] {
         for mode in [FilterMode::Inlined, FilterMode::Runtime] {
-            let c = run_cell(mode, depth);
-            table.row(vec![
-                c.depth.to_string(),
-                format!("{:?}", c.mode).to_lowercase(),
-                format!("{:.4}", c.work_units),
-                f2(c.ns_per_msg),
-            ]);
+            table.trials(|| {
+                let c = run_cell(mode, depth);
+                vec![
+                    ex(c.depth),
+                    ex(format!("{:?}", c.mode).to_lowercase()),
+                    ex(format!("{:.4}", c.work_units)),
+                    timed(c.ns_per_msg, 2),
+                ]
+            });
         }
     }
     table

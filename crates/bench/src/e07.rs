@@ -9,8 +9,9 @@
 //! modes across state sizes. Reported: whether the message counter
 //! survived, the bytes transferred and the blackout.
 
-use crate::common::experiment_registry;
-use crate::table::{f2, Table};
+use crate::common::{experiment_registry, Worker};
+use crate::table::{exact, f2, Table, Tier};
+use aas_core::component::Component;
 use aas_core::config::{ComponentDecl, Configuration};
 use aas_core::message::{Message, Value};
 use aas_core::reconfig::{ReconfigAction, ReconfigPlan, StateTransfer};
@@ -92,17 +93,19 @@ pub fn run_cell(state_bytes: i64, transfer: StateTransfer) -> Cell {
 
 /// Runs the sweep.
 #[must_use]
-pub fn run() -> Table {
+pub fn run(tier: Tier) -> Table {
     let mut table = Table::new(
+        "e07",
+        tier,
         "E7: strong vs weak reconfiguration — state continuity and its cost",
-        &[
+        exact(&[
             "state(B)",
             "transfer",
             "count-after",
             "continuity",
             "bytes-moved",
             "blackout(ms)",
-        ],
+        ]),
     );
     for state_bytes in [0i64, 10_000, 1_000_000, 10_000_000] {
         for transfer in [StateTransfer::None, StateTransfer::Snapshot] {
@@ -122,6 +125,13 @@ pub fn run() -> Table {
             ]);
         }
     }
+    let worker = Worker::new(1.0, 100_000);
+    table.note_ns_per_call("snapshot 100 kB ns", 20_000, || worker.snapshot());
+    let snap = worker.snapshot();
+    let mut target = Worker::new(1.0, 0);
+    table.note_ns_per_call("restore 100 kB ns", 20_000, || {
+        target.restore(&snap).expect("restore");
+    });
     table
 }
 

@@ -11,7 +11,7 @@
 //! (b) a software queue with saturating service and dead time. Reported:
 //! overshoot, settling time, ITAE, steady-state error.
 
-use crate::table::{f2, Table};
+use crate::table::{exact, f2, Table, Tier};
 use aas_control::control_loop::{Actuation, ControlLoop, Direction};
 use aas_control::eval::{analyze, run_closed_loop, ResponseMetrics};
 use aas_control::fuzzy::FuzzyController;
@@ -117,40 +117,42 @@ pub fn queue_cell(name: &'static str, make: &dyn Fn() -> Box<dyn Controller + Se
 
 /// Runs the cross product.
 #[must_use]
-pub fn run() -> Table {
+pub fn run(tier: Tier) -> Table {
     let mut table = Table::new(
+        "e08",
+        tier,
         "E8: PID vs fuzzy vs threshold on linear and software plants",
-        &[
+        exact(&[
             "plant",
             "controller",
             "overshoot%",
             "settling(s)",
             "ITAE",
             "ss-error",
-        ],
+        ]),
     );
-    for (name, make) in controllers() {
-        let c = linear_cell(name, make.as_ref());
-        table.row(vec![
-            c.plant.to_owned(),
-            c.controller.to_owned(),
-            f2(c.metrics.overshoot_pct),
-            f2(c.metrics.settling_time),
-            f2(c.metrics.itae),
-            f2(c.metrics.steady_state_error),
-        ]);
+    for cell in [linear_cell, queue_cell] {
+        for (name, make) in controllers() {
+            let c = cell(name, make.as_ref());
+            table.row(vec![
+                c.plant.to_owned(),
+                c.controller.to_owned(),
+                f2(c.metrics.overshoot_pct),
+                f2(c.metrics.settling_time),
+                f2(c.metrics.itae),
+                f2(c.metrics.steady_state_error),
+            ]);
+        }
     }
-    for (name, make) in controllers() {
-        let c = queue_cell(name, make.as_ref());
-        table.row(vec![
-            c.plant.to_owned(),
-            c.controller.to_owned(),
-            f2(c.metrics.overshoot_pct),
-            f2(c.metrics.settling_time),
-            f2(c.metrics.itae),
-            f2(c.metrics.steady_state_error),
-        ]);
-    }
+    let mut pid = PidController::new(2.0, 0.8, 0.1);
+    let mut fuzzy = FuzzyController::standard(20.0, 60.0, 30.0);
+    let mut e = 0.0_f64;
+    let mut error = move || {
+        e += 0.1;
+        e.sin() * 10.0
+    };
+    table.note_ns_per_call("pid update ns", 1_000_000, || pid.update(error(), 0.1));
+    table.note_ns_per_call("fuzzy update ns", 1_000_000, || fuzzy.update(error(), 0.1));
     table
 }
 

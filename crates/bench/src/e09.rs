@@ -9,7 +9,7 @@
 //! growing size; (b) rule-cycle detection over growing rule sets with a
 //! planted cycle.
 
-use crate::table::{f2, Table};
+use crate::table::{ex, exact, timed, Col, Table, Tier, Value};
 use aas_adl::parser::parse_system;
 use aas_adl::validate::find_rule_cycle;
 use aas_core::lts::{check_compatibility, synthetic_ring, Dir};
@@ -90,35 +90,44 @@ pub fn rule_cell(n: usize) -> RuleCell {
 
 /// Runs both sweeps.
 #[must_use]
-pub fn run() -> Table {
+pub fn run(tier: Tier) -> Table {
     let mut table = Table::new(
+        "e09",
+        tier,
         "E9: semantic checking cost — LTS products and rule-cycle detection",
-        &["check", "size", "product-states", "time(us)", "verdict"],
+        [
+            exact(&["check", "size", "product-states"]),
+            vec![Col::Timed("time(us)"), Col::Exact("verdict")],
+        ]
+        .concat(),
     );
     for n in [4usize, 16, 64, 256, 1024] {
-        let c = lts_cell(n);
-        table.row(vec![
-            "lts-compat".into(),
-            c.states.to_string(),
-            c.product_states.to_string(),
-            f2(c.micros),
-            if c.compatible {
-                "compatible"
-            } else {
-                "deadlock"
-            }
-            .into(),
-        ]);
+        table.trials(|| {
+            let c = lts_cell(n);
+            vec![
+                ex("lts-compat"),
+                ex(c.states),
+                ex(c.product_states),
+                timed(c.micros, 2),
+                ex(if c.compatible {
+                    "compatible"
+                } else {
+                    "deadlock"
+                }),
+            ]
+        });
     }
     for n in [4usize, 16, 64, 256] {
-        let c = rule_cell(n);
-        table.row(vec![
-            "rule-cycle".into(),
-            c.rules.to_string(),
-            "-".into(),
-            f2(c.micros),
-            if c.cycle_found { "cycle" } else { "acyclic" }.into(),
-        ]);
+        table.trials(|| {
+            let c = rule_cell(n);
+            vec![
+                ex("rule-cycle"),
+                ex(c.rules),
+                Value::Na,
+                timed(c.micros, 2),
+                ex(if c.cycle_found { "cycle" } else { "acyclic" }),
+            ]
+        });
     }
     table
 }

@@ -11,7 +11,7 @@
 //! requests answered within the SLA.
 
 use crate::common::experiment_registry;
-use crate::table::{f2, pct, Table};
+use crate::table::{exact, f2, pct, Table, Tier};
 use aas_core::config::{ComponentDecl, Configuration};
 use aas_core::connector::{ConnectorAspect, ConnectorSpec};
 use aas_core::message::{Message, Value};
@@ -131,17 +131,19 @@ pub fn run_cell(adapt: bool, period: SimDuration) -> Cell {
 
 /// Runs the sweep.
 #[must_use]
-pub fn run() -> Table {
+pub fn run(tier: Tier) -> Table {
     let mut table = Table::new(
+        "e10",
+        tier,
         format!("E10: availability under continuous change (SLA = {SLA_MS} ms RTT)"),
-        &[
+        exact(&[
             "period",
             "mechanism",
             "requests",
             "within-SLA",
             "availability",
             "p99(ms)",
-        ],
+        ]),
     );
     for period in [
         SimDuration::from_secs(5),
@@ -160,6 +162,9 @@ pub fn run() -> Table {
             ]);
         }
     }
+    // The RAML meta-protocol's per-tick cost: one introspection snapshot.
+    let rt = crate::common::pipeline_runtime(4, 2);
+    table.note_ns_per_call("raml observe ns", 50_000, || rt.observe());
     table
 }
 

@@ -11,151 +11,87 @@
 //! load plus a branch. Counters and histogram recording are also measured;
 //! they sit on the delivery path, not the per-hop path, and are lock-free.
 
-use crate::table::{f2, Table};
+use crate::table::{ex, ns_per_call, timed, Col, Table, Tier};
 use aas_obs::{MetricsRegistry, Tracer};
-use std::time::Instant;
 
 /// The per-event budget (ns) for the disabled tracing path.
 pub const BUDGET_NS: f64 = 50.0;
 
-/// One measured primitive.
-#[derive(Debug, Clone)]
-pub struct Cell {
-    /// Primitive name.
-    pub primitive: &'static str,
-    /// Iterations timed.
-    pub iterations: u64,
-    /// Cost per call (ns).
-    pub ns_per_call: f64,
+/// Iterations timed per trial of each primitive.
+const N: u64 = 2_000_000;
+
+/// Appends the row of one primitive: ns/call over [`N`] calls per trial.
+fn price<T>(table: &mut Table, primitive: &str, mut f: impl FnMut() -> T) {
+    table.trials(|| vec![ex(primitive), ex(N), timed(ns_per_call(N, &mut f), 2)]);
 }
 
-/// Times `f` over enough iterations to smooth scheduler noise and
-/// returns ns/call. The closure must return a value the optimiser cannot
-/// discard; it is fed to [`std::hint::black_box`].
-fn time_ns<T>(iterations: u64, mut f: impl FnMut() -> T) -> f64 {
-    // Warm the caches and branch predictors first.
-    for _ in 0..iterations / 10 {
-        std::hint::black_box(f());
-    }
-    let start = Instant::now();
-    for _ in 0..iterations {
-        std::hint::black_box(f());
-    }
-    start.elapsed().as_nanos() as f64 / iterations as f64
-}
-
-fn cell(primitive: &'static str, iterations: u64, ns_per_call: f64) -> Cell {
-    Cell {
-        primitive,
-        iterations,
-        ns_per_call,
-    }
-}
-
-/// Measures every observation primitive. The first cell is the one the
-/// acceptance gate cares about: the disabled hop-sampling check.
+/// Prices every observation primitive. The first row is the one the
+/// budget is about — the disabled hop-sampling check; the unit test holds
+/// its median to [`BUDGET_NS`] (a host-clock verdict is not an exact
+/// value, so the table does not record one).
 #[must_use]
-pub fn run_cells() -> Vec<Cell> {
-    const N: u64 = 2_000_000;
-    let mut cells = Vec::new();
+pub fn run(tier: Tier) -> Table {
+    let mut table = Table::new(
+        "e11",
+        tier,
+        format!("E11: observation overhead (budget: disabled trace check <= {BUDGET_NS} ns)"),
+        vec![
+            Col::Exact("primitive"),
+            Col::Exact("iterations"),
+            Col::Timed("ns/call"),
+        ],
+    );
 
     // Tracing disabled (the default): one relaxed load + branch.
     let tracer = Tracer::new();
     assert_eq!(tracer.hop_sampling(), 0, "tracing must default to off");
-    cells.push(cell(
-        "tracer.sample_hop (disabled)",
-        N,
-        time_ns(N, || tracer.sample_hop()),
-    ));
+    price(&mut table, "tracer.sample_hop (disabled)", || {
+        tracer.sample_hop()
+    });
 
     // Sampled 1-in-1024: the check pays one fetch_add; only matching
     // events pay the ring-buffer push, so the *check* stays cheap.
     let sampled = Tracer::new();
     sampled.set_hop_sampling(1024);
-    cells.push(cell(
-        "tracer.sample_hop (1-in-1024)",
-        N,
-        time_ns(N, || sampled.sample_hop()),
-    ));
+    price(&mut table, "tracer.sample_hop (1-in-1024)", || {
+        sampled.sample_hop()
+    });
 
     // Counter increment: one relaxed fetch_add through an Arc.
     let registry = MetricsRegistry::new();
     let counter = registry.counter("e11.counter");
-    cells.push(cell("counter.incr", N, time_ns(N, || counter.incr())));
+    price(&mut table, "counter.incr", || counter.incr());
 
     // Histogram record: float-bits bucket index + relaxed adds.
     let histogram = registry.histogram("e11.histogram");
     let mut x = 0.0f64;
-    cells.push(cell(
-        "histogram.observe",
-        N,
-        time_ns(N, || {
-            x += 0.1;
-            histogram.observe(x);
-        }),
-    ));
+    price(&mut table, "histogram.observe", || {
+        x += 0.1;
+        histogram.observe(x);
+    });
 
     // Gauge store: one relaxed store of the value's bits.
     let gauge = registry.gauge("e11.gauge");
-    cells.push(cell("gauge.set", N, time_ns(N, || gauge.set(42.0))));
+    price(&mut table, "gauge.set", || gauge.set(42.0));
 
-    cells
-}
-
-/// Runs the sweep.
-#[must_use]
-pub fn run() -> Table {
-    let mut table = Table::new(
-        format!("E11: observation overhead (budget: disabled trace check <= {BUDGET_NS} ns)"),
-        &["primitive", "iterations", "ns/call", "within budget"],
-    );
-    for c in run_cells() {
-        let budgeted = if c.primitive.contains("disabled") {
-            if c.ns_per_call <= BUDGET_NS {
-                "yes"
-            } else {
-                "NO"
-            }
-        } else {
-            "-"
-        };
-        table.row(vec![
-            c.primitive.to_owned(),
-            c.iterations.to_string(),
-            f2(c.ns_per_call),
-            budgeted.to_owned(),
-        ]);
-    }
     table
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::Value;
 
     #[test]
-    fn disabled_trace_check_is_within_budget() {
-        let cells = run_cells();
-        let disabled = cells
-            .iter()
-            .find(|c| c.primitive.contains("disabled"))
-            .expect("disabled cell");
-        assert!(
-            disabled.ns_per_call <= BUDGET_NS,
-            "disabled hop check costs {:.1} ns (budget {BUDGET_NS} ns)",
-            disabled.ns_per_call
-        );
-    }
-
-    #[test]
-    fn lock_free_primitives_are_cheap() {
-        for c in run_cells() {
-            assert!(
-                c.ns_per_call < 1_000.0,
-                "{}: {:.1} ns is not a hot-path cost",
-                c.primitive,
-                c.ns_per_call
-            );
+    fn disabled_trace_check_is_within_budget_and_primitives_are_cheap() {
+        let table = run(Tier::Smoke);
+        for (i, row) in table.rows.iter().enumerate() {
+            let Value::Timed(ns) = &row[2] else {
+                panic!("ns/call is timed")
+            };
+            let ns = ns.quartiles().1;
+            let limit = if i == 0 { BUDGET_NS } else { 1_000.0 };
+            assert!(ns <= limit, "{}: {ns:.1} ns, limit {limit} ns", row[0]);
         }
     }
 }

@@ -14,9 +14,9 @@
 //! from the runtime's `heal.*` histograms.
 
 use crate::common::experiment_registry;
-use crate::table::{f2, pct, Table};
+use crate::table::{exact, f2, pct, Table, Tier};
 use aas_core::config::{ComponentDecl, Configuration};
-use aas_core::detector::DetectorConfig;
+use aas_core::detector::{DetectorConfig, FailureDetector};
 use aas_core::heal::RepairPolicy;
 use aas_core::message::{Message, Value};
 use aas_core::runtime::Runtime;
@@ -85,13 +85,6 @@ fn build(policy: RepairPolicy) -> Runtime {
     rt
 }
 
-/// A post-deployment introspection snapshot of the E12 system, for
-/// micro-benchmarking repair-plan construction.
-#[must_use]
-pub fn run_cell_snapshot() -> aas_core::raml::SystemSnapshot {
-    build(RepairPolicy::None).observe()
-}
-
 /// Runs one policy cell.
 #[must_use]
 pub fn run_cell(policy: RepairPolicy) -> Cell {
@@ -144,13 +137,15 @@ pub fn run_cell(policy: RepairPolicy) -> Cell {
 
 /// Runs the policy sweep.
 #[must_use]
-pub fn run() -> Table {
+pub fn run(tier: Tier) -> Table {
     let mut table = Table::new(
+        "e12",
+        tier,
         format!(
             "E12: self-healing under a fault storm \
              (MTBF {MTBF_SECS}s / outage {MTTR_SECS}s, SLA = {SLA_MS} ms RTT)"
         ),
-        &[
+        exact(&[
             "policy",
             "requests",
             "answered",
@@ -158,7 +153,7 @@ pub fn run() -> Table {
             "MTTD(ms)",
             "MTTR(ms)",
             "lost-in-crash",
-        ],
+        ]),
     );
     for policy in [
         RepairPolicy::None,
@@ -184,6 +179,22 @@ pub fn run() -> Table {
             c.lost_in_crash.to_string(),
         ]);
     }
+    // The hot self-healing primitives: one detector pass over 16 watched
+    // nodes, one failover plan over the deployed system's snapshot.
+    let period = SimDuration::from_millis(50);
+    let mut detector = FailureDetector::new(DetectorConfig::new(period, 2.0, NodeId(0)));
+    for n in 1..=16u32 {
+        detector.watch(NodeId(n), SimTime::ZERO);
+    }
+    let mut at = SimTime::ZERO;
+    table.note_ns_per_call("detector evaluate 16 nodes ns", 200_000, || {
+        at += period;
+        detector.evaluate(at)
+    });
+    let snap = build(RepairPolicy::None).observe();
+    table.note_ns_per_call("failover plan_for ns", 200_000, || {
+        RepairPolicy::FailoverMigrate.plan_for(NodeId(1), &snap)
+    });
     table
 }
 

@@ -16,9 +16,9 @@
 //! have stranded `d-1` committed actions of a failed plan.
 
 use crate::common::experiment_registry;
-use crate::table::{f2, Table};
+use crate::table::{exact, f2, Table, Tier};
 use aas_core::component::{CallCtx, Component, StateSnapshot};
-use aas_core::config::{ComponentDecl, Configuration};
+use aas_core::config::{BindingDecl, ComponentDecl, Configuration};
 use aas_core::error::{ComponentError, StateError};
 use aas_core::interface::{Interface, Signature};
 use aas_core::message::{Message, Value};
@@ -175,13 +175,15 @@ pub fn run_cell(depth: usize, poison: bool) -> Cell {
 
 /// Runs the depth sweep, commit vs rollback at each depth.
 #[must_use]
-pub fn run() -> Table {
+pub fn run(tier: Tier) -> Table {
     let mut table = Table::new(
+        "e13",
+        tier,
         format!(
             "E13: rollback cost vs plan depth \
              (worker cost {WORK_COST}, state {STATE_BYTES} B, poison swap at depth d)"
         ),
-        &[
+        exact(&[
             "depth",
             "outcome",
             "duration(ms)",
@@ -190,7 +192,7 @@ pub fn run() -> Table {
             "compensated",
             "stranded-if-abandoned",
             "graph-intact",
-        ],
+        ]),
     );
     for depth in [1usize, 2, 4, 8] {
         for poison in [false, true] {
@@ -207,6 +209,23 @@ pub fn run() -> Table {
             ]);
         }
     }
+    // The transactional primitive: compensating-inverse derivation.
+    let actions = [
+        ReconfigAction::AddComponent {
+            name: "x".into(),
+            decl: ComponentDecl::new("Worker", 1, NodeId(0)),
+        },
+        ReconfigAction::Migrate {
+            name: "x".into(),
+            to: NodeId(2),
+        },
+        ReconfigAction::Bind(BindingDecl::new("x", "out", "w", "y", "in")),
+    ];
+    table.note_ns_per_call("derive inverse of 3 actions ns", 200_000, || {
+        actions
+            .each_ref()
+            .map(|a| a.derive_inverse(Some(NodeId(0))))
+    });
     table
 }
 

@@ -18,12 +18,13 @@
 //! Dijkstra-work metric, comparable across both routers), and both
 //! normalized per flap. The ≥10× recompute separation at 10k nodes is
 //! pinned by `crates/topo/tests/storm_ratio.rs`; this experiment records
-//! the numbers, like E14/E15, in `BENCH_e16.json`.
+//! the numbers in `BENCH_e16.json`.
 //!
-//! Set `E16_SMOKE=1` for the reduced CI grid; set `E16_FULL=1` to add
-//! the 50k-node cells (nightly scale).
+//! Tiers: `smoke` runs 10k sessions per cell on the 1k/10k-node grid;
+//! the default tier 250k sessions (~1M over the grid); `full` is the
+//! nightly scale — the 50k-node cells added, at the smoke session count.
 
-use crate::table::Table;
+use crate::table::{ex, exact, timed, Col, Table, Tier};
 use aas_sim::coordinator::{ExecMode, ShardedKernel};
 use aas_sim::fault::FaultKind;
 use aas_sim::kernel::Fired;
@@ -45,24 +46,12 @@ const OUTAGES: usize = 24;
 /// Virtual horizon the sessions are planned over.
 const HORIZON: SimTime = SimTime::from_secs(600);
 
-/// Node-count grid: 1k/10k always, 50k behind `E16_FULL` (nightly).
-#[must_use]
-pub fn grid_sizes() -> Vec<u32> {
-    let mut sizes = vec![1_000, 10_000];
-    if std::env::var_os("E16_FULL").is_some() {
-        sizes.push(50_000);
-    }
-    sizes
-}
-
-/// Sessions per cell: the full run totals ~1M sessions across the
-/// default grid (2 sizes × 2 routers × 250k); `E16_SMOKE` reduces it.
-#[must_use]
-pub fn sessions_per_cell() -> u64 {
-    if std::env::var_os("E16_SMOKE").is_some() {
-        10_000
-    } else {
-        250_000
+/// Node-count grid and sessions per cell of a tier.
+fn grid(tier: Tier) -> (&'static [u32], u64) {
+    match tier {
+        Tier::Smoke => (&[1_000, 10_000], 10_000),
+        Tier::Default => (&[1_000, 10_000], 250_000),
+        Tier::Full => (&[1_000, 10_000, 50_000], 10_000),
     }
 }
 
@@ -193,9 +182,7 @@ pub fn run_cell(nodes: u32, hier: bool, sessions: u64) -> Cell {
     let t0 = Instant::now();
     let merged = k.drain();
     let wall = t0.elapsed().as_secs_f64();
-    let stats = k.stats();
-    assert_eq!(stats.early_crossings, 0, "safety violated during bench");
-    assert_eq!(stats.overrun_events, 0, "safety violated during bench");
+    assert_eq!(k.stats().early_crossings, 0, "safety violated during bench");
 
     let mut latency = Histogram::new();
     let mut delivered = 0u64;
@@ -230,98 +217,48 @@ pub fn run_cell(nodes: u32, hier: bool, sessions: u64) -> Cell {
     }
 }
 
-/// Runs the full grid: sizes × {flat, hier}.
+/// Runs the tier's grid: sizes × {flat, hier}.
 #[must_use]
-pub fn cells() -> Vec<Cell> {
-    let sessions = sessions_per_cell();
-    let mut out = Vec::new();
-    for nodes in grid_sizes() {
-        for hier in [false, true] {
-            out.push(run_cell(nodes, hier, sessions));
-        }
-    }
-    out
-}
-
-/// Runs the grid and renders the report table.
-#[must_use]
-pub fn run() -> Table {
-    render(&cells())
-}
-
-/// Renders a table from pre-computed cells (bench targets reuse the
-/// cells for the JSON artifact without re-running the grid).
-#[must_use]
-pub fn render(all: &[Cell]) -> Table {
+pub fn run(tier: Tier) -> Table {
     let mut table = Table::new(
+        "e16",
+        tier,
         format!(
             "E16: planet-scale routing, flat epoch-flush vs hierarchical \
              partial invalidation ({HOT_PAIRS} hot pairs, {OUTAGES} outages, \
              seed {SEED})"
         ),
-        &[
-            "nodes",
-            "router",
-            "sessions",
-            "delivered",
-            "flaps",
-            "rebinds",
-            "p99 ms",
-            "sessions/s",
-            "full recomputes",
-            "searches",
-            "settled",
-            "settled/flap",
-        ],
+        [
+            exact(&["nodes", "router", "sessions", "delivered", "flaps"]),
+            exact(&["rebinds", "p99 ms"]),
+            vec![Col::Timed("sessions/s")],
+            exact(&["full recomputes", "searches", "settled", "settled/flap"]),
+        ]
+        .concat(),
     );
-    for c in all {
-        table.row(vec![
-            c.nodes.to_string(),
-            c.router.to_owned(),
-            c.sessions.to_string(),
-            c.delivered.to_string(),
-            c.flaps.to_string(),
-            c.rebinds.to_string(),
-            format!("{:.2}", c.p99_ms),
-            format!("{:.0}", c.sessions_per_sec),
-            c.full_recomputes.to_string(),
-            c.searches.to_string(),
-            c.settled.to_string(),
-            format!("{:.0}", c.settled_per_flap),
-        ]);
+    let (sizes, sessions) = grid(tier);
+    for &nodes in sizes {
+        for hier in [false, true] {
+            table.trials(|| {
+                let c = run_cell(nodes, hier, sessions);
+                vec![
+                    ex(c.nodes),
+                    ex(c.router),
+                    ex(c.sessions),
+                    ex(c.delivered),
+                    ex(c.flaps),
+                    ex(c.rebinds),
+                    ex(format!("{:.3}", c.p99_ms)),
+                    timed(c.sessions_per_sec, 0),
+                    ex(c.full_recomputes),
+                    ex(c.searches),
+                    ex(c.settled),
+                    ex(format!("{:.0}", c.settled_per_flap)),
+                ]
+            });
+        }
     }
     table
-}
-
-/// Renders cells as the `BENCH_e16.json` artifact (no serde in the
-/// workspace — the shape is flat enough to emit by hand).
-#[must_use]
-pub fn to_json(cells: &[Cell]) -> String {
-    let mut s = String::from("{\n  \"experiment\": \"e16\",\n  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"nodes\": {}, \"router\": \"{}\", \"sessions\": {}, \
-             \"delivered\": {}, \"flaps\": {}, \"rebinds\": {}, \
-             \"p99_ms\": {:.3}, \"sessions_per_sec\": {:.0}, \
-             \"full_recomputes\": {}, \"searches\": {}, \"settled\": {}, \
-             \"settled_per_flap\": {:.0}}}{}\n",
-            c.nodes,
-            c.router,
-            c.sessions,
-            c.delivered,
-            c.flaps,
-            c.rebinds,
-            c.p99_ms,
-            c.sessions_per_sec,
-            c.full_recomputes,
-            c.searches,
-            c.settled,
-            c.settled_per_flap,
-            if i + 1 < cells.len() { "," } else { "" },
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
 }
 
 #[cfg(test)]
@@ -349,14 +286,5 @@ mod tests {
         assert!(c.rebinds > 0, "mobility produced no rebinds");
         assert!(c.delivered > 0);
         assert!(c.p99_ms > 0.0);
-    }
-
-    #[test]
-    fn json_artifact_is_well_formed() {
-        let cells = vec![run_cell(1_000, true, 1_000)];
-        let json = to_json(&cells);
-        assert!(json.contains("\"experiment\": \"e16\""));
-        assert!(json.contains("\"router\": \"hier\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 }

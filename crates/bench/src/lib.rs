@@ -1,10 +1,17 @@
 //! # aas-bench — the experiment harness
 //!
-//! One module per experiment (E1–E20). Each exposes `run() -> Table`
-//! regenerating the experiment's result table; the Criterion targets in
-//! `benches/` print these tables and add wall-clock micro-measurements of
-//! the hot primitives. See `EXPERIMENTS.md` for the claim ↔ measurement
-//! mapping and recorded results.
+//! One module per experiment, each exposing `run(Tier) -> Table`; E14,
+//! E15 and E19 are row filters of the one [`kernel_grid`]. [`EXPERIMENTS`]
+//! is the registry, [`main`] the runner behind the single bench target:
+//!
+//! ```text
+//! cargo bench -p aas-bench -- [ids…] [smoke|full]
+//! ```
+//!
+//! prints the table of every named experiment (all of them when none is
+//! named) and writes the same table as `crates/bench/BENCH_<id>.json`.
+//! See `EXPERIMENTS.md` for the claim ↔ measurement mapping and recorded
+//! results.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -23,13 +30,138 @@ pub mod e10;
 pub mod e11;
 pub mod e12;
 pub mod e13;
-pub mod e14;
-pub mod e15;
 pub mod e16;
 pub mod e17;
 pub mod e18;
-pub mod e19;
 pub mod e20;
+pub mod kernel_grid;
 pub mod table;
 
-pub use table::Table;
+pub use table::{Table, Tier};
+
+use std::process::ExitCode;
+
+/// An experiment: its id, how to run it, and whether it owns an artifact
+/// (`false` for the row filters of `kernel`, which print only).
+pub type Experiment = (&'static str, fn(Tier) -> Table, bool);
+
+/// Every experiment, in EXPERIMENTS.md order.
+pub const EXPERIMENTS: [Experiment; 21] = [
+    ("e01", e01::run, true),
+    ("e02", e02::run, true),
+    ("e03", e03::run, true),
+    ("e04", e04::run, true),
+    ("e05", e05::run, true),
+    ("e06", e06::run, true),
+    ("e07", e07::run, true),
+    ("e08", e08::run, true),
+    ("e09", e09::run, true),
+    ("e10", e10::run, true),
+    ("e11", e11::run, true),
+    ("e12", e12::run, true),
+    ("e13", e13::run, true),
+    ("kernel", kernel_grid::run, true),
+    ("e14", kernel_grid::e14, false),
+    ("e15", kernel_grid::e15, false),
+    ("e16", e16::run, true),
+    ("e17", e17::run, true),
+    ("e18", e18::run, true),
+    ("e19", kernel_grid::e19, false),
+    ("e20", e20::run, true),
+];
+
+/// Parses `[ids…] [tier]`: the one place the tier argument is read. No
+/// id selects every experiment that owns an artifact; no tier selects
+/// [`Tier::Default`]. `--bench`, which cargo passes to every bench
+/// binary, is skipped; any other flag is an unknown argument.
+///
+/// # Errors
+///
+/// An argument that is neither an experiment id nor a tier, with the
+/// valid words of both kinds.
+pub fn parse_args(args: impl Iterator<Item = String>) -> Result<(Vec<Experiment>, Tier), String> {
+    let mut chosen = Vec::new();
+    let mut tier = Tier::Default;
+    for arg in args.filter(|a| a != "--bench") {
+        if let Some(t) = Tier::ALL.into_iter().find(|t| t.name() == arg) {
+            tier = t;
+        } else if let Some(e) = EXPERIMENTS.into_iter().find(|e| e.0 == arg) {
+            chosen.push(e);
+        } else {
+            let ids: Vec<&str> = EXPERIMENTS.iter().map(|e| e.0).collect();
+            let tiers = Tier::ALL.map(Tier::name);
+            return Err(format!(
+                "unknown experiment or tier `{arg}`; experiments: {}; tiers: {}",
+                ids.join(" "),
+                tiers.join(" ")
+            ));
+        }
+    }
+    if chosen.is_empty() {
+        chosen.extend(EXPERIMENTS.into_iter().filter(|e| e.2));
+    }
+    Ok((chosen, tier))
+}
+
+/// Runs the experiments `args` name at the tier they name, prints each
+/// table and writes each artifact next to this crate's manifest: the
+/// default tier to the committed `BENCH_<id>.json`, the others to
+/// `BENCH_<id>.<tier>.json` so they never overwrite the ledger.
+pub fn main(args: impl Iterator<Item = String>) -> ExitCode {
+    let (chosen, tier) = match parse_args(args) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::from(2);
+        }
+    };
+    for (id, run, artifact) in chosen {
+        let table = run(tier);
+        println!("{table}");
+        if artifact {
+            let dir = env!("CARGO_MANIFEST_DIR");
+            let path = match tier {
+                Tier::Default => format!("{dir}/BENCH_{id}.json"),
+                _ => format!("{dir}/BENCH_{id}.{}.json", tier.name()),
+            };
+            if let Err(e) = std::fs::write(&path, table.to_json()) {
+                eprintln!("could not write {path}: {e}");
+                return ExitCode::FAILURE;
+            }
+        }
+    }
+    ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<(Vec<&'static str>, Tier), String> {
+        let (chosen, tier) = parse_args(args.iter().map(|a| (*a).to_owned()))?;
+        Ok((chosen.iter().map(|e| e.0).collect(), tier))
+    }
+
+    #[test]
+    fn ids_and_one_tier_in_any_order() {
+        let (ids, tier) = parse(&["--bench", "e17", "smoke", "kernel"]).unwrap();
+        assert_eq!((ids, tier), (vec!["e17", "kernel"], Tier::Smoke));
+        let (ids, tier) = parse(&["full"]).unwrap();
+        assert_eq!(tier, Tier::Full);
+        assert_eq!(ids.len(), 18, "every experiment that owns an artifact");
+        assert!(!ids.contains(&"e15"), "row filters run only when named");
+        assert_eq!(parse(&["e15"]).unwrap(), (vec!["e15"], Tier::Default));
+    }
+
+    #[test]
+    fn unknown_id_or_tier_exits_non_zero_naming_the_valid_ones() {
+        for bad in ["e21", "quick", "--smoke", "--full"] {
+            let err = parse(&["e17", bad]).unwrap_err();
+            assert!(err.contains(&format!("`{bad}`")), "{err}");
+            assert!(err.contains("e01 e02") && err.contains("kernel"), "{err}");
+            assert!(err.contains("tiers: smoke default full"), "{err}");
+            let code = main(["e17", bad].into_iter().map(str::to_owned));
+            assert_eq!(code, ExitCode::from(2));
+        }
+    }
+}

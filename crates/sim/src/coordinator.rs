@@ -313,9 +313,6 @@ pub struct ShardedStats {
     /// Entries that would have arrived *inside* the window that produced
     /// them — a violation of the lookahead rule. Must stay zero.
     pub early_crossings: u64,
-    /// Events a shard popped at or past its window end — a violation of
-    /// the safe-time rule. Must stay zero.
-    pub overrun_events: u64,
     /// Total events processed across all shards.
     pub events: u64,
     /// Modeled critical-path nanoseconds: per window, the *maximum* shard
@@ -423,16 +420,6 @@ impl<M: Send + 'static> ShardedKernel<M> {
     #[must_use]
     pub fn new(topo: Topology, shards: u32) -> Self {
         ShardedKernel::with_mode(topo, shards, ExecMode::Inline)
-    }
-
-    /// Builds a threaded sharded kernel (one worker thread per shard).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    #[must_use]
-    pub fn threaded(topo: Topology, shards: u32) -> Self {
-        ShardedKernel::with_mode(topo, shards, ExecMode::Threads)
     }
 
     /// Builds a sharded kernel with an explicit [`ExecMode`].
@@ -1126,7 +1113,6 @@ impl<M: Send + 'static> ShardedKernel<M> {
         for m in &self.shared.shards {
             let core = m.0.lock().expect("shard lock");
             s.events += core.events_processed;
-            s.overrun_events += core.overrun_events;
             s.early_crossings += core.early_crossings;
             s.exchanged += core.exchanged_out;
             s.exchange_ops += core.exchange_ops;
@@ -1258,7 +1244,6 @@ mod tests {
         assert_eq!(k.counter(KernelCounter::Sent), 1);
         assert_eq!(k.counter(KernelCounter::Delivered), 1);
         assert_eq!(k.stats().early_crossings, 0);
-        assert_eq!(k.stats().overrun_events, 0);
     }
 
     #[test]

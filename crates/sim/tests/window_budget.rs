@@ -54,7 +54,6 @@ fn window_budget_within_recorded_baseline() {
     for (shards, baseline) in BASELINE_WINDOWS {
         let stats = run_workload(shards);
         assert_eq!(stats.early_crossings, 0);
-        assert_eq!(stats.overrun_events, 0);
         let budget = (baseline as f64 * HEADROOM).floor() as u64;
         eprintln!(
             "K={shards}: windows={} baseline={baseline} budget={budget}",

@@ -88,7 +88,6 @@ fn run(
     let events = k.drain();
     let stats = k.stats();
     assert_eq!(stats.early_crossings, 0, "{family}: early barrier crossing");
-    assert_eq!(stats.overrun_events, 0, "{family}: shard overran safe time");
     let mut log = String::new();
     for e in &events {
         use std::fmt::Write as _;

@@ -139,14 +139,16 @@ fn same_seed_same_fault_campaign_audit_log() {
 }
 
 /// The E12 experiment table — availability, MTTD/MTTR means, crash-loss
-/// counts across all three repair policies — is byte-identical when
-/// regenerated.
+/// counts across all three repair policies — is identical in every exact
+/// value when regenerated (its timed primitives are host-clock readings
+/// and are not compared).
 #[test]
 fn e12_table_is_reproducible_byte_for_byte() {
-    let a = aas_bench::e12::run().to_string();
-    let b = aas_bench::e12::run().to_string();
-    assert!(a.contains("failover"));
-    assert_eq!(a, b);
+    let a = aas_bench::e12::run(aas_bench::Tier::Default);
+    let b = aas_bench::e12::run(aas_bench::Tier::Default);
+    assert!(a.to_string().contains("failover"));
+    assert_eq!(a.rows, b.rows, "every E12 column is exact");
+    assert_eq!(b.exact_drift(&a.to_json()), Vec::<String>::new());
 }
 
 #[test]
