@@ -16,7 +16,7 @@
 use aas_core::component::{CallCtx, Component, StateSnapshot};
 use aas_core::error::{ComponentError, StateError};
 use aas_core::interface::{Interface, Signature};
-use aas_core::message::{Message, Value};
+use aas_core::message::{Message, Name, Value};
 use core::fmt;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -227,7 +227,7 @@ impl Component for AdaptiveComponent {
                 wp.hits += 1;
             }
         }
-        let received_op = msg.op.clone();
+        let received_op = msg.op.to_string();
         if self.disabled.contains(&received_op) {
             self.record(TraceEntry {
                 received_op,
@@ -251,7 +251,7 @@ impl Component for AdaptiveComponent {
             .cloned()
             .unwrap_or_else(|| received_op.clone());
         let mut rewritten = msg.clone();
-        rewritten.op.clone_from(&target);
+        rewritten.op = Name::from(&target);
         let result = self.inner.on_message(ctx, &rewritten);
         self.record(TraceEntry {
             received_op,
@@ -289,7 +289,10 @@ mod tests {
         AdaptiveComponent::new(Box::new(EchoComponent::default()))
     }
 
-    fn call(ac: &mut AdaptiveComponent, op: &str) -> (Result<(), ComponentError>, Vec<Effect>) {
+    fn call(
+        ac: &mut AdaptiveComponent,
+        op: &'static str,
+    ) -> (Result<(), ComponentError>, Vec<Effect>) {
         let mut ctx = CallCtx::new(SimTime::ZERO, "ac");
         let r = ac.on_message(&mut ctx, &Message::request(op, Value::from(1)));
         (r, ctx.into_effects())

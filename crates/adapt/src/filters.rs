@@ -20,7 +20,7 @@
 use aas_core::component::{CallCtx, Component, StateSnapshot};
 use aas_core::error::{ComponentError, StateError};
 use aas_core::interface::Interface;
-use aas_core::message::{Message, Value};
+use aas_core::message::{Message, Name, Value};
 use core::fmt;
 use std::collections::BTreeSet;
 
@@ -159,7 +159,7 @@ impl MessageFilter for TransformFilter {
             msg.value.set(self.key.clone(), v);
         } else {
             let old = std::mem::take(&mut msg.value);
-            msg.value = Value::map([("payload", old), (self.key.as_str(), v)]);
+            msg.value = Value::map([(Name::from("payload"), old), (Name::from(&self.key), v)]);
         }
         FilterVerdict::Transformed
     }
@@ -169,7 +169,7 @@ impl MessageFilter for TransformFilter {
 #[derive(Debug)]
 pub struct RenameFilter {
     from: String,
-    to: String,
+    to: Name,
 }
 
 impl RenameFilter {
@@ -178,7 +178,7 @@ impl RenameFilter {
     pub fn new(from: impl Into<String>, to: impl Into<String>) -> Self {
         RenameFilter {
             from: from.into(),
-            to: to.into(),
+            to: to.into().into(),
         }
     }
 }
@@ -190,7 +190,7 @@ impl MessageFilter for RenameFilter {
 
     fn evaluate(&mut self, msg: &mut Message) -> FilterVerdict {
         if msg.op == self.from {
-            msg.op.clone_from(&self.to);
+            msg.op = self.to.clone();
             FilterVerdict::Transformed
         } else {
             FilterVerdict::Pass
@@ -575,7 +575,7 @@ mod tests {
     use aas_core::component::EchoComponent;
     use aas_sim::time::SimTime;
 
-    fn msg(op: &str) -> Message {
+    fn msg(op: &'static str) -> Message {
         Message::request(op, Value::from(1))
     }
 

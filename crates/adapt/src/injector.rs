@@ -203,7 +203,7 @@ mod tests {
     use super::*;
     use aas_core::message::Value;
 
-    fn msg(op: &str) -> Message {
+    fn msg(op: &'static str) -> Message {
         Message::request(op, Value::map::<&str>([]))
     }
 

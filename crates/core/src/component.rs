@@ -14,7 +14,7 @@
 use crate::error::{ComponentError, StateError};
 use crate::interface::Interface;
 use crate::lts::Lts;
-use crate::message::{Message, Value};
+use crate::message::{Message, Name, Value};
 use aas_sim::time::{SimDuration, SimTime};
 use core::fmt;
 use serde::{Deserialize, Serialize};
@@ -102,7 +102,7 @@ impl StateSnapshot {
 
     /// Adds a field (builder style).
     #[must_use]
-    pub fn with_field(mut self, key: impl Into<String>, value: Value) -> Self {
+    pub fn with_field(mut self, key: impl Into<Name>, value: Value) -> Self {
         self.state.set(key, value);
         self
     }
@@ -138,7 +138,7 @@ pub enum Effect {
     /// Send a message out of a named required port.
     Send {
         /// The required port to send through.
-        port: String,
+        port: Name,
         /// The message (id/seq/from/sent_at are filled by the runtime).
         message: Message,
     },
@@ -158,7 +158,7 @@ pub enum Effect {
     /// RAML introspection).
     Metric {
         /// Metric name.
-        name: String,
+        name: Name,
         /// Observed value.
         value: f64,
     },
@@ -168,20 +168,29 @@ pub enum Effect {
 ///
 /// Provides read access to the environment and buffers effects.
 #[derive(Debug)]
-pub struct CallCtx {
+pub struct CallCtx<'a> {
     now: SimTime,
-    self_name: String,
+    self_name: &'a str,
     effects: Vec<Effect>,
 }
 
-impl CallCtx {
-    /// Creates a context (runtime-internal).
+impl<'a> CallCtx<'a> {
+    /// Creates a context with an empty effects buffer.
     #[must_use]
-    pub fn new(now: SimTime, self_name: impl Into<String>) -> Self {
+    pub fn new(now: SimTime, self_name: &'a str) -> Self {
+        CallCtx::with_buffer(now, self_name, Vec::new())
+    }
+
+    /// Creates a context that buffers into `effects` (which must be
+    /// empty): the runtime hands the buffer [`CallCtx::into_effects`]
+    /// returned back in, so one allocation serves every handler call.
+    #[must_use]
+    pub(crate) fn with_buffer(now: SimTime, self_name: &'a str, effects: Vec<Effect>) -> Self {
+        debug_assert!(effects.is_empty());
         CallCtx {
             now,
-            self_name: self_name.into(),
-            effects: Vec::new(),
+            self_name,
+            effects,
         }
     }
 
@@ -194,11 +203,11 @@ impl CallCtx {
     /// The instance name of the component being invoked.
     #[must_use]
     pub fn self_name(&self) -> &str {
-        &self.self_name
+        self.self_name
     }
 
     /// Sends `message` out of required port `port`.
-    pub fn send(&mut self, port: impl Into<String>, message: Message) {
+    pub fn send(&mut self, port: impl Into<Name>, message: Message) {
         self.effects.push(Effect::Send {
             port: port.into(),
             message,
@@ -216,7 +225,7 @@ impl CallCtx {
     }
 
     /// Records a metric observation.
-    pub fn metric(&mut self, name: impl Into<String>, value: f64) {
+    pub fn metric(&mut self, name: impl Into<Name>, value: f64) {
         self.effects.push(Effect::Metric {
             name: name.into(),
             value,

@@ -14,7 +14,7 @@
 //! run time without touching the components they glue.
 
 use crate::lts::{Label, Lts, LtsRunner, ProtocolViolation};
-use crate::message::{Message, SequenceTracker};
+use crate::message::{Message, Name, SequenceTracker};
 use aas_sim::stats::{Histogram, Summary};
 use aas_sim::time::{SimDuration, SimTime};
 use core::fmt;
@@ -209,7 +209,7 @@ pub struct ConnectorStats {
     /// Wire sizes after aspect processing.
     pub sizes: Histogram,
     /// Last operation seen by `Logging`.
-    pub last_op: Option<String>,
+    pub last_op: Option<Name>,
 }
 
 /// Result of mediating one message through a connector.
@@ -220,7 +220,7 @@ pub struct Mediation {
     /// Multiplier to apply to the message's wire size.
     pub size_factor: f64,
     /// Indices (into the target list) the message should go to.
-    pub targets: Vec<usize>,
+    pub targets: core::ops::Range<usize>,
     /// Protocol violation, if one was detected (message passes anyway in
     /// open mode; the violation is surfaced to RAML).
     pub violation: Option<ProtocolViolation>,
@@ -310,7 +310,7 @@ impl Connector {
 
         // Protocol step (the collaboration automaton).
         let violation = match self.runner.as_mut() {
-            Some(runner) => runner.try_fire(&Label::recv(&msg.op)).err(),
+            Some(runner) => runner.try_fire(&Label::recv(msg.op.as_str())).err(),
             None => None,
         };
         if violation.is_some() {
@@ -347,13 +347,13 @@ impl Connector {
 
         // Routing.
         let targets = match self.spec.policy {
-            RoutingPolicy::Direct => vec![0],
+            RoutingPolicy::Direct => 0..1,
             RoutingPolicy::RoundRobin => {
                 let t = self.rr_next % target_count;
                 self.rr_next = self.rr_next.wrapping_add(1);
-                vec![t]
+                t..t + 1
             }
-            RoutingPolicy::Broadcast => (0..target_count).collect(),
+            RoutingPolicy::Broadcast => 0..target_count,
         };
 
         Mediation {
@@ -458,9 +458,9 @@ mod tests {
     use crate::message::Value;
 
     fn msg(op: &str, seq: u64, from: &str) -> Message {
-        let mut m = Message::request(op, Value::from(1));
+        let mut m = Message::request(op.to_owned(), Value::from(1));
         m.seq = seq;
-        m.from = from.into();
+        m.from = from.to_owned().into();
         m
     }
 
@@ -481,7 +481,7 @@ mod tests {
     fn direct_routes_to_first() {
         let mut c = Connector::new(ConnectorId(0), ConnectorSpec::direct("d"));
         let m = c.mediate(&msg("op", 0, "a"), SimTime::ZERO, 3);
-        assert_eq!(m.targets, vec![0]);
+        assert_eq!(m.targets, 0..1);
         assert!(m.violation.is_none());
         assert!((m.size_factor - 1.0).abs() < 1e-12);
     }
@@ -490,10 +490,10 @@ mod tests {
     fn round_robin_cycles() {
         let spec = ConnectorSpec::direct("rr").with_policy(RoutingPolicy::RoundRobin);
         let mut c = Connector::new(ConnectorId(0), spec);
-        let picks: Vec<Vec<usize>> = (0..4)
+        let picks: Vec<_> = (0..4)
             .map(|i| c.mediate(&msg("op", i, "a"), SimTime::ZERO, 3).targets)
             .collect();
-        assert_eq!(picks, vec![vec![0], vec![1], vec![2], vec![0]]);
+        assert_eq!(picks, vec![0..1, 1..2, 2..3, 0..1]);
     }
 
     #[test]
@@ -501,7 +501,7 @@ mod tests {
         let spec = ConnectorSpec::direct("bc").with_policy(RoutingPolicy::Broadcast);
         let mut c = Connector::new(ConnectorId(0), spec);
         let m = c.mediate(&msg("op", 0, "a"), SimTime::ZERO, 3);
-        assert_eq!(m.targets, vec![0, 1, 2]);
+        assert_eq!(m.targets, 0..3);
     }
 
     #[test]

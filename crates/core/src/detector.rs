@@ -78,6 +78,16 @@ struct NodeTrack {
     suspected: bool,
 }
 
+impl NodeTrack {
+    /// Suspicion level at `now`: grows linearly with silence under the
+    /// exponential model.
+    fn phi(&self, now: SimTime) -> f64 {
+        let elapsed = now.saturating_since(self.last_heard).as_secs_f64();
+        let mean = self.mean_interval.as_secs_f64().max(1e-9);
+        LOG10_E * elapsed / mean
+    }
+}
+
 /// Phi-accrual-style failure detector over virtual-time heartbeats.
 ///
 /// # Examples
@@ -148,12 +158,7 @@ impl FailureDetector {
     /// nodes. Grows linearly with silence under the exponential model.
     #[must_use]
     pub fn phi(&self, node: NodeId, now: SimTime) -> f64 {
-        let Some(t) = self.tracks.get(&node) else {
-            return 0.0;
-        };
-        let elapsed = now.saturating_since(t.last_heard).as_secs_f64();
-        let mean = t.mean_interval.as_secs_f64().max(1e-9);
-        LOG10_E * elapsed / mean
+        self.tracks.get(&node).map_or(0.0, |t| t.phi(now))
     }
 
     /// Whether `node` is currently suspected.
@@ -184,13 +189,8 @@ impl FailureDetector {
     pub fn evaluate(&mut self, now: SimTime) -> Vec<DetectorEvent> {
         let threshold = self.config.threshold;
         let mut events = Vec::new();
-        let phis: Vec<(NodeId, f64)> = self
-            .tracks
-            .keys()
-            .map(|n| (*n, self.phi(*n, now)))
-            .collect();
-        for (node, phi) in phis {
-            let t = self.tracks.get_mut(&node).expect("tracked");
+        for (&node, t) in &mut self.tracks {
+            let phi = t.phi(now);
             if phi >= threshold && !t.suspected {
                 t.suspected = true;
                 events.push(DetectorEvent::Suspected(node, phi));

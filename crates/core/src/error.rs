@@ -1,5 +1,6 @@
 //! Error types for the component runtime.
 
+use crate::message::Name;
 use core::fmt;
 
 /// Errors raised by the runtime's public API.
@@ -111,7 +112,7 @@ impl From<ComponentError> for RuntimeError {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ComponentError {
     /// The operation is not part of the component's provided interface.
-    UnsupportedOperation(String),
+    UnsupportedOperation(Name),
     /// The payload did not match the expected shape.
     BadPayload(String),
     /// A domain-specific failure, carried as text.

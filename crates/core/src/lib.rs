@@ -94,7 +94,7 @@ pub use error::{ComponentError, RuntimeError, StateError};
 pub use heal::RepairPolicy;
 pub use interface::{Interface, Signature, TypeTag};
 pub use lts::{check_compatibility, Label, Lts, LtsRunner};
-pub use message::{Message, MessageId, MessageKind, Value};
+pub use message::{Message, MessageId, MessageKind, Name, Value};
 pub use raml::{Constraint, FaultRule, Intercession, Raml, Rule, SystemSnapshot};
 pub use reconfig::{ReconfigAction, ReconfigPlan, ReconfigReport, StateTransfer};
 pub use registry::{ImplementationRegistry, Props};

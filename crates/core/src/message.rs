@@ -8,7 +8,135 @@
 use aas_sim::time::SimTime;
 use core::fmt;
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
+use std::ops::Deref;
+use std::sync::Arc;
+
+/// An immutable name — operation, sender, port, metric or map key — that
+/// clones without allocating: a literal is kept by reference, any other
+/// string is shared. Names sit on every message, so the per-message path
+/// copies and drops them freely.
+///
+/// # Examples
+///
+/// ```
+/// use aas_core::message::Name;
+///
+/// let lit = Name::from("frame");
+/// let built = Name::from(format!("fra{}", "me"));
+/// assert_eq!(lit, built);
+/// assert_eq!(lit, "frame");
+/// assert_eq!(built.clone().as_str(), "frame");
+/// ```
+#[derive(Clone)]
+pub struct Name(NameRepr);
+
+#[derive(Clone)]
+enum NameRepr {
+    Lit(&'static str),
+    Shared(Arc<str>),
+}
+
+impl Name {
+    /// The name as a string slice.
+    #[must_use]
+    pub fn as_str(&self) -> &str {
+        match &self.0 {
+            NameRepr::Lit(s) => s,
+            NameRepr::Shared(s) => s,
+        }
+    }
+}
+
+impl Default for Name {
+    fn default() -> Self {
+        Name(NameRepr::Lit(""))
+    }
+}
+
+impl From<&'static str> for Name {
+    fn from(s: &'static str) -> Name {
+        Name(NameRepr::Lit(s))
+    }
+}
+
+impl From<String> for Name {
+    fn from(s: String) -> Name {
+        Name(NameRepr::Shared(s.into()))
+    }
+}
+
+impl From<&String> for Name {
+    fn from(s: &String) -> Name {
+        Name(NameRepr::Shared(s.as_str().into()))
+    }
+}
+
+impl Deref for Name {
+    type Target = str;
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+// Equality and order are those of the string, whichever way it is held,
+// so a map keyed by `Name` can be searched with a `&str`.
+impl Borrow<str> for Name {
+    fn borrow(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl PartialEq for Name {
+    fn eq(&self, other: &Name) -> bool {
+        self.as_str() == other.as_str()
+    }
+}
+
+impl Eq for Name {}
+
+impl PartialOrd for Name {
+    fn partial_cmp(&self, other: &Name) -> Option<core::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Name {
+    fn cmp(&self, other: &Name) -> core::cmp::Ordering {
+        self.as_str().cmp(other.as_str())
+    }
+}
+
+impl PartialEq<str> for Name {
+    fn eq(&self, other: &str) -> bool {
+        self.as_str() == other
+    }
+}
+
+impl PartialEq<&str> for Name {
+    fn eq(&self, other: &&str) -> bool {
+        self.as_str() == *other
+    }
+}
+
+impl PartialEq<String> for Name {
+    fn eq(&self, other: &String) -> bool {
+        self.as_str() == other
+    }
+}
+
+impl fmt::Debug for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+impl fmt::Display for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
 
 /// A dynamically-typed payload value.
 ///
@@ -43,14 +171,21 @@ pub enum Value {
     Bytes(Vec<u8>),
     /// An ordered list.
     List(Vec<Value>),
-    /// A string-keyed map.
-    Map(BTreeMap<String, Value>),
+    /// A name-keyed map.
+    Map(BTreeMap<Name, Value>),
 }
 
 impl Value {
-    /// Builds a map value from `(key, value)` pairs.
-    pub fn map<K: Into<String>>(pairs: impl IntoIterator<Item = (K, Value)>) -> Value {
-        Value::Map(pairs.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    /// Builds a map value from `(key, value)` pairs; a later pair replaces
+    /// an earlier one with the same key.
+    pub fn map<K: Into<Name>>(pairs: impl IntoIterator<Item = (K, Value)>) -> Value {
+        // Inserted one by one: collecting would buffer the pairs in a
+        // `Vec` first, a second allocation on every frame a source emits.
+        let mut m = BTreeMap::new();
+        for (k, v) in pairs {
+            m.insert(k.into(), v);
+        }
+        Value::Map(m)
     }
 
     /// Map lookup; `None` for non-maps or missing keys.
@@ -63,7 +198,7 @@ impl Value {
     }
 
     /// Sets a key on a map value; does nothing on non-maps.
-    pub fn set(&mut self, key: impl Into<String>, value: Value) {
+    pub fn set(&mut self, key: impl Into<Name>, value: Value) {
         if let Value::Map(m) = self {
             m.insert(key.into(), value);
         }
@@ -224,7 +359,7 @@ pub struct Message {
     /// Request/reply/event.
     pub kind: MessageKind,
     /// Operation name; matched against the target's provided interface.
-    pub op: String,
+    pub op: Name,
     /// Payload.
     pub value: Value,
     /// For replies: the request this answers.
@@ -238,7 +373,7 @@ pub struct Message {
     /// map.
     pub size_hint: Option<u64>,
     /// Instance name of the sender ("external" for injected workload).
-    pub from: String,
+    pub from: Name,
     /// When the message was sent.
     pub sent_at: SimTime,
 }
@@ -247,7 +382,7 @@ impl Message {
     /// Builds a request message; the runtime fills `id`, `seq`, `from` and
     /// `sent_at` at send time.
     #[must_use]
-    pub fn request(op: impl Into<String>, value: Value) -> Message {
+    pub fn request(op: impl Into<Name>, value: Value) -> Message {
         Message {
             id: MessageId(0),
             kind: MessageKind::Request,
@@ -256,14 +391,14 @@ impl Message {
             correlation: None,
             seq: 0,
             size_hint: None,
-            from: String::new(),
+            from: Name::default(),
             sent_at: SimTime::ZERO,
         }
     }
 
     /// Builds a one-way event message.
     #[must_use]
-    pub fn event(op: impl Into<String>, value: Value) -> Message {
+    pub fn event(op: impl Into<Name>, value: Value) -> Message {
         Message {
             kind: MessageKind::Event,
             ..Message::request(op, value)
@@ -276,12 +411,12 @@ impl Message {
         Message {
             id: MessageId(0),
             kind: MessageKind::Reply,
-            op: format!("{}.reply", request.op),
+            op: format!("{}.reply", request.op).into(),
             value,
             correlation: Some(request.id),
             seq: 0,
             size_hint: None,
-            from: String::new(),
+            from: Name::default(),
             sent_at: SimTime::ZERO,
         }
     }

@@ -1,5 +1,27 @@
 use super::*;
 
+impl DetectorRt {
+    /// Resolves the gauges of `detector`'s watched nodes in `obs`.
+    pub(super) fn new(
+        detector: FailureDetector,
+        watched: impl IntoIterator<Item = (NodeId, ChannelId)>,
+        obs: &Obs,
+    ) -> Self {
+        DetectorRt {
+            detector,
+            watched: watched
+                .into_iter()
+                .map(|(node, channel)| Watched {
+                    node,
+                    channel,
+                    phi: obs.metrics.gauge(&format!("detector.phi.{node}")),
+                })
+                .collect(),
+            suspected: obs.metrics.gauge("detector.suspected"),
+        }
+    }
+}
+
 impl Runtime {
     // ------------------------------------------------------------------
     // Self-healing: failure detection and repair
@@ -14,21 +36,17 @@ impl Runtime {
         let monitor = config.monitor;
         let interval = config.interval;
         let mut detector = FailureDetector::new(config);
-        let mut hb_channels = BTreeMap::new();
+        let mut watched = Vec::new();
         for i in 0..self.kernel.topology().node_count() {
             let node = NodeId(i as u32);
             if node == monitor {
                 continue;
             }
             detector.watch(node, now);
-            hb_channels.insert(node, self.kernel.open_channel(node, monitor));
+            watched.push((node, self.kernel.open_channel(node, monitor)));
         }
-        self.detector = Some(DetectorRt {
-            detector,
-            hb_channels,
-        });
-        let tag = self.kernel.set_timer(interval);
-        self.timers.insert(tag, TimerPurpose::DetectorTick);
+        self.detector = Some(DetectorRt::new(detector, watched, &self.obs));
+        self.arm(interval, TimerPurpose::DetectorTick);
     }
 
     /// The installed failure detector, if any.
@@ -46,32 +64,27 @@ impl Runtime {
         // Each watched node emits a heartbeat towards the monitor. A send
         // from a down node (or across a dead route) fails in the kernel —
         // that silence is exactly what accrues suspicion.
-        for (node, ch) in &drt.hb_channels {
+        for w in &drt.watched {
             let env = Envelope {
                 msg: Message::event("heartbeat", Value::Null),
-                to_instance: String::new(),
+                from: self.external,
+                to: self.external,
                 extra_cost: 0.0,
                 via: None,
                 attempt: 0,
-                kind: EnvKind::Heartbeat(*node),
+                kind: EnvKind::Heartbeat(w.node),
             };
-            let _ = self.kernel.send(*ch, env, 16);
+            let _ = self.kernel.send(w.channel, env, 16);
         }
         let events = drt.detector.evaluate(now);
         let mut max_phi: f64 = 0.0;
-        for node in drt.detector.watched() {
-            let phi = drt.detector.phi(node, now);
+        for w in &drt.watched {
+            let phi = drt.detector.phi(w.node, now);
             max_phi = max_phi.max(phi);
-            self.obs
-                .metrics
-                .gauge(&format!("detector.phi.{node}"))
-                .set(phi);
+            w.phi.set(phi);
         }
         self.m.phi.observe(max_phi);
-        self.obs
-            .metrics
-            .gauge("detector.suspected")
-            .set(drt.detector.suspected().len() as f64);
+        drt.suspected.set(drt.detector.suspected().len() as f64);
         let interval = drt.detector.config().interval;
         self.detector = Some(drt);
         if events.is_empty() {
@@ -109,7 +122,6 @@ impl Runtime {
             }
         }
         self.try_repairs(now);
-        let tag = self.kernel.set_timer(interval);
-        self.timers.insert(tag, TimerPurpose::DetectorTick);
+        self.arm(interval, TimerPurpose::DetectorTick);
     }
 }

@@ -66,17 +66,12 @@ enum Undo {
     },
     /// Re-insert a removed instance together with its channels.
     ReinsertInstance {
-        name: String,
         instance: Box<Instance>,
-        external: Option<ChannelId>,
-        replies: Vec<((String, String), ChannelId)>,
+        replies: Vec<((InstId, InstId), ChannelId)>,
     },
     /// Re-insert a removed binding (its channels were never closed —
     /// closure is deferred to commit).
-    ReinsertBinding {
-        from: (String, String),
-        binding: BindingRt,
-    },
+    ReinsertBinding(BindingRt),
     /// Re-insert a removed or interchanged connector object (preserving
     /// its id and statistics).
     ReinsertConnector {
@@ -95,8 +90,11 @@ impl Undo {
                 version,
                 ..
             } => format!("undo-swap: restore {name} to {type_name} v{version}"),
-            Undo::ReinsertInstance { name, .. } => format!("undo-remove: reinsert {name}"),
-            Undo::ReinsertBinding { from, .. } => {
+            Undo::ReinsertInstance { instance, .. } => {
+                format!("undo-remove: reinsert {}", instance.name)
+            }
+            Undo::ReinsertBinding(binding) => {
+                let from = &binding.decl.from;
                 format!("undo-unbind: rebind {}.{}", from.0, from.1)
             }
             Undo::ReinsertConnector { name, .. } => {
@@ -269,15 +267,19 @@ impl Runtime {
                         self.commit_txn();
                         continue;
                     };
-                    if let Some(target) = action.quiesce_target().map(str::to_owned) {
-                        if !self.instances.contains_key(&target) {
+                    if let Some(target) = action.quiesce_target() {
+                        if !self.instances.contains(target) {
                             self.abort_txn(format!("unknown component `{target}`"));
                             continue;
                         }
-                        self.begin_quiesce(&target);
+                        self.begin_quiesce(target);
+                        let drained = self
+                            .instances
+                            .by_name(target)
+                            .is_some_and(|i| i.lifecycle == Lifecycle::Quiescent);
                         self.exec.active.as_mut().expect("active").phase =
                             ExecPhase::AwaitQuiesce { action };
-                        if self.instances[&target].lifecycle == Lifecycle::Quiescent {
+                        if drained {
                             continue; // already drained: mutate immediately
                         }
                         return; // wait for in-flight jobs to finish
@@ -290,10 +292,10 @@ impl Runtime {
                     }
                 }
                 ExecPhase::AwaitQuiesce { action } => {
-                    let target = action.quiesce_target().expect("quiesce action").to_owned();
+                    let target = action.quiesce_target().expect("quiesce action");
                     if self
                         .instances
-                        .get(&target)
+                        .by_name(target)
                         .is_some_and(|i| i.lifecycle != Lifecycle::Quiescent)
                     {
                         // Not drained yet; keep waiting.
@@ -303,8 +305,7 @@ impl Runtime {
                     }
                     match self.start_mutation(&action) {
                         Ok(Some(delay)) => {
-                            let tag = self.kernel.set_timer(delay);
-                            self.timers.insert(tag, TimerPurpose::TransferDone);
+                            self.arm(delay, TimerPurpose::TransferDone);
                             self.exec.active.as_mut().expect("active").phase =
                                 ExecPhase::AwaitTransfer { action };
                             return;
@@ -381,7 +382,7 @@ impl Runtime {
             );
         }
         let mut prior = Lifecycle::Active;
-        if let Some(inst) = self.instances.get_mut(name) {
+        if let Some(inst) = self.instances.by_name_mut(name) {
             prior = inst.lifecycle;
             // `Failed` instances can be quiesced too — that is exactly how
             // repair plans reach them (a crash cancelled their in-flight
@@ -401,23 +402,42 @@ impl Runtime {
         }
     }
 
+    /// Every channel delivering into `name`: its external channel, the
+    /// reply channels it is the requester of, the binding channels it is
+    /// a target of.
     fn inbound_channels(&self, name: &str) -> Vec<ChannelId> {
-        let mut out = Vec::new();
-        if let Some(ch) = self.external_channels.get(name) {
-            out.push(*ch);
+        let Some(id) = self.instances.id(name) else {
+            return Vec::new();
+        };
+        let mut out = vec![self.instances.get(id).expect("id is live").external];
+        out.extend(
+            self.reply_channels_of(id)
+                .into_iter()
+                .filter(|((_, to), _)| *to == id)
+                .map(|(_, ch)| ch),
+        );
+        for b in self.bindings() {
+            out.extend(
+                b.targets
+                    .iter()
+                    .filter(|(to, _)| *to == id)
+                    .map(|(_, ch)| *ch),
+            );
         }
-        for ((_, to), ch) in &self.reply_channels {
-            if to == name {
-                out.push(*ch);
-            }
-        }
-        for b in self.bindings.values() {
-            for (idx, (inst, _)) in b.decl.to.iter().enumerate() {
-                if inst == name {
-                    out.push(b.channels[idx]);
-                }
-            }
-        }
+        out
+    }
+
+    /// The reply channels `id` is either end of, ordered by `(replier,
+    /// requester)` name — the order blocks, releases and closures of
+    /// them are issued and audited in.
+    fn reply_channels_of(&self, id: InstId) -> Vec<((InstId, InstId), ChannelId)> {
+        let mut out: Vec<_> = self
+            .reply_channels
+            .iter()
+            .filter(|((from, to), _)| *from == id || *to == id)
+            .map(|(key, ch)| (*key, *ch))
+            .collect();
+        out.sort_by_key(|((from, to), _)| (self.instances.name(*from), self.instances.name(*to)));
         out
     }
 
@@ -464,7 +484,7 @@ impl Runtime {
                     now.as_micros(),
                 );
             }
-            if let Some(inst) = self.instances.get_mut(&name) {
+            if let Some(inst) = self.instances.by_name_mut(&name) {
                 inst.lifecycle = Lifecycle::Active;
                 if let Some(at) = inst.blocked_at.take() {
                     let blackout = now.saturating_since(at);
@@ -520,7 +540,7 @@ impl Runtime {
                     now.as_micros(),
                 );
             }
-            if let Some(inst) = self.instances.get_mut(&name) {
+            if let Some(inst) = self.instances.by_name_mut(&name) {
                 inst.lifecycle = bt.prior;
                 if let Some(at) = inst.blocked_at.take() {
                     let blackout = now.saturating_since(at);
@@ -546,35 +566,28 @@ impl Runtime {
     fn apply_undo(&mut self, undo: Undo, txn: &mut PlanTxn, plan: &str) {
         match undo {
             Undo::Plan(InverseAction::RemoveComponent { name }) => {
-                if let Some(ch) = self.external_channels.remove(&name) {
-                    self.close_now(ch, txn, plan);
-                }
-                let reply_keys: Vec<(String, String)> = self
-                    .reply_channels
-                    .keys()
-                    .filter(|(a, b)| *a == name || *b == name)
-                    .cloned()
-                    .collect();
-                for key in reply_keys {
-                    if let Some(ch) = self.reply_channels.remove(&key) {
+                if let Some(id) = self.instances.id(&name) {
+                    let inst = self.instances.remove(&name).expect("id is live");
+                    self.close_now(inst.external, txn, plan);
+                    for (key, ch) in self.reply_channels_of(id) {
+                        self.reply_channels.remove(&key);
                         self.close_now(ch, txn, plan);
                     }
                 }
-                self.instances.remove(&name);
                 txn.blocked.remove(&name);
             }
             Undo::Plan(InverseAction::MigrateBack { name, to }) => {
-                if let Some(inst) = self.instances.get_mut(&name) {
-                    inst.node = to;
+                if let Some(id) = self.instances.id(&name) {
+                    self.instances.get_mut(id).expect("id is live").node = to;
+                    self.rehome_channels(id, to);
                 }
-                self.rehome_channels(&name, to);
             }
             Undo::Plan(InverseAction::RemoveConnector { name }) => {
                 self.connectors.remove(&name);
             }
             Undo::Plan(InverseAction::Unbind { from }) => {
-                if let Some(b) = self.bindings.remove(&from) {
-                    for ch in b.channels {
+                if let Some(b) = self.take_binding(&from) {
+                    for (_, ch) in b.targets {
                         self.close_now(ch, txn, plan);
                     }
                 }
@@ -585,31 +598,20 @@ impl Runtime {
                 type_name,
                 version,
             } => {
-                if let Some(inst) = self.instances.get_mut(&name) {
+                if let Some(inst) = self.instances.by_name_mut(&name) {
                     inst.component = component;
                     inst.type_name = type_name;
                     inst.version = version;
                 }
             }
-            Undo::ReinsertInstance {
-                name,
-                instance,
-                external,
-                replies,
-            } => {
-                self.instances.insert(name.clone(), *instance);
-                if let Some(ch) = external {
-                    self.external_channels.insert(name, ch);
-                }
-                for (key, ch) in replies {
-                    self.reply_channels.insert(key, ch);
-                }
+            Undo::ReinsertInstance { instance, replies } => {
+                let name = instance.name.clone();
+                self.instances.insert(&name, *instance);
+                self.reply_channels.extend(replies);
             }
-            Undo::ReinsertBinding { from, binding } => {
-                self.bindings.insert(from, binding);
-            }
+            Undo::ReinsertBinding(binding) => self.put_binding(binding),
             Undo::ReinsertConnector { name, connector } => {
-                self.connectors.insert(name, *connector);
+                self.connectors.insert(&name, *connector);
             }
         }
     }
@@ -652,7 +654,7 @@ impl Runtime {
             } => {
                 let inst = self
                     .instances
-                    .get(name)
+                    .by_name(name)
                     .ok_or_else(|| RuntimeError::UnknownComponent(name.clone()))?;
                 let mut replacement =
                     self.registry
@@ -688,7 +690,7 @@ impl Runtime {
                         self.kernel.run_job(node, cost)
                     }
                 };
-                let inst = self.instances.get_mut(name).expect("checked");
+                let inst = self.instances.by_name_mut(name).expect("checked");
                 let old = std::mem::replace(&mut inst.component, replacement);
                 let old_type = std::mem::replace(&mut inst.type_name, type_name.clone());
                 let old_version = std::mem::replace(&mut inst.version, *version);
@@ -709,10 +711,11 @@ impl Runtime {
                 {
                     return Err(RuntimeError::NodeUnavailable(to.to_string()));
                 }
-                let inst = self
+                let id = self
                     .instances
-                    .get(name)
+                    .id(name)
                     .ok_or_else(|| RuntimeError::UnknownComponent(name.clone()))?;
+                let inst = self.instances.get(id).expect("id is live");
                 let from_node = inst.node;
                 let snap = inst.component.snapshot();
                 let bytes = snap.transfer_size();
@@ -733,9 +736,8 @@ impl Runtime {
                 };
                 // Commit the move now; the transfer delay elapses before
                 // the action completes. The inverse migrates back.
-                let inst = self.instances.get_mut(name).expect("checked");
-                inst.node = *to;
-                self.rehome_channels(name, *to);
+                self.instances.get_mut(id).expect("id is live").node = *to;
+                self.rehome_channels(id, *to);
                 self.journal(Undo::Plan(
                     action
                         .derive_inverse(Some(from_node))
@@ -748,45 +750,31 @@ impl Runtime {
                 Ok(Some(transit))
             }
             ReconfigAction::RemoveComponent { name } => {
-                let used_by_binding = self
-                    .bindings
-                    .values()
-                    .any(|b| b.decl.from.0 == *name || b.decl.to.iter().any(|(i, _)| i == name));
+                let id = self
+                    .instances
+                    .id(name)
+                    .ok_or_else(|| RuntimeError::UnknownComponent(name.clone()))?;
+                let used_by_binding = self.instances.get(id).is_some_and(|i| !i.ports.is_empty())
+                    || self
+                        .bindings()
+                        .any(|b| b.targets.iter().any(|(to, _)| *to == id));
                 if used_by_binding {
                     return Err(RuntimeError::ReconfigFailed {
                         action: action.kind().to_owned(),
                         reason: format!("component `{name}` still has bindings"),
                     });
                 }
-                let instance = self
-                    .instances
-                    .remove(name)
-                    .ok_or_else(|| RuntimeError::UnknownComponent(name.clone()))?;
-                let external = self.external_channels.remove(name);
-                let reply_keys: Vec<(String, String)> = self
-                    .reply_channels
-                    .keys()
-                    .filter(|(a, b)| a == name || b == name)
-                    .cloned()
-                    .collect();
-                let mut replies = Vec::with_capacity(reply_keys.len());
-                for key in reply_keys {
-                    if let Some(ch) = self.reply_channels.remove(&key) {
-                        replies.push((key, ch));
-                    }
-                }
+                let instance = self.instances.remove(name).expect("id is live");
+                let replies = self.reply_channels_of(id);
                 // Closure is deferred to commit: rollback re-inserts the
                 // same live channels with their held messages intact.
-                if let Some(ch) = external {
-                    self.defer_close(ch);
-                }
-                for (_, ch) in &replies {
+                self.defer_close(instance.external);
+                for (key, ch) in &replies {
+                    self.reply_channels.remove(key);
                     self.defer_close(*ch);
                 }
                 self.journal(Undo::ReinsertInstance {
-                    name: name.clone(),
                     instance: Box::new(instance),
-                    external,
                     replies,
                 });
                 Ok(None)
@@ -820,14 +808,14 @@ impl Runtime {
                 // Same replacement `adapt_connector` performs, but the
                 // displaced connector object (id and statistics intact) is
                 // captured for the journal instead of dropped.
-                if !self.connectors.contains_key(name) {
+                if !self.connectors.contains(name) {
                     return Err(RuntimeError::UnknownConnector(name.clone()));
                 }
                 let id = ConnectorId(self.next_connector_id);
                 self.next_connector_id += 1;
                 let prior = self
                     .connectors
-                    .insert(name.clone(), Connector::new(id, spec.clone()));
+                    .insert(name, Connector::new(id, spec.clone()));
                 if let Some(connector) = prior {
                     self.journal(Undo::ReinsertConnector {
                         name: name.clone(),
@@ -837,7 +825,7 @@ impl Runtime {
                 Ok(())
             }
             ReconfigAction::RemoveConnector { name } => {
-                if self.bindings.values().any(|b| b.decl.via == *name) {
+                if self.bindings().any(|b| b.decl.via == *name) {
                     return Err(RuntimeError::ReconfigFailed {
                         action: action.kind().to_owned(),
                         reason: format!("connector `{name}` still in use"),
@@ -864,19 +852,16 @@ impl Runtime {
                 // Transaction-aware unbind: the binding leaves the graph
                 // now, but its channels stay open (closure deferred to
                 // commit) so rollback can re-insert them intact.
-                let binding = self.bindings.remove(from).ok_or_else(|| {
+                let binding = self.take_binding(from).ok_or_else(|| {
                     RuntimeError::InvalidConfiguration(format!(
                         "no binding at `{}.{}`",
                         from.0, from.1
                     ))
                 })?;
-                for ch in &binding.channels {
+                for (_, ch) in &binding.targets {
                     self.defer_close(*ch);
                 }
-                self.journal(Undo::ReinsertBinding {
-                    from: from.clone(),
-                    binding,
-                });
+                self.journal(Undo::ReinsertBinding(binding));
                 Ok(())
             }
             other => Err(RuntimeError::ReconfigFailed {

@@ -254,28 +254,21 @@ impl Runtime {
     /// into nothing). Cancel them here, count every one, and leave an
     /// audit entry per affected instance.
     pub(super) fn cancel_jobs_on(&mut self, node: NodeId, now: SimTime) {
-        let doomed: Vec<u64> = self
-            .timers
-            .iter()
-            .filter_map(|(tag, p)| match p {
-                TimerPurpose::JobDone { instance, .. } => self
-                    .instances
-                    .get(instance)
-                    .is_some_and(|i| i.node == node)
-                    .then_some(*tag),
-                _ => None,
-            })
-            .collect();
-        let mut lost: BTreeMap<String, u64> = BTreeMap::new();
-        for tag in doomed {
-            let Some(TimerPurpose::JobDone { instance, .. }) = self.timers.remove(&tag) else {
-                continue;
+        let instances = &mut self.instances;
+        let mut lost: BTreeMap<Name, u64> = BTreeMap::new();
+        self.timers.retain(|_, purpose| {
+            let TimerPurpose::JobDone(env) = purpose else {
+                return true;
             };
-            if let Some(inst) = self.instances.get_mut(&instance) {
-                inst.inflight = inst.inflight.saturating_sub(1);
+            match instances.get_mut(env.to) {
+                Some(inst) if inst.node == node => {
+                    inst.inflight = inst.inflight.saturating_sub(1);
+                    *lost.entry(inst.name.clone()).or_insert(0) += 1;
+                    false
+                }
+                _ => true,
             }
-            *lost.entry(instance).or_insert(0) += 1;
-        }
+        });
         let mut drained = false;
         for (instance, count) in &lost {
             self.m.dropped.add(*count);
@@ -293,7 +286,7 @@ impl Runtime {
                     ),
                 },
             ));
-            if let Some(inst) = self.instances.get_mut(instance) {
+            if let Some(inst) = self.instances.by_name_mut(instance) {
                 if inst.lifecycle == Lifecycle::Quiescing && inst.inflight == 0 {
                     inst.lifecycle = Lifecycle::Quiescent;
                     drained = true;

@@ -9,8 +9,7 @@ impl Runtime {
     pub fn install_raml(&mut self, raml: Raml) {
         let interval = raml.interval();
         self.raml = Some(raml);
-        let tag = self.kernel.set_timer(interval);
-        self.timers.insert(tag, TimerPurpose::RamlTick);
+        self.arm(interval, TimerPurpose::RamlTick);
     }
 
     /// The installed meta-level, if any.
@@ -25,11 +24,11 @@ impl Runtime {
         let now = self.kernel.now();
         let components = self
             .instances
-            .iter()
-            .map(|(name, inst)| {
+            .values()
+            .map(|inst| {
                 let latency = inst.latency.snapshot();
                 ComponentObservation {
-                    name: name.clone(),
+                    name: inst.name.to_string(),
                     type_name: inst.type_name.clone(),
                     version: inst.version,
                     node: inst.node,
@@ -43,7 +42,7 @@ impl Runtime {
                     custom: inst
                         .custom
                         .iter()
-                        .map(|(k, s)| (k.clone(), s.snapshot().mean()))
+                        .map(|(k, s)| (k.to_string(), s.snapshot().mean()))
                         .collect(),
                 }
             })
@@ -60,17 +59,17 @@ impl Runtime {
                 effective_capacity: n.effective_capacity(now),
                 hosted: self
                     .instances
-                    .iter()
-                    .filter(|(_, i)| i.node == n.id())
-                    .map(|(name, _)| name.clone())
+                    .values()
+                    .filter(|i| i.node == n.id())
+                    .map(|i| i.name.to_string())
                     .collect(),
             })
             .collect();
         let connectors = self
             .connectors
             .iter()
-            .map(|(name, c)| ConnectorObservation {
-                name: name.clone(),
+            .map(|(id, c)| ConnectorObservation {
+                name: self.connectors.name(id).to_string(),
                 mediated: c.stats().mediated,
                 violations: c.stats().violations,
                 seq_anomalies: c.stats().seq_anomalies,
@@ -87,32 +86,34 @@ impl Runtime {
         }
     }
 
+    /// Applies the effects a handler of `from` buffered, in order, and
+    /// hands the emptied buffer back for the next handler call. `current`
+    /// is the envelope that handler was given, if it was a message.
     pub(super) fn apply_effects(
         &mut self,
-        from: &str,
-        effects: Vec<Effect>,
-        current: Option<&Message>,
+        from: InstId,
+        mut effects: Vec<Effect>,
+        current: Option<&Envelope>,
         now: SimTime,
     ) {
-        for effect in effects {
+        for effect in effects.drain(..) {
             match effect {
                 Effect::Send { port, message } => {
                     self.dispatch_send(from, &port, message);
                 }
                 Effect::Reply { value } => {
                     if let Some(cur) = current {
-                        if cur.kind == MessageKind::Request {
-                            let reply = Message::reply_to(cur, value);
-                            self.route_reply(from, &cur.from.clone(), reply, now);
+                        if cur.msg.kind == MessageKind::Request {
+                            let reply = Message::reply_to(&cur.msg, value);
+                            self.route_reply(from, cur.from, reply, now);
                         }
                     }
                 }
                 Effect::SetTimer { delay, tag } => {
-                    let t = self.kernel.set_timer(delay);
-                    self.timers.insert(
-                        t,
+                    self.arm(
+                        delay,
                         TimerPurpose::ComponentTimer {
-                            instance: from.to_owned(),
+                            instance: from,
                             tag,
                         },
                     );
@@ -120,16 +121,18 @@ impl Runtime {
                 Effect::Metric { name, value } => {
                     let metrics = &self.obs.metrics;
                     if let Some(inst) = self.instances.get_mut(from) {
+                        let owner = &inst.name;
                         inst.custom
                             .entry(name)
                             .or_insert_with_key(|key| {
-                                metrics.histogram(&format!("comp.{from}.{key}"))
+                                metrics.histogram(&format!("comp.{owner}.{key}"))
                             })
                             .observe(value);
                     }
                 }
             }
         }
+        self.effects_buf = effects;
     }
 
     /// Event-triggered reconfiguration (the Durra path): faults are fed
@@ -179,7 +182,6 @@ impl Runtime {
                 }
             }
         }
-        let tag = self.kernel.set_timer(interval);
-        self.timers.insert(tag, TimerPurpose::RamlTick);
+        self.arm(interval, TimerPurpose::RamlTick);
     }
 }

@@ -49,8 +49,11 @@
 //! The runtime is layered into focused submodules (DESIGN.md §2.1):
 //! this facade owns the state, construction, the kernel event loop and
 //! introspection; [`mod@self`]'s children own the rest —
-//! `structure` (deployment and structural edits), `dispatch` (message
-//! routing, retries, replies), `exec` (the transactional plan engine),
+//! `structure` (deployment and structural edits), `table` (the
+//! name-indexed slot tables instances and connectors live in, so that the
+//! message path indexes by id and only the write path looks names up),
+//! `dispatch` (message routing, retries, replies), `exec` (the
+//! transactional plan engine),
 //! `validate` (the up-front validation pass), `detect_driver` (heartbeat
 //! transport + phi-accrual ticks), `heal_driver` (repair planning and
 //! crash bookkeeping), `meta` (RAML observation/intercession) and
@@ -63,13 +66,13 @@ use crate::coverage::{AdaptationCoverage, DetectPhase, PlanOutcome};
 use crate::detector::{DetectorConfig, DetectorEvent, FailureDetector};
 use crate::error::RuntimeError;
 use crate::heal::{PlanMutation, RepairPolicy};
-use crate::message::{Message, MessageId, MessageKind, SequenceTracker, Value};
+use crate::message::{Message, MessageId, MessageKind, Name, SequenceTracker, Value};
 use crate::raml::{
     ComponentObservation, ConnectorObservation, Intercession, NodeObservation, Raml, SystemSnapshot,
 };
 use crate::reconfig::{ReconfigAction, ReconfigId, ReconfigPlan, ReconfigReport, StateTransfer};
 use crate::registry::{ImplementationRegistry, Props};
-use aas_obs::{HistogramHandle, Obs, SpanId};
+use aas_obs::{Gauge, HistogramHandle, Obs, SpanId};
 use aas_sim::channel::ChannelId;
 use aas_sim::fault::FaultKind;
 use aas_sim::kernel::{Fired, Kernel};
@@ -86,6 +89,7 @@ mod meta;
 mod metrics;
 mod negotiate_driver;
 mod structure;
+mod table;
 #[cfg(test)]
 mod tests;
 mod twin;
@@ -99,6 +103,7 @@ use exec::ExecState;
 use heal_driver::HealState;
 use metrics::MetricHandles;
 use negotiate_driver::NegotiateState;
+use table::{ConnId, InstId, Table};
 use twin::TwinState;
 
 /// The sender name used for injected (external) workload messages.
@@ -120,14 +125,19 @@ enum EnvKind {
     Heartbeat(NodeId),
 }
 
-/// A message in transit between two component instances.
+/// A message in transit between two component instances. It names its
+/// endpoints and its connector by table id, so it reaches whatever bears
+/// those names when it arrives.
 #[derive(Debug, Clone)]
 struct Envelope {
     msg: Message,
-    to_instance: String,
+    /// The sender (the runtime's `external` id for injected workload); a
+    /// reply to `msg` is routed back here.
+    from: InstId,
+    to: InstId,
     extra_cost: f64,
     /// Connector that mediated this copy, if any.
-    via: Option<String>,
+    via: Option<ConnId>,
     /// How many times this copy has already been (re)sent.
     attempt: u32,
     kind: EnvKind,
@@ -164,6 +174,7 @@ pub enum RuntimeEvent {
 }
 #[derive(Debug)]
 struct Instance {
+    name: Name,
     node: NodeId,
     type_name: String,
     version: u32,
@@ -178,48 +189,73 @@ struct Instance {
     tracker: SequenceTracker,
     /// Handles into the shared registry (`comp.<name>.<metric>`), interned
     /// per custom metric name.
-    custom: BTreeMap<String, HistogramHandle>,
+    custom: BTreeMap<Name, HistogramHandle>,
     blocked_at: Option<SimTime>,
+    /// The channel injected workload arrives on.
+    external: ChannelId,
+    /// The bindings rooted at this instance's required ports, sorted by
+    /// port name. Only `put_binding` / `take_binding` write it.
+    ports: Vec<BindingRt>,
 }
 
+impl Instance {
+    /// Index into `ports` of the binding at `port`, or where it would go.
+    fn port(&self, port: &str) -> Result<usize, usize> {
+        self.ports
+            .binary_search_by(|b| b.decl.from.1.as_str().cmp(port))
+    }
+}
+
+/// A binding as the dispatch path reads it: the declaration's names
+/// resolved to table ids when it was wired.
 #[derive(Debug, Clone)]
 struct BindingRt {
     decl: BindingDecl,
-    channels: Vec<ChannelId>,
+    via: ConnId,
+    /// One `(target, channel)` per `decl.to` entry, in its order.
+    targets: Vec<(InstId, ChannelId)>,
 }
 
 #[derive(Debug, Clone)]
 enum TimerPurpose {
-    JobDone {
-        instance: String,
-        envelope: Box<Envelope>,
-    },
+    /// The handler job for this envelope finished on its target's node.
+    JobDone(Envelope),
     ComponentTimer {
-        instance: String,
+        instance: InstId,
         tag: u64,
     },
     RamlTick,
     TransferDone,
     Inject {
-        target: String,
-        message: Box<Message>,
+        target: InstId,
+        message: Message,
     },
     /// Periodic heartbeat emission + suspicion evaluation.
     DetectorTick,
     /// Periodic resource-negotiation round (see [`negotiate_driver`]).
     NegotiateTick,
     /// A backed-off redelivery of a dropped envelope.
-    Retry {
-        envelope: Box<Envelope>,
-    },
+    Retry(Envelope),
 }
 
-/// The failure detector plus its heartbeat transport: one kernel channel
-/// per watched node, converging on the monitor node.
-#[derive(Debug, Clone)]
+/// One watched node: its heartbeat channel to the monitor node and its
+/// `detector.phi.<node>` gauge.
+#[derive(Debug)]
+struct Watched {
+    node: NodeId,
+    channel: ChannelId,
+    phi: Gauge,
+}
+
+/// The failure detector plus its heartbeat transport and gauges, resolved
+/// once when the detector is enabled (or forked into a twin, whose gauges
+/// are its own).
+#[derive(Debug)]
 struct DetectorRt {
     detector: FailureDetector,
-    hb_channels: BTreeMap<NodeId, ChannelId>,
+    /// Ascending by node id.
+    watched: Vec<Watched>,
+    suspected: Gauge,
 }
 /// The component runtime.
 ///
@@ -259,22 +295,29 @@ struct DetectorRt {
 pub struct Runtime {
     kernel: Kernel<Envelope>,
     registry: ImplementationRegistry,
-    instances: BTreeMap<String, Instance>,
-    connectors: BTreeMap<String, Connector>,
-    bindings: BTreeMap<(String, String), BindingRt>,
-    external_channels: BTreeMap<String, ChannelId>,
-    reply_channels: BTreeMap<(String, String), ChannelId>,
+    /// The configuration graph (DESIGN.md §2.1): instances with their
+    /// outgoing bindings, and connectors, each addressed by table id.
+    instances: Table<InstId, Instance>,
+    connectors: Table<ConnId, Connector>,
+    /// The id of the [`EXTERNAL`] sender, which bears no instance.
+    external: InstId,
+    /// Reply channels by `(replier, requester)`, opened on first use.
+    reply_channels: BTreeMap<(InstId, InstId), ChannelId>,
+    /// What each pending kernel timer is for, by its tag.
     timers: BTreeMap<u64, TimerPurpose>,
-    /// Per-flow send sequence numbers, keyed by the rendered `from->to`
-    /// flow key (see `seq_key_buf`).
-    flow_seq: BTreeMap<String, u64>,
-    /// Reusable buffer for building `from->to` flow keys on the dispatch
-    /// path without a per-message `format!` allocation.
+    /// Per-flow send sequence numbers by `(sender, target)`.
+    flow_seq: BTreeMap<(InstId, InstId), u64>,
+    /// Reusable buffer for the `from->to` flow key a sequence-checking
+    /// connector is told, so dispatch renders it without allocating.
     seq_key_buf: String,
-    pending_requests: BTreeMap<MessageId, (SimTime, String)>,
+    /// The one effects buffer every handler call fills and
+    /// `apply_effects` drains.
+    effects_buf: Vec<Effect>,
+    /// Send times of requests still awaiting their reply.
+    pending_requests: BTreeMap<MessageId, SimTime>,
     next_msg_id: u64,
     next_connector_id: u64,
-    pending_connector_swaps: BTreeMap<String, ConnectorSpec>,
+    pending_connector_swaps: BTreeMap<ConnId, ConnectorSpec>,
     /// Transactional plan-execution state (see [`exec`]).
     exec: ExecState,
     raml: Option<Raml>,
@@ -314,17 +357,19 @@ impl Runtime {
         let m = MetricHandles::new(&obs);
         let mut kernel = Kernel::new(topology, seed);
         kernel.set_tracer(obs.tracer.clone());
+        let mut instances = Table::new();
+        let external = instances.intern(EXTERNAL);
         Runtime {
             kernel,
             registry,
-            instances: BTreeMap::new(),
-            connectors: BTreeMap::new(),
-            bindings: BTreeMap::new(),
-            external_channels: BTreeMap::new(),
+            instances,
+            connectors: Table::new(),
+            external,
             reply_channels: BTreeMap::new(),
             timers: BTreeMap::new(),
             flow_seq: BTreeMap::new(),
             seq_key_buf: String::new(),
+            effects_buf: Vec::new(),
             pending_requests: BTreeMap::new(),
             next_msg_id: 1,
             next_connector_id: 1,
@@ -354,17 +399,24 @@ impl Runtime {
     ///
     /// Fails if `target` does not exist.
     pub fn inject(&mut self, target: &str, msg: Message) -> Result<MessageId, RuntimeError> {
-        let ch = *self
-            .external_channels
-            .get(target)
+        let target = self
+            .instances
+            .id(target)
             .ok_or_else(|| RuntimeError::UnknownComponent(target.to_owned()))?;
-        let env = self.finalize(EXTERNAL, target, msg, None);
+        Ok(self.inject_into(target, msg).expect("target is live"))
+    }
+
+    /// Sends an external message to whatever bears `target`'s name now;
+    /// `None` if nothing does.
+    fn inject_into(&mut self, target: InstId, msg: Message) -> Option<MessageId> {
+        let ch = self.instances.get(target)?.external;
+        let env = self.finalize(self.external, target, msg, None);
         let id = env.msg.id;
         let size = env.msg.wire_size();
         if !self.kernel.send(ch, env, size).is_sent() {
             self.m.dropped.incr();
         }
-        Ok(id)
+        Some(id)
     }
 
     /// Schedules an external message for `delay` from now.
@@ -378,18 +430,24 @@ impl Runtime {
         target: &str,
         msg: Message,
     ) -> Result<(), RuntimeError> {
-        if !self.instances.contains_key(target) {
-            return Err(RuntimeError::UnknownComponent(target.to_owned()));
-        }
-        let tag = self.kernel.set_timer(delay);
-        self.timers.insert(
-            tag,
+        let target = self
+            .instances
+            .id(target)
+            .ok_or_else(|| RuntimeError::UnknownComponent(target.to_owned()))?;
+        self.arm(
+            delay,
             TimerPurpose::Inject {
-                target: target.to_owned(),
-                message: Box::new(msg),
+                target,
+                message: msg,
             },
         );
         Ok(())
+    }
+
+    /// Schedules `purpose` for `delay` from now.
+    fn arm(&mut self, delay: SimDuration, purpose: TimerPurpose) {
+        let tag = self.kernel.set_timer(delay);
+        self.timers.insert(tag, purpose);
     }
 
     // ------------------------------------------------------------------
@@ -429,7 +487,7 @@ impl Runtime {
                         reason: reason.to_string(),
                     },
                 ));
-                self.maybe_retry(env, at);
+                self.maybe_retry(env);
             }
         }
         Some(at)
@@ -453,26 +511,24 @@ impl Runtime {
             return;
         };
         match purpose {
-            TimerPurpose::JobDone { instance, envelope } => {
-                self.on_job_done(&instance, *envelope, now);
-            }
+            TimerPurpose::JobDone(envelope) => self.on_job_done(envelope, now),
             TimerPurpose::ComponentTimer { instance, tag } => {
-                if let Some(mut inst) = self.instances.remove(&instance) {
-                    let mut ctx = CallCtx::new(now, &instance);
+                if let Some(inst) = self.instances.get_mut(instance) {
+                    let buf = std::mem::take(&mut self.effects_buf);
+                    let mut ctx = CallCtx::with_buffer(now, &inst.name, buf);
                     inst.component.on_timer(&mut ctx, tag);
                     let effects = ctx.into_effects();
-                    self.instances.insert(instance.clone(), inst);
-                    self.apply_effects(&instance, effects, None, now);
+                    self.apply_effects(instance, effects, None, now);
                 }
             }
             TimerPurpose::RamlTick => self.on_raml_tick(now),
             TimerPurpose::TransferDone => self.advance_reconfig(),
             TimerPurpose::Inject { target, message } => {
-                let _ = self.inject(&target, *message);
+                let _ = self.inject_into(target, message);
             }
             TimerPurpose::DetectorTick => self.on_detector_tick(now),
             TimerPurpose::NegotiateTick => self.on_negotiate_tick(now),
-            TimerPurpose::Retry { envelope } => self.resend(*envelope, now),
+            TimerPurpose::Retry(envelope) => self.resend(envelope),
         }
     }
 
@@ -542,13 +598,13 @@ impl Runtime {
     /// Lifecycle of an instance, if it exists.
     #[must_use]
     pub fn lifecycle(&self, name: &str) -> Option<Lifecycle> {
-        self.instances.get(name).map(|i| i.lifecycle)
+        self.instances.by_name(name).map(|i| i.lifecycle)
     }
 
     /// The node currently hosting an instance.
     #[must_use]
     pub fn node_of(&self, name: &str) -> Option<NodeId> {
-        self.instances.get(name).map(|i| i.node)
+        self.instances.by_name(name).map(|i| i.node)
     }
 
     /// Removes and returns all replies addressed to the external client.
@@ -563,7 +619,7 @@ impl Runtime {
 
     /// Names of live component instances.
     pub fn instance_names(&self) -> impl Iterator<Item = &str> {
-        self.instances.keys().map(String::as_str)
+        self.instances.values().map(|i| i.name.as_str())
     }
 
     /// A deterministic textual rendering of the configuration graph:
@@ -577,21 +633,26 @@ impl Runtime {
     pub fn graph_fingerprint(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        for (name, inst) in &self.instances {
+        for inst in self.instances.values() {
             let _ = writeln!(
                 out,
-                "component {name}: {} v{} on {}",
-                inst.type_name, inst.version, inst.node
+                "component {}: {} v{} on {}",
+                inst.name, inst.type_name, inst.version, inst.node
             );
         }
-        for (name, c) in &self.connectors {
-            let _ = writeln!(out, "connector {name}: {:?}", c.spec());
+        for (id, c) in self.connectors.iter() {
+            let _ = writeln!(
+                out,
+                "connector {}: {:?}",
+                self.connectors.name(id),
+                c.spec()
+            );
         }
-        for (from, b) in &self.bindings {
+        for b in self.bindings() {
             let _ = writeln!(
                 out,
                 "binding {}.{} via {} -> {:?}",
-                from.0, from.1, b.decl.via, b.decl.to
+                b.decl.from.0, b.decl.from.1, b.decl.via, b.decl.to
             );
         }
         out
@@ -606,8 +667,8 @@ impl Runtime {
     pub fn state_fingerprint(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        for (name, inst) in &self.instances {
-            let _ = writeln!(out, "state {name}: {:?}", inst.component.snapshot());
+        for inst in self.instances.values() {
+            let _ = writeln!(out, "state {}: {:?}", inst.name, inst.component.snapshot());
         }
         out
     }

@@ -205,6 +205,25 @@ pub(super) struct NegotiateState {
     pub(super) node_busy_last: BTreeMap<u32, (f64, f64)>,
 }
 
+impl NegotiateState {
+    /// The admission gate and downgrade lookup the dispatch path runs for
+    /// every delivery. Returns `(cost_scale, admit)`; neutral when the
+    /// control plane is off.
+    pub(super) fn admit(&mut self, instance: &str) -> (f64, bool) {
+        if self.config.is_none() {
+            return (1.0, true);
+        }
+        let act = match self.actuation.get_mut(instance) {
+            Some(act) => act,
+            None => self.actuation.entry(instance.to_owned()).or_default(),
+        };
+        let seq = act.offered;
+        act.offered += 1;
+        let admit = act.keep_permille >= 1000 || seq % 1000 < u64::from(act.keep_permille);
+        (act.cost_scale, admit)
+    }
+}
+
 impl Runtime {
     /// Enables the negotiation control plane and starts its periodic tick.
     pub fn enable_negotiation(&mut self, config: NegotiateConfig) {
@@ -212,8 +231,7 @@ impl Runtime {
         self.negotiate.negotiator = (config.mode == CoordinationMode::Negotiated)
             .then(|| Negotiator::new(config.weights, config.budget));
         self.negotiate.config = Some(config);
-        let tag = self.kernel.set_timer(interval);
-        self.timers.insert(tag, TimerPurpose::NegotiateTick);
+        self.arm(interval, TimerPurpose::NegotiateTick);
     }
 
     /// Shapes how `agent`'s budget requests are derived (priority,
@@ -262,24 +280,6 @@ impl Runtime {
         self.negotiate.rounds
     }
 
-    /// The admission gate and downgrade lookup the dispatch path runs for
-    /// every delivery. Returns `(cost_scale, admit)`; neutral when the
-    /// control plane is off or the agent has no actuation state.
-    pub(super) fn negotiate_admit(&mut self, instance: &str) -> (f64, bool) {
-        if self.negotiate.config.is_none() {
-            return (1.0, true);
-        }
-        let act = self
-            .negotiate
-            .actuation
-            .entry(instance.to_owned())
-            .or_default();
-        let seq = act.offered;
-        act.offered += 1;
-        let admit = act.keep_permille >= 1000 || seq % 1000 < u64::from(act.keep_permille);
-        (act.cost_scale, admit)
-    }
-
     /// The retry-budget cap for deliveries to `instance`, if one was
     /// granted below the connector policy's own limit.
     pub(super) fn negotiate_retry_cap(&self, instance: &str) -> Option<u32> {
@@ -311,8 +311,7 @@ impl Runtime {
             .metrics
             .gauge("negotiate.rounds")
             .set(self.negotiate.rounds as f64);
-        let tag = self.kernel.set_timer(config.interval);
-        self.timers.insert(tag, TimerPurpose::NegotiateTick);
+        self.arm(config.interval, TimerPurpose::NegotiateTick);
     }
 
     /// Assembles the coordinator's global picture from the introspection
@@ -712,7 +711,7 @@ impl Runtime {
             }
         }
         for agent in self.negotiate.grants.keys() {
-            if self.instances.get(agent).map(|i| i.node.0) == Some(node.0) {
+            if self.instances.by_name(agent).map(|i| i.node.0) == Some(node.0) {
                 affected.insert(agent.clone());
             }
         }

@@ -35,7 +35,7 @@ impl Runtime {
     ///
     /// Fails on duplicate names, unknown implementations or bad nodes.
     pub fn add_component(&mut self, name: &str, decl: &ComponentDecl) -> Result<(), RuntimeError> {
-        if self.instances.contains_key(name) {
+        if self.instances.contains(name) {
             return Err(RuntimeError::DuplicateComponent(name.to_owned()));
         }
         if (decl.node.0 as usize) >= self.kernel.topology().node_count() {
@@ -44,9 +44,12 @@ impl Runtime {
         let component = self
             .registry
             .instantiate(&decl.type_name, decl.version, &decl.props)?;
+        let external = self.kernel.open_channel(decl.node, decl.node);
+        let id = self.instances.intern(name);
         self.instances.insert(
-            name.to_owned(),
+            name,
             Instance {
+                name: self.instances.name(id).clone(),
                 node: decl.node,
                 type_name: decl.type_name.clone(),
                 version: decl.version,
@@ -63,10 +66,10 @@ impl Runtime {
                 tracker: SequenceTracker::new(),
                 custom: BTreeMap::new(),
                 blocked_at: None,
+                external,
+                ports: Vec::new(),
             },
         );
-        let ch = self.kernel.open_channel(decl.node, decl.node);
-        self.external_channels.insert(name.to_owned(), ch);
         Ok(())
     }
 
@@ -76,7 +79,7 @@ impl Runtime {
     ///
     /// Fails if a connector with this name already exists.
     pub fn add_connector(&mut self, spec: ConnectorSpec) -> Result<(), RuntimeError> {
-        if self.connectors.contains_key(&spec.name) {
+        if self.connectors.contains(&spec.name) {
             return Err(RuntimeError::InvalidConfiguration(format!(
                 "connector `{}` already exists",
                 spec.name
@@ -84,8 +87,8 @@ impl Runtime {
         }
         let id = ConnectorId(self.next_connector_id);
         self.next_connector_id += 1;
-        self.connectors
-            .insert(spec.name.clone(), Connector::new(id, spec));
+        let name = spec.name.clone();
+        self.connectors.insert(&name, Connector::new(id, spec));
         Ok(())
     }
 
@@ -98,12 +101,13 @@ impl Runtime {
     pub fn add_binding(&mut self, decl: BindingDecl) -> Result<(), RuntimeError> {
         let src = self
             .instances
-            .get(&decl.from.0)
+            .by_name(&decl.from.0)
             .ok_or_else(|| RuntimeError::UnknownComponent(decl.from.0.clone()))?;
-        if !self.connectors.contains_key(&decl.via) {
-            return Err(RuntimeError::UnknownConnector(decl.via.clone()));
-        }
-        if self.bindings.contains_key(&decl.from) {
+        let via = self
+            .connectors
+            .id(&decl.via)
+            .ok_or_else(|| RuntimeError::UnknownConnector(decl.via.clone()))?;
+        if src.port(&decl.from.1).is_ok() {
             return Err(RuntimeError::InvalidConfiguration(format!(
                 "port `{}.{}` already bound",
                 decl.from.0, decl.from.1
@@ -115,16 +119,16 @@ impl Runtime {
         // synchronous product must be deadlock-free.
         let conn_protocol = self
             .connectors
-            .get(&decl.via)
-            .and_then(|c| c.spec().protocol.clone());
-        let mut channels = Vec::with_capacity(decl.to.len());
+            .get(via)
+            .and_then(|c| c.spec().protocol.as_ref());
+        let mut targets = Vec::with_capacity(decl.to.len());
         for (inst, _) in &decl.to {
-            let dst = self
+            let to = self
                 .instances
-                .get(inst)
+                .id(inst)
                 .ok_or_else(|| RuntimeError::UnknownComponent(inst.clone()))?;
-            if let (Some(conn_proto), Some(comp_proto)) =
-                (conn_protocol.as_ref(), dst.component.protocol())
+            let dst = self.instances.get(to).expect("id is live");
+            if let (Some(conn_proto), Some(comp_proto)) = (conn_protocol, dst.component.protocol())
             {
                 let report = crate::lts::check_compatibility(conn_proto, &comp_proto);
                 if !report.is_compatible() {
@@ -135,10 +139,9 @@ impl Runtime {
                     });
                 }
             }
-            channels.push(self.kernel.open_channel(src_node, dst.node));
+            targets.push((to, self.kernel.open_channel(src_node, dst.node)));
         }
-        self.bindings
-            .insert(decl.from.clone(), BindingRt { decl, channels });
+        self.put_binding(BindingRt { decl, via, targets });
         Ok(())
     }
 
@@ -149,13 +152,44 @@ impl Runtime {
     ///
     /// Fails if no such binding exists.
     pub fn remove_binding(&mut self, from: &(String, String)) -> Result<(), RuntimeError> {
-        let b = self.bindings.remove(from).ok_or_else(|| {
+        let b = self.take_binding(from).ok_or_else(|| {
             RuntimeError::InvalidConfiguration(format!("no binding at `{}.{}`", from.0, from.1))
         })?;
-        for ch in b.channels {
+        for (_, ch) in b.targets {
             self.kernel.close_channel(ch);
         }
         Ok(())
+    }
+
+    /// Every binding, ordered by `(instance, port)`.
+    pub(super) fn bindings(&self) -> impl Iterator<Item = &BindingRt> {
+        self.instances.values().flat_map(|inst| &inst.ports)
+    }
+
+    /// The binding rooted at `(instance, port)`.
+    pub(super) fn binding(&self, from: &(String, String)) -> Option<&BindingRt> {
+        let inst = self.instances.by_name(&from.0)?;
+        Some(&inst.ports[inst.port(&from.1).ok()?])
+    }
+
+    /// Takes the binding rooted at `(instance, port)` out of the graph,
+    /// channels still open.
+    pub(super) fn take_binding(&mut self, from: &(String, String)) -> Option<BindingRt> {
+        let inst = self.instances.by_name_mut(&from.0)?;
+        let at = inst.port(&from.1).ok()?;
+        Some(inst.ports.remove(at))
+    }
+
+    /// Roots `binding` at its source port, which must be free on a live
+    /// instance (a binding only exists while its source does).
+    pub(super) fn put_binding(&mut self, binding: BindingRt) {
+        let from = &binding.decl.from;
+        let inst = self
+            .instances
+            .by_name_mut(&from.0)
+            .expect("binding source is live");
+        let at = inst.port(&from.1).expect_err("source port is free");
+        inst.ports.insert(at, binding);
     }
 
     /// Interchanges a connector in place — the **lightweight adaptation
@@ -166,13 +200,12 @@ impl Runtime {
     ///
     /// Fails if the connector does not exist.
     pub fn adapt_connector(&mut self, name: &str, spec: ConnectorSpec) -> Result<(), RuntimeError> {
-        if !self.connectors.contains_key(name) {
+        if !self.connectors.contains(name) {
             return Err(RuntimeError::UnknownConnector(name.to_owned()));
         }
         let id = ConnectorId(self.next_connector_id);
         self.next_connector_id += 1;
-        self.connectors
-            .insert(name.to_owned(), Connector::new(id, spec));
+        self.connectors.insert(name, Connector::new(id, spec));
         Ok(())
     }
 
@@ -195,21 +228,28 @@ impl Runtime {
         name: &str,
         spec: ConnectorSpec,
     ) -> Result<bool, RuntimeError> {
-        let conn = self
+        let id = self
             .connectors
-            .get(name)
+            .id(name)
             .ok_or_else(|| RuntimeError::UnknownConnector(name.to_owned()))?;
-        if conn.at_quiescent_point() {
+        if self
+            .connectors
+            .get(id)
+            .expect("id is live")
+            .at_quiescent_point()
+        {
             self.adapt_connector(name, spec)?;
             Ok(true)
         } else {
-            self.pending_connector_swaps.insert(name.to_owned(), spec);
+            self.pending_connector_swaps.insert(id, spec);
             Ok(false)
         }
     }
 
     /// Connectors with a deferred interchange waiting for quiescence.
     pub fn pending_connector_swaps(&self) -> impl Iterator<Item = &str> {
-        self.pending_connector_swaps.keys().map(String::as_str)
+        self.pending_connector_swaps
+            .keys()
+            .map(|id| self.connectors.name(*id).as_str())
     }
 }

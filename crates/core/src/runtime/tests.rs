@@ -26,7 +26,7 @@ impl Component for Counter {
                 ctx.reply(Value::from(self.count));
                 Ok(())
             }
-            other => Err(ComponentError::UnsupportedOperation(other.to_owned())),
+            _ => Err(ComponentError::UnsupportedOperation(msg.op.clone())),
         }
     }
     fn snapshot(&self) -> StateSnapshot {
@@ -65,7 +65,7 @@ impl Component for CounterV2 {
                 self.count = 0;
                 Ok(())
             }
-            other => Err(ComponentError::UnsupportedOperation(other.to_owned())),
+            _ => Err(ComponentError::UnsupportedOperation(msg.op.clone())),
         }
     }
     fn snapshot(&self) -> StateSnapshot {

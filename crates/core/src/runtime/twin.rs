@@ -126,8 +126,10 @@ impl Runtime {
         let mut kernel = self.kernel.fork();
         kernel.set_tracer(obs.tracer.clone());
         let m = MetricHandles::new(&obs);
-        let mut instances = BTreeMap::new();
-        for (name, inst) in &self.instances {
+        // Same names, same ids: the forked kernel's in-flight envelopes
+        // and the cloned timers address instances by them.
+        let instances = self.instances.try_map(|inst| {
+            let name = &inst.name;
             let mut component = self
                 .registry
                 .instantiate(&inst.type_name, inst.version, &inst.props)
@@ -143,36 +145,40 @@ impl Runtime {
                     )
                 })
                 .collect();
-            instances.insert(
-                name.clone(),
-                Instance {
-                    node: inst.node,
-                    type_name: inst.type_name.clone(),
-                    version: inst.version,
-                    props: inst.props.clone(),
-                    component,
-                    lifecycle: inst.lifecycle,
-                    inflight: inst.inflight,
-                    processed: inst.processed,
-                    errors: inst.errors,
-                    latency: obs.metrics.histogram(&format!("comp.{name}.latency_ms")),
-                    tracker: inst.tracker.clone(),
-                    custom,
-                    blocked_at: inst.blocked_at,
-                },
-            );
-        }
+            Some(Instance {
+                name: name.clone(),
+                node: inst.node,
+                type_name: inst.type_name.clone(),
+                version: inst.version,
+                props: inst.props.clone(),
+                component,
+                lifecycle: inst.lifecycle,
+                inflight: inst.inflight,
+                processed: inst.processed,
+                errors: inst.errors,
+                latency: obs.metrics.histogram(&format!("comp.{name}.latency_ms")),
+                tracker: inst.tracker.clone(),
+                custom,
+                blocked_at: inst.blocked_at,
+                external: inst.external,
+                ports: inst.ports.clone(),
+            })
+        })?;
+        let detector = self.detector.as_ref().map(|d| {
+            let watched = d.watched.iter().map(|w| (w.node, w.channel));
+            DetectorRt::new(d.detector.clone(), watched, &obs)
+        });
         Some(Runtime {
             kernel,
             registry: self.registry.clone(),
             instances,
             connectors: self.connectors.clone(),
-            bindings: self.bindings.clone(),
-            external_channels: self.external_channels.clone(),
+            external: self.external,
             reply_channels: self.reply_channels.clone(),
             timers: self.timers.clone(),
             flow_seq: self.flow_seq.clone(),
             seq_key_buf: String::new(),
+            effects_buf: Vec::new(),
             pending_requests: self.pending_requests.clone(),
             next_msg_id: self.next_msg_id,
             next_connector_id: self.next_connector_id,
@@ -182,7 +188,7 @@ impl Runtime {
                 ..ExecState::default()
             },
             raml: None,
-            detector: self.detector.clone(),
+            detector,
             heal: self.heal.clone(),
             negotiate: self.negotiate.clone(),
             coverage: AdaptationCoverage::new(),

@@ -1,0 +1,223 @@
+//! The allocation budget of the per-message path, counted with the
+//! thread-enrolled allocator `aas-sim`'s `alloc_free` test uses.
+//!
+//! A delivery resolves no names: envelopes address instances and
+//! connectors by table id, the last target gets the message by move, and
+//! op, sender, port, metric and map-key names are literals or shared. What
+//! is left per frame of a source → transcoder → sink pipeline is the
+//! payload itself: one map node where the source builds it, one where the
+//! transcoder copies it to change it.
+
+#[path = "../../sim/tests/support/counting_alloc.rs"]
+mod counting_alloc;
+
+use counting_alloc::{enroll, measured, unenroll, GATE};
+
+use aas_core::component::{CallCtx, Component, StateSnapshot};
+use aas_core::config::{BindingDecl, ComponentDecl, Configuration};
+use aas_core::connector::{ConnectorSpec, RoutingPolicy};
+use aas_core::detector::DetectorConfig;
+use aas_core::error::{ComponentError, StateError};
+use aas_core::interface::{Interface, Signature};
+use aas_core::message::{Message, Value};
+use aas_core::registry::ImplementationRegistry;
+use aas_core::runtime::Runtime;
+use aas_sim::network::Topology;
+use aas_sim::node::NodeId;
+use aas_sim::time::SimDuration;
+use aas_telecom::services::register_telecom_components;
+
+/// Heap allocations per frame through source → transcoder → sink.
+const ALLOCS_PER_FRAME: u64 = 2;
+
+fn topology(nodes: usize) -> Topology {
+    Topology::clique(nodes, 1000.0, SimDuration::from_millis(1), 1e7)
+}
+
+fn processed(rt: &Runtime, name: &str) -> u64 {
+    rt.observe().component(name).expect("deployed").processed
+}
+
+#[test]
+fn warm_pipeline_allocates_a_fixed_count_per_frame() {
+    let _gate = GATE
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let mut registry = ImplementationRegistry::new();
+    register_telecom_components(&mut registry);
+    let mut rt = Runtime::new(topology(3), 14, registry);
+    let mut cfg = Configuration::new();
+    let mut source = ComponentDecl::new("MediaSource", 1, NodeId(0));
+    source.props.insert("level".into(), Value::Int(0));
+    cfg.component("src", source);
+    cfg.component("tc", ComponentDecl::new("Transcoder", 1, NodeId(1)));
+    cfg.component("sink", ComponentDecl::new("MediaSink", 1, NodeId(2)));
+    cfg.connector(ConnectorSpec::direct("a"));
+    cfg.connector(ConnectorSpec::direct("b"));
+    cfg.bind(BindingDecl::new("src", "out", "a", "tc", "in"));
+    cfg.bind(BindingDecl::new("tc", "out", "b", "sink", "in"));
+    rt.deploy(&cfg).unwrap();
+    rt.inject("src", Message::event("init", Value::Null))
+        .unwrap();
+    for _ in 0..4 {
+        rt.inject("src", Message::event("session_start", Value::Null))
+            .unwrap();
+    }
+
+    // Warm: route cache, channel and event buffers, the effects buffer,
+    // the sink's metric handles. The window ends between two frame ticks
+    // (25 per virtual second), so no frame is under way at either edge.
+    rt.run_for(SimDuration::from_millis(2_020));
+    let (sunk, delivered) = (processed(&rt, "sink"), rt.metrics().delivered);
+
+    enroll();
+    let ((), allocs) = measured(|| rt.run_for(SimDuration::from_secs(100)));
+    unenroll();
+
+    let frames = processed(&rt, "sink") - sunk;
+    assert_eq!(frames, 10_000, "4 sessions x 25 frames x 100 s");
+    assert_eq!(
+        rt.metrics().delivered - delivered,
+        2 * frames,
+        "every frame was delivered twice and none is under way"
+    );
+    assert_eq!(
+        allocs,
+        ALLOCS_PER_FRAME * frames,
+        "allocations over {frames} frames"
+    );
+}
+
+/// Sends one fixed payload out of `out` per `go`.
+#[derive(Debug, Default)]
+struct Fan;
+
+fn payload() -> Value {
+    Value::map([("bytes", Value::Int(100))])
+}
+
+impl Component for Fan {
+    fn type_name(&self) -> &str {
+        "Fan"
+    }
+    fn provided(&self) -> Interface {
+        Interface::new("Fan", vec![Signature::one_way("go")])
+    }
+    fn on_message(&mut self, ctx: &mut CallCtx, _msg: &Message) -> Result<(), ComponentError> {
+        ctx.send("out", Message::event("frame", payload()));
+        Ok(())
+    }
+    fn snapshot(&self) -> StateSnapshot {
+        StateSnapshot::new("Fan", 1)
+    }
+    fn restore(&mut self, _snapshot: &StateSnapshot) -> Result<(), StateError> {
+        Ok(())
+    }
+}
+
+/// Counts the frames whose payload equals the one `Fan` sends.
+#[derive(Debug)]
+struct Check {
+    expected: Value,
+    equal: i64,
+}
+
+impl Component for Check {
+    fn type_name(&self) -> &str {
+        "Check"
+    }
+    fn provided(&self) -> Interface {
+        Interface::new("Check", vec![Signature::one_way("frame")])
+    }
+    fn on_message(&mut self, _ctx: &mut CallCtx, msg: &Message) -> Result<(), ComponentError> {
+        self.equal += i64::from(msg.value == self.expected);
+        Ok(())
+    }
+    fn snapshot(&self) -> StateSnapshot {
+        StateSnapshot::new("Check", 1).with_field("equal", Value::Int(self.equal))
+    }
+    fn restore(&mut self, _snapshot: &StateSnapshot) -> Result<(), StateError> {
+        Ok(())
+    }
+}
+
+#[test]
+fn broadcast_clones_for_every_target_but_the_last() {
+    let _gate = GATE
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let mut registry = ImplementationRegistry::new();
+    registry.register("Fan", 1, |_| Box::new(Fan));
+    registry.register("Check", 1, |_| {
+        Box::new(Check {
+            expected: payload(),
+            equal: 0,
+        })
+    });
+    let mut rt = Runtime::new(topology(5), 14, registry);
+    let mut cfg = Configuration::new();
+    cfg.component("one", ComponentDecl::new("Fan", 1, NodeId(0)));
+    cfg.component("three", ComponentDecl::new("Fan", 1, NodeId(0)));
+    for (i, name) in ["k0", "k1", "k2", "k3"].into_iter().enumerate() {
+        cfg.component(name, ComponentDecl::new("Check", 1, NodeId(1 + i as u32)));
+    }
+    cfg.connector(ConnectorSpec::direct("direct"));
+    cfg.connector(ConnectorSpec::direct("all").with_policy(RoutingPolicy::Broadcast));
+    cfg.bind(BindingDecl::new("one", "out", "direct", "k0", "in"));
+    cfg.bind(
+        BindingDecl::new("three", "out", "all", "k1", "in")
+            .also_to("k2", "in")
+            .also_to("k3", "in"),
+    );
+    rt.deploy(&cfg).unwrap();
+
+    const SENDS: u64 = 50;
+    let mut run = |fan: &str| {
+        for _ in 0..SENDS {
+            rt.inject(fan, Message::event("go", Value::Null)).unwrap();
+            rt.run_for(SimDuration::from_millis(20));
+        }
+    };
+    run("one");
+    run("three");
+    enroll();
+    let ((), direct) = measured(|| run("one"));
+    let ((), broadcast) = measured(|| run("three"));
+    unenroll();
+
+    assert_eq!(direct, SENDS, "the payload is built once and moved");
+    assert_eq!(
+        broadcast - direct,
+        2 * SENDS,
+        "one payload copy for each of the first two targets"
+    );
+    let state = rt.state_fingerprint();
+    let all_equal = format!("Int({})", 2 * SENDS);
+    assert_eq!(state.matches(&all_equal).count(), 4, "{state}");
+}
+
+#[test]
+fn heartbeat_round_allocates_nothing() {
+    let _gate = GATE
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let mut rt = Runtime::new(topology(8), 14, ImplementationRegistry::new());
+    rt.enable_failure_detector(DetectorConfig::new(
+        SimDuration::from_millis(100),
+        3.0,
+        NodeId(0),
+    ));
+    rt.run_for(SimDuration::from_secs(1));
+    let before = rt.kernel_counters().get("delivered");
+
+    enroll();
+    let ((), allocs) = measured(|| rt.run_for(SimDuration::from_secs(1)));
+    unenroll();
+
+    assert_eq!(
+        rt.kernel_counters().get("delivered") - before,
+        70,
+        "ten rounds of seven heartbeats"
+    );
+    assert_eq!(allocs, 0, "allocations over ten detector rounds");
+}

@@ -2,85 +2,19 @@
 //! serial kernel on the caller thread, and for the sharded kernel on
 //! every worker thread.
 //!
-//! A counting global allocator wraps the system allocator, but it is
-//! **thread-enrolled**: it counts only while `MEASURING` is set and only
-//! on threads that opted in (`enroll()`). That makes the measurement
-//! shard-aware — the coordinator thread may allocate (it owns the merge
-//! buffers and metric flushes), while the K worker threads executing
-//! event windows must not allocate at all once warm.
-//!
-//! The allocator state is process-global, so the tests serialize on a
-//! mutex instead of relying on `--test-threads=1`.
+//! The thread-enrolled counting allocator lives in
+//! `support/counting_alloc.rs`, shared with `aas-core`'s dispatch budget.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+
+use counting_alloc::{enroll, measured, unenroll, GATE};
 
 use aas_sim::coordinator::{ExecMode, ShardedKernel};
 use aas_sim::kernel::{Fired, Kernel};
 use aas_sim::network::Topology;
 use aas_sim::node::NodeId;
 use aas_sim::time::{SimDuration, SimTime};
-
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-/// Global gate: when false the allocator counts nothing anywhere.
-static MEASURING: AtomicBool = AtomicBool::new(false);
-
-thread_local! {
-    // `const` init keeps TLS access allocation-free and destructor-free,
-    // so reading it inside the allocator itself is safe.
-    static ENROLLED: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Opts the calling thread into allocation counting. Passed to the
-/// sharded kernel as the worker start hook so exactly the K event-loop
-/// threads are measured.
-fn enroll() {
-    ENROLLED.with(|e| e.set(true));
-}
-
-fn counting() -> bool {
-    MEASURING.load(Ordering::Relaxed) && ENROLLED.with(Cell::get)
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if counting() {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if counting() {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Serializes the tests in this file: MEASURING/ALLOCS are process-global.
-static GATE: Mutex<()> = Mutex::new(());
-
-/// Runs `f` with counting enabled and returns the allocations it charged
-/// to enrolled threads.
-fn measured<R>(f: impl FnOnce() -> R) -> (R, u64) {
-    let before = ALLOCS.load(Ordering::Relaxed);
-    MEASURING.store(true, Ordering::SeqCst);
-    let r = f();
-    MEASURING.store(false, Ordering::SeqCst);
-    (r, ALLOCS.load(Ordering::Relaxed) - before)
-}
 
 #[test]
 fn cache_hit_send_path_allocates_nothing() {
@@ -138,7 +72,7 @@ fn cache_hit_send_path_allocates_nothing() {
         "one miss per (channel, size) pair, everything else hits"
     );
     assert!(stats.hits >= 10_000);
-    ENROLLED.with(|e| e.set(false));
+    unenroll();
 }
 
 /// The same property under K=4 with real worker threads: only the

@@ -108,7 +108,7 @@ impl Component for MediaSource {
                 self.level = (level.max(0) as usize).min(self.ladder.len() - 1);
                 Ok(())
             }
-            other => Err(ComponentError::UnsupportedOperation(other.to_owned())),
+            _ => Err(ComponentError::UnsupportedOperation(msg.op.clone())),
         }
     }
 
@@ -224,7 +224,7 @@ impl Component for Transcoder {
                 self.ratio = r.clamp(0.01, 1.0);
                 Ok(())
             }
-            other => Err(ComponentError::UnsupportedOperation(other.to_owned())),
+            _ => Err(ComponentError::UnsupportedOperation(msg.op.clone())),
         }
     }
 
@@ -319,7 +319,7 @@ impl Component for MediaSink {
                 ]));
                 Ok(())
             }
-            other => Err(ComponentError::UnsupportedOperation(other.to_owned())),
+            _ => Err(ComponentError::UnsupportedOperation(msg.op.clone())),
         }
     }
 
@@ -361,7 +361,7 @@ mod tests {
     use aas_core::component::Effect;
     use aas_sim::time::SimTime;
 
-    fn ctx() -> CallCtx {
+    fn ctx() -> CallCtx<'static> {
         CallCtx::new(SimTime::from_millis(100), "test")
     }
 
