@@ -104,10 +104,11 @@ impl Runtime {
                         &format!("phi={phi:.2}"),
                         now.as_micros(),
                     );
-                    if let Some(crash_at) = self.heal.crash_times.get(&node) {
-                        self.m.mttd.observe(ms(now.saturating_since(*crash_at)));
+                    let incident = self.heal.incident(node);
+                    incident.queued = true;
+                    if let Some(crash_at) = incident.crashed_at {
+                        self.m.mttd.observe(ms(now.saturating_since(crash_at)));
                     }
-                    self.heal.repair_queue.insert(node);
                 }
                 DetectorEvent::Restored(node) => {
                     self.coverage.record(

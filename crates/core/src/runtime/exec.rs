@@ -24,9 +24,31 @@
 //! Queued plans are re-validated at dequeue time against the then-current
 //! graph, so a plan queued behind one that aborted (or that consumed the
 //! resources it needed) is rejected instead of executed blindly.
+//!
+//! Every plan enters through [`Runtime::submit`] with its [`PlanOrigin`]
+//! and, however it ends — committed, rolled back, rejected at submission
+//! or at dequeue — leaves through [`Runtime::plan_ended`], which tells the
+//! submitter. The submitters keep no list of their own plans: what is in
+//! flight, and for whom, is [`ExecState::in_flight`].
 
 use super::*;
 use crate::reconfig::InverseAction;
+
+/// Who submitted a plan, and on whose behalf: recorded when the plan is
+/// submitted, read when it ends.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(super) enum PlanOrigin {
+    /// [`Runtime::request_reconfig`], from outside the runtime.
+    User,
+    /// A RAML rule or fault rule.
+    Raml,
+    /// The heal driver's repair of `node`, planned by the policy labelled
+    /// `label` — the twin's choice where it made one, else the static
+    /// policy.
+    Repair { node: NodeId, label: &'static str },
+    /// The negotiator's migration of the starving agent `agent`.
+    Migration { agent: InstId },
+}
 
 /// Grouped plan-execution state: id allocation, the active transaction,
 /// the submission queue and finished reports.
@@ -37,9 +59,30 @@ pub(super) struct ExecState {
     /// The transaction currently executing, if any.
     pub(super) active: Option<PlanTxn>,
     /// Plans waiting behind the active transaction, in submission order.
-    pub(super) queued: VecDeque<(ReconfigId, ReconfigPlan)>,
+    pub(super) queued: VecDeque<(ReconfigId, PlanOrigin, ReconfigPlan)>,
     /// Reports of finished plans, oldest first.
     pub(super) reports: Vec<ReconfigReport>,
+    /// The plan [`Runtime::submit`] is running right now, with its report
+    /// if it has already ended (see [`Runtime::plan_ended`]).
+    submitting: Option<(ReconfigId, Option<ReconfigReport>)>,
+}
+
+impl ExecState {
+    /// The engine a digital twin starts from: idle, and numbering its
+    /// plans on from this one's.
+    pub(super) fn fork(&self) -> ExecState {
+        ExecState {
+            last_id: self.last_id,
+            ..ExecState::default()
+        }
+    }
+
+    /// The origins of the plans in the engine: the active one, then the
+    /// queued ones.
+    pub(super) fn in_flight(&self) -> impl Iterator<Item = PlanOrigin> + '_ {
+        let active = self.active.iter().map(|txn| txn.origin);
+        active.chain(self.queued.iter().map(|(_, origin, _)| *origin))
+    }
 }
 
 #[derive(Debug)]
@@ -116,6 +159,7 @@ struct BlockedTarget {
 #[derive(Debug)]
 pub(super) struct PlanTxn {
     id: ReconfigId,
+    origin: PlanOrigin,
     /// Trace span covering the whole plan execution.
     span: SpanId,
     actions: VecDeque<ReconfigAction>,
@@ -144,20 +188,61 @@ impl Runtime {
     /// [`RuntimeEvent::ReconfigFinished`] event and in
     /// [`Runtime::reports`].
     pub fn request_reconfig(&mut self, plan: ReconfigPlan) -> ReconfigId {
+        self.submit(plan, PlanOrigin::User)
+    }
+
+    /// The one way into the engine, for every submitter.
+    pub(super) fn submit(&mut self, plan: ReconfigPlan, origin: PlanOrigin) -> ReconfigId {
         self.exec.last_id += 1;
         let id = ReconfigId(self.exec.last_id);
-        self.obs.audit.plan_submitted(
-            &id.to_string(),
-            &format!("{} actions", plan.len()),
-            self.kernel.now().as_micros(),
-        );
+        let now = self.kernel.now();
+        let what = format!("{} actions", plan.len());
+        self.obs
+            .audit
+            .plan_submitted(&id.to_string(), &what, now.as_micros());
         if self.exec.active.is_some() {
-            self.exec.queued.push_back((id, plan));
+            self.exec.queued.push_back((id, origin, plan));
         } else {
-            self.start_exec(id, plan);
+            // A plan with nothing to wait for runs to its end right here.
+            self.exec.submitting = Some((id, None));
+            self.start_exec(id, origin, plan);
             self.advance_reconfig();
         }
+        if let PlanOrigin::Repair { node, label } = origin {
+            self.note_repair_planned(&id.to_string(), node, label, &what, now);
+        }
+        if let Some((_, Some(report))) = self.exec.submitting.take() {
+            self.plan_ended(origin, report);
+        }
         id
+    }
+
+    /// The one way out: books the end of a plan — committed, rolled back
+    /// or rejected, at submission or on any later event — with whoever
+    /// submitted it, then publishes the report.
+    ///
+    /// The end of the plan `submit` is still running is kept until
+    /// `submit` has recorded the submission, so the audit log reads
+    /// `plan_submitted … plan_finished`, `repair_planned`,
+    /// `repair_completed` whether or not the plan had anything to wait
+    /// for.
+    fn plan_ended(&mut self, origin: PlanOrigin, report: ReconfigReport) {
+        if let Some((id, end)) = self.exec.submitting.as_mut() {
+            if *id == report.id {
+                *end = Some(report);
+                return;
+            }
+        }
+        match origin {
+            PlanOrigin::User | PlanOrigin::Raml => {}
+            PlanOrigin::Repair { node, label } => self.repair_plan_ended(node, label, &report),
+            PlanOrigin::Migration { agent } => self.migration_plan_ended(agent, &report),
+        }
+        self.events.push((
+            report.finished_at,
+            RuntimeEvent::ReconfigFinished(report.clone()),
+        ));
+        self.exec.reports.push(report);
     }
 
     /// Completed reconfiguration reports, oldest first.
@@ -175,10 +260,10 @@ impl Runtime {
     /// Validates `plan` against the live graph and, if it passes, opens
     /// its transaction. Rejected plans never mutate anything: they are
     /// audited, reported and dropped.
-    fn start_exec(&mut self, id: ReconfigId, plan: ReconfigPlan) {
+    fn start_exec(&mut self, id: ReconfigId, origin: PlanOrigin, plan: ReconfigPlan) {
         let now_us = self.kernel.now().as_micros();
         if let Err(reason) = self.validate_plan(&plan) {
-            self.reject_plan(id, &reason);
+            self.reject_plan(id, origin, &reason);
             return;
         }
         self.obs
@@ -191,6 +276,7 @@ impl Runtime {
         );
         self.exec.active = Some(PlanTxn {
             id,
+            origin,
             span,
             actions: plan.into_actions().into(),
             started_at: self.kernel.now(),
@@ -207,10 +293,9 @@ impl Runtime {
     }
 
     /// Books a validation rejection: audit (`plan_rejected` + a
-    /// `plan_finished` so submissions always reconcile with finishes), a
-    /// zero-action report, and repair bookkeeping so a rejected repair
-    /// plan is re-planned on the next detector tick.
-    fn reject_plan(&mut self, id: ReconfigId, reason: &str) {
+    /// `plan_finished` so submissions always reconcile with finishes) and
+    /// a zero-action report.
+    fn reject_plan(&mut self, id: ReconfigId, origin: PlanOrigin, reason: &str) {
         let now = self.kernel.now();
         let plan = id.to_string();
         self.obs.audit.plan_rejected(&plan, reason, now.as_micros());
@@ -219,14 +304,6 @@ impl Runtime {
             &format!("failed: rejected: {reason}"),
             now.as_micros(),
         );
-        // A rejected repair leaves its node queued; the next detector tick
-        // re-plans against the then-current topology (falling back to the
-        // static policy if the rejected plan was twin-guided).
-        if let Some(p) = self.heal.repair_pending.remove(&id) {
-            self.coverage
-                .record(DetectPhase::Suspected, p.label, PlanOutcome::Failed);
-            self.twin_note_mainline_failure(p.node);
-        }
         let report = ReconfigReport {
             id,
             started_at: now,
@@ -239,9 +316,7 @@ impl Runtime {
             state_bytes_transferred: 0,
             migrated: Vec::new(),
         };
-        self.events
-            .push((now, RuntimeEvent::ReconfigFinished(report.clone())));
-        self.exec.reports.push(report);
+        self.plan_ended(origin, report);
     }
 
     pub(super) fn advance_reconfig(&mut self) {
@@ -249,10 +324,10 @@ impl Runtime {
             let Some(txn) = self.exec.active.as_mut() else {
                 // Start the next queued plan, if any; `start_exec`
                 // re-validates it against the graph as it now stands.
-                let Some((id, plan)) = self.exec.queued.pop_front() else {
+                let Some((id, origin, plan)) = self.exec.queued.pop_front() else {
                     return;
                 };
-                self.start_exec(id, plan);
+                self.start_exec(id, origin, plan);
                 continue;
             };
             let phase = std::mem::replace(&mut txn.phase, ExecPhase::Idle);
@@ -445,60 +520,17 @@ impl Runtime {
     /// in order, return targets to `Active`, book blackouts, and finish
     /// the transaction successfully.
     fn commit_txn(&mut self) {
-        let now = self.kernel.now();
         let Some(mut txn) = self.exec.active.take() else {
             return;
         };
-        let plan = txn.id.to_string();
-        // Deferred closures from removals/unbinds: audit the release of
-        // any that were blocked (keeping blocks and releases balanced),
-        // then close without re-queueing their held messages — those were
-        // destined for a component or binding that no longer exists.
+        // Deferred closures from removals/unbinds close without
+        // re-queueing their held messages — those were destined for a
+        // component or binding that no longer exists.
         for ch in std::mem::take(&mut txn.deferred_close) {
-            let was_blocked = txn.blocked.values_mut().any(|bt| {
-                bt.channels
-                    .iter()
-                    .position(|c| *c == ch)
-                    .map(|pos| bt.channels.remove(pos))
-                    .is_some()
-            });
-            if was_blocked {
-                self.obs.audit.channel_released(
-                    &plan,
-                    &format!("ch={} (closed)", ch.0),
-                    now.as_micros(),
-                );
-            }
-            self.kernel.close_channel(ch);
+            self.close_now(ch, &mut txn);
         }
-        for (name, bt) in std::mem::take(&mut txn.blocked) {
-            let mut held = 0;
-            for ch in &bt.channels {
-                held += self.kernel.channel_stats(*ch).held;
-            }
-            for ch in bt.channels {
-                self.kernel.unblock_channel(ch);
-                self.obs.audit.channel_released(
-                    &plan,
-                    &format!("ch={} -> {name}", ch.0),
-                    now.as_micros(),
-                );
-            }
-            if let Some(inst) = self.instances.by_name_mut(&name) {
-                inst.lifecycle = Lifecycle::Active;
-                if let Some(at) = inst.blocked_at.take() {
-                    let blackout = now.saturating_since(at);
-                    let entry = txn
-                        .blackouts
-                        .entry(name.clone())
-                        .or_insert(SimDuration::ZERO);
-                    *entry = (*entry).max(blackout);
-                    txn.messages_held += held;
-                }
-            }
-        }
-        self.exec.active = Some(txn);
-        self.finish_reconfig(true, None);
+        self.release_blocked(&mut txn, true);
+        self.finish_reconfig(txn, None);
     }
 
     /// Rollback: replay the journal in reverse (each undo audited as
@@ -515,10 +547,10 @@ impl Runtime {
         let mut compensated = 0usize;
         while let Some(undo) = txn.journal.pop() {
             let desc = undo.describe();
-            self.apply_undo(undo, &mut txn, &plan);
+            self.apply_undo(undo, &mut txn);
             self.obs
                 .audit
-                .action_compensated(&plan, &desc, self.kernel.now().as_micros());
+                .action_compensated(&plan, &desc, now.as_micros());
             compensated += 1;
         }
         self.obs.audit.plan_rolled_back(
@@ -527,6 +559,22 @@ impl Runtime {
             &format!("{compensated} compensated"),
             now.as_micros(),
         );
+        self.release_blocked(&mut txn, false);
+        // Every deferred closure stems from a removal that was just
+        // compensated; the channels stay open.
+        txn.deferred_close.clear();
+        // Nothing stays committed: the report reflects the rollback.
+        txn.applied = 0;
+        self.finish_reconfig(txn, Some(reason));
+    }
+
+    /// Releases every target `txn` still blocks: its channels hand their
+    /// held messages on in order, and the target returns to `Active` if
+    /// the plan `committed`, to the lifecycle the plan found it in if not.
+    /// The block→release window is the target's blackout.
+    fn release_blocked(&mut self, txn: &mut PlanTxn, committed: bool) {
+        let now = self.kernel.now();
+        let plan = txn.id.to_string();
         for (name, bt) in std::mem::take(&mut txn.blocked) {
             let mut held = 0;
             for ch in &bt.channels {
@@ -541,37 +589,31 @@ impl Runtime {
                 );
             }
             if let Some(inst) = self.instances.by_name_mut(&name) {
-                inst.lifecycle = bt.prior;
+                inst.lifecycle = if committed {
+                    Lifecycle::Active
+                } else {
+                    bt.prior
+                };
                 if let Some(at) = inst.blocked_at.take() {
                     let blackout = now.saturating_since(at);
-                    let entry = txn
-                        .blackouts
-                        .entry(name.clone())
-                        .or_insert(SimDuration::ZERO);
+                    let entry = txn.blackouts.entry(name).or_insert(SimDuration::ZERO);
                     *entry = (*entry).max(blackout);
                     txn.messages_held += held;
                 }
             }
         }
-        // Every deferred closure stems from a removal that was just
-        // compensated; the channels stay open.
-        txn.deferred_close.clear();
-        // Nothing stays committed: the report reflects the rollback.
-        txn.applied = 0;
-        self.exec.active = Some(txn);
-        self.finish_reconfig(false, Some(reason));
     }
 
     /// Applies one compensating inverse during rollback.
-    fn apply_undo(&mut self, undo: Undo, txn: &mut PlanTxn, plan: &str) {
+    fn apply_undo(&mut self, undo: Undo, txn: &mut PlanTxn) {
         match undo {
             Undo::Plan(InverseAction::RemoveComponent { name }) => {
                 if let Some(id) = self.instances.id(&name) {
                     let inst = self.instances.remove(&name).expect("id is live");
-                    self.close_now(inst.external, txn, plan);
+                    self.close_now(inst.external, txn);
                     for (key, ch) in self.reply_channels_of(id) {
                         self.reply_channels.remove(&key);
-                        self.close_now(ch, txn, plan);
+                        self.close_now(ch, txn);
                     }
                 }
                 txn.blocked.remove(&name);
@@ -588,7 +630,7 @@ impl Runtime {
             Undo::Plan(InverseAction::Unbind { from }) => {
                 if let Some(b) = self.take_binding(&from) {
                     for (_, ch) in b.targets {
-                        self.close_now(ch, txn, plan);
+                        self.close_now(ch, txn);
                     }
                 }
             }
@@ -616,10 +658,10 @@ impl Runtime {
         }
     }
 
-    /// Closes a channel immediately during rollback, first auditing its
-    /// release if the transaction had blocked it (blocks and releases
-    /// stay balanced in the audit log).
-    fn close_now(&mut self, ch: ChannelId, txn: &mut PlanTxn, plan: &str) {
+    /// Closes a channel for good — a removal's at commit, an addition's
+    /// at rollback — first auditing its release if the transaction had
+    /// blocked it (blocks and releases stay balanced in the audit log).
+    fn close_now(&mut self, ch: ChannelId, txn: &mut PlanTxn) {
         let was_blocked = txn.blocked.values_mut().any(|bt| {
             bt.channels
                 .iter()
@@ -629,7 +671,7 @@ impl Runtime {
         });
         if was_blocked {
             self.obs.audit.channel_released(
-                plan,
+                &txn.id.to_string(),
                 &format!("ch={} (closed)", ch.0),
                 self.kernel.now().as_micros(),
             );
@@ -871,55 +913,33 @@ impl Runtime {
         }
     }
 
-    /// Books the transaction's outcome: audit, repair bookkeeping, trace
-    /// span, report and event. Channel state has already been settled by
-    /// [`Runtime::commit_txn`] or [`Runtime::abort_txn`].
-    fn finish_reconfig(&mut self, success: bool, failure: Option<String>) {
+    /// Books the transaction's outcome: audit, trace span and report.
+    /// Channel state has already been settled by [`Runtime::commit_txn`]
+    /// or [`Runtime::abort_txn`].
+    fn finish_reconfig(&mut self, txn: PlanTxn, failure: Option<String>) {
         let now = self.kernel.now();
-        let Some(exec) = self.exec.active.take() else {
-            return;
-        };
-        debug_assert!(exec.blocked.values().all(|bt| bt.channels.is_empty()));
+        debug_assert!(txn.blocked.is_empty());
         self.obs.audit.plan_finished(
-            &exec.id.to_string(),
+            &txn.id.to_string(),
             &failure
                 .as_deref()
                 .map_or_else(|| "success".to_owned(), |f| format!("failed: {f}")),
             now.as_micros(),
         );
-        // If this plan was a repair, book the outcome. On failure the node
-        // stays queued and the next detector tick re-plans, so repair
-        // keeps converging even when a target dies mid-plan.
-        if let Some(p) = self.heal.repair_pending.remove(&exec.id) {
-            if success {
-                let moved = exec.moved.clone();
-                self.complete_repair(&exec.id.to_string(), p.node, p.label, &moved, now);
-            } else {
-                self.coverage
-                    .record(DetectPhase::Suspected, p.label, PlanOutcome::Failed);
-                self.twin_note_mainline_failure(p.node);
-            }
-        }
-        // Same for plans the negotiation control plane submitted
-        // (migration requests compiled from grant responses).
-        if self.negotiate.pending_plans.contains_key(&exec.id) {
-            self.note_negotiated_plan_finished(exec.id, success, now);
-        }
-        self.obs.tracer.span_end(exec.span, now.as_micros());
+        self.obs.tracer.span_end(txn.span, now.as_micros());
+        let success = failure.is_none();
         let report = ReconfigReport {
-            id: exec.id,
-            started_at: exec.started_at,
+            id: txn.id,
+            started_at: txn.started_at,
             finished_at: now,
             success,
             failure,
-            actions_applied: exec.applied,
-            blackouts: exec.blackouts,
-            messages_held: exec.messages_held,
-            state_bytes_transferred: exec.state_bytes,
-            migrated: if success { exec.moved } else { Vec::new() },
+            actions_applied: txn.applied,
+            blackouts: txn.blackouts,
+            messages_held: txn.messages_held,
+            state_bytes_transferred: txn.state_bytes,
+            migrated: if success { txn.moved } else { Vec::new() },
         };
-        self.events
-            .push((now, RuntimeEvent::ReconfigFinished(report.clone())));
-        self.exec.reports.push(report);
+        self.plan_ended(txn.origin, report);
     }
 }

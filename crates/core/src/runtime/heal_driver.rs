@@ -1,35 +1,69 @@
 use super::*;
-use std::collections::BTreeSet;
 
-/// An in-flight repair plan: the node it repairs and the label of the
-/// policy that planned it — which, under twin guidance, may differ from
-/// the configured static policy, so completion/failure bookkeeping must
-/// be attributed to the policy that actually executed.
-#[derive(Debug, Clone, Copy)]
-pub(super) struct PendingRepair {
-    /// The node under repair.
-    pub(super) node: NodeId,
-    /// Label of the policy whose plan is in flight.
-    pub(super) label: &'static str,
+/// Everything the runtime knows about one node's open incident, from its
+/// first crash or suspicion until it is closed. Whether a repair plan for
+/// the node is in flight is not kept here: the plan carries its origin, so
+/// the engine is asked ([`Runtime::repair_in_flight`]).
+#[derive(Debug, Default, Clone)]
+pub(super) struct Incident {
+    /// When the node first crashed inside this incident; MTTD and MTTR are
+    /// measured from it. `None` while the node is only suspected.
+    pub(super) crashed_at: Option<SimTime>,
+    /// The node awaits a repair plan.
+    pub(super) queued: bool,
+    /// The twin's prediction for the repair it guided, until the repair
+    /// completes (and is paired with its actual) or fails. Boxed: most
+    /// incidents never have one.
+    pub(super) prediction: Option<Box<TwinPrediction>>,
+    /// A twin-guided plan failed on the mainline: the static policy
+    /// applies until the incident closes.
+    pub(super) twin_failed: bool,
 }
 
 /// Grouped self-healing state: the repair policy, failure semantics and
-/// the bookkeeping that drives repair convergence. `Clone` so a digital
-/// twin fork carries the full healing picture into its simulation.
+/// the open incidents that drive repair convergence.
 #[derive(Debug, Default, Clone)]
 pub(super) struct HealState {
     /// The repair policy applied to suspected node failures.
     pub(super) policy: RepairPolicy,
     /// Whether node crashes kill hosted instances (fail-stop semantics).
     pub(super) fail_stop: bool,
-    /// First crash time per node still inside an open incident (MTTR).
-    pub(super) crash_times: BTreeMap<NodeId, SimTime>,
-    /// Nodes awaiting a repair plan.
-    pub(super) repair_queue: BTreeSet<NodeId>,
-    /// In-flight repair plans and what each one repairs.
-    pub(super) repair_pending: BTreeMap<ReconfigId, PendingRepair>,
+    /// The open incident of each node that has one.
+    pub(super) incidents: BTreeMap<NodeId, Incident>,
+    /// When each node's last repair completed — what a twin fork is read
+    /// for once it has been played forward.
+    pub(super) repaired_at: BTreeMap<NodeId, SimTime>,
     /// Installed planning corruption, if any (adversarial harness only).
     pub(super) plan_mutation: Option<PlanMutation>,
+}
+
+impl HealState {
+    /// `node`'s incident, opened if it has none.
+    pub(super) fn incident(&mut self, node: NodeId) -> &mut Incident {
+        self.incidents.entry(node).or_default()
+    }
+
+    /// Closes `node`'s incident, returning what it held.
+    fn close(&mut self, node: NodeId) -> Incident {
+        self.incidents.remove(&node).unwrap_or_default()
+    }
+
+    /// The nodes awaiting a repair plan, ascending.
+    fn queued(&self) -> Vec<NodeId> {
+        let queued = self.incidents.iter().filter(|(_, i)| i.queued);
+        queued.map(|(node, _)| *node).collect()
+    }
+
+    /// The heal state a digital twin starts from: the whole healing
+    /// picture, no twin state, no repair completed yet.
+    pub(super) fn fork(&self) -> HealState {
+        let mut fork = self.clone();
+        fork.repaired_at.clear();
+        for incident in fork.incidents.values_mut() {
+            (incident.prediction, incident.twin_failed) = (None, false);
+        }
+        fork
+    }
 }
 
 impl Runtime {
@@ -62,6 +96,13 @@ impl Runtime {
         self.heal.fail_stop = on;
     }
 
+    /// Whether a repair plan for `node` is executing or queued.
+    pub(super) fn repair_in_flight(&self, node: NodeId) -> bool {
+        self.exec
+            .in_flight()
+            .any(|origin| matches!(origin, PlanOrigin::Repair { node: n, .. } if n == node))
+    }
+
     /// Plans and submits repairs for every queued suspect the policy can
     /// currently act on. A node whose repair plan fails stays queued and
     /// is retried on the next tick, so repair converges even when (say) a
@@ -73,17 +114,19 @@ impl Runtime {
     /// is the static configured policy.
     pub(super) fn try_repairs(&mut self, now: SimTime) {
         if matches!(self.heal.policy, RepairPolicy::None) {
+            // Nothing will ever repair these nodes: their incidents end
+            // here.
             let label = self.heal.policy.label();
-            for _ in &self.heal.repair_queue {
+            for node in self.heal.queued() {
                 self.coverage
                     .record(DetectPhase::Suspected, label, PlanOutcome::Observed);
+                self.heal.close(node);
             }
-            self.heal.repair_queue.clear();
             return;
         }
-        for node in self.heal.repair_queue.clone() {
-            if self.heal.repair_pending.values().any(|p| p.node == node) {
-                continue; // a repair for this node is already in flight
+        for node in self.heal.queued() {
+            if self.repair_in_flight(node) {
+                continue;
             }
             let policy = match self.twin_select_policy(node, now) {
                 Some(chosen) => chosen,
@@ -99,81 +142,62 @@ impl Runtime {
             let snap = self.observe();
             let intercessions = policy.plan_for_mutated(node, &snap, self.heal.plan_mutation);
             if intercessions.is_empty() {
+                // Nothing hosted there: nothing to repair.
                 self.coverage
                     .record(DetectPhase::Suspected, label, PlanOutcome::Observed);
-                self.heal.repair_queue.remove(&node);
-                self.heal.crash_times.remove(&node);
-                self.twin.predictions.remove(&node);
-                self.twin.fallback.remove(&node);
+                self.heal.close(node);
                 continue;
             }
-            for cmd in intercessions {
-                match cmd {
-                    Intercession::Reconfigure(plan) => {
-                        let detail = format!("{label}: {} actions", plan.len());
-                        self.coverage
-                            .record(DetectPhase::Suspected, label, PlanOutcome::Planned);
-                        let id = self.request_reconfig(plan);
-                        self.obs.audit.repair_planned(
-                            &id.to_string(),
-                            &node.to_string(),
-                            &detail,
-                            now.as_micros(),
-                        );
-                        // A plan with nothing to drain completes inside
-                        // `request_reconfig`; book it now, since the
-                        // `finish_reconfig` hook has already run.
-                        let sync = self
-                            .exec
-                            .reports
-                            .iter()
-                            .rev()
-                            .find(|r| r.id == id)
-                            .map(|r| (r.success, r.migrated.clone()));
-                        match sync {
-                            Some((true, moved)) => {
-                                self.complete_repair(&id.to_string(), node, label, &moved, now);
-                            }
-                            Some((false, _)) => {
-                                // stays queued; next tick re-plans
-                                self.coverage.record(
-                                    DetectPhase::Suspected,
-                                    label,
-                                    PlanOutcome::Failed,
-                                );
-                                self.twin_note_mainline_failure(node);
-                            }
-                            None => {
-                                self.heal
-                                    .repair_pending
-                                    .insert(id, PendingRepair { node, label });
-                            }
-                        }
-                    }
-                    Intercession::AdaptConnector { name, spec } => {
-                        // Lightweight path: the degraded connector mediates
-                        // the very next message, so repair is immediate.
-                        self.coverage
-                            .record(DetectPhase::Suspected, label, PlanOutcome::Planned);
-                        self.obs.audit.repair_planned(
-                            "-",
-                            &node.to_string(),
-                            &format!("{label}: adapt connector `{name}`"),
-                            now.as_micros(),
-                        );
-                        let _ = self.adapt_connector(&name, spec);
-                        self.complete_repair("-", node, label, &[], now);
-                    }
-                    Intercession::Notify(text) => {
-                        self.events.push((now, RuntimeEvent::Notify(text)));
-                    }
-                }
-            }
+            self.apply_intercessions(intercessions, PlanOrigin::Repair { node, label }, now);
         }
     }
 
-    /// Books a finished repair: MTTR observation, audit entry, queue
-    /// cleanup, twin reconciliation. `label` is the policy that actually
+    /// Books that the policy labelled `label` planned `what` for `node`,
+    /// as `plan` (`-` on the connector path, which files no plan).
+    pub(super) fn note_repair_planned(
+        &mut self,
+        plan: &str,
+        node: NodeId,
+        label: &'static str,
+        what: &str,
+        now: SimTime,
+    ) {
+        self.coverage
+            .record(DetectPhase::Suspected, label, PlanOutcome::Planned);
+        self.obs.audit.repair_planned(
+            plan,
+            &node.to_string(),
+            &format!("{label}: {what}"),
+            now.as_micros(),
+        );
+    }
+
+    /// A repair plan for `node` left the engine. Committed, the repair is
+    /// complete. Failed or rejected, the node stays queued and the next
+    /// detector tick plans again against the then-current topology — with
+    /// the static policy if this plan was the twin's choice — so repair
+    /// keeps converging even when a target dies mid-plan.
+    pub(super) fn repair_plan_ended(
+        &mut self,
+        node: NodeId,
+        label: &'static str,
+        report: &ReconfigReport,
+    ) {
+        if report.success {
+            let plan = report.id.to_string();
+            self.complete_repair(&plan, node, label, &report.migrated, report.finished_at);
+            return;
+        }
+        self.coverage
+            .record(DetectPhase::Suspected, label, PlanOutcome::Failed);
+        if let Some(incident) = self.heal.incidents.get_mut(&node) {
+            incident.twin_failed |= incident.prediction.take().is_some();
+        }
+    }
+
+    /// Books a finished repair and closes the incident: MTTR observation,
+    /// audit entry, grant invalidation, and the `twin_actual` that pairs
+    /// with the incident's prediction. `label` is the policy that actually
     /// executed (the twin's choice, or the static policy).
     pub(super) fn complete_repair(
         &mut self,
@@ -185,14 +209,17 @@ impl Runtime {
     ) {
         self.coverage
             .record(DetectPhase::Suspected, label, PlanOutcome::Completed);
-        self.heal.repair_queue.remove(&node);
-        let (detail, mttr) = match self.heal.crash_times.remove(&node) {
-            Some(crash_at) => {
-                let mttr = ms(now.saturating_since(crash_at));
+        let incident = self.heal.close(node);
+        self.heal.repaired_at.insert(node, now);
+        let mttr = incident
+            .crashed_at
+            .map(|crash_at| ms(now.saturating_since(crash_at)));
+        let detail = match mttr {
+            Some(mttr) => {
                 self.m.mttr.observe(mttr);
-                (format!("mttr_ms={mttr:.3}"), Some(mttr))
+                format!("mttr_ms={mttr:.3}")
             }
-            None => ("repaired".to_owned(), None),
+            None => "repaired".to_owned(),
         };
         self.obs
             .audit
@@ -202,7 +229,20 @@ impl Runtime {
         // stale — invalidate it now rather than throttling the repaired
         // instances until the next negotiation tick.
         self.invalidate_grants_on(node, plan, moved, now);
-        self.twin_reconcile(node, label, mttr, now);
+        if let Some(pred) = incident.prediction {
+            let actual = mttr.map_or("actual_mttr_ms=na".to_owned(), |v| {
+                format!("actual_mttr_ms={v:.3}")
+            });
+            self.obs.audit.twin_actual(
+                label,
+                &node.to_string(),
+                &format!(
+                    "{actual} predicted_mttr_ms={:.3} predicted_availability={:.4}",
+                    pred.mttr_ms, pred.availability
+                ),
+                now.as_micros(),
+            );
+        }
     }
 
     /// Topology-fault bookkeeping, independent of (and before) RAML fault
@@ -211,7 +251,7 @@ impl Runtime {
     pub(super) fn on_topology_fault(&mut self, kind: FaultKind, now: SimTime) {
         match kind {
             FaultKind::NodeCrash(node) => {
-                self.heal.crash_times.entry(node).or_insert(now);
+                self.heal.incident(node).crashed_at.get_or_insert(now);
                 self.cancel_jobs_on(node, now);
                 if self.heal.fail_stop {
                     for inst in self.instances.values_mut() {
@@ -232,17 +272,16 @@ impl Runtime {
                         .values()
                         .any(|i| i.node == node && i.lifecycle == Lifecycle::Failed);
                 if needs_repair {
-                    self.heal.repair_queue.insert(node);
+                    self.heal.incident(node).queued = true;
                 }
-                if self.heal.repair_queue.contains(&node) {
+                let queued = |rt: &Runtime| rt.heal.incidents.get(&node).map(|i| i.queued);
+                if queued(self) == Some(true) {
                     self.try_repairs(now);
                 }
-                // If the incident closed with nothing to repair (or no
-                // policy), stop timing it — the next crash is a new one.
-                if !self.heal.repair_queue.contains(&node)
-                    && !self.heal.repair_pending.values().any(|p| p.node == node)
-                {
-                    self.heal.crash_times.remove(&node);
+                // If the incident is left with nothing to repair, it is
+                // over — the next crash is a new one.
+                if queued(self) == Some(false) && !self.repair_in_flight(node) {
+                    self.heal.close(node);
                 }
             }
             FaultKind::LinkDown(_) | FaultKind::LinkUp(_) => {}

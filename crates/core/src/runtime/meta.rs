@@ -81,8 +81,8 @@ impl Runtime {
             components,
             nodes,
             connectors,
-            delivered: self.kernel.counters().get("delivered"),
-            dropped: self.kernel.counters().get("dropped") + self.m.dropped.get(),
+            delivered: self.kernel.counter(KernelCounter::Delivered),
+            dropped: self.kernel.counter(KernelCounter::Dropped) + self.m.dropped.get(),
         }
     }
 
@@ -144,23 +144,10 @@ impl Runtime {
         let snap = self.observe();
         let intercessions = raml.on_fault(kind, &snap);
         self.raml = Some(raml);
-        for cmd in intercessions {
-            match cmd {
-                Intercession::Reconfigure(plan) => {
-                    let _ = self.request_reconfig(plan);
-                }
-                Intercession::AdaptConnector { name, spec } => {
-                    let _ = self.adapt_connector(&name, spec);
-                }
-                Intercession::Notify(text) => {
-                    self.events
-                        .push((self.kernel.now(), RuntimeEvent::Notify(text)));
-                }
-            }
-        }
+        self.apply_intercessions(intercessions, PlanOrigin::Raml, self.kernel.now());
     }
 
-    pub(super) fn on_raml_tick(&mut self, _now: SimTime) {
+    pub(super) fn on_raml_tick(&mut self, now: SimTime) {
         let Some(mut raml) = self.raml.take() else {
             return;
         };
@@ -168,20 +155,38 @@ impl Runtime {
         let intercessions = raml.evaluate(&snap);
         let interval = raml.interval();
         self.raml = Some(raml);
+        self.apply_intercessions(intercessions, PlanOrigin::Raml, now);
+        self.arm(interval, TimerPurpose::RamlTick);
+    }
+
+    /// Carries out what the meta-level — RAML's rules, or the repair
+    /// policy of a [`PlanOrigin::Repair`] — asked for. A plan goes through
+    /// the engine under `origin`; a connector adaptation is the
+    /// lightweight path: the new connector mediates the very next
+    /// message, so a repair made that way is planned and complete here.
+    pub(super) fn apply_intercessions(
+        &mut self,
+        intercessions: Vec<Intercession>,
+        origin: PlanOrigin,
+        now: SimTime,
+    ) {
         for cmd in intercessions {
             match cmd {
                 Intercession::Reconfigure(plan) => {
-                    let _ = self.request_reconfig(plan);
+                    let _ = self.submit(plan, origin);
                 }
                 Intercession::AdaptConnector { name, spec } => {
                     let _ = self.adapt_connector(&name, spec);
+                    if let PlanOrigin::Repair { node, label } = origin {
+                        let what = format!("adapt connector `{name}`");
+                        self.note_repair_planned("-", node, label, &what, now);
+                        self.complete_repair("-", node, label, &[], now);
+                    }
                 }
                 Intercession::Notify(text) => {
-                    self.events
-                        .push((self.kernel.now(), RuntimeEvent::Notify(text)));
+                    self.events.push((now, RuntimeEvent::Notify(text)));
                 }
             }
         }
-        self.arm(interval, TimerPurpose::RamlTick);
     }
 }

@@ -75,7 +75,7 @@ use crate::registry::{ImplementationRegistry, Props};
 use aas_obs::{Gauge, HistogramHandle, Obs, SpanId};
 use aas_sim::channel::ChannelId;
 use aas_sim::fault::FaultKind;
-use aas_sim::kernel::{Fired, Kernel};
+use aas_sim::kernel::{Fired, Kernel, KernelCounter};
 use aas_sim::network::Topology;
 use aas_sim::node::NodeId;
 use aas_sim::time::{SimDuration, SimTime};
@@ -99,7 +99,7 @@ pub use metrics::RuntimeMetrics;
 pub use negotiate_driver::{AgentProfile, CoordinationMode, NegotiateConfig, TWIN_AGENT};
 pub use twin::{TwinConfig, TwinPrediction};
 
-use exec::ExecState;
+use exec::{ExecState, PlanOrigin};
 use heal_driver::HealState;
 use metrics::MetricHandles;
 use negotiate_driver::NegotiateState;
@@ -322,7 +322,7 @@ pub struct Runtime {
     exec: ExecState,
     raml: Option<Raml>,
     detector: Option<DetectorRt>,
-    /// Self-healing state: policy, crash times, repair queue (see
+    /// Self-healing state: policy and open incidents (see
     /// [`heal_driver`]).
     heal: HealState,
     /// Digital-twin plan verification state (see [`twin`]).

@@ -189,10 +189,6 @@ pub(super) struct NegotiateState {
     pub(super) actuation: BTreeMap<String, AgentActuation>,
     /// Per-agent request shaping.
     pub(super) profiles: BTreeMap<String, AgentProfile>,
-    /// Migration plans this control plane submitted, by plan id.
-    pub(super) pending_plans: BTreeMap<ReconfigId, String>,
-    /// The last arbitration outcome (for tests and exports).
-    pub(super) last_outcome: Option<NegotiationOutcome>,
     /// Every arbitration outcome in order — the replayable negotiation
     /// transcript the property harness and the mutation oracles read.
     pub(super) history: Vec<NegotiationOutcome>,
@@ -252,7 +248,7 @@ impl Runtime {
     /// The most recent arbitration outcome, if a round has run.
     #[must_use]
     pub fn negotiation_outcome(&self) -> Option<&NegotiationOutcome> {
-        self.negotiate.last_outcome.as_ref()
+        self.negotiate.history.last()
     }
 
     /// Every arbitration outcome so far, in epoch order — the negotiation
@@ -447,8 +443,11 @@ impl Runtime {
 
         // The detect phase this round is booked under: arbitration under a
         // live suspicion incident is a distinct adaptation state.
-        let suspected = !self.heal.repair_queue.is_empty()
-            || !self.heal.repair_pending.is_empty()
+        let suspected = self.heal.incidents.values().any(|i| i.queued)
+            || self
+                .exec
+                .in_flight()
+                .any(|origin| matches!(origin, PlanOrigin::Repair { .. }))
             || self
                 .detector
                 .as_ref()
@@ -543,11 +542,10 @@ impl Runtime {
                         .filter(|(id, n)| **id != host && n.up && n.utilization < 0.5)
                         .map(|(id, _)| NodeId(*id))
                         .next();
-                    let already_moving = self
-                        .negotiate
-                        .pending_plans
-                        .values()
-                        .any(|a| a == &grant.agent);
+                    let already_moving = self.instances.id(&grant.agent).is_some_and(|id| {
+                        let moving = PlanOrigin::Migration { agent: id };
+                        self.exec.in_flight().any(|origin| origin == moving)
+                    });
                     let cooled = self
                         .negotiate
                         .actuation
@@ -570,33 +568,19 @@ impl Runtime {
             .metrics
             .gauge("negotiate.denied")
             .set(outcome.denied.len() as f64);
-        self.negotiate.history.push(outcome.clone());
-        self.negotiate.last_outcome = Some(outcome);
+        self.negotiate.history.push(outcome);
 
         for (agent, to) in migrations {
             if let Some(act) = self.negotiate.actuation.get_mut(&agent) {
                 act.migrated_round = Some(self.negotiate.rounds);
             }
-            let plan = ReconfigPlan::single(ReconfigAction::Migrate {
-                name: agent.clone(),
-                to,
-            });
+            let origin = PlanOrigin::Migration {
+                agent: self.instances.intern(&agent),
+            };
+            let plan = ReconfigPlan::single(ReconfigAction::Migrate { name: agent, to });
             self.coverage
                 .record(DetectPhase::Steady, "negotiate", PlanOutcome::Planned);
-            let id = self.request_reconfig(plan);
-            self.negotiate.pending_plans.insert(id, agent.clone());
-            // A plan with nothing to drain completes synchronously inside
-            // `request_reconfig`; reconcile it now.
-            let sync = self
-                .exec
-                .reports
-                .iter()
-                .rev()
-                .find(|r| r.id == id)
-                .map(|r| r.success);
-            if let Some(done) = sync {
-                self.note_negotiated_plan_finished(id, done, now);
-            }
+            let _ = self.submit(plan, origin);
         }
     }
 
@@ -632,25 +616,19 @@ impl Runtime {
         }
     }
 
-    /// Reconciles a control-plane-submitted plan: books the coverage cell
-    /// and drops the tracking entry.
-    pub(super) fn note_negotiated_plan_finished(
-        &mut self,
-        id: ReconfigId,
-        success: bool,
-        now: SimTime,
-    ) {
-        let Some(agent) = self.negotiate.pending_plans.remove(&id) else {
-            return;
-        };
-        if success {
+    /// A migration the negotiator filed for `agent` left the engine; a
+    /// rejected or rolled-back one leaves nothing to settle, and the agent
+    /// may file again once its cooldown has passed.
+    pub(super) fn migration_plan_ended(&mut self, agent: InstId, report: &ReconfigReport) {
+        if report.success {
             self.coverage
                 .record(DetectPhase::Steady, "negotiate", PlanOutcome::Completed);
             // The agent moved: its grant was computed for the old
             // placement, so force renegotiation next tick. Actuation is
             // *kept* — a planned migration under overload must not open
             // an unthrottled admission window until the re-grant lands.
-            self.invalidate_grant_of(&agent, &id.to_string(), now, false);
+            let agent = self.instances.name(agent).clone();
+            self.invalidate_grant_of(&agent, &report.id.to_string(), report.finished_at, false);
         }
     }
 

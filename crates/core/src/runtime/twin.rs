@@ -29,7 +29,6 @@
 //! *less* available than the E12 baseline.
 
 use super::*;
-use std::collections::BTreeSet;
 
 /// Configuration of the digital-twin plan verifier.
 #[derive(Debug, Clone)]
@@ -71,16 +70,13 @@ pub struct TwinPrediction {
     pub repaired: bool,
 }
 
-/// Twin bookkeeping hung off the runtime.
+/// Twin state hung off the runtime. What the twin knows about an incident
+/// — its outstanding prediction, whether its plan failed — lives in the
+/// incident's record (`heal_driver::Incident`).
 #[derive(Debug, Default)]
 pub(super) struct TwinState {
     /// Twin verification is active iff this is set.
     pub(super) config: Option<TwinConfig>,
-    /// Outstanding predictions awaiting reconciliation, per repaired node.
-    pub(super) predictions: BTreeMap<NodeId, TwinPrediction>,
-    /// Nodes whose twin-guided repair failed on the mainline during the
-    /// current incident: fall back to the static policy until it closes.
-    pub(super) fallback: BTreeSet<NodeId>,
 }
 
 impl Runtime {
@@ -100,7 +96,7 @@ impl Runtime {
     /// repair of it is in flight.
     #[must_use]
     pub fn twin_prediction(&self, node: NodeId) -> Option<&TwinPrediction> {
-        self.twin.predictions.get(&node)
+        self.heal.incidents.get(&node)?.prediction.as_deref()
     }
 
     /// Forks the runtime into an isolated digital twin.
@@ -183,13 +179,10 @@ impl Runtime {
             next_msg_id: self.next_msg_id,
             next_connector_id: self.next_connector_id,
             pending_connector_swaps: self.pending_connector_swaps.clone(),
-            exec: ExecState {
-                last_id: self.exec.last_id,
-                ..ExecState::default()
-            },
+            exec: self.exec.fork(),
             raml: None,
             detector,
-            heal: self.heal.clone(),
+            heal: self.heal.fork(),
             negotiate: self.negotiate.clone(),
             coverage: AdaptationCoverage::new(),
             events: Vec::new(),
@@ -211,23 +204,23 @@ impl Runtime {
         now: SimTime,
     ) -> Option<RepairPolicy> {
         let config = self.twin.config.clone()?;
-        if self.twin.fallback.contains(&node) {
+        let incident = self.heal.incidents.get(&node)?;
+        if incident.twin_failed {
             return None;
         }
         // Re-planning the same incident (e.g. restart deferred until the
         // node returns) sticks with the outstanding prediction so the
         // choice is stable across detector ticks.
-        if let Some(p) = self.twin.predictions.get(&node) {
+        if let Some(p) = &incident.prediction {
             return config
                 .candidates
                 .iter()
                 .find(|c| c.label() == p.policy_label)
                 .cloned();
         }
-        let crash_at = self.heal.crash_times.get(&node).copied();
         let mut scored: Vec<(RepairPolicy, TwinPrediction)> = Vec::new();
         for candidate in &config.candidates {
-            if let Some(pred) = self.simulate_candidate(candidate, node, crash_at, &config, now) {
+            if let Some(pred) = self.simulate_candidate(candidate, node, &config, now) {
                 scored.push((candidate.clone(), pred));
             }
         }
@@ -262,7 +255,7 @@ impl Runtime {
             ),
             now.as_micros(),
         );
-        self.twin.predictions.insert(node, pred);
+        self.heal.incident(node).prediction = Some(Box::new(pred));
         Some(policy)
     }
 
@@ -273,13 +266,14 @@ impl Runtime {
         &self,
         candidate: &RepairPolicy,
         node: NodeId,
-        crash_at: Option<SimTime>,
         config: &TwinConfig,
         now: SimTime,
     ) -> Option<TwinPrediction> {
         let mut fork = self.fork_twin()?;
         fork.heal.policy = candidate.clone();
-        fork.heal.repair_queue.insert(node);
+        let incident = fork.heal.incident(node);
+        incident.queued = true;
+        let crash_at = incident.crashed_at;
         fork.try_repairs(now);
         let deadline = now + config.horizon;
         let mut events = 0u64;
@@ -290,8 +284,8 @@ impl Runtime {
             }
             let _ = fork.step();
         }
-        let repaired = !fork.heal.repair_queue.contains(&node)
-            && !fork.heal.repair_pending.values().any(|p| p.node == node);
+        let repaired = !fork.heal.incidents.get(&node).is_some_and(|i| i.queued)
+            && !fork.repair_in_flight(node);
         let total = fork.instances.len().max(1);
         let active = fork
             .instances
@@ -300,17 +294,9 @@ impl Runtime {
             .count();
         let availability = active as f64 / total as f64;
         let mttr_ms = if repaired {
-            let node_str = node.to_string();
-            let completed = fork
-                .obs
-                .audit
-                .of_kind(aas_obs::AuditKind::RepairCompleted)
-                .into_iter()
-                .rev()
-                .find(|e| e.subject == node_str)
-                .map(|e| e.at_us);
-            match (completed, crash_at) {
-                (Some(at_us), Some(c)) => at_us.saturating_sub(c.as_micros()) as f64 / 1e3,
+            // Zero when the incident closed with nothing to repair.
+            match (fork.heal.repaired_at.get(&node), crash_at) {
+                (Some(at), Some(crash_at)) => ms(at.saturating_since(crash_at)),
                 _ => 0.0,
             }
         } else {
@@ -322,40 +308,5 @@ impl Runtime {
             mttr_ms,
             repaired,
         })
-    }
-
-    /// Reconciles a completed repair against its outstanding prediction:
-    /// emits the `twin_actual` audit entry that pairs with the earlier
-    /// `twin_predicted`, and closes the incident's fallback latch.
-    pub(super) fn twin_reconcile(
-        &mut self,
-        node: NodeId,
-        label: &'static str,
-        mttr_ms: Option<f64>,
-        now: SimTime,
-    ) {
-        self.twin.fallback.remove(&node);
-        if let Some(pred) = self.twin.predictions.remove(&node) {
-            let actual = mttr_ms.map_or("actual_mttr_ms=na".to_owned(), |v| {
-                format!("actual_mttr_ms={v:.3}")
-            });
-            self.obs.audit.twin_actual(
-                label,
-                &node.to_string(),
-                &format!(
-                    "{actual} predicted_mttr_ms={:.3} predicted_availability={:.4}",
-                    pred.mttr_ms, pred.availability
-                ),
-                now.as_micros(),
-            );
-        }
-    }
-
-    /// Notes that a twin-guided plan failed on the mainline: the incident
-    /// falls back to the static policy from the next tick on.
-    pub(super) fn twin_note_mainline_failure(&mut self, node: NodeId) {
-        if self.twin.predictions.remove(&node).is_some() {
-            self.twin.fallback.insert(node);
-        }
     }
 }

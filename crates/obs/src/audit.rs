@@ -26,10 +26,6 @@ pub enum AuditKind {
     PlanRolledBack,
     /// One applied action was undone by replaying its compensating inverse.
     ActionCompensated,
-    /// A plan was rolled back (legacy coarse record; transactional
-    /// execution emits [`AuditKind::PlanRolledBack`] plus one
-    /// [`AuditKind::ActionCompensated`] per undone action instead).
-    RolledBack,
     /// A channel was blocked for quiescence.
     ChannelBlocked,
     /// A blocked channel was released.
@@ -74,7 +70,6 @@ impl AuditKind {
             AuditKind::PlanRejected => "plan_rejected",
             AuditKind::PlanRolledBack => "plan_rolled_back",
             AuditKind::ActionCompensated => "action_compensated",
-            AuditKind::RolledBack => "rolled_back",
             AuditKind::ChannelBlocked => "channel_blocked",
             AuditKind::ChannelReleased => "channel_released",
             AuditKind::FailureSuspected => "failure_suspected",
@@ -188,11 +183,6 @@ impl AuditLog {
     /// compensating inverse during rollback.
     pub fn action_compensated(&self, plan: &str, action: &str, at_us: u64) {
         self.append(at_us, AuditKind::ActionCompensated, plan, action, "ok");
-    }
-
-    /// Records a rollback of `plan` with its reason.
-    pub fn rolled_back(&self, plan: &str, reason: &str, at_us: u64) {
-        self.append(at_us, AuditKind::RolledBack, plan, "", reason);
     }
 
     /// Records that `channel` was blocked (for quiescence) under `plan`.
@@ -335,12 +325,12 @@ mod tests {
         log.plan_submitted("p1", "", 0);
         log.plan_submitted("p2", "", 1);
         log.action_applied("p1", "bind a b", "ok", 2);
-        log.rolled_back("p2", "constraint violated", 3);
+        log.plan_rolled_back("p2", "constraint violated", "0 compensated", 3);
         assert_eq!(log.for_plan("p1").len(), 2);
         assert_eq!(log.for_plan("p2").len(), 2);
-        assert_eq!(log.of_kind(AuditKind::RolledBack).len(), 1);
+        assert_eq!(log.of_kind(AuditKind::PlanRolledBack).len(), 1);
         assert_eq!(
-            log.of_kind(AuditKind::RolledBack)[0].outcome,
+            log.of_kind(AuditKind::PlanRolledBack)[0].outcome,
             "constraint violated"
         );
     }

@@ -101,7 +101,6 @@ fn audit_log_reconciles_with_midstream_swap() {
     let finished = audit.of_kind(AuditKind::PlanFinished);
     assert_eq!(finished.len(), 1);
     assert_eq!(finished[0].outcome, "success");
-    assert!(audit.of_kind(AuditKind::RolledBack).is_empty());
 
     // The applied actions are exactly the plan's actions, in plan order.
     let applied = audit.of_kind(AuditKind::ActionApplied);
