@@ -10,8 +10,9 @@
 //!   one global routing epoch, every flap flushes the whole cache and
 //!   every active pair re-runs a whole-graph Dijkstra.
 //! * **hier** — the [`HierRouter`](aas_sim::hier::HierRouter): region
-//!   border cliques, multilevel search, and partial invalidation that
-//!   only evicts routes crossing a flapped region.
+//!   border cliques, a destination-rooted resumable multilevel search,
+//!   and partial invalidation that only evicts routes crossing a flapped
+//!   region.
 //!
 //! Reported per cell: sessions/s (wall), p99 delivery latency (virtual),
 //! full-graph recomputations and settled-node totals (the honest
@@ -77,7 +78,9 @@ pub struct Cell {
     /// Whole-graph Dijkstra runs (flat cache misses; hier flat
     /// fallbacks — zero on fully regioned topologies).
     pub full_recomputes: u64,
-    /// Route searches of any kind (flat misses; hier overlay queries).
+    /// Route searches started (flat: one per miss; hier: multilevel
+    /// searches, which a miss to the live search's destination resumes
+    /// instead of starting).
     pub searches: u64,
     /// Dijkstra-settled nodes across all searches — the honest work
     /// metric, directly comparable between routers.

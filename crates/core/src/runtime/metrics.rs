@@ -37,6 +37,31 @@ pub struct RuntimeMetrics {
     pub mttr_ms: Histogram,
 }
 
+/// What routing has cost so far, read by
+/// [`crate::runtime::Runtime::route_stats`] off whichever router the
+/// runtime runs: the region-scoped one when the deployed topology carries
+/// a full region map, the flat epoch-flushed cache otherwise.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RouteStats {
+    /// Sends answered from the router's memo.
+    pub hits: u64,
+    /// Sends the memo could not answer.
+    pub misses: u64,
+    /// Shortest-path searches started. Under region-scoped routing a miss
+    /// that shares destination, source region and routing epoch with the
+    /// search before it resumes that search, so this is at most `misses`;
+    /// the flat cache starts one whole-graph search per miss.
+    pub searches: u64,
+    /// Nodes settled by every search, cell builds included — the
+    /// host-independent measure of routing work.
+    pub settled: u64,
+    /// Border-clique cells (re)built; always zero under the flat cache.
+    pub cell_rebuilds: u64,
+    /// Memo entries dropped as stale. The flat cache drops its whole map
+    /// at once and counts each flush as one.
+    pub stale_evictions: u64,
+}
+
 /// Lock-free handles into the shared registry for the runtime's hot-path
 /// metrics.
 #[derive(Debug)]

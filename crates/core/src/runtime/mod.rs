@@ -95,7 +95,7 @@ mod tests;
 mod twin;
 mod validate;
 
-pub use metrics::RuntimeMetrics;
+pub use metrics::{RouteStats, RuntimeMetrics};
 pub use negotiate_driver::{AgentProfile, CoordinationMode, NegotiateConfig, TWIN_AGENT};
 pub use twin::{TwinConfig, TwinPrediction};
 
@@ -356,6 +356,11 @@ impl Runtime {
     ) -> Self {
         let m = MetricHandles::new(&obs);
         let mut kernel = Kernel::new(topology, seed);
+        // A full region map is what region-scoped routing needs; a
+        // topology without one keeps the flat cache.
+        if kernel.topology().region_count() > 0 && kernel.topology().regions_fully_assigned() {
+            kernel.enable_hier_routing();
+        }
         kernel.set_tracer(obs.tracer.clone());
         let mut instances = Table::new();
         let external = instances.intern(EXTERNAL);
@@ -569,6 +574,33 @@ impl Runtime {
             shed: self.m.shed.get(),
             mttd_ms: self.m.mttd.snapshot(),
             mttr_ms: self.m.mttr.snapshot(),
+        }
+    }
+
+    /// What routing has cost since this runtime was created (a twin fork
+    /// starts from zero).
+    #[must_use]
+    pub fn route_stats(&self) -> RouteStats {
+        match self.kernel.hier_stats() {
+            Some(h) => RouteStats {
+                hits: h.hits,
+                misses: h.misses,
+                searches: h.overlay_queries + h.full_fallbacks,
+                settled: h.settled,
+                cell_rebuilds: h.cell_rebuilds,
+                stale_evictions: h.stale_evictions,
+            },
+            None => {
+                let f = self.kernel.route_cache_stats();
+                RouteStats {
+                    hits: f.hits,
+                    misses: f.misses,
+                    searches: f.misses,
+                    settled: f.settled,
+                    cell_rebuilds: 0,
+                    stale_evictions: f.invalidations,
+                }
+            }
         }
     }
 

@@ -11,16 +11,29 @@
 //!   caches a *cell*: exact shortest intra-region distances (and paths)
 //!   between the region's *border* nodes, stamped with the region's epoch.
 //!   A flap inside one region invalidates one cell, not all of them.
-//! * A query runs a *multilevel Dijkstra*: the source and destination
-//!   regions are searched at full link granularity, every other region is
-//!   traversed through its border clique — interior nodes of far regions
-//!   are never settled. Search work scales with two region interiors plus
-//!   the border overlay instead of the whole graph.
-//! * Answered queries are memoized with *partial* invalidation: each entry
-//!   records the regions its path crosses (with their epochs) and the
-//!   topology's improve epoch. A *degrading* flap (node or link going
-//!   down) evicts only entries crossing the flapped region; entries whose
-//!   routes avoid it keep serving hits.
+//! * A miss runs a *multilevel Dijkstra rooted at the destination*: the
+//!   destination's and the source's regions are searched at full link
+//!   granularity, every other region is traversed through its border
+//!   clique — interior nodes of far regions are never settled. Search work
+//!   scales with two region interiors plus the border overlay instead of
+//!   the whole graph.
+//! * The search is *resumable*. Its heap and labels stay alive after it
+//!   has answered, keyed by `(dst, region(src), size)` and the routing
+//!   epoch; the next miss with the same key continues it from where it
+//!   stopped — a source it already settled is read straight off the
+//!   predecessor links, one it has not costs only the settles still
+//!   missing. A monitor that a thousand nodes report to is searched from
+//!   once per source region and routing epoch, not once per channel.
+//! * Answered queries are memoized with *partial* invalidation. An entry
+//!   is a route and the routing epoch it was last validated at, nothing
+//!   else; the topology records per region the routing epoch of its last
+//!   touch ([`Topology::region_epoch`]). While the routing epoch stands a
+//!   hit is one comparison. Once it has moved, the regions the route
+//!   crosses are read off the route's own links: if none was touched since
+//!   the entry's stamp the entry is re-stamped and served, otherwise it is
+//!   recomputed — a *degrading* flap (node or link going down) evicts only
+//!   entries crossing the flapped region. An *improving* flap (recovery,
+//!   addition) clears the whole memo, as the flat cache does on its epoch.
 //!
 //! # Exactness
 //!
@@ -33,10 +46,20 @@
 //!   cell's clique distance, and every clique edge expands to a real
 //!   path. The multilevel search therefore finds exactly the optimum,
 //!   including paths that leave a region and re-enter it.
+//! * **Rooting at the destination changes nothing** — links are
+//!   undirected and [`Link::transit`](crate::link::Link::transit) is
+//!   symmetric and integer-valued, so the shortest `dst → src` transit is
+//!   the shortest `src → dst` transit, summed from the same integers. The
+//!   path is read `src → dst` off the predecessor links, cell paths taken
+//!   in the `cur → from` direction.
+//! * **Resuming is sound** — Dijkstra's labels at or below the key of the
+//!   last settled node are final, whatever target the search was started
+//!   for; the live search is dropped the moment the routing epoch moves,
+//!   so every label it holds was computed on the topology as it is.
 //! * **Partial invalidation is sound** — a cached route is served only if
 //!   (a) the improve epoch is unchanged, so no mutation since could have
-//!   *created or shortened* any path, and (b) every region the route
-//!   crosses has an unchanged epoch, so every hop is still alive and
+//!   *created or shortened* any path, and (b) no region the route crosses
+//!   was touched after the entry's stamp, so every hop is still alive and
 //!   costs the same. Degradations elsewhere only remove paths: the cached
 //!   route's cost is still achievable, and no cheaper path can have
 //!   appeared, so it is still shortest. Unreachable (negative) entries
@@ -44,7 +67,7 @@
 //!   mutation can create reachability.
 //!
 //! The property harness in `crates/sim/tests/route_cache_props.rs` checks
-//! both claims against fresh whole-graph Dijkstra runs across randomized
+//! these claims against fresh whole-graph Dijkstra runs across randomized
 //! flap schedules.
 
 use crate::link::LinkId;
@@ -53,28 +76,30 @@ use crate::network::{
 };
 use crate::node::NodeId;
 use crate::time::SimDuration;
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
-
-/// Marker for "not a border node" in the per-node border index.
-const NOT_BORDER: u32 = u32::MAX;
 
 /// Counters describing how a [`HierRouter`] has been performing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HierStats {
-    /// Queries answered from the query cache (validity stamps intact).
+    /// Queries answered from the memo (stamp current, or no crossed
+    /// region touched since it).
     pub hits: u64,
-    /// Queries that ran a multilevel search (and repopulated the cache).
+    /// Queries the memo could not answer; each is answered by the
+    /// multilevel search, resumed or started.
     pub misses: u64,
-    /// Cached entries dropped because a crossed region's epoch (or the
-    /// improve epoch) moved — the partial counterpart of the flat cache's
-    /// whole-map invalidation.
+    /// Memo entries dropped because a region their route crosses was
+    /// touched, or because the improve epoch moved (every entry at once) —
+    /// the partial counterpart of the flat cache's whole-map invalidation.
     pub stale_evictions: u64,
     /// Border-clique cell (re)builds, each a batch of region-local
     /// Dijkstra runs. This is the unit of post-flap recomputation; the
     /// flat cache's equivalent is a whole-graph Dijkstra per active pair.
     pub cell_rebuilds: u64,
-    /// Multilevel overlay searches run (one per miss on mapped nodes).
+    /// Multilevel searches *started*. A miss that shares destination,
+    /// source region, size and routing epoch with the live search resumes
+    /// it and starts none, so this is at most `misses`.
     pub overlay_queries: u64,
     /// Whole-graph flat Dijkstra fallbacks (only taken when some node has
     /// no region assigned).
@@ -100,101 +125,154 @@ impl HierStats {
 
 /// One region's border-clique cell for one message size: exact shortest
 /// intra-region distances and link paths between the region's borders,
-/// valid while the region's epoch stands.
-#[derive(Debug)]
+/// valid while the region's epoch stands. Links are undirected, so only
+/// the pairs `i < j` are kept, in three flat vectors.
+#[derive(Debug, Default)]
 struct Cell {
     /// Region epoch the cell was computed under.
     epoch: u64,
-    /// `dist[i * borders + j]`: shortest intra-region transit from border
-    /// `i` to border `j`; `None` when the live intra-region subgraph does
-    /// not connect them.
-    dist: Vec<Option<SimDuration>>,
-    /// `paths[i * borders + j]`: the links of that path, ordered `i → j`.
-    paths: Vec<Vec<LinkId>>,
+    /// Shortest intra-region transit between borders `i < j`, at
+    /// [`pair`]`(b, i, j)`; [`SimDuration::MAX`] when the live
+    /// intra-region subgraph does not connect them.
+    dist: Vec<SimDuration>,
+    /// Where each pair's path ends in `links`; it starts where the
+    /// previous pair's ends.
+    path_end: Vec<u32>,
+    /// The pairs' paths back to back, each ordered from border `j` to
+    /// border `i`.
+    links: Vec<LinkId>,
 }
 
-/// Predecessor of a settled node in the multilevel search.
+/// Position of the border pair `i < j`, of `b` borders, in a cell's
+/// vectors.
+fn pair(b: usize, i: usize, j: usize) -> usize {
+    debug_assert!(i < j && j < b);
+    i * (2 * b - i - 1) / 2 + (j - i - 1)
+}
+
+impl Cell {
+    /// Intra-region transit between borders `i != j`, in either order.
+    fn dist(&self, b: usize, i: usize, j: usize) -> Option<SimDuration> {
+        let d = self.dist[pair(b, i.min(j), i.max(j))];
+        (d != SimDuration::MAX).then_some(d)
+    }
+
+    /// Appends the links of the path from border `from` to border `to`.
+    fn push_path(&self, b: usize, from: usize, to: usize, out: &mut Vec<LinkId>) {
+        let p = pair(b, from.min(to), from.max(to));
+        let start = if p == 0 { 0 } else { self.path_end[p - 1] };
+        let path = &self.links[start as usize..self.path_end[p] as usize];
+        if from > to {
+            out.extend_from_slice(path);
+        } else {
+            out.extend(path.iter().rev());
+        }
+    }
+}
+
+/// Tag bit of [`Label::prev`]: the rest names a border node, not a link.
+const CUT: u32 = 1 << 31;
+
+/// What a search knows about one node.
 #[derive(Debug, Clone, Copy)]
-enum Prev {
-    /// Reached over a real link.
-    Link(LinkId),
-    /// Reached through a region's border clique, entering at `from`.
-    Cut {
-        /// The region traversed.
-        region: u32,
-        /// The border the shortcut was entered at.
-        from: NodeId,
-    },
+struct Label {
+    dist: SimDuration,
+    /// Generation of the search that wrote the label; any other reads as
+    /// unset (same trick as [`RouteScratch`]: `O(1)` clearing per search).
+    stamp: u32,
+    /// Next hop towards the root: a link id, or `CUT |` the id of the
+    /// border the node's region is left at, through its clique.
+    prev: u32,
 }
 
-/// Generation-stamped working memory for the multilevel search and the
-/// cell builds (same trick as [`RouteScratch`]: `O(1)` clearing per
-/// query).
+/// Working memory of one Dijkstra run — the multilevel search, which
+/// stays alive between misses, or a cell build.
 #[derive(Debug, Default)]
-struct HierScratch {
-    stamp: u64,
-    dist: Vec<(u64, SimDuration)>,
-    prev: Vec<(u64, Prev)>,
-    heap: std::collections::BinaryHeap<std::cmp::Reverse<(SimDuration, u32)>>,
+struct Scratch {
+    stamp: u32,
+    labels: Vec<Label>,
+    heap: BinaryHeap<Reverse<(SimDuration, u32)>>,
+    /// Key of the last node settled. Keys leave the heap in order, so
+    /// every label at or below it is final.
+    frontier: SimDuration,
     settled: u64,
 }
 
-impl HierScratch {
-    fn begin(&mut self, n: usize) {
-        self.stamp += 1;
-        if self.dist.len() < n {
-            self.dist.resize(n, (0, SimDuration::ZERO));
-            self.prev.resize(n, (0, Prev::Link(LinkId(u32::MAX))));
+impl Scratch {
+    /// Starts a search over `n` nodes from `root`.
+    fn begin(&mut self, n: usize, root: NodeId) {
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            // The generations wrapped: a label 2^32 searches old would
+            // read as current.
+            self.labels.clear();
+            self.stamp = 1;
+        }
+        if self.labels.len() < n {
+            let unset = Label {
+                dist: SimDuration::ZERO,
+                stamp: 0,
+                prev: 0,
+            };
+            self.labels.resize(n, unset);
         }
         self.heap.clear();
+        self.frontier = SimDuration::ZERO;
+        self.relax(root, SimDuration::ZERO, 0);
     }
 
-    fn dist(&self, v: NodeId) -> Option<SimDuration> {
-        let (stamp, d) = self.dist[v.0 as usize];
-        (stamp == self.stamp).then_some(d)
+    fn label(&self, v: NodeId) -> Option<Label> {
+        let label = self.labels[v.0 as usize];
+        (label.stamp == self.stamp).then_some(label)
     }
 
-    fn set_dist(&mut self, v: NodeId, d: SimDuration) {
-        self.dist[v.0 as usize] = (self.stamp, d);
-    }
-
-    fn prev(&self, v: NodeId) -> Option<Prev> {
-        let (stamp, p) = self.prev[v.0 as usize];
-        (stamp == self.stamp).then_some(p)
-    }
-
-    fn set_prev(&mut self, v: NodeId, p: Prev) {
-        self.prev[v.0 as usize] = (self.stamp, p);
-    }
-
-    /// Relaxes `v` through cost `nd`; pushes on improvement.
-    fn relax(&mut self, v: NodeId, nd: SimDuration, p: Prev) {
-        let better = match self.dist(v) {
-            None => true,
-            Some(old) => nd < old,
-        };
-        if better {
-            self.set_dist(v, nd);
-            self.set_prev(v, p);
-            self.heap.push(std::cmp::Reverse((nd, v.0)));
+    /// Relaxes `v` through cost `dist`; pushes on improvement.
+    fn relax(&mut self, v: NodeId, dist: SimDuration, prev: u32) {
+        if self.label(v).is_none_or(|old| dist < old.dist) {
+            self.labels[v.0 as usize] = Label {
+                dist,
+                stamp: self.stamp,
+                prev,
+            };
+            self.heap.push(Reverse((dist, v.0)));
         }
+    }
+
+    /// Settles the nearest unsettled node.
+    fn settle(&mut self) -> Option<(SimDuration, NodeId)> {
+        while let Some(Reverse((d, u))) = self.heap.pop() {
+            let u = NodeId(u);
+            if self.label(u).is_some_and(|l| l.dist == d) {
+                self.frontier = d;
+                self.settled += 1;
+                return Some((d, u));
+            }
+        }
+        None
     }
 }
 
-/// A memoized query answer with its validity stamps.
+/// What the live multilevel search answers: every source in one region,
+/// to one destination, at one size, on the topology of one routing epoch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SearchKey {
+    dst: NodeId,
+    src_region: u32,
+    size: u64,
+    epoch: u64,
+}
+
+/// A memoized query answer and the routing epoch it was last known good
+/// at.
 #[derive(Debug)]
 struct CachedEntry {
     route: Option<Arc<Route>>,
-    /// Improve epoch at computation time.
-    improve: u64,
-    /// `(region, region_epoch)` for every region the route crosses,
-    /// sorted by region; empty for negative (unreachable) entries.
-    crossed: Vec<(u32, u64)>,
+    validated: u64,
 }
 
-/// Hierarchical router: region border cliques + multilevel search + a
-/// query memo with partial (region-scoped) invalidation. See the module
-/// docs for the scheme and its exactness argument.
+/// Hierarchical router: region border cliques + a resumable multilevel
+/// search + a query memo with partial (region-scoped) invalidation. See
+/// the module docs for the scheme and its exactness argument.
 ///
 /// # Examples
 ///
@@ -230,15 +308,20 @@ pub struct HierRouter {
     fully_assigned: bool,
     /// Border nodes per region, ascending node id.
     borders: Vec<Vec<NodeId>>,
-    /// Per node: its index within its region's border list, or
-    /// `NOT_BORDER`.
-    border_idx: Vec<u32>,
     // --- caches ---
     cells: HashMap<(u32, u64), Cell>,
     queries: HashMap<(u32, u32, u64), CachedEntry>,
+    /// Improve epoch the memo was filled under.
+    improve_epoch: u64,
     // --- working memory ---
-    scratch: HierScratch,
-    cell_scratch: HierScratch,
+    /// What the labels in `search` answer; `None` until the first search
+    /// and after a structure change.
+    live: Option<SearchKey>,
+    search: Scratch,
+    cell_scratch: Scratch,
+    /// The path of the route being assembled, so that the route itself is
+    /// one exact-size allocation.
+    path: Vec<LinkId>,
     flat_scratch: RouteScratch,
     stats: HierStats,
 }
@@ -257,8 +340,9 @@ impl HierRouter {
         self.stats
     }
 
-    /// Number of memoized query answers (stale entries included until
-    /// they are touched).
+    /// Number of memoized query answers (entries staled by a degrading
+    /// flap included, until they are asked again or the improve epoch
+    /// moves).
     #[must_use]
     pub fn cached_queries(&self) -> usize {
         self.queries.len()
@@ -271,10 +355,10 @@ impl HierRouter {
         self.cells.len()
     }
 
-    /// Answers a routing query, from the memo when its validity stamps
-    /// are intact, otherwise by a multilevel search. Semantically
-    /// identical to [`Topology::route`]: same reachability answers, same
-    /// shortest transit.
+    /// Answers a routing query, from the memo when no region the memoized
+    /// route crosses was touched since, otherwise by the multilevel
+    /// search. Semantically identical to [`Topology::route`]: same
+    /// reachability answers, same shortest transit.
     pub fn resolve(
         &mut self,
         topo: &Topology,
@@ -294,52 +378,31 @@ impl HierRouter {
             self.stats.settled += self.flat_scratch.take_settled();
             return route;
         }
+        if self.improve_epoch != topo.improve_epoch() {
+            // A path may have appeared that beats any memoized route, or
+            // reaches what a negative entry could not.
+            self.stats.stale_evictions += self.queries.len() as u64;
+            self.queries.clear();
+            self.improve_epoch = topo.improve_epoch();
+        }
 
         let key = (src.0, dst.0, size);
-        if let Some(entry) = self.queries.get(&key) {
-            let valid = entry.improve == topo.improve_epoch()
-                && entry
-                    .crossed
-                    .iter()
-                    .all(|&(r, e)| topo.region_epoch(RegionId(r)) == e);
-            if valid {
+        let epoch = topo.epoch();
+        if let Some(entry) = self.queries.get_mut(&key) {
+            if entry.validated == epoch || untouched_since(topo, src, dst, entry) {
+                entry.validated = epoch;
                 self.stats.hits += 1;
                 return entry.route.clone();
             }
-            self.queries.remove(&key);
             self.stats.stale_evictions += 1;
         }
         self.stats.misses += 1;
-
-        let computed = self.overlay_query(topo, src, dst, size);
-        let (route, crossed) = match computed {
-            None => (None, Vec::new()),
-            Some((transit, links)) => {
-                let mut crossed: Vec<(u32, u64)> = Vec::new();
-                let mut note = |node: NodeId| {
-                    let r = topo.region_of(node).expect("fully assigned").0;
-                    if let Err(i) = crossed.binary_search_by_key(&r, |&(r, _)| r) {
-                        crossed.insert(i, (r, topo.region_epoch(RegionId(r))));
-                    }
-                };
-                note(src);
-                note(dst);
-                for &lid in &links {
-                    let spec = topo.link(lid).spec();
-                    note(spec.a);
-                    note(spec.b);
-                }
-                (Some(Arc::new(Route { links, transit })), crossed)
-            }
+        let route = self.search(topo, src, dst, size);
+        let entry = CachedEntry {
+            route: route.clone(),
+            validated: epoch,
         };
-        self.queries.insert(
-            key,
-            CachedEntry {
-                route: route.clone(),
-                improve: topo.improve_epoch(),
-                crossed,
-            },
-        );
+        self.queries.insert(key, entry);
         route
     }
 
@@ -358,226 +421,247 @@ impl HierRouter {
         self.assign_epoch = topo.region_assignment_epoch();
         self.cells.clear();
         self.queries.clear();
+        self.live = None;
         self.fully_assigned = topo.region_count() > 0 && topo.regions_fully_assigned();
         if !self.fully_assigned {
             return;
         }
-        let regions = topo.region_count() as usize;
+        assert!(
+            self.node_count < CUT as usize && self.link_count < CUT as usize,
+            "node and link ids must leave the label's tag bit free"
+        );
         let mut is_border = vec![false; self.node_count];
         for link in topo.links() {
             let spec = link.spec();
-            let ra = topo.region_of(spec.a).expect("fully assigned");
-            let rb = topo.region_of(spec.b).expect("fully assigned");
-            if ra != rb {
+            if region(topo, spec.a) != region(topo, spec.b) {
                 is_border[spec.a.0 as usize] = true;
                 is_border[spec.b.0 as usize] = true;
             }
         }
-        self.borders = vec![Vec::new(); regions];
-        self.border_idx = vec![NOT_BORDER; self.node_count];
-        for (i, &b) in is_border.iter().enumerate() {
-            if b {
-                let node = NodeId(i as u32);
-                let r = topo.region_of(node).expect("fully assigned").0 as usize;
-                self.border_idx[i] = self.borders[r].len() as u32;
-                self.borders[r].push(node);
-            }
+        self.borders = vec![Vec::new(); topo.region_count() as usize];
+        for (i, _) in is_border.iter().enumerate().filter(|(_, &b)| b) {
+            let node = NodeId(i as u32);
+            self.borders[region(topo, node) as usize].push(node);
         }
     }
 
     /// Ensures the `(region, size)` cell is fresh, rebuilding it with one
-    /// intra-region Dijkstra per live border if not.
-    fn ensure_cell(&mut self, topo: &Topology, region: u32, size: u64) {
-        let epoch = topo.region_epoch(RegionId(region));
-        if self
-            .cells
-            .get(&(region, size))
-            .is_some_and(|c| c.epoch == epoch)
-        {
+    /// intra-region Dijkstra per border but the last if not.
+    fn ensure_cell(&mut self, topo: &Topology, region_id: u32, size: u64) {
+        let epoch = topo.region_epoch(RegionId(region_id));
+        let key = (region_id, size);
+        if self.cells.get(&key).is_some_and(|c| c.epoch == epoch) {
             return;
         }
-        let borders = &self.borders[region as usize];
-        let b = borders.len();
-        let mut dist = vec![None; b * b];
-        let mut paths = vec![Vec::new(); b * b];
+        // A stale cell's vectors are refilled in place.
+        let mut cell = self.cells.remove(&key).unwrap_or_default();
+        cell.epoch = epoch;
+        cell.dist.clear();
+        cell.path_end.clear();
+        cell.links.clear();
+        let borders = &self.borders[region_id as usize];
+        let scratch = &mut self.cell_scratch;
         for (i, &from) in borders.iter().enumerate() {
-            dist[i * b + i] = Some(SimDuration::ZERO);
-            if !topo.node(from).is_up() {
-                continue;
+            let later = &borders[i + 1..];
+            if later.is_empty() {
+                break;
             }
-            // Dijkstra restricted to the region's live interior.
-            let scratch = &mut self.cell_scratch;
-            scratch.begin(topo.node_count());
-            scratch.set_dist(from, SimDuration::ZERO);
-            scratch
-                .heap
-                .push(std::cmp::Reverse((SimDuration::ZERO, from.0)));
-            while let Some(std::cmp::Reverse((d, u))) = scratch.heap.pop() {
-                let u = NodeId(u);
-                if scratch.dist(u) != Some(d) {
-                    continue;
-                }
-                scratch.settled += 1;
+            scratch.begin(topo.node_count(), from);
+            if !topo.node(from).is_up() {
+                // A border that is down reaches nothing.
+                scratch.heap.clear();
+            }
+            // Dijkstra restricted to the region's live interior, to
+            // exhaustion, so every label it leaves is final.
+            while let Some((d, u)) = scratch.settle() {
                 for &lid in topo.links_of(u) {
                     let link = topo.link(lid);
                     if !link.is_up() {
                         continue;
                     }
                     let Some(v) = link.opposite(u) else { continue };
-                    if !topo.node(v).is_up()
-                        || topo.region_of(v).expect("fully assigned").0 != region
-                    {
-                        continue;
+                    if topo.node(v).is_up() && region(topo, v) == region_id {
+                        scratch.relax(v, d + link.transit(size), lid.0);
                     }
-                    scratch.relax(v, d + link.transit(size), Prev::Link(lid));
                 }
             }
-            for (j, &to) in borders.iter().enumerate() {
-                if j == i {
-                    continue;
-                }
-                let Some(d) = self.cell_scratch.dist(to) else {
-                    continue;
-                };
-                dist[i * b + j] = Some(d);
-                let path = &mut paths[i * b + j];
+            for &to in later {
+                cell.dist
+                    .push(scratch.label(to).map_or(SimDuration::MAX, |l| l.dist));
                 let mut cur = to;
-                while cur != from {
-                    let Some(Prev::Link(lid)) = self.cell_scratch.prev(cur) else {
-                        unreachable!("cell paths are link-only")
-                    };
-                    path.push(lid);
+                while let Some(label) = scratch.label(cur).filter(|_| cur != from) {
+                    let lid = LinkId(label.prev);
+                    cell.links.push(lid);
                     cur = topo.link(lid).opposite(cur).expect("link endpoint");
                 }
-                path.reverse();
+                cell.path_end.push(cell.links.len() as u32);
             }
         }
-        self.stats.settled += std::mem::take(&mut self.cell_scratch.settled);
+        self.stats.settled += std::mem::take(&mut scratch.settled);
         self.stats.cell_rebuilds += 1;
-        self.cells
-            .insert((region, size), Cell { epoch, dist, paths });
+        self.cells.insert(key, cell);
     }
 
-    /// The multilevel search: full link granularity inside the source and
-    /// destination regions, border cliques everywhere else. Returns the
-    /// exact shortest transit and its link path.
-    fn overlay_query(
+    /// Answers a miss from the multilevel search rooted at `dst`: resumes
+    /// the live one when it was started for the same destination, source
+    /// region, size and routing epoch, starts over otherwise.
+    fn search(
         &mut self,
         topo: &Topology,
         src: NodeId,
         dst: NodeId,
         size: u64,
-    ) -> Option<(SimDuration, Vec<LinkId>)> {
+    ) -> Option<Arc<Route>> {
         if !topo.node(src).is_up() || !topo.node(dst).is_up() {
             return None;
         }
         if src == dst {
-            return Some((LOCAL_TRANSIT, Vec::new()));
+            return Some(Arc::new(Route {
+                links: Vec::new(),
+                transit: LOCAL_TRANSIT,
+            }));
         }
-        self.stats.overlay_queries += 1;
-        let open_a = topo.region_of(src).expect("fully assigned").0;
-        let open_b = topo.region_of(dst).expect("fully assigned").0;
-
+        let key = SearchKey {
+            dst,
+            src_region: region(topo, src),
+            size,
+            epoch: topo.epoch(),
+        };
         // The scratch leaves `self` for the duration of the search so cell
         // rebuilds (which need `&mut self`) can interleave with
         // relaxations.
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.begin(topo.node_count());
-        scratch.set_dist(src, SimDuration::ZERO);
-        scratch
-            .heap
-            .push(std::cmp::Reverse((SimDuration::ZERO, src.0)));
+        let mut scratch = std::mem::take(&mut self.search);
+        if self.live != Some(key) {
+            self.live = Some(key);
+            self.stats.overlay_queries += 1;
+            scratch.begin(topo.node_count(), dst);
+        }
+        let transit = self.settle_until(topo, &mut scratch, key, src);
+        let route = transit.map(|transit| {
+            self.read_path(topo, &scratch, src, dst, size);
+            Arc::new(Route {
+                links: self.path.clone(),
+                transit,
+            })
+        });
+        self.stats.settled += std::mem::take(&mut scratch.settled);
+        self.search = scratch;
+        route
+    }
 
-        while let Some(std::cmp::Reverse((d, u))) = scratch.heap.pop() {
-            let u = NodeId(u);
-            if scratch.dist(u) != Some(d) {
-                continue;
+    /// Advances the multilevel search until `target`'s label is final:
+    /// full link granularity inside the destination's and the source's
+    /// regions, border cliques everywhere else. Returns the exact shortest
+    /// transit, or `None` once the search has run dry without reaching
+    /// `target`.
+    fn settle_until(
+        &mut self,
+        topo: &Topology,
+        scratch: &mut Scratch,
+        key: SearchKey,
+        target: NodeId,
+    ) -> Option<SimDuration> {
+        let dst_region = region(topo, key.dst);
+        loop {
+            if let Some(label) = scratch.label(target).filter(|l| l.dist <= scratch.frontier) {
+                return Some(label.dist);
             }
-            scratch.settled += 1;
-            if u == dst {
-                break;
-            }
-            let ru = topo.region_of(u).expect("fully assigned").0;
-            if ru == open_a || ru == open_b {
-                // Open region: relax every live incident link.
-                for &lid in topo.links_of(u) {
-                    let link = topo.link(lid);
-                    if !link.is_up() {
-                        continue;
-                    }
-                    let Some(v) = link.opposite(u) else { continue };
-                    if topo.node(v).is_up() {
-                        scratch.relax(v, d + link.transit(size), Prev::Link(lid));
-                    }
+            let (d, u) = scratch.settle()?;
+            let ru = region(topo, u);
+            let open = ru == dst_region || ru == key.src_region;
+            for &lid in topo.links_of(u) {
+                let link = topo.link(lid);
+                if !link.is_up() {
+                    continue;
                 }
-            } else {
+                let Some(v) = link.opposite(u) else { continue };
+                // Inside a closed region only its clique moves, below.
+                if topo.node(v).is_up() && (open || region(topo, v) != ru) {
+                    scratch.relax(v, d + link.transit(key.size), lid.0);
+                }
+            }
+            if !open {
                 // `u` is a border of a closed region (interior nodes of
                 // closed regions are only reachable through cliques, which
-                // jump straight to borders). Relax its inter-region links
-                // plus its region's clique.
-                for &lid in topo.links_of(u) {
-                    let link = topo.link(lid);
-                    if !link.is_up() {
-                        continue;
-                    }
-                    let Some(v) = link.opposite(u) else { continue };
-                    if !topo.node(v).is_up() || topo.region_of(v).expect("fully assigned").0 == ru {
-                        continue;
-                    }
-                    scratch.relax(v, d + link.transit(size), Prev::Link(lid));
-                }
-                self.ensure_cell(topo, ru, size);
-                let cell = &self.cells[&(ru, size)];
+                // jump straight to borders).
+                self.ensure_cell(topo, ru, key.size);
+                let cell = &self.cells[&(ru, key.size)];
                 let borders = &self.borders[ru as usize];
-                let b = borders.len();
-                let i = self.border_idx[u.0 as usize] as usize;
-                debug_assert!(i < b, "settled interior node of a closed region");
+                let i = border_index(borders, u);
                 for (j, &to) in borders.iter().enumerate() {
                     if j == i {
                         continue;
                     }
-                    if let Some(cd) = cell.dist[i * b + j] {
-                        scratch.relax(
-                            to,
-                            d + cd,
-                            Prev::Cut {
-                                region: ru,
-                                from: u,
-                            },
-                        );
+                    if let Some(cd) = cell.dist(borders.len(), i, j) {
+                        scratch.relax(to, d + cd, CUT | u.0);
                     }
                 }
             }
         }
-
-        let result = scratch.dist(dst).map(|transit| {
-            let mut links = Vec::new();
-            let mut cur = dst;
-            while cur != src {
-                match scratch.prev(cur).expect("path reconstruction") {
-                    Prev::Link(lid) => {
-                        links.push(lid);
-                        cur = topo.link(lid).opposite(cur).expect("link endpoint");
-                    }
-                    Prev::Cut { region, from } => {
-                        let cell = &self.cells[&(region, size)];
-                        let b = self.borders[region as usize].len();
-                        let i = self.border_idx[from.0 as usize] as usize;
-                        let j = self.border_idx[cur.0 as usize] as usize;
-                        for &lid in cell.paths[i * b + j].iter().rev() {
-                            links.push(lid);
-                        }
-                        cur = from;
-                    }
-                }
-            }
-            links.reverse();
-            (transit, links)
-        });
-        self.stats.settled += std::mem::take(&mut scratch.settled);
-        self.scratch = scratch;
-        result
     }
+
+    /// Reads the path `src → dst` off the search's predecessor links into
+    /// `self.path`.
+    fn read_path(
+        &mut self,
+        topo: &Topology,
+        scratch: &Scratch,
+        src: NodeId,
+        dst: NodeId,
+        size: u64,
+    ) {
+        self.path.clear();
+        let mut cur = src;
+        while cur != dst {
+            let prev = scratch.label(cur).expect("path reconstruction").prev;
+            if prev & CUT == 0 {
+                self.path.push(LinkId(prev));
+                cur = topo
+                    .link(LinkId(prev))
+                    .opposite(cur)
+                    .expect("link endpoint");
+            } else {
+                let from = NodeId(prev & !CUT);
+                let r = region(topo, cur);
+                let borders = &self.borders[r as usize];
+                self.cells[&(r, size)].push_path(
+                    borders.len(),
+                    border_index(borders, cur),
+                    border_index(borders, from),
+                    &mut self.path,
+                );
+                cur = from;
+            }
+        }
+    }
+}
+
+/// Index of border `node` among the `borders` of its region.
+fn border_index(borders: &[NodeId], node: NodeId) -> usize {
+    borders
+        .binary_search(&node)
+        .expect("only borders are settled in a closed region")
+}
+
+/// The region of `node` on a fully assigned topology.
+fn region(topo: &Topology, node: NodeId) -> u32 {
+    topo.region_of(node).expect("fully assigned").0
+}
+
+/// True when no region `entry`'s route crosses was touched after the
+/// entry was last validated, so every hop is as it was. An unreachable
+/// answer crosses nothing: only an improving mutation can overturn it, and
+/// those clear the memo.
+fn untouched_since(topo: &Topology, src: NodeId, dst: NodeId, entry: &CachedEntry) -> bool {
+    let fresh = |node| topo.region_epoch(RegionId(region(topo, node))) <= entry.validated;
+    entry.route.as_ref().is_none_or(|route| {
+        fresh(src)
+            && fresh(dst)
+            && route.links.iter().all(|&lid| {
+                let spec = topo.link(lid).spec();
+                fresh(spec.a) && fresh(spec.b)
+            })
+    })
 }
 
 /// The route resolver of one event-loop core: the flat epoch-flushed

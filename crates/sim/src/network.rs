@@ -80,9 +80,10 @@ pub struct Topology {
     /// Region of each node (`NO_REGION` when unassigned), parallel to
     /// `nodes`.
     node_regions: Vec<u32>,
-    /// Per-region epochs: bump when a mutation touches the region. A
-    /// hierarchical cache keyed on a region's epoch evicts only entries
-    /// that cross the mutated region.
+    /// Per region, the routing epoch of the last mutation that touched
+    /// it. A hierarchical cache that stamps an entry with the routing
+    /// epoch it was valid at evicts only entries that cross a region
+    /// touched since.
     region_epochs: Vec<u64>,
     /// Bumps on every mutation that can *create or improve* a path
     /// (node/link recovery, node/link addition). Degradations (taking a
@@ -135,11 +136,11 @@ impl Topology {
         let id = LinkId(self.links.len() as u32);
         self.adjacency[spec.a.0 as usize].push(id);
         self.adjacency[spec.b.0 as usize].push(id);
-        self.bump_region_of(spec.a);
-        self.bump_region_of(spec.b);
-        self.links.push(Link::new(id, spec));
         self.epoch += 1;
         self.improve_epoch += 1;
+        self.touch_region_of(spec.a);
+        self.touch_region_of(spec.b);
+        self.links.push(Link::new(id, spec));
         id
     }
 
@@ -156,7 +157,7 @@ impl Topology {
         if node.is_up() != up {
             node.set_up(up);
             self.epoch += 1;
-            self.bump_region_of(id);
+            self.touch_region_of(id);
             if up {
                 // A recovery can create new shortest paths anywhere.
                 self.improve_epoch += 1;
@@ -176,8 +177,8 @@ impl Topology {
             link.set_up(up);
             let (a, b) = (link.spec().a, link.spec().b);
             self.epoch += 1;
-            self.bump_region_of(a);
-            self.bump_region_of(b);
+            self.touch_region_of(a);
+            self.touch_region_of(b);
             if up {
                 // A recovery can create new shortest paths anywhere.
                 self.improve_epoch += 1;
@@ -185,11 +186,12 @@ impl Topology {
         }
     }
 
-    /// Bumps the epoch of `node`'s region, if it has one.
-    fn bump_region_of(&mut self, node: NodeId) {
+    /// Moves the epoch of `node`'s region, if it has one, to the routing
+    /// epoch, which the caller has just bumped.
+    fn touch_region_of(&mut self, node: NodeId) {
         let r = self.node_regions[node.0 as usize];
         if r != NO_REGION {
-            self.region_epochs[r as usize] += 1;
+            self.region_epochs[r as usize] = self.epoch;
         }
     }
 
@@ -198,9 +200,9 @@ impl Topology {
     /// Assigns `node` to `region`, growing the region table as needed.
     ///
     /// Region membership feeds hierarchical routing, so reassignment
-    /// conservatively bumps *every* region epoch (cached routes stamp the
-    /// regions they cross under the old assignment) plus the global and
-    /// improve epochs. Assignment is expected at build time — topology
+    /// conservatively touches *every* region (cached routes crossed their
+    /// regions under the old assignment) and bumps the global and improve
+    /// epochs. Assignment is expected at build time — topology
     /// generators call this once per node before any traffic flows.
     ///
     /// # Panics
@@ -215,9 +217,7 @@ impl Topology {
         self.epoch += 1;
         self.improve_epoch += 1;
         self.assign_epoch += 1;
-        for e in &mut self.region_epochs {
-            *e += 1;
-        }
+        self.region_epochs.fill(self.epoch);
     }
 
     /// Stamp of the region assignment; bumps on every
@@ -253,9 +253,11 @@ impl Topology {
         !self.node_regions.is_empty() && self.node_regions.iter().all(|&r| r != NO_REGION)
     }
 
-    /// The epoch of one region: bumps whenever a mutation touches the
-    /// region (a node in it flaps, a link with an endpoint in it flaps or
-    /// is added, or region membership changes).
+    /// The epoch of one region: the routing epoch ([`Topology::epoch`]) of
+    /// the last mutation that touched the region (a node in it flapped, a
+    /// link with an endpoint in it flapped or was added, or region
+    /// membership changed). Whatever was valid at a routing epoch no
+    /// lower than this has not been affected by a mutation in the region.
     ///
     /// # Panics
     ///
@@ -922,7 +924,9 @@ mod tests {
         let (f0, f1) = (t.region_epoch(RegionId(0)), t.region_epoch(RegionId(1)));
         t.set_link_up(LinkId(1), false); // b -- c crosses regions 0 and 1
         assert_eq!(t.region_epoch(RegionId(0)), f0 + 1);
-        assert_eq!(t.region_epoch(RegionId(1)), f1 + 1);
+        assert!(t.region_epoch(RegionId(1)) > f1);
+        // A region's epoch is the routing epoch of its last touch.
+        assert_eq!(t.region_epoch(RegionId(1)), t.epoch());
     }
 
     #[test]

@@ -302,8 +302,9 @@ mod sharded {
 // ---------------------------------------------------------------------
 // Hierarchical router: same exactness bar as the flat cache — every
 // served route must match a fresh whole-graph Dijkstra — plus the
-// partial-invalidation contract: a degrading flap evicts only routes
-// crossing the flapped region.
+// partial-invalidation contract (a degrading flap evicts only routes
+// crossing the flapped region) and the shared search: misses to one
+// destination resume one search, whatever is asked in between.
 // ---------------------------------------------------------------------
 
 mod hier {
@@ -316,14 +317,20 @@ mod hier {
 
     const SIZES: [u64; 3] = [64, 4096, 262_144];
 
-    /// Four 6-node regions, each a ring with a chord; regions joined in a
-    /// ring through two border nodes each, plus one cross-link — plenty
-    /// of alternative paths so flaps reroute instead of partitioning.
+    /// Four 6-node regions; see [`ring_of_regions`].
     fn regioned_topology() -> Topology {
+        ring_of_regions(4)
+    }
+
+    /// `regions` 6-node regions, each a ring with a chord; regions joined
+    /// in a ring through two border nodes each, plus one cross-link —
+    /// plenty of alternative paths so flaps reroute instead of
+    /// partitioning.
+    fn ring_of_regions(regions: usize) -> Topology {
         let mut t = Topology::new();
         let mut rng = SimRng::seed_from(0x9e61);
         let mut nodes = Vec::new();
-        for r in 0..4u32 {
+        for r in 0..regions as u32 {
             let ids: Vec<NodeId> = (0..6)
                 .map(|i| {
                     let id = t.add_node(NodeSpec::new(format!("r{r}n{i}"), 10.0));
@@ -349,8 +356,8 @@ mod hier {
         }
         // Region ring: r connects to r+1 through two distinct border
         // pairs, so single inter-region link loss reroutes.
-        for r in 0..4usize {
-            let next = (r + 1) % 4;
+        for r in 0..regions {
+            let next = (r + 1) % regions;
             t.add_link(LinkSpec::new(
                 nodes[r][1],
                 nodes[next][4],
@@ -374,9 +381,62 @@ mod hier {
         t
     }
 
-    /// Served routes must equal fresh Dijkstra answers: same
+    /// A served route must equal the fresh Dijkstra answer: same
     /// reachability, same transit, live hops, and a path whose summed
     /// cost is its claimed transit.
+    fn check_query(
+        router: &mut HierRouter,
+        topo: &Topology,
+        (src, dst, size): (NodeId, NodeId, u64),
+        ctx: &str,
+    ) {
+        let served = router.resolve(topo, src, dst, size);
+        let fresh = topo.route(src, dst, size);
+        match (served, fresh) {
+            (None, None) => {}
+            (Some(c), Some(f)) => {
+                assert_eq!(
+                    c.transit, f.transit,
+                    "{ctx}: hier transit {src:?}->{dst:?} not shortest"
+                );
+                if src != dst {
+                    let mut cost = SimDuration::ZERO;
+                    let mut cur = src;
+                    for &lid in &c.links {
+                        let link = topo.link(lid);
+                        assert!(link.is_up(), "{ctx}: served route uses down {lid:?}");
+                        cost += link.transit(size);
+                        cur = link.opposite(cur).expect("contiguous path");
+                        assert!(
+                            topo.node(cur).is_up(),
+                            "{ctx}: served route crosses a down node"
+                        );
+                    }
+                    assert_eq!(cur, dst, "{ctx}: path must reach dst");
+                    assert_eq!(
+                        cost, c.transit,
+                        "{ctx}: claimed transit is not the path cost"
+                    );
+                }
+            }
+            (c, f) => panic!(
+                "{ctx}: hier and fresh disagree on reachability \
+                 {src:?}->{dst:?}: hier={:?} fresh={:?}",
+                c.map(|r| r.transit),
+                f.map(|r| r.transit)
+            ),
+        }
+    }
+
+    fn random_node(topo: &Topology, rng: &mut SimRng) -> NodeId {
+        NodeId(rng.below(topo.node_count() as u64) as u32)
+    }
+
+    fn random_size(rng: &mut SimRng) -> u64 {
+        SIZES[rng.below(SIZES.len() as u64) as usize]
+    }
+
+    /// Four independent random queries.
     fn check_probes(
         router: &mut HierRouter,
         topo: &Topology,
@@ -385,49 +445,12 @@ mod hier {
         step: usize,
     ) {
         for _ in 0..4 {
-            let n = topo.node_count() as u64;
-            let src = NodeId(rng.below(n) as u32);
-            let dst = NodeId(rng.below(n) as u32);
-            let size = SIZES[rng.below(SIZES.len() as u64) as usize];
-            let served = router.resolve(topo, src, dst, size);
-            let fresh = topo.route(src, dst, size);
-            match (served, fresh) {
-                (None, None) => {}
-                (Some(c), Some(f)) => {
-                    assert_eq!(
-                        c.transit, f.transit,
-                        "seed {seed} step {step}: hier transit {src:?}->{dst:?} not shortest"
-                    );
-                    if src != dst {
-                        let mut cost = SimDuration::ZERO;
-                        let mut cur = src;
-                        for &lid in &c.links {
-                            let link = topo.link(lid);
-                            assert!(
-                                link.is_up(),
-                                "seed {seed} step {step}: served route uses down {lid:?}"
-                            );
-                            cost += link.transit(size);
-                            cur = link.opposite(cur).expect("contiguous path");
-                            assert!(
-                                topo.node(cur).is_up(),
-                                "seed {seed} step {step}: served route crosses a down node"
-                            );
-                        }
-                        assert_eq!(cur, dst, "seed {seed} step {step}: path must reach dst");
-                        assert_eq!(
-                            cost, c.transit,
-                            "seed {seed} step {step}: claimed transit is not the path cost"
-                        );
-                    }
-                }
-                (c, f) => panic!(
-                    "seed {seed} step {step}: hier and fresh disagree on reachability \
-                     {src:?}->{dst:?}: hier={:?} fresh={:?}",
-                    c.map(|r| r.transit),
-                    f.map(|r| r.transit)
-                ),
-            }
+            let query = (
+                random_node(topo, rng),
+                random_node(topo, rng),
+                random_size(rng),
+            );
+            check_query(router, topo, query, &format!("seed {seed} step {step}"));
         }
     }
 
@@ -521,5 +544,208 @@ mod hier {
             after.stale_evictions + 2,
             "an improving flap must invalidate everything: {recovered:?}"
         );
+    }
+
+    /// A node of `region` (regions are 6 consecutive node ids).
+    fn node_in(region: u64, rng: &mut SimRng) -> NodeId {
+        NodeId((region * 6 + rng.below(6)) as u32)
+    }
+
+    /// Runs of queries that share a destination, alternate between two,
+    /// or hop between source regions, interleaved with degrade-only and
+    /// recovering flaps: what the live search is resumed for, restarted
+    /// for, and invalidated by.
+    fn run_shared_schedule(seed: u64, regions: usize) {
+        let mut rng = SimRng::seed_from(seed ^ 0x5EA2C4);
+        let mut topo = ring_of_regions(regions);
+        let mut router = HierRouter::new();
+        let mut downed: Vec<LinkId> = Vec::new();
+        for step in 0..60 {
+            let ctx = format!("seed {seed} regions {regions} step {step}");
+            match rng.below(4) {
+                0 => {
+                    // Degrade only: the improve epoch stands.
+                    let id = LinkId(rng.below(topo.link_count() as u64) as u32);
+                    topo.set_link_up(id, false);
+                    downed.push(id);
+                }
+                1 => {
+                    if rng.chance(0.5) {
+                        let node = random_node(&topo, &mut rng);
+                        topo.set_node_up(node, false);
+                    } else if let Some(id) = downed.pop() {
+                        topo.set_link_up(id, true);
+                    } else {
+                        for node in topo.node_ids().collect::<Vec<_>>() {
+                            topo.set_node_up(node, true);
+                        }
+                    }
+                }
+                _ => {}
+            }
+            let size = random_size(&mut rng);
+            let dst = random_node(&topo, &mut rng);
+            let other = random_node(&topo, &mut rng);
+            let region = rng.below(regions as u64);
+            let other_region = rng.below(regions as u64);
+            for i in 0..8 {
+                let query = match step % 3 {
+                    // One destination, sources of one region.
+                    0 => (node_in(region, &mut rng), dst, size),
+                    // Two destinations, alternating.
+                    1 => (node_in(region, &mut rng), [dst, other][i % 2], size),
+                    // One destination, alternating source regions.
+                    _ => (node_in([region, other_region][i % 2], &mut rng), dst, size),
+                };
+                check_query(&mut router, &topo, query, &ctx);
+            }
+        }
+        let stats = router.stats();
+        assert!(
+            stats.overlay_queries < stats.misses,
+            "seed {seed}: no miss ever resumed a search: {stats:?}"
+        );
+    }
+
+    #[test]
+    fn shared_search_matches_fresh_dijkstra_across_64_schedules() {
+        for seed in 0..64 {
+            run_shared_schedule(seed, 4);
+        }
+    }
+
+    #[test]
+    fn shared_search_holds_above_64_regions() {
+        for seed in 0..8 {
+            run_shared_schedule(seed, 70);
+        }
+    }
+
+    #[test]
+    fn misses_of_one_region_to_one_destination_share_one_search() {
+        let topo = regioned_topology();
+        let mut router = HierRouter::new();
+        let dst = NodeId(15); // region 2
+        for src in 0..6 {
+            check_query(&mut router, &topo, (NodeId(src), dst, 64), "region 0");
+        }
+        let stats = router.stats();
+        assert_eq!(stats.misses, 6);
+        assert_eq!(
+            stats.overlay_queries, 1,
+            "six misses, one search: {stats:?}"
+        );
+        // Another source region is another search, rooted at the same
+        // destination; so is the first region again after it.
+        check_query(&mut router, &topo, (NodeId(20), dst, 64), "region 3");
+        assert_eq!(router.stats().overlay_queries, 2);
+    }
+
+    #[test]
+    fn a_region_with_every_border_down_is_cut_off_not_mis_routed() {
+        let mut topo = regioned_topology();
+        // Region 1 is nodes 6..12; its borders are the endpoints of its
+        // inter-region links.
+        let borders: Vec<NodeId> = (6..12)
+            .map(NodeId)
+            .filter(|&n| {
+                topo.links_of(n).iter().any(|&l| {
+                    let s = topo.link(l).spec();
+                    topo.region_of(s.a) != topo.region_of(s.b)
+                })
+            })
+            .collect();
+        let interior: Vec<NodeId> = (6..12)
+            .map(NodeId)
+            .filter(|n| !borders.contains(n))
+            .collect();
+        assert!(!interior.is_empty(), "region 1 needs an interior node");
+        let mut router = HierRouter::new();
+        // Warm routes into, out of and across region 1 first, so the
+        // degrading flaps have memo entries to evict.
+        let probes = [
+            (interior[0], NodeId(0)),
+            (NodeId(0), interior[0]),
+            (NodeId(0), NodeId(15)),
+            (NodeId(20), NodeId(3)),
+        ];
+        for &(src, dst) in &probes {
+            check_query(&mut router, &topo, (src, dst, 64), "warm");
+        }
+        for &b in &borders {
+            topo.set_node_up(b, false);
+        }
+        assert!(topo.route(interior[0], NodeId(0), 64).is_none());
+        for round in 0..2 {
+            for &(src, dst) in &probes {
+                check_query(&mut router, &topo, (src, dst, 64), &format!("cut {round}"));
+            }
+        }
+    }
+
+    #[test]
+    fn an_unreachable_source_asked_twice_is_searched_once() {
+        let mut topo = regioned_topology();
+        // Isolate node 9 (region 1): every incident link goes down.
+        let lonely = NodeId(9);
+        for l in topo.links_of(lonely).to_vec() {
+            topo.set_link_up(l, false);
+        }
+        let mut router = HierRouter::new();
+        check_query(&mut router, &topo, (lonely, NodeId(15), 64), "first");
+        let first = router.stats();
+        assert_eq!(first.overlay_queries, 1);
+        check_query(&mut router, &topo, (lonely, NodeId(15), 64), "second");
+        let second = router.stats();
+        assert_eq!(second.hits, first.hits + 1, "negative answers memoize");
+        assert_eq!(
+            (second.overlay_queries, second.settled),
+            (first.overlay_queries, first.settled),
+            "the second answer must come without a new search"
+        );
+        // A neighbour in the same region resumes the search that ran dry.
+        check_query(&mut router, &topo, (NodeId(8), NodeId(15), 64), "neighbour");
+        let third = router.stats();
+        assert_eq!(third.overlay_queries, 1, "same destination, same region");
+        assert_eq!(
+            third.settled, second.settled,
+            "a dry search settles nothing"
+        );
+    }
+
+    /// Satellite regression: a pair that is never asked again (a channel
+    /// rebound by mobility, closed after a migration) must not stay in
+    /// the memo for the life of the kernel.
+    #[test]
+    fn memo_never_outgrows_the_live_pairs_across_rebinds_and_recoveries() {
+        let mut rng = SimRng::seed_from(0x1EAC);
+        let mut topo = regioned_topology();
+        let mut router = HierRouter::new();
+        let mut live: Vec<(NodeId, NodeId)> = (0..12)
+            .map(|_| (random_node(&topo, &mut rng), random_node(&topo, &mut rng)))
+            .collect();
+        for round in 0..200 {
+            // One pair is rebound: its old endpoints are never asked again.
+            let slot = rng.below(live.len() as u64) as usize;
+            live[slot] = (random_node(&topo, &mut rng), random_node(&topo, &mut rng));
+            // A flap that recovers: every memoized route goes stale.
+            let link = LinkId(rng.below(topo.link_count() as u64) as u32);
+            topo.set_link_up(link, false);
+            topo.set_link_up(link, true);
+            for &(src, dst) in &live {
+                check_query(
+                    &mut router,
+                    &topo,
+                    (src, dst, 64),
+                    &format!("round {round}"),
+                );
+            }
+            assert!(
+                router.cached_queries() <= live.len(),
+                "round {round}: {} entries for {} live pairs",
+                router.cached_queries(),
+                live.len()
+            );
+        }
     }
 }
