@@ -65,16 +65,7 @@ impl Runtime {
         // from a down node (or across a dead route) fails in the kernel —
         // that silence is exactly what accrues suspicion.
         for w in &drt.watched {
-            let env = Envelope {
-                msg: Message::event("heartbeat", Value::Null),
-                from: self.external,
-                to: self.external,
-                extra_cost: 0.0,
-                via: None,
-                attempt: 0,
-                kind: EnvKind::Heartbeat(w.node),
-            };
-            let _ = self.kernel.send(w.channel, env, 16);
+            let _ = self.kernel.send(w.channel, MsgRef::heartbeat(w.node), 16);
         }
         let events = drt.detector.evaluate(now);
         let mut max_phi: f64 = 0.0;

@@ -1,33 +1,45 @@
 use super::*;
 
 impl Runtime {
-    /// Schedules a backed-off redelivery for a dropped envelope if the
-    /// mediating connector carries a retry policy with attempts to spare.
-    pub(super) fn maybe_retry(&mut self, mut env: Envelope) {
-        let Some(policy) = env
-            .via
-            .and_then(|via| self.connectors.get(via))
-            .and_then(|c| c.spec().retry)
-        else {
-            return;
-        };
-        // The negotiated retry budget caps (never raises) the connector's
-        // own policy.
-        let max_attempts = match self.negotiate_retry_cap(self.instances.name(env.to)) {
-            Some(cap) => policy.max_attempts.min(cap),
-            None => policy.max_attempts,
-        };
-        if env.attempt + 1 >= max_attempts {
-            return;
+    /// Puts the stored message `r` on `ch`. A refused send is counted
+    /// and, like any other drop, offered to the connector's retry policy.
+    pub(super) fn send_on(&mut self, ch: ChannelId, r: MsgRef, size: u64) {
+        if !self.kernel.send(ch, r, size).is_sent() {
+            self.m.dropped.incr();
+            self.maybe_retry(r);
         }
-        let delay = policy.delay_for(env.attempt);
-        env.attempt += 1;
-        self.m.retries.incr();
-        self.arm(delay, TimerPurpose::Retry(env));
     }
 
-    /// Re-sends a retried envelope over its binding's current channel.
-    pub(super) fn resend(&mut self, env: Envelope) {
+    /// What becomes of a dropped message: parked for a backed-off
+    /// redelivery if the mediating connector carries a retry policy with
+    /// attempts to spare, gone otherwise.
+    pub(super) fn maybe_retry(&mut self, r: MsgRef) {
+        let env = &self.arena[r];
+        let policy = env
+            .via
+            .and_then(|via| self.connectors.get(via))
+            .and_then(|c| c.spec().retry);
+        let back_off = policy.and_then(|policy| {
+            // The negotiated retry budget caps (never raises) the
+            // connector's own policy.
+            let max_attempts = match self.negotiate_retry_cap(self.instances.name(env.to)) {
+                Some(cap) => policy.max_attempts.min(cap),
+                None => policy.max_attempts,
+            };
+            (env.attempt + 1 < max_attempts).then(|| policy.delay_for(env.attempt))
+        });
+        let Some(delay) = back_off else {
+            return self.arena.free(r);
+        };
+        self.arena[r].attempt += 1;
+        self.m.retries.incr();
+        self.arena.set_stage(r, Stage::Retry);
+        self.arm_message(delay, r);
+    }
+
+    /// Re-sends a retried message over its binding's current channel.
+    pub(super) fn resend(&mut self, r: MsgRef) {
+        let env = &self.arena[r];
         let channel = env.via.and_then(|via| {
             let sender = self.instances.get(env.from)?;
             sender
@@ -38,14 +50,11 @@ impl Runtime {
                 .find_map(|b| b.targets.iter().find(|(to, _)| *to == env.to))
         });
         let Some(&(_, ch)) = channel else {
-            return; // binding went away; the retry dies quietly
+            return self.arena.free(r); // binding went away; the retry dies quietly
         };
         let size = env.msg.wire_size();
-        let backup = env.clone();
-        if !self.kernel.send(ch, env, size).is_sent() {
-            self.m.dropped.incr();
-            self.maybe_retry(backup);
-        }
+        self.arena.set_stage(r, Stage::Transit);
+        self.send_on(ch, r, size);
     }
 
     /// Rebinds every channel touching `id`'s instance to its new node.
@@ -82,27 +91,30 @@ impl Runtime {
         }
     }
 
-    /// Counts a delivery-time drop, reports it and offers it for retry.
-    fn drop_at_delivery(&mut self, env: Envelope, now: SimTime, reason: String) {
+    /// Counts a drop in transit or at delivery, reports it and offers the
+    /// message for retry.
+    pub(super) fn on_dropped(&mut self, r: MsgRef, now: SimTime, reason: String) {
         self.m.dropped.incr();
         self.events.push((now, RuntimeEvent::Dropped { reason }));
-        self.maybe_retry(env);
+        self.maybe_retry(r);
     }
 
-    pub(super) fn on_delivered(&mut self, env: Envelope, now: SimTime) {
-        let Some(inst) = self.instances.get(env.to) else {
+    pub(super) fn on_delivered(&mut self, r: MsgRef, now: SimTime) {
+        let env = &self.arena[r];
+        let to = env.to;
+        let Some(inst) = self.instances.get(to) else {
             self.m.dropped.incr();
             self.events.push((
                 now,
                 RuntimeEvent::Dropped {
-                    reason: format!("no instance `{}`", self.instances.name(env.to)),
+                    reason: format!("no instance `{}`", self.instances.name(to)),
                 },
             ));
-            return;
+            return self.arena.free(r);
         };
         if inst.lifecycle == Lifecycle::Failed {
             let reason = format!("instance `{}` failed", inst.name);
-            return self.drop_at_delivery(env, now, reason);
+            return self.on_dropped(r, now, reason);
         }
         // Negotiation admission gate: a granted-down agent sheds the
         // overflow deterministically and cheapens what it does admit.
@@ -110,24 +122,27 @@ impl Runtime {
         if !admit {
             self.negotiate.shed_total += 1;
             self.m.shed.incr();
-            return;
+            return self.arena.free(r);
         }
         let cost = (env.extra_cost + inst.component.work_cost(&env.msg)) * cost_scale;
         let Some(delay) = self.kernel.run_job(inst.node, cost) else {
             let reason = format!("node for `{}` down", inst.name);
-            return self.drop_at_delivery(env, now, reason);
+            return self.on_dropped(r, now, reason);
         };
         self.m.delivered.incr();
-        self.instances
-            .get_mut(env.to)
-            .expect("found above")
-            .inflight += 1;
-        self.arm(delay, TimerPurpose::JobDone(env));
+        self.instances.get_mut(to).expect("found above").inflight += 1;
+        self.arena.set_stage(r, Stage::InService);
+        self.arm_message(delay, r);
     }
 
-    pub(super) fn on_job_done(&mut self, env: Envelope, now: SimTime) {
-        let Some(inst) = self.instances.get_mut(env.to) else {
-            return;
+    /// The handler job of the stored message `r` finished: the target
+    /// handles the message where it lies, and the slot is free once the
+    /// effects — which may reply to it — are applied.
+    pub(super) fn on_job_done(&mut self, r: MsgRef, now: SimTime) {
+        let env = &self.arena[r];
+        let to = env.to;
+        let Some(inst) = self.instances.get_mut(to) else {
+            return self.arena.free(r);
         };
         inst.inflight = inst.inflight.saturating_sub(1);
 
@@ -173,7 +188,8 @@ impl Runtime {
         if drained {
             inst.lifecycle = Lifecycle::Quiescent;
         }
-        self.apply_effects(env.to, effects, Some(&env), now);
+        self.apply_effects(to, effects, Some(r), now);
+        self.arena.free(r);
         if drained {
             self.advance_reconfig();
         }
@@ -196,7 +212,6 @@ impl Runtime {
         let via = binding.via;
         let connector = self.connectors.get_mut(via).expect("bound connector");
         let mediation = connector.mediate(&msg, now, binding.targets.len());
-        let has_retry = connector.spec().retry.is_some();
         if let Some(v) = &mediation.violation {
             self.events.push((
                 now,
@@ -219,16 +234,9 @@ impl Runtime {
                 msg.clone()
             }
             .expect("taken only for the last target");
-            let mut env = self.finalize(from, to, copy, Some(via));
-            env.extra_cost = mediation.extra_cost;
-            let size = (env.msg.wire_size() as f64 * mediation.size_factor) as u64;
-            let backup = has_retry.then(|| env.clone());
-            if !self.kernel.send(ch, env, size).is_sent() {
-                self.m.dropped.incr();
-                if let Some(env) = backup {
-                    self.maybe_retry(env);
-                }
-            }
+            let size = (copy.wire_size() as f64 * mediation.size_factor) as u64;
+            let r = self.admit(from, to, copy, Some(via), mediation.extra_cost);
+            self.send_on(ch, r, size);
         }
 
         // Deferred connector interchange: apply once the collaboration
@@ -247,21 +255,41 @@ impl Runtime {
         }
     }
 
-    /// Assigns id, per-flow sequence number, sender and timestamp to a
-    /// message copy headed for `to`, and registers pending requests.
-    pub(super) fn finalize(
+    /// Stores a message headed from `from` to `to` as it is sent.
+    pub(super) fn admit(
         &mut self,
         from: InstId,
         to: InstId,
-        mut msg: Message,
+        msg: Message,
         via: Option<ConnId>,
-    ) -> Envelope {
+        extra_cost: f64,
+    ) -> MsgRef {
+        let env = Envelope {
+            msg,
+            from,
+            to,
+            extra_cost,
+            via,
+            attempt: 0,
+        };
+        let r = self.arena.insert(env, Stage::Transit);
+        self.stamp(r);
+        r
+    }
+
+    /// Assigns id, per-flow sequence number, sender and timestamp to the
+    /// stored message `r` at the moment it is sent, and registers pending
+    /// requests.
+    pub(super) fn stamp(&mut self, r: MsgRef) {
+        let Envelope {
+            msg, from, to, via, ..
+        } = &mut self.arena[r];
         msg.id = MessageId(self.next_msg_id);
         self.next_msg_id += 1;
-        msg.from = self.instances.name(from).clone();
+        msg.from = self.instances.name(*from).clone();
         msg.sent_at = self.kernel.now();
         if msg.kind != MessageKind::Reply {
-            let seq = self.flow_seq.entry((from, to)).or_insert(0);
+            let seq = self.flow_seq.entry((*from, *to)).or_insert(0);
             msg.seq = *seq;
             *seq += 1;
             if let Some(conn) = via.and_then(|via| self.connectors.get_mut(via)) {
@@ -272,7 +300,7 @@ impl Runtime {
                         self.seq_key_buf,
                         "{}->{}",
                         msg.from,
-                        self.instances.name(to)
+                        self.instances.name(*to)
                     );
                     conn.observe_sequence(&self.seq_key_buf, msg.seq);
                 }
@@ -280,15 +308,6 @@ impl Runtime {
         }
         if msg.kind == MessageKind::Request {
             self.pending_requests.insert(msg.id, msg.sent_at);
-        }
-        Envelope {
-            msg,
-            from,
-            to,
-            extra_cost: 0.0,
-            via,
-            attempt: 0,
-            kind: EnvKind::Normal,
         }
     }
 
@@ -324,10 +343,8 @@ impl Runtime {
             .reply_channels
             .entry((from, to))
             .or_insert_with(|| kernel.open_channel(from_node, to_node));
-        let env = self.finalize(from, to, reply, None);
-        let size = env.msg.wire_size();
-        if !self.kernel.send(ch, env, size).is_sent() {
-            self.m.dropped.incr();
-        }
+        let size = reply.wire_size();
+        let r = self.admit(from, to, reply, None, 0.0);
+        self.send_on(ch, r, size);
     }
 }

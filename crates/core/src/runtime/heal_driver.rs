@@ -295,19 +295,15 @@ impl Runtime {
     pub(super) fn cancel_jobs_on(&mut self, node: NodeId, now: SimTime) {
         let instances = &mut self.instances;
         let mut lost: BTreeMap<Name, u64> = BTreeMap::new();
-        self.timers.retain(|_, purpose| {
-            let TimerPurpose::JobDone(env) = purpose else {
-                return true;
-            };
-            match instances.get_mut(env.to) {
+        self.arena
+            .cancel_in_service(|env| match instances.get_mut(env.to) {
                 Some(inst) if inst.node == node => {
                     inst.inflight = inst.inflight.saturating_sub(1);
                     *lost.entry(inst.name.clone()).or_insert(0) += 1;
-                    false
+                    true
                 }
-                _ => true,
-            }
-        });
+                _ => false,
+            });
         let mut drained = false;
         for (instance, count) in &lost {
             self.m.dropped.add(*count);

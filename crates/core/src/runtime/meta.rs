@@ -88,12 +88,12 @@ impl Runtime {
 
     /// Applies the effects a handler of `from` buffered, in order, and
     /// hands the emptied buffer back for the next handler call. `current`
-    /// is the envelope that handler was given, if it was a message.
+    /// is the message that handler was given, if it was given one.
     pub(super) fn apply_effects(
         &mut self,
         from: InstId,
         mut effects: Vec<Effect>,
-        current: Option<&Envelope>,
+        current: Option<MsgRef>,
         now: SimTime,
     ) {
         for effect in effects.drain(..) {
@@ -102,7 +102,7 @@ impl Runtime {
                     self.dispatch_send(from, &port, message);
                 }
                 Effect::Reply { value } => {
-                    if let Some(cur) = current {
+                    if let Some(cur) = current.map(|r| &self.arena[r]) {
                         if cur.msg.kind == MessageKind::Request {
                             let reply = Message::reply_to(&cur.msg, value);
                             self.route_reply(from, cur.from, reply, now);

@@ -52,7 +52,9 @@
 //! `structure` (deployment and structural edits), `table` (the
 //! name-indexed slot tables instances and connectors live in, so that the
 //! message path indexes by id and only the write path looks names up),
-//! `dispatch` (message routing, retries, replies), `exec` (the
+//! `arena` (the messages in flight, each stored once and passed around
+//! as a 4-byte handle), `dispatch` (message routing, retries, replies),
+//! `exec` (the
 //! transactional plan engine),
 //! `validate` (the up-front validation pass), `detect_driver` (heartbeat
 //! transport + phi-accrual ticks), `heal_driver` (repair planning and
@@ -66,7 +68,7 @@ use crate::coverage::{AdaptationCoverage, DetectPhase, PlanOutcome};
 use crate::detector::{DetectorConfig, DetectorEvent, FailureDetector};
 use crate::error::RuntimeError;
 use crate::heal::{PlanMutation, RepairPolicy};
-use crate::message::{Message, MessageId, MessageKind, Name, SequenceTracker, Value};
+use crate::message::{Message, MessageId, MessageKind, Name, SequenceTracker};
 use crate::raml::{
     ComponentObservation, ConnectorObservation, Intercession, NodeObservation, Raml, SystemSnapshot,
 };
@@ -81,6 +83,7 @@ use aas_sim::node::NodeId;
 use aas_sim::time::{SimDuration, SimTime};
 use std::collections::{BTreeMap, VecDeque};
 
+mod arena;
 mod detect_driver;
 mod dispatch;
 mod exec;
@@ -95,10 +98,12 @@ mod tests;
 mod twin;
 mod validate;
 
+pub use arena::InFlight;
 pub use metrics::{RouteStats, RuntimeMetrics};
 pub use negotiate_driver::{AgentProfile, CoordinationMode, NegotiateConfig, TWIN_AGENT};
 pub use twin::{TwinConfig, TwinPrediction};
 
+use arena::{Arena, MsgRef, Slots, Stage};
 use exec::{ExecState, PlanOrigin};
 use heal_driver::HealState;
 use metrics::MetricHandles;
@@ -115,19 +120,9 @@ fn ms(d: SimDuration) -> f64 {
     d.as_micros() as f64 / 1e3
 }
 
-/// What an envelope carries: application traffic or detector plumbing.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum EnvKind {
-    /// An ordinary application message.
-    Normal,
-    /// A failure-detector heartbeat emitted by the given node. Heartbeats
-    /// never reach a component; the runtime intercepts them at delivery.
-    Heartbeat(NodeId),
-}
-
-/// A message in transit between two component instances. It names its
-/// endpoints and its connector by table id, so it reaches whatever bears
-/// those names when it arrives.
+/// A message in flight between two component instances, stored once in
+/// the runtime's [`Arena`]. It names its endpoints and its connector by
+/// table id, so it reaches whatever bears those names when it arrives.
 #[derive(Debug, Clone)]
 struct Envelope {
     msg: Message,
@@ -140,7 +135,6 @@ struct Envelope {
     via: Option<ConnId>,
     /// How many times this copy has already been (re)sent.
     attempt: u32,
-    kind: EnvKind,
 }
 
 /// Noteworthy happenings surfaced to the embedding application.
@@ -216,27 +210,28 @@ struct BindingRt {
     targets: Vec<(InstId, ChannelId)>,
 }
 
-#[derive(Debug, Clone)]
+/// What a kernel timer the runtime armed for itself is for. (A timer that
+/// belongs to a message in flight is tagged with the message's handle
+/// instead and has no entry here.)
+#[derive(Debug, Clone, Copy)]
 enum TimerPurpose {
-    /// The handler job for this envelope finished on its target's node.
-    JobDone(Envelope),
     ComponentTimer {
         instance: InstId,
         tag: u64,
     },
     RamlTick,
     TransferDone,
-    Inject {
-        target: InstId,
-        message: Message,
-    },
     /// Periodic heartbeat emission + suspicion evaluation.
     DetectorTick,
     /// Periodic resource-negotiation round (see [`negotiate_driver`]).
     NegotiateTick,
-    /// A backed-off redelivery of a dropped envelope.
-    Retry(Envelope),
 }
+
+const _: () = {
+    const fn is_copy<T: Copy>() {}
+    is_copy::<TimerPurpose>();
+    assert!(std::mem::size_of::<TimerPurpose>() <= 16);
+};
 
 /// One watched node: its heartbeat channel to the monitor node and its
 /// `detector.phi.<node>` gauge.
@@ -293,7 +288,10 @@ struct DetectorRt {
 /// ```
 #[derive(Debug)]
 pub struct Runtime {
-    kernel: Kernel<Envelope>,
+    kernel: Kernel<MsgRef>,
+    /// Every message in flight; the kernel, its held queues and the
+    /// message timers carry handles into it.
+    arena: Arena,
     registry: ImplementationRegistry,
     /// The configuration graph (DESIGN.md §2.1): instances with their
     /// outgoing bindings, and connectors, each addressed by table id.
@@ -303,8 +301,9 @@ pub struct Runtime {
     external: InstId,
     /// Reply channels by `(replier, requester)`, opened on first use.
     reply_channels: BTreeMap<(InstId, InstId), ChannelId>,
-    /// What each pending kernel timer is for, by its tag.
-    timers: BTreeMap<u64, TimerPurpose>,
+    /// What each pending kernel timer of the runtime's own is for; the
+    /// timer's tag is the slot.
+    timers: Slots<TimerPurpose>,
     /// Per-flow send sequence numbers by `(sender, target)`.
     flow_seq: BTreeMap<(InstId, InstId), u64>,
     /// Reusable buffer for the `from->to` flow key a sequence-checking
@@ -366,12 +365,13 @@ impl Runtime {
         let external = instances.intern(EXTERNAL);
         Runtime {
             kernel,
+            arena: Arena::new(),
             registry,
             instances,
             connectors: Table::new(),
             external,
             reply_channels: BTreeMap::new(),
-            timers: BTreeMap::new(),
+            timers: Slots::new(),
             flow_seq: BTreeMap::new(),
             seq_key_buf: String::new(),
             effects_buf: Vec::new(),
@@ -408,19 +408,37 @@ impl Runtime {
             .instances
             .id(target)
             .ok_or_else(|| RuntimeError::UnknownComponent(target.to_owned()))?;
-        Ok(self.inject_into(target, msg).expect("target is live"))
+        let r = self.park_injection(target, msg);
+        Ok(self.launch(r).expect("target is live"))
     }
 
-    /// Sends an external message to whatever bears `target`'s name now;
-    /// `None` if nothing does.
-    fn inject_into(&mut self, target: InstId, msg: Message) -> Option<MessageId> {
-        let ch = self.instances.get(target)?.external;
-        let env = self.finalize(self.external, target, msg, None);
-        let id = env.msg.id;
-        let size = env.msg.wire_size();
-        if !self.kernel.send(ch, env, size).is_sent() {
-            self.m.dropped.incr();
-        }
+    /// Stores an external message for `target`, to be launched now or
+    /// when its timer fires.
+    fn park_injection(&mut self, target: InstId, msg: Message) -> MsgRef {
+        let env = Envelope {
+            msg,
+            from: self.external,
+            to: target,
+            extra_cost: 0.0,
+            via: None,
+            attempt: 0,
+        };
+        self.arena.insert(env, Stage::Inject)
+    }
+
+    /// Sends a parked injection to whatever bears its target's name now;
+    /// `None`, and the message is gone, if nothing does.
+    fn launch(&mut self, r: MsgRef) -> Option<MessageId> {
+        let Some(inst) = self.instances.get(self.arena[r].to) else {
+            self.arena.free(r);
+            return None;
+        };
+        let ch = inst.external;
+        self.arena.set_stage(r, Stage::Transit);
+        self.stamp(r);
+        let msg = &self.arena[r].msg;
+        let (id, size) = (msg.id, msg.wire_size());
+        self.send_on(ch, r, size);
         Some(id)
     }
 
@@ -439,20 +457,29 @@ impl Runtime {
             .instances
             .id(target)
             .ok_or_else(|| RuntimeError::UnknownComponent(target.to_owned()))?;
-        self.arm(
-            delay,
-            TimerPurpose::Inject {
-                target,
-                message: msg,
-            },
-        );
+        let r = self.park_injection(target, msg);
+        self.arm_message(delay, r);
         Ok(())
     }
 
     /// Schedules `purpose` for `delay` from now.
     fn arm(&mut self, delay: SimDuration, purpose: TimerPurpose) {
-        let tag = self.kernel.set_timer(delay);
-        self.timers.insert(tag, purpose);
+        let tag = self.timers.insert(purpose);
+        self.kernel.set_timer_with_tag(delay, u64::from(tag));
+    }
+
+    /// Schedules the one timer of the stored message `r`; what it means
+    /// when it fires is `r`'s stage then.
+    fn arm_message(&mut self, delay: SimDuration, r: MsgRef) {
+        self.kernel.set_timer_with_tag(delay, r.timer_tag());
+    }
+
+    /// How many messages are in flight right now, by where they are.
+    /// With message conservation this closes the books at any instant:
+    /// everything sent is delivered, dropped, shed or counted here.
+    #[must_use]
+    pub fn in_flight(&self) -> InFlight {
+        self.arena.in_flight()
     }
 
     // ------------------------------------------------------------------
@@ -463,36 +490,26 @@ impl Runtime {
     pub fn step(&mut self) -> Option<SimTime> {
         let (at, fired) = self.kernel.step()?;
         match fired {
-            Fired::Delivered { msg: env, .. } => {
-                if let EnvKind::Heartbeat(node) = env.kind {
+            Fired::Delivered { msg, .. } => match msg.as_heartbeat() {
+                Some(node) => {
                     if let Some(drt) = self.detector.as_mut() {
                         drt.detector.record_heartbeat(node, at);
                     }
-                } else {
-                    self.on_delivered(env, at);
                 }
-            }
+                None => self.on_delivered(msg, at),
+            },
             Fired::Timer { tag } => self.on_timer(tag, at),
             Fired::Fault(kind) => {
                 self.events.push((at, RuntimeEvent::Fault(kind)));
                 self.on_topology_fault(kind, at);
                 self.on_fault(kind);
             }
-            Fired::Dropped {
-                msg: env, reason, ..
-            } => {
+            Fired::Dropped { msg, reason, .. } => {
                 // A lost heartbeat *is* the detection signal, not loss.
-                if matches!(env.kind, EnvKind::Heartbeat(_)) {
+                if msg.as_heartbeat().is_some() {
                     return Some(at);
                 }
-                self.m.dropped.incr();
-                self.events.push((
-                    at,
-                    RuntimeEvent::Dropped {
-                        reason: reason.to_string(),
-                    },
-                ));
-                self.maybe_retry(env);
+                self.on_dropped(msg, at, reason.to_string());
             }
         }
         Some(at)
@@ -512,11 +529,13 @@ impl Runtime {
     }
 
     fn on_timer(&mut self, tag: u64, now: SimTime) {
-        let Some(purpose) = self.timers.remove(&tag) else {
-            return;
-        };
+        if let Some(r) = MsgRef::from_timer_tag(tag) {
+            return self.on_message_timer(r, now);
+        }
+        let tag = u32::try_from(tag).expect("a tag `arm` gave");
+        let purpose = *self.timers.get(tag);
+        self.timers.free(tag);
         match purpose {
-            TimerPurpose::JobDone(envelope) => self.on_job_done(envelope, now),
             TimerPurpose::ComponentTimer { instance, tag } => {
                 if let Some(inst) = self.instances.get_mut(instance) {
                     let buf = std::mem::take(&mut self.effects_buf);
@@ -528,12 +547,23 @@ impl Runtime {
             }
             TimerPurpose::RamlTick => self.on_raml_tick(now),
             TimerPurpose::TransferDone => self.advance_reconfig(),
-            TimerPurpose::Inject { target, message } => {
-                let _ = self.inject_into(target, message);
-            }
             TimerPurpose::DetectorTick => self.on_detector_tick(now),
             TimerPurpose::NegotiateTick => self.on_negotiate_tick(now),
-            TimerPurpose::Retry(envelope) => self.resend(envelope),
+        }
+    }
+
+    /// The timer of the stored message `r` fired.
+    fn on_message_timer(&mut self, r: MsgRef, now: SimTime) {
+        match self.arena.stage(r) {
+            Some(Stage::InService) => self.on_job_done(r, now),
+            Some(Stage::Retry) => self.resend(r),
+            Some(Stage::Inject) => {
+                let _ = self.launch(r);
+            }
+            // The job was cancelled when its host crashed; only now does
+            // nothing refer to the slot any more.
+            None => self.arena.free(r),
+            Some(Stage::Transit) => unreachable!("a message in transit has no timer"),
         }
     }
 

@@ -102,7 +102,8 @@ impl Runtime {
     /// Forks the runtime into an isolated digital twin.
     ///
     /// The twin owns a forked kernel (same pending events, channel
-    /// halves, RNG stream), re-instantiated components restored from the
+    /// halves, RNG stream) with its own copy of the messages in flight
+    /// those events refer to, re-instantiated components restored from the
     /// originals' snapshots, cloned connectors/bindings/timers/detector/
     /// heal state — and a **throwaway** [`Obs`] bundle, so nothing the
     /// twin does shows up in mainline metrics, traces or the audit log.
@@ -122,8 +123,8 @@ impl Runtime {
         let mut kernel = self.kernel.fork();
         kernel.set_tracer(obs.tracer.clone());
         let m = MetricHandles::new(&obs);
-        // Same names, same ids: the forked kernel's in-flight envelopes
-        // and the cloned timers address instances by them.
+        // Same names, same ids: the cloned in-flight envelopes and timers
+        // address instances by them.
         let instances = self.instances.try_map(|inst| {
             let name = &inst.name;
             let mut component = self
@@ -166,6 +167,7 @@ impl Runtime {
         });
         Some(Runtime {
             kernel,
+            arena: self.arena.clone(),
             registry: self.registry.clone(),
             instances,
             connectors: self.connectors.clone(),

@@ -15,7 +15,7 @@ use counting_alloc::{enroll, measured, unenroll, GATE};
 
 use aas_core::component::{CallCtx, Component, StateSnapshot};
 use aas_core::config::{BindingDecl, ComponentDecl, Configuration};
-use aas_core::connector::{ConnectorSpec, RoutingPolicy};
+use aas_core::connector::{ConnectorSpec, RetryPolicy, RoutingPolicy};
 use aas_core::detector::DetectorConfig;
 use aas_core::error::{ComponentError, StateError};
 use aas_core::interface::{Interface, Signature};
@@ -38,44 +38,85 @@ fn processed(rt: &Runtime, name: &str) -> u64 {
     rt.observe().component(name).expect("deployed").processed
 }
 
-#[test]
-fn warm_pipeline_allocates_a_fixed_count_per_frame() {
+/// `pipelines` source → transcoder → sink chains of four sessions each on
+/// one runtime, sources, transcoders and sinks on a node each.
+fn pipelines_allocate_a_fixed_count_per_frame(pipelines: u64) {
     let _gate = GATE
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     let mut registry = ImplementationRegistry::new();
     register_telecom_components(&mut registry);
-    let mut rt = Runtime::new(topology(3), 14, registry);
+    // Capacity to spare, so that no frame queues into the next tick.
+    let topology = Topology::clique(
+        3,
+        1000.0 * pipelines as f64,
+        SimDuration::from_millis(1),
+        1e7,
+    );
+    let mut rt = Runtime::new(topology, 14, registry);
     let mut cfg = Configuration::new();
-    let mut source = ComponentDecl::new("MediaSource", 1, NodeId(0));
-    source.props.insert("level".into(), Value::Int(0));
-    cfg.component("src", source);
-    cfg.component("tc", ComponentDecl::new("Transcoder", 1, NodeId(1)));
-    cfg.component("sink", ComponentDecl::new("MediaSink", 1, NodeId(2)));
     cfg.connector(ConnectorSpec::direct("a"));
     cfg.connector(ConnectorSpec::direct("b"));
-    cfg.bind(BindingDecl::new("src", "out", "a", "tc", "in"));
-    cfg.bind(BindingDecl::new("tc", "out", "b", "sink", "in"));
-    rt.deploy(&cfg).unwrap();
-    rt.inject("src", Message::event("init", Value::Null))
-        .unwrap();
-    for _ in 0..4 {
-        rt.inject("src", Message::event("session_start", Value::Null))
-            .unwrap();
+    for i in 0..pipelines {
+        let mut source = ComponentDecl::new("MediaSource", 1, NodeId(0));
+        source.props.insert("level".into(), Value::Int(0));
+        cfg.component(format!("src{i}"), source);
+        cfg.component(
+            format!("tc{i}"),
+            ComponentDecl::new("Transcoder", 1, NodeId(1)),
+        );
+        cfg.component(
+            format!("sink{i}"),
+            ComponentDecl::new("MediaSink", 1, NodeId(2)),
+        );
+        cfg.bind(BindingDecl::new(
+            format!("src{i}"),
+            "out",
+            "a",
+            format!("tc{i}"),
+            "in",
+        ));
+        cfg.bind(BindingDecl::new(
+            format!("tc{i}"),
+            "out",
+            "b",
+            format!("sink{i}"),
+            "in",
+        ));
     }
+    rt.deploy(&cfg).unwrap();
+    for i in 0..pipelines {
+        let src = format!("src{i}");
+        rt.inject(&src, Message::event("init", Value::Null))
+            .unwrap();
+        for _ in 0..4 {
+            rt.inject(&src, Message::event("session_start", Value::Null))
+                .unwrap();
+        }
+    }
+    let sunk = |rt: &Runtime| -> u64 {
+        (0..pipelines)
+            .map(|i| processed(rt, &format!("sink{i}")))
+            .sum()
+    };
 
-    // Warm: route cache, channel and event buffers, the effects buffer,
-    // the sink's metric handles. The window ends between two frame ticks
-    // (25 per virtual second), so no frame is under way at either edge.
+    // Warm: route cache, channel and event buffers, the message arena,
+    // the effects buffer, the sinks' metric handles. The window ends
+    // between two frame ticks (25 per virtual second), so no frame is
+    // under way at either edge.
     rt.run_for(SimDuration::from_millis(2_020));
-    let (sunk, delivered) = (processed(&rt, "sink"), rt.metrics().delivered);
+    let (sunk_before, delivered) = (sunk(&rt), rt.metrics().delivered);
 
     enroll();
     let ((), allocs) = measured(|| rt.run_for(SimDuration::from_secs(100)));
     unenroll();
 
-    let frames = processed(&rt, "sink") - sunk;
-    assert_eq!(frames, 10_000, "4 sessions x 25 frames x 100 s");
+    let frames = sunk(&rt) - sunk_before;
+    assert_eq!(
+        frames,
+        pipelines * 10_000,
+        "4 sessions x 25 frames x 100 s a pipeline"
+    );
     assert_eq!(
         rt.metrics().delivered - delivered,
         2 * frames,
@@ -86,6 +127,19 @@ fn warm_pipeline_allocates_a_fixed_count_per_frame() {
         ALLOCS_PER_FRAME * frames,
         "allocations over {frames} frames"
     );
+}
+
+#[test]
+fn warm_pipeline_allocates_a_fixed_count_per_frame() {
+    pipelines_allocate_a_fixed_count_per_frame(1);
+}
+
+/// With 256 sessions hundreds of job timers are pending at once, as in
+/// the benchmark: whatever keeps them must not allocate as they come
+/// and go.
+#[test]
+fn many_warm_pipelines_allocate_the_same_fixed_count_per_frame() {
+    pipelines_allocate_a_fixed_count_per_frame(64);
 }
 
 /// Sends one fixed payload out of `out` per `go`.
@@ -194,6 +248,56 @@ fn broadcast_clones_for_every_target_but_the_last() {
     let state = rt.state_fingerprint();
     let all_equal = format!("Int({})", 2 * SENDS);
     assert_eq!(state.matches(&all_equal).count(), 4, "{state}");
+}
+
+/// A connector with a retry policy may have to send a message again. The
+/// message waits for that in the slot it was stored in when it was sent,
+/// so a send through such a connector allocates what any send does.
+#[test]
+fn a_send_allocates_nothing_for_the_retry_it_may_need() {
+    let _gate = GATE
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let mut registry = ImplementationRegistry::new();
+    registry.register("Fan", 1, |_| Box::new(Fan));
+    registry.register("Check", 1, |_| {
+        Box::new(Check {
+            expected: payload(),
+            equal: 0,
+        })
+    });
+    let mut rt = Runtime::new(topology(3), 14, registry);
+    let mut cfg = Configuration::new();
+    cfg.component("plain", ComponentDecl::new("Fan", 1, NodeId(0)));
+    cfg.component("patient", ComponentDecl::new("Fan", 1, NodeId(0)));
+    cfg.component("k0", ComponentDecl::new("Check", 1, NodeId(1)));
+    cfg.component("k1", ComponentDecl::new("Check", 1, NodeId(2)));
+    cfg.connector(ConnectorSpec::direct("direct"));
+    cfg.connector(
+        ConnectorSpec::direct("retrying")
+            .with_retry(RetryPolicy::new(3, SimDuration::from_millis(10))),
+    );
+    cfg.bind(BindingDecl::new("plain", "out", "direct", "k0", "in"));
+    cfg.bind(BindingDecl::new("patient", "out", "retrying", "k1", "in"));
+    rt.deploy(&cfg).unwrap();
+
+    const SENDS: u64 = 50;
+    let mut run = |fan: &str| {
+        for _ in 0..SENDS {
+            rt.inject(fan, Message::event("go", Value::Null)).unwrap();
+            rt.run_for(SimDuration::from_millis(20));
+        }
+    };
+    run("plain");
+    run("patient");
+    enroll();
+    let ((), plain) = measured(|| run("plain"));
+    let ((), patient) = measured(|| run("patient"));
+    unenroll();
+
+    assert_eq!(plain, SENDS, "the payload is built once and moved");
+    assert_eq!(patient, plain, "and kept nowhere else for a retry");
+    assert_eq!(rt.metrics().retries, 0);
 }
 
 #[test]

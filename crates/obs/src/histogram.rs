@@ -284,11 +284,20 @@ impl AtomicHistogram {
             return;
         }
         self.buckets[index_of(x)].fetch_add(1, Ordering::Relaxed);
+        // An observation inside the recorded range — almost every one —
+        // only reads the extremes; one that would move an extreme goes to
+        // the read-modify-write, which alone decides between concurrent
+        // writers. (The extremes only ever move outwards, so a stale read
+        // can cause a redundant RMW, never a missed one.)
         let bits = x.to_bits();
-        self.min_bits.fetch_min(bits, Ordering::Relaxed);
+        if bits < self.min_bits.load(Ordering::Relaxed) {
+            self.min_bits.fetch_min(bits, Ordering::Relaxed);
+        }
         // max_bits starts at 0 == 0.0f64 bits, which is safe because
         // observations are non-negative.
-        self.max_bits.fetch_max(bits, Ordering::Relaxed);
+        if bits > self.max_bits.load(Ordering::Relaxed) {
+            self.max_bits.fetch_max(bits, Ordering::Relaxed);
+        }
         let mut cur = self.sum_bits.load(Ordering::Relaxed);
         loop {
             let next = (f64::from_bits(cur) + x).to_bits();

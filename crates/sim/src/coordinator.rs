@@ -626,8 +626,8 @@ impl<M: Send + 'static> ShardedKernel<M> {
         self.schedule_sync(at, SyncCmd::Unblock(ch));
     }
 
-    /// Schedules a close of `ch` at `at`; later sends and in-flight
-    /// deliveries drop with `ChannelClosed`.
+    /// Schedules a close of `ch` at `at`; later sends, in-flight
+    /// deliveries and what a blocked `ch` holds drop with `ChannelClosed`.
     pub fn close_channel_at(&mut self, at: SimTime, ch: ChannelId) {
         self.schedule_sync(at, SyncCmd::Close(ch));
     }

@@ -72,12 +72,12 @@
 
 use crate::link::LinkId;
 use crate::network::{
-    RegionId, Route, RouteCache, RouteCacheStats, RouteScratch, Topology, LOCAL_TRANSIT,
+    IdMap, RegionId, Route, RouteCache, RouteCacheStats, RouteScratch, Topology, LOCAL_TRANSIT,
 };
 use crate::node::NodeId;
 use crate::time::SimDuration;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// Counters describing how a [`HierRouter`] has been performing.
@@ -309,8 +309,8 @@ pub struct HierRouter {
     /// Border nodes per region, ascending node id.
     borders: Vec<Vec<NodeId>>,
     // --- caches ---
-    cells: HashMap<(u32, u64), Cell>,
-    queries: HashMap<(u32, u32, u64), CachedEntry>,
+    cells: IdMap<(u32, u64), Cell>,
+    queries: IdMap<(u32, u32, u64), CachedEntry>,
     /// Improve epoch the memo was filled under.
     improve_epoch: u64,
     // --- working memory ---

@@ -230,7 +230,8 @@ impl<M> Kernel<M> {
     }
 
     /// Closes a channel; messages still in flight will be dropped at
-    /// delivery time with [`DropReason::ChannelClosed`].
+    /// delivery time with [`DropReason::ChannelClosed`], and so are the
+    /// ones a blocked channel holds, at once and in arrival order.
     pub fn close_channel(&mut self, ch: ChannelId) {
         self.sync_now(SyncCmd::Close(ch));
     }
@@ -558,6 +559,40 @@ mod tests {
             }
         )));
         assert_eq!(k.channel_stats(ch).dropped, 2);
+    }
+
+    #[test]
+    fn closing_a_blocked_channel_drops_what_it_holds() {
+        let (mut k, a, b) = kernel2();
+        let ch = k.open_channel(a, b);
+        k.block_channel(ch);
+        for i in 0..3 {
+            k.send(ch, i, 10);
+        }
+        assert!(k.step().is_none());
+        assert_eq!(k.channel_stats(ch).held, 3);
+
+        k.close_channel(ch);
+        let closed_at = k.now();
+        let dropped: Vec<(SimTime, u32)> = drain(&mut k)
+            .into_iter()
+            .map(|(at, f)| match f {
+                Fired::Dropped {
+                    msg,
+                    reason: DropReason::ChannelClosed,
+                    at_send: false,
+                    ..
+                } => (at, msg),
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        let expected: Vec<_> = (0..3).map(|i| (closed_at, i)).collect();
+        assert_eq!(dropped, expected, "at the close instant, in arrival order");
+        let stats = k.channel_stats(ch);
+        assert_eq!((stats.held, stats.dropped, stats.delivered), (0, 3, 0));
+        assert_eq!(k.counter(KernelCounter::Held), 3);
+        assert_eq!(k.counter(KernelCounter::Released), 3);
+        assert_eq!(k.counter(KernelCounter::Dropped), 3);
     }
 
     #[test]

@@ -15,7 +15,41 @@ use crate::link::{Link, LinkId, LinkSpec};
 use crate::node::{Node, NodeId, NodeSpec};
 use crate::time::{SimDuration, SimTime};
 use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
+
+/// The hasher of the route memos: one rotate, xor and multiply per key
+/// word. Their keys are node, region and size integers this program
+/// generates, never input an adversary could shape to collide, so the
+/// keyed SipHash `std` defaults to buys nothing here — and nothing
+/// iterates these maps, so their order cannot reach a result.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct IdHasher(u64);
+
+/// `HashMap` keyed by tuples of ids, hashed with [`IdHasher`].
+pub(crate) type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    /// The multiply leaves its best bits on top; the table indexes with
+    /// the low ones.
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
 
 /// Identifier of a routing region (a metro, a motif instance, a cell of a
 /// partition). Regions scope epoch invalidation: a liveness flap inside a
@@ -727,7 +761,7 @@ impl RouteCacheStats {
 #[derive(Debug)]
 pub struct RouteCache {
     epoch: u64,
-    map: HashMap<(u32, u32, u64), Option<Arc<Route>>>,
+    map: IdMap<(u32, u32, u64), Option<Arc<Route>>>,
     scratch: RouteScratch,
     stats: RouteCacheStats,
 }
@@ -738,7 +772,7 @@ impl RouteCache {
     pub fn new(topo: &Topology) -> Self {
         RouteCache {
             epoch: topo.epoch(),
-            map: HashMap::new(),
+            map: IdMap::default(),
             scratch: RouteScratch::default(),
             stats: RouteCacheStats::default(),
         }

@@ -858,6 +858,27 @@ impl<M> ShardCore<M> {
         })
     }
 
+    /// Hands what `ch`'s delivery side holds back to the queue at `at`, in
+    /// arrival order, as sub-events 1.. of the command `key`: an unblocked
+    /// side then delivers them, a closed one drops them.
+    fn requeue_held(&mut self, ch: ChannelId, at: SimTime, key: EventKey) {
+        let side = self.deliver_sides[ch.0 as usize].as_mut().expect("owner");
+        let held = std::mem::take(&mut side.held);
+        self.counters[KernelCounter::Released as usize] += held.len() as u64;
+        for (i, h) in held.into_iter().enumerate() {
+            self.queue.push(Entry {
+                at,
+                key: EventKey::new(key.cmd, i as u32 + 1),
+                ev: ShardEvent::Deliver {
+                    ch,
+                    msg: h.msg,
+                    size: h.size,
+                    sent_at: h.sent_at,
+                },
+            });
+        }
+    }
+
     /// Merged per-channel stats contribution from the sides this shard
     /// owns.
     pub fn channel_stats_into(&self, ch: ChannelId, stats: &mut ChannelStats) {
@@ -975,36 +996,24 @@ pub(crate) fn apply_sync<M, C: DerefMut<Target = ShardCore<M>>>(
                 .blocked = true;
         }
         SyncCmd::Unblock(ch) => {
-            // Held messages re-enter the queue at `at`, in arrival order,
-            // as sub-events 1.. of this command.
             let dsh = deliver_owner(cores, ch);
-            let core = &mut *cores[dsh];
-            let side = core.deliver_sides[idx(ch)].as_mut().expect("owner");
-            side.blocked = false;
-            let held = std::mem::take(&mut side.held);
-            core.counters[KernelCounter::Released as usize] += held.len() as u64;
-            for (i, h) in held.into_iter().enumerate() {
-                core.queue.push(Entry {
-                    at,
-                    key: EventKey::new(key.cmd, i as u32 + 1),
-                    ev: ShardEvent::Deliver {
-                        ch,
-                        msg: h.msg,
-                        size: h.size,
-                        sent_at: h.sent_at,
-                    },
-                });
-            }
+            cores[dsh].deliver_sides[idx(ch)]
+                .as_mut()
+                .expect("owner")
+                .blocked = false;
+            cores[dsh].requeue_held(ch, at, key);
         }
         SyncCmd::Close(ch) => {
             // Later sends drop at the source, in-flight messages at the
-            // destination, both with `ChannelClosed`.
+            // destination, both with `ChannelClosed` — and so does what a
+            // blocked side holds, now rather than never.
             let (ssh, dsh) = (send_owner(cores, ch), deliver_owner(cores, ch));
             cores[ssh].send_sides[idx(ch)].as_mut().expect("owner").open = false;
             cores[dsh].deliver_sides[idx(ch)]
                 .as_mut()
                 .expect("owner")
                 .open = false;
+            cores[dsh].requeue_held(ch, at, key);
         }
         SyncCmd::Rebind(ch, ns, nd) => {
             let n = topo.node_count() as u32;
@@ -1078,6 +1087,13 @@ mod tests {
         // K=1: nothing crosses, lookahead unbounded.
         let map1 = ShardMap::round_robin(3, 1);
         assert_eq!(map1.lookahead(&t), SimDuration::MAX);
+    }
+
+    /// Every sift of the event heap moves whole entries, so a handle-sized
+    /// message must keep an entry inside one cache line.
+    #[test]
+    fn an_entry_around_a_handle_fits_a_cache_line() {
+        assert!(std::mem::size_of::<Entry<u32>>() <= 64);
     }
 
     #[test]

@@ -281,8 +281,8 @@ fn d_rolled_back_plan_hands_held_traffic_back_to_the_original() {
 
 const EXPECT_SAME_NAME: &str = "\
 plan reconfig1: success=true applied=6 held=0 failure=None\n\
-runtime: delivered=797 dropped=0 unrouted=1 retries=0\n\
-kernel: sent=798 delivered=797 dropped=0 held=1 released=0\n\
+runtime: delivered=797 dropped=1 unrouted=1 retries=0\n\
+kernel: sent=798 delivered=797 dropped=1 held=1 released=1\n\
 no-instance drops: 0\n\
 end on node2: processed=298 anomalies=0\n\
 mid on node3: processed=209 anomalies=91\n\
@@ -300,8 +300,8 @@ binding src.out via wire -> [(\"mid\", \"in\")]\n\
 ";
 const EXPECT_OTHER_NAME: &str = "\
 plan reconfig1: success=true applied=6 held=0 failure=None\n\
-runtime: delivered=659 dropped=0 unrouted=1 retries=0\n\
-kernel: sent=660 delivered=659 dropped=0 held=1 released=0\n\
+runtime: delivered=659 dropped=1 unrouted=1 retries=0\n\
+kernel: sent=660 delivered=659 dropped=1 held=1 released=1\n\
 no-instance drops: 0\n\
 end on node2: processed=229 anomalies=0\n\
 mid2 on node3: processed=140 anomalies=0\n\
