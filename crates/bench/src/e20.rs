@@ -9,7 +9,10 @@
 //! Reported per seed: deadline goodput, availability (deadline-met
 //! fraction of admitted frames), Jain fairness over grant fractions, and
 //! whether the negotiator *strictly dominates* — more goodput AND no
-//! availability collapse while the baseline does collapse. On top of the
+//! availability collapse while the baseline does collapse. One more
+//! negotiated run per seed with migration off (`migrate_above` out of
+//! reach) is the isolating cell of *negotiated migration* in the
+//! mechanism ledger (DESIGN.md §2.11). On top of the
 //! frontier, the negotiator mutation tier (inflated requests, ignored
 //! floors, stale situational model) reports its kill score, and the
 //! negotiation coverage sweep its visited adaptation cells.
@@ -23,6 +26,8 @@
 //! [`FAST_SEEDS`], `full` the nightly [`DEEP_SEEDS`].
 
 use crate::table::{ex, exact, timed, Col, Table, Tier};
+use aas_core::runtime::CoordinationMode;
+use aas_scenario::negotiation::run_degradation;
 use aas_scenario::{negotiation_coverage, run_differential, run_negotiation_mutants};
 use std::time::Instant;
 
@@ -36,8 +41,9 @@ pub const DEEP_SEEDS: [u64; 6] = [11, 23, 47, 59, 71, 83];
 /// Runs the tier's seed set: one row per seed on the overload
 /// degradation frontier (baseline and negotiated goodput, availability,
 /// Jain fairness over the final grant fractions, strict dominance, the
-/// differential fingerprint, and the throughput of the seed's two
-/// overload runs — the one cell repeated per trial); the mutation tier
+/// differential fingerprint, the negotiated run again with migration off,
+/// and the throughput of the seed's two differential runs — the one cell
+/// repeated per trial); the mutation tier
 /// and the coverage sweep, run once, as table-wide values.
 #[must_use]
 pub fn run(tier: Tier) -> Table {
@@ -49,12 +55,15 @@ pub fn run(tier: Tier) -> Table {
         [
             exact(&["seed", "base goodput", "base avail", "nego goodput"]),
             exact(&["nego avail", "jain", "dominates", "fingerprint"]),
+            exact(&["nego goodput, no migration", "nego avail, no migration"]),
             vec![Col::Timed("runs/s")],
         ]
         .concat(),
     );
     let mut all_dominate = true;
     for &seed in seeds {
+        // Exact and outside the timed cell, so run once, not per trial.
+        let pinned = run_degradation(seed, CoordinationMode::Negotiated, 2.0);
         table.trials(|| {
             let t0 = Instant::now();
             let d = run_differential(seed);
@@ -73,6 +82,8 @@ pub fn run(tier: Tier) -> Table {
                     "NO"
                 }),
                 ex(format!("{:#018x}", d.fingerprint_hash())),
+                ex(pinned.goodput()),
+                ex(format!("{:.4}", pinned.availability())),
                 timed(2.0 / wall, 1),
             ]
         });
@@ -95,7 +106,8 @@ pub fn run(tier: Tier) -> Table {
     let fingerprint = format!("{:#018x}", cov.fingerprint_hash());
     table.note("coverage fingerprint", ex(fingerprint));
     // Differential: 2 runs per seed; mutation tier: baseline + 3 mutants
-    // per seed; coverage: overload + storm run per seed.
+    // per seed; coverage: overload + storm run per seed. The ledger's
+    // no-migration run is beside the E20 protocol and not in this count.
     table.note("runs", ex(seeds.len() * (2 + 4 + 2)));
     table
 }

@@ -13,6 +13,12 @@
 //!   message (E14: the epoch-invalidated route cache on the hot path;
 //!   storm cells flush it on every flap, so their hit ratio bounds the
 //!   cost of epoch-granularity invalidation).
+//! * **serial-preloaded** — the same [`Kernel`] given the sharded cells'
+//!   own schedule up front, one timer per message at the 1 µs cadence,
+//!   each firing one send, then stepped dry: the like-for-like row that
+//!   splits "serial is N× faster than sharded K = 1" into heap depth
+//!   (serial → serial-preloaded) and driver overhead (serial-preloaded →
+//!   sharded K = 1 inline).
 //! * **sharded, K ∈ {1, 2, 4, 8}** — [`ShardedKernel`] fed the schedule
 //!   at a 1 µs cadence and drained (K = 1 inline, K > 1 on worker
 //!   threads), under both window policies. The `fixed` rows are E15 (one
@@ -24,16 +30,19 @@
 //!   batch exchange, geometric lookahead widening, pooled buffers,
 //!   spin-then-park workers: barrier ns per window, events per window).
 //!
-//! Two things are asserted in every run: no cross-shard message arrives
-//! inside the window that produced it (`early_crossings == 0`), and on
+//! Three things are asserted in every run: no cross-shard message arrives
+//! inside the window that produced it (`early_crossings == 0`); on
 //! steady K > 1 cells adaptive windows cut coordinator barriers at least
 //! [`MIN_WINDOW_REDUCTION`]× against fixed ones — the host-independent
-//! proxy for E19's win on hosts with fewer cores than K.
+//! proxy for E19's win on hosts with fewer cores than K; and the
+//! serial-preloaded row's events, cache hit ratio and invalidations equal
+//! the sharded K = 1 rows' — two drivers of one shard core, fed one
+//! schedule, must do the same work.
 
 use crate::table::{ex, timed, Col, Table, Tier, Value};
 use aas_sim::coordinator::{ExecMode, ShardedKernel, ShardedStats, WindowPolicy};
 use aas_sim::fault::{FaultProcess, FaultSchedule};
-use aas_sim::kernel::Kernel;
+use aas_sim::kernel::{Fired, Kernel};
 use aas_sim::link::{LinkId, LinkSpec};
 use aas_sim::network::Topology;
 use aas_sim::node::{NodeId, NodeSpec};
@@ -58,6 +67,8 @@ pub const MIN_WINDOW_REDUCTION: f64 = 3.0;
 pub enum Driver {
     /// The interactive serial [`Kernel`].
     Serial,
+    /// The serial [`Kernel`] fed the sharded driver's schedule up front.
+    SerialPreloaded,
     /// [`ShardedKernel`] at K shards under a window policy.
     Sharded(u32, WindowPolicy),
 }
@@ -111,13 +122,13 @@ fn pairs_for(topo: &Topology, count: usize, seed: u64) -> Vec<(NodeId, NodeId)> 
 /// Four node-crash and four link-flap renewal processes lasting as long
 /// as the driver's traffic: the serial driver advances one delivery
 /// latency per message, minutes in all, and meets outages whose mean
-/// times are seconds over an hour; the sharded schedule sends `msgs`
-/// messages a microsecond apart, so its outages are the same processes
-/// in milliseconds, stopping with the last send.
+/// times are seconds over an hour; the preloaded schedule (sharded or
+/// serial) sends `msgs` messages a microsecond apart, so its outages are
+/// the same processes in milliseconds, stopping with the last send.
 fn storm(link_count: usize, driver: Driver, msgs: u64) -> FaultSchedule {
     let (unit, horizon) = match driver {
         Driver::Serial => (1.0, SimTime::from_secs(3600)),
-        Driver::Sharded(..) => (1e-3, SimTime::from_micros(msgs)),
+        Driver::SerialPreloaded | Driver::Sharded(..) => (1e-3, SimTime::from_micros(msgs)),
     };
     let mut storm = FaultProcess::new();
     for n in 0..4u32 {
@@ -133,7 +144,9 @@ fn storm(link_count: usize, driver: Driver, msgs: u64) -> FaultSchedule {
 /// One trial's reading of a cell.
 #[derive(Debug, Clone)]
 pub struct Cell {
-    /// Kernel events processed (serial: sends + steps).
+    /// Kernel events processed (serial: sends + steps; serial-preloaded:
+    /// steps but for the faults, which the sharded driver's count leaves
+    /// out as sync steps).
     pub events: u64,
     /// Route-cache hit ratio in percent, and whole-cache invalidations.
     pub cache: (f64, u64),
@@ -159,22 +172,39 @@ pub fn run_cell(workload: &str, faults: bool, driver: Driver, msgs: u64) -> Cell
     let pairs = pairs_for(&topo, PAIRS, SEED ^ 0x5eed);
     let pick = |i: u64| ((i % PAIRS as u64) as usize, SIZES[(i % 2) as usize]);
     match driver {
-        Driver::Serial => {
+        Driver::Serial | Driver::SerialPreloaded => {
             let mut k: Kernel<u64> = Kernel::new(topo, SEED);
             let chs: Vec<_> = pairs.iter().map(|&(a, b)| k.open_channel(a, b)).collect();
             if let Some(schedule) = schedule {
                 k.inject_faults(schedule);
             }
-            let t0 = Instant::now();
-            let mut events = msgs;
-            for i in 0..msgs {
-                let (ch, size) = pick(i);
-                k.send(chs[ch], i, size);
-                events += u64::from(k.step().is_some());
-            }
-            while k.step().is_some() {
-                events += 1;
-            }
+            let (t0, events) = if driver == Driver::Serial {
+                let t0 = Instant::now();
+                let mut events = msgs;
+                for i in 0..msgs {
+                    let (ch, size) = pick(i);
+                    k.send(chs[ch], i, size);
+                    events += u64::from(k.step().is_some());
+                }
+                while k.step().is_some() {
+                    events += 1;
+                }
+                (t0, events)
+            } else {
+                for i in 0..msgs {
+                    k.set_timer_with_tag(SimDuration::from_micros(i), i);
+                }
+                let t0 = Instant::now();
+                let mut events = 0;
+                while let Some((_, fired)) = k.step() {
+                    if let Fired::Timer { tag } = fired {
+                        let (ch, size) = pick(tag);
+                        k.send(chs[ch], tag, size);
+                    }
+                    events += u64::from(!matches!(fired, Fired::Fault(_)));
+                }
+                (t0, events)
+            };
             let secs = t0.elapsed().as_secs_f64();
             let cache = k.route_cache_stats();
             Cell {
@@ -220,6 +250,7 @@ fn row(workload: &str, faults: bool, driver: Driver, c: &Cell) -> Vec<Value> {
     let mut row = vec![ex(workload), ex(if faults { "storm" } else { "none" })];
     match driver {
         Driver::Serial => row.extend([ex("serial"), Value::Na, Value::Na]),
+        Driver::SerialPreloaded => row.extend([ex("serial-preloaded"), Value::Na, Value::Na]),
         Driver::Sharded(k, policy) => {
             let policy = format!("{policy:?}").to_lowercase();
             row.extend([ex("sharded"), ex(k), ex(policy)]);
@@ -249,9 +280,9 @@ fn row(workload: &str, faults: bool, driver: Driver, c: &Cell) -> Vec<Value> {
 }
 
 /// Runs the rows `keep` selects. The smoke tier covers clique16 steady
-/// on the serial driver and K ∈ {1, 4}; the other tiers run {clique16,
-/// sparse64} × {steady, storm} × {serial, K ∈ {1, 2, 4, 8} × {fixed,
-/// adaptive}}.
+/// on both serial drivers and K ∈ {1, 4}; the other tiers run {clique16,
+/// sparse64} × {steady, storm} × {serial, serial-preloaded, K ∈ {1, 2, 4,
+/// 8} × {fixed, adaptive}}.
 fn grid(tier: Tier, name: &str, keep: fn(Driver) -> bool) -> Table {
     let msgs = msgs(tier);
     let mut table = Table::new(
@@ -296,7 +327,10 @@ fn grid(tier: Tier, name: &str, keep: fn(Driver) -> bool) -> Table {
     let sharded = shard_counts
         .iter()
         .flat_map(|&k| policies.map(|p| Driver::Sharded(k, p)));
-    let drivers: Vec<Driver> = [Driver::Serial].into_iter().chain(sharded).collect();
+    let drivers: Vec<Driver> = [Driver::Serial, Driver::SerialPreloaded]
+        .into_iter()
+        .chain(sharded)
+        .collect();
     let modeled = (table.columns.iter())
         .position(|c| c.name() == "modeled ev/s")
         .expect("column");
@@ -305,6 +339,9 @@ fn grid(tier: Tier, name: &str, keep: fn(Driver) -> bool) -> Table {
             let mut fixed_windows = 0;
             // The group's first modeled figure: its K=1 fixed row.
             let mut base = None;
+            // The group's serial-preloaded row, which its K=1 rows must
+            // equal in work done.
+            let mut preloaded = None;
             for &driver in drivers.iter().filter(|&&d| keep(d)) {
                 let mut windows = 0;
                 table.trials(|| {
@@ -316,6 +353,21 @@ fn grid(tier: Tier, name: &str, keep: fn(Driver) -> bool) -> Table {
                 if let Value::Timed(m) = &this[modeled] {
                     let base = base.get_or_insert_with(|| m.clone());
                     this[modeled + 1] = Value::Timed(m.ratio(base, 2));
+                }
+                let this = table.rows.len() - 1;
+                match (driver, preloaded) {
+                    (Driver::SerialPreloaded, _) => preloaded = Some(this),
+                    (Driver::Sharded(1, _), Some(serial)) => {
+                        for name in ["events", "cache-hit(%)", "invalidations"] {
+                            assert_eq!(
+                                table.exact(serial, name),
+                                table.exact(this, name),
+                                "{workload} faults={faults}: serial-preloaded `{name}` \
+                                 differs from {driver:?}'s"
+                            );
+                        }
+                    }
+                    _ => {}
                 }
                 match driver {
                     Driver::Sharded(_, WindowPolicy::Fixed) => fixed_windows = windows,
@@ -451,9 +503,23 @@ mod tests {
     }
 
     #[test]
+    fn the_serial_kernel_fed_the_sharded_schedule_does_the_sharded_work() {
+        for (workload, faults) in [("clique16", true), ("sparse64", true), ("sparse64", false)] {
+            let serial = run_cell(workload, faults, Driver::SerialPreloaded, 10_000);
+            let sharded = run_cell(workload, faults, Driver::Sharded(1, FIXED), 10_000);
+            assert_eq!(
+                (serial.events, serial.cache),
+                (sharded.events, sharded.cache),
+                "{workload} faults={faults}"
+            );
+            assert_eq!(serial.cache.1 > 0, faults, "{workload}: flushes iff storm");
+        }
+    }
+
+    #[test]
     fn views_are_row_filters_of_the_smoke_grid() {
         let whole = run(Tier::Smoke);
-        assert_eq!(whole.rows.len(), 5, "serial + K∈{{1,4}} × two policies");
+        assert_eq!(whole.rows.len(), 6, "two serial + K∈{{1,4}} × two policies");
         let drivers = |t: &Table| -> Vec<String> {
             (0..t.rows.len())
                 .map(|i| format!("{} {}", t.exact(i, "driver"), t.rows[i][4]))
@@ -462,11 +528,12 @@ mod tests {
         assert_eq!(drivers(&e14(Tier::Smoke)), ["serial -"]);
         assert_eq!(drivers(&e15(Tier::Smoke)), ["sharded fixed"; 2]);
         let e19 = e19(Tier::Smoke);
-        assert_eq!(drivers(&e19), drivers(&whole)[1..]);
+        assert_eq!(drivers(&whole)[1], "serial-preloaded -");
+        assert_eq!(drivers(&e19), drivers(&whole)[2..]);
         // A view's rows carry the exact values the whole grid records.
         for name in ["events", "windows", "subrounds", "exchanged", "exch ops"] {
             for i in 0..4 {
-                assert_eq!(e19.exact(i, name), whole.exact(i + 1, name), "{name}");
+                assert_eq!(e19.exact(i, name), whole.exact(i + 2, name), "{name}");
             }
         }
     }

@@ -5,11 +5,13 @@
 //! is the registry, [`main`] the runner behind the single bench target:
 //!
 //! ```text
-//! cargo bench -p aas-bench -- [ids…] [smoke|full]
+//! cargo bench -p aas-bench -- [ids…] [smoke|full] [check]
 //! ```
 //!
 //! prints the table of every named experiment (all of them when none is
-//! named) and writes the same table as `crates/bench/BENCH_<id>.json`.
+//! named) and writes the same table as `crates/bench/BENCH_<id>.json`;
+//! with `check` it writes nothing and instead holds every exact value to
+//! the artifact already there.
 //! See `EXPERIMENTS.md` for the claim ↔ measurement mapping and recorded
 //! results.
 
@@ -70,28 +72,34 @@ pub const EXPERIMENTS: [Experiment; 21] = [
     ("e20", e20::run, true),
 ];
 
-/// Parses `[ids…] [tier]`: the one place the tier argument is read. No
-/// id selects every experiment that owns an artifact; no tier selects
-/// [`Tier::Default`]. `--bench`, which cargo passes to every bench
-/// binary, is skipped; any other flag is an unknown argument.
+/// Parses `[ids…] [tier] [check]`: the one place the tier argument is
+/// read. No id selects every experiment that owns an artifact; no tier
+/// selects [`Tier::Default`]; the third value is whether `check` was
+/// among the words. `--bench`, which cargo passes to every bench binary,
+/// is skipped; any other flag is an unknown argument.
 ///
 /// # Errors
 ///
-/// An argument that is neither an experiment id nor a tier, with the
-/// valid words of both kinds.
-pub fn parse_args(args: impl Iterator<Item = String>) -> Result<(Vec<Experiment>, Tier), String> {
+/// An argument that is neither an experiment id, a tier nor `check`,
+/// with the valid words of each kind.
+pub fn parse_args(
+    args: impl Iterator<Item = String>,
+) -> Result<(Vec<Experiment>, Tier, bool), String> {
     let mut chosen = Vec::new();
     let mut tier = Tier::Default;
+    let mut check = false;
     for arg in args.filter(|a| a != "--bench") {
         if let Some(t) = Tier::ALL.into_iter().find(|t| t.name() == arg) {
             tier = t;
         } else if let Some(e) = EXPERIMENTS.into_iter().find(|e| e.0 == arg) {
             chosen.push(e);
+        } else if arg == "check" {
+            check = true;
         } else {
             let ids: Vec<&str> = EXPERIMENTS.iter().map(|e| e.0).collect();
             let tiers = Tier::ALL.map(Tier::name);
             return Err(format!(
-                "unknown experiment or tier `{arg}`; experiments: {}; tiers: {}",
+                "unknown experiment or tier `{arg}`; experiments: {}; tiers: {}; or `check`",
                 ids.join(" "),
                 tiers.join(" ")
             ));
@@ -100,37 +108,55 @@ pub fn parse_args(args: impl Iterator<Item = String>) -> Result<(Vec<Experiment>
     if chosen.is_empty() {
         chosen.extend(EXPERIMENTS.into_iter().filter(|e| e.2));
     }
-    Ok((chosen, tier))
+    Ok((chosen, tier, check))
 }
 
 /// Runs the experiments `args` name at the tier they name, prints each
 /// table and writes each artifact next to this crate's manifest: the
 /// default tier to the committed `BENCH_<id>.json`, the others to
-/// `BENCH_<id>.<tier>.json` so they never overwrite the ledger.
+/// `BENCH_<id>.<tier>.json` so they never overwrite the ledger. With
+/// `check` nothing is written: each artifact-owning experiment's
+/// [`Table::exact_drift`] against the artifact of that tier is printed,
+/// and any drift (or a missing artifact) fails the run.
 pub fn main(args: impl Iterator<Item = String>) -> ExitCode {
-    let (chosen, tier) = match parse_args(args) {
+    let (chosen, tier, check) = match parse_args(args) {
         Ok(parsed) => parsed,
         Err(e) => {
             eprintln!("{e}");
             return ExitCode::from(2);
         }
     };
+    let mut drifted = false;
     for (id, run, artifact) in chosen {
-        let table = run(tier);
-        println!("{table}");
-        if artifact {
-            let dir = env!("CARGO_MANIFEST_DIR");
-            let path = match tier {
-                Tier::Default => format!("{dir}/BENCH_{id}.json"),
-                _ => format!("{dir}/BENCH_{id}.{}.json", tier.name()),
-            };
-            if let Err(e) = std::fs::write(&path, table.to_json()) {
-                eprintln!("could not write {path}: {e}");
-                return ExitCode::FAILURE;
+        let dir = env!("CARGO_MANIFEST_DIR");
+        let path = match tier {
+            Tier::Default => format!("{dir}/BENCH_{id}.json"),
+            _ => format!("{dir}/BENCH_{id}.{}.json", tier.name()),
+        };
+        if !check {
+            let table = run(tier);
+            println!("{table}");
+            if artifact {
+                if let Err(e) = std::fs::write(&path, table.to_json()) {
+                    eprintln!("could not write {path}: {e}");
+                    return ExitCode::FAILURE;
+                }
             }
+        } else if artifact {
+            let drift = match std::fs::read_to_string(&path) {
+                Ok(committed) => run(tier).exact_drift(&committed),
+                Err(e) => vec![format!("could not read {path}: {e}")],
+            };
+            println!("{id}: {} exact values drifted", drift.len());
+            drift.iter().for_each(|line| println!("  {line}"));
+            drifted |= !drift.is_empty();
         }
     }
-    ExitCode::SUCCESS
+    if drifted {
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
+    }
 }
 
 #[cfg(test)]
@@ -138,7 +164,8 @@ mod tests {
     use super::*;
 
     fn parse(args: &[&str]) -> Result<(Vec<&'static str>, Tier), String> {
-        let (chosen, tier) = parse_args(args.iter().map(|a| (*a).to_owned()))?;
+        let (chosen, tier, check) = parse_args(args.iter().map(|a| (*a).to_owned()))?;
+        assert_eq!(check, args.contains(&"check"));
         Ok((chosen.iter().map(|e| e.0).collect(), tier))
     }
 
@@ -151,15 +178,22 @@ mod tests {
         assert_eq!(ids.len(), 18, "every experiment that owns an artifact");
         assert!(!ids.contains(&"e15"), "row filters run only when named");
         assert_eq!(parse(&["e15"]).unwrap(), (vec!["e15"], Tier::Default));
+        // `check` is a word like a tier: anywhere, and it selects nothing.
+        let (ids, tier) = parse(&["check", "e20", "--bench"]).unwrap();
+        assert_eq!((ids, tier), (vec!["e20"], Tier::Default));
+        assert_eq!(parse(&["smoke", "check"]).unwrap().0.len(), 18);
     }
 
     #[test]
     fn unknown_id_or_tier_exits_non_zero_naming_the_valid_ones() {
-        for bad in ["e21", "quick", "--smoke", "--full"] {
+        for bad in ["e21", "quick", "--smoke", "--full", "--check"] {
             let err = parse(&["e17", bad]).unwrap_err();
             assert!(err.contains(&format!("`{bad}`")), "{err}");
             assert!(err.contains("e01 e02") && err.contains("kernel"), "{err}");
-            assert!(err.contains("tiers: smoke default full"), "{err}");
+            assert!(
+                err.contains("tiers: smoke default full; or `check`"),
+                "{err}"
+            );
             let code = main(["e17", bad].into_iter().map(str::to_owned));
             assert_eq!(code, ExitCode::from(2));
         }

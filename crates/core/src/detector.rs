@@ -26,6 +26,9 @@ use std::collections::BTreeMap;
 
 /// log10(e): converts a survival exponent to a base-10 suspicion level.
 const LOG10_E: f64 = std::f64::consts::LOG10_E;
+/// Smoothing factor of the per-node mean-interval EWMA: moderate, so a
+/// few jittered heartbeats widen the window without one outlier doing so.
+const ALPHA: f64 = 0.2;
 
 /// Configuration for the heartbeat failure detector.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -37,20 +40,17 @@ pub struct DetectorConfig {
     /// The node the heartbeats converge on. The monitor cannot suspect
     /// itself; deploy it on the most reliable node available.
     pub monitor: NodeId,
-    /// Smoothing factor for the per-node mean-interval EWMA, in `(0, 1]`.
-    pub alpha: f64,
 }
 
 impl DetectorConfig {
     /// A detector with the given period and threshold, monitoring from
-    /// `monitor`, with moderate interval smoothing.
+    /// `monitor`.
     #[must_use]
     pub fn new(interval: SimDuration, threshold: f64, monitor: NodeId) -> Self {
         DetectorConfig {
             interval,
             threshold,
             monitor,
-            alpha: 0.2,
         }
     }
 }
@@ -145,11 +145,10 @@ impl FailureDetector {
     /// Records a heartbeat from `node` at `now`, updating its interval
     /// estimate. Heartbeats from unwatched nodes are ignored.
     pub fn record_heartbeat(&mut self, node: NodeId, now: SimTime) {
-        let alpha = self.config.alpha;
         if let Some(t) = self.tracks.get_mut(&node) {
             let observed = now.saturating_since(t.last_heard).as_secs_f64();
             let mean = t.mean_interval.as_secs_f64();
-            t.mean_interval = SimDuration::from_secs_f64(mean + alpha * (observed - mean));
+            t.mean_interval = SimDuration::from_secs_f64(mean + ALPHA * (observed - mean));
             t.last_heard = now;
         }
     }

@@ -113,7 +113,10 @@ pub struct SystemSnapshot {
     pub connectors: Vec<ConnectorObservation>,
     /// Total messages delivered so far.
     pub delivered: u64,
-    /// Total messages dropped so far.
+    /// Total application messages dropped so far, each counted once: the
+    /// runtime's own `runtime.dropped` (refused sends, drops in transit
+    /// and at delivery, jobs lost with their host). Lost heartbeats are
+    /// the detection signal, not loss, and are not in it.
     pub dropped: u64,
 }
 

@@ -22,11 +22,8 @@ impl Runtime {
         let back_off = policy.and_then(|policy| {
             // The negotiated retry budget caps (never raises) the
             // connector's own policy.
-            let max_attempts = match self.negotiate_retry_cap(self.instances.name(env.to)) {
-                Some(cap) => policy.max_attempts.min(cap),
-                None => policy.max_attempts,
-            };
-            (env.attempt + 1 < max_attempts).then(|| policy.delay_for(env.attempt))
+            let cap = self.negotiate_retry_cap(env.to).unwrap_or(u32::MAX);
+            (env.attempt + 1 < policy.max_attempts.min(cap)).then(|| policy.delay_for(env.attempt))
         });
         let Some(delay) = back_off else {
             return self.arena.free(r);
@@ -99,18 +96,20 @@ impl Runtime {
         self.maybe_retry(r);
     }
 
+    /// Counts and reports the stored message `r`, whose target's name
+    /// bears no instance, and frees it: there is no one to retry towards.
+    pub(super) fn drop_unaddressed(&mut self, r: MsgRef, now: SimTime) {
+        let reason = format!("no instance `{}`", self.instances.name(self.arena[r].to));
+        self.m.dropped.incr();
+        self.events.push((now, RuntimeEvent::Dropped { reason }));
+        self.arena.free(r);
+    }
+
     pub(super) fn on_delivered(&mut self, r: MsgRef, now: SimTime) {
         let env = &self.arena[r];
         let to = env.to;
         let Some(inst) = self.instances.get(to) else {
-            self.m.dropped.incr();
-            self.events.push((
-                now,
-                RuntimeEvent::Dropped {
-                    reason: format!("no instance `{}`", self.instances.name(to)),
-                },
-            ));
-            return self.arena.free(r);
+            return self.drop_unaddressed(r, now);
         };
         if inst.lifecycle == Lifecycle::Failed {
             let reason = format!("instance `{}` failed", inst.name);
@@ -118,9 +117,8 @@ impl Runtime {
         }
         // Negotiation admission gate: a granted-down agent sheds the
         // overflow deterministically and cheapens what it does admit.
-        let (cost_scale, admit) = self.negotiate.admit(&inst.name);
+        let (cost_scale, admit) = self.negotiate.admit(to);
         if !admit {
-            self.negotiate.shed_total += 1;
             self.m.shed.incr();
             return self.arena.free(r);
         }

@@ -82,7 +82,7 @@ impl Runtime {
             nodes,
             connectors,
             delivered: self.kernel.counter(KernelCounter::Delivered),
-            dropped: self.kernel.counter(KernelCounter::Dropped) + self.m.dropped.get(),
+            dropped: self.m.dropped.get(),
         }
     }
 

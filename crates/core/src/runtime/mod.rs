@@ -427,10 +427,10 @@ impl Runtime {
     }
 
     /// Sends a parked injection to whatever bears its target's name now;
-    /// `None`, and the message is gone, if nothing does.
+    /// `None`, and the message is dropped, if nothing does.
     fn launch(&mut self, r: MsgRef) -> Option<MessageId> {
         let Some(inst) = self.instances.get(self.arena[r].to) else {
-            self.arena.free(r);
+            self.drop_unaddressed(r, self.kernel.now());
             return None;
         };
         let ch = inst.external;

@@ -1,9 +1,9 @@
 //! The GORNA resource-negotiation control plane (DESIGN.md §2.10).
 //!
 //! Every component instance is a budget agent. Each negotiation tick the
-//! driver assembles the global [`SituationalModel`] from the runtime's
-//! own introspection snapshot plus the failure detector's phi gauges,
-//! derives one [`BudgetRequest`] per agent from its observed offered load,
+//! driver assembles the global [`SituationalModel`] from the instance
+//! table, the topology and the failure detector's phi gauges, derives
+//! one [`BudgetRequest`] per agent from its observed offered load,
 //! and hands the batch to the [`Negotiator`] for deterministic
 //! multi-objective arbitration. Grants are then *actuated*:
 //!
@@ -31,6 +31,7 @@
 //! (audited as `budget_renegotiated`) instead of letting a stale grant
 //! throttle a freshly repaired instance until the next tick.
 
+use super::table::SlotId;
 use super::*;
 use aas_control::negotiate::{
     BudgetRequest, Grant, NegotiationOutcome, Negotiator, NegotiatorMutation, ObjectiveVector,
@@ -88,8 +89,6 @@ impl Default for AgentProfile {
 pub struct NegotiateConfig {
     /// Control-tick period.
     pub interval: SimDuration,
-    /// The coordinator's arbitration weights.
-    pub weights: ObjectiveWeights,
     /// The static global per-epoch budget (the work-rate dimension is
     /// additionally capped by the situational model's sustainable rate).
     pub budget: ResourceVector,
@@ -100,11 +99,6 @@ pub struct NegotiateConfig {
     pub nominal_cost: f64,
     /// Default floor fraction for agents without an explicit profile.
     pub floor_fraction: f64,
-    /// Strategy downgrade never cheapens a message below this scale.
-    pub min_cost_scale: f64,
-    /// Grant fraction below which a capacity-starved agent also
-    /// downgrades its strategy (in addition to shedding).
-    pub downgrade_below: f64,
     /// Host utilization above which a starved agent requests migration.
     pub migrate_above: f64,
 }
@@ -113,7 +107,6 @@ impl Default for NegotiateConfig {
     fn default() -> Self {
         NegotiateConfig {
             interval: SimDuration::from_millis(100),
-            weights: ObjectiveWeights::default(),
             budget: ResourceVector {
                 capacity: 1.0,
                 work_rate: 1e9,
@@ -123,47 +116,7 @@ impl Default for NegotiateConfig {
             mode: CoordinationMode::Negotiated,
             nominal_cost: 1.0,
             floor_fraction: 0.1,
-            min_cost_scale: 0.25,
-            downgrade_below: 0.5,
             migrate_above: 2.0,
-        }
-    }
-}
-
-/// The per-agent actuation state the dispatch path consults. Neutral
-/// values leave the hot path byte-identical to a runtime without
-/// negotiation.
-#[derive(Debug, Clone)]
-pub(super) struct AgentActuation {
-    /// Multiplier on per-message work cost (strategy downgrade).
-    pub(super) cost_scale: f64,
-    /// Admitted messages per 1000 offered (load shedding).
-    pub(super) keep_permille: u32,
-    /// Cap on connector retry attempts, if granted below the policy.
-    pub(super) retry_cap: Option<u32>,
-    /// Offered-message counter: drives the deterministic shed gate and
-    /// the next tick's demand estimate.
-    pub(super) offered: u64,
-    /// Offered count at the previous tick (for the delta).
-    pub(super) offered_last: u64,
-    /// Node the agent was hosted on when its current grant (or deny) was
-    /// issued; a repair committing for this node invalidates the grant.
-    pub(super) granted_node: Option<u32>,
-    /// Round at which this agent last filed a migration plan; migration
-    /// is rate-limited to avoid plan churn under sustained overload.
-    pub(super) migrated_round: Option<u64>,
-}
-
-impl Default for AgentActuation {
-    fn default() -> Self {
-        AgentActuation {
-            cost_scale: 1.0,
-            keep_permille: 1000,
-            retry_cap: None,
-            offered: 0,
-            offered_last: 0,
-            granted_node: None,
-            migrated_round: None,
         }
     }
 }
@@ -174,49 +127,143 @@ impl Default for AgentActuation {
 /// for the post-release backlog to drain before the agent is eligible
 /// again (otherwise the drain itself reads as overload and re-triggers).
 const MIGRATE_COOLDOWN_ROUNDS: u64 = 32;
+/// Strategy downgrade never cheapens a message below this scale; it is
+/// also the capacity floor every active agent declares.
+const MIN_COST_SCALE: f64 = 0.25;
+/// Grant fraction below which a capacity-starved agent also downgrades
+/// its strategy (in addition to shedding) and may ask to migrate.
+const DOWNGRADE_BELOW: f64 = 0.5;
 
-/// Grouped negotiation state hanging off the runtime. `Clone` so digital
-/// twin forks carry the control plane into their simulation.
-#[derive(Debug, Default, Clone)]
+/// Everything the control plane holds about one agent, at the index of
+/// its [`InstId`] in [`NegotiateState::agents`]. The id stands for the
+/// agent's *name* for good, so a profile set before the instance exists
+/// and a throttle across a same-name replacement land in the same record.
+/// Neutral values leave the hot path byte-identical to a runtime without
+/// negotiation.
+#[derive(Debug, Clone)]
+struct Agent {
+    /// Request shaping, if [`Runtime::set_agent_profile`] set any.
+    profile: Option<AgentProfile>,
+    /// Multiplier on per-message work cost (strategy downgrade).
+    cost_scale: f64,
+    /// Admitted messages per 1000 offered (load shedding).
+    keep_permille: u32,
+    /// Cap on connector retry attempts, if granted below the policy.
+    retry_cap: Option<u32>,
+    /// Offered-message counter: drives the deterministic shed gate and
+    /// the next tick's demand estimate.
+    offered: u64,
+    /// Offered count at the previous tick (for the delta).
+    offered_last: u64,
+    /// Node the agent was hosted on when its current grant (or deny) was
+    /// issued; a repair committing for this node invalidates the decision.
+    granted_node: Option<u32>,
+    /// Round at which this agent last filed a migration plan; migration
+    /// is rate-limited to avoid plan churn under sustained overload.
+    migrated_round: Option<u64>,
+    /// The outstanding grant, until a deny or a plan commit takes it.
+    grant: Option<Grant>,
+}
+
+impl Default for Agent {
+    fn default() -> Self {
+        Agent {
+            profile: None,
+            cost_scale: 1.0,
+            keep_permille: 1000,
+            retry_cap: None,
+            offered: 0,
+            offered_last: 0,
+            granted_node: None,
+            migrated_round: None,
+            grant: None,
+        }
+    }
+}
+
+impl Agent {
+    /// Invalidates the outstanding grant because plan `trigger` committed.
+    /// With `reset_throttle` the throttle also returns to neutral until
+    /// the next round re-grants (the repair path: a fresh instance must
+    /// not inherit a starvation grant sized for its dead placement);
+    /// without it the throttle stays in force (the planned-migration path).
+    fn invalidate(
+        &mut self,
+        obs: &Obs,
+        name: &str,
+        trigger: &str,
+        now: SimTime,
+        reset_throttle: bool,
+    ) {
+        let epoch = self.grant.take().map_or(0, |g| g.epoch);
+        if reset_throttle {
+            self.cost_scale = 1.0;
+            self.keep_permille = 1000;
+            self.retry_cap = None;
+        }
+        self.granted_node = None;
+        obs.audit.budget_renegotiated(
+            &format!("epoch-{epoch}"),
+            name,
+            &format!("plan {trigger} committed"),
+            now.as_micros(),
+        );
+    }
+}
+
+/// Grouped negotiation state hanging off the runtime.
+#[derive(Debug, Default)]
 pub(super) struct NegotiateState {
     /// Enabled iff set.
-    pub(super) config: Option<NegotiateConfig>,
+    config: Option<NegotiateConfig>,
     /// The coordinator (only in [`CoordinationMode::Negotiated`]).
-    pub(super) negotiator: Option<Negotiator>,
-    /// Outstanding grants by agent.
-    pub(super) grants: BTreeMap<String, Grant>,
-    /// Actuation state by agent.
-    pub(super) actuation: BTreeMap<String, AgentActuation>,
-    /// Per-agent request shaping.
-    pub(super) profiles: BTreeMap<String, AgentProfile>,
+    negotiator: Option<Negotiator>,
+    /// One record per agent, indexed by [`InstId`], grown on first touch.
+    agents: Vec<Agent>,
     /// Every arbitration outcome in order — the replayable negotiation
     /// transcript the property harness and the mutation oracles read.
-    pub(super) history: Vec<NegotiationOutcome>,
-    /// Total messages shed by the admission gate.
-    pub(super) shed_total: u64,
+    history: Vec<NegotiationOutcome>,
     /// Completed negotiation rounds.
-    pub(super) rounds: u64,
+    rounds: u64,
     /// Last `(time_s, cumulative_utilization)` sample per node, used to
     /// derive the windowed utilization the situational model carries.
-    pub(super) node_busy_last: BTreeMap<u32, (f64, f64)>,
+    node_busy_last: BTreeMap<u32, (f64, f64)>,
 }
 
 impl NegotiateState {
+    /// `id`'s record, created neutral if nothing touched it before.
+    fn agent(&mut self, id: InstId) -> &mut Agent {
+        if id.index() >= self.agents.len() {
+            self.agents.resize_with(id.index() + 1, Agent::default);
+        }
+        &mut self.agents[id.index()]
+    }
+
     /// The admission gate and downgrade lookup the dispatch path runs for
     /// every delivery. Returns `(cost_scale, admit)`; neutral when the
     /// control plane is off.
-    pub(super) fn admit(&mut self, instance: &str) -> (f64, bool) {
+    pub(super) fn admit(&mut self, to: InstId) -> (f64, bool) {
         if self.config.is_none() {
             return (1.0, true);
         }
-        let act = match self.actuation.get_mut(instance) {
-            Some(act) => act,
-            None => self.actuation.entry(instance.to_owned()).or_default(),
-        };
-        let seq = act.offered;
-        act.offered += 1;
-        let admit = act.keep_permille >= 1000 || seq % 1000 < u64::from(act.keep_permille);
-        (act.cost_scale, admit)
+        let agent = self.agent(to);
+        let seq = agent.offered;
+        agent.offered += 1;
+        let admit = agent.keep_permille >= 1000 || seq % 1000 < u64::from(agent.keep_permille);
+        (agent.cost_scale, admit)
+    }
+
+    /// The control plane a digital twin starts from: the coordinator and
+    /// every agent's record, but not the transcript.
+    pub(super) fn fork(&self) -> NegotiateState {
+        NegotiateState {
+            config: self.config.clone(),
+            negotiator: self.negotiator.clone(),
+            agents: self.agents.clone(),
+            history: Vec::new(),
+            rounds: self.rounds,
+            node_busy_last: self.node_busy_last.clone(),
+        }
     }
 }
 
@@ -224,8 +271,9 @@ impl Runtime {
     /// Enables the negotiation control plane and starts its periodic tick.
     pub fn enable_negotiation(&mut self, config: NegotiateConfig) {
         let interval = config.interval;
+        // The arbitration weights are the control crate's defaults.
         self.negotiate.negotiator = (config.mode == CoordinationMode::Negotiated)
-            .then(|| Negotiator::new(config.weights, config.budget));
+            .then(|| Negotiator::new(ObjectiveWeights::default(), config.budget));
         self.negotiate.config = Some(config);
         self.arm(interval, TimerPurpose::NegotiateTick);
     }
@@ -233,7 +281,8 @@ impl Runtime {
     /// Shapes how `agent`'s budget requests are derived (priority,
     /// objectives, utility curve, floor fraction).
     pub fn set_agent_profile(&mut self, agent: &str, profile: AgentProfile) {
-        self.negotiate.profiles.insert(agent.to_owned(), profile);
+        let id = self.instances.intern(agent);
+        self.negotiate.agent(id).profile = Some(profile);
     }
 
     /// Installs (or clears) a deliberate negotiator corruption — the seam
@@ -261,13 +310,14 @@ impl Runtime {
     /// The outstanding grant for `agent`, if any.
     #[must_use]
     pub fn grant_of(&self, agent: &str) -> Option<&Grant> {
-        self.negotiate.grants.get(agent)
+        let id = self.instances.id(agent)?;
+        self.negotiate.agents.get(id.index())?.grant.as_ref()
     }
 
     /// Messages the admission gate has shed so far.
     #[must_use]
     pub fn shed_total(&self) -> u64 {
-        self.negotiate.shed_total
+        self.m.shed.get()
     }
 
     /// Completed negotiation rounds.
@@ -276,14 +326,11 @@ impl Runtime {
         self.negotiate.rounds
     }
 
-    /// The retry-budget cap for deliveries to `instance`, if one was
-    /// granted below the connector policy's own limit.
-    pub(super) fn negotiate_retry_cap(&self, instance: &str) -> Option<u32> {
-        self.negotiate
-            .config
-            .as_ref()
-            .and_then(|_| self.negotiate.actuation.get(instance))
-            .and_then(|a| a.retry_cap)
+    /// The retry-budget cap for deliveries to `to`, if one was granted
+    /// below the connector policy's own limit.
+    pub(super) fn negotiate_retry_cap(&self, to: InstId) -> Option<u32> {
+        self.negotiate.config.as_ref()?;
+        self.negotiate.agents.get(to.index())?.retry_cap
     }
 
     /// One negotiation period: build the situational model, collect
@@ -299,8 +346,8 @@ impl Runtime {
             CoordinationMode::Independent => self.independent_round(&config, &model),
         }
         // Roll the offered-delta baseline for the next tick's demand.
-        for act in self.negotiate.actuation.values_mut() {
-            act.offered_last = act.offered;
+        for agent in &mut self.negotiate.agents {
+            agent.offered_last = agent.offered;
         }
         self.negotiate.rounds += 1;
         self.obs
@@ -310,65 +357,66 @@ impl Runtime {
         self.arm(config.interval, TimerPurpose::NegotiateTick);
     }
 
-    /// Assembles the coordinator's global picture from the introspection
-    /// snapshot plus detector suspicion.
+    /// Assembles the coordinator's global picture from the instance
+    /// table (in name order), the topology and detector suspicion.
     fn build_situational_model(
         &mut self,
         now: SimTime,
         config: &NegotiateConfig,
     ) -> SituationalModel {
-        let snap = self.observe();
         let mut model = SituationalModel::empty(now);
         let dt = config.interval.as_secs_f64().max(1e-9);
         let mut offered_total = 0u64;
-        for c in &snap.components {
-            let act = self.negotiate.actuation.entry(c.name.clone()).or_default();
-            let arrivals = act.offered.saturating_sub(act.offered_last);
+        for (id, inst) in self.instances.iter() {
+            let agent = self.negotiate.agent(id);
+            let arrivals = agent.offered.saturating_sub(agent.offered_last);
             offered_total += arrivals;
             model.agents.insert(
-                c.name.clone(),
+                inst.name.to_string(),
                 AgentObservation {
-                    node: c.node.0,
+                    node: inst.node.0,
                     arrivals,
-                    inflight: u64::from(c.inflight),
-                    processed: c.processed,
-                    errors: c.errors,
-                    mean_latency_ms: c.mean_latency_ms,
+                    inflight: u64::from(inst.inflight),
+                    processed: inst.processed,
+                    errors: inst.errors,
+                    mean_latency_ms: inst.latency.snapshot().mean(),
                 },
             );
         }
         let mut capacity_units = 0.0;
         let now_s = now.as_secs_f64();
-        for n in &snap.nodes {
-            if n.up {
-                capacity_units += n.effective_capacity;
+        for n in self.kernel.topology().nodes() {
+            let (up, effective_capacity) = (n.is_up(), n.effective_capacity(now));
+            if up {
+                capacity_units += effective_capacity;
             }
             let suspicion = self
                 .detector
                 .as_ref()
-                .map_or(0.0, |d| d.detector.phi(n.id, now));
-            // The snapshot's utilization is cumulative since t=0; the
+                .map_or(0.0, |d| d.detector.phi(n.id(), now));
+            // The node's utilization is cumulative since t=0; the
             // coordinator needs the *current* pressure, so differentiate
             // it over the tick window (a cumulative figure never decays,
             // which would read one historical burst as permanent overload
             // and drive endless migration).
+            let cumulative = n.utilization(now);
             let last = self
                 .negotiate
                 .node_busy_last
-                .insert(n.id.0, (now_s, n.utilization));
+                .insert(n.id().0, (now_s, cumulative));
             let utilization = match last {
                 Some((t0, u0)) if now_s > t0 + 1e-9 => {
-                    ((n.utilization * now_s - u0 * t0) / (now_s - t0)).clamp(0.0, 1.0)
+                    ((cumulative * now_s - u0 * t0) / (now_s - t0)).clamp(0.0, 1.0)
                 }
-                _ => n.utilization,
+                _ => cumulative,
             };
             model.nodes.insert(
-                n.id.0,
+                n.id().0,
                 NodeSituation {
-                    up: n.up,
+                    up,
                     utilization,
-                    backlog_ms: n.backlog_ms,
-                    effective_capacity: n.effective_capacity,
+                    backlog_ms: n.backlog(now).as_micros() as f64 / 1e3,
+                    effective_capacity,
                     suspicion,
                 },
             );
@@ -385,12 +433,10 @@ impl Runtime {
         model: &SituationalModel,
     ) -> Vec<BudgetRequest> {
         let mut requests = Vec::with_capacity(model.agents.len() + 1);
-        for (name, obs) in &model.agents {
-            let profile = self
-                .negotiate
-                .profiles
-                .get(name)
-                .copied()
+        let dt = config.interval.as_secs_f64().max(1e-9);
+        for (id, inst) in self.instances.iter() {
+            let profile = self.negotiate.agents[id.index()]
+                .profile
                 .unwrap_or(AgentProfile {
                     floor_fraction: config.floor_fraction,
                     ..AgentProfile::default()
@@ -398,20 +444,15 @@ impl Runtime {
             if profile.exempt {
                 continue;
             }
-            let dt = config.interval.as_secs_f64().max(1e-9);
-            let rate = obs.arrivals as f64 / dt;
+            let rate = model.agents[inst.name.as_str()].arrivals as f64 / dt;
             let mut demand = ResourceVector::ZERO;
             demand.work_rate = rate;
             demand.capacity = if rate > 0.0 { 1.0 } else { 0.0 };
             demand.retry_budget = if rate > 0.0 { 3.0 } else { 0.0 };
             let mut floor = demand.scaled(profile.floor_fraction.clamp(0.0, 1.0));
-            floor.capacity = if rate > 0.0 {
-                config.min_cost_scale
-            } else {
-                0.0
-            };
+            floor.capacity = if rate > 0.0 { MIN_COST_SCALE } else { 0.0 };
             requests.push(
-                BudgetRequest::new(name.clone(), floor, demand)
+                BudgetRequest::new(inst.name.as_str(), floor, demand)
                     .with_priority(profile.priority)
                     .with_objectives(profile.objectives)
                     .with_curve(profile.curve),
@@ -427,7 +468,9 @@ impl Runtime {
         requests
     }
 
-    /// A coordinated round: arbitrate, audit, actuate.
+    /// A coordinated round: arbitrate, audit, actuate. Each name the
+    /// coordinator hands back is resolved to its id once; all of them but
+    /// [`TWIN_AGENT`] are instances the model was just built from.
     fn negotiated_round(
         &mut self,
         config: &NegotiateConfig,
@@ -461,20 +504,23 @@ impl Runtime {
             .record(phase, "negotiate", PlanOutcome::Observed);
 
         // Audit and actuate denials first: a denied agent sheds hard.
-        for (agent, reason) in &outcome.denied {
+        for (name, reason) in &outcome.denied {
             self.obs
                 .audit
-                .budget_denied(&epoch, agent, reason.label(), now.as_micros());
-            self.negotiate.grants.remove(agent);
-            let act = self.negotiate.actuation.entry(agent.clone()).or_default();
-            act.keep_permille = 0;
-            act.cost_scale = config.min_cost_scale;
-            act.retry_cap = Some(0);
-            act.granted_node = model.agents.get(agent).map(|a| a.node);
+                .budget_denied(&epoch, name, reason.label(), now.as_micros());
+            let Some(id) = self.instances.id(name) else {
+                continue;
+            };
+            let agent = self.negotiate.agent(id);
+            agent.grant = None;
+            agent.keep_permille = 0;
+            agent.cost_scale = MIN_COST_SCALE;
+            agent.retry_cap = Some(0);
+            agent.granted_node = model.agents.get(name).map(|a| a.node);
         }
 
         // Actuate grants.
-        let mut migrations: Vec<(String, NodeId)> = Vec::new();
+        let mut migrations: Vec<(InstId, NodeId)> = Vec::new();
         for grant in &outcome.grants {
             if grant.agent == TWIN_AGENT {
                 if let Some(tc) = self.twin.config.as_mut() {
@@ -496,67 +542,50 @@ impl Runtime {
                 .metrics
                 .gauge(&format!("negotiate.fraction.{}", grant.agent))
                 .set(grant.fraction);
-            let rate_frac = if grant.demand.work_rate > 0.0 {
-                (grant.granted.work_rate / grant.demand.work_rate).clamp(0.0, 1.0)
-            } else {
-                1.0
+            let Some(id) = self.instances.id(&grant.agent) else {
+                continue;
             };
-            let act = self
-                .negotiate
-                .actuation
-                .entry(grant.agent.clone())
-                .or_default();
+            let host = self.instances.get(id).expect("id is live").node.0;
+            let agent = self.negotiate.agent(id);
             if grant.demand.work_rate > 0.0 {
-                act.keep_permille = (rate_frac * 1000.0).floor() as u32;
-                act.cost_scale = if grant.fraction < config.downgrade_below {
-                    grant.fraction.max(config.min_cost_scale)
+                let rate_frac = (grant.granted.work_rate / grant.demand.work_rate).clamp(0.0, 1.0);
+                agent.keep_permille = (rate_frac * 1000.0).floor() as u32;
+                agent.cost_scale = if grant.fraction < DOWNGRADE_BELOW {
+                    grant.fraction.max(MIN_COST_SCALE)
                 } else {
                     1.0
                 };
-                act.retry_cap = (grant.demand.retry_budget > 0.0)
+                agent.retry_cap = (grant.demand.retry_budget > 0.0)
                     .then(|| grant.granted.retry_budget.floor().max(0.0) as u32);
             }
             // A zero-demand agent keeps its previous throttle: an agent
             // quiesced by an executing plan observes no arrivals, and
             // opening its gate to neutral would admit the entire held
             // backlog as one unthrottled burst at plan release.
-            let host = model.agents.get(&grant.agent).map(|a| a.node);
-            act.granted_node = host;
-            self.negotiate
-                .grants
-                .insert(grant.agent.clone(), grant.clone());
+            agent.granted_node = Some(host);
+            agent.grant = Some(grant.clone());
 
             // Migration request: starving on an overcommitted host while
             // another up node idles. Compiled into an ordinary plan, and
             // rate-limited per agent so sustained overload cannot turn
             // into plan churn.
-            if grant.fraction < config.downgrade_below {
-                if let Some(host) = host {
-                    let overloaded = model
-                        .nodes
-                        .get(&host)
-                        .is_some_and(|n| n.utilization > config.migrate_above);
-                    let target = model
-                        .nodes
-                        .iter()
-                        .filter(|(id, n)| **id != host && n.up && n.utilization < 0.5)
-                        .map(|(id, _)| NodeId(*id))
-                        .next();
-                    let already_moving = self.instances.id(&grant.agent).is_some_and(|id| {
-                        let moving = PlanOrigin::Migration { agent: id };
-                        self.exec.in_flight().any(|origin| origin == moving)
-                    });
-                    let cooled = self
-                        .negotiate
-                        .actuation
-                        .get(&grant.agent)
-                        .and_then(|a| a.migrated_round)
-                        .is_none_or(|r| self.negotiate.rounds >= r + MIGRATE_COOLDOWN_ROUNDS);
-                    if overloaded && !already_moving && cooled {
-                        if let Some(to) = target {
-                            migrations.push((grant.agent.clone(), to));
-                        }
-                    }
+            if grant.fraction < DOWNGRADE_BELOW {
+                let overloaded = model
+                    .nodes
+                    .get(&host)
+                    .is_some_and(|n| n.utilization > config.migrate_above);
+                let target = model
+                    .nodes
+                    .iter()
+                    .find(|(id, n)| **id != host && n.up && n.utilization < 0.5)
+                    .map(|(id, _)| NodeId(*id));
+                let cooled = agent
+                    .migrated_round
+                    .is_none_or(|r| self.negotiate.rounds >= r + MIGRATE_COOLDOWN_ROUNDS);
+                let moving = PlanOrigin::Migration { agent: id };
+                let already_moving = self.exec.in_flight().any(|origin| origin == moving);
+                if let Some(to) = target.filter(|_| overloaded && !already_moving && cooled) {
+                    migrations.push((id, to));
                 }
             }
         }
@@ -570,17 +599,13 @@ impl Runtime {
             .set(outcome.denied.len() as f64);
         self.negotiate.history.push(outcome);
 
-        for (agent, to) in migrations {
-            if let Some(act) = self.negotiate.actuation.get_mut(&agent) {
-                act.migrated_round = Some(self.negotiate.rounds);
-            }
-            let origin = PlanOrigin::Migration {
-                agent: self.instances.intern(&agent),
-            };
-            let plan = ReconfigPlan::single(ReconfigAction::Migrate { name: agent, to });
+        for (id, to) in migrations {
+            self.negotiate.agent(id).migrated_round = Some(self.negotiate.rounds);
+            let name = self.instances.name(id).to_string();
+            let plan = ReconfigPlan::single(ReconfigAction::Migrate { name, to });
             self.coverage
                 .record(DetectPhase::Steady, "negotiate", PlanOutcome::Planned);
-            let _ = self.submit(plan, origin);
+            let _ = self.submit(plan, PlanOrigin::Migration { agent: id });
         }
     }
 
@@ -590,29 +615,26 @@ impl Runtime {
     /// that reacts only after its host is already drowning, and punishes
     /// victims as readily as culprits.
     fn independent_round(&mut self, config: &NegotiateConfig, model: &SituationalModel) {
-        let mut keeps: Vec<(String, u32)> = Vec::new();
-        for (name, obs) in &model.agents {
-            if self.negotiate.profiles.get(name).is_some_and(|p| p.exempt) {
+        let interval_ms = config.interval.as_secs_f64() * 1e3;
+        for (id, inst) in self.instances.iter() {
+            let agent = self.negotiate.agent(id);
+            if agent.profile.is_some_and(|p| p.exempt) {
                 continue;
             }
-            let backlog = model.nodes.get(&obs.node).map_or(0.0, |n| n.backlog_ms);
-            let act = self.negotiate.actuation.entry(name.clone()).or_default();
-            let keep = i64::from(act.keep_permille);
-            let next = if backlog > 4.0 * config.interval.as_secs_f64() * 1e3 {
+            let backlog = model.nodes.get(&inst.node.0).map_or(0.0, |n| n.backlog_ms);
+            let keep = i64::from(agent.keep_permille);
+            let next = if backlog > 4.0 * interval_ms {
                 keep - 100
-            } else if backlog > 1e3 * config.interval.as_secs_f64() {
+            } else if backlog > interval_ms {
                 keep - 50
             } else {
                 keep + 100
             };
-            act.keep_permille = next.clamp(100, 1000) as u32;
-            keeps.push((name.clone(), act.keep_permille));
-        }
-        for (name, keep) in keeps {
+            agent.keep_permille = next.clamp(100, 1000) as u32;
             self.obs
                 .metrics
-                .gauge(&format!("negotiate.fraction.{name}"))
-                .set(f64::from(keep) / 1000.0);
+                .gauge(&format!("negotiate.fraction.{}", inst.name))
+                .set(f64::from(agent.keep_permille) / 1000.0);
         }
     }
 
@@ -624,53 +646,27 @@ impl Runtime {
             self.coverage
                 .record(DetectPhase::Steady, "negotiate", PlanOutcome::Completed);
             // The agent moved: its grant was computed for the old
-            // placement, so force renegotiation next tick. Actuation is
+            // placement, so force renegotiation next tick. The throttle is
             // *kept* — a planned migration under overload must not open
             // an unthrottled admission window until the re-grant lands.
-            let agent = self.instances.name(agent).clone();
-            self.invalidate_grant_of(&agent, &report.id.to_string(), report.finished_at, false);
+            self.negotiate.agent(agent).invalidate(
+                &self.obs,
+                self.instances.name(agent),
+                &report.id.to_string(),
+                report.finished_at,
+                false,
+            );
         }
-    }
-
-    /// Invalidates one agent's outstanding grant. With `reset_actuation`
-    /// the throttle also returns to neutral until the next round
-    /// re-grants (the repair path: a fresh instance must not inherit a
-    /// starvation grant sized for its dead placement); without it the
-    /// current throttle stays in force (the planned-migration path).
-    fn invalidate_grant_of(
-        &mut self,
-        agent: &str,
-        trigger: &str,
-        now: SimTime,
-        reset_actuation: bool,
-    ) {
-        let epoch = self.negotiate.grants.remove(agent).map_or(0, |g| g.epoch);
-        if let Some(act) = self.negotiate.actuation.get_mut(agent) {
-            if reset_actuation {
-                act.cost_scale = 1.0;
-                act.keep_permille = 1000;
-                act.retry_cap = None;
-            }
-            act.granted_node = None;
-        }
-        self.obs.audit.budget_renegotiated(
-            &format!("epoch-{epoch}"),
-            agent,
-            &format!("plan {trigger} committed"),
-            now.as_micros(),
-        );
     }
 
     /// The heal/negotiate ordering fix: a repair plan committing for
     /// `node` mid-tick invalidates every outstanding budget decision
-    /// issued against the pre-repair placement — grants for agents hosted
-    /// there, *denials* whose hard-shed actuation was pinned to the node
-    /// (a `HostSuspected` deny removes the grant entry, so the actuation
-    /// table is the only record left), and agents the plan itself moved
-    /// (whose current decision was arbitrated from observations of the
-    /// dead placement). Without this, a freshly repaired instance keeps
-    /// being throttled — or fully shed — by a decision sized for its
-    /// crashed or pre-migration placement until the next tick.
+    /// issued against the pre-repair placement — grants and hard-shed
+    /// *denials* pinned to the node, grants of agents hosted there now,
+    /// and agents the plan itself moved (whose current decision was
+    /// arbitrated from observations of the dead placement). Without this,
+    /// a freshly repaired instance keeps being throttled — or fully shed —
+    /// by a stale decision until the next tick. In name order.
     pub(super) fn invalidate_grants_on(
         &mut self,
         node: NodeId,
@@ -678,32 +674,23 @@ impl Runtime {
         moved: &[String],
         now: SimTime,
     ) {
-        use std::collections::BTreeSet;
         if self.negotiate.config.is_none() {
             return;
         }
-        let mut affected: BTreeSet<String> = BTreeSet::new();
-        for (agent, act) in &self.negotiate.actuation {
-            if act.granted_node == Some(node.0) {
-                affected.insert(agent.clone());
-            }
-        }
-        for agent in self.negotiate.grants.keys() {
-            if self.instances.by_name(agent).map(|i| i.node.0) == Some(node.0) {
-                affected.insert(agent.clone());
-            }
-        }
-        for agent in moved {
-            if self.negotiate.grants.contains_key(agent)
-                || self.negotiate.actuation.contains_key(agent)
+        for id in self.instances.ids() {
+            let Some(agent) = self.negotiate.agents.get_mut(id.index()) else {
+                continue;
+            };
+            let name = self.instances.name(id);
+            let hosted_here = || self.instances.get(id).is_some_and(|i| i.node == node);
+            if agent.granted_node == Some(node.0)
+                || (agent.grant.is_some() && hosted_here())
+                || moved.iter().any(|m| m == name.as_str())
             {
-                affected.insert(agent.clone());
+                agent.invalidate(&self.obs, name, plan, now, true);
+                self.coverage
+                    .record(DetectPhase::Suspected, "negotiate", PlanOutcome::Completed);
             }
-        }
-        for agent in affected {
-            self.invalidate_grant_of(&agent, plan, now, true);
-            self.coverage
-                .record(DetectPhase::Suspected, "negotiate", PlanOutcome::Completed);
         }
     }
 }

@@ -124,6 +124,12 @@ impl<I: SlotId, T> Table<I, T> {
         self.slots.iter().flatten().count()
     }
 
+    /// Every id ever given, in name order, whether or not anything bears
+    /// the name now.
+    pub(super) fn ids(&self) -> impl Iterator<Item = I> + '_ {
+        self.ids.values().copied()
+    }
+
     /// Live entries with their ids, in name order.
     pub(super) fn iter(&self) -> impl Iterator<Item = (I, &T)> {
         self.ids

@@ -1085,3 +1085,47 @@ fn connector_retry_redelivers_after_transient_outage() {
         "the message eventually got through"
     );
 }
+
+#[test]
+fn an_agent_record_belongs_to_its_name_and_a_fork_leaves_the_transcript_behind() {
+    let mut rt = runtime(2);
+    // Before the instance exists: the profile lands in the record its
+    // name will address.
+    rt.set_agent_profile(
+        "late",
+        AgentProfile {
+            exempt: true,
+            ..AgentProfile::default()
+        },
+    );
+    let mut cfg = Configuration::new();
+    cfg.component("counter", ComponentDecl::new("Counter", 1, NodeId(0)));
+    cfg.component("late", ComponentDecl::new("Counter", 1, NodeId(1)));
+    rt.deploy(&cfg).unwrap();
+    rt.enable_negotiation(NegotiateConfig::default());
+    tick(&mut rt, 5);
+    rt.run_until(SimTime::from_millis(350));
+
+    assert_eq!(rt.negotiation_history().len(), 3);
+    let grant = rt.grant_of("counter").expect("granted").clone();
+    assert_eq!(grant.epoch, 3);
+    assert!(
+        rt.grant_of("late").is_none(),
+        "an exempt agent files nothing"
+    );
+    assert!(rt.grant_of("nobody").is_none());
+
+    // The fork negotiates on from the same coordinator and records, and
+    // starts a transcript of its own.
+    let mut fork = rt.fork_twin().expect("nothing in flight");
+    assert!(fork.negotiation_history().is_empty());
+    assert_eq!(fork.negotiation_rounds(), 3);
+    assert_eq!(fork.grant_of("counter"), Some(&grant));
+    fork.run_until(SimTime::from_millis(450));
+    assert_eq!(fork.negotiation_history()[0].epoch, 4);
+    assert_eq!(
+        rt.negotiation_history().len(),
+        3,
+        "the mainline's is its own"
+    );
+}

@@ -35,11 +35,6 @@ use super::*;
 pub struct TwinConfig {
     /// How far past "now" each candidate fork is simulated.
     pub horizon: SimDuration,
-    /// Event budget per fork; exceeding it counts as a fork timeout.
-    pub max_events: u64,
-    /// Availability edge required between the winner and the runner-up
-    /// before the twin's choice is considered decisive.
-    pub margin: f64,
     /// Candidate repair policies, scored in order.
     pub candidates: Vec<RepairPolicy>,
 }
@@ -48,12 +43,16 @@ impl Default for TwinConfig {
     fn default() -> Self {
         TwinConfig {
             horizon: SimDuration::from_secs(4),
-            max_events: 50_000,
-            margin: 0.005,
             candidates: vec![RepairPolicy::RestartInPlace, RepairPolicy::FailoverMigrate],
         }
     }
 }
+
+/// Event budget per fork; exceeding it counts as a fork timeout.
+const MAX_EVENTS: u64 = 50_000;
+/// Availability edge required between the winner and the runner-up before
+/// the twin's choice is considered decisive.
+const MARGIN: f64 = 0.005;
 
 /// What one candidate's fork predicted.
 #[derive(Debug, Clone)]
@@ -185,7 +184,7 @@ impl Runtime {
             raml: None,
             detector,
             heal: self.heal.fork(),
-            negotiate: self.negotiate.clone(),
+            negotiate: self.negotiate.fork(),
             coverage: AdaptationCoverage::new(),
             events: Vec::new(),
             outbox: Vec::new(),
@@ -241,7 +240,7 @@ impl Runtime {
             return None; // no fork repaired within the horizon
         }
         if let Some(second) = scored.get(1) {
-            let decisive = best.1.availability - second.1.availability > config.margin
+            let decisive = best.1.availability - second.1.availability > MARGIN
                 || second.1.mttr_ms - best.1.mttr_ms > 1.0;
             if !decisive {
                 return None; // the forks disagree on nothing measurable
@@ -281,7 +280,7 @@ impl Runtime {
         let mut events = 0u64;
         while fork.kernel.next_event_time().is_some_and(|t| t <= deadline) {
             events += 1;
-            if events > config.max_events {
+            if events > MAX_EVENTS {
                 return None;
             }
             let _ = fork.step();

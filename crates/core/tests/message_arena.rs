@@ -201,6 +201,8 @@ fn replace_mid() -> ReconfigPlan {
 struct Books {
     dropped_at_delivery: u64,
     closed_channel_drops: u64,
+    /// Drops reported for `mid` once nothing bore the name any more.
+    no_mid: u64,
 }
 
 impl Books {
@@ -213,6 +215,7 @@ impl Books {
             if let RuntimeEvent::Dropped { reason } = event {
                 self.dropped_at_delivery += u64::from(at_delivery.contains(&reason));
                 self.closed_channel_drops += u64::from(reason == at_delivery[1]);
+                self.no_mid += u64::from(reason == "no instance `mid`");
             }
         }
         let now = rt.now();
@@ -313,6 +316,12 @@ fn in_flight_agrees_with_the_kernel_and_the_instances_at_every_step() {
         peak.in_transit_or_held > 0 && peak.in_service > 0,
         "{peak:?}"
     );
+
+    // The ticks scheduled straight into `mid` that fell due after the
+    // last plan removed it left the books as drops, not without trace.
+    let removed_at = reports[2].finished_at;
+    let due_later = (0..200).filter(|i| ms(7 * i + 1) > removed_at).count();
+    assert_eq!(books.no_mid, due_later as u64, "removed at {removed_at}");
 
     // Drained: nothing is anywhere.
     assert_eq!(rt.in_flight(), InFlight::default());

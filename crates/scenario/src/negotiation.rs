@@ -172,7 +172,6 @@ pub fn build_overload_runtime(
         nominal_cost: FRAME_COST,
         floor_fraction: 0.05,
         migrate_above,
-        ..NegotiateConfig::default()
     });
     rt.set_negotiator_mutation(mutation);
     rt
@@ -286,11 +285,12 @@ impl DegradationRun {
     }
 }
 
-/// Runs the overload trajectory once in `mode` and measures degradation.
+/// Runs the overload trajectory once in `mode` and measures degradation;
+/// `migrate_above` as in [`build_overload_runtime`].
 #[must_use]
-pub fn run_degradation(seed: u64, mode: CoordinationMode) -> DegradationRun {
+pub fn run_degradation(seed: u64, mode: CoordinationMode, migrate_above: f64) -> DegradationRun {
     let schedule = overload_spec(seed).build(&overload_topology());
-    let mut rt = build_overload_runtime(seed, mode, None, MIGRATE_ABOVE);
+    let mut rt = build_overload_runtime(seed, mode, None, migrate_above);
     let (offered_gold, offered_silver) = drive_overload(&mut rt, &schedule);
     measure(&rt, seed, mode, offered_gold, offered_silver)
 }
@@ -411,8 +411,8 @@ impl DifferentialReport {
 #[must_use]
 pub fn run_differential(seed: u64) -> DifferentialReport {
     DifferentialReport {
-        baseline: run_degradation(seed, CoordinationMode::Independent),
-        negotiated: run_degradation(seed, CoordinationMode::Negotiated),
+        baseline: run_degradation(seed, CoordinationMode::Independent, MIGRATE_ABOVE),
+        negotiated: run_degradation(seed, CoordinationMode::Negotiated, MIGRATE_ABOVE),
     }
 }
 
@@ -648,7 +648,7 @@ mod tests {
 
     #[test]
     fn negotiated_overload_run_grants_within_budget_and_sheds() {
-        let run = run_degradation(11, CoordinationMode::Negotiated);
+        let run = run_degradation(11, CoordinationMode::Negotiated, MIGRATE_ABOVE);
         assert!(run.rounds > 10, "rounds {}", run.rounds);
         assert!(run.shed > 0, "10× overload must shed");
         assert!(run.jain >= JAIN_FLOOR, "jain {}", run.jain);
@@ -657,7 +657,7 @@ mod tests {
 
     #[test]
     fn independent_mode_runs_without_a_negotiator() {
-        let run = run_degradation(11, CoordinationMode::Independent);
+        let run = run_degradation(11, CoordinationMode::Independent, MIGRATE_ABOVE);
         assert_eq!(run.outcome_fingerprint, 0);
         assert!(run.rounds > 10, "the reactive loops still tick");
         assert!(run.shed > 0, "the reactive gates shed too");

@@ -130,6 +130,7 @@ fn node_crash_drops_frames_and_recovery_resumes() {
     assert!(sink.processed < 150, "frames to a dead node are lost");
     assert!(sink.processed > 90, "frames resumed after recovery");
     assert!(snap.dropped > 0);
+    assert_eq!(snap.dropped, rt.metrics().dropped, "each drop counted once");
     // The loss is visible as sequence gaps — exactly what the paper's
     // channel-preservation machinery is meant to surface.
     assert!(sink.seq_anomalies > 0);

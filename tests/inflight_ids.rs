@@ -12,7 +12,10 @@
 //! The expected traces are the ones the string-keyed dispatch path of
 //! PR 13 (`4233b2b`) produced for the same scenarios: this file ran
 //! there unchanged, so every count and the graph fingerprint are held to
-//! what name lookup at delivery time gave.
+//! what name lookup at delivery time gave — but for two lines of (b): the
+//! 69 injections scheduled for `mid` that fall due after it is gone used
+//! to vanish uncounted (`dropped=1`, `no-instance drops: 0`) and are now
+//! dropped and reported like a delivery to a name nobody bears.
 
 use aas_core::component::{CallCtx, Component, StateSnapshot};
 use aas_core::config::{BindingDecl, ComponentDecl, Configuration};
@@ -300,9 +303,9 @@ binding src.out via wire -> [(\"mid\", \"in\")]\n\
 ";
 const EXPECT_OTHER_NAME: &str = "\
 plan reconfig1: success=true applied=6 held=0 failure=None\n\
-runtime: delivered=659 dropped=1 unrouted=1 retries=0\n\
+runtime: delivered=659 dropped=70 unrouted=1 retries=0\n\
 kernel: sent=660 delivered=659 dropped=1 held=1 released=1\n\
-no-instance drops: 0\n\
+no-instance drops: 69\n\
 end on node2: processed=229 anomalies=0\n\
 mid2 on node3: processed=140 anomalies=0\n\
 src on node0: processed=200 anomalies=0\n\

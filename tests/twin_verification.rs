@@ -229,7 +229,6 @@ fn stale_version_restart_claims_failed_cell() {
     rt.enable_twin(TwinConfig {
         horizon: SimDuration::from_secs(1),
         candidates: vec![RepairPolicy::RestartInPlace],
-        ..TwinConfig::default()
     });
     inject_incident(&mut rt, SimTime::from_secs(3));
     rt.run_until(SimTime::from_secs(8));
@@ -260,7 +259,6 @@ fn target_suspect_failover_claims_failed_cell() {
     rt.enable_twin(TwinConfig {
         horizon: SimDuration::from_secs(1),
         candidates: vec![RepairPolicy::FailoverMigrate],
-        ..TwinConfig::default()
     });
     inject_incident(&mut rt, SimTime::from_secs(5));
     rt.run_until(SimTime::from_secs(12));
