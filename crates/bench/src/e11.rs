@@ -10,19 +10,77 @@
 //! cost at most [`BUDGET_NS`] nanoseconds — it is a single relaxed atomic
 //! load plus a branch. Counters and histogram recording are also measured;
 //! they sit on the delivery path, not the per-hop path, and are lock-free.
+//!
+//! The last three rows price the other side, a *read*: a mean and a p99
+//! off a latency-shaped histogram in place, the copy of it that
+//! `snapshot()` makes, and one whole `Runtime::observe()` of 64 media
+//! pipelines — what the meta level pays per tick.
 
+use crate::common::experiment_registry;
 use crate::table::{ex, ns_per_call, timed, Col, Table, Tier};
+use aas_core::config::{BindingDecl, ComponentDecl, Configuration};
+use aas_core::connector::ConnectorSpec;
+use aas_core::message::{Message, Value};
+use aas_core::runtime::Runtime;
 use aas_obs::{MetricsRegistry, Tracer};
+use aas_sim::network::Topology;
+use aas_sim::node::NodeId;
+use aas_sim::time::SimDuration;
 
 /// The per-event budget (ns) for the disabled tracing path.
 pub const BUDGET_NS: f64 = 50.0;
 
-/// Iterations timed per trial of each primitive.
+/// Iterations timed per trial of each per-message primitive.
 const N: u64 = 2_000_000;
 
-/// Appends the row of one primitive: ns/call over [`N`] calls per trial.
-fn price<T>(table: &mut Table, primitive: &str, mut f: impl FnMut() -> T) {
-    table.trials(|| vec![ex(primitive), ex(N), timed(ns_per_call(N, &mut f), 2)]);
+/// Appends the row of one primitive: ns/call over `n` calls per trial.
+fn price<T>(table: &mut Table, primitive: &str, n: u64, mut f: impl FnMut() -> T) {
+    table.trials(|| vec![ex(primitive), ex(n), timed(ns_per_call(n, &mut f), 2)]);
+}
+
+/// 64 `MediaSource → Transcoder → MediaSink` pipelines of four sessions
+/// each on a three-node clique, two virtual seconds in: 192 latency
+/// histograms and 192 custom ones, all written.
+fn pipelines_64() -> Runtime {
+    const PIPELINES: usize = 64;
+    let topology = Topology::clique(3, 64_000.0, SimDuration::from_millis(1), 1e7);
+    let mut rt = Runtime::new(topology, 11, experiment_registry());
+    let mut cfg = Configuration::new();
+    cfg.connector(ConnectorSpec::direct("wire"));
+    for i in 0..PIPELINES {
+        let mut source = ComponentDecl::new("MediaSource", 1, NodeId(0));
+        source.props.insert("level".into(), Value::Int(0));
+        cfg.component(format!("src{i}"), source);
+        cfg.component(
+            format!("tc{i}"),
+            ComponentDecl::new("Transcoder", 1, NodeId(1)),
+        );
+        cfg.component(
+            format!("sink{i}"),
+            ComponentDecl::new("MediaSink", 1, NodeId(2)),
+        );
+        for (from, to) in [("src", "tc"), ("tc", "sink")] {
+            cfg.bind(BindingDecl::new(
+                format!("{from}{i}"),
+                "out",
+                "wire",
+                format!("{to}{i}"),
+                "in",
+            ));
+        }
+    }
+    rt.deploy(&cfg).expect("deploy");
+    for i in 0..PIPELINES {
+        let src = format!("src{i}");
+        rt.inject(&src, Message::event("init", Value::Null))
+            .expect("inject");
+        for _ in 0..4 {
+            rt.inject(&src, Message::event("session_start", Value::Null))
+                .expect("inject");
+        }
+    }
+    rt.run_for(SimDuration::from_secs(2));
+    rt
 }
 
 /// Prices every observation primitive. The first row is the one the
@@ -45,7 +103,7 @@ pub fn run(tier: Tier) -> Table {
     // Tracing disabled (the default): one relaxed load + branch.
     let tracer = Tracer::new();
     assert_eq!(tracer.hop_sampling(), 0, "tracing must default to off");
-    price(&mut table, "tracer.sample_hop (disabled)", || {
+    price(&mut table, "tracer.sample_hop (disabled)", N, || {
         tracer.sample_hop()
     });
 
@@ -53,26 +111,48 @@ pub fn run(tier: Tier) -> Table {
     // events pay the ring-buffer push, so the *check* stays cheap.
     let sampled = Tracer::new();
     sampled.set_hop_sampling(1024);
-    price(&mut table, "tracer.sample_hop (1-in-1024)", || {
+    price(&mut table, "tracer.sample_hop (1-in-1024)", N, || {
         sampled.sample_hop()
     });
 
     // Counter increment: one relaxed fetch_add through an Arc.
     let registry = MetricsRegistry::new();
     let counter = registry.counter("e11.counter");
-    price(&mut table, "counter.incr", || counter.incr());
+    price(&mut table, "counter.incr", N, || counter.incr());
 
     // Histogram record: float-bits bucket index + relaxed adds.
     let histogram = registry.histogram("e11.histogram");
     let mut x = 0.0f64;
-    price(&mut table, "histogram.observe", || {
+    price(&mut table, "histogram.observe", N, || {
         x += 0.1;
         histogram.observe(x);
     });
 
     // Gauge store: one relaxed store of the value's bits.
     let gauge = registry.gauge("e11.gauge");
-    price(&mut table, "gauge.set", || gauge.set(42.0));
+    price(&mut table, "gauge.set", N, || gauge.set(42.0));
+
+    // A read of a latency-shaped histogram (1-80 ms: seven octaves), in
+    // place and by copy.
+    let latency = registry.histogram("e11.latency_ms");
+    for i in 0..10_000 {
+        latency.observe(1.0 + f64::from(i % 1_000) * 0.079);
+    }
+    price(&mut table, "histogram.mean+p99 (in place)", N / 10, || {
+        (latency.mean(), latency.quantile(0.99))
+    });
+    price(&mut table, "histogram.snapshot", N / 10, || {
+        latency.snapshot()
+    });
+
+    // The whole introspection snapshot the meta level takes per tick.
+    let rt = pipelines_64();
+    price(
+        &mut table,
+        "runtime.observe (64 pipelines)",
+        N / 1_000,
+        || rt.observe(),
+    );
 
     table
 }
@@ -85,7 +165,9 @@ mod tests {
     #[test]
     fn disabled_trace_check_is_within_budget_and_primitives_are_cheap() {
         let table = run(Tier::Smoke);
-        for (i, row) in table.rows.iter().enumerate() {
+        // The five per-message primitives; the read rows after them are
+        // the meta level's cost per tick, not the message path's.
+        for (i, row) in table.rows.iter().take(5).enumerate() {
             let Value::Timed(ns) = &row[2] else {
                 panic!("ns/call is timed")
             };

@@ -138,7 +138,7 @@ impl QosMonitor {
     pub fn quantile(&self, q: f64) -> f64 {
         match &self.source {
             MetricSource::Own(h) => h.quantile(q),
-            MetricSource::Registry(h) => h.snapshot().quantile(q),
+            MetricSource::Registry(h) => h.quantile(q),
         }
     }
 

@@ -15,7 +15,7 @@
 
 use crate::lts::{Label, Lts, LtsRunner, ProtocolViolation};
 use crate::message::{Message, Name, SequenceTracker};
-use aas_sim::stats::{Histogram, Summary};
+use aas_sim::stats::Summary;
 use aas_sim::time::{SimDuration, SimTime};
 use core::fmt;
 use serde::{Deserialize, Serialize};
@@ -206,8 +206,6 @@ pub struct ConnectorStats {
     pub seq_anomalies: u64,
     /// Latency observations recorded by `Metering` (milliseconds).
     pub metered_latency: Summary,
-    /// Wire sizes after aspect processing.
-    pub sizes: Histogram,
     /// Last operation seen by `Logging`.
     pub last_op: Option<Name>,
 }
@@ -341,10 +339,6 @@ impl Connector {
                 ConnectorAspect::SequenceCheck => {}
             }
         }
-        self.stats
-            .sizes
-            .observe(msg.wire_size() as f64 * size_factor);
-
         // Routing.
         let targets = match self.spec.policy {
             RoutingPolicy::Direct => 0..1,

@@ -763,7 +763,6 @@ impl Runtime {
                 let bytes = snap.transfer_size();
                 let transit = if self.kernel.topology().node(from_node).is_up() {
                     self.kernel
-                        .topology()
                         .route(from_node, *to, bytes)
                         .ok_or_else(|| RuntimeError::NodeUnavailable(to.to_string()))?
                         .transit

@@ -18,15 +18,21 @@ impl Runtime {
         self.raml.as_ref()
     }
 
-    /// Takes a full introspection snapshot right now.
+    /// Takes a full introspection snapshot right now. It costs what it
+    /// reads: one pass over the instance table (means and p99s are read
+    /// from the histograms in place, the `hosted` lists grouped in the
+    /// same pass), one over the nodes, one over the connectors.
     #[must_use]
     pub fn observe(&self) -> SystemSnapshot {
         let now = self.kernel.now();
+        let topology = self.kernel.topology();
+        // By node id; the table iterates in name order, so each list is.
+        let mut hosted = vec![Vec::new(); topology.node_count()];
         let components = self
             .instances
             .values()
             .map(|inst| {
-                let latency = inst.latency.snapshot();
+                hosted[inst.node.0 as usize].push(inst.name.to_string());
                 ComponentObservation {
                     name: inst.name.to_string(),
                     type_name: inst.type_name.clone(),
@@ -36,33 +42,27 @@ impl Runtime {
                     inflight: inst.inflight,
                     processed: inst.processed,
                     errors: inst.errors,
-                    mean_latency_ms: latency.mean(),
-                    p99_latency_ms: latency.quantile(0.99),
+                    mean_latency_ms: inst.latency.mean(),
+                    p99_latency_ms: inst.latency.quantile(0.99),
                     seq_anomalies: inst.tracker.gaps() + inst.tracker.duplicates(),
                     custom: inst
                         .custom
                         .iter()
-                        .map(|(k, s)| (k.to_string(), s.snapshot().mean()))
+                        .map(|(k, s)| (k.to_string(), s.mean()))
                         .collect(),
                 }
             })
             .collect();
-        let nodes = self
-            .kernel
-            .topology()
+        let nodes = topology
             .nodes()
-            .map(|n| NodeObservation {
+            .zip(hosted)
+            .map(|(n, hosted)| NodeObservation {
                 id: n.id(),
                 up: n.is_up(),
                 utilization: n.utilization(now),
                 backlog_ms: n.backlog(now).as_micros() as f64 / 1e3,
                 effective_capacity: n.effective_capacity(now),
-                hosted: self
-                    .instances
-                    .values()
-                    .filter(|i| i.node == n.id())
-                    .map(|i| i.name.to_string())
-                    .collect(),
+                hosted,
             })
             .collect();
         let connectors = self

@@ -43,9 +43,9 @@ pub struct RuntimeMetrics {
 /// a full region map, the flat epoch-flushed cache otherwise.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RouteStats {
-    /// Sends answered from the router's memo.
+    /// Sends and migration transfers answered from the router's memo.
     pub hits: u64,
-    /// Sends the memo could not answer.
+    /// Those the memo could not answer.
     pub misses: u64,
     /// Shortest-path searches started. Under region-scoped routing a miss
     /// that shares destination, source region and routing epoch with the

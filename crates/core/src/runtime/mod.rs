@@ -608,7 +608,8 @@ impl Runtime {
     }
 
     /// What routing has cost since this runtime was created (a twin fork
-    /// starts from zero).
+    /// starts from zero): every send's route, and every migration's, whose
+    /// state transfer is priced by the same router.
     #[must_use]
     pub fn route_stats(&self) -> RouteStats {
         match self.kernel.hier_stats() {

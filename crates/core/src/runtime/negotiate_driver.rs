@@ -379,7 +379,7 @@ impl Runtime {
                     inflight: u64::from(inst.inflight),
                     processed: inst.processed,
                     errors: inst.errors,
-                    mean_latency_ms: inst.latency.snapshot().mean(),
+                    mean_latency_ms: inst.latency.mean(),
                 },
             );
         }

@@ -10,6 +10,8 @@
 
 #[path = "../../sim/tests/support/counting_alloc.rs"]
 mod counting_alloc;
+#[path = "support/media_pipelines.rs"]
+mod media_pipelines;
 
 use counting_alloc::{enroll, measured, unenroll, GATE};
 
@@ -25,7 +27,6 @@ use aas_core::runtime::Runtime;
 use aas_sim::network::Topology;
 use aas_sim::node::NodeId;
 use aas_sim::time::SimDuration;
-use aas_telecom::services::register_telecom_components;
 
 /// Heap allocations per frame through source → transcoder → sink.
 const ALLOCS_PER_FRAME: u64 = 2;
@@ -44,56 +45,7 @@ fn pipelines_allocate_a_fixed_count_per_frame(pipelines: u64) {
     let _gate = GATE
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let mut registry = ImplementationRegistry::new();
-    register_telecom_components(&mut registry);
-    // Capacity to spare, so that no frame queues into the next tick.
-    let topology = Topology::clique(
-        3,
-        1000.0 * pipelines as f64,
-        SimDuration::from_millis(1),
-        1e7,
-    );
-    let mut rt = Runtime::new(topology, 14, registry);
-    let mut cfg = Configuration::new();
-    cfg.connector(ConnectorSpec::direct("a"));
-    cfg.connector(ConnectorSpec::direct("b"));
-    for i in 0..pipelines {
-        let mut source = ComponentDecl::new("MediaSource", 1, NodeId(0));
-        source.props.insert("level".into(), Value::Int(0));
-        cfg.component(format!("src{i}"), source);
-        cfg.component(
-            format!("tc{i}"),
-            ComponentDecl::new("Transcoder", 1, NodeId(1)),
-        );
-        cfg.component(
-            format!("sink{i}"),
-            ComponentDecl::new("MediaSink", 1, NodeId(2)),
-        );
-        cfg.bind(BindingDecl::new(
-            format!("src{i}"),
-            "out",
-            "a",
-            format!("tc{i}"),
-            "in",
-        ));
-        cfg.bind(BindingDecl::new(
-            format!("tc{i}"),
-            "out",
-            "b",
-            format!("sink{i}"),
-            "in",
-        ));
-    }
-    rt.deploy(&cfg).unwrap();
-    for i in 0..pipelines {
-        let src = format!("src{i}");
-        rt.inject(&src, Message::event("init", Value::Null))
-            .unwrap();
-        for _ in 0..4 {
-            rt.inject(&src, Message::event("session_start", Value::Null))
-                .unwrap();
-        }
-    }
+    let mut rt = media_pipelines::deploy(pipelines);
     let sunk = |rt: &Runtime| -> u64 {
         (0..pipelines)
             .map(|i| processed(rt, &format!("sink{i}")))

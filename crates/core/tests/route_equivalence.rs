@@ -10,12 +10,17 @@
 //! route either serves is a shortest one, so everything an operator can
 //! read of the two runs must be equal; what differs is what routing cost,
 //! and that is gated on the settled-node count, which no host moves.
+//!
+//! A migration prices its state transfer through the same router, so a
+//! second case drives one seeded stream of `Migrate` plans through both
+//! runtimes and holds every transfer delay to a fresh `Topology::route`.
 
 use aas_core::config::{BindingDecl, ComponentDecl, Configuration};
 use aas_core::connector::ConnectorSpec;
 use aas_core::detector::DetectorConfig;
 use aas_core::heal::RepairPolicy;
 use aas_core::message::{Message, Value};
+use aas_core::reconfig::{ReconfigAction, ReconfigPlan, ReconfigReport};
 use aas_core::registry::ImplementationRegistry;
 use aas_core::runtime::{RouteStats, Runtime};
 use aas_sim::fault::FaultSchedule;
@@ -25,6 +30,8 @@ use aas_sim::time::{SimDuration, SimTime};
 use aas_telecom::services::register_telecom_components;
 use aas_topo::tiered::TieredSpec;
 use aas_topo::tiers::{Generated, Tier};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 const PIPELINES: usize = 12;
 const HOSTS: usize = 3;
@@ -126,7 +133,7 @@ struct Outcome {
     /// included, rendered with round-trip float formatting.
     metrics: String,
     kernel_counters: String,
-    reports: Vec<aas_core::ReconfigReport>,
+    reports: Vec<ReconfigReport>,
     graph: String,
 }
 
@@ -212,4 +219,157 @@ fn mapped_and_unmapped_runs_agree_and_the_mapped_one_settles_a_tenth() {
         mapped_stats.settled * 10 <= unmapped_stats.settled,
         "mapped {mapped_stats:?} vs unmapped {unmapped_stats:?}"
     );
+}
+
+/// What the topology does around one migration of the stream.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Around {
+    Calm,
+    /// The source node is down: the state comes from its checkpoint and
+    /// nothing is routed.
+    SourceDown,
+    /// The middle link of the calm route is down: the transfer detours.
+    LinkDown,
+    /// Every link of the target is down: the target is up and unreachable.
+    TargetCutOff,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Move {
+    mover: usize,
+    to: NodeId,
+    around: Around,
+}
+
+const MOVERS: usize = 6;
+
+fn moves(seed: u64, nodes: usize) -> Vec<Move> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let kinds = [
+        Around::Calm,
+        Around::SourceDown,
+        Around::LinkDown,
+        Around::TargetCutOff,
+    ];
+    (0..48)
+        .map(|i| Move {
+            mover: rng.random_range(0..MOVERS as u64) as usize,
+            to: NodeId(rng.random_range(0..nodes as u64) as u32),
+            around: kinds[i % kinds.len()],
+        })
+        .collect()
+}
+
+/// What a runtime made of the stream.
+struct Migrated {
+    reports: Vec<ReconfigReport>,
+    graph: String,
+    /// Migrations that asked the router for a route.
+    routed: u64,
+    stats: RouteStats,
+}
+
+/// Drives `moves` through a runtime of idle transcoders, one plan at a
+/// time, each inside its own fault window.
+fn migrate(topology: Topology, moves: &[Move]) -> Migrated {
+    let mut registry = ImplementationRegistry::new();
+    register_telecom_components(&mut registry);
+    let mut rt = Runtime::new(topology, 16, registry);
+    let mut cfg = Configuration::new();
+    for i in 0..MOVERS {
+        let at = NodeId(i as u32 * 50);
+        cfg.component(format!("m{i}"), ComponentDecl::new("Transcoder", 1, at));
+    }
+    rt.deploy(&cfg).expect("deploy");
+
+    let mut routed = 0;
+    for (i, mv) in moves.iter().enumerate() {
+        // A second of its own each: down at 1 ms, submitted at 2 ms, back
+        // up at 400 ms.
+        let ms = |ms| SimTime::from_millis(1_000 * i as u64 + ms);
+        let name = format!("m{}", mv.mover);
+        let from = rt.node_of(&name).expect("deployed");
+        let calm = rt.topology().route(from, mv.to, 0).expect("connected");
+        let (down, up) = (ms(1), ms(400));
+        let mut faults = FaultSchedule::new();
+        match mv.around {
+            Around::Calm => {}
+            Around::SourceDown => {
+                faults.node_outage(from, down, up);
+            }
+            Around::LinkDown => {
+                if let Some(&link) = calm.links.get(calm.links.len() / 2) {
+                    faults.link_outage(link, down, up);
+                }
+            }
+            Around::TargetCutOff => {
+                for link in rt.topology().links() {
+                    if link.spec().a == mv.to || link.spec().b == mv.to {
+                        faults.link_outage(link.id(), down, up);
+                    }
+                }
+            }
+        }
+        rt.inject_faults(faults);
+        rt.run_until(ms(2));
+
+        let done = rt.reports().len();
+        rt.request_reconfig(ReconfigPlan::single(ReconfigAction::Migrate {
+            name,
+            to: mv.to,
+        }));
+        // The transfer ends and the faults still hold.
+        rt.run_until(ms(300));
+        let report = &rt.reports()[done];
+        let fresh = rt
+            .topology()
+            .route(from, mv.to, report.state_bytes_transferred);
+        match mv.around {
+            Around::SourceDown => assert!(report.success, "{mv:?}: {report:?}"),
+            Around::TargetCutOff if from != mv.to => {
+                assert!(fresh.is_none() && !report.success, "{mv:?}: {report:?}");
+                routed += 1;
+            }
+            _ => {
+                let fresh = fresh.expect("one link down at most");
+                assert!(report.success, "{mv:?}: {report:?}");
+                assert_eq!(report.duration(), fresh.transit, "{mv:?}");
+                if mv.around == Around::LinkDown && from != mv.to {
+                    assert_ne!(fresh.links, calm.links, "{mv:?} took the downed link");
+                }
+                routed += 1;
+            }
+        }
+        rt.run_until(ms(999));
+    }
+    Migrated {
+        reports: rt.reports().to_vec(),
+        graph: rt.graph_fingerprint(),
+        routed,
+        stats: rt.route_stats(),
+    }
+}
+
+#[test]
+fn migrations_are_priced_alike_by_both_routers_and_as_a_fresh_search_would() {
+    let grid = TieredSpec::sized(400).generate(16);
+    let moves = moves(19, grid.topology.node_count());
+
+    let mapped = migrate(grid.topology.clone(), &moves);
+    let unmapped = migrate(without_region_map(&grid.topology), &moves);
+
+    assert_eq!(mapped.reports, unmapped.reports);
+    assert_eq!(mapped.graph, unmapped.graph);
+    assert!(
+        mapped.reports.iter().any(|r| !r.success),
+        "no target was cut off"
+    );
+    // Nothing else sends here, so what the routers answered is the
+    // migrations: they count in `route_stats()`.
+    for run in [&mapped, &unmapped] {
+        let stats = run.stats;
+        assert_eq!(stats.hits + stats.misses, run.routed, "{stats:?}");
+    }
+    assert!(mapped.stats.cell_rebuilds > 0, "{:?}", mapped.stats);
+    assert_eq!(unmapped.stats.cell_rebuilds, 0, "{:?}", unmapped.stats);
 }

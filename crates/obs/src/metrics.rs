@@ -63,6 +63,7 @@ pub struct HistogramHandle(Arc<AtomicHistogram>);
 
 impl HistogramHandle {
     /// Records one observation.
+    #[inline]
     pub fn observe(&self, x: f64) {
         self.0.observe(x);
     }
@@ -71,6 +72,26 @@ impl HistogramHandle {
     #[must_use]
     pub fn snapshot(&self) -> Histogram {
         self.0.snapshot()
+    }
+
+    /// Number of recorded observations, read in place.
+    #[must_use]
+    pub fn count(&self) -> u64 {
+        self.0.count()
+    }
+
+    /// Mean of recorded observations, read in place: what
+    /// `snapshot().mean()` answers, without the copy.
+    #[must_use]
+    pub fn mean(&self) -> f64 {
+        self.0.mean()
+    }
+
+    /// The `q`-quantile, read in place: what `snapshot().quantile(q)`
+    /// answers, without the copy.
+    #[must_use]
+    pub fn quantile(&self, q: f64) -> f64 {
+        self.0.quantile(q)
     }
 }
 

@@ -151,8 +151,11 @@ impl<M> Kernel<M> {
     /// now, through the kernel's active router — the hierarchical one when
     /// [`Kernel::enable_hier_routing`] has been called, the flat
     /// epoch-invalidated [`RouteCache`](crate::network::RouteCache)
-    /// otherwise. Exposed so tests and benches can audit exactly what the
-    /// send path uses.
+    /// otherwise. What the send path uses, open to whoever else must price
+    /// a transfer between two nodes (`aas-core` prices a migration's state
+    /// transfer with it) and to tests and benches that audit the send
+    /// path. Every call counts in [`Kernel::route_cache_stats`] /
+    /// [`Kernel::hier_stats`] like a send's.
     pub fn route(&mut self, src: NodeId, dst: NodeId, size: u64) -> Option<Arc<Route>> {
         self.core.router.resolve(&self.topology, src, dst, size)
     }

@@ -18,6 +18,10 @@ use std::sync::Mutex;
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Bytes handed out and bytes taken back while counting; their difference
+/// is how much the live heap grew.
+static BYTES_IN: AtomicU64 = AtomicU64::new(0);
+static BYTES_OUT: AtomicU64 = AtomicU64::new(0);
 /// Global gate: when false the allocator counts nothing anywhere.
 static MEASURING: AtomicBool = AtomicBool::new(false);
 
@@ -43,21 +47,30 @@ fn counting() -> bool {
     MEASURING.load(Ordering::Relaxed) && ENROLLED.with(Cell::get)
 }
 
+fn count_block(size: usize) {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
+    BYTES_IN.fetch_add(size as u64, Ordering::Relaxed);
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         if counting() {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
+            count_block(layout.size());
         }
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        if counting() {
+            BYTES_OUT.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        }
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         if counting() {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
+            count_block(new_size);
+            BYTES_OUT.fetch_add(layout.size() as u64, Ordering::Relaxed);
         }
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -78,4 +91,37 @@ pub fn measured<R>(f: impl FnOnce() -> R) -> (R, u64) {
     let r = f();
     MEASURING.store(false, Ordering::SeqCst);
     (r, ALLOCS.load(Ordering::Relaxed) - before)
+}
+
+/// What a measured call did to the heap, in bytes.
+// Only the footprint tests read bytes; the budget tests count calls.
+#[allow(dead_code)]
+#[derive(Debug, Clone, Copy)]
+pub struct HeapDelta {
+    /// Bytes the call asked for, freed again or not.
+    pub allocated: u64,
+    /// How much the live heap grew over the call: `allocated` minus what
+    /// it freed, what it returned still alive.
+    pub grown: i64,
+}
+
+/// Runs `f` with counting enabled and returns what it did to the heap on
+/// enrolled threads. `f`'s result is still alive when the delta is read.
+#[allow(dead_code)]
+pub fn measured_heap<R>(f: impl FnOnce() -> R) -> (R, HeapDelta) {
+    let read = || {
+        (
+            BYTES_IN.load(Ordering::Relaxed),
+            BYTES_OUT.load(Ordering::Relaxed),
+        )
+    };
+    let (in_before, out_before) = read();
+    let (r, _) = measured(f);
+    let (bytes_in, bytes_out) = read();
+    let allocated = bytes_in - in_before;
+    let delta = HeapDelta {
+        allocated,
+        grown: allocated as i64 - (bytes_out - out_before) as i64,
+    };
+    (r, delta)
 }
