@@ -26,12 +26,12 @@
 //! nightly scale — the 50k-node cells added, at the smoke session count.
 
 use crate::table::{ex, exact, timed, Col, Table, Tier};
+use aas_obs::Histogram;
 use aas_sim::coordinator::{ExecMode, ShardedKernel};
 use aas_sim::fault::FaultKind;
 use aas_sim::kernel::Fired;
 use aas_sim::link::LinkId;
 use aas_sim::network::RegionId;
-use aas_sim::stats::Histogram;
 use aas_sim::time::{SimDuration, SimTime};
 use aas_telecom::planet::{plan_sessions, PlanetEvent, PlanetLoadSpec, PlanetMobility, TierCells};
 use aas_topo::tiered::TieredSpec;

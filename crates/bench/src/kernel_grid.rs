@@ -1,5 +1,5 @@
-//! The kernel grid — one measurement of `aas-sim`'s event engine, of
-//! which E14, E15 and E19 are row filters.
+//! The kernel grid — one measurement of `aas-sim`'s event engine. E14 is
+//! its `driver = serial` rows, E15 and E19 its `driver = sharded` rows.
 //!
 //! The paper's vision of dynamic, adaptive systems presumes a substrate
 //! cheap enough to interpose on every interaction and able to scale past
@@ -21,26 +21,22 @@
 //!   sharded K = 1 inline).
 //! * **sharded, K ∈ {1, 2, 4, 8}** — [`ShardedKernel`] fed the schedule
 //!   at a 1 µs cadence and drained (K = 1 inline, K > 1 on worker
-//!   threads), under both window policies. The `fixed` rows are E15 (one
-//!   coordinator barrier per lookahead; modeled events/s = events ÷
-//!   (critical path + serial time), what a K-core host would see, beside
-//!   wall events/s on this host; in storm cells every fault is a
-//!   serialized sync step between the sends, so they bound the cost of
-//!   barrier-heavy churn); `fixed` against `adaptive` is E19 (SoA
-//!   batch exchange, geometric lookahead widening, pooled buffers,
-//!   spin-then-park workers: barrier ns per window, events per window).
+//!   threads): E15's scaling (modeled events/s = events ÷ (critical
+//!   path + serial time), what a K-core host would see, beside wall
+//!   events/s on this host; in storm cells every fault is a serialized
+//!   sync step between the sends, so they bound the cost of
+//!   barrier-heavy churn) and E19's coordination cost (barriers per run,
+//!   barrier ns per window, events per window, exchange ops).
 //!
-//! Three things are asserted in every run: no cross-shard message arrives
-//! inside the window that produced it (`early_crossings == 0`); on
-//! steady K > 1 cells adaptive windows cut coordinator barriers at least
-//! [`MIN_WINDOW_REDUCTION`]× against fixed ones — the host-independent
-//! proxy for E19's win on hosts with fewer cores than K; and the
+//! Two things are asserted in every run: no cross-shard message arrives
+//! inside the window that produced it (`early_crossings == 0`); and the
 //! serial-preloaded row's events, cache hit ratio and invalidations equal
-//! the sharded K = 1 rows' — two drivers of one shard core, fed one
-//! schedule, must do the same work.
+//! the sharded K = 1 row's — two drivers of one shard core, fed one
+//! schedule, must do the same work. The exact `windows` column is held by
+//! `cargo bench -p aas-bench -- check`.
 
 use crate::table::{ex, timed, Col, Table, Tier, Value};
-use aas_sim::coordinator::{ExecMode, ShardedKernel, ShardedStats, WindowPolicy};
+use aas_sim::coordinator::{ExecMode, ShardedKernel, ShardedStats};
 use aas_sim::fault::{FaultProcess, FaultSchedule};
 use aas_sim::kernel::{Fired, Kernel};
 use aas_sim::link::{LinkId, LinkSpec};
@@ -58,9 +54,6 @@ const SIZES: [u64; 2] = [256, 4096];
 const PAIRS: usize = 128;
 /// Shard counts of the sharded driver.
 pub const SHARD_COUNTS: [u32; 4] = [1, 2, 4, 8];
-/// The floor asserted on steady multi-shard cells: adaptive windows must
-/// cut coordinator barriers at least this factor against fixed ones.
-pub const MIN_WINDOW_REDUCTION: f64 = 3.0;
 
 /// Which driver of the shard core runs a cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,13 +62,12 @@ pub enum Driver {
     Serial,
     /// The serial [`Kernel`] fed the sharded driver's schedule up front.
     SerialPreloaded,
-    /// [`ShardedKernel`] at K shards under a window policy.
-    Sharded(u32, WindowPolicy),
+    /// [`ShardedKernel`] at K shards.
+    Sharded(u32),
 }
 
 /// Messages per cell. The smoke count still spans ~30 lookaheads, so the
-/// geometric widening reaches steady state and the window-reduction
-/// assertion means something.
+/// geometric widening reaches steady state.
 fn msgs(tier: Tier) -> u64 {
     match tier {
         Tier::Smoke => 30_000,
@@ -214,14 +206,13 @@ pub fn run_cell(workload: &str, faults: bool, driver: Driver, msgs: u64) -> Cell
                 sharded: None,
             }
         }
-        Driver::Sharded(shards, policy) => {
+        Driver::Sharded(shards) => {
             let mode = if shards == 1 {
                 ExecMode::Inline
             } else {
                 ExecMode::Threads
             };
             let mut k: ShardedKernel<u64> = ShardedKernel::with_mode(topo, shards, mode);
-            k.set_window_policy(policy);
             let chs: Vec<_> = pairs.iter().map(|&(a, b)| k.open_channel(a, b)).collect();
             if let Some(schedule) = schedule {
                 k.inject_faults(schedule);
@@ -249,12 +240,9 @@ pub fn run_cell(workload: &str, faults: bool, driver: Driver, msgs: u64) -> Cell
 fn row(workload: &str, faults: bool, driver: Driver, c: &Cell) -> Vec<Value> {
     let mut row = vec![ex(workload), ex(if faults { "storm" } else { "none" })];
     match driver {
-        Driver::Serial => row.extend([ex("serial"), Value::Na, Value::Na]),
-        Driver::SerialPreloaded => row.extend([ex("serial-preloaded"), Value::Na, Value::Na]),
-        Driver::Sharded(k, policy) => {
-            let policy = format!("{policy:?}").to_lowercase();
-            row.extend([ex("sharded"), ex(k), ex(policy)]);
-        }
+        Driver::Serial => row.extend([ex("serial"), Value::Na]),
+        Driver::SerialPreloaded => row.extend([ex("serial-preloaded"), Value::Na]),
+        Driver::Sharded(k) => row.extend([ex("sharded"), ex(k)]),
     }
     row.extend([ex(c.events), ex(format!("{:.2}", c.cache.0)), ex(c.cache.1)]);
     match &c.sharded {
@@ -279,18 +267,19 @@ fn row(workload: &str, faults: bool, driver: Driver, c: &Cell) -> Vec<Value> {
     row
 }
 
-/// Runs the rows `keep` selects. The smoke tier covers clique16 steady
-/// on both serial drivers and K ∈ {1, 4}; the other tiers run {clique16,
-/// sparse64} × {steady, storm} × {serial, serial-preloaded, K ∈ {1, 2, 4,
-/// 8} × {fixed, adaptive}}.
-fn grid(tier: Tier, name: &str, keep: fn(Driver) -> bool) -> Table {
+/// The whole grid: the artifact `BENCH_kernel.json`. The smoke tier
+/// covers clique16 steady on both serial drivers and K ∈ {1, 4}; the
+/// other tiers run {clique16, sparse64} × {steady, storm} × {serial,
+/// serial-preloaded, K ∈ {1, 2, 4, 8}}.
+#[must_use]
+pub fn run(tier: Tier) -> Table {
     let msgs = msgs(tier);
     let mut table = Table::new(
         "kernel",
         tier,
         format!(
-            "{name} ({msgs} msgs over {PAIRS} pairs, sizes {SIZES:?}, seed {SEED}; \
-             speedup = modeled ev/s over the group's K=1 fixed row)"
+            "Kernel grid: one event engine, every driver ({msgs} msgs over {PAIRS} pairs, \
+             sizes {SIZES:?}, seed {SEED}; speedup = modeled ev/s over the group's K=1 row)"
         ),
         [
             crate::table::exact(&[
@@ -298,7 +287,6 @@ fn grid(tier: Tier, name: &str, keep: fn(Driver) -> bool) -> Table {
                 "faults",
                 "driver",
                 "K",
-                "policy",
                 "events",
                 "cache-hit(%)",
                 "invalidations",
@@ -323,30 +311,23 @@ fn grid(tier: Tier, name: &str, keep: fn(Driver) -> bool) -> Table {
         Tier::Smoke => (&["clique16"], &[false], &[1, 4]),
         Tier::Default | Tier::Full => (&["clique16", "sparse64"], &[false, true], &SHARD_COUNTS),
     };
-    let policies = [WindowPolicy::Fixed, WindowPolicy::Adaptive];
-    let sharded = shard_counts
-        .iter()
-        .flat_map(|&k| policies.map(|p| Driver::Sharded(k, p)));
     let drivers: Vec<Driver> = [Driver::Serial, Driver::SerialPreloaded]
         .into_iter()
-        .chain(sharded)
+        .chain(shard_counts.iter().map(|&k| Driver::Sharded(k)))
         .collect();
     let modeled = (table.columns.iter())
         .position(|c| c.name() == "modeled ev/s")
         .expect("column");
     for &workload in workloads {
         for &faults in fault_modes {
-            let mut fixed_windows = 0;
-            // The group's first modeled figure: its K=1 fixed row.
+            // The group's first modeled figure: its K=1 row.
             let mut base = None;
-            // The group's serial-preloaded row, which its K=1 rows must
+            // The group's serial-preloaded row, which its K=1 row must
             // equal in work done.
             let mut preloaded = None;
-            for &driver in drivers.iter().filter(|&&d| keep(d)) {
-                let mut windows = 0;
+            for &driver in &drivers {
                 table.trials(|| {
                     let cell = run_cell(workload, faults, driver, msgs);
-                    windows = cell.sharded.map_or(0, |s| s.windows);
                     row(workload, faults, driver, &cell)
                 });
                 let this = table.rows.last_mut().expect("just pushed");
@@ -357,7 +338,7 @@ fn grid(tier: Tier, name: &str, keep: fn(Driver) -> bool) -> Table {
                 let this = table.rows.len() - 1;
                 match (driver, preloaded) {
                     (Driver::SerialPreloaded, _) => preloaded = Some(this),
-                    (Driver::Sharded(1, _), Some(serial)) => {
+                    (Driver::Sharded(1), Some(serial)) => {
                         for name in ["events", "cache-hit(%)", "invalidations"] {
                             assert_eq!(
                                 table.exact(serial, name),
@@ -369,60 +350,15 @@ fn grid(tier: Tier, name: &str, keep: fn(Driver) -> bool) -> Table {
                     }
                     _ => {}
                 }
-                match driver {
-                    Driver::Sharded(_, WindowPolicy::Fixed) => fixed_windows = windows,
-                    Driver::Sharded(k, WindowPolicy::Adaptive) if !faults && k > 1 => {
-                        let reduction = fixed_windows as f64 / windows.max(1) as f64;
-                        assert!(
-                            fixed_windows == 0 || reduction >= MIN_WINDOW_REDUCTION,
-                            "{workload} K={k}: windows only fell {reduction:.1}x \
-                             (fixed {fixed_windows} -> adaptive {windows})",
-                        );
-                    }
-                    _ => {}
-                }
             }
         }
     }
     table
 }
 
-/// The whole grid: the artifact `BENCH_kernel.json`.
-#[must_use]
-pub fn run(tier: Tier) -> Table {
-    let name = "Kernel grid: one event engine, every driver";
-    grid(tier, name, |_| true)
-}
-
-/// E14 — the rows of the serial driver.
-#[must_use]
-pub fn e14(tier: Tier) -> Table {
-    let name = "E14 (kernel grid, driver = serial): kernel throughput, route cache on";
-    grid(tier, name, |d| d == Driver::Serial)
-}
-
-/// E15 — the sharded rows under fixed windows.
-#[must_use]
-pub fn e15(tier: Tier) -> Table {
-    let name = "E15 (kernel grid, driver = sharded, policy = fixed): sharded-kernel scaling";
-    grid(tier, name, |d| {
-        matches!(d, Driver::Sharded(_, WindowPolicy::Fixed))
-    })
-}
-
-/// E19 — every sharded row: fixed against adaptive windows.
-#[must_use]
-pub fn e19(tier: Tier) -> Table {
-    let name = "E19 (kernel grid, driver = sharded): fast path, fixed vs adaptive windows";
-    grid(tier, name, |d| matches!(d, Driver::Sharded(..)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const FIXED: WindowPolicy = WindowPolicy::Fixed;
-    const ADAPTIVE: WindowPolicy = WindowPolicy::Adaptive;
 
     #[test]
     fn serial_steady_cells_hit_the_cache_and_never_invalidate() {
@@ -445,8 +381,8 @@ mod tests {
     fn event_counts_are_shard_invariant() {
         // The same schedule must process the same virtual events at any
         // K — only wall/modeled time may differ.
-        let c1 = run_cell("clique16", false, Driver::Sharded(1, FIXED), 3_000);
-        let c4 = run_cell("clique16", false, Driver::Sharded(4, FIXED), 3_000);
+        let c1 = run_cell("clique16", false, Driver::Sharded(1), 3_000);
+        let c4 = run_cell("clique16", false, Driver::Sharded(4), 3_000);
         assert_eq!(c1.events, c4.events);
         let s4 = c4.sharded.expect("sharded");
         assert!(s4.exchanged > 0, "K=4 clique must exchange across shards");
@@ -455,34 +391,25 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_matches_fixed_cuts_windows_and_batches_the_exchange() {
-        let fixed = run_cell("clique16", false, Driver::Sharded(4, FIXED), 30_000);
-        let adaptive = run_cell("clique16", false, Driver::Sharded(4, ADAPTIVE), 30_000);
-        // Same schedule, same events — only the barrier cadence differs.
-        assert_eq!(fixed.events, adaptive.events);
-        let (f, a) = (fixed.sharded.unwrap(), adaptive.sharded.unwrap());
+    fn windows_widen_and_batch_the_exchange() {
+        let c = run_cell("clique16", false, Driver::Sharded(4), 30_000);
+        let s = c.sharded.expect("sharded");
+        assert!(s.widened_windows > 0);
+        assert!(s.subrounds >= s.windows);
         assert!(
-            f.windows as f64 / a.windows.max(1) as f64 >= MIN_WINDOW_REDUCTION,
-            "fixed {} vs adaptive {} windows",
-            f.windows,
-            a.windows
-        );
-        assert!(a.widened_windows > 0);
-        assert!(a.subrounds >= a.windows);
-        assert!(
-            a.exchanged > 0 && a.exchange_ops < a.exchanged,
+            s.exchanged > 0 && s.exchange_ops < s.exchanged,
             "batches must carry more than one entry on average: {} ops for {} entries",
-            a.exchange_ops,
-            a.exchanged
+            s.exchange_ops,
+            s.exchanged
         );
     }
 
     #[test]
     fn sharded_storm_cells_run_sync_steps_while_traffic_is_in_flight() {
         for workload in ["clique16", "sparse64"] {
-            let steady = run_cell(workload, false, Driver::Sharded(1, FIXED), 10_000);
+            let steady = run_cell(workload, false, Driver::Sharded(1), 10_000);
             let storm = |k| {
-                let c = run_cell(workload, true, Driver::Sharded(k, FIXED), 10_000);
+                let c = run_cell(workload, true, Driver::Sharded(k), 10_000);
                 (c.events, c.sharded.expect("sharded"))
             };
             let (events, s1) = storm(1);
@@ -506,7 +433,7 @@ mod tests {
     fn the_serial_kernel_fed_the_sharded_schedule_does_the_sharded_work() {
         for (workload, faults) in [("clique16", true), ("sparse64", true), ("sparse64", false)] {
             let serial = run_cell(workload, faults, Driver::SerialPreloaded, 10_000);
-            let sharded = run_cell(workload, faults, Driver::Sharded(1, FIXED), 10_000);
+            let sharded = run_cell(workload, faults, Driver::Sharded(1), 10_000);
             assert_eq!(
                 (serial.events, serial.cache),
                 (sharded.events, sharded.cache),
@@ -517,24 +444,14 @@ mod tests {
     }
 
     #[test]
-    fn views_are_row_filters_of_the_smoke_grid() {
-        let whole = run(Tier::Smoke);
-        assert_eq!(whole.rows.len(), 6, "two serial + K∈{{1,4}} × two policies");
-        let drivers = |t: &Table| -> Vec<String> {
-            (0..t.rows.len())
-                .map(|i| format!("{} {}", t.exact(i, "driver"), t.rows[i][4]))
-                .collect()
-        };
-        assert_eq!(drivers(&e14(Tier::Smoke)), ["serial -"]);
-        assert_eq!(drivers(&e15(Tier::Smoke)), ["sharded fixed"; 2]);
-        let e19 = e19(Tier::Smoke);
-        assert_eq!(drivers(&whole)[1], "serial-preloaded -");
-        assert_eq!(drivers(&e19), drivers(&whole)[2..]);
-        // A view's rows carry the exact values the whole grid records.
-        for name in ["events", "windows", "subrounds", "exchanged", "exch ops"] {
-            for i in 0..4 {
-                assert_eq!(e19.exact(i, name), whole.exact(i + 2, name), "{name}");
-            }
-        }
+    fn the_smoke_grid_has_one_row_per_driver() {
+        let t = run(Tier::Smoke);
+        let drivers: Vec<String> = (0..t.rows.len())
+            .map(|i| format!("{} {}", t.exact(i, "driver"), t.rows[i][3]))
+            .collect();
+        assert_eq!(
+            drivers,
+            ["serial -", "serial-preloaded -", "sharded 1", "sharded 4"]
+        );
     }
 }

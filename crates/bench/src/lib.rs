@@ -1,8 +1,8 @@
 //! # aas-bench — the experiment harness
 //!
 //! One module per experiment, each exposing `run(Tier) -> Table`; E14,
-//! E15 and E19 are row filters of the one [`kernel_grid`]. [`EXPERIMENTS`]
-//! is the registry, [`main`] the runner behind the single bench target:
+//! E15 and E19 are rows of the one [`kernel_grid`]. [`EXPERIMENTS`] is
+//! the registry, [`main`] the runner behind the single bench target:
 //!
 //! ```text
 //! cargo bench -p aas-bench -- [ids…] [smoke|full] [check]
@@ -43,37 +43,33 @@ pub use table::{Table, Tier};
 
 use std::process::ExitCode;
 
-/// An experiment: its id, how to run it, and whether it owns an artifact
-/// (`false` for the row filters of `kernel`, which print only).
-pub type Experiment = (&'static str, fn(Tier) -> Table, bool);
+/// An experiment: its id and how to run it.
+pub type Experiment = (&'static str, fn(Tier) -> Table);
 
 /// Every experiment, in EXPERIMENTS.md order.
-pub const EXPERIMENTS: [Experiment; 21] = [
-    ("e01", e01::run, true),
-    ("e02", e02::run, true),
-    ("e03", e03::run, true),
-    ("e04", e04::run, true),
-    ("e05", e05::run, true),
-    ("e06", e06::run, true),
-    ("e07", e07::run, true),
-    ("e08", e08::run, true),
-    ("e09", e09::run, true),
-    ("e10", e10::run, true),
-    ("e11", e11::run, true),
-    ("e12", e12::run, true),
-    ("e13", e13::run, true),
-    ("kernel", kernel_grid::run, true),
-    ("e14", kernel_grid::e14, false),
-    ("e15", kernel_grid::e15, false),
-    ("e16", e16::run, true),
-    ("e17", e17::run, true),
-    ("e18", e18::run, true),
-    ("e19", kernel_grid::e19, false),
-    ("e20", e20::run, true),
+pub const EXPERIMENTS: [Experiment; 18] = [
+    ("e01", e01::run),
+    ("e02", e02::run),
+    ("e03", e03::run),
+    ("e04", e04::run),
+    ("e05", e05::run),
+    ("e06", e06::run),
+    ("e07", e07::run),
+    ("e08", e08::run),
+    ("e09", e09::run),
+    ("e10", e10::run),
+    ("e11", e11::run),
+    ("e12", e12::run),
+    ("e13", e13::run),
+    ("kernel", kernel_grid::run),
+    ("e16", e16::run),
+    ("e17", e17::run),
+    ("e18", e18::run),
+    ("e20", e20::run),
 ];
 
 /// Parses `[ids…] [tier] [check]`: the one place the tier argument is
-/// read. No id selects every experiment that owns an artifact; no tier
+/// read. No id selects every experiment; no tier
 /// selects [`Tier::Default`]; the third value is whether `check` was
 /// among the words. `--bench`, which cargo passes to every bench binary,
 /// is skipped; any other flag is an unknown argument.
@@ -106,7 +102,7 @@ pub fn parse_args(
         }
     }
     if chosen.is_empty() {
-        chosen.extend(EXPERIMENTS.into_iter().filter(|e| e.2));
+        chosen.extend(EXPERIMENTS);
     }
     Ok((chosen, tier, check))
 }
@@ -115,7 +111,7 @@ pub fn parse_args(
 /// table and writes each artifact next to this crate's manifest: the
 /// default tier to the committed `BENCH_<id>.json`, the others to
 /// `BENCH_<id>.<tier>.json` so they never overwrite the ledger. With
-/// `check` nothing is written: each artifact-owning experiment's
+/// `check` nothing is written: each experiment's
 /// [`Table::exact_drift`] against the artifact of that tier is printed,
 /// and any drift (or a missing artifact) fails the run.
 pub fn main(args: impl Iterator<Item = String>) -> ExitCode {
@@ -127,7 +123,7 @@ pub fn main(args: impl Iterator<Item = String>) -> ExitCode {
         }
     };
     let mut drifted = false;
-    for (id, run, artifact) in chosen {
+    for (id, run) in chosen {
         let dir = env!("CARGO_MANIFEST_DIR");
         let path = match tier {
             Tier::Default => format!("{dir}/BENCH_{id}.json"),
@@ -136,13 +132,11 @@ pub fn main(args: impl Iterator<Item = String>) -> ExitCode {
         if !check {
             let table = run(tier);
             println!("{table}");
-            if artifact {
-                if let Err(e) = std::fs::write(&path, table.to_json()) {
-                    eprintln!("could not write {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
+            if let Err(e) = std::fs::write(&path, table.to_json()) {
+                eprintln!("could not write {path}: {e}");
+                return ExitCode::FAILURE;
             }
-        } else if artifact {
+        } else {
             let drift = match std::fs::read_to_string(&path) {
                 Ok(committed) => run(tier).exact_drift(&committed),
                 Err(e) => vec![format!("could not read {path}: {e}")],
@@ -175,9 +169,7 @@ mod tests {
         assert_eq!((ids, tier), (vec!["e17", "kernel"], Tier::Smoke));
         let (ids, tier) = parse(&["full"]).unwrap();
         assert_eq!(tier, Tier::Full);
-        assert_eq!(ids.len(), 18, "every experiment that owns an artifact");
-        assert!(!ids.contains(&"e15"), "row filters run only when named");
-        assert_eq!(parse(&["e15"]).unwrap(), (vec!["e15"], Tier::Default));
+        assert_eq!(ids.len(), 18, "every experiment");
         // `check` is a word like a tier: anywhere, and it selects nothing.
         let (ids, tier) = parse(&["check", "e20", "--bench"]).unwrap();
         assert_eq!((ids, tier), (vec!["e20"], Tier::Default));
@@ -186,7 +178,9 @@ mod tests {
 
     #[test]
     fn unknown_id_or_tier_exits_non_zero_naming_the_valid_ones() {
-        for bad in ["e21", "quick", "--smoke", "--full", "--check"] {
+        for bad in [
+            "e21", "e14", "e15", "e19", "quick", "--smoke", "--full", "--check",
+        ] {
             let err = parse(&["e17", bad]).unwrap_err();
             assert!(err.contains(&format!("`{bad}`")), "{err}");
             assert!(err.contains("e01 e02") && err.contains("kernel"), "{err}");

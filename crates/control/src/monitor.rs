@@ -19,8 +19,7 @@
 //! compliance signal every other QoS dimension uses.
 
 use crate::qos::{ComplianceTracker, QosContract};
-use aas_obs::HistogramHandle;
-use aas_sim::stats::{Ewma, Histogram};
+use aas_obs::{Ewma, Histogram, HistogramHandle};
 use aas_sim::time::SimTime;
 use core::fmt;
 use std::collections::BTreeMap;

@@ -15,7 +15,7 @@
 
 use crate::lts::{Label, Lts, LtsRunner, ProtocolViolation};
 use crate::message::{Message, Name, SequenceTracker};
-use aas_sim::stats::Summary;
+use aas_obs::Summary;
 use aas_sim::time::{SimDuration, SimTime};
 use core::fmt;
 use serde::{Deserialize, Serialize};

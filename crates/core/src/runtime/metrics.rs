@@ -2,8 +2,7 @@
 //! the lock-free [`MetricHandles`] into the shared `aas-obs` registry
 //! that the hot paths increment.
 
-use aas_obs::{Counter, HistogramHandle, Obs};
-use aas_sim::stats::Histogram;
+use aas_obs::{Counter, Histogram, HistogramHandle, Obs};
 
 /// Point-in-time view of the runtime's aggregate metrics, assembled from
 /// the shared `aas-obs` registry by [`crate::runtime::Runtime::metrics`]. The registry is

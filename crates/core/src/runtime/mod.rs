@@ -645,7 +645,7 @@ impl Runtime {
     /// Kernel-level counters (`sent`, `delivered`, `dropped`, `held`, …),
     /// exported on demand from the kernel's enum-indexed fast array.
     #[must_use]
-    pub fn kernel_counters(&self) -> aas_sim::stats::Counters {
+    pub fn kernel_counters(&self) -> aas_obs::Counters {
         self.kernel.counters()
     }
 

@@ -31,6 +31,10 @@ use aas_telecom::load::{LoadEvent, LoadGenerator};
 use aas_telecom::planet::{PlanetMobility, TierCells};
 use aas_topo::tiers::{Generated, Tier};
 
+/// FNV-1a, the workspace's standard structural hash (`benchmark/` reads
+/// it from this path).
+pub use aas_control::negotiate::fnv1a;
+
 /// The load waveform: a base arrival rate shaped by the same diurnal and
 /// flash-crowd overlays `aas-telecom`'s generator applies.
 #[derive(Debug, Clone)]
@@ -608,17 +612,6 @@ impl ScenarioSchedule {
             rebinds: self.rebinds.len(),
         }
     }
-}
-
-/// FNV-1a, the workspace's standard structural hash.
-#[must_use]
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        hash ^= u64::from(*b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 #[cfg(test)]

@@ -20,11 +20,14 @@
 //! destination's shared inbox slot and waits on an atomic sub-barrier);
 //! the coordinator only participates once per outer window, where the
 //! serialized work lives: the K-way merge of the fired runs, metric
-//! flushes and clock advance. Under [`WindowPolicy::Adaptive`] (the
-//! default) the outer width grows geometrically while windows stay clean
-//! and is additionally widened to the provable cross-shard arrival bound
-//! (`ShardCore::arrival_bound`), so phases with no pending sends collapse
-//! to a single round.
+//! flushes and clock advance. The outer width grows geometrically while
+//! windows stay clean (×2 per clean window, halved when a window is
+//! clipped by a sync point or the run limit, capped at
+//! 2^[`MAX_WIDEN_LOG2`] lookaheads) and is additionally widened to the
+//! provable cross-shard arrival bound (`ShardCore::arrival_bound`), so
+//! phases with no pending sends collapse to a single round. Sub-rounds
+//! inside a window still advance one lookahead at a time, so the static
+//! safety argument does not depend on the width.
 //!
 //! ## Determinism
 //!
@@ -52,8 +55,8 @@ use crate::shard::{
     InboxSlot, KernelCounter, MergedEvent, Scheduled, SendSide, ShardCore, ShardEvent, ShardId,
     ShardMap, SyncCmd, SyncEntry,
 };
-use crate::stats::Counters;
 use crate::time::{SimDuration, SimTime};
+use aas_obs::Counters;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering as AtomicOrd};
@@ -71,23 +74,6 @@ pub enum ExecMode {
     /// Each shard runs on its own persistent worker thread; the caller
     /// blocks at barriers.
     Threads,
-}
-
-/// How outer windows are sized.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WindowPolicy {
-    /// Every window is exactly one lookahead wide (`[tq, tq + la)`), one
-    /// coordinator barrier per lookahead — the legacy PR-5 behavior, kept
-    /// as the before-side of E19's before/after comparison.
-    Fixed,
-    /// Outer windows widen geometrically (×2 per clean window, halved
-    /// when a window is clipped by a sync point or the run limit, capped
-    /// at 2^[`MAX_WIDEN_LOG2`]) and are additionally extended to the
-    /// provable cross-shard arrival bound. Sub-rounds inside the window
-    /// still advance one lookahead at a time, so the static safety
-    /// argument is untouched.
-    #[default]
-    Adaptive,
 }
 
 /// Cap on the geometric widening exponent: an outer window spans at most
@@ -297,8 +283,7 @@ pub struct ShardedStats {
     pub windows: u64,
     /// Lookahead-wide sub-rounds executed inside outer windows (each ends
     /// in a worker-to-worker batch exchange over an atomic sub-barrier,
-    /// with no coordinator involvement). Always ≥ `windows`; equal under
-    /// [`WindowPolicy::Fixed`].
+    /// with no coordinator involvement). Always ≥ `windows`.
     pub subrounds: u64,
     /// Outer windows that were wider than one lookahead (adaptive gain).
     pub widened_windows: u64,
@@ -377,14 +362,13 @@ pub struct ShardedKernel<M: Send + 'static> {
     sync: BinaryHeap<SyncEntry>,
     next_channel: u64,
     stats: ShardedStats,
-    policy: WindowPolicy,
     /// Current geometric widening exponent (outer window target width is
     /// `la << widen_log2`).
     widen_log2: u32,
     /// Cached `world.lookahead` (static after construction).
     la: SimDuration,
     /// Sum of per-core `early_crossings` at the last barrier, for the
-    /// per-window delta the adaptive policy keys on.
+    /// per-window delta the widening keys on.
     prev_early: u64,
     /// Reusable batch scratch for inline-mode inbox drains.
     inline_scratch: Vec<DeliverBatch<M>>,
@@ -489,7 +473,6 @@ impl<M: Send + 'static> ShardedKernel<M> {
             sync: BinaryHeap::new(),
             next_channel: 0,
             stats: ShardedStats::default(),
-            policy: WindowPolicy::default(),
             widen_log2: 0,
             la: lookahead,
             prev_early: 0,
@@ -561,20 +544,6 @@ impl<M: Send + 'static> ShardedKernel<M> {
             ev: ShardEvent::SendCmd { ch, msg, size },
         });
         core.send_times.push(Reverse(at));
-    }
-
-    /// Selects how outer windows are sized (default:
-    /// [`WindowPolicy::Adaptive`]). The merged occurrence stream is
-    /// byte-identical under either policy — only the window/sub-round
-    /// schedule changes (see `tests/barrier_model.rs`).
-    pub fn set_window_policy(&mut self, policy: WindowPolicy) {
-        self.policy = policy;
-    }
-
-    /// The current window-sizing policy.
-    #[must_use]
-    pub fn window_policy(&self) -> WindowPolicy {
-        self.policy
     }
 
     /// Schedules a timer at `at`; returns the tag the eventual
@@ -687,18 +656,14 @@ impl<M: Send + 'static> ShardedKernel<M> {
             }
             // Outer window [tq, w_end): bounded by the next sync point and
             // the caller's limit; when any link crosses shards, the target
-            // width is policy-controlled (one lookahead under Fixed, a
-            // geometric multiple — or the provable arrival bound, if
-            // further — under Adaptive).
+            // width is a geometric multiple of the lookahead — or the
+            // provable arrival bound, if further.
             let hard = ts.min(limit + SimDuration::from_micros(1));
             let mut clipped = false;
             let w_end = if la == SimDuration::MAX {
                 hard
             } else {
-                let target = match self.policy {
-                    WindowPolicy::Fixed => tq + la,
-                    WindowPolicy::Adaptive => (tq + la * (1u64 << self.widen_log2)).max(bound),
-                };
+                let target = (tq + la * (1u64 << self.widen_log2)).max(bound);
                 clipped = target > hard;
                 hard.min(target)
             };
@@ -710,7 +675,7 @@ impl<M: Send + 'static> ShardedKernel<M> {
             }
             self.dispatch_window(tq, la, bound, w_end);
             let window_early = self.barrier_merge(out);
-            if self.policy == WindowPolicy::Adaptive && la < SimDuration::MAX {
+            if la < SimDuration::MAX {
                 if w_end > tq + la {
                     self.stats.widened_windows += 1;
                 }
@@ -828,7 +793,7 @@ impl<M: Send + 'static> ShardedKernel<M> {
     /// per-shard fired runs, advance the clock, K-way merge. Exchange
     /// already happened shard-to-shard at sub-round ends.
     /// Returns the number of early crossings recorded this window (the
-    /// adaptive policy's back-off signal).
+    /// widening's back-off signal).
     fn barrier_merge(&mut self, out: &mut Vec<MergedEvent<M>>) -> u64 {
         let t0 = Instant::now();
         self.stats.windows += 1;
@@ -1350,51 +1315,5 @@ mod tests {
             lines.len(),
             "two hot fields share a cache line"
         );
-    }
-
-    /// Quick cross-policy check (the 64-schedule property tier lives in
-    /// `tests/barrier_model.rs`): adaptive widening must change only the
-    /// barrier cadence, never the merged stream or the counters.
-    #[test]
-    fn adaptive_policy_matches_fixed_stream() {
-        let run = |mode: ExecMode, policy: WindowPolicy| {
-            let topo = Topology::clique(8, 100.0, SimDuration::from_millis(1), 1e6);
-            let mut k: ShardedKernel<u64> = ShardedKernel::with_mode(topo, 4, mode);
-            k.set_window_policy(policy);
-            let chans: Vec<_> = (0..8u32)
-                .map(|i| k.open_channel(NodeId(i), NodeId((i + 3) % 8)))
-                .collect();
-            for i in 0..400u64 {
-                k.send_at(
-                    SimTime::from_micros(i * 23),
-                    chans[(i % 8) as usize],
-                    i,
-                    256,
-                );
-            }
-            let ev: Vec<String> = k
-                .drain()
-                .iter()
-                .map(|e| format!("{} {} {:?}", e.at, e.key, e.what))
-                .collect();
-            (ev, k.counters(), k.stats())
-        };
-        let (fixed_ev, fixed_ct, fixed_stats) = run(ExecMode::Inline, WindowPolicy::Fixed);
-        for mode in [ExecMode::Inline, ExecMode::Threads] {
-            let (ev, ct, stats) = run(mode, WindowPolicy::Adaptive);
-            assert_eq!(fixed_ev, ev, "{mode:?}: adaptive changed the stream");
-            assert_eq!(
-                fixed_ct.iter().collect::<Vec<_>>(),
-                ct.iter().collect::<Vec<_>>()
-            );
-            assert!(
-                stats.windows < fixed_stats.windows,
-                "{mode:?}: widening did not reduce barriers \
-                 ({} vs fixed {})",
-                stats.windows,
-                fixed_stats.windows
-            );
-            assert_eq!(stats.early_crossings, 0);
-        }
     }
 }

@@ -21,9 +21,8 @@ use crate::shard::{
     apply_sync, sync_runs_first, DeliverSide, Entry, EventKey, Scheduled, SendSide, ShardCore,
     ShardEvent, SyncCmd, SyncEntry,
 };
-use crate::stats::Counters;
 use crate::time::{SimDuration, SimTime};
-use aas_obs::{SpanId, Tracer};
+use aas_obs::{Counters, SpanId, Tracer};
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 

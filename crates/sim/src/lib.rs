@@ -36,7 +36,6 @@
 //!
 //! - [`time`] — [`time::SimTime`] / [`time::SimDuration`] newtypes.
 //! - [`rng`] — seeded, splittable randomness ([`rng::SimRng`]).
-//! - [`stats`] — EWMA, running summaries, histograms, counters.
 //! - [`node`] / [`link`] / [`network`] — the deployment graph and routing.
 //! - [`channel`] — channel ids, per-channel stats and drop reasons.
 //! - [`trace`] — resource-fluctuation signals (rush hour, noise, steps).
@@ -65,7 +64,6 @@ pub mod network;
 pub mod node;
 pub mod rng;
 pub mod shard;
-pub mod stats;
 pub mod time;
 pub mod trace;
 

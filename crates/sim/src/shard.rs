@@ -34,7 +34,7 @@ use std::time::Instant;
 
 /// The per-message lifecycle counters, enum-indexed so the hot path bumps
 /// a fixed array slot instead of walking a string-keyed map. Both kernels
-/// export them into a [`Counters`](crate::stats::Counters) under their
+/// export them into a [`Counters`](aas_obs::Counters) under their
 /// historical names (`sent`, `delivered`, …) for reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]

@@ -174,32 +174,33 @@ fn shutdown_with_queued_cross_shard_messages_does_not_hang() {
     }
 }
 
-/// Property tier for the adaptive-lookahead window policy.
+/// Property tier for adaptive outer windows.
 ///
-/// The adaptive policy widens outer windows geometrically while they stay
+/// The coordinator widens outer windows geometrically while they stay
 /// clean, which is only sound if a widened window can never admit an
 /// early crossing: the sub-round decomposition still advances one
 /// lookahead at a time internally, so the static safety argument is
-/// unchanged. These properties drive seeded random schedules through
-/// both policies and assert (a) the safety counters stay zero with
-/// widening demonstrably active, and (b) the merged stream, counters and
-/// window-invariant statistics are byte-identical between adaptive and
-/// fixed execution in both Inline and Threads modes.
+/// unchanged. These properties drive seeded random schedules at K ∈ 2..=4
+/// and assert (a) the safety counters stay zero with widening
+/// demonstrably active, and (b) the merged stream and event count are
+/// byte-identical to the same schedule at K = 1 inline — one window, no
+/// windowing at all, and held equal to the serial `Kernel` by
+/// `tests/shard_determinism.rs` — in both Inline and Threads modes.
 mod adaptive_windows {
     use super::*;
-    use aas_sim::coordinator::WindowPolicy;
 
-    /// One seeded schedule executed under a given (mode, policy); returns
-    /// the formatted merged stream plus the run's stats.
+    /// One seeded schedule executed at `shards` shards (`None`: the
+    /// seed's K in 2..=4) in `mode`; returns the formatted merged stream
+    /// plus the run's stats.
     fn run_schedule(
         seed: u64,
+        shards: Option<u32>,
         mode: ExecMode,
-        policy: WindowPolicy,
     ) -> (Vec<String>, aas_sim::coordinator::ShardedStats) {
         let mut rng = SimRng::seed_from(seed.wrapping_mul(0xA17D_A97E).wrapping_add(1));
-        let shards = 2 + (rng.below(3) as u32); // K in 2..=4
+        let seeded = 2 + (rng.below(3) as u32); // K in 2..=4
+        let shards = shards.unwrap_or(seeded);
         let mut k: ShardedKernel<u64> = ShardedKernel::with_mode(ring(8, 1), shards, mode);
-        k.set_window_policy(policy);
         let chans: Vec<_> = (0..8u32)
             .map(|i| k.open_channel(NodeId(i), NodeId((i + 1 + (seed % 3) as u32) % 8)))
             .collect();
@@ -225,23 +226,19 @@ mod adaptive_windows {
     }
 
     fn check_seed(seed: u64) {
-        let (fixed_ev, fixed_stats) = run_schedule(seed, ExecMode::Inline, WindowPolicy::Fixed);
+        let (one_ev, one_stats) = run_schedule(seed, Some(1), ExecMode::Inline);
         let mut widened_total = 0;
         for mode in [ExecMode::Inline, ExecMode::Threads] {
-            let (ev, stats) = run_schedule(seed, mode, WindowPolicy::Adaptive);
+            let (ev, stats) = run_schedule(seed, None, mode);
             assert_eq!(
-                fixed_ev, ev,
-                "seed {seed} {mode:?}: adaptive stream diverged from fixed"
+                one_ev, ev,
+                "seed {seed} {mode:?}: windowed stream diverged from K = 1"
             );
             assert_eq!(
                 stats.early_crossings, 0,
                 "seed {seed} {mode:?}: widened window admitted an early crossing"
             );
-            assert_eq!(stats.events, fixed_stats.events);
-            assert!(
-                stats.windows <= fixed_stats.windows,
-                "seed {seed} {mode:?}: adaptive used more barriers than fixed"
-            );
+            assert_eq!(stats.events, one_stats.events);
             widened_total += stats.widened_windows;
         }
         assert!(

@@ -1,10 +1,10 @@
 //! Property-based tests for the simulation substrate.
 
+use aas_obs::{Histogram, Summary};
 use aas_sim::kernel::{Fired, Kernel};
 use aas_sim::link::LinkSpec;
 use aas_sim::network::Topology;
 use aas_sim::node::{NodeId, NodeSpec};
-use aas_sim::stats::{Histogram, Summary};
 use aas_sim::time::{SimDuration, SimTime};
 use aas_sim::trace::ResourceTrace;
 use proptest::prelude::*;

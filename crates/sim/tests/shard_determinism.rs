@@ -18,6 +18,7 @@
 //! The deep tier (`--ignored`, nightly CI) runs 10× the seeds.
 
 use aas_core::message::SequenceTracker;
+use aas_obs::Counters;
 use aas_sim::coordinator::{ExecMode, ShardedKernel};
 use aas_sim::fault::{FaultKind, FaultSchedule};
 use aas_sim::kernel::{Fired, Kernel, SendOutcome};
@@ -25,7 +26,6 @@ use aas_sim::link::{LinkId, LinkSpec};
 use aas_sim::network::Topology;
 use aas_sim::node::{NodeId, NodeSpec};
 use aas_sim::rng::SimRng;
-use aas_sim::stats::Counters;
 use aas_sim::time::{SimDuration, SimTime};
 use aas_sim::{ChannelId, ChannelStats};
 use std::fmt::Write as _;

@@ -1,8 +1,8 @@
-//! Perf-regression guard for the adaptive window policy.
+//! Perf-regression guard for the coordinator's window widening.
 //!
 //! Wall-clock timing is flaky in CI, but the *window count* of a fixed
 //! workload is deterministic: it depends only on the schedule and the
-//! widening policy, not on the host. This test pins the coordinator
+//! widening rule, not on the host. This test pins the coordinator
 //! barrier budget — an accidental lookahead regression (say, a widening
 //! heuristic change that halves too eagerly) shows up as a window-count
 //! jump long before anyone notices wall-clock drift.
@@ -18,7 +18,7 @@ use aas_sim::node::NodeId;
 use aas_sim::time::{SimDuration, SimTime};
 
 /// Recorded windows for the fixed workload below at K=1 and K=4
-/// (adaptive policy, inline execution). Update deliberately — a bump
+/// (inline execution). Update deliberately — a bump
 /// here must come with an explanation, not a regression.
 const BASELINE_WINDOWS: [(u32, u64); 2] = [(1, 1), (4, 6)];
 /// Allowed headroom over the recorded baseline.
@@ -26,7 +26,7 @@ const HEADROOM: f64 = 1.25;
 
 /// The fixed workload: 10k sends over 8 cross-shard channels on a
 /// 2 ms-lookahead clique, 11 µs apart (a 110 ms span ≈ 55 lookaheads —
-/// the fixed policy would need ~55 barriers at K=4; adaptive needs 6).
+/// one-lookahead windows would need ~55 barriers at K=4; widening needs 6).
 /// At K=1 everything is shard-local, the lookahead is unbounded and the
 /// whole schedule runs in a single window — any K=1 count above 1 means
 /// windowing kicked in where none is needed.
@@ -63,7 +63,7 @@ fn window_budget_within_recorded_baseline() {
             stats.windows <= budget,
             "K={shards}: {} windows exceeds the budget of {budget} \
              (recorded baseline {baseline} + 25% headroom) — the \
-             adaptive lookahead policy regressed",
+             window widening regressed",
             stats.windows,
         );
     }
