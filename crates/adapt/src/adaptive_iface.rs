@@ -92,7 +92,7 @@ impl Watchpoint {
 /// assert!(ac.provided().provides("ping"));
 ///
 /// let mut ctx = CallCtx::new(SimTime::ZERO, "ac");
-/// ac.on_message(&mut ctx, &Message::request("ping", Value::from(1))).unwrap();
+/// ac.on_message(&mut ctx, Message::request("ping", Value::from(1))).unwrap();
 /// assert_eq!(ac.trace().len(), 1);
 /// assert_eq!(ac.trace()[0].executed_op.as_deref(), Some("echo"));
 /// ```
@@ -221,9 +221,9 @@ impl Component for AdaptiveComponent {
         }
     }
 
-    fn on_message(&mut self, ctx: &mut CallCtx, msg: &Message) -> Result<(), ComponentError> {
+    fn on_message(&mut self, ctx: &mut CallCtx, mut msg: Message) -> Result<(), ComponentError> {
         for wp in &mut self.watchpoints {
-            if (wp.predicate)(msg) {
+            if (wp.predicate)(&msg) {
                 wp.hits += 1;
             }
         }
@@ -250,9 +250,8 @@ impl Component for AdaptiveComponent {
             .get(&received_op)
             .cloned()
             .unwrap_or_else(|| received_op.clone());
-        let mut rewritten = msg.clone();
-        rewritten.op = Name::from(&target);
-        let result = self.inner.on_message(ctx, &rewritten);
+        msg.op = Name::from(&target);
+        let result = self.inner.on_message(ctx, msg);
         self.record(TraceEntry {
             received_op,
             executed_op: Some(target),
@@ -294,7 +293,7 @@ mod tests {
         op: &'static str,
     ) -> (Result<(), ComponentError>, Vec<Effect>) {
         let mut ctx = CallCtx::new(SimTime::ZERO, "ac");
-        let r = ac.on_message(&mut ctx, &Message::request(op, Value::from(1)));
+        let r = ac.on_message(&mut ctx, Message::request(op, Value::from(1)));
         (r, ctx.into_effects())
     }
 
@@ -365,9 +364,9 @@ mod tests {
             m.value.as_int().is_some_and(|i| i > 100)
         }));
         let mut ctx = CallCtx::new(SimTime::ZERO, "ac");
-        ac.on_message(&mut ctx, &Message::request("echo", Value::from(500)))
+        ac.on_message(&mut ctx, Message::request("echo", Value::from(500)))
             .unwrap();
-        ac.on_message(&mut ctx, &Message::request("echo", Value::from(5)))
+        ac.on_message(&mut ctx, Message::request("echo", Value::from(5)))
             .unwrap();
         assert_eq!(ac.watchpoints()[0].hits(), 1);
         assert_eq!(ac.watchpoints()[0].name(), "big-payload");

@@ -482,14 +482,13 @@ impl Component for FilteredComponent {
         self.inner.provided()
     }
 
-    fn on_message(&mut self, ctx: &mut CallCtx, msg: &Message) -> Result<(), ComponentError> {
-        let mut m = msg.clone();
-        let outcome = self.input.run(&mut m);
+    fn on_message(&mut self, ctx: &mut CallCtx, mut msg: Message) -> Result<(), ComponentError> {
+        let outcome = self.input.run(&mut msg);
         if outcome.blocked.is_some() {
             self.absorbed += 1;
             return Ok(());
         }
-        self.inner.on_message(ctx, &m)
+        self.inner.on_message(ctx, msg)
     }
 
     fn on_timer(&mut self, ctx: &mut CallCtx, tag: u64) {
@@ -698,7 +697,7 @@ mod tests {
             .unwrap();
         let mut fc = FilteredComponent::new(Box::new(EchoComponent::default()), pipeline);
         let mut ctx = CallCtx::new(SimTime::ZERO, "fc");
-        fc.on_message(&mut ctx, &msg("echo")).unwrap();
+        fc.on_message(&mut ctx, msg("echo")).unwrap();
         assert_eq!(fc.absorbed(), 1);
         assert!(ctx.into_effects().is_empty(), "inner never replied");
     }
@@ -708,7 +707,7 @@ mod tests {
         let pipeline = FilterPipeline::new(FilterMode::Runtime);
         let mut fc = FilteredComponent::new(Box::new(EchoComponent::default()), pipeline);
         let mut ctx = CallCtx::new(SimTime::ZERO, "fc");
-        fc.on_message(&mut ctx, &msg("echo")).unwrap();
+        fc.on_message(&mut ctx, msg("echo")).unwrap();
         assert_eq!(fc.absorbed(), 0);
         assert_eq!(ctx.into_effects().len(), 1, "inner replied");
     }

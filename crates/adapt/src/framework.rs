@@ -256,14 +256,13 @@ impl CompositionFramework {
         &mut self,
         slot: &str,
         ctx: &mut CallCtx,
-        msg: &Message,
+        mut msg: Message,
     ) -> Result<(), FrameworkError> {
         if !self.slots.contains_key(slot) {
             return Err(FrameworkError::UnknownSlot(slot.to_owned()));
         }
-        let mut m = msg.clone();
         for aspect in &mut self.aspects {
-            (aspect.before)(slot, &mut m);
+            (aspect.before)(slot, &mut msg);
             aspect.invocations += 1;
         }
         let s = self.slots.get_mut(slot).expect("checked");
@@ -271,7 +270,7 @@ impl CompositionFramework {
             .plugged
             .as_mut()
             .ok_or_else(|| FrameworkError::EmptySlot(slot.to_owned()))?;
-        comp.on_message(ctx, &m)
+        comp.on_message(ctx, msg)
             .map_err(|e| FrameworkError::EmptySlot(format!("{slot}: {e}")))?;
         Ok(())
     }
@@ -345,7 +344,7 @@ mod tests {
         let mut ctx = CallCtx::new(SimTime::ZERO, "fw");
         let msg = Message::request("echo", Value::Null);
         assert!(matches!(
-            fw.dispatch("codec", &mut ctx, &msg),
+            fw.dispatch("codec", &mut ctx, msg),
             Err(FrameworkError::EmptySlot(_))
         ));
     }
@@ -359,7 +358,7 @@ mod tests {
             m.value = Value::map([("slot", Value::from(slot)), ("orig", m.value.clone())]);
         }));
         let mut ctx = CallCtx::new(SimTime::ZERO, "fw");
-        fw.dispatch("codec", &mut ctx, &Message::request("echo", Value::from(9)))
+        fw.dispatch("codec", &mut ctx, Message::request("echo", Value::from(9)))
             .unwrap();
         // Echo replied with the aspect-transformed payload.
         let effects = ctx.into_effects();
@@ -380,7 +379,7 @@ mod tests {
         fw.install_aspect(FrameworkAspect::new("a", |_, _| {}));
         fw.install_aspect(FrameworkAspect::new("a", |_, _| {})); // replace
         let mut ctx = CallCtx::new(SimTime::ZERO, "fw");
-        fw.dispatch("codec", &mut ctx, &Message::request("echo", Value::Null))
+        fw.dispatch("codec", &mut ctx, Message::request("echo", Value::Null))
             .unwrap();
         assert!(fw.remove_aspect("a"));
         assert!(!fw.remove_aspect("a"));

@@ -485,11 +485,10 @@ impl aas_core::component::Component for ChainedComponent {
     fn on_message(
         &mut self,
         ctx: &mut aas_core::component::CallCtx,
-        msg: &Message,
+        mut msg: Message,
     ) -> Result<(), aas_core::error::ComponentError> {
-        let mut m = msg.clone();
-        self.chain.invoke(&mut m);
-        self.inner.on_message(ctx, &m)
+        self.chain.invoke(&mut msg);
+        self.inner.on_message(ctx, msg)
     }
 
     fn on_timer(&mut self, ctx: &mut aas_core::component::CallCtx, tag: u64) {
@@ -534,7 +533,7 @@ mod chained_tests {
         let mut ctx = CallCtx::new(SimTime::ZERO, "cc");
         cc.on_message(
             &mut ctx,
-            &aas_core::message::Message::request("echo", Value::from("raw")),
+            aas_core::message::Message::request("echo", Value::from("raw")),
         )
         .unwrap();
         let effects = ctx.into_effects();

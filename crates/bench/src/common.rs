@@ -46,9 +46,9 @@ impl Component for Worker {
         Interface::new("Worker", vec![Signature::one_way("work")])
     }
 
-    fn on_message(&mut self, ctx: &mut CallCtx, msg: &Message) -> Result<(), ComponentError> {
+    fn on_message(&mut self, ctx: &mut CallCtx, msg: Message) -> Result<(), ComponentError> {
         if msg.op != "work" {
-            return Err(ComponentError::UnsupportedOperation(msg.op.clone()));
+            return Err(ComponentError::UnsupportedOperation(msg.op));
         }
         self.handled += 1;
         ctx.reply(Value::from(self.handled));

@@ -53,9 +53,9 @@ impl Component for PoisonWorker {
         Interface::new("Worker", vec![Signature::one_way("work")])
     }
 
-    fn on_message(&mut self, _ctx: &mut CallCtx, msg: &Message) -> Result<(), ComponentError> {
+    fn on_message(&mut self, _ctx: &mut CallCtx, msg: Message) -> Result<(), ComponentError> {
         if msg.op != "work" {
-            return Err(ComponentError::UnsupportedOperation(msg.op.clone()));
+            return Err(ComponentError::UnsupportedOperation(msg.op));
         }
         Ok(())
     }

@@ -266,11 +266,11 @@ impl<'a> CallCtx<'a> {
 ///         Interface::new("Counter", vec![Signature::one_way("tick")])
 ///     }
 ///
-///     fn on_message(&mut self, ctx: &mut CallCtx, msg: &Message)
+///     fn on_message(&mut self, ctx: &mut CallCtx, msg: Message)
 ///         -> Result<(), ComponentError>
 ///     {
 ///         if msg.op != "tick" {
-///             return Err(ComponentError::UnsupportedOperation(msg.op.clone()));
+///             return Err(ComponentError::UnsupportedOperation(msg.op));
 ///         }
 ///         self.count += 1;
 ///         ctx.reply(Value::from(self.count));
@@ -295,14 +295,17 @@ pub trait Component: Send {
     /// The interface this component provides.
     fn provided(&self) -> Interface;
 
-    /// Handles one message.
+    /// Handles one message, which the handler owns: it may change it and
+    /// send it on, or keep any part of it, without a copy. The one thing
+    /// the runtime still needs of it — a request's id and op, for an
+    /// [`Effect::Reply`] — it saved before the hand-off.
     ///
     /// # Errors
     ///
     /// Implementations should return [`ComponentError`] for unsupported
     /// operations or malformed payloads; the runtime counts failures and
     /// surfaces them to RAML.
-    fn on_message(&mut self, ctx: &mut CallCtx, msg: &Message) -> Result<(), ComponentError>;
+    fn on_message(&mut self, ctx: &mut CallCtx, msg: Message) -> Result<(), ComponentError>;
 
     /// Handles a timer previously requested via [`CallCtx::set_timer`].
     fn on_timer(&mut self, ctx: &mut CallCtx, tag: u64) {
@@ -354,12 +357,12 @@ impl Component for EchoComponent {
         Interface::new("Echo", vec![crate::interface::Signature::one_way("echo")])
     }
 
-    fn on_message(&mut self, ctx: &mut CallCtx, msg: &Message) -> Result<(), ComponentError> {
+    fn on_message(&mut self, ctx: &mut CallCtx, msg: Message) -> Result<(), ComponentError> {
         if msg.op != "echo" {
-            return Err(ComponentError::UnsupportedOperation(msg.op.clone()));
+            return Err(ComponentError::UnsupportedOperation(msg.op));
         }
         self.handled += 1;
-        ctx.reply(msg.value.clone());
+        ctx.reply(msg.value);
         Ok(())
     }
 
@@ -401,7 +404,7 @@ mod tests {
         let mut echo = EchoComponent::default();
         let mut ctx = CallCtx::new(SimTime::ZERO, "echo");
         let msg = Message::request("echo", Value::from("hello"));
-        echo.on_message(&mut ctx, &msg).unwrap();
+        echo.on_message(&mut ctx, msg).unwrap();
         let effects = ctx.into_effects();
         assert_eq!(
             effects,
@@ -417,7 +420,7 @@ mod tests {
         let mut ctx = CallCtx::new(SimTime::ZERO, "echo");
         let msg = Message::request("nope", Value::Null);
         assert!(matches!(
-            echo.on_message(&mut ctx, &msg),
+            echo.on_message(&mut ctx, msg),
             Err(ComponentError::UnsupportedOperation(_))
         ));
     }
@@ -427,7 +430,7 @@ mod tests {
         let mut a = EchoComponent::default();
         let mut ctx = CallCtx::new(SimTime::ZERO, "a");
         for _ in 0..3 {
-            a.on_message(&mut ctx, &Message::request("echo", Value::Null))
+            a.on_message(&mut ctx, Message::request("echo", Value::Null))
                 .unwrap();
         }
         let snap = a.snapshot();

@@ -22,7 +22,6 @@
 
 use aas_sim::node::NodeId;
 use aas_sim::time::{SimDuration, SimTime};
-use std::collections::BTreeMap;
 
 /// log10(e): converts a survival exponent to a base-10 suspicion level.
 const LOG10_E: f64 = std::f64::consts::LOG10_E;
@@ -114,7 +113,10 @@ impl NodeTrack {
 #[derive(Debug, Clone)]
 pub struct FailureDetector {
     config: DetectorConfig,
-    tracks: BTreeMap<NodeId, NodeTrack>,
+    /// Indexed by node id, `None` where a node is not watched: a heartbeat
+    /// finds its track without a search, and walking the table visits the
+    /// watched nodes in ascending id order.
+    tracks: Vec<Option<NodeTrack>>,
 }
 
 impl FailureDetector {
@@ -123,7 +125,7 @@ impl FailureDetector {
     pub fn new(config: DetectorConfig) -> Self {
         FailureDetector {
             config,
-            tracks: BTreeMap::new(),
+            tracks: Vec::new(),
         }
     }
 
@@ -134,52 +136,69 @@ impl FailureDetector {
     }
 
     /// Starts monitoring `node`, treating `now` as its first heartbeat.
+    /// The table holds a slot for every id up to the largest watched.
     pub fn watch(&mut self, node: NodeId, now: SimTime) {
-        self.tracks.entry(node).or_insert(NodeTrack {
+        let at = node.0 as usize;
+        if at >= self.tracks.len() {
+            self.tracks.resize_with(at + 1, || None);
+        }
+        self.tracks[at].get_or_insert(NodeTrack {
             last_heard: now,
             mean_interval: self.config.interval,
             suspected: false,
         });
     }
 
+    fn track(&self, node: NodeId) -> Option<&NodeTrack> {
+        self.tracks.get(node.0 as usize)?.as_ref()
+    }
+
+    /// The watched nodes' tracks, ascending by id.
+    fn tracked(&self) -> impl Iterator<Item = (NodeId, &NodeTrack)> {
+        self.tracks
+            .iter()
+            .enumerate()
+            .filter_map(|(at, t)| Some((NodeId(at as u32), t.as_ref()?)))
+    }
+
     /// Records a heartbeat from `node` at `now`, updating its interval
     /// estimate. Heartbeats from unwatched nodes are ignored.
     pub fn record_heartbeat(&mut self, node: NodeId, now: SimTime) {
-        if let Some(t) = self.tracks.get_mut(&node) {
-            let observed = now.saturating_since(t.last_heard).as_secs_f64();
-            let mean = t.mean_interval.as_secs_f64();
-            t.mean_interval = SimDuration::from_secs_f64(mean + ALPHA * (observed - mean));
-            t.last_heard = now;
-        }
+        let Some(Some(t)) = self.tracks.get_mut(node.0 as usize) else {
+            return;
+        };
+        let observed = now.saturating_since(t.last_heard).as_secs_f64();
+        let mean = t.mean_interval.as_secs_f64();
+        t.mean_interval = SimDuration::from_secs_f64(mean + ALPHA * (observed - mean));
+        t.last_heard = now;
     }
 
     /// Current suspicion level of `node` at `now`; zero for unwatched
     /// nodes. Grows linearly with silence under the exponential model.
     #[must_use]
     pub fn phi(&self, node: NodeId, now: SimTime) -> f64 {
-        self.tracks.get(&node).map_or(0.0, |t| t.phi(now))
+        self.track(node).map_or(0.0, |t| t.phi(now))
     }
 
     /// Whether `node` is currently suspected.
     #[must_use]
     pub fn is_suspected(&self, node: NodeId) -> bool {
-        self.tracks.get(&node).is_some_and(|t| t.suspected)
+        self.track(node).is_some_and(|t| t.suspected)
     }
 
     /// The suspected nodes, ascending by id.
     #[must_use]
     pub fn suspected(&self) -> Vec<NodeId> {
-        self.tracks
-            .iter()
+        self.tracked()
             .filter(|(_, t)| t.suspected)
-            .map(|(n, _)| *n)
+            .map(|(n, _)| n)
             .collect()
     }
 
     /// The watched nodes, ascending by id.
     #[must_use]
     pub fn watched(&self) -> Vec<NodeId> {
-        self.tracks.keys().copied().collect()
+        self.tracked().map(|(n, _)| n).collect()
     }
 
     /// Re-evaluates every watched node at `now`, returning the suspicion
@@ -188,7 +207,9 @@ impl FailureDetector {
     pub fn evaluate(&mut self, now: SimTime) -> Vec<DetectorEvent> {
         let threshold = self.config.threshold;
         let mut events = Vec::new();
-        for (&node, t) in &mut self.tracks {
+        for (at, t) in self.tracks.iter_mut().enumerate() {
+            let Some(t) = t else { continue };
+            let node = NodeId(at as u32);
             let phi = t.phi(now);
             if phi >= threshold && !t.suspected {
                 t.suspected = true;
@@ -293,6 +314,40 @@ mod tests {
         let slow_phi = slow.phi(NodeId(1), SimTime::from_millis(2000) + probe_gap);
         let tight_phi = tight.phi(NodeId(1), SimTime::ZERO + probe_gap);
         assert!(slow_phi < tight_phi, "{slow_phi} vs {tight_phi}");
+    }
+
+    #[test]
+    fn events_come_out_in_ascending_node_order_across_gaps() {
+        let cfg = DetectorConfig::new(SimDuration::from_millis(100), 2.0, NodeId(0));
+        let mut d = FailureDetector::new(cfg);
+        for n in [40, 7, 2] {
+            d.watch(NodeId(n), SimTime::ZERO);
+        }
+        let ids = |ns: Vec<NodeId>| ns.into_iter().map(|n| n.0).collect::<Vec<_>>();
+        assert_eq!(ids(d.watched()), [2, 7, 40]);
+        let events = d.evaluate(SimTime::from_secs(2));
+        let suspected: Vec<u32> = events
+            .iter()
+            .map(|e| match e {
+                DetectorEvent::Suspected(n, _) => n.0,
+                DetectorEvent::Restored(n) => panic!("{n} was never suspected"),
+            })
+            .collect();
+        assert_eq!(suspected, [2, 7, 40]);
+        assert_eq!(ids(d.suspected()), [2, 7, 40]);
+        assert!(!d.is_suspected(NodeId(3)) && !d.is_suspected(NodeId(41)));
+
+        for n in [40, 2] {
+            d.record_heartbeat(NodeId(n), SimTime::from_millis(2_050));
+        }
+        assert_eq!(
+            d.evaluate(SimTime::from_millis(2_100)),
+            [
+                DetectorEvent::Restored(NodeId(2)),
+                DetectorEvent::Restored(NodeId(40))
+            ]
+        );
+        assert_eq!(ids(d.suspected()), [7]);
     }
 
     #[test]

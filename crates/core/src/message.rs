@@ -408,12 +408,19 @@ impl Message {
     /// Builds a reply to `request` with the given payload.
     #[must_use]
     pub fn reply_to(request: &Message, value: Value) -> Message {
+        Message::reply(request.id, &request.op, value)
+    }
+
+    /// Builds a reply to the request `id` of operation `op`: what
+    /// [`Message::reply_to`] reads off a request, for a caller that no
+    /// longer holds it.
+    pub(crate) fn reply(id: MessageId, op: &str, value: Value) -> Message {
         Message {
             id: MessageId(0),
             kind: MessageKind::Reply,
-            op: format!("{}.reply", request.op).into(),
+            op: format!("{op}.reply").into(),
             value,
-            correlation: Some(request.id),
+            correlation: Some(id),
             seq: 0,
             size_hint: None,
             from: Name::default(),

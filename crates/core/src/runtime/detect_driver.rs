@@ -69,13 +69,15 @@ impl Runtime {
         }
         let events = drt.detector.evaluate(now);
         let mut max_phi: f64 = 0.0;
+        let mut suspects = 0u32;
         for w in &drt.watched {
             let phi = drt.detector.phi(w.node, now);
             max_phi = max_phi.max(phi);
             w.phi.set(phi);
+            suspects += u32::from(drt.detector.is_suspected(w.node));
         }
         self.m.phi.observe(max_phi);
-        drt.suspected.set(drt.detector.suspected().len() as f64);
+        drt.suspected.set(f64::from(suspects));
         let interval = drt.detector.config().interval;
         self.detector = Some(drt);
         if events.is_empty() {

@@ -133,11 +133,12 @@ impl Runtime {
         self.arm_message(delay, r);
     }
 
-    /// The handler job of the stored message `r` finished: the target
-    /// handles the message where it lies, and the slot is free once the
-    /// effects — which may reply to it — are applied.
+    /// The handler job of the stored message `r` finished: the message is
+    /// moved out of its slot to the target, which owns it from then on, and
+    /// the slot — still naming sender, target and connector — is free once
+    /// the effects, which may reply to the sender, are applied.
     pub(super) fn on_job_done(&mut self, r: MsgRef, now: SimTime) {
-        let env = &self.arena[r];
+        let env = &mut self.arena[r];
         let to = env.to;
         let Some(inst) = self.instances.get_mut(to) else {
             return self.arena.free(r);
@@ -165,9 +166,16 @@ impl Runtime {
         let deliver =
             env.msg.kind != MessageKind::Reply || inst.component.provided().provides(&env.msg.op);
         let mut effects = std::mem::take(&mut self.effects_buf);
+        let mut request = None;
         if deliver {
+            let msg = std::mem::replace(&mut env.msg, Message::event("", Value::Null));
+            request = (msg.kind == MessageKind::Request).then(|| Request {
+                from: env.from,
+                id: msg.id,
+                op: msg.op.clone(),
+            });
             let mut ctx = CallCtx::with_buffer(now, &inst.name, effects);
-            if let Err(e) = inst.component.on_message(&mut ctx, &env.msg) {
+            if let Err(e) = inst.component.on_message(&mut ctx, msg) {
                 inst.errors += 1;
                 self.m.handler_errors.incr();
                 self.events.push((
@@ -186,7 +194,7 @@ impl Runtime {
         if drained {
             inst.lifecycle = Lifecycle::Quiescent;
         }
-        self.apply_effects(to, effects, Some(r), now);
+        self.apply_effects(to, effects, request.as_ref(), now);
         self.arena.free(r);
         if drained {
             self.advance_reconfig();

@@ -87,13 +87,14 @@ impl Runtime {
     }
 
     /// Applies the effects a handler of `from` buffered, in order, and
-    /// hands the emptied buffer back for the next handler call. `current`
-    /// is the message that handler was given, if it was given one.
+    /// hands the emptied buffer back for the next handler call. `request`
+    /// is the request that handler was given, if it was given one: a
+    /// reply to anything else goes nowhere.
     pub(super) fn apply_effects(
         &mut self,
         from: InstId,
         mut effects: Vec<Effect>,
-        current: Option<MsgRef>,
+        request: Option<&Request>,
         now: SimTime,
     ) {
         for effect in effects.drain(..) {
@@ -102,11 +103,9 @@ impl Runtime {
                     self.dispatch_send(from, &port, message);
                 }
                 Effect::Reply { value } => {
-                    if let Some(cur) = current.map(|r| &self.arena[r]) {
-                        if cur.msg.kind == MessageKind::Request {
-                            let reply = Message::reply_to(&cur.msg, value);
-                            self.route_reply(from, cur.from, reply, now);
-                        }
+                    if let Some(req) = request {
+                        let reply = Message::reply(req.id, &req.op, value);
+                        self.route_reply(from, req.from, reply, now);
                     }
                 }
                 Effect::SetTimer { delay, tag } => {

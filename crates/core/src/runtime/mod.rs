@@ -68,7 +68,7 @@ use crate::coverage::{AdaptationCoverage, DetectPhase, PlanOutcome};
 use crate::detector::{DetectorConfig, DetectorEvent, FailureDetector};
 use crate::error::RuntimeError;
 use crate::heal::{PlanMutation, RepairPolicy};
-use crate::message::{Message, MessageId, MessageKind, Name, SequenceTracker};
+use crate::message::{Message, MessageId, MessageKind, Name, SequenceTracker, Value};
 use crate::raml::{
     ComponentObservation, ConnectorObservation, Intercession, NodeObservation, Raml, SystemSnapshot,
 };
@@ -135,6 +135,16 @@ struct Envelope {
     via: Option<ConnId>,
     /// How many times this copy has already been (re)sent.
     attempt: u32,
+}
+
+/// What an [`Effect::Reply`] needs of the request a handler was given,
+/// saved at hand-off: the handler owns the message itself.
+#[derive(Debug)]
+struct Request {
+    /// The requester, where the reply goes.
+    from: InstId,
+    id: MessageId,
+    op: Name,
 }
 
 /// Noteworthy happenings surfaced to the embedding application.

@@ -19,14 +19,14 @@ impl Component for Counter {
     fn provided(&self) -> Interface {
         Interface::new("Counter", vec![Signature::one_way("tick")])
     }
-    fn on_message(&mut self, ctx: &mut CallCtx, msg: &Message) -> Result<(), ComponentError> {
+    fn on_message(&mut self, ctx: &mut CallCtx, msg: Message) -> Result<(), ComponentError> {
         match msg.op.as_str() {
             "tick" => {
                 self.count += 1;
                 ctx.reply(Value::from(self.count));
                 Ok(())
             }
-            _ => Err(ComponentError::UnsupportedOperation(msg.op.clone())),
+            _ => Err(ComponentError::UnsupportedOperation(msg.op)),
         }
     }
     fn snapshot(&self) -> StateSnapshot {
@@ -54,7 +54,7 @@ impl Component for CounterV2 {
             vec![Signature::one_way("tick"), Signature::one_way("reset")],
         )
     }
-    fn on_message(&mut self, ctx: &mut CallCtx, msg: &Message) -> Result<(), ComponentError> {
+    fn on_message(&mut self, ctx: &mut CallCtx, msg: Message) -> Result<(), ComponentError> {
         match msg.op.as_str() {
             "tick" => {
                 self.count += 1;
@@ -65,7 +65,7 @@ impl Component for CounterV2 {
                 self.count = 0;
                 Ok(())
             }
-            _ => Err(ComponentError::UnsupportedOperation(msg.op.clone())),
+            _ => Err(ComponentError::UnsupportedOperation(msg.op)),
         }
     }
     fn snapshot(&self) -> StateSnapshot {
@@ -88,7 +88,7 @@ impl Component for CounterBroken {
     fn provided(&self) -> Interface {
         Interface::new("Counter", vec![Signature::one_way("other")])
     }
-    fn on_message(&mut self, _: &mut CallCtx, _: &Message) -> Result<(), ComponentError> {
+    fn on_message(&mut self, _: &mut CallCtx, _: Message) -> Result<(), ComponentError> {
         Ok(())
     }
     fn snapshot(&self) -> StateSnapshot {
@@ -110,8 +110,8 @@ impl Component for Forwarder {
     fn provided(&self) -> Interface {
         Interface::new("Forwarder", vec![Signature::one_way("tick")])
     }
-    fn on_message(&mut self, ctx: &mut CallCtx, msg: &Message) -> Result<(), ComponentError> {
-        ctx.send("out", Message::event("tick", msg.value.clone()));
+    fn on_message(&mut self, ctx: &mut CallCtx, msg: Message) -> Result<(), ComponentError> {
+        ctx.send("out", Message::event("tick", msg.value));
         Ok(())
     }
     fn snapshot(&self) -> StateSnapshot {
@@ -677,7 +677,7 @@ fn bind_rejects_protocol_deadlock() {
         fn provided(&self) -> Interface {
             Interface::new("Picky", vec![Signature::one_way("request")])
         }
-        fn on_message(&mut self, _: &mut CallCtx, _: &Message) -> Result<(), ComponentError> {
+        fn on_message(&mut self, _: &mut CallCtx, _: Message) -> Result<(), ComponentError> {
             Ok(())
         }
         fn snapshot(&self) -> StateSnapshot {
@@ -834,7 +834,7 @@ fn component_timers_drive_behavior() {
         fn provided(&self) -> Interface {
             Interface::new("Ticker", vec![Signature::one_way("start")])
         }
-        fn on_message(&mut self, ctx: &mut CallCtx, _msg: &Message) -> Result<(), ComponentError> {
+        fn on_message(&mut self, ctx: &mut CallCtx, _msg: Message) -> Result<(), ComponentError> {
             ctx.set_timer(SimDuration::from_millis(100), 7);
             Ok(())
         }

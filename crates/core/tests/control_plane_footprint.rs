@@ -84,14 +84,15 @@ fn observe_reads_the_histograms_in_place() {
 }
 
 /// A fork's throwaway telemetry bundle registers every histogram of the
-/// mainline's, empty.
+/// mainline's, empty, and its tracer ring takes memory only as it records.
 #[test]
-fn a_fork_grows_the_heap_by_less_than_half_of_what_it_did() {
-    /// Live-heap growth of this very fork at `e2b94c6` (992,328 B when
-    /// this test was written).
-    const AT_PARENT: i64 = 4_110_168;
+fn a_fork_grows_the_heap_by_no_more_than_its_pinned_figure() {
+    /// Live-heap growth of this very fork: 4,110,168 B at `e2b94c6`,
+    /// 992,328 B at `7646886`, whose fork reserved 1,024 tracer records
+    /// (80 KiB) it never wrote.
+    const PINNED: i64 = 910_408;
     let rt = warm_deployment();
     let (fork, heap) = heap_of(|| rt.fork_twin());
     assert!(fork.is_some());
-    assert!(heap.grown * 2 < AT_PARENT, "{heap:?}");
+    assert!(heap.grown <= PINNED, "{heap:?}");
 }

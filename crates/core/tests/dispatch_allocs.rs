@@ -3,10 +3,11 @@
 //!
 //! A delivery resolves no names: envelopes address instances and
 //! connectors by table id, the last target gets the message by move, and
-//! op, sender, port, metric and map-key names are literals or shared. What
-//! is left per frame of a source → transcoder → sink pipeline is the
-//! payload itself: one map node where the source builds it, one where the
-//! transcoder copies it to change it.
+//! op, sender, port, metric and map-key names are literals or shared. A
+//! handler owns the message it is handed, so the transcoder re-encodes the
+//! frame it was given. What is left per frame of a source → transcoder →
+//! sink pipeline is the payload itself: one map node, where the source
+//! builds it.
 
 #[path = "../../sim/tests/support/counting_alloc.rs"]
 mod counting_alloc;
@@ -29,7 +30,7 @@ use aas_sim::node::NodeId;
 use aas_sim::time::SimDuration;
 
 /// Heap allocations per frame through source → transcoder → sink.
-const ALLOCS_PER_FRAME: u64 = 2;
+const ALLOCS_PER_FRAME: u64 = 1;
 
 fn topology(nodes: usize) -> Topology {
     Topology::clique(nodes, 1000.0, SimDuration::from_millis(1), 1e7)
@@ -109,7 +110,7 @@ impl Component for Fan {
     fn provided(&self) -> Interface {
         Interface::new("Fan", vec![Signature::one_way("go")])
     }
-    fn on_message(&mut self, ctx: &mut CallCtx, _msg: &Message) -> Result<(), ComponentError> {
+    fn on_message(&mut self, ctx: &mut CallCtx, _msg: Message) -> Result<(), ComponentError> {
         ctx.send("out", Message::event("frame", payload()));
         Ok(())
     }
@@ -135,7 +136,7 @@ impl Component for Check {
     fn provided(&self) -> Interface {
         Interface::new("Check", vec![Signature::one_way("frame")])
     }
-    fn on_message(&mut self, _ctx: &mut CallCtx, msg: &Message) -> Result<(), ComponentError> {
+    fn on_message(&mut self, _ctx: &mut CallCtx, msg: Message) -> Result<(), ComponentError> {
         self.equal += i64::from(msg.value == self.expected);
         Ok(())
     }

@@ -48,7 +48,7 @@ impl Component for Fwd {
     fn provided(&self) -> Interface {
         Interface::new("Fwd", vec![Signature::one_way("tick")])
     }
-    fn on_message(&mut self, ctx: &mut CallCtx, _msg: &Message) -> Result<(), ComponentError> {
+    fn on_message(&mut self, ctx: &mut CallCtx, _msg: Message) -> Result<(), ComponentError> {
         self.seen += 1;
         ctx.send("out", Message::event("tick", Value::Null));
         Ok(())
@@ -84,7 +84,7 @@ impl Component for Count {
     fn provided(&self) -> Interface {
         Interface::new("Count", vec![Signature::one_way("tick")])
     }
-    fn on_message(&mut self, _ctx: &mut CallCtx, _msg: &Message) -> Result<(), ComponentError> {
+    fn on_message(&mut self, _ctx: &mut CallCtx, _msg: Message) -> Result<(), ComponentError> {
         self.ticks += 1;
         Ok(())
     }

@@ -65,7 +65,7 @@ impl Component for Count {
     fn provided(&self) -> Interface {
         Interface::new("Count", vec![Signature::one_way("frame")])
     }
-    fn on_message(&mut self, _ctx: &mut CallCtx, _msg: &Message) -> Result<(), ComponentError> {
+    fn on_message(&mut self, _ctx: &mut CallCtx, _msg: Message) -> Result<(), ComponentError> {
         self.ticks += 1;
         Ok(())
     }

@@ -144,7 +144,7 @@ proptest! {
         let mut a = EchoComponent::default();
         let mut ctx = CallCtx::new(SimTime::ZERO, "a");
         for _ in 0..count {
-            a.on_message(&mut ctx, &Message::request("echo", Value::Null)).unwrap();
+            a.on_message(&mut ctx, Message::request("echo", Value::Null)).unwrap();
         }
         let snap = a.snapshot();
         let mut b = EchoComponent::default();

@@ -127,7 +127,9 @@ impl Tracer {
                 hop_sampling: AtomicU32::new(0),
                 hop_seq: AtomicU64::new(0),
                 next_span: AtomicU64::new(1),
-                ring: Mutex::new(VecDeque::with_capacity(capacity.min(1024))),
+                // Grows as it fills: most tracers (a twin fork's among
+                // them) record a handful of spans, if any.
+                ring: Mutex::new(VecDeque::new()),
                 capacity,
             }),
         }

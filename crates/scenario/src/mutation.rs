@@ -574,7 +574,7 @@ fn filter_violations(schedule: &ScenarioSchedule, mutation: Option<Mutation>) ->
             legit += 1;
             Message::request("echo", Value::Int(i as i64))
         };
-        if guard.on_message(&mut ctx, &msg).is_err() {
+        if guard.on_message(&mut ctx, msg).is_err() {
             errors += 1;
         }
         replies += ctx.into_effects().len() as u64;

@@ -131,7 +131,7 @@ impl SimDuration {
         if micros >= u64::MAX as f64 {
             SimDuration::MAX
         } else {
-            SimDuration(micros.round() as u64)
+            SimDuration(round_half_away(micros))
         }
     }
 
@@ -261,6 +261,15 @@ impl From<SimDuration> for f64 {
     }
 }
 
+/// `x.round() as u64` for `x` in `[0, 2^64)`, without the libm call
+/// `f64::round` is on the baseline x86-64 target (it runs for every job,
+/// link relaxation and heartbeat). Exact: `x - x.trunc()` is representable
+/// for every double, and from 2^52 up it is zero.
+fn round_half_away(x: f64) -> u64 {
+    let whole = x as u64;
+    whole + u64::from(x - whole as f64 >= 0.5)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -286,6 +295,38 @@ mod tests {
         assert_eq!(SimDuration::from_secs_f64(f64::NAN), SimDuration::ZERO);
         assert_eq!(SimDuration::from_secs_f64(f64::INFINITY), SimDuration::ZERO);
         assert_eq!(SimDuration::from_secs_f64(1e300), SimDuration::MAX);
+    }
+
+    #[test]
+    fn rounding_matches_f64_round_over_the_whole_range() {
+        let check = |x: f64| assert_eq!(round_half_away(x), x.round() as u64, "{x:e}");
+        let two52 = (1u64 << 52) as f64;
+        for x in [
+            0.0,
+            0.5,
+            1.5,
+            2.5,
+            1e6 + 0.5,
+            0.499_999_999_999_999_94,
+            1.0 - f64::EPSILON / 2.0,
+            two52 - 0.5,
+            two52.next_down(),
+            two52,
+            two52.next_up(),
+            (1u64 << 53) as f64 + 2.0,
+            (u64::MAX as f64).next_down(),
+        ] {
+            check(x);
+        }
+        // Random bit patterns of every exponent below 2^64 (biased
+        // exponent 0 through 1086), so tiny, fractional and huge values
+        // are drawn alike; and random ties, x.5 for x below 2^52.
+        let mut rng = crate::rng::SimRng::seed_from(0x5eed);
+        for _ in 0..200_000 {
+            let exponent = rng.below(1087);
+            check(f64::from_bits(exponent << 52 | rng.next_u64() >> 12));
+            check(rng.below(1 << 52) as f64 + 0.5);
+        }
     }
 
     #[test]

@@ -83,7 +83,7 @@ impl Component for MediaSource {
         )
     }
 
-    fn on_message(&mut self, ctx: &mut CallCtx, msg: &Message) -> Result<(), ComponentError> {
+    fn on_message(&mut self, ctx: &mut CallCtx, msg: Message) -> Result<(), ComponentError> {
         match msg.op.as_str() {
             "init" => {
                 if !self.running {
@@ -108,7 +108,7 @@ impl Component for MediaSource {
                 self.level = (level.max(0) as usize).min(self.ladder.len() - 1);
                 Ok(())
             }
-            _ => Err(ComponentError::UnsupportedOperation(msg.op.clone())),
+            _ => Err(ComponentError::UnsupportedOperation(msg.op)),
         }
     }
 
@@ -200,14 +200,15 @@ impl Component for Transcoder {
         )
     }
 
-    fn on_message(&mut self, ctx: &mut CallCtx, msg: &Message) -> Result<(), ComponentError> {
+    fn on_message(&mut self, ctx: &mut CallCtx, msg: Message) -> Result<(), ComponentError> {
         match msg.op.as_str() {
             "frame" => {
                 let bytes = msg.value.get("bytes").and_then(Value::as_int).unwrap_or(0);
                 let out_bytes = (bytes as f64 * self.ratio).round() as i64;
                 self.frames += 1;
                 self.bytes_out += out_bytes.max(0) as u64;
-                let mut v = msg.value.clone();
+                // The frame is ours: re-encode its payload in place.
+                let mut v = msg.value;
                 v.set("bytes", Value::Int(out_bytes));
                 v.set("transcoded", Value::Bool(true));
                 ctx.send(
@@ -224,7 +225,7 @@ impl Component for Transcoder {
                 self.ratio = r.clamp(0.01, 1.0);
                 Ok(())
             }
-            _ => Err(ComponentError::UnsupportedOperation(msg.op.clone())),
+            _ => Err(ComponentError::UnsupportedOperation(msg.op)),
         }
     }
 
@@ -285,7 +286,7 @@ impl Component for MediaSink {
         )
     }
 
-    fn on_message(&mut self, ctx: &mut CallCtx, msg: &Message) -> Result<(), ComponentError> {
+    fn on_message(&mut self, ctx: &mut CallCtx, msg: Message) -> Result<(), ComponentError> {
         match msg.op.as_str() {
             "frame" => {
                 self.frames += 1;
@@ -319,7 +320,7 @@ impl Component for MediaSink {
                 ]));
                 Ok(())
             }
-            _ => Err(ComponentError::UnsupportedOperation(msg.op.clone())),
+            _ => Err(ComponentError::UnsupportedOperation(msg.op)),
         }
     }
 
@@ -369,13 +370,13 @@ mod tests {
     fn source_starts_clock_on_init() {
         let mut s = MediaSource::default();
         let mut c = ctx();
-        s.on_message(&mut c, &Message::event("init", Value::Null))
+        s.on_message(&mut c, Message::event("init", Value::Null))
             .unwrap();
         let effects = c.into_effects();
         assert!(matches!(effects[0], Effect::SetTimer { tag: 1, .. }));
         // Second init is idempotent.
         let mut c2 = ctx();
-        s.on_message(&mut c2, &Message::event("init", Value::Null))
+        s.on_message(&mut c2, Message::event("init", Value::Null))
             .unwrap();
         assert!(c2.into_effects().is_empty());
     }
@@ -384,10 +385,10 @@ mod tests {
     fn source_emits_one_frame_per_session_per_tick() {
         let mut s = MediaSource::default();
         let mut c = ctx();
-        s.on_message(&mut c, &Message::event("init", Value::Null))
+        s.on_message(&mut c, Message::event("init", Value::Null))
             .unwrap();
         for _ in 0..3 {
-            s.on_message(&mut c, &Message::event("session_start", Value::Null))
+            s.on_message(&mut c, Message::event("session_start", Value::Null))
                 .unwrap();
         }
         let mut c = ctx();
@@ -407,9 +408,9 @@ mod tests {
     fn source_level_changes_frame_size() {
         let mut s = MediaSource::default();
         let mut c = ctx();
-        s.on_message(&mut c, &Message::event("init", Value::Null))
+        s.on_message(&mut c, Message::event("init", Value::Null))
             .unwrap();
-        s.on_message(&mut c, &Message::event("session_start", Value::Null))
+        s.on_message(&mut c, Message::event("session_start", Value::Null))
             .unwrap();
         let frame_bytes = |s: &mut MediaSource| {
             let mut c = ctx();
@@ -426,7 +427,7 @@ mod tests {
         };
         let hi = frame_bytes(&mut s);
         let mut c = ctx();
-        s.on_message(&mut c, &Message::event("set_level", Value::Int(0)))
+        s.on_message(&mut c, Message::event("set_level", Value::Int(0)))
             .unwrap();
         let lo = frame_bytes(&mut s);
         assert!(lo < hi, "audio-only {lo} < 1080p {hi}");
@@ -436,7 +437,7 @@ mod tests {
     fn source_session_count_never_negative() {
         let mut s = MediaSource::default();
         let mut c = ctx();
-        s.on_message(&mut c, &Message::event("session_end", Value::Null))
+        s.on_message(&mut c, Message::event("session_end", Value::Null))
             .unwrap();
         assert_eq!(s.active_sessions, 0);
     }
@@ -445,38 +446,46 @@ mod tests {
     fn transcoder_scales_and_forwards() {
         let mut t = Transcoder::default();
         let mut c = ctx();
-        t.on_message(&mut c, &Message::event("set_ratio", Value::Float(0.5)))
+        t.on_message(&mut c, Message::event("set_ratio", Value::Float(0.5)))
             .unwrap();
-        let frame = Message::event(
-            "frame",
-            Value::map([("bytes", Value::Int(1000)), ("cost", Value::Float(2.0))]),
-        );
-        t.on_message(&mut c, &frame).unwrap();
-        let effects = c.into_effects();
-        let out = effects
-            .iter()
-            .find_map(|e| match e {
-                Effect::Send { message, .. } => Some(message),
-                _ => None,
-            })
-            .unwrap();
-        assert_eq!(out.value.get("bytes"), Some(&Value::Int(500)));
-        assert_eq!(out.value.get("transcoded"), Some(&Value::Bool(true)));
+        let payload = |bytes: i64| {
+            [
+                ("bytes", Value::Int(bytes)),
+                ("cost", Value::Float(2.0)),
+                ("level", Value::Int(3)),
+                ("quality", Value::Float(0.9)),
+            ]
+        };
+        let frame = Message::event("frame", Value::map(payload(1000))).with_size(1000);
         assert_eq!(t.work_cost(&frame), 2.0, "charges the frame's cost");
+        t.on_message(&mut c, frame).unwrap();
+        // The input's other fields, the new size and the mark.
+        let out = Value::map(
+            payload(500)
+                .into_iter()
+                .chain([("transcoded", Value::Bool(true))]),
+        );
+        assert_eq!(
+            c.into_effects(),
+            vec![Effect::Send {
+                port: "out".into(),
+                message: Message::event("frame", out).with_size(500),
+            }]
+        );
     }
 
     #[test]
     fn transcoder_ratio_clamps() {
         let mut t = Transcoder::default();
         let mut c = ctx();
-        t.on_message(&mut c, &Message::event("set_ratio", Value::Float(99.0)))
+        t.on_message(&mut c, Message::event("set_ratio", Value::Float(99.0)))
             .unwrap();
         assert_eq!(t.ratio, 1.0);
-        t.on_message(&mut c, &Message::event("set_ratio", Value::Float(-1.0)))
+        t.on_message(&mut c, Message::event("set_ratio", Value::Float(-1.0)))
             .unwrap();
         assert_eq!(t.ratio, 0.01);
         assert!(t
-            .on_message(&mut c, &Message::event("set_ratio", Value::Null))
+            .on_message(&mut c, Message::event("set_ratio", Value::Null))
             .is_err());
     }
 
@@ -490,7 +499,7 @@ mod tests {
                 Value::map([("bytes", Value::Int(100)), ("quality", Value::Float(q))]),
             );
             frame.sent_at = SimTime::from_millis(90);
-            sink.on_message(&mut c, &frame).unwrap();
+            sink.on_message(&mut c, frame).unwrap();
         }
         let effects = c.into_effects();
         // Two frames, each with latency + quality metric.
@@ -501,7 +510,7 @@ mod tests {
         assert_eq!(metrics, 4);
 
         let mut c2 = ctx();
-        sink.on_message(&mut c2, &Message::request("stats", Value::Null))
+        sink.on_message(&mut c2, Message::request("stats", Value::Null))
             .unwrap();
         let reply = c2
             .into_effects()
@@ -520,7 +529,7 @@ mod tests {
     fn snapshots_roundtrip_for_all_components() {
         let mut src = MediaSource::at_level(2);
         let mut c = ctx();
-        src.on_message(&mut c, &Message::event("session_start", Value::Null))
+        src.on_message(&mut c, Message::event("session_start", Value::Null))
             .unwrap();
         let snap = src.snapshot();
         let mut src2 = MediaSource::default();

@@ -177,7 +177,7 @@ fn main() {
     ac.rewrite_op("ping", "echo");
     ac.override_response("health", Value::from("ok"));
     let mut ctx = CallCtx::new(SimTime::ZERO, "ac");
-    ac.on_message(&mut ctx, &Message::request("ping", Value::from(1)))
+    ac.on_message(&mut ctx, Message::request("ping", Value::from(1)))
         .unwrap();
     println!(
         "10. adaptive-interface: generated interface provides {:?}; trace {:?}",

@@ -42,10 +42,10 @@ macro_rules! impl_greeter {
             fn on_message(
                 &mut self,
                 ctx: &mut CallCtx,
-                msg: &Message,
+                msg: Message,
             ) -> Result<(), ComponentError> {
                 if msg.op != "greet" {
-                    return Err(ComponentError::UnsupportedOperation(msg.op.clone()));
+                    return Err(ComponentError::UnsupportedOperation(msg.op));
                 }
                 self.served += 1;
                 let name = msg.value.as_str().unwrap_or("world");

@@ -47,7 +47,7 @@ impl Component for Fwd {
     fn provided(&self) -> Interface {
         Interface::new("Fwd", vec![Signature::one_way("tick")])
     }
-    fn on_message(&mut self, ctx: &mut CallCtx, msg: &Message) -> Result<(), ComponentError> {
+    fn on_message(&mut self, ctx: &mut CallCtx, msg: Message) -> Result<(), ComponentError> {
         self.seen += 1;
         self.direct += i64::from(msg.value.get("direct").is_some());
         ctx.send("out", Message::event("tick", Value::Null));
@@ -81,7 +81,7 @@ impl Component for Count {
     fn provided(&self) -> Interface {
         Interface::new("Count", vec![Signature::one_way("tick")])
     }
-    fn on_message(&mut self, _ctx: &mut CallCtx, _msg: &Message) -> Result<(), ComponentError> {
+    fn on_message(&mut self, _ctx: &mut CallCtx, _msg: Message) -> Result<(), ComponentError> {
         self.ticks += 1;
         Ok(())
     }

@@ -64,9 +64,9 @@ impl Component for Fragile {
         Interface::new("Fragile", vec![Signature::one_way("tick")])
     }
 
-    fn on_message(&mut self, _ctx: &mut CallCtx, msg: &Message) -> Result<(), ComponentError> {
+    fn on_message(&mut self, _ctx: &mut CallCtx, msg: Message) -> Result<(), ComponentError> {
         if msg.op != "tick" {
-            return Err(ComponentError::UnsupportedOperation(msg.op.clone()));
+            return Err(ComponentError::UnsupportedOperation(msg.op));
         }
         self.ticks += 1;
         Ok(())
