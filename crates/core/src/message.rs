@@ -6,9 +6,11 @@
 //! timestamps (delay measurement).
 
 use aas_sim::time::SimTime;
+use core::cmp::Ordering;
 use core::fmt;
 use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::ops::Deref;
 use std::sync::Arc;
@@ -138,6 +140,209 @@ impl fmt::Display for Name {
     }
 }
 
+/// The entries of a [`Value::Map`]: one buffer of `(key, value)` pairs,
+/// kept sorted by key and searched linearly.
+///
+/// The maps of this workspace hold at most eight entries, where a scan
+/// reads as fast as a B-tree and faster than a binary search. One buffer
+/// is also what the runtime can reuse: while
+/// [`Runtime::run_until`](crate::runtime::Runtime::run_until) runs, a
+/// map's first insert and every clone take a buffer from the runtime's
+/// pool, and a map that drops gives its buffer back, so a source that
+/// builds a payload per frame stops allocating once warm. Iteration
+/// order, equality, `Display` and `Debug` are those of a
+/// `BTreeMap<Name, Value>`.
+///
+/// # Examples
+///
+/// ```
+/// use aas_core::message::{Fields, Value};
+///
+/// let mut f = Fields::default();
+/// assert_eq!(f.insert("b".into(), Value::from(2)), None);
+/// assert_eq!(f.insert("a".into(), Value::from(1)), None);
+/// assert_eq!(f.insert("b".into(), Value::from(3)), Some(Value::from(2)));
+/// let keys: Vec<&str> = f.iter().map(|(k, _)| k.as_str()).collect();
+/// assert_eq!(keys, ["a", "b"]);
+/// assert_eq!(f.get("b"), Some(&Value::from(3)));
+/// assert_eq!(format!("{f:?}"), r#"{"a": Int(1), "b": Int(3)}"#);
+/// ```
+#[derive(Default, PartialEq)]
+pub struct Fields {
+    entries: Vec<(Name, Value)>,
+}
+
+/// Slots a map's first buffer reserves: a media frame carries four fields.
+const FRESH_SLOTS: usize = 4;
+/// Below this many entries a full buffer grows by exactly one slot, so a
+/// buffer is as large as the largest map that has held it.
+const EXACT_GROWTH_BELOW: usize = 8;
+
+impl Fields {
+    /// The value under `key`, if any.
+    #[must_use]
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        self.entries
+            .iter()
+            .find(|(k, _)| k.as_str() == key)
+            .map(|(_, v)| v)
+    }
+
+    /// Inserts `value` under `key`, returning the value it replaces (the
+    /// key already held is kept).
+    pub fn insert(&mut self, key: Name, value: Value) -> Option<Value> {
+        let mut at = self.entries.len();
+        for (i, (k, v)) in self.entries.iter_mut().enumerate() {
+            match k.as_str().cmp(key.as_str()) {
+                Ordering::Less => {}
+                Ordering::Equal => return Some(std::mem::replace(v, value)),
+                Ordering::Greater => {
+                    at = i;
+                    break;
+                }
+            }
+        }
+        let len = self.entries.len();
+        if self.entries.capacity() == 0 {
+            self.entries = take_buffer(1);
+        } else if len == self.entries.capacity() && len < EXACT_GROWTH_BELOW {
+            self.entries.reserve_exact(1);
+        }
+        self.entries.insert(at, (key, value));
+        None
+    }
+
+    /// The entries in key order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (&Name, &Value)> + '_ {
+        self.entries.iter().map(|(k, v)| (k, v))
+    }
+
+    /// How many entries there are.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Whether there are none.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+}
+
+impl Clone for Fields {
+    fn clone(&self) -> Fields {
+        if self.entries.is_empty() {
+            return Fields::default();
+        }
+        let mut entries = take_buffer(self.entries.len());
+        entries.extend_from_slice(&self.entries);
+        Fields { entries }
+    }
+}
+
+impl Drop for Fields {
+    fn drop(&mut self) {
+        if self.entries.capacity() > 0 {
+            let mut buf = std::mem::take(&mut self.entries);
+            // Nested maps give their buffers back before this one.
+            buf.clear();
+            give_buffer(buf);
+        }
+    }
+}
+
+impl fmt::Debug for Fields {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
+/// The map buffers a runtime reuses. It is installed on the thread for the
+/// length of a `run_until` call (see [`pooled`]); at any other time a map
+/// allocates and frees as any `Vec` does.
+#[derive(Debug, Default)]
+pub(crate) struct MapPool {
+    /// Cleared buffers, ready to be taken.
+    free: Vec<Vec<(Name, Value)>>,
+    /// Buffers taken while this pool was installed and not given back.
+    pub(crate) out: usize,
+    /// The most that were out at once during the current call.
+    high: usize,
+}
+
+impl MapPool {
+    /// After a call: keep no more idle buffers than were out at the
+    /// call's height beyond what is out now, nor more than are out now —
+    /// a runtime that went quiet holds none, nor the list's own storage.
+    fn trim(&mut self) {
+        let keep = (self.high - self.out).min(self.out);
+        self.free.truncate(keep);
+        if self.free.is_empty() {
+            self.free = Vec::new();
+        }
+    }
+}
+
+thread_local! {
+    static POOL: RefCell<Option<MapPool>> = const { RefCell::new(None) };
+}
+
+/// Runs `f` with `pool` installed on this thread, then puts back whatever
+/// was installed before — also when `f` unwinds — and returns `pool`,
+/// trimmed, with `f`'s result. A nested call installs its own pool and
+/// leaves the outer one installed when it returns.
+pub(crate) fn pooled<R>(mut pool: MapPool, f: impl FnOnce() -> R) -> (MapPool, R) {
+    /// Holds the pool installed before and installs it again on drop.
+    struct Reinstall(Option<MapPool>);
+    impl Drop for Reinstall {
+        fn drop(&mut self) {
+            let before = self.0.take();
+            let _ = POOL.try_with(|p| p.replace(before));
+        }
+    }
+
+    pool.high = pool.out;
+    let reinstall = Reinstall(POOL.with(|p| p.replace(Some(pool))));
+    let r = f();
+    let mut pool = POOL
+        .with(RefCell::take)
+        .expect("a nested call puts back the pool it found");
+    drop(reinstall);
+    pool.trim();
+    (pool, r)
+}
+
+/// An empty buffer with room for `slots` entries, at least
+/// [`FRESH_SLOTS`]: the installed pool's, counted as out, when there is
+/// one and it holds a buffer; otherwise a new one.
+fn take_buffer(slots: usize) -> Vec<(Name, Value)> {
+    let taken = POOL.try_with(|p| {
+        let mut p = p.try_borrow_mut().ok()?;
+        let pool = p.as_mut()?;
+        pool.out += 1;
+        pool.high = pool.high.max(pool.out);
+        pool.free.pop()
+    });
+    let mut buf = taken.ok().flatten().unwrap_or_default();
+    buf.reserve_exact(slots.max(FRESH_SLOTS));
+    buf
+}
+
+/// Gives an empty buffer back to the installed pool if that pool has
+/// buffers out; otherwise — no pool, or a map built outside its call —
+/// the allocator frees it.
+fn give_buffer(buf: Vec<(Name, Value)>) {
+    let _ = POOL.try_with(|p| {
+        if let Ok(mut p) = p.try_borrow_mut() {
+            if let Some(pool) = p.as_mut().filter(|pool| pool.out > 0) {
+                pool.out -= 1;
+                pool.free.push(buf);
+            }
+        }
+    });
+}
+
 /// A dynamically-typed payload value.
 ///
 /// Components, composition filters and connectors all manipulate `Value`s,
@@ -172,16 +377,14 @@ pub enum Value {
     /// An ordered list.
     List(Vec<Value>),
     /// A name-keyed map.
-    Map(BTreeMap<Name, Value>),
+    Map(Fields),
 }
 
 impl Value {
     /// Builds a map value from `(key, value)` pairs; a later pair replaces
     /// an earlier one with the same key.
     pub fn map<K: Into<Name>>(pairs: impl IntoIterator<Item = (K, Value)>) -> Value {
-        // Inserted one by one: collecting would buffer the pairs in a
-        // `Vec` first, a second allocation on every frame a source emits.
-        let mut m = BTreeMap::new();
+        let mut m = Fields::default();
         for (k, v) in pairs {
             m.insert(k.into(), v);
         }
@@ -535,6 +738,8 @@ impl SequenceTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn value_accessors_roundtrip() {
@@ -556,6 +761,206 @@ mod tests {
         let mut n = Value::Null;
         n.set("x", Value::from(1));
         assert_eq!(n, Value::Null);
+    }
+
+    /// A map as it was before [`Fields`], the model the differential test
+    /// holds `Value::Map` to: derived `Debug` renders as `Value`'s does.
+    #[derive(Debug, Clone, PartialEq)]
+    enum Model {
+        Int(i64),
+        Str(String),
+        Map(BTreeMap<Name, Model>),
+    }
+
+    impl Model {
+        fn to_value(&self) -> Value {
+            match self {
+                Model::Int(i) => Value::Int(*i),
+                Model::Str(s) => Value::Str(s.clone()),
+                Model::Map(m) => Value::map(m.iter().map(|(k, v)| (k.clone(), v.to_value()))),
+            }
+        }
+
+        /// `Value`'s `Display`, over the B-tree's order.
+        fn display(&self) -> String {
+            match self {
+                Model::Int(i) => i.to_string(),
+                Model::Str(s) => format!("{s:?}"),
+                Model::Map(m) => {
+                    let entries: Vec<String> = m
+                        .iter()
+                        .map(|(k, v)| format!("{k}: {}", v.display()))
+                        .collect();
+                    format!("{{{}}}", entries.join(", "))
+                }
+            }
+        }
+
+        fn estimated_size(&self) -> u64 {
+            match self {
+                Model::Int(_) => 8,
+                Model::Str(s) => s.len() as u64 + 4,
+                Model::Map(m) => {
+                    4 + m
+                        .iter()
+                        .map(|(k, v)| k.len() as u64 + 4 + v.estimated_size())
+                        .sum::<u64>()
+                }
+            }
+        }
+    }
+
+    /// Few keys and few values, so that inserts replace and independently
+    /// built maps compare equal.
+    const KEYS: [&str; 7] = ["a", "b", "bytes", "cost", "quality", "transcoded", "zz"];
+
+    /// A key, literal or shared.
+    fn key(rng: &mut SmallRng) -> Name {
+        let k = KEYS[rng.random_range(0..KEYS.len() as u64) as usize];
+        if rng.random::<bool>() {
+            Name::from(k)
+        } else {
+            Name::from(k.to_owned())
+        }
+    }
+
+    fn model(rng: &mut SmallRng, depth: u32) -> Model {
+        match rng.random_range(0..if depth > 0 { 3 } else { 2 }) {
+            0 => Model::Int(rng.random_range(0..3) as i64),
+            1 => Model::Str(["", "x"][rng.random_range(0..2) as usize].to_owned()),
+            _ => Model::Map(entries(rng, depth - 1).into_iter().collect()),
+        }
+    }
+
+    fn entries(rng: &mut SmallRng, depth: u32) -> Vec<(Name, Model)> {
+        let n = rng.random_range(0..6);
+        (0..n).map(|_| (key(rng), model(rng, depth))).collect()
+    }
+
+    fn agrees(v: &Value, m: &BTreeMap<Name, Model>) {
+        let Value::Map(f) = v else {
+            panic!("not a map: {v:?}")
+        };
+        let model = Model::Map(m.clone());
+        assert_eq!((f.len(), f.is_empty()), (m.len(), m.is_empty()));
+        for k in KEYS {
+            assert_eq!(format!("{:?}", v.get(k)), format!("{:?}", m.get(k)));
+        }
+        let listed: Vec<String> = f.iter().map(|(k, v)| format!("{k}={v:?}")).collect();
+        let modelled: Vec<String> = m.iter().map(|(k, v)| format!("{k}={v:?}")).collect();
+        assert_eq!(listed, modelled);
+        assert_eq!(v.to_string(), model.display());
+        assert_eq!(format!("{v:?}"), format!("{model:?}"));
+        assert_eq!(format!("{v:#?}"), format!("{model:#?}"));
+        assert_eq!(v.estimated_size(), model.estimated_size());
+    }
+
+    /// `sequences` random runs of build, `set`, `clone` and drop on up to
+    /// four live maps, each map checked against its model after every step.
+    fn differential(rng: &mut SmallRng, sequences: u32) {
+        for _ in 0..sequences {
+            let mut live: Vec<(Value, BTreeMap<Name, Model>)> = Vec::new();
+            for _ in 0..rng.random_range(1..10) {
+                let pick = |rng: &mut SmallRng, n: usize| rng.random_range(0..n as u64) as usize;
+                match rng.random_range(0..4) {
+                    0 | 1 if live.len() < 4 && (live.is_empty() || rng.random::<bool>()) => {
+                        let pairs = entries(rng, 2);
+                        let v = Value::map(pairs.iter().map(|(k, m)| (k.clone(), m.to_value())));
+                        live.push((v, pairs.into_iter().collect()));
+                    }
+                    0 | 1 if !live.is_empty() => {
+                        let i = pick(rng, live.len());
+                        let (k, m) = (key(rng), model(rng, 2));
+                        live[i].0.set(k.clone(), m.to_value());
+                        live[i].1.insert(k, m);
+                    }
+                    2 if !live.is_empty() && live.len() < 4 => {
+                        let i = pick(rng, live.len());
+                        live.push(live[i].clone());
+                    }
+                    _ if !live.is_empty() => {
+                        let i = pick(rng, live.len());
+                        drop(live.swap_remove(i));
+                    }
+                    _ => {}
+                }
+                for (v, m) in &live {
+                    agrees(v, m);
+                }
+                for (a, ma) in &live {
+                    for (b, mb) in &live {
+                        assert_eq!(a == b, ma == mb, "{a} vs {b}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// `Fields` is the `BTreeMap<Name, Value>` it replaced: with no pool
+    /// installed, and with one, where every buffer is a reused one.
+    #[test]
+    fn fields_behave_like_the_map_they_replace() {
+        let mut rng = SmallRng::seed_from_u64(0x5eed_f1e1d5);
+        differential(&mut rng, 10_000);
+        let (pool, ()) = pooled(MapPool::default(), || differential(&mut rng, 10_000));
+        assert_eq!(pool.out, 0, "every buffer taken came back");
+        assert_eq!(pool.free.capacity(), 0, "and a quiet pool keeps none");
+    }
+
+    fn one_entry() -> Value {
+        Value::map([("a", Value::from(1))])
+    }
+
+    #[test]
+    fn a_nested_pool_call_puts_back_the_pool_it_found() {
+        let (outer, (inner, kept)) = pooled(MapPool::default(), || {
+            let (early, kept) = (one_entry(), one_entry());
+            let (inner, ()) = pooled(MapPool::default(), || drop(one_entry()));
+            // The outer pool is installed again, so it gets this one back.
+            drop(early);
+            (inner, kept)
+        });
+        assert_eq!(inner.out, 0);
+        assert_eq!((outer.high, outer.out, outer.free.len()), (2, 1, 1));
+        drop(kept);
+        assert_eq!(outer.out, 1, "a map dropped outside any call is freed");
+        assert!(
+            POOL.with(|p| p.borrow().is_none()),
+            "nothing is left installed"
+        );
+    }
+
+    /// A frame injected from outside and consumed during a call does not
+    /// grow the pool: it was never counted out.
+    #[test]
+    fn a_map_built_outside_the_call_is_freed_not_pooled() {
+        let injected = one_entry();
+        let (pool, idle) = pooled(MapPool::default(), || {
+            drop(injected);
+            POOL.with(|p| p.borrow().as_ref().map(|pool| pool.free.len()))
+        });
+        assert_eq!(idle, Some(0));
+        assert_eq!((pool.out, pool.high), (0, 0));
+    }
+
+    #[test]
+    fn a_pool_keeps_no_more_than_the_next_call_may_take() {
+        // Eight out at once, five still out on return: min(8 - 5, 5) kept.
+        let (pool, mut held) = pooled(MapPool::default(), || {
+            let mut held: Vec<Value> = (0..8).map(|_| one_entry()).collect();
+            held.truncate(5);
+            held
+        });
+        assert_eq!((pool.high, pool.out, pool.free.len()), (8, 5, 3));
+        // Four more, three of them reused, then six dropped: min(9 - 3, 3).
+        let (pool, ()) = pooled(pool, || {
+            held.extend((0..4).map(|_| one_entry()));
+            held.truncate(3);
+        });
+        assert_eq!((pool.high, pool.out, pool.free.len()), (9, 3, 3));
+        // All of them back: a quiet pool keeps none, nor the list's storage.
+        let (pool, ()) = pooled(pool, || drop(held));
+        assert_eq!((pool.out, pool.free.capacity()), (0, 0));
     }
 
     #[test]

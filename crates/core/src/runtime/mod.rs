@@ -68,7 +68,9 @@ use crate::coverage::{AdaptationCoverage, DetectPhase, PlanOutcome};
 use crate::detector::{DetectorConfig, DetectorEvent, FailureDetector};
 use crate::error::RuntimeError;
 use crate::heal::{PlanMutation, RepairPolicy};
-use crate::message::{Message, MessageId, MessageKind, Name, SequenceTracker, Value};
+use crate::message::{
+    self, MapPool, Message, MessageId, MessageKind, Name, SequenceTracker, Value,
+};
 use crate::raml::{
     ComponentObservation, ConnectorObservation, Intercession, NodeObservation, Raml, SystemSnapshot,
 };
@@ -344,6 +346,9 @@ pub struct Runtime {
     outbox: Vec<(SimTime, Message)>,
     obs: Obs,
     m: MetricHandles,
+    /// The payload-map buffers `run_until` installs for its call (see
+    /// [`message::Fields`]).
+    pool: MapPool,
 }
 
 impl Runtime {
@@ -400,6 +405,7 @@ impl Runtime {
             outbox: Vec::new(),
             obs,
             m,
+            pool: MapPool::default(),
         }
     }
 
@@ -497,6 +503,8 @@ impl Runtime {
     // ------------------------------------------------------------------
 
     /// Processes one kernel event; returns its time, or `None` when idle.
+    /// A call of its own does not install the runtime's map pool, so the
+    /// payloads it builds and drops allocate and free as they go.
     pub fn step(&mut self) -> Option<SimTime> {
         let (at, fired) = self.kernel.step()?;
         match fired {
@@ -525,11 +533,22 @@ impl Runtime {
         Some(at)
     }
 
-    /// Runs until no event at or before `deadline` remains.
+    /// Runs until no event at or before `deadline` remains, with the
+    /// runtime's map pool installed: payload maps built and dropped during
+    /// the call reuse its buffers.
     pub fn run_until(&mut self, deadline: SimTime) {
-        while self.kernel.next_event_time().is_some_and(|t| t <= deadline) {
-            let _ = self.step();
-        }
+        self.pooled(|rt| {
+            while rt.kernel.next_event_time().is_some_and(|t| t <= deadline) {
+                let _ = rt.step();
+            }
+        });
+    }
+
+    /// Runs `f` with this runtime's map pool installed on the thread.
+    fn pooled<R>(&mut self, f: impl FnOnce(&mut Runtime) -> R) -> R {
+        let (pool, r) = message::pooled(std::mem::take(&mut self.pool), || f(self));
+        self.pool = pool;
+        r
     }
 
     /// Runs for `d` of virtual time from now.

@@ -158,11 +158,16 @@ struct Agent {
     /// Node the agent was hosted on when its current grant (or deny) was
     /// issued; a repair committing for this node invalidates the decision.
     granted_node: Option<u32>,
-    /// Round at which this agent last filed a migration plan; migration
-    /// is rate-limited to avoid plan churn under sustained overload.
-    migrated_round: Option<u64>,
+    /// First round at which this agent may file a migration plan again;
+    /// migration is rate-limited to avoid plan churn under sustained
+    /// overload.
+    migrate_from_round: u64,
     /// The outstanding grant, until a deny or a plan commit takes it.
     grant: Option<Grant>,
+    /// `negotiate.fraction.<agent>`, registered at the agent's first
+    /// grant. A fork's records start without it: the twin writes to its
+    /// own registry.
+    fraction: Option<Gauge>,
 }
 
 impl Default for Agent {
@@ -175,13 +180,22 @@ impl Default for Agent {
             offered: 0,
             offered_last: 0,
             granted_node: None,
-            migrated_round: None,
+            migrate_from_round: 0,
             grant: None,
+            fraction: None,
         }
     }
 }
 
 impl Agent {
+    /// Sets the agent's `negotiate.fraction.<name>` gauge in `obs`,
+    /// registering it the first time.
+    fn set_fraction(&mut self, obs: &Obs, name: &str, fraction: f64) {
+        self.fraction
+            .get_or_insert_with(|| obs.metrics.gauge(&format!("negotiate.fraction.{name}")))
+            .set(fraction);
+    }
+
     /// Invalidates the outstanding grant because plan `trigger` committed.
     /// With `reset_throttle` the throttle also returns to neutral until
     /// the next round re-grants (the repair path: a fresh instance must
@@ -259,7 +273,14 @@ impl NegotiateState {
         NegotiateState {
             config: self.config.clone(),
             negotiator: self.negotiator.clone(),
-            agents: self.agents.clone(),
+            agents: self
+                .agents
+                .iter()
+                .map(|a| Agent {
+                    fraction: None,
+                    ..a.clone()
+                })
+                .collect(),
             history: Vec::new(),
             rounds: self.rounds,
             node_busy_last: self.node_busy_last.clone(),
@@ -538,15 +559,12 @@ impl Runtime {
                 ),
                 now.as_micros(),
             );
-            self.obs
-                .metrics
-                .gauge(&format!("negotiate.fraction.{}", grant.agent))
-                .set(grant.fraction);
             let Some(id) = self.instances.id(&grant.agent) else {
                 continue;
             };
             let host = self.instances.get(id).expect("id is live").node.0;
             let agent = self.negotiate.agent(id);
+            agent.set_fraction(&self.obs, &grant.agent, grant.fraction);
             if grant.demand.work_rate > 0.0 {
                 let rate_frac = (grant.granted.work_rate / grant.demand.work_rate).clamp(0.0, 1.0);
                 agent.keep_permille = (rate_frac * 1000.0).floor() as u32;
@@ -579,9 +597,7 @@ impl Runtime {
                     .iter()
                     .find(|(id, n)| **id != host && n.up && n.utilization < 0.5)
                     .map(|(id, _)| NodeId(*id));
-                let cooled = agent
-                    .migrated_round
-                    .is_none_or(|r| self.negotiate.rounds >= r + MIGRATE_COOLDOWN_ROUNDS);
+                let cooled = agent.migrate_from_round <= self.negotiate.rounds;
                 let moving = PlanOrigin::Migration { agent: id };
                 let already_moving = self.exec.in_flight().any(|origin| origin == moving);
                 if let Some(to) = target.filter(|_| overloaded && !already_moving && cooled) {
@@ -600,7 +616,8 @@ impl Runtime {
         self.negotiate.history.push(outcome);
 
         for (id, to) in migrations {
-            self.negotiate.agent(id).migrated_round = Some(self.negotiate.rounds);
+            self.negotiate.agent(id).migrate_from_round =
+                self.negotiate.rounds + MIGRATE_COOLDOWN_ROUNDS;
             let name = self.instances.name(id).to_string();
             let plan = ReconfigPlan::single(ReconfigAction::Migrate { name, to });
             self.coverage
@@ -631,10 +648,8 @@ impl Runtime {
                 keep + 100
             };
             agent.keep_permille = next.clamp(100, 1000) as u32;
-            self.obs
-                .metrics
-                .gauge(&format!("negotiate.fraction.{}", inst.name))
-                .set(f64::from(agent.keep_permille) / 1000.0);
+            let fraction = f64::from(agent.keep_permille) / 1000.0;
+            agent.set_fraction(&self.obs, &inst.name, fraction);
         }
     }
 

@@ -1129,3 +1129,63 @@ fn an_agent_record_belongs_to_its_name_and_a_fork_leaves_the_transcript_behind()
         "the mainline's is its own"
     );
 }
+
+/// A twin's negotiation round writes its grants to the twin's registry,
+/// never to the gauges the parent's agents registered.
+#[test]
+fn a_twins_negotiation_round_leaves_the_parents_fraction_gauges_alone() {
+    let mut rt = counter_runtime();
+    rt.enable_negotiation(NegotiateConfig::default());
+    tick(&mut rt, 5);
+    rt.run_until(SimTime::from_millis(350));
+    let parent = rt.obs().metrics.gauge("negotiate.fraction.counter");
+    parent.set(-1.0);
+
+    let mut fork = rt.fork_twin().expect("nothing in flight");
+    fork.run_until(SimTime::from_millis(450));
+    assert_eq!(
+        fork.negotiation_history()[0].epoch,
+        4,
+        "the twin negotiated"
+    );
+    let twins = fork.obs().metrics.gauge("negotiate.fraction.counter").get();
+    assert!(twins > 0.0, "the twin's grant is in its own registry");
+    assert_eq!(parent.get(), -1.0, "and not in the parent's");
+}
+
+/// The payload-map pool a twin plays forward with is its own: the parent's
+/// is installed again when the twin returns, so the pool `run_until` hands
+/// back is the one it took — marked here by an `out` no fork reaches.
+#[test]
+fn a_twin_played_forward_in_a_heal_tick_leaves_the_parent_pool_installed() {
+    const MARK: usize = 1 << 40;
+    let mut rt = runtime(3);
+    let mut cfg = Configuration::new();
+    cfg.component("counter", ComponentDecl::new("Counter", 1, NodeId(1)));
+    rt.deploy(&cfg).unwrap();
+    rt.set_fail_stop(true);
+    rt.set_repair_policy(RepairPolicy::FailoverMigrate);
+    rt.enable_failure_detector(DetectorConfig::new(
+        SimDuration::from_millis(50),
+        2.0,
+        NodeId(0),
+    ));
+    rt.enable_twin(TwinConfig::default());
+    node_outage(&mut rt, 1, 1000, 30_000);
+    for k in 1..=20u64 {
+        rt.inject_after(
+            SimDuration::from_millis(100 * k),
+            "counter",
+            Message::request("tick", Value::map([("k", Value::from(k as i64))])),
+        )
+        .unwrap();
+    }
+
+    rt.pool.out = MARK;
+    rt.run_until(SimTime::from_secs(3));
+    assert!(
+        audit_labels(&rt).contains(&"twin_predicted"),
+        "a twin was played forward"
+    );
+    assert!(rt.pool.out > MARK / 2, "{:?}", rt.pool);
+}

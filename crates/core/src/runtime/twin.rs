@@ -191,6 +191,7 @@ impl Runtime {
             obs,
             m,
             twin: TwinState::default(),
+            pool: MapPool::default(),
         })
     }
 
@@ -275,15 +276,23 @@ impl Runtime {
         let incident = fork.heal.incident(node);
         incident.queued = true;
         let crash_at = incident.crashed_at;
-        fork.try_repairs(now);
         let deadline = now + config.horizon;
-        let mut events = 0u64;
-        while fork.kernel.next_event_time().is_some_and(|t| t <= deadline) {
-            events += 1;
-            if events > MAX_EVENTS {
-                return None;
+        // The fork plays forward with its own pool installed; the caller's
+        // is installed again when it returns.
+        let in_budget = fork.pooled(|fork| {
+            fork.try_repairs(now);
+            let mut events = 0u64;
+            while fork.kernel.next_event_time().is_some_and(|t| t <= deadline) {
+                events += 1;
+                if events > MAX_EVENTS {
+                    return false;
+                }
+                let _ = fork.step();
             }
-            let _ = fork.step();
+            true
+        });
+        if !in_budget {
+            return None;
         }
         let repaired = !fork.heal.incidents.get(&node).is_some_and(|i| i.queued)
             && !fork.repair_in_flight(node);

@@ -85,14 +85,21 @@ fn observe_reads_the_histograms_in_place() {
 
 /// A fork's throwaway telemetry bundle registers every histogram of the
 /// mainline's, empty, and its tracer ring takes memory only as it records.
+/// Each component is restored from a snapshot map the fork drops again.
 #[test]
 fn a_fork_grows_the_heap_by_no_more_than_its_pinned_figure() {
     /// Live-heap growth of this very fork: 4,110,168 B at `e2b94c6`,
     /// 992,328 B at `7646886`, whose fork reserved 1,024 tracer records
-    /// (80 KiB) it never wrote.
+    /// (80 KiB) it never wrote. No frame is under way at the fork, so the
+    /// fork keeps no payload map.
     const PINNED: i64 = 910_408;
+    /// What the fork asks the allocator for, kept or not: 1,155,246 B at
+    /// `0cf57a8`, where each of the 192 snapshot maps was a 632 B B-tree
+    /// leaf; a buffer of four entries is 224 B.
+    const ASKED: u64 = 1_076_910;
     let rt = warm_deployment();
     let (fork, heap) = heap_of(|| rt.fork_twin());
     assert!(fork.is_some());
     assert!(heap.grown <= PINNED, "{heap:?}");
+    assert!(heap.allocated <= ASKED, "{heap:?}");
 }

@@ -11,6 +11,9 @@ use aas_sim::node::NodeId;
 use aas_sim::time::SimDuration;
 use aas_telecom::services::register_telecom_components;
 
+/// Sessions started on every source: the frames of one tick a pipeline.
+pub const SESSIONS: u64 = 4;
+
 /// `pipelines` source → transcoder → sink chains of four sessions each on
 /// one runtime, sources, transcoders and sinks on a node each, every
 /// session started and nothing run yet.
@@ -60,7 +63,7 @@ pub fn deploy(pipelines: u64) -> Runtime {
         let src = format!("src{i}");
         rt.inject(&src, Message::event("init", Value::Null))
             .unwrap();
-        for _ in 0..4 {
+        for _ in 0..SESSIONS {
             rt.inject(&src, Message::event("session_start", Value::Null))
                 .unwrap();
         }
