@@ -558,7 +558,6 @@ mod tests {
             mean_latency_ms: 42.0,
             p99_latency_ms: 99.0,
             seq_anomalies: 0,
-            custom: BTreeMap::new(),
         });
         snap.nodes.push(aas_core::raml::NodeObservation {
             id: d.node_ids["big"],
@@ -566,7 +565,6 @@ mod tests {
             utilization: 0.5,
             backlog_ms: 7.0,
             effective_capacity: 1000.0,
-            hosted: vec![],
         });
         let ids = &d.node_ids;
         assert_eq!(metric_value(&snap, "latency", "heavy", ids), Some(42.0));

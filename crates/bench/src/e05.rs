@@ -86,9 +86,9 @@ pub fn run_cell(rebalance: bool, rate: u64) -> Cell {
                 _ => break,
             };
             if hottest.utilization - coolest.utilization > 0.1 {
-                if let Some(victim) = hottest.hosted.first().cloned() {
+                if let Some(victim) = snap.hosted(hottest.id).next() {
                     rt.request_reconfig(ReconfigPlan::single(ReconfigAction::Migrate {
-                        name: victim,
+                        name: victim.name.to_string(),
                         to: coolest.id,
                     }));
                 }

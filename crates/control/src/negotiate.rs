@@ -22,17 +22,48 @@
 //! sharded-kernel execution modes.
 
 use crate::situational::SituationalModel;
+use core::fmt::{self, Write as _};
 use serde::{Deserialize, Serialize};
 
 /// FNV-1a 64-bit digest — the workspace's standard fingerprint primitive.
 #[must_use]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut h = Fnv1a::default();
+    h.update(bytes);
+    h.finish()
+}
+
+/// An FNV-1a digest that text is `write!`n into: [`fnv1a`] of the text,
+/// without building it.
+#[derive(Debug)]
+pub(crate) struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
     }
-    h
+}
+
+impl Fnv1a {
+    fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// The digest of everything written so far.
+    #[must_use]
+    pub(crate) fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.update(s.as_bytes());
+        Ok(())
+    }
 }
 
 /// The negotiated resource dimensions.
@@ -158,10 +189,19 @@ impl ResourceVector {
         frac
     }
 
-    /// Fixed-precision rendering used in fingerprints and audit details.
+    /// The fixed-precision [`Display`](fmt::Display) rendering, as a
+    /// string.
     #[must_use]
     pub fn render(&self) -> String {
-        format!(
+        self.to_string()
+    }
+}
+
+/// Fixed precision, as fingerprints and audit details print it.
+impl fmt::Display for ResourceVector {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
             "cap={:.6} rate={:.6} retry={:.6} twin={:.6}",
             self.capacity, self.work_rate, self.retry_budget, self.twin_horizon
         )
@@ -583,28 +623,23 @@ impl NegotiationOutcome {
     /// Two arbitrations agree byte-for-byte iff these agree.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
-        let mut s = format!(
+        let mut h = Fnv1a::default();
+        let _ = write!(
+            h,
             "epoch={} model={:#018x} budget[{}] total[{}]",
-            self.epoch,
-            self.model_fingerprint,
-            self.budget.render(),
-            self.total_granted.render()
+            self.epoch, self.model_fingerprint, self.budget, self.total_granted
         );
         for g in &self.grants {
-            s.push_str(&format!(
+            let _ = write!(
+                h,
                 "|g:{}:[{}]:[{}]:{:.6}:{:.6}:{}",
-                g.agent,
-                g.granted.render(),
-                g.demand.render(),
-                g.fraction,
-                g.utility,
-                g.epoch
-            ));
+                g.agent, g.granted, g.demand, g.fraction, g.utility, g.epoch
+            );
         }
         for (agent, reason) in &self.denied {
-            s.push_str(&format!("|d:{}:{}", agent, reason.label()));
+            let _ = write!(h, "|d:{}:{}", agent, reason.label());
         }
-        fnv1a(s.as_bytes())
+        h.finish()
     }
 }
 

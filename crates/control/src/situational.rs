@@ -9,12 +9,14 @@
 //! the instant it was observed so consumers can detect staleness.
 //!
 //! The model is pure data: the runtime (aas-core) assembles it each
-//! negotiation tick from the aas-obs metrics registry and its system
-//! snapshot, and the [`Negotiator`](crate::negotiate::Negotiator) consumes
-//! it read-only. Keeping it a value type is what makes arbitration
-//! replayable byte-for-byte: same model + same requests = same grants.
+//! negotiation tick from its instance table and its topology, and the
+//! [`Negotiator`](crate::negotiate::Negotiator) consumes it read-only.
+//! Keeping it a value type is what makes arbitration replayable
+//! byte-for-byte: same model + same requests = same grants.
 
+use crate::negotiate::Fnv1a;
 use aas_sim::time::{SimDuration, SimTime};
+use core::fmt::Write as _;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -151,31 +153,34 @@ impl SituationalModel {
     /// precision so the digest is byte-stable across replays.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
-        let mut s = String::new();
-        s.push_str(&format!(
+        let mut h = Fnv1a::default();
+        let _ = write!(
+            h,
             "at={} arr={:.6} cap={:.6} epoch={}",
             self.observed_at.as_micros(),
             self.arrival_rate,
             self.capacity_rate,
             self.region_epoch
-        ));
+        );
         for (name, a) in &self.agents {
-            s.push_str(&format!(
+            let _ = write!(
+                h,
                 "|a:{name}:{}:{}:{}:{}:{}:{:.6}",
                 a.node, a.arrivals, a.inflight, a.processed, a.errors, a.mean_latency_ms
-            ));
+            );
         }
         for (id, n) in &self.nodes {
-            s.push_str(&format!(
+            let _ = write!(
+                h,
                 "|n:{id}:{}:{:.6}:{:.6}:{:.6}:{:.6}",
                 u8::from(n.up),
                 n.utilization,
                 n.backlog_ms,
                 n.effective_capacity,
                 n.suspicion
-            ));
+            );
         }
-        crate::negotiate::fnv1a(s.as_bytes())
+        h.finish()
     }
 }
 

@@ -132,11 +132,6 @@ impl RepairPolicy {
         snap: &SystemSnapshot,
         mutation: Option<PlanMutation>,
     ) -> Vec<Intercession> {
-        let hosted: Vec<&crate::raml::ComponentObservation> = snap
-            .components
-            .iter()
-            .filter(|c| c.node == failed)
-            .collect();
         let by_util = |a: &&crate::raml::NodeObservation, b: &&crate::raml::NodeObservation| {
             a.utilization
                 .partial_cmp(&b.utilization)
@@ -150,10 +145,10 @@ impl RepairPolicy {
                     _ => 0,
                 };
                 let mut plan = ReconfigPlan::new();
-                for c in hosted {
+                for c in snap.hosted(failed) {
                     plan.push(ReconfigAction::SwapImplementation {
-                        name: c.name.clone(),
-                        type_name: c.type_name.clone(),
+                        name: c.name.to_string(),
+                        type_name: c.type_name.to_string(),
                         version: c.version + version_skew,
                         transfer: StateTransfer::None,
                     });
@@ -177,9 +172,9 @@ impl RepairPolicy {
                     return Vec::new();
                 };
                 let mut plan = ReconfigPlan::new();
-                for c in hosted {
+                for c in snap.hosted(failed) {
                     plan.push(ReconfigAction::Migrate {
-                        name: c.name.clone(),
+                        name: c.name.to_string(),
                         to,
                     });
                 }
@@ -222,10 +217,9 @@ mod tests {
     use crate::component::Lifecycle;
     use crate::raml::{ComponentObservation, NodeObservation};
     use aas_sim::time::SimTime;
-    use std::collections::BTreeMap;
 
     fn snapshot() -> SystemSnapshot {
-        let comp = |name: &str, node: u32| ComponentObservation {
+        let comp = |name: &'static str, node: u32| ComponentObservation {
             name: name.into(),
             type_name: "Worker".into(),
             version: 1,
@@ -237,7 +231,6 @@ mod tests {
             mean_latency_ms: 1.0,
             p99_latency_ms: 2.0,
             seq_anomalies: 0,
-            custom: BTreeMap::new(),
         };
         let node = |id: u32, up: bool, util: f64| NodeObservation {
             id: NodeId(id),
@@ -245,13 +238,13 @@ mod tests {
             utilization: util,
             backlog_ms: 0.0,
             effective_capacity: 1000.0,
-            hosted: Vec::new(),
         };
         SystemSnapshot {
             at: SimTime::from_secs(1),
             components: vec![comp("a", 1), comp("b", 1), comp("c", 2)],
             nodes: vec![node(0, true, 0.5), node(1, false, 0.0), node(2, true, 0.1)],
             connectors: Vec::new(),
+            custom: Vec::new(),
             delivered: 0,
             dropped: 0,
         }

@@ -20,20 +20,20 @@
 
 use crate::component::Lifecycle;
 use crate::connector::ConnectorSpec;
+use crate::message::Name;
 use crate::reconfig::ReconfigPlan;
 use aas_sim::fault::FaultKind;
 use aas_sim::node::NodeId;
 use aas_sim::time::{SimDuration, SimTime};
 use core::fmt;
-use std::collections::BTreeMap;
 
 /// Introspected state of one component instance.
 #[derive(Debug, Clone)]
 pub struct ComponentObservation {
     /// Instance name.
-    pub name: String,
+    pub name: Name,
     /// Implementation type.
-    pub type_name: String,
+    pub type_name: Name,
     /// Implementation version.
     pub version: u32,
     /// Hosting node.
@@ -52,8 +52,6 @@ pub struct ComponentObservation {
     pub p99_latency_ms: f64,
     /// Sequence anomalies observed at this component's inbox.
     pub seq_anomalies: u64,
-    /// Means of component-emitted custom metrics.
-    pub custom: BTreeMap<String, f64>,
 }
 
 impl ComponentObservation {
@@ -81,15 +79,13 @@ pub struct NodeObservation {
     pub backlog_ms: f64,
     /// Effective capacity right now (work units per second).
     pub effective_capacity: f64,
-    /// Components hosted on this node.
-    pub hosted: Vec<String>,
 }
 
 /// Introspected state of one connector.
 #[derive(Debug, Clone)]
 pub struct ConnectorObservation {
     /// Connector name.
-    pub name: String,
+    pub name: Name,
     /// Messages mediated.
     pub mediated: u64,
     /// Protocol violations seen.
@@ -100,7 +96,23 @@ pub struct ConnectorObservation {
     pub mean_metered_latency_ms: f64,
 }
 
+/// The mean of one custom metric a component emitted.
+#[derive(Debug, Clone)]
+pub struct CustomMean {
+    /// The emitting component.
+    pub component: Name,
+    /// The metric's name.
+    pub metric: Name,
+    /// Mean of the values emitted so far.
+    pub mean: f64,
+}
+
 /// A full introspection of the running system at one instant.
+///
+/// Every name in it is shared with the runtime, not copied, and no record
+/// holds a collection of its own: what a node hosts is read off the
+/// components ([`SystemSnapshot::hosted`]), and the custom metrics of all
+/// components are one list ([`SystemSnapshot::custom_mean`]).
 #[derive(Debug, Clone, Default)]
 pub struct SystemSnapshot {
     /// When the snapshot was taken.
@@ -111,6 +123,9 @@ pub struct SystemSnapshot {
     pub nodes: Vec<NodeObservation>,
     /// All connector observations.
     pub connectors: Vec<ConnectorObservation>,
+    /// Means of component-emitted custom metrics, by component name, then
+    /// metric name.
+    pub custom: Vec<CustomMean>,
     /// Total messages delivered so far.
     pub delivered: u64,
     /// Total application messages dropped so far, each counted once: the
@@ -131,6 +146,21 @@ impl SystemSnapshot {
     #[must_use]
     pub fn node(&self, id: NodeId) -> Option<&NodeObservation> {
         self.nodes.iter().find(|n| n.id == id)
+    }
+
+    /// The components hosted on `node`, in name order.
+    pub fn hosted(&self, node: NodeId) -> impl Iterator<Item = &ComponentObservation> {
+        self.components.iter().filter(move |c| c.node == node)
+    }
+
+    /// The mean of the custom metric `metric` emitted by `component`, if
+    /// it emitted any.
+    #[must_use]
+    pub fn custom_mean(&self, component: &str, metric: &str) -> Option<f64> {
+        self.custom
+            .iter()
+            .find(|m| m.component == component && m.metric == metric)
+            .map(|m| m.mean)
     }
 
     /// Finds a connector observation by name.
@@ -569,7 +599,6 @@ mod tests {
                 mean_latency_ms: mean_ms,
                 p99_latency_ms: mean_ms * 3.0,
                 seq_anomalies: 0,
-                custom: BTreeMap::new(),
             }],
             nodes: vec![NodeObservation {
                 id: NodeId(0),
@@ -577,9 +606,13 @@ mod tests {
                 utilization: 0.9,
                 backlog_ms: 5.0,
                 effective_capacity: 100.0,
-                hosted: vec!["svc".into()],
             }],
             connectors: Vec::new(),
+            custom: vec![CustomMean {
+                component: "svc".into(),
+                metric: "ticks".into(),
+                mean: 2.5,
+            }],
             delivered: 100,
             dropped: 0,
         }
@@ -679,7 +712,6 @@ mod tests {
             utilization: 0.1,
             backlog_ms: 0.0,
             effective_capacity: 100.0,
-            hosted: Vec::new(),
         });
         snap.nodes.push(NodeObservation {
             id: NodeId(2),
@@ -687,10 +719,20 @@ mod tests {
             utilization: 0.0,
             backlog_ms: 0.0,
             effective_capacity: 0.0,
-            hosted: Vec::new(),
         });
         assert_eq!(snap.hottest_node().unwrap().id, NodeId(0));
         assert_eq!(snap.coolest_node().unwrap().id, NodeId(1));
+    }
+
+    #[test]
+    fn snapshot_reads_hosted_and_custom_off_the_components() {
+        let snap = snap_with_latency(SimTime::ZERO, 1.0);
+        let hosted: Vec<&str> = snap.hosted(NodeId(0)).map(|c| c.name.as_str()).collect();
+        assert_eq!(hosted, ["svc"]);
+        assert_eq!(snap.hosted(NodeId(1)).count(), 0);
+        assert_eq!(snap.custom_mean("svc", "ticks"), Some(2.5));
+        assert_eq!(snap.custom_mean("svc", "tocks"), None);
+        assert_eq!(snap.custom_mean("other", "ticks"), None);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use crate::component::Component;
 use crate::error::RuntimeError;
-use crate::message::Value;
+use crate::message::{Name, Value};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -20,7 +20,7 @@ pub type Props = BTreeMap<String, Value>;
 
 /// Factories are `Arc`ed so a cloned registry (a digital-twin fork's
 /// "code repository") shares the immutable factory code while owning its
-/// own key map.
+/// own key list.
 type Factory = Arc<dyn Fn(&Props) -> Box<dyn Component> + Send + Sync>;
 
 /// A registry of component implementations keyed by type name and version.
@@ -39,13 +39,15 @@ type Factory = Arc<dyn Fn(&Props) -> Box<dyn Component> + Send + Sync>;
 /// ```
 #[derive(Default, Clone)]
 pub struct ImplementationRegistry {
-    factories: BTreeMap<(String, u32), Factory>,
+    /// Sorted by `(type_name, version)`. Each type name is stored once a
+    /// version, and every instance of it shares that copy.
+    factories: Vec<(Name, u32, Factory)>,
 }
 
 impl fmt::Debug for ImplementationRegistry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ImplementationRegistry")
-            .field("entries", &self.factories.keys().collect::<Vec<_>>())
+            .field("entries", &self.keys().collect::<Vec<_>>())
             .finish()
     }
 }
@@ -63,24 +65,33 @@ impl ImplementationRegistry {
     where
         F: Fn(&Props) -> Box<dyn Component> + Send + Sync + 'static,
     {
+        let type_name = type_name.into();
+        match self.find(&type_name, version) {
+            Ok(i) => self.factories[i].2 = Arc::new(factory),
+            Err(i) => self
+                .factories
+                .insert(i, (Name::from(type_name), version, Arc::new(factory))),
+        }
+    }
+
+    /// Where `(type_name, version)` is in `factories`, or where it would go.
+    fn find(&self, type_name: &str, version: u32) -> Result<usize, usize> {
         self.factories
-            .insert((type_name.into(), version), Arc::new(factory));
+            .binary_search_by(|(n, v, _)| n.as_str().cmp(type_name).then(v.cmp(&version)))
     }
 
     /// Whether `(type_name, version)` is registered.
     #[must_use]
     pub fn contains(&self, type_name: &str, version: u32) -> bool {
-        self.factories
-            .contains_key(&(type_name.to_owned(), version))
+        self.find(type_name, version).is_ok()
     }
 
     /// The highest registered version of `type_name`, if any.
     #[must_use]
     pub fn latest_version(&self, type_name: &str) -> Option<u32> {
-        self.factories
-            .keys()
-            .filter(|(n, _)| n == type_name)
-            .map(|(_, v)| *v)
+        self.keys()
+            .filter(|(n, _)| *n == type_name)
+            .map(|(_, v)| v)
             .max()
     }
 
@@ -95,19 +106,31 @@ impl ImplementationRegistry {
         version: u32,
         props: &Props,
     ) -> Result<Box<dyn Component>, RuntimeError> {
-        let factory = self
-            .factories
-            .get(&(type_name.to_owned(), version))
-            .ok_or_else(|| RuntimeError::UnknownImplementation {
+        self.instantiate_named(type_name, version, props)
+            .map(|(_, component)| component)
+    }
+
+    /// [`ImplementationRegistry::instantiate`], also handing back the
+    /// registry's own copy of `type_name` for the instance to keep.
+    pub(crate) fn instantiate_named(
+        &self,
+        type_name: &str,
+        version: u32,
+        props: &Props,
+    ) -> Result<(Name, Box<dyn Component>), RuntimeError> {
+        let i = self
+            .find(type_name, version)
+            .map_err(|_| RuntimeError::UnknownImplementation {
                 type_name: type_name.to_owned(),
                 version,
             })?;
-        Ok(factory(props))
+        let (name, _, factory) = &self.factories[i];
+        Ok((name.clone(), factory(props)))
     }
 
     /// All registered `(type_name, version)` keys in order.
     pub fn keys(&self) -> impl Iterator<Item = (&str, u32)> {
-        self.factories.keys().map(|(n, v)| (n.as_str(), *v))
+        self.factories.iter().map(|(n, v, _)| (n.as_str(), *v))
     }
 }
 
@@ -156,6 +179,15 @@ mod tests {
         let mut props = Props::new();
         props.insert("mode".into(), Value::from("fast"));
         let _ = reg.instantiate("Echo", 1, &props).unwrap();
+    }
+
+    #[test]
+    fn reregistering_replaces_the_factory() {
+        let mut reg = ImplementationRegistry::new();
+        reg.register("Echo", 1, |_| panic!("replaced"));
+        reg.register("Echo", 1, |_| Box::new(EchoComponent::default()));
+        assert_eq!(reg.keys().count(), 1);
+        assert!(reg.instantiate("Echo", 1, &Props::new()).is_ok());
     }
 
     #[test]

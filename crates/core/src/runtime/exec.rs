@@ -104,7 +104,7 @@ enum Undo {
     RestoreImpl {
         name: String,
         component: Box<dyn Component>,
-        type_name: String,
+        type_name: Name,
         version: u32,
     },
     /// Re-insert a removed instance together with its channels.
@@ -698,9 +698,9 @@ impl Runtime {
                     .instances
                     .by_name(name)
                     .ok_or_else(|| RuntimeError::UnknownComponent(name.clone()))?;
-                let mut replacement =
+                let (type_name, mut replacement) =
                     self.registry
-                        .instantiate(type_name, *version, &inst.props)?;
+                        .instantiate_named(type_name, *version, &inst.props)?;
                 let old_iface = inst.component.provided();
                 let new_iface = replacement.provided();
                 let violations = new_iface.check_backward_compatible(&old_iface);
@@ -734,7 +734,7 @@ impl Runtime {
                 };
                 let inst = self.instances.by_name_mut(name).expect("checked");
                 let old = std::mem::replace(&mut inst.component, replacement);
-                let old_type = std::mem::replace(&mut inst.type_name, type_name.clone());
+                let old_type = std::mem::replace(&mut inst.type_name, type_name);
                 let old_version = std::mem::replace(&mut inst.version, *version);
                 self.journal(Undo::RestoreImpl {
                     name: name.clone(),

@@ -20,67 +20,58 @@ impl Runtime {
 
     /// Takes a full introspection snapshot right now. It costs what it
     /// reads: one pass over the instance table (means and p99s are read
-    /// from the histograms in place, the `hosted` lists grouped in the
-    /// same pass), one over the nodes, one over the connectors.
+    /// from the histograms in place), one over the nodes, one over the
+    /// connectors. Names are shared with the runtime, not copied, so the
+    /// snapshot's four lists — components, nodes, connectors and custom
+    /// means, each sized up front — are all it allocates.
     #[must_use]
     pub fn observe(&self) -> SystemSnapshot {
         let now = self.kernel.now();
         let topology = self.kernel.topology();
-        // By node id; the table iterates in name order, so each list is.
-        let mut hosted = vec![Vec::new(); topology.node_count()];
-        let components = self
-            .instances
-            .values()
-            .map(|inst| {
-                hosted[inst.node.0 as usize].push(inst.name.to_string());
-                ComponentObservation {
-                    name: inst.name.to_string(),
-                    type_name: inst.type_name.clone(),
-                    version: inst.version,
-                    node: inst.node,
-                    lifecycle: inst.lifecycle,
-                    inflight: inst.inflight,
-                    processed: inst.processed,
-                    errors: inst.errors,
-                    mean_latency_ms: inst.latency.mean(),
-                    p99_latency_ms: inst.latency.quantile(0.99),
-                    seq_anomalies: inst.tracker.gaps() + inst.tracker.duplicates(),
-                    custom: inst
-                        .custom
-                        .iter()
-                        .map(|(k, s)| (k.to_string(), s.mean()))
-                        .collect(),
-                }
-            })
-            .collect();
-        let nodes = topology
-            .nodes()
-            .zip(hosted)
-            .map(|(n, hosted)| NodeObservation {
-                id: n.id(),
-                up: n.is_up(),
-                utilization: n.utilization(now),
-                backlog_ms: n.backlog(now).as_micros() as f64 / 1e3,
-                effective_capacity: n.effective_capacity(now),
-                hosted,
-            })
-            .collect();
-        let connectors = self
-            .connectors
-            .iter()
-            .map(|(id, c)| ConnectorObservation {
-                name: self.connectors.name(id).to_string(),
-                mediated: c.stats().mediated,
-                violations: c.stats().violations,
-                seq_anomalies: c.stats().seq_anomalies,
-                mean_metered_latency_ms: c.stats().metered_latency.mean(),
-            })
-            .collect();
+        let mut components = Vec::with_capacity(self.instances.len());
+        let mut custom = Vec::with_capacity(self.instances.values().map(|i| i.custom.len()).sum());
+        for inst in self.instances.values() {
+            components.push(ComponentObservation {
+                name: inst.name.clone(),
+                type_name: inst.type_name.clone(),
+                version: inst.version,
+                node: inst.node,
+                lifecycle: inst.lifecycle,
+                inflight: inst.inflight,
+                processed: inst.processed,
+                errors: inst.errors,
+                mean_latency_ms: inst.latency.mean(),
+                p99_latency_ms: inst.latency.quantile(0.99),
+                seq_anomalies: inst.tracker.gaps() + inst.tracker.duplicates(),
+            });
+            custom.extend(inst.custom.iter().map(|(metric, s)| CustomMean {
+                component: inst.name.clone(),
+                metric: metric.clone(),
+                mean: s.mean(),
+            }));
+        }
+        let mut nodes = Vec::with_capacity(topology.node_count());
+        nodes.extend(topology.nodes().map(|n| NodeObservation {
+            id: n.id(),
+            up: n.is_up(),
+            utilization: n.utilization(now),
+            backlog_ms: n.backlog(now).as_micros() as f64 / 1e3,
+            effective_capacity: n.effective_capacity(now),
+        }));
+        let mut connectors = Vec::with_capacity(self.connectors.len());
+        connectors.extend(self.connectors.iter().map(|(id, c)| ConnectorObservation {
+            name: self.connectors.name(id).clone(),
+            mediated: c.stats().mediated,
+            violations: c.stats().violations,
+            seq_anomalies: c.stats().seq_anomalies,
+            mean_metered_latency_ms: c.stats().metered_latency.mean(),
+        }));
         SystemSnapshot {
             at: now,
             components,
             nodes,
             connectors,
+            custom,
             delivered: self.kernel.counter(KernelCounter::Delivered),
             dropped: self.m.dropped.get(),
         }

@@ -72,7 +72,8 @@ use crate::message::{
     self, MapPool, Message, MessageId, MessageKind, Name, SequenceTracker, Value,
 };
 use crate::raml::{
-    ComponentObservation, ConnectorObservation, Intercession, NodeObservation, Raml, SystemSnapshot,
+    ComponentObservation, ConnectorObservation, CustomMean, Intercession, NodeObservation, Raml,
+    SystemSnapshot,
 };
 use crate::reconfig::{ReconfigAction, ReconfigId, ReconfigPlan, ReconfigReport, StateTransfer};
 use crate::registry::{ImplementationRegistry, Props};
@@ -182,7 +183,9 @@ pub enum RuntimeEvent {
 struct Instance {
     name: Name,
     node: NodeId,
-    type_name: String,
+    /// The registry's own copy of the implementation's name, shared by
+    /// every instance of it.
+    type_name: Name,
     version: u32,
     props: Props,
     component: Box<dyn Component>,

@@ -552,11 +552,7 @@ impl Runtime {
             self.obs.audit.budget_granted(
                 &epoch,
                 &grant.agent,
-                &format!(
-                    "[{}] fraction={:.6}",
-                    grant.granted.render(),
-                    grant.fraction
-                ),
+                &format!("[{}] fraction={:.6}", grant.granted, grant.fraction),
                 now.as_micros(),
             );
             let Some(id) = self.instances.id(&grant.agent) else {

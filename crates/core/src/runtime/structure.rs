@@ -41,9 +41,9 @@ impl Runtime {
         if (decl.node.0 as usize) >= self.kernel.topology().node_count() {
             return Err(RuntimeError::NodeUnavailable(decl.node.to_string()));
         }
-        let component = self
-            .registry
-            .instantiate(&decl.type_name, decl.version, &decl.props)?;
+        let (type_name, component) =
+            self.registry
+                .instantiate_named(&decl.type_name, decl.version, &decl.props)?;
         let external = self.kernel.open_channel(decl.node, decl.node);
         let id = self.instances.intern(name);
         self.instances.insert(
@@ -51,7 +51,7 @@ impl Runtime {
             Instance {
                 name: self.instances.name(id).clone(),
                 node: decl.node,
-                type_name: decl.type_name.clone(),
+                type_name,
                 version: decl.version,
                 props: decl.props.clone(),
                 component,

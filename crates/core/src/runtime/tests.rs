@@ -580,11 +580,7 @@ fn observe_reports_topology_and_hosting() {
     let rt = counter_runtime();
     let snap = rt.observe();
     assert_eq!(snap.nodes.len(), 2);
-    assert!(snap
-        .node(NodeId(0))
-        .unwrap()
-        .hosted
-        .contains(&"counter".to_owned()));
+    assert!(snap.hosted(NodeId(0)).any(|c| c.name == "counter"));
 }
 
 #[test]
@@ -865,8 +861,11 @@ fn component_timers_drive_behavior() {
         .unwrap();
     rt.run_until(SimTime::from_secs(5));
     let snap = rt.observe();
-    let obs = snap.component("ticker").unwrap();
-    assert_eq!(obs.custom.get("ticks").copied(), Some(3.0), "mean of 1..=5");
+    assert_eq!(
+        snap.custom_mean("ticker", "ticks"),
+        Some(3.0),
+        "mean of 1..=5"
+    );
 }
 
 #[test]

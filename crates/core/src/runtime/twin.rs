@@ -126,9 +126,9 @@ impl Runtime {
         // address instances by them.
         let instances = self.instances.try_map(|inst| {
             let name = &inst.name;
-            let mut component = self
+            let (type_name, mut component) = self
                 .registry
-                .instantiate(&inst.type_name, inst.version, &inst.props)
+                .instantiate_named(&inst.type_name, inst.version, &inst.props)
                 .ok()?;
             component.restore(&inst.component.snapshot()).ok()?;
             let custom = inst
@@ -144,7 +144,7 @@ impl Runtime {
             Some(Instance {
                 name: name.clone(),
                 node: inst.node,
-                type_name: inst.type_name.clone(),
+                type_name,
                 version: inst.version,
                 props: inst.props.clone(),
                 component,

@@ -4,35 +4,79 @@
 //!
 //! A histogram weighs the octaves it has seen, so `observe()` reads the
 //! system without copying it and a twin fork's throwaway telemetry bundle
-//! is a fraction of the mainline's.
+//! is a fraction of the mainline's. Names are shared, not copied: a
+//! snapshot allocates its four lists whatever the system's size, the
+//! instances of one type share the registry's copy of its name, and
+//! asking the registry builds no key.
 
 #[path = "../../sim/tests/support/counting_alloc.rs"]
 mod counting_alloc;
 #[path = "support/media_pipelines.rs"]
 mod media_pipelines;
 
-use counting_alloc::{enroll, measured_heap, unenroll, HeapDelta, GATE};
+use counting_alloc::{enroll, measured, measured_heap, unenroll, HeapDelta, GATE};
 
+use aas_core::component::{CallCtx, Component, StateSnapshot};
+use aas_core::error::{ComponentError, StateError};
+use aas_core::interface::Interface;
+use aas_core::message::Message;
+use aas_core::registry::{ImplementationRegistry, Props};
 use aas_core::runtime::Runtime;
 use aas_obs::{AtomicHistogram, Histogram};
 use aas_sim::time::SimDuration;
+use aas_telecom::services::register_telecom_components;
 
-fn heap_of<R>(f: impl FnOnce() -> R) -> (R, HeapDelta) {
+/// Runs `f` with this thread enrolled in the counting allocator, one
+/// test at a time.
+fn enrolled<R>(f: impl FnOnce() -> R) -> R {
     let _gate = GATE
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     enroll();
-    let measured = measured_heap(f);
+    let r = f();
     unenroll();
-    measured
+    r
 }
 
-/// `dispatch_allocs.rs`'s 64 pipelines, two virtual seconds in: every
+fn heap_of<R>(f: impl FnOnce() -> R) -> (R, HeapDelta) {
+    enrolled(|| measured_heap(f))
+}
+
+fn allocs_of<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    enrolled(|| measured(f))
+}
+
+/// `dispatch_allocs.rs`'s pipelines, two virtual seconds in: every
 /// latency histogram and every custom metric has been written.
-fn warm_deployment() -> Runtime {
-    let mut rt = media_pipelines::deploy(64);
+fn warm(pipelines: u64) -> Runtime {
+    let mut rt = media_pipelines::deploy(pipelines);
     rt.run_for(SimDuration::from_millis(2_020));
     rt
+}
+
+/// A component of no size, so building one allocates nothing.
+struct Nothing;
+
+impl Component for Nothing {
+    fn type_name(&self) -> &str {
+        "Nothing"
+    }
+
+    fn provided(&self) -> Interface {
+        Interface::new("Nothing", Vec::new())
+    }
+
+    fn on_message(&mut self, _: &mut CallCtx, msg: Message) -> Result<(), ComponentError> {
+        Err(ComponentError::UnsupportedOperation(msg.op))
+    }
+
+    fn snapshot(&self) -> StateSnapshot {
+        StateSnapshot::new("Nothing", 1)
+    }
+
+    fn restore(&mut self, _: &StateSnapshot) -> Result<(), StateError> {
+        Ok(())
+    }
 }
 
 #[test]
@@ -72,7 +116,7 @@ fn an_atomic_histogram_weighs_the_octaves_it_has_seen() {
 /// mean or p99 each.
 #[test]
 fn observe_reads_the_histograms_in_place() {
-    let rt = warm_deployment();
+    let rt = warm(64);
     let (snap, heap) = heap_of(|| rt.observe());
     assert_eq!(snap.components.len(), 192);
     assert!(snap.components.iter().all(|c| c.p99_latency_ms > 0.0));
@@ -83,6 +127,57 @@ fn observe_reads_the_histograms_in_place() {
     );
 }
 
+/// One list each for components, nodes, connectors and custom means, and
+/// nothing per entry: 8 pipelines cost what 64 do. At `162295c` the same
+/// call made 143 allocations on 8 pipelines and 1,051 on 64.
+#[test]
+fn observe_allocates_its_four_lists_whatever_the_size() {
+    let count = |pipelines| {
+        let rt = warm(pipelines);
+        let (snap, allocs) = allocs_of(|| rt.observe());
+        assert_eq!(snap.components.len() as u64, 3 * pipelines);
+        assert!(!snap.custom.is_empty() && !snap.connectors.is_empty());
+        allocs
+    };
+    let (small, large) = (count(8), count(64));
+    assert_eq!(small, large, "allocations on 8 and on 64 pipelines");
+    assert!(large <= 4, "observe() made {large} allocations");
+}
+
+/// Every instance of a type holds the registry's one copy of its name.
+#[test]
+fn instances_of_one_type_share_its_name() {
+    let snap = media_pipelines::deploy(2).observe();
+    let type_name = |name| {
+        snap.component(name)
+            .expect("deployed")
+            .type_name
+            .as_str()
+            .as_ptr()
+    };
+    assert_eq!(type_name("tc0"), type_name("tc1"));
+    assert_eq!(type_name("sink0"), type_name("sink1"));
+}
+
+/// Asking the registry builds no key: `contains` allocates nothing, and
+/// neither does instantiating a component of no size.
+#[test]
+fn the_registry_answers_without_allocating() {
+    let mut registry = ImplementationRegistry::new();
+    register_telecom_components(&mut registry);
+    registry.register("Nothing", 1, |_| Box::new(Nothing));
+    let props = Props::new();
+    let (answers, allocs) = allocs_of(|| {
+        (
+            registry.contains("Transcoder", 1),
+            registry.contains("Transcoder", 9),
+            registry.instantiate("Nothing", 1, &props).is_ok(),
+        )
+    });
+    assert_eq!(answers, (true, false, true));
+    assert_eq!(allocs, 0);
+}
+
 /// A fork's throwaway telemetry bundle registers every histogram of the
 /// mainline's, empty, and its tracer ring takes memory only as it records.
 /// Each component is restored from a snapshot map the fork drops again.
@@ -90,14 +185,16 @@ fn observe_reads_the_histograms_in_place() {
 fn a_fork_grows_the_heap_by_no_more_than_its_pinned_figure() {
     /// Live-heap growth of this very fork: 4,110,168 B at `e2b94c6`,
     /// 992,328 B at `7646886`, whose fork reserved 1,024 tracer records
-    /// (80 KiB) it never wrote. No frame is under way at the fork, so the
-    /// fork keeps no payload map.
-    const PINNED: i64 = 910_408;
+    /// (80 KiB) it never wrote, and 910,408 B at `162295c`, where each
+    /// instance copied its type name and the registry's clone its keys.
+    /// No frame is under way at the fork, so the fork keeps no payload
+    /// map.
+    const PINNED: i64 = 908_058;
     /// What the fork asks the allocator for, kept or not: 1,155,246 B at
     /// `0cf57a8`, where each of the 192 snapshot maps was a 632 B B-tree
-    /// leaf; a buffer of four entries is 224 B.
-    const ASKED: u64 = 1_076_910;
-    let rt = warm_deployment();
+    /// leaf (a buffer of four entries is 224 B), 1,076,910 B at `162295c`.
+    const ASKED: u64 = 1_072_640;
+    let rt = warm(64);
     let (fork, heap) = heap_of(|| rt.fork_twin());
     assert!(fork.is_some());
     assert!(heap.grown <= PINNED, "{heap:?}");

@@ -9,13 +9,17 @@
 //! back. The `Debug` rendering of the three snapshots (floats print
 //! round-trip, so every mean and p99 is held to the bit) was recorded at
 //! `e2b94c6`, where `observe()` copied every histogram and scanned the
-//! instance table once per node; this file ran there unchanged.
+//! instance table once per node. There each node listed the components it
+//! hosted and each component held a map of its custom means; the snapshot
+//! now keeps neither list, so [`AsRecorded`] lays them out again where
+//! `{:#?}` printed them.
 
 use aas_core::config::{BindingDecl, ComponentDecl, Configuration};
 use aas_core::connector::{ConnectorAspect, ConnectorSpec};
 use aas_core::detector::DetectorConfig;
 use aas_core::heal::RepairPolicy;
 use aas_core::message::{Message, Value};
+use aas_core::raml::{ComponentObservation, NodeObservation, SystemSnapshot};
 use aas_core::registry::ImplementationRegistry;
 use aas_core::runtime::Runtime;
 use aas_sim::fault::FaultSchedule;
@@ -23,7 +27,7 @@ use aas_sim::network::Topology;
 use aas_sim::node::NodeId;
 use aas_sim::time::{SimDuration, SimTime};
 use aas_telecom::services::register_telecom_components;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 const PIPELINES: usize = 4;
 const MONITOR: NodeId = NodeId(0);
@@ -96,13 +100,86 @@ fn deployment() -> Runtime {
     rt
 }
 
+/// A snapshot rendered in the layout `{:#?}` gave it at `e2b94c6`.
+struct AsRecorded<'a>(&'a SystemSnapshot);
+
+/// A component with its custom means as a map under it.
+struct WithCustom<'a>(&'a SystemSnapshot, &'a ComponentObservation);
+
+/// A node with the names of the components it hosts under it.
+struct WithHosted<'a>(&'a SystemSnapshot, &'a NodeObservation);
+
+impl fmt::Debug for AsRecorded<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let snap = self.0;
+        let components: Vec<_> = snap
+            .components
+            .iter()
+            .map(|c| WithCustom(snap, c))
+            .collect();
+        let nodes: Vec<_> = snap.nodes.iter().map(|n| WithHosted(snap, n)).collect();
+        f.debug_struct("SystemSnapshot")
+            .field("at", &snap.at)
+            .field("components", &components)
+            .field("nodes", &nodes)
+            .field("connectors", &snap.connectors)
+            .field("delivered", &snap.delivered)
+            .field("dropped", &snap.dropped)
+            .finish()
+    }
+}
+
+impl fmt::Debug for WithCustom<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Means<'a>(&'a SystemSnapshot, &'a str);
+        impl fmt::Debug for Means<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                let own = self.0.custom.iter().filter(|m| m.component == self.1);
+                f.debug_map()
+                    .entries(own.map(|m| (&m.metric, m.mean)))
+                    .finish()
+            }
+        }
+        let (snap, c) = (self.0, self.1);
+        f.debug_struct("ComponentObservation")
+            .field("name", &c.name)
+            .field("type_name", &c.type_name)
+            .field("version", &c.version)
+            .field("node", &c.node)
+            .field("lifecycle", &c.lifecycle)
+            .field("inflight", &c.inflight)
+            .field("processed", &c.processed)
+            .field("errors", &c.errors)
+            .field("mean_latency_ms", &c.mean_latency_ms)
+            .field("p99_latency_ms", &c.p99_latency_ms)
+            .field("seq_anomalies", &c.seq_anomalies)
+            .field("custom", &Means(snap, &c.name))
+            .finish()
+    }
+}
+
+impl fmt::Debug for WithHosted<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (snap, n) = (self.0, self.1);
+        let hosted: Vec<_> = snap.hosted(n.id).map(|c| &c.name).collect();
+        f.debug_struct("NodeObservation")
+            .field("id", &n.id)
+            .field("up", &n.up)
+            .field("utilization", &n.utilization)
+            .field("backlog_ms", &n.backlog_ms)
+            .field("effective_capacity", &n.effective_capacity)
+            .field("hosted", &hosted)
+            .finish()
+    }
+}
+
 #[test]
 fn observe_renders_as_recorded_before_during_and_after_a_failover() {
     let mut rt = deployment();
     let mut actual = String::new();
     for at in [1_900, 3_000, 6_000] {
         rt.run_until(SimTime::from_millis(at));
-        let _ = writeln!(actual, "== {at} ms ==\n{:#?}", rt.observe());
+        let _ = writeln!(actual, "== {at} ms ==\n{:#?}", AsRecorded(&rt.observe()));
     }
 
     // The scenario is the one the header describes.
@@ -111,10 +188,14 @@ fn observe_renders_as_recorded_before_during_and_after_a_failover() {
         "no failover migrated anything"
     );
     let snap = rt.observe();
-    let hosted = |node| snap.node(node).expect("node").hosted.clone();
+    let hosted = |node| {
+        snap.hosted(node)
+            .map(|c| c.name.as_str())
+            .collect::<Vec<_>>()
+    };
     assert!(hosted(VICTIM).is_empty(), "the victim's transcoders moved");
     assert_eq!(hosted(MONITOR), ["tc0", "tc1_spare", "tc2"]);
-    assert!(snap.components.iter().any(|c| !c.custom.is_empty()));
+    assert!(!snap.custom.is_empty());
     assert!(
         snap.connector("wire")
             .expect("wire")

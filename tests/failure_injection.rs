@@ -210,13 +210,10 @@ fn fault_rule_migrates_components_off_crashed_node() {
         let Some(target) = snap.coolest_node().map(|n| n.id) else {
             return Vec::new();
         };
-        snap.node(dead)
-            .map(|n| n.hosted.clone())
-            .unwrap_or_default()
-            .into_iter()
+        snap.hosted(dead)
             .map(|victim| {
                 Intercession::Reconfigure(ReconfigPlan::single(ReconfigAction::Migrate {
-                    name: victim,
+                    name: victim.name.to_string(),
                     to: target,
                 }))
             })
