@@ -11,7 +11,7 @@
 //! A [`FilterPipeline`] is an ordered chain of [`MessageFilter`]s evaluated
 //! against each message. Pipelines exist in two modes mirroring the
 //! paper's compile-time/run-time split: [`FilterMode::Inlined`] pipelines
-//! are frozen at construction and cheap per message, while
+//! are frozen once they first run a message and cheap per message, while
 //! [`FilterMode::Runtime`] pipelines accept dynamic attach/detach at a
 //! higher per-message cost (experiment E6 quantifies the gap).
 //! [`Superimposition`] applies one pipeline definition across many
@@ -251,8 +251,9 @@ impl MessageFilter for ThrottleFilter {
 /// Whether a pipeline is frozen (compile-time analogue) or dynamic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FilterMode {
-    /// Fixed at construction; the per-message dispatch discount models
-    /// inlined, statically compiled filters.
+    /// Fixed once it first runs a message: from then on attach/detach
+    /// fail. The per-message dispatch discount models inlined, statically
+    /// compiled filters.
     Inlined,
     /// Filters may be attached/detached at run time; each message pays the
     /// full indirection cost.
@@ -333,12 +334,6 @@ impl FilterPipeline {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.filters.is_empty()
-    }
-
-    /// Seals an inlined pipeline: after this, attach/detach fail. Called
-    /// automatically on first use for `Inlined` mode.
-    pub fn seal(&mut self) {
-        self.sealed = true;
     }
 
     /// Appends a filter.

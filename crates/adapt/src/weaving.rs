@@ -227,11 +227,6 @@ impl Weaver {
         ran
     }
 
-    /// Names of static advice.
-    pub fn static_names(&self) -> impl Iterator<Item = &str> {
-        self.static_advice.iter().map(|a| a.name.as_str())
-    }
-
     /// Names of dynamic advice.
     pub fn dynamic_names(&self) -> impl Iterator<Item = &str> {
         self.dynamic_advice.iter().map(|a| a.name.as_str())

@@ -142,12 +142,6 @@ impl ControlLoop {
         self.grant_cap
     }
 
-    /// The controller's name.
-    #[must_use]
-    pub fn controller_name(&self) -> &str {
-        self.controller.name()
-    }
-
     /// Number of ticks executed.
     #[must_use]
     pub fn ticks(&self) -> u64 {

@@ -8,8 +8,8 @@
 //! backlog, failure-detector suspicion) and the region epoch, stamped with
 //! the instant it was observed so consumers can detect staleness.
 //!
-//! The model is pure data: the runtime (aas-core) assembles it each
-//! negotiation tick from its instance table and its topology, and the
+//! The model is pure data: the runtime (aas-core) builds it each
+//! negotiation tick from its meta-level's observation snapshot, and the
 //! [`Negotiator`](crate::negotiate::Negotiator) consumes it read-only.
 //! Keeping it a value type is what makes arbitration replayable
 //! byte-for-byte: same model + same requests = same grants.

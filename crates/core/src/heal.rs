@@ -133,9 +133,7 @@ impl RepairPolicy {
         mutation: Option<PlanMutation>,
     ) -> Vec<Intercession> {
         let by_util = |a: &&crate::raml::NodeObservation, b: &&crate::raml::NodeObservation| {
-            a.utilization
-                .partial_cmp(&b.utilization)
-                .unwrap_or(std::cmp::Ordering::Equal)
+            a.utilization.total_cmp(&b.utilization)
         };
         let planned = match self {
             RepairPolicy::None => Vec::new(),

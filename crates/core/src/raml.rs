@@ -272,59 +272,45 @@ impl Constraint {
     /// Checks the constraint against a snapshot; `None` means compliant.
     #[must_use]
     pub fn check(&self, snap: &SystemSnapshot) -> Option<Violation> {
-        match self {
+        let (constraint, subject, measured, limit): (_, &dyn fmt::Display, _, _) = match self {
             Constraint::MaxMeanLatencyMs {
                 component,
                 limit_ms,
             } => {
                 let c = snap.component(component)?;
-                (c.mean_latency_ms > *limit_ms).then(|| Violation {
-                    constraint: "max-mean-latency".into(),
-                    subject: component.clone(),
-                    measured: c.mean_latency_ms,
-                    limit: *limit_ms,
-                })
+                ("max-mean-latency", component, c.mean_latency_ms, *limit_ms)
             }
             Constraint::MaxP99LatencyMs {
                 component,
                 limit_ms,
             } => {
                 let c = snap.component(component)?;
-                (c.p99_latency_ms > *limit_ms).then(|| Violation {
-                    constraint: "max-p99-latency".into(),
-                    subject: component.clone(),
-                    measured: c.p99_latency_ms,
-                    limit: *limit_ms,
-                })
+                ("max-p99-latency", component, c.p99_latency_ms, *limit_ms)
             }
             Constraint::MaxErrorRate { component, limit } => {
                 let c = snap.component(component)?;
-                (c.error_rate() > *limit).then(|| Violation {
-                    constraint: "max-error-rate".into(),
-                    subject: component.clone(),
-                    measured: c.error_rate(),
-                    limit: *limit,
-                })
+                ("max-error-rate", component, c.error_rate(), *limit)
             }
             Constraint::MaxNodeUtilization { node, limit } => {
                 let n = snap.node(*node)?;
-                (n.utilization > *limit).then(|| Violation {
-                    constraint: "max-node-utilization".into(),
-                    subject: node.to_string(),
-                    measured: n.utilization,
-                    limit: *limit,
-                })
+                ("max-node-utilization", node, n.utilization, *limit)
             }
             Constraint::NoSequenceAnomalies { component } => {
                 let c = snap.component(component)?;
-                (c.seq_anomalies > 0).then(|| Violation {
-                    constraint: "no-sequence-anomalies".into(),
-                    subject: component.clone(),
-                    measured: c.seq_anomalies as f64,
-                    limit: 0.0,
-                })
+                (
+                    "no-sequence-anomalies",
+                    component,
+                    c.seq_anomalies as f64,
+                    0.0,
+                )
             }
-        }
+        };
+        (measured > limit).then(|| Violation {
+            constraint: constraint.into(),
+            subject: subject.to_string(),
+            measured,
+            limit,
+        })
     }
 }
 

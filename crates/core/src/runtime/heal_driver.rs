@@ -81,12 +81,6 @@ impl Runtime {
         self.heal.plan_mutation = mutation;
     }
 
-    /// The repair policy in force.
-    #[must_use]
-    pub fn repair_policy(&self) -> &RepairPolicy {
-        &self.heal.policy
-    }
-
     /// Switches fail-stop semantics on or off (default: off). Under
     /// fail-stop, a node crash kills its hosted component instances —
     /// they enter [`Lifecycle::Failed`] and discard deliveries until a

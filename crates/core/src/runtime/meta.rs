@@ -128,25 +128,29 @@ impl Runtime {
     /// Event-triggered reconfiguration (the Durra path): faults are fed
     /// to RAML's fault rules immediately, outside the periodic tick.
     pub(super) fn on_fault(&mut self, kind: FaultKind) {
-        let Some(mut raml) = self.raml.take() else {
-            return;
-        };
-        let snap = self.observe();
-        let intercessions = raml.on_fault(kind, &snap);
-        self.raml = Some(raml);
-        self.apply_intercessions(intercessions, PlanOrigin::Raml, self.kernel.now());
+        self.raml_react(self.kernel.now(), |raml, snap| raml.on_fault(kind, snap));
     }
 
     pub(super) fn on_raml_tick(&mut self, now: SimTime) {
-        let Some(mut raml) = self.raml.take() else {
-            return;
-        };
+        if let Some(interval) = self.raml_react(now, Raml::evaluate) {
+            self.arm(interval, TimerPurpose::RamlTick);
+        }
+    }
+
+    /// Shows RAML a fresh snapshot through `react` and carries out what it
+    /// asks for. Returns RAML's tick interval; `None` without a RAML.
+    fn raml_react(
+        &mut self,
+        now: SimTime,
+        react: impl FnOnce(&mut Raml, &SystemSnapshot) -> Vec<Intercession>,
+    ) -> Option<SimDuration> {
+        let mut raml = self.raml.take()?;
         let snap = self.observe();
-        let intercessions = raml.evaluate(&snap);
+        let intercessions = react(&mut raml, &snap);
         let interval = raml.interval();
         self.raml = Some(raml);
         self.apply_intercessions(intercessions, PlanOrigin::Raml, now);
-        self.arm(interval, TimerPurpose::RamlTick);
+        Some(interval)
     }
 
     /// Carries out what the meta-level — RAML's rules, or the repair

@@ -1,8 +1,8 @@
 //! The GORNA resource-negotiation control plane (DESIGN.md §2.10).
 //!
 //! Every component instance is a budget agent. Each negotiation tick the
-//! driver assembles the global [`SituationalModel`] from the instance
-//! table, the topology and the failure detector's phi gauges, derives
+//! driver builds the global [`SituationalModel`] from the meta-level's
+//! [`Runtime::observe`] snapshot and [`FailureDetector::phi`], derives
 //! one [`BudgetRequest`] per agent from its observed offered load,
 //! and hands the batch to the [`Negotiator`] for deterministic
 //! multi-objective arbitration. Grants are then *actuated*:
@@ -141,7 +141,7 @@ const DOWNGRADE_BELOW: f64 = 0.5;
 /// Neutral values leave the hot path byte-identical to a runtime without
 /// negotiation.
 #[derive(Debug, Clone)]
-struct Agent {
+pub(super) struct Agent {
     /// Request shaping, if [`Runtime::set_agent_profile`] set any.
     profile: Option<AgentProfile>,
     /// Multiplier on per-message work cost (strategy downgrade).
@@ -152,9 +152,9 @@ struct Agent {
     retry_cap: Option<u32>,
     /// Offered-message counter: drives the deterministic shed gate and
     /// the next tick's demand estimate.
-    offered: u64,
+    pub(super) offered: u64,
     /// Offered count at the previous tick (for the delta).
-    offered_last: u64,
+    pub(super) offered_last: u64,
     /// Node the agent was hosted on when its current grant (or deny) was
     /// issued; a repair committing for this node invalidates the decision.
     granted_node: Option<u32>,
@@ -241,12 +241,12 @@ pub(super) struct NegotiateState {
     rounds: u64,
     /// Last `(time_s, cumulative_utilization)` sample per node, used to
     /// derive the windowed utilization the situational model carries.
-    node_busy_last: BTreeMap<u32, (f64, f64)>,
+    pub(super) node_busy_last: BTreeMap<u32, (f64, f64)>,
 }
 
 impl NegotiateState {
     /// `id`'s record, created neutral if nothing touched it before.
-    fn agent(&mut self, id: InstId) -> &mut Agent {
+    pub(super) fn agent(&mut self, id: InstId) -> &mut Agent {
         if id.index() >= self.agents.len() {
             self.agents.resize_with(id.index() + 1, Agent::default);
         }
@@ -361,7 +361,8 @@ impl Runtime {
         let Some(config) = self.negotiate.config.clone() else {
             return;
         };
-        let model = self.build_situational_model(now, &config);
+        let snap = self.observe();
+        let model = self.situational_model(&snap, &config);
         match config.mode {
             CoordinationMode::Negotiated => self.negotiated_round(&config, &model, now),
             CoordinationMode::Independent => self.independent_round(&config, &model),
@@ -378,53 +379,53 @@ impl Runtime {
         self.arm(config.interval, TimerPurpose::NegotiateTick);
     }
 
-    /// Assembles the coordinator's global picture from the instance
-    /// table (in name order), the topology and detector suspicion.
-    fn build_situational_model(
+    /// The coordinator's global picture: `snap`, plus the offered deltas,
+    /// windowed utilization and suspicion only the control plane tracks.
+    pub(super) fn situational_model(
         &mut self,
-        now: SimTime,
+        snap: &SystemSnapshot,
         config: &NegotiateConfig,
     ) -> SituationalModel {
-        let mut model = SituationalModel::empty(now);
+        let mut model = SituationalModel::empty(snap.at);
         let dt = config.interval.as_secs_f64().max(1e-9);
         let mut offered_total = 0u64;
-        for (id, inst) in self.instances.iter() {
+        for (id, c) in self.instances.live_ids().zip(&snap.components) {
+            debug_assert_eq!(self.instances.name(id), &c.name);
             let agent = self.negotiate.agent(id);
             let arrivals = agent.offered.saturating_sub(agent.offered_last);
             offered_total += arrivals;
             model.agents.insert(
-                inst.name.to_string(),
+                c.name.to_string(),
                 AgentObservation {
-                    node: inst.node.0,
+                    node: c.node.0,
                     arrivals,
-                    inflight: u64::from(inst.inflight),
-                    processed: inst.processed,
-                    errors: inst.errors,
-                    mean_latency_ms: inst.latency.mean(),
+                    inflight: u64::from(c.inflight),
+                    processed: c.processed,
+                    errors: c.errors,
+                    mean_latency_ms: c.mean_latency_ms,
                 },
             );
         }
         let mut capacity_units = 0.0;
-        let now_s = now.as_secs_f64();
-        for n in self.kernel.topology().nodes() {
-            let (up, effective_capacity) = (n.is_up(), n.effective_capacity(now));
-            if up {
-                capacity_units += effective_capacity;
+        let now_s = snap.at.as_secs_f64();
+        for n in &snap.nodes {
+            if n.up {
+                capacity_units += n.effective_capacity;
             }
             let suspicion = self
                 .detector
                 .as_ref()
-                .map_or(0.0, |d| d.detector.phi(n.id(), now));
+                .map_or(0.0, |d| d.detector.phi(n.id, snap.at));
             // The node's utilization is cumulative since t=0; the
             // coordinator needs the *current* pressure, so differentiate
             // it over the tick window (a cumulative figure never decays,
             // which would read one historical burst as permanent overload
             // and drive endless migration).
-            let cumulative = n.utilization(now);
+            let cumulative = n.utilization;
             let last = self
                 .negotiate
                 .node_busy_last
-                .insert(n.id().0, (now_s, cumulative));
+                .insert(n.id.0, (now_s, cumulative));
             let utilization = match last {
                 Some((t0, u0)) if now_s > t0 + 1e-9 => {
                     ((cumulative * now_s - u0 * t0) / (now_s - t0)).clamp(0.0, 1.0)
@@ -432,12 +433,12 @@ impl Runtime {
                 _ => cumulative,
             };
             model.nodes.insert(
-                n.id().0,
+                n.id.0,
                 NodeSituation {
-                    up,
+                    up: n.up,
                     utilization,
-                    backlog_ms: n.backlog(now).as_micros() as f64 / 1e3,
-                    effective_capacity,
+                    backlog_ms: n.backlog_ms,
+                    effective_capacity: n.effective_capacity,
                     suspicion,
                 },
             );
@@ -455,7 +456,7 @@ impl Runtime {
     ) -> Vec<BudgetRequest> {
         let mut requests = Vec::with_capacity(model.agents.len() + 1);
         let dt = config.interval.as_secs_f64().max(1e-9);
-        for (id, inst) in self.instances.iter() {
+        for (id, (name, seen)) in self.instances.live_ids().zip(&model.agents) {
             let profile = self.negotiate.agents[id.index()]
                 .profile
                 .unwrap_or(AgentProfile {
@@ -465,7 +466,7 @@ impl Runtime {
             if profile.exempt {
                 continue;
             }
-            let rate = model.agents[inst.name.as_str()].arrivals as f64 / dt;
+            let rate = seen.arrivals as f64 / dt;
             let mut demand = ResourceVector::ZERO;
             demand.work_rate = rate;
             demand.capacity = if rate > 0.0 { 1.0 } else { 0.0 };
@@ -473,7 +474,7 @@ impl Runtime {
             let mut floor = demand.scaled(profile.floor_fraction.clamp(0.0, 1.0));
             floor.capacity = if rate > 0.0 { MIN_COST_SCALE } else { 0.0 };
             requests.push(
-                BudgetRequest::new(inst.name.as_str(), floor, demand)
+                BudgetRequest::new(name.as_str(), floor, demand)
                     .with_priority(profile.priority)
                     .with_objectives(profile.objectives)
                     .with_curve(profile.curve),
@@ -491,7 +492,7 @@ impl Runtime {
 
     /// A coordinated round: arbitrate, audit, actuate. Each name the
     /// coordinator hands back is resolved to its id once; all of them but
-    /// [`TWIN_AGENT`] are instances the model was just built from.
+    /// [`TWIN_AGENT`] are agents of the model.
     fn negotiated_round(
         &mut self,
         config: &NegotiateConfig,
@@ -558,7 +559,7 @@ impl Runtime {
             let Some(id) = self.instances.id(&grant.agent) else {
                 continue;
             };
-            let host = self.instances.get(id).expect("id is live").node.0;
+            let host = model.agents[grant.agent.as_str()].node;
             let agent = self.negotiate.agent(id);
             agent.set_fraction(&self.obs, &grant.agent, grant.fraction);
             if grant.demand.work_rate > 0.0 {
@@ -629,12 +630,12 @@ impl Runtime {
     /// victims as readily as culprits.
     fn independent_round(&mut self, config: &NegotiateConfig, model: &SituationalModel) {
         let interval_ms = config.interval.as_secs_f64() * 1e3;
-        for (id, inst) in self.instances.iter() {
+        for (id, (name, seen)) in self.instances.live_ids().zip(&model.agents) {
             let agent = self.negotiate.agent(id);
             if agent.profile.is_some_and(|p| p.exempt) {
                 continue;
             }
-            let backlog = model.nodes.get(&inst.node.0).map_or(0.0, |n| n.backlog_ms);
+            let backlog = model.nodes.get(&seen.node).map_or(0.0, |n| n.backlog_ms);
             let keep = i64::from(agent.keep_permille);
             let next = if backlog > 4.0 * interval_ms {
                 keep - 100
@@ -645,7 +646,7 @@ impl Runtime {
             };
             agent.keep_permille = next.clamp(100, 1000) as u32;
             let fraction = f64::from(agent.keep_permille) / 1000.0;
-            agent.set_fraction(&self.obs, &inst.name, fraction);
+            agent.set_fraction(&self.obs, name, fraction);
         }
     }
 

@@ -137,6 +137,11 @@ impl<I: SlotId, T> Table<I, T> {
             .filter_map(|id| Some((*id, self.slots[id.index()].as_ref()?)))
     }
 
+    /// Ids of live entries, in name order.
+    pub(super) fn live_ids(&self) -> impl Iterator<Item = I> + '_ {
+        self.iter().map(|(id, _)| id)
+    }
+
     /// Live entries in name order.
     pub(super) fn values(&self) -> impl Iterator<Item = &T> {
         self.iter().map(|(_, value)| value)

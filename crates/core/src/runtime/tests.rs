@@ -1188,3 +1188,140 @@ fn a_twin_played_forward_in_a_heal_tick_leaves_the_parent_pool_installed() {
     );
     assert!(rt.pool.out > MARK / 2, "{:?}", rt.pool);
 }
+
+use aas_control::situational::{AgentObservation, NodeSituation, SituationalModel};
+
+/// The situational model as the negotiator once built it: a second read
+/// of the instance table and the topology, beside `observe()`'s. Kept as
+/// the oracle the model built from the snapshot must equal.
+fn situational_model_oracle(rt: &mut Runtime, config: &NegotiateConfig) -> SituationalModel {
+    let now = rt.now();
+    let mut model = SituationalModel::empty(now);
+    let dt = config.interval.as_secs_f64().max(1e-9);
+    let mut offered_total = 0u64;
+    for (id, inst) in rt.instances.iter() {
+        let agent = rt.negotiate.agent(id);
+        let arrivals = agent.offered.saturating_sub(agent.offered_last);
+        offered_total += arrivals;
+        model.agents.insert(
+            inst.name.to_string(),
+            AgentObservation {
+                node: inst.node.0,
+                arrivals,
+                inflight: u64::from(inst.inflight),
+                processed: inst.processed,
+                errors: inst.errors,
+                mean_latency_ms: inst.latency.mean(),
+            },
+        );
+    }
+    let mut capacity_units = 0.0;
+    let now_s = now.as_secs_f64();
+    for n in rt.kernel.topology().nodes() {
+        let (up, effective_capacity) = (n.is_up(), n.effective_capacity(now));
+        if up {
+            capacity_units += effective_capacity;
+        }
+        let suspicion = rt
+            .detector
+            .as_ref()
+            .map_or(0.0, |d| d.detector.phi(n.id(), now));
+        let cumulative = n.utilization(now);
+        let last = rt
+            .negotiate
+            .node_busy_last
+            .insert(n.id().0, (now_s, cumulative));
+        let utilization = match last {
+            Some((t0, u0)) if now_s > t0 + 1e-9 => {
+                ((cumulative * now_s - u0 * t0) / (now_s - t0)).clamp(0.0, 1.0)
+            }
+            _ => cumulative,
+        };
+        model.nodes.insert(
+            n.id().0,
+            NodeSituation {
+                up,
+                utilization,
+                backlog_ms: n.backlog(now).as_micros() as f64 / 1e3,
+                effective_capacity,
+                suspicion,
+            },
+        );
+    }
+    model.arrival_rate = offered_total as f64 / dt;
+    model.capacity_rate = capacity_units / config.nominal_cost.max(1e-9);
+    model
+}
+
+/// Three agents at uneven rates, two of them overloading node 1, under
+/// negotiation in `mode`. With `crash`, the detector runs and node 1 is
+/// down from 0.8 s to 1.4 s, so failover moves its agents mid-run.
+fn overload_run(mode: CoordinationMode, crash: bool) -> (Runtime, NegotiateConfig) {
+    let mut rt = runtime(3);
+    let mut cfg = Configuration::new();
+    cfg.component("hot", ComponentDecl::new("Counter", 1, NodeId(1)));
+    cfg.component("warm", ComponentDecl::new("Counter", 1, NodeId(1)));
+    cfg.component("cool", ComponentDecl::new("Counter", 1, NodeId(2)));
+    rt.deploy(&cfg).unwrap();
+    for (name, period_us) in [("hot", 500), ("warm", 1_500), ("cool", 4_000)] {
+        for k in 1..=2_000_000 / period_us {
+            rt.inject_after(
+                SimDuration::from_micros(k * period_us),
+                name,
+                Message::event("tick", Value::Null),
+            )
+            .unwrap();
+        }
+    }
+    if crash {
+        rt.set_fail_stop(true);
+        rt.set_repair_policy(RepairPolicy::FailoverMigrate);
+        rt.enable_failure_detector(DetectorConfig::new(
+            SimDuration::from_millis(50),
+            2.0,
+            NodeId(0),
+        ));
+        node_outage(&mut rt, 1, 800, 1400);
+    }
+    let config = NegotiateConfig {
+        mode,
+        migrate_above: 0.9,
+        ..NegotiateConfig::default()
+    };
+    rt.enable_negotiation(config.clone());
+    (rt, config)
+}
+
+/// Steps `rt` to 2.5 s and, at the last instant before each negotiation
+/// tick, holds the model built from `observe()` to the oracle's.
+fn assert_model_equals_oracle_before_every_tick(mut rt: Runtime, config: &NegotiateConfig) {
+    let end = SimTime::from_millis(2_500);
+    let mut checked = 0;
+    while let Some(at) = rt.kernel.next_event_time().filter(|t| *t <= end) {
+        let next_tick = SimTime::ZERO + config.interval * (rt.negotiation_rounds() + 1);
+        if at >= next_tick && checked == rt.negotiation_rounds() {
+            let busy_last = rt.negotiate.node_busy_last.clone();
+            let expected = situational_model_oracle(&mut rt, config);
+            rt.negotiate.node_busy_last = busy_last.clone();
+            let snap = rt.observe();
+            let model = rt.situational_model(&snap, config);
+            rt.negotiate.node_busy_last = busy_last;
+            assert_eq!(model, expected, "round {checked} at {}", rt.now());
+            checked += 1;
+        }
+        rt.step();
+    }
+    assert_eq!(checked, 25, "every tick to 2.5 s was checked");
+}
+
+#[test]
+fn the_negotiated_model_from_the_snapshot_equals_a_second_read_through_a_crash() {
+    let (rt, config) = overload_run(CoordinationMode::Negotiated, true);
+    assert_model_equals_oracle_before_every_tick(rt, &config);
+}
+
+#[test]
+fn the_independent_model_from_the_snapshot_equals_a_second_read() {
+    let (rt, config) = overload_run(CoordinationMode::Independent, false);
+    assert_model_equals_oracle_before_every_tick(rt, &config);
+}

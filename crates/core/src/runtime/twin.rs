@@ -86,11 +86,6 @@ impl Runtime {
         self.twin.config = Some(config);
     }
 
-    /// Disables twin verification (the static policy applies again).
-    pub fn disable_twin(&mut self) {
-        self.twin.config = None;
-    }
-
     /// The outstanding twin prediction for `node`, if a twin-guided
     /// repair of it is in flight.
     #[must_use]

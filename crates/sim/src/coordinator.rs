@@ -929,12 +929,6 @@ impl<M: Send + 'static> ShardedKernel<M> {
         self.now
     }
 
-    /// Number of shards.
-    #[must_use]
-    pub fn shard_count(&self) -> u32 {
-        self.shared.shards.len() as u32
-    }
-
     /// The execution mode this kernel was built with.
     #[must_use]
     pub fn mode(&self) -> ExecMode {
@@ -946,12 +940,6 @@ impl<M: Send + 'static> ShardedKernel<M> {
     #[must_use]
     pub fn lookahead(&self) -> SimDuration {
         self.la
-    }
-
-    /// Runs `f` against the shared topology (read-only).
-    pub fn with_topology<R>(&self, f: impl FnOnce(&Topology) -> R) -> R {
-        let world = self.shared.world.read().expect("world lock");
-        f(&world.topo)
     }
 
     /// Global kernel counters, summed across shards — same names and

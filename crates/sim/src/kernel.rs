@@ -410,12 +410,6 @@ impl<M> Kernel<M> {
         }
     }
 
-    /// Whether any events are pending.
-    #[must_use]
-    pub fn has_pending(&self) -> bool {
-        self.next_event_time().is_some()
-    }
-
     /// Time of the next pending event, if any.
     #[must_use]
     pub fn next_event_time(&self) -> Option<SimTime> {
