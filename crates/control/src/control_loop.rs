@@ -57,7 +57,6 @@ pub struct ControlLoop {
     direction: Direction,
     actuation: Actuation,
     actuator: f64,
-    grant_cap: Option<f64>,
     ticks: u64,
 }
 
@@ -92,7 +91,6 @@ impl ControlLoop {
             direction,
             actuation,
             actuator,
-            grant_cap: None,
             ticks: 0,
         }
     }
@@ -122,26 +120,6 @@ impl ControlLoop {
         self.actuator
     }
 
-    /// Caps the actuator at a negotiated budget grant (or lifts the cap
-    /// with `None`). When the loop participates in GORNA negotiation (see
-    /// [`crate::negotiate`]), its feedback law keeps running but may not
-    /// actuate beyond what the coordinator granted: adaptation *within*
-    /// the grant.
-    pub fn set_grant_cap(&mut self, cap: Option<f64>) {
-        self.grant_cap = cap;
-        if let Some(c) = cap {
-            if self.actuator > c {
-                self.actuator = c;
-            }
-        }
-    }
-
-    /// The active grant cap, if any.
-    #[must_use]
-    pub fn grant_cap(&self) -> Option<f64> {
-        self.grant_cap
-    }
-
     /// Number of ticks executed.
     #[must_use]
     pub fn ticks(&self) -> u64 {
@@ -162,9 +140,6 @@ impl ControlLoop {
             Actuation::Positional => output,
             Actuation::Incremental { min, max } => (self.actuator + output * dt).clamp(min, max),
         };
-        if let Some(cap) = self.grant_cap {
-            self.actuator = self.actuator.min(cap);
-        }
         self.actuator
     }
 
@@ -244,27 +219,6 @@ mod tests {
         cl.set_setpoint(20.0);
         assert!(cl.tick(10.0, 0.1) > 0.0);
         assert_eq!(cl.setpoint(), 20.0);
-    }
-
-    #[test]
-    fn grant_cap_clamps_actuation_within_the_budget() {
-        let mut cl = ControlLoop::new(
-            Box::new(PidController::new(10.0, 0.0, 0.0)),
-            100.0,
-            Direction::Direct,
-            Actuation::Positional,
-        );
-        // Uncapped, the loop pushes hard toward the setpoint.
-        assert!(cl.tick(0.0, 0.1) > 50.0);
-        // A negotiated grant caps the actuator immediately and on later
-        // ticks, without disturbing the feedback law's internal state.
-        cl.set_grant_cap(Some(25.0));
-        assert!(cl.actuator() <= 25.0);
-        assert!(cl.tick(0.0, 0.1) <= 25.0);
-        assert_eq!(cl.grant_cap(), Some(25.0));
-        // Lifting the cap restores full-range actuation.
-        cl.set_grant_cap(None);
-        assert!(cl.tick(0.0, 0.1) > 25.0);
     }
 
     #[test]

@@ -16,15 +16,15 @@
 //!   time) plants;
 //! - [`control_loop`] — the sample–compute–actuate loop;
 //! - [`eval`] — step-response evaluation (overshoot, settling, ITAE);
-//! - [`qos`] / [`monitor`] — contracts, compliance integration, service
-//!   ladders and QoS monitors for quality-aware middleware;
+//! - [`qos`] — contracts, compliance integration and service ladders for
+//!   quality-aware middleware;
 //! - [`negotiate`] / [`situational`] — the GORNA upgrade (DESIGN.md
-//!   §2.10): per-loop control becomes global arbitration. Adaptive
-//!   entities implement [`negotiate::BudgetAgent`], declaring utility
-//!   curves over resource grants, and a [`negotiate::Negotiator`] solves a
+//!   §2.10): per-loop control becomes global arbitration. Each agent's
+//!   [`negotiate::BudgetRequest`] declares a floor, a demand and a utility
+//!   curve over resource grants, and a [`negotiate::Negotiator`] solves a
 //!   deterministic multi-objective (latency/availability/cost) arbitration
-//!   against the [`situational::SituationalModel`] each tick; agents adapt
-//!   within their grant by strategy downgrade, shedding or migration.
+//!   against the [`situational::SituationalModel`] each tick. The runtime
+//!   derives the requests from observed load and acts on the grants.
 //!
 //! ```
 //! use aas_control::control_loop::{Actuation, ControlLoop, Direction};
@@ -53,7 +53,6 @@
 pub mod control_loop;
 pub mod eval;
 pub mod fuzzy;
-pub mod monitor;
 pub mod negotiate;
 pub mod pid;
 pub mod plant;
@@ -64,11 +63,9 @@ pub mod threshold;
 pub use control_loop::{Actuation, ControlLoop, Direction};
 pub use eval::{analyze, run_closed_loop, ResponseMetrics};
 pub use fuzzy::FuzzyController;
-pub use monitor::{MonitorSet, QosMonitor};
 pub use negotiate::{
-    AgentResponse, BudgetAgent, BudgetRequest, DenyReason, Grant, LoopBudgetAgent,
-    NegotiationOutcome, Negotiator, NegotiatorMutation, ObjectiveVector, ObjectiveWeights,
-    ResourceKind, ResourceVector, UtilityCurve,
+    BudgetRequest, DenyReason, Grant, NegotiationOutcome, Negotiator, NegotiatorMutation,
+    ObjectiveVector, ObjectiveWeights, ResourceKind, ResourceVector, UtilityCurve,
 };
 pub use pid::PidController;
 pub use plant::{FirstOrderLag, Plant, SoftwareQueue};

@@ -1,19 +1,18 @@
-//! GORNA-style resource negotiation: budget-requesting agents, a
-//! multi-objective arbitrating coordinator, adaptation within the grant
-//! (DESIGN.md §2.10).
+//! GORNA-style resource negotiation: budget requests and a
+//! multi-objective arbitrating coordinator (DESIGN.md §2.10).
 //!
 //! The paper's prospective vision is a meta-level that decides adaptation
 //! *globally* against situational goals. This module is that upgrade for
 //! the control crate: instead of independent per-contract loops that fight
-//! each other under overload, every adaptive entity becomes a
-//! [`BudgetAgent`] that declares a utility curve over resource grants
-//! (service capacity, admission rate, retry budget, twin-horizon budget),
-//! and a [`Negotiator`] solves a deterministic multi-objective arbitration
-//! — weighted latency/availability/cost with a lexicographic tie-break —
-//! against the global [`SituationalModel`] each control tick, producing
-//! per-agent [`Grant`]s. Agents then adapt *within* their grant: strategy
-//! downgrade, load shedding, or a migration request compiled into an
-//! ordinary transactional reconfiguration plan by the runtime.
+//! each other under overload, every agent files a [`BudgetRequest`] with a
+//! utility curve over resource grants (service capacity, admission rate,
+//! retry budget, twin-horizon budget), and a [`Negotiator`] solves a
+//! deterministic multi-objective arbitration — weighted
+//! latency/availability/cost with a lexicographic tie-break — against the
+//! global [`SituationalModel`] each control tick, producing per-agent
+//! [`Grant`]s. Agents never report their own demand: the runtime derives
+//! each request from observed load and acts on each grant itself, by load
+//! shedding, strategy downgrade, a retry cap or a migration plan.
 //!
 //! Everything here is pure and replayable: arbitration iterates `BTreeMap`s
 //! and sorted request lists, floats render at fixed precision in
@@ -390,7 +389,8 @@ pub struct Grant {
 pub enum DenyReason {
     /// The remaining budget could not cover the agent's floor.
     FloorUnsatisfiable,
-    /// The agent's host node is down or heavily suspected.
+    /// The agent's host node is down. Suspicion alone denies nothing: it
+    /// only enters the model's fingerprint.
     HostSuspected,
 }
 
@@ -402,129 +402,6 @@ impl DenyReason {
             DenyReason::FloorUnsatisfiable => "floor-unsatisfiable",
             DenyReason::HostSuspected => "host-suspected",
         }
-    }
-}
-
-/// How an agent adapts inside its grant. The runtime compiles `Migrate`
-/// into an ordinary transactional reconfiguration plan; the others are
-/// applied directly to the dispatch path.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum AgentResponse {
-    /// Strategy downgrade: spend `cost_scale` (< 1.0) of the nominal work
-    /// per message — the service-ladder level that fits the capacity
-    /// grant.
-    Downgrade {
-        /// Multiplier on per-message work cost, in `(0, 1]`.
-        cost_scale: f64,
-    },
-    /// Load shedding: admit only `keep_permille` out of every 1000
-    /// offered messages, deterministically by sequence number.
-    Shed {
-        /// Admitted messages per 1000 offered.
-        keep_permille: u32,
-    },
-    /// Ask the runtime to migrate this agent to a healthier node, via the
-    /// transactional plan path.
-    Migrate {
-        /// Destination node id.
-        to_node: u32,
-    },
-}
-
-/// A budget-requesting agent: anything adaptive enough to declare what it
-/// needs and act within what it gets. Component instances, control loops
-/// ([`LoopBudgetAgent`]) and the heal/twin subsystem all fit this shape.
-pub trait BudgetAgent {
-    /// The agent's stable name (arbitration tie-break key).
-    fn agent_name(&self) -> &str;
-
-    /// Declares the agent's request for the next epoch, given the global
-    /// situational model.
-    fn request(&self, model: &SituationalModel) -> BudgetRequest;
-
-    /// Reacts to the epoch's grant: returns the adaptations the agent
-    /// performs to live inside it.
-    fn on_grant(&mut self, grant: &Grant, model: &SituationalModel) -> Vec<AgentResponse>;
-}
-
-/// Adapts a [`ControlLoop`](crate::control_loop::ControlLoop) into a
-/// [`BudgetAgent`]: the loop's setpoint becomes its work-rate demand and
-/// each grant caps the loop's actuator, so the legacy per-contract loops
-/// participate in — instead of fighting — global arbitration.
-#[derive(Debug)]
-pub struct LoopBudgetAgent {
-    name: String,
-    type_cost: f64,
-    floor_fraction: f64,
-    inner: crate::control_loop::ControlLoop,
-}
-
-impl LoopBudgetAgent {
-    /// Wraps `inner`; `type_cost` is the work per admitted message and
-    /// `floor_fraction` the fraction of the setpoint below which the
-    /// loop's contract is unmeetable.
-    #[must_use]
-    pub fn new(
-        name: impl Into<String>,
-        inner: crate::control_loop::ControlLoop,
-        type_cost: f64,
-        floor_fraction: f64,
-    ) -> Self {
-        LoopBudgetAgent {
-            name: name.into(),
-            type_cost,
-            floor_fraction: floor_fraction.clamp(0.0, 1.0),
-            inner,
-        }
-    }
-
-    /// The wrapped loop.
-    #[must_use]
-    pub fn inner(&self) -> &crate::control_loop::ControlLoop {
-        &self.inner
-    }
-
-    /// Mutable access to the wrapped loop (for ticking it between
-    /// negotiation epochs).
-    pub fn inner_mut(&mut self) -> &mut crate::control_loop::ControlLoop {
-        &mut self.inner
-    }
-}
-
-impl BudgetAgent for LoopBudgetAgent {
-    fn agent_name(&self) -> &str {
-        &self.name
-    }
-
-    fn request(&self, _model: &SituationalModel) -> BudgetRequest {
-        let rate = self.inner.setpoint().max(0.0);
-        let mut demand = ResourceVector::ZERO;
-        demand.work_rate = rate;
-        demand.capacity = self.type_cost;
-        BudgetRequest::new(
-            self.name.clone(),
-            demand.scaled(self.floor_fraction),
-            demand,
-        )
-    }
-
-    fn on_grant(&mut self, grant: &Grant, _model: &SituationalModel) -> Vec<AgentResponse> {
-        // The loop keeps running its own feedback law, but its actuator is
-        // now capped by the negotiated rate: adaptation within the grant.
-        self.inner.set_grant_cap(Some(grant.granted.work_rate));
-        let mut out = Vec::new();
-        if grant.granted.work_rate + 1e-9 < grant.demand.work_rate && grant.demand.work_rate > 0.0 {
-            let keep = (grant.granted.work_rate / grant.demand.work_rate * 1000.0).floor() as u32;
-            out.push(AgentResponse::Shed {
-                keep_permille: keep.min(1000),
-            });
-        }
-        if grant.granted.capacity + 1e-9 < grant.demand.capacity && grant.demand.capacity > 0.0 {
-            out.push(AgentResponse::Downgrade {
-                cost_scale: (grant.granted.capacity / grant.demand.capacity).max(0.05),
-            });
-        }
-        out
     }
 }
 
@@ -1036,38 +913,5 @@ mod tests {
         assert!(j > 0.0 && j <= 1.0 + 1e-12);
         // Abundant budget: everyone gets full demand, perfectly fair.
         assert!(j > 0.999, "abundance should be fair, J = {j}");
-    }
-
-    #[test]
-    fn loop_budget_agent_caps_its_loop_inside_the_grant() {
-        use crate::control_loop::{Actuation, ControlLoop, Direction};
-        use crate::pid::PidController;
-        let cl = ControlLoop::new(
-            Box::new(PidController::new(10.0, 0.0, 0.0)),
-            100.0,
-            Direction::Direct,
-            Actuation::Positional,
-        );
-        let mut agent = LoopBudgetAgent::new("loop", cl, 0.4, 0.1);
-        let m = model(50.0);
-        let req = agent.request(&m);
-        assert!((req.demand.work_rate - 100.0).abs() < 1e-9);
-        assert!((req.floor.work_rate - 10.0).abs() < 1e-9);
-        let grant = Grant {
-            agent: "loop".into(),
-            granted: vec4(0.4, 40.0, 0.0, 0.0),
-            demand: req.demand,
-            fraction: 0.4,
-            utility: 0.4,
-            epoch: 1,
-        };
-        let responses = agent.on_grant(&grant, &m);
-        assert!(responses
-            .iter()
-            .any(|r| matches!(r, AgentResponse::Shed { keep_permille } if *keep_permille == 400)));
-        // Loop under-delivers (measured 0): wants to push hard, but the
-        // actuator is clamped to the granted rate.
-        let u = agent.inner_mut().tick(0.0, 0.1);
-        assert!(u <= 40.0 + 1e-9, "actuator {u} exceeds grant 40");
     }
 }

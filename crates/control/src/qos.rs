@@ -293,27 +293,6 @@ impl ServiceLadder {
     pub fn levels(&self) -> &[ServiceLevel] {
         &self.levels
     }
-
-    /// The highest level whose cost fits `cost_budget`, or the cheapest
-    /// level when none fits. This is the strategy-downgrade step of a
-    /// negotiated capacity grant (see [`crate::negotiate`]): the agent
-    /// picks the best quality it can afford inside its grant.
-    #[must_use]
-    pub fn best_within_budget(&self, cost_budget: f64) -> usize {
-        self.levels
-            .iter()
-            .enumerate()
-            .rev()
-            .find(|(_, l)| l.cost <= cost_budget + 1e-12)
-            .map_or(0, |(i, _)| i)
-    }
-
-    /// Jumps straight to [`best_within_budget`](Self::best_within_budget)
-    /// for `cost_budget`; returns `true` if the level changed.
-    pub fn select_within_budget(&mut self, cost_budget: f64) -> bool {
-        let target = self.best_within_budget(cost_budget);
-        self.adjust(target as i64 - self.current as i64)
-    }
 }
 
 #[cfg(test)]
@@ -389,25 +368,5 @@ mod tests {
     #[test]
     fn empty_ladder_is_none() {
         assert!(ServiceLadder::new(Vec::new()).is_none());
-    }
-
-    #[test]
-    fn budget_selection_picks_best_affordable_level() {
-        let mut l = ServiceLadder::new(vec![
-            ServiceLevel::new("audio-only", 0.2, 1.0),
-            ServiceLevel::new("480p", 0.6, 4.0),
-            ServiceLevel::new("1080p", 1.0, 10.0),
-        ])
-        .unwrap();
-        assert_eq!(l.best_within_budget(10.0), 2);
-        assert_eq!(l.best_within_budget(5.0), 1);
-        // Below every level's cost: fall to the cheapest rung rather than
-        // refusing service.
-        assert_eq!(l.best_within_budget(0.1), 0);
-        assert!(l.select_within_budget(4.5));
-        assert_eq!(l.current().name, "480p");
-        assert!(!l.select_within_budget(9.0), "already at the best fit");
-        assert!(l.select_within_budget(100.0));
-        assert_eq!(l.current().name, "1080p");
     }
 }

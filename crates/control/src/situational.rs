@@ -6,7 +6,7 @@
 //! picture: a plain, deterministic snapshot of offered load, sustainable
 //! capacity, per-agent demand observations, per-node health (utilization,
 //! backlog, failure-detector suspicion) and the region epoch, stamped with
-//! the instant it was observed so consumers can detect staleness.
+//! the instant it was observed.
 //!
 //! The model is pure data: the runtime (aas-core) builds it each
 //! negotiation tick from its meta-level's observation snapshot, and the
@@ -15,7 +15,7 @@
 //! byte-for-byte: same model + same requests = same grants.
 
 use crate::negotiate::Fnv1a;
-use aas_sim::time::{SimDuration, SimTime};
+use aas_sim::time::SimTime;
 use core::fmt::Write as _;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -115,40 +115,6 @@ impl SituationalModel {
         }
     }
 
-    /// Offered load over sustainable capacity; 0 when capacity is unknown.
-    /// 1.0 means saturation, 10.0 means the 10x overload scenario.
-    #[must_use]
-    pub fn overload_ratio(&self) -> f64 {
-        if self.capacity_rate > 0.0 {
-            self.arrival_rate / self.capacity_rate
-        } else {
-            0.0
-        }
-    }
-
-    /// The worst suspicion level across nodes (0 when there are none).
-    #[must_use]
-    pub fn max_suspicion(&self) -> f64 {
-        self.nodes
-            .values()
-            .map(|n| n.suspicion)
-            .fold(0.0_f64, f64::max)
-    }
-
-    /// Number of nodes currently up.
-    #[must_use]
-    pub fn nodes_up(&self) -> usize {
-        self.nodes.values().filter(|n| n.up).count()
-    }
-
-    /// Whether the model is older than `max_age` at `now`. A coordinator
-    /// arbitrating from a stale model is the classic failure mode the
-    /// `stale-model` mutant injects on purpose.
-    #[must_use]
-    pub fn is_stale(&self, now: SimTime, max_age: SimDuration) -> bool {
-        now.saturating_since(self.observed_at) > max_age
-    }
-
     /// FNV-1a fingerprint of every field, with floats rendered at fixed
     /// precision so the digest is byte-stable across replays.
     #[must_use]
@@ -205,23 +171,6 @@ mod tests {
             },
         );
         m
-    }
-
-    #[test]
-    fn overload_ratio_and_suspicion() {
-        let m = model();
-        assert!((m.overload_ratio() - 10.0).abs() < 1e-12);
-        assert!((m.max_suspicion() - 1.5).abs() < 1e-12);
-        assert_eq!(m.nodes_up(), 2);
-        assert_eq!(SituationalModel::default().overload_ratio(), 0.0);
-    }
-
-    #[test]
-    fn staleness_is_measured_from_observed_at() {
-        let m = model();
-        let max_age = SimDuration::from_millis(200);
-        assert!(!m.is_stale(SimTime::from_micros(1_100_000), max_age));
-        assert!(m.is_stale(SimTime::from_micros(1_300_001), max_age));
     }
 
     #[test]

@@ -45,8 +45,8 @@ impl ThresholdController {
 }
 
 impl Controller for ThresholdController {
-    fn update(&mut self, error: f64, _dt: f64) -> f64 {
-        if !error.is_finite() {
+    fn update(&mut self, error: f64, dt: f64) -> f64 {
+        if dt <= 0.0 || !dt.is_finite() || !error.is_finite() {
             return 0.0;
         }
         if error > self.band {

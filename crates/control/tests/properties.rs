@@ -52,7 +52,7 @@ proptest! {
     }
 
     /// All controllers survive garbage (NaN/inf/zero-dt) without emitting
-    /// non-finite output.
+    /// non-finite output, and answer it with `0.0` as `Controller` asks.
     #[test]
     fn controllers_never_emit_nan(seed in 0u64..50) {
         let inputs = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -5.0, 7.0];
@@ -67,6 +67,9 @@ proptest! {
                 let dt = dts[(i + seed as usize) % dts.len()];
                 let u = c.update(e, dt);
                 prop_assert!(u.is_finite(), "{}: {u}", c.name());
+                if !(e.is_finite() && dt > 0.0 && dt.is_finite()) {
+                    prop_assert_eq!(u, 0.0, "{} on garbage ({}, {})", c.name(), e, dt);
+                }
             }
         }
     }

@@ -284,9 +284,9 @@ impl Connector {
             .any(|a| matches!(a, ConnectorAspect::SequenceCheck))
     }
 
-    /// Feeds one routed message copy's final `(flow, seq)` pair to the
-    /// sequence-check aspect. The runtime calls this once per delivered
-    /// copy, after routing has fixed the per-flow sequence number.
+    /// Feeds one message's `(flow, seq)` pair to the sequence-check
+    /// aspect. The runtime calls this when it stamps the message at send
+    /// time, right after drawing `seq` from its own per-flow counter.
     pub fn observe_sequence(&mut self, flow: &str, seq: u64) {
         use crate::message::SeqVerdict;
         match self.seq.observe(flow, seq) {

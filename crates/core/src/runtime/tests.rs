@@ -1325,3 +1325,89 @@ fn the_independent_model_from_the_snapshot_equals_a_second_read() {
     let (rt, config) = overload_run(CoordinationMode::Independent, false);
     assert_model_equals_oracle_before_every_tick(rt, &config);
 }
+
+/// How many of 1,000 offers an agent's admission gate lets through, the
+/// cost scale it applies, and its retry cap.
+type Throttle = (u32, f64, Option<u32>);
+
+/// The [`Throttle`] the dispatch path reads for `id` on `fork`.
+fn actuation(fork: &mut Runtime, id: InstId) -> Throttle {
+    let mut admitted = 0;
+    let mut scale = f64::NAN;
+    for _ in 0..1000 {
+        let (s, admit) = fork.negotiate.admit(id);
+        admitted += u32::from(admit);
+        scale = s;
+    }
+    (admitted, scale, fork.negotiate_retry_cap(id))
+}
+
+/// Every grant and deny is acted on as DESIGN §2.10 says, checked on a
+/// fork after each round so the mainline's offer counts stay untouched:
+/// a granted agent admits ⌊rate fraction × 1000⌋ of 1,000 offers, scales
+/// its cost to `max(fraction, 0.25)` below a fraction of 0.5 and to 1
+/// otherwise, and may retry ⌊granted retry budget⌋ times; a denied one
+/// admits nothing, scales to 0.25 and may not retry; a zero-demand grant
+/// keeps the throttle it had. Node 0, where the negotiator moves `hot` and
+/// `warm` in the first rounds, is down from 0.8 s to 1.4 s, so both are
+/// denied there.
+#[test]
+fn every_round_actuates_its_grants_and_denials_as_arbitrated() {
+    let (mut rt, _) = overload_run(CoordinationMode::Negotiated, false);
+    node_outage(&mut rt, 0, 800, 1400);
+    let end = SimTime::from_millis(2_500);
+    let mut last: BTreeMap<String, (u64, Throttle)> = BTreeMap::new();
+    let (mut granted, mut denied, mut kept, mut skipped) = (0, 0, 0, 0);
+    while rt.kernel.next_event_time().is_some_and(|t| t <= end) {
+        let round = rt.negotiation_rounds();
+        rt.step();
+        if rt.negotiation_rounds() == round {
+            continue;
+        }
+        // A round that files a migration leaves a plan in flight, and a
+        // fork refuses to be taken mid-plan.
+        let Some(mut fork) = rt.fork_twin() else {
+            skipped += 1;
+            continue;
+        };
+        let outcome = rt.negotiation_outcome().expect("a round ran").clone();
+        for g in &outcome.grants {
+            let id = rt.instances.id(&g.agent).expect("an instance");
+            let read = actuation(&mut fork, id);
+            let expected = if g.demand.work_rate > 0.0 {
+                granted += 1;
+                let rate = (g.granted.work_rate / g.demand.work_rate).clamp(0.0, 1.0);
+                let scale = if g.fraction < 0.5 {
+                    g.fraction.max(0.25)
+                } else {
+                    1.0
+                };
+                let retries = g.granted.retry_budget.floor() as u32;
+                ((rate * 1000.0).floor() as u32, scale, Some(retries))
+            } else {
+                kept += 1;
+                let (at, before) = last[&g.agent];
+                assert_eq!(at, round, "{}'s throttle was read last round", g.agent);
+                before
+            };
+            assert_eq!(read, expected, "{} in epoch {}", g.agent, outcome.epoch);
+            last.insert(g.agent.clone(), (round + 1, read));
+        }
+        for (agent, _) in &outcome.denied {
+            denied += 1;
+            let read = actuation(&mut fork, rt.instances.id(agent).expect("an instance"));
+            assert_eq!(
+                read,
+                (0, 0.25, Some(0)),
+                "{agent} in epoch {}",
+                outcome.epoch
+            );
+            last.insert(agent.clone(), (round + 1, read));
+        }
+    }
+    assert_eq!(
+        (granted, denied, kept, skipped),
+        (39, 12, 15, 3),
+        "grants, denials, zero-demand grants checked; rounds a plan kept unforked"
+    );
+}

@@ -10,9 +10,8 @@
 //!
 //! Module map:
 //!
-//! * [`stats`] — canonical scalar estimators: [`Ewma`], [`Summary`]
-//!   (Welford), [`Counters`]. Other crates re-export these; there is
-//!   exactly one EWMA implementation in the workspace.
+//! * [`stats`] — scalar estimators: [`Summary`] (Welford) and
+//!   [`Counters`].
 //! * [`histogram`] — log2-bucketed streaming [`Histogram`] with mergeable
 //!   p50/p90/p99/p99.9 and exact min/max, plus its lock-free sibling
 //!   [`AtomicHistogram`] for the shared registry.
@@ -40,7 +39,7 @@ pub mod trace;
 pub use audit::{AuditEntry, AuditKind, AuditLog};
 pub use histogram::{AtomicHistogram, Histogram};
 pub use metrics::{Counter, Gauge, HistogramHandle, MetricId, MetricsRegistry, MetricsSnapshot};
-pub use stats::{Counters, Ewma, Summary};
+pub use stats::{Counters, Summary};
 pub use trace::{SpanId, TraceEvent, TraceKind, Tracer};
 
 use std::sync::Arc;

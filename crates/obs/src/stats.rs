@@ -1,68 +1,4 @@
-//! Canonical scalar estimators: EWMA, Welford summary, named counters.
-//!
-//! These are the single implementations for the whole workspace;
-//! `aas-sim::stats` re-exports them so existing call sites keep their
-//! paths.
-
-/// Exponentially-weighted moving average.
-///
-/// Used by QoS monitors for smoothed latency/utilization signals. This is
-/// the only EWMA in the workspace — every consumer re-exports it from
-/// here.
-///
-/// # Examples
-///
-/// ```
-/// use aas_obs::Ewma;
-///
-/// let mut e = Ewma::new(0.5);
-/// e.observe(10.0);
-/// e.observe(20.0);
-/// assert_eq!(e.value(), 15.0);
-/// ```
-#[derive(Debug, Clone)]
-pub struct Ewma {
-    alpha: f64,
-    value: Option<f64>,
-}
-
-impl Ewma {
-    /// Creates a new EWMA with smoothing factor `alpha` in `(0, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alpha` is outside `(0, 1]`.
-    #[must_use]
-    pub fn new(alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
-        Ewma { alpha, value: None }
-    }
-
-    /// Feeds one observation.
-    pub fn observe(&mut self, x: f64) {
-        self.value = Some(match self.value {
-            None => x,
-            Some(v) => v + self.alpha * (x - v),
-        });
-    }
-
-    /// Current smoothed value; `0.0` before any observation.
-    #[must_use]
-    pub fn value(&self) -> f64 {
-        self.value.unwrap_or(0.0)
-    }
-
-    /// True if at least one observation has been fed.
-    #[must_use]
-    pub fn is_primed(&self) -> bool {
-        self.value.is_some()
-    }
-
-    /// Forgets all observations.
-    pub fn reset(&mut self) {
-        self.value = None;
-    }
-}
+//! Scalar estimators: a Welford summary and named counters.
 
 /// Running count / mean / min / max / variance (Welford's algorithm).
 ///
@@ -239,24 +175,6 @@ impl Counters {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ewma_tracks_step() {
-        let mut e = Ewma::new(0.2);
-        assert!(!e.is_primed());
-        for _ in 0..100 {
-            e.observe(50.0);
-        }
-        assert!((e.value() - 50.0).abs() < 1e-6);
-        e.observe(100.0);
-        assert!(e.value() > 50.0 && e.value() < 100.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha")]
-    fn ewma_rejects_bad_alpha() {
-        let _ = Ewma::new(0.0);
-    }
 
     #[test]
     fn summary_matches_hand_computation() {

@@ -188,8 +188,8 @@ fn main() {
         "{:<14} {:>8} {:>10} {:>12} {:>14} {:>9}",
         "policy", "frames", "quality", "violation%", "worst-backlog", "switches"
     );
-    for policy in [Policy::Fixed, Policy::Threshold, Policy::Fuzzy] {
-        let o = run(policy);
+    let outcomes = [Policy::Fixed, Policy::Threshold, Policy::Fuzzy].map(run);
+    for o in &outcomes {
         println!(
             "{:<14} {:>8} {:>10.3} {:>11.1}% {:>12.0}ms {:>9}",
             o.policy,
@@ -205,4 +205,13 @@ fn main() {
          during the surge — the paper's \"master the adaptation instead of\n\
          dropping calls\" scenario."
     );
+    let [fixed, controlled @ ..] = &outcomes;
+    for o in controlled {
+        assert!(
+            o.violation_pct < fixed.violation_pct,
+            "{} violates the contract no less than {}",
+            o.policy,
+            fixed.policy
+        );
+    }
 }
