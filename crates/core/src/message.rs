@@ -145,12 +145,14 @@ impl fmt::Display for Name {
 ///
 /// The maps of this workspace hold at most eight entries, where a scan
 /// reads as fast as a B-tree and faster than a binary search. One buffer
-/// is also what the runtime can reuse: while
-/// [`Runtime::run_until`](crate::runtime::Runtime::run_until) runs, a
-/// map's first insert and every clone take a buffer from the runtime's
-/// pool, and a map that drops gives its buffer back, so a source that
-/// builds a payload per frame stops allocating once warm. Iteration
-/// order, equality, `Display` and `Debug` are those of a
+/// is also what can be reused: a map's first insert and every clone take
+/// a buffer from the thread's pool, and a map that drops gives its buffer
+/// back, so a source that builds a payload per frame, and an application
+/// that injects one between
+/// [`Runtime::run_until`](crate::runtime::Runtime::run_until) calls, stop
+/// allocating once warm. When a call returns, the pool keeps only as many
+/// idle buffers as the next call and what runs before it may take.
+/// Iteration order, equality, `Display` and `Debug` are those of a
 /// `BTreeMap<Name, Value>`.
 ///
 /// # Examples
@@ -258,26 +260,71 @@ impl fmt::Debug for Fields {
     }
 }
 
-/// The map buffers a runtime reuses. It is installed on the thread for the
-/// length of a `run_until` call (see [`pooled`]); at any other time a map
-/// allocates and frees as any `Vec` does.
-#[derive(Debug, Default)]
-pub(crate) struct MapPool {
+/// The map buffers a thread reuses, always installed: every map built on
+/// the thread takes its buffer from here and gives it back when it drops.
+/// Idle buffers are trimmed when a runtime call returns (see [`in_call`])
+/// and freed when a runtime is dropped outside any call (see
+/// [`IdleRelease`]).
+#[derive(Debug)]
+struct MapPool {
     /// Cleared buffers, ready to be taken.
     free: Vec<Vec<(Name, Value)>>,
-    /// Buffers taken while this pool was installed and not given back.
-    pub(crate) out: usize,
-    /// The most that were out at once during the current call.
+    /// Buffers taken and not given back: the live maps that hold one.
+    out: usize,
+    /// The most that were out at once during the current outermost call.
     high: usize,
+    /// How many calls are under way: a twin's play-forward is one inside
+    /// its mainline's.
+    depth: usize,
+    /// Buffers taken outside any call since the last call returned.
+    taken_between: usize,
 }
 
 impl MapPool {
-    /// After a call: keep no more idle buffers than were out at the
-    /// call's height beyond what is out now, nor more than are out now —
-    /// a runtime that went quiet holds none, nor the list's own storage.
-    fn trim(&mut self) {
-        let keep = (self.high - self.out).min(self.out);
-        self.free.truncate(keep);
+    fn take(&mut self) -> Option<Vec<(Name, Value)>> {
+        self.out += 1;
+        if self.depth == 0 {
+            self.taken_between += 1;
+        } else {
+            self.high = self.high.max(self.out);
+        }
+        self.free.pop()
+    }
+
+    /// A map dropped on another thread than it was built on gives its
+    /// buffer to the pool where it drops; one that finds nothing out there
+    /// goes to the allocator.
+    fn give(&mut self, buf: Vec<(Name, Value)>) {
+        if let Some(out) = self.out.checked_sub(1) {
+            self.out = out;
+            self.free.push(buf);
+        }
+    }
+
+    fn enter(&mut self) {
+        if self.depth == 0 {
+            self.high = self.out;
+        }
+        self.depth += 1;
+    }
+
+    /// When the outermost call returns, keeps no more idle buffers than
+    /// were out at the call's height beyond what is out now, nor more than
+    /// are out now or were taken before the call from outside any — what
+    /// the next call and the application's frames before it may take.
+    fn leave(&mut self) {
+        self.depth -= 1;
+        if self.depth == 0 {
+            let keep = (self.high - self.out).min(self.out.max(self.taken_between));
+            self.taken_between = 0;
+            self.keep(keep);
+        }
+    }
+
+    /// Keeps at most `n` idle buffers, and the list's own storage only if
+    /// it holds one.
+    fn keep(&mut self, n: usize) {
+        self.free.truncate(n);
         if self.free.is_empty() {
             self.free = Vec::new();
         }
@@ -285,62 +332,68 @@ impl MapPool {
 }
 
 thread_local! {
-    static POOL: RefCell<Option<MapPool>> = const { RefCell::new(None) };
+    static POOL: RefCell<MapPool> = const {
+        RefCell::new(MapPool {
+            free: Vec::new(),
+            out: 0,
+            high: 0,
+            depth: 0,
+            taken_between: 0,
+        })
+    };
 }
 
-/// Runs `f` with `pool` installed on this thread, then puts back whatever
-/// was installed before — also when `f` unwinds — and returns `pool`,
-/// trimmed, with `f`'s result. A nested call installs its own pool and
-/// leaves the outer one installed when it returns.
-pub(crate) fn pooled<R>(mut pool: MapPool, f: impl FnOnce() -> R) -> (MapPool, R) {
-    /// Holds the pool installed before and installs it again on drop.
-    struct Reinstall(Option<MapPool>);
-    impl Drop for Reinstall {
+/// Runs `f` as a runtime call: the thread's pool is trimmed when the
+/// outermost call returns, also when `f` unwinds.
+pub(crate) fn in_call<R>(f: impl FnOnce() -> R) -> R {
+    /// Ends the call on drop.
+    struct Leave;
+    impl Drop for Leave {
         fn drop(&mut self) {
-            let before = self.0.take();
-            let _ = POOL.try_with(|p| p.replace(before));
+            let _ = POOL.try_with(|p| p.try_borrow_mut().map(|mut p| p.leave()));
         }
     }
 
-    pool.high = pool.out;
-    let reinstall = Reinstall(POOL.with(|p| p.replace(Some(pool))));
-    let r = f();
-    let mut pool = POOL
-        .with(RefCell::take)
-        .expect("a nested call puts back the pool it found");
-    drop(reinstall);
-    pool.trim();
-    (pool, r)
+    POOL.with(|p| p.borrow_mut().enter());
+    let _leave = Leave;
+    f()
+}
+
+/// Frees the thread's idle buffers when dropped outside any call, so no
+/// runtime inherits another's. A [`Runtime`](crate::runtime::Runtime)
+/// holds one as its last field: it drops after the runtime's own maps
+/// have given their buffers back.
+#[derive(Debug)]
+pub(crate) struct IdleRelease;
+
+impl Drop for IdleRelease {
+    fn drop(&mut self) {
+        let _ = POOL.try_with(|p| {
+            if let Ok(mut p) = p.try_borrow_mut() {
+                if p.depth == 0 {
+                    p.taken_between = 0;
+                    p.keep(0);
+                }
+            }
+        });
+    }
 }
 
 /// An empty buffer with room for `slots` entries, at least
-/// [`FRESH_SLOTS`]: the installed pool's, counted as out, when there is
-/// one and it holds a buffer; otherwise a new one.
+/// [`FRESH_SLOTS`]: an idle one of the thread's pool if there is one,
+/// otherwise a new one; counted as out either way.
 fn take_buffer(slots: usize) -> Vec<(Name, Value)> {
-    let taken = POOL.try_with(|p| {
-        let mut p = p.try_borrow_mut().ok()?;
-        let pool = p.as_mut()?;
-        pool.out += 1;
-        pool.high = pool.high.max(pool.out);
-        pool.free.pop()
-    });
+    let taken = POOL.try_with(|p| p.borrow_mut().take());
     let mut buf = taken.ok().flatten().unwrap_or_default();
     buf.reserve_exact(slots.max(FRESH_SLOTS));
     buf
 }
 
-/// Gives an empty buffer back to the installed pool if that pool has
-/// buffers out; otherwise — no pool, or a map built outside its call —
-/// the allocator frees it.
+/// Gives an empty buffer back to the thread's pool. Like every path a
+/// drop takes into the pool it does not panic: should the pool be busy,
+/// the allocator frees the buffer.
 fn give_buffer(buf: Vec<(Name, Value)>) {
-    let _ = POOL.try_with(|p| {
-        if let Ok(mut p) = p.try_borrow_mut() {
-            if let Some(pool) = p.as_mut().filter(|pool| pool.out > 0) {
-                pool.out -= 1;
-                pool.free.push(buf);
-            }
-        }
-    });
+    let _ = POOL.try_with(|p| p.try_borrow_mut().map(|mut p| p.give(buf)));
 }
 
 /// A dynamically-typed payload value.
@@ -855,14 +908,46 @@ mod tests {
         assert_eq!(v.estimated_size(), model.estimated_size());
     }
 
+    /// The maps in `v` that hold a buffer, nested ones included.
+    fn buffers(v: &Value) -> usize {
+        match v {
+            Value::Map(f) => {
+                usize::from(f.entries.capacity() > 0)
+                    + f.iter().map(|(_, v)| buffers(v)).sum::<usize>()
+            }
+            Value::List(items) => items.iter().map(buffers).sum(),
+            _ => 0,
+        }
+    }
+
+    fn out() -> usize {
+        POOL.with(|p| p.borrow().out)
+    }
+
+    fn idle() -> usize {
+        POOL.with(|p| p.borrow().free.len())
+    }
+
     /// `sequences` random runs of build, `set`, `clone` and drop on up to
-    /// four live maps, each map checked against its model after every step.
+    /// four live maps, interleaved with entering and leaving calls up to
+    /// two deep. After every step each map is checked against its model,
+    /// and the pool's `out` against the maps that hold a buffer.
     fn differential(rng: &mut SmallRng, sequences: u32) {
+        let base = out();
+        let mut depth = 0;
         for _ in 0..sequences {
             let mut live: Vec<(Value, BTreeMap<Name, Model>)> = Vec::new();
             for _ in 0..rng.random_range(1..10) {
                 let pick = |rng: &mut SmallRng, n: usize| rng.random_range(0..n as u64) as usize;
-                match rng.random_range(0..4) {
+                match rng.random_range(0..6) {
+                    4 if depth < 2 => {
+                        POOL.with(|p| p.borrow_mut().enter());
+                        depth += 1;
+                    }
+                    5 if depth > 0 => {
+                        POOL.with(|p| p.borrow_mut().leave());
+                        depth -= 1;
+                    }
                     0 | 1 if live.len() < 4 && (live.is_empty() || rng.random::<bool>()) => {
                         let pairs = entries(rng, 2);
                         let v = Value::map(pairs.iter().map(|(k, m)| (k.clone(), m.to_value())));
@@ -892,75 +977,103 @@ mod tests {
                         assert_eq!(a == b, ma == mb, "{a} vs {b}");
                     }
                 }
+                let held: usize = live.iter().map(|(v, _)| buffers(v)).sum();
+                assert_eq!(
+                    out() - base,
+                    held,
+                    "every map holding a buffer, and no other"
+                );
             }
         }
+        for _ in 0..depth {
+            POOL.with(|p| p.borrow_mut().leave());
+        }
+        assert_eq!(out(), base);
     }
 
-    /// `Fields` is the `BTreeMap<Name, Value>` it replaced: with no pool
-    /// installed, and with one, where every buffer is a reused one.
+    /// `Fields` is the `BTreeMap<Name, Value>` it replaced, whether its
+    /// buffers are fresh or reused, built and dropped inside calls or
+    /// outside any.
     #[test]
     fn fields_behave_like_the_map_they_replace() {
         let mut rng = SmallRng::seed_from_u64(0x5eed_f1e1d5);
-        differential(&mut rng, 10_000);
-        let (pool, ()) = pooled(MapPool::default(), || differential(&mut rng, 10_000));
-        assert_eq!(pool.out, 0, "every buffer taken came back");
-        assert_eq!(pool.free.capacity(), 0, "and a quiet pool keeps none");
+        differential(&mut rng, 20_000);
+        in_call(|| ());
+        assert_eq!(
+            POOL.with(|p| p.borrow().free.capacity()),
+            0,
+            "a call with nothing out and nothing taken before it leaves none idle"
+        );
     }
 
     fn one_entry() -> Value {
         Value::map([("a", Value::from(1))])
     }
 
-    #[test]
-    fn a_nested_pool_call_puts_back_the_pool_it_found() {
-        let (outer, (inner, kept)) = pooled(MapPool::default(), || {
-            let (early, kept) = (one_entry(), one_entry());
-            let (inner, ()) = pooled(MapPool::default(), || drop(one_entry()));
-            // The outer pool is installed again, so it gets this one back.
-            drop(early);
-            (inner, kept)
-        });
-        assert_eq!(inner.out, 0);
-        assert_eq!((outer.high, outer.out, outer.free.len()), (2, 1, 1));
-        drop(kept);
-        assert_eq!(outer.out, 1, "a map dropped outside any call is freed");
-        assert!(
-            POOL.with(|p| p.borrow().is_none()),
-            "nothing is left installed"
-        );
-    }
-
-    /// A frame injected from outside and consumed during a call does not
-    /// grow the pool: it was never counted out.
-    #[test]
-    fn a_map_built_outside_the_call_is_freed_not_pooled() {
-        let injected = one_entry();
-        let (pool, idle) = pooled(MapPool::default(), || {
-            drop(injected);
-            POOL.with(|p| p.borrow().as_ref().map(|pool| pool.free.len()))
-        });
-        assert_eq!(idle, Some(0));
-        assert_eq!((pool.out, pool.high), (0, 0));
+    fn entries_of(n: usize) -> Vec<Value> {
+        (0..n).map(|_| one_entry()).collect()
     }
 
     #[test]
     fn a_pool_keeps_no_more_than_the_next_call_may_take() {
         // Eight out at once, five still out on return: min(8 - 5, 5) kept.
-        let (pool, mut held) = pooled(MapPool::default(), || {
-            let mut held: Vec<Value> = (0..8).map(|_| one_entry()).collect();
+        let mut held = in_call(|| {
+            let mut held = entries_of(8);
             held.truncate(5);
             held
         });
-        assert_eq!((pool.high, pool.out, pool.free.len()), (8, 5, 3));
+        assert_eq!((out(), idle()), (5, 3));
         // Four more, three of them reused, then six dropped: min(9 - 3, 3).
-        let (pool, ()) = pooled(pool, || {
-            held.extend((0..4).map(|_| one_entry()));
+        in_call(|| {
+            held.extend(entries_of(4));
             held.truncate(3);
         });
-        assert_eq!((pool.high, pool.out, pool.free.len()), (9, 3, 3));
+        assert_eq!((out(), idle()), (3, 3));
         // All of them back: a quiet pool keeps none, nor the list's storage.
-        let (pool, ()) = pooled(pool, || drop(held));
-        assert_eq!((pool.out, pool.free.capacity()), (0, 0));
+        in_call(|| drop(held));
+        assert_eq!((out(), POOL.with(|p| p.borrow().free.capacity())), (0, 0));
+    }
+
+    /// Frames an application builds between calls are counted, and the
+    /// call that consumes them leaves as many idle for the next ones.
+    #[test]
+    fn a_pool_keeps_what_was_taken_between_calls() {
+        let frames = entries_of(4);
+        assert_eq!(out(), 4);
+        // All four back, none out: min(4 - 0, max(0, 4)).
+        in_call(|| drop(frames));
+        assert_eq!((out(), idle()), (0, 4));
+        // The next four reuse them.
+        let frames = entries_of(4);
+        assert_eq!((out(), idle()), (4, 0));
+        in_call(|| drop(frames));
+        assert_eq!(idle(), 4);
+        // Nothing taken before this call, nothing out after it.
+        in_call(|| ());
+        assert_eq!(idle(), 0);
+    }
+
+    /// A call inside a call — a twin's play-forward — shares the thread's
+    /// buffers, and neither its return nor a runtime dropped inside it
+    /// trims them: only the outermost call does.
+    #[test]
+    fn a_nested_call_shares_the_pool_and_only_the_outermost_trims() {
+        in_call(|| {
+            let held = entries_of(4);
+            in_call(|| drop(held));
+            drop(IdleRelease);
+            assert_eq!(idle(), 4);
+            let again = entries_of(4);
+            assert_eq!((out(), idle()), (4, 0));
+            drop(again);
+        });
+        // Nothing is out now and nothing was taken before the call.
+        assert_eq!((out(), idle()), (0, 0));
+        // Outside any call a dropped runtime frees what is idle.
+        drop(entries_of(2));
+        assert_eq!(idle(), 2);
+        drop(IdleRelease);
+        assert_eq!(idle(), 0);
     }
 
     #[test]

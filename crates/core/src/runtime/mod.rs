@@ -69,7 +69,7 @@ use crate::detector::{DetectorConfig, DetectorEvent, FailureDetector};
 use crate::error::RuntimeError;
 use crate::heal::{PlanMutation, RepairPolicy};
 use crate::message::{
-    self, MapPool, Message, MessageId, MessageKind, Name, SequenceTracker, Value,
+    self, IdleRelease, Message, MessageId, MessageKind, Name, SequenceTracker, Value,
 };
 use crate::raml::{
     ComponentObservation, ConnectorObservation, CustomMean, Intercession, NodeObservation, Raml,
@@ -349,9 +349,9 @@ pub struct Runtime {
     outbox: Vec<(SimTime, Message)>,
     obs: Obs,
     m: MetricHandles,
-    /// The payload-map buffers `run_until` installs for its call (see
-    /// [`message::Fields`]).
-    pool: MapPool,
+    /// Last, so that it drops after every map the runtime holds: frees
+    /// the thread's idle payload buffers (see [`message::Fields`]).
+    _idle: IdleRelease,
 }
 
 impl Runtime {
@@ -408,7 +408,7 @@ impl Runtime {
             outbox: Vec::new(),
             obs,
             m,
-            pool: MapPool::default(),
+            _idle: IdleRelease,
         }
     }
 
@@ -506,8 +506,9 @@ impl Runtime {
     // ------------------------------------------------------------------
 
     /// Processes one kernel event; returns its time, or `None` when idle.
-    /// A call of its own does not install the runtime's map pool, so the
-    /// payloads it builds and drops allocate and free as they go.
+    /// A step of its own is not a call: the payload maps it builds and
+    /// drops reuse the thread's idle buffers as the application's own do,
+    /// and nothing trims them until a [`Runtime::run_until`] returns.
     pub fn step(&mut self) -> Option<SimTime> {
         let (at, fired) = self.kernel.step()?;
         match fired {
@@ -536,22 +537,16 @@ impl Runtime {
         Some(at)
     }
 
-    /// Runs until no event at or before `deadline` remains, with the
-    /// runtime's map pool installed: payload maps built and dropped during
-    /// the call reuse its buffers.
+    /// Runs until no event at or before `deadline` remains, as one call:
+    /// payload maps built and dropped during it reuse the thread's
+    /// buffers, and when it returns the thread keeps only the idle ones
+    /// the next call and the frames built before it may take.
     pub fn run_until(&mut self, deadline: SimTime) {
-        self.pooled(|rt| {
-            while rt.kernel.next_event_time().is_some_and(|t| t <= deadline) {
-                let _ = rt.step();
+        message::in_call(|| {
+            while self.kernel.next_event_time().is_some_and(|t| t <= deadline) {
+                let _ = self.step();
             }
         });
-    }
-
-    /// Runs `f` with this runtime's map pool installed on the thread.
-    fn pooled<R>(&mut self, f: impl FnOnce(&mut Runtime) -> R) -> R {
-        let (pool, r) = message::pooled(std::mem::take(&mut self.pool), || f(self));
-        self.pool = pool;
-        r
     }
 
     /// Runs for `d` of virtual time from now.

@@ -1152,43 +1152,6 @@ fn a_twins_negotiation_round_leaves_the_parents_fraction_gauges_alone() {
     assert_eq!(parent.get(), -1.0, "and not in the parent's");
 }
 
-/// The payload-map pool a twin plays forward with is its own: the parent's
-/// is installed again when the twin returns, so the pool `run_until` hands
-/// back is the one it took — marked here by an `out` no fork reaches.
-#[test]
-fn a_twin_played_forward_in_a_heal_tick_leaves_the_parent_pool_installed() {
-    const MARK: usize = 1 << 40;
-    let mut rt = runtime(3);
-    let mut cfg = Configuration::new();
-    cfg.component("counter", ComponentDecl::new("Counter", 1, NodeId(1)));
-    rt.deploy(&cfg).unwrap();
-    rt.set_fail_stop(true);
-    rt.set_repair_policy(RepairPolicy::FailoverMigrate);
-    rt.enable_failure_detector(DetectorConfig::new(
-        SimDuration::from_millis(50),
-        2.0,
-        NodeId(0),
-    ));
-    rt.enable_twin(TwinConfig::default());
-    node_outage(&mut rt, 1, 1000, 30_000);
-    for k in 1..=20u64 {
-        rt.inject_after(
-            SimDuration::from_millis(100 * k),
-            "counter",
-            Message::request("tick", Value::map([("k", Value::from(k as i64))])),
-        )
-        .unwrap();
-    }
-
-    rt.pool.out = MARK;
-    rt.run_until(SimTime::from_secs(3));
-    assert!(
-        audit_labels(&rt).contains(&"twin_predicted"),
-        "a twin was played forward"
-    );
-    assert!(rt.pool.out > MARK / 2, "{:?}", rt.pool);
-}
-
 use aas_control::situational::{AgentObservation, NodeSituation, SituationalModel};
 
 /// The situational model as the negotiator once built it: a second read

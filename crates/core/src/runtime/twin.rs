@@ -186,7 +186,7 @@ impl Runtime {
             obs,
             m,
             twin: TwinState::default(),
-            pool: MapPool::default(),
+            _idle: IdleRelease,
         })
     }
 
@@ -272,9 +272,9 @@ impl Runtime {
         incident.queued = true;
         let crash_at = incident.crashed_at;
         let deadline = now + config.horizon;
-        // The fork plays forward with its own pool installed; the caller's
-        // is installed again when it returns.
-        let in_budget = fork.pooled(|fork| {
+        // A call nested in the mainline's, sharing the thread's buffers;
+        // only the outermost call trims them.
+        let in_budget = message::in_call(|| {
             fork.try_repairs(now);
             let mut events = 0u64;
             while fork.kernel.next_event_time().is_some_and(|t| t <= deadline) {

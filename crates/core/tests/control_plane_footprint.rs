@@ -180,20 +180,26 @@ fn the_registry_answers_without_allocating() {
 
 /// A fork's throwaway telemetry bundle registers every histogram of the
 /// mainline's, empty, and its tracer ring takes memory only as it records.
-/// Each component is restored from a snapshot map the fork drops again.
+/// Each component is restored from a snapshot map the fork drops again,
+/// and the 192 snapshot maps share one buffer, which the thread keeps idle
+/// after the fork.
 #[test]
 fn a_fork_grows_the_heap_by_no_more_than_its_pinned_figure() {
     /// Live-heap growth of this very fork: 4,110,168 B at `e2b94c6`,
     /// 992,328 B at `7646886`, whose fork reserved 1,024 tracer records
-    /// (80 KiB) it never wrote, and 910,408 B at `162295c`, where each
-    /// instance copied its type name and the registry's clone its keys.
-    /// No frame is under way at the fork, so the fork keeps no payload
-    /// map.
-    const PINNED: i64 = 908_058;
+    /// (80 KiB) it never wrote, 910,408 B at `162295c`, where each
+    /// instance copied its type name and the registry's clone its keys,
+    /// and 908,058 B at `d8165e4`, whose snapshot maps, built outside any
+    /// call, went to the allocator. No frame is under way at the fork, so
+    /// the fork keeps no payload map; the 320 B over that figure are the
+    /// idle snapshot buffer (224 B) and the idle list's storage (96 B).
+    const PINNED: i64 = 908_378;
     /// What the fork asks the allocator for, kept or not: 1,155,246 B at
     /// `0cf57a8`, where each of the 192 snapshot maps was a 632 B B-tree
-    /// leaf (a buffer of four entries is 224 B), 1,076,910 B at `162295c`.
-    const ASKED: u64 = 1_072_640;
+    /// leaf (a buffer of four entries is 224 B), 1,076,910 B at `162295c`,
+    /// 1,072,640 B at `d8165e4`, where each snapshot map took a buffer of
+    /// its own.
+    const ASKED: u64 = 1_029_952;
     let rt = warm(64);
     let (fork, heap) = heap_of(|| rt.fork_twin());
     assert!(fork.is_some());

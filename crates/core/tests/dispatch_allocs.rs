@@ -10,8 +10,9 @@
 //! call draws one frame tick's worth once, whatever its length, and a
 //! frame costs nothing after that.
 //!
-//! `Runtime::step` installs no pool, so the per-send tests below drive the
-//! runtime with it and count what dispatch itself builds and copies.
+//! The per-send tests below drive the runtime with `Runtime::step` and
+//! keep every frame they receive, so no payload buffer comes back to be
+//! reused: they count what dispatch itself builds and copies.
 
 #[path = "../../sim/tests/support/counting_alloc.rs"]
 mod counting_alloc;
@@ -136,11 +137,26 @@ impl Component for Fan {
     }
 }
 
-/// Counts the frames whose payload equals the one `Fan` sends.
+/// Fan sends per run; each test runs every fan twice, to warm and to count.
+const SENDS: u64 = 50;
+
+/// Keeps every frame it is handed, in room reserved up front, and counts
+/// those whose payload equals the one `Fan` sends. No payload buffer comes
+/// back to the thread's pool, so every payload built or cloned during a
+/// test allocates exactly once.
 #[derive(Debug)]
 struct Check {
     expected: Value,
-    equal: i64,
+    kept: Vec<Message>,
+}
+
+impl Check {
+    fn new() -> Check {
+        Check {
+            expected: payload(),
+            kept: Vec::with_capacity(2 * SENDS as usize),
+        }
+    }
 }
 
 impl Component for Check {
@@ -151,11 +167,16 @@ impl Component for Check {
         Interface::new("Check", vec![Signature::one_way("frame")])
     }
     fn on_message(&mut self, _ctx: &mut CallCtx, msg: Message) -> Result<(), ComponentError> {
-        self.equal += i64::from(msg.value == self.expected);
+        self.kept.push(msg);
         Ok(())
     }
     fn snapshot(&self) -> StateSnapshot {
-        StateSnapshot::new("Check", 1).with_field("equal", Value::Int(self.equal))
+        let equal = self
+            .kept
+            .iter()
+            .filter(|msg| msg.value == self.expected)
+            .count();
+        StateSnapshot::new("Check", 1).with_field("equal", Value::Int(equal as i64))
     }
     fn restore(&mut self, _snapshot: &StateSnapshot) -> Result<(), StateError> {
         Ok(())
@@ -169,12 +190,7 @@ fn broadcast_clones_for_every_target_but_the_last() {
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     let mut registry = ImplementationRegistry::new();
     registry.register("Fan", 1, |_| Box::new(Fan));
-    registry.register("Check", 1, |_| {
-        Box::new(Check {
-            expected: payload(),
-            equal: 0,
-        })
-    });
+    registry.register("Check", 1, |_| Box::new(Check::new()));
     let mut rt = Runtime::new(topology(5), 14, registry);
     let mut cfg = Configuration::new();
     cfg.component("one", ComponentDecl::new("Fan", 1, NodeId(0)));
@@ -192,7 +208,6 @@ fn broadcast_clones_for_every_target_but_the_last() {
     );
     rt.deploy(&cfg).unwrap();
 
-    const SENDS: u64 = 50;
     let mut run = |fan: &str| {
         for _ in 0..SENDS {
             rt.inject(fan, Message::event("go", Value::Null)).unwrap();
@@ -227,12 +242,7 @@ fn a_send_allocates_nothing_for_the_retry_it_may_need() {
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     let mut registry = ImplementationRegistry::new();
     registry.register("Fan", 1, |_| Box::new(Fan));
-    registry.register("Check", 1, |_| {
-        Box::new(Check {
-            expected: payload(),
-            equal: 0,
-        })
-    });
+    registry.register("Check", 1, |_| Box::new(Check::new()));
     let mut rt = Runtime::new(topology(3), 14, registry);
     let mut cfg = Configuration::new();
     cfg.component("plain", ComponentDecl::new("Fan", 1, NodeId(0)));
@@ -248,7 +258,6 @@ fn a_send_allocates_nothing_for_the_retry_it_may_need() {
     cfg.bind(BindingDecl::new("patient", "out", "retrying", "k1", "in"));
     rt.deploy(&cfg).unwrap();
 
-    const SENDS: u64 = 50;
     let mut run = |fan: &str| {
         for _ in 0..SENDS {
             rt.inject(fan, Message::event("go", Value::Null)).unwrap();

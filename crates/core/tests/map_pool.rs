@@ -1,107 +1,162 @@
-//! What the runtime's pool of payload-map buffers may keep, counted with
+//! What the thread's pool of payload-map buffers may keep, counted with
 //! the thread-enrolled allocator of `dispatch_allocs.rs`.
 //!
-//! `run_until` installs the pool for its call; a map built during the call
-//! takes a buffer from it and gives it back when it drops. Between calls
-//! the pool keeps no more buffers than the next call may take, and none
-//! once the runtime goes quiet.
+//! Every map built on a thread takes its buffer from the thread's pool and
+//! gives it back when it drops, inside a `run_until` call or outside any.
+//! When the outermost call returns, the pool keeps no more idle buffers
+//! than the next call and the frames an application builds before it may
+//! take; a runtime dropped outside any call frees them all.
 
 #[path = "../../sim/tests/support/counting_alloc.rs"]
 mod counting_alloc;
 #[path = "support/media_pipelines.rs"]
 mod media_pipelines;
 
-use counting_alloc::{enroll, measured_heap, unenroll, HeapDelta, GATE};
+use counting_alloc::{enroll, measured, measured_heap, unenroll, HeapDelta, GATE};
 use media_pipelines::SESSIONS;
 
+use aas_core::detector::DetectorConfig;
+use aas_core::heal::RepairPolicy;
 use aas_core::message::{Message, Value};
-use aas_core::runtime::Runtime;
-use aas_sim::time::{SimDuration, SimTime};
+use aas_core::runtime::{Runtime, TwinConfig};
+use aas_sim::fault::FaultSchedule;
+use aas_sim::node::NodeId;
+use aas_sim::time::SimDuration;
 
-const PIPELINES: u64 = 4;
-/// Frame ticks are 40 ms apart and a tick's frames are sunk within a few
-/// milliseconds, so the first event after a gap this long is a tick.
-const TICK_GAP_MS: u64 = 20;
+/// The length of the call an application makes after injecting a slice's
+/// frame, as the benchmark's slices are.
+const SLICE: SimDuration = SimDuration::from_millis(100);
 
-fn heap_of<R>(f: impl FnOnce() -> R) -> (R, HeapDelta) {
+/// Runs `f` with this thread enrolled in the counting allocator, one test
+/// at a time, and returns its allocations and what it did to the heap.
+fn counted<R>(f: impl FnOnce() -> R) -> (R, u64, HeapDelta) {
     let _gate = GATE
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     enroll();
-    let measured = measured_heap(f);
+    let ((r, allocs), heap) = measured_heap(|| measured(f));
     unenroll();
-    measured
+    (r, allocs, heap)
 }
 
-/// Sends `op` to every source once per session.
-fn to_every_session(rt: &mut Runtime, op: &'static str) {
-    for i in 0..PIPELINES {
-        for _ in 0..SESSIONS {
-            rt.inject(&format!("src{i}"), Message::event(op, Value::Null))
-                .unwrap();
-        }
+/// A frame as the benchmark's overload workload injects it.
+fn frame() -> Message {
+    Message::event(
+        "frame",
+        Value::map([("bytes", Value::Int(400)), ("quality", Value::Float(1.0))]),
+    )
+}
+
+/// One pipeline whose sessions have run and ended: its sources build no
+/// frame, so every payload is one the application injects. A few slices
+/// of injected frames warm what a frame touches at the sink, and a quiet
+/// call leaves the thread no idle buffer.
+fn quiet_pipeline() -> Runtime {
+    let mut rt = media_pipelines::deploy(1);
+    rt.run_for(SimDuration::from_millis(1_020));
+    for _ in 0..SESSIONS {
+        rt.inject("src0", Message::event("session_end", Value::Null))
+            .unwrap();
     }
-}
-
-/// Two virtual seconds of frames driven by `step`, which installs no pool:
-/// every frame allocates and frees its own buffer, and everything else a
-/// frame or a session's end touches is as large as it gets. The stepping
-/// stops after a frame tick — the sources' timers due at the first
-/// instant after a quiet gap — and one call delivers that tick's frames
-/// before the next: they were built outside any call, so the pool never
-/// holds a buffer, nor a list.
-fn warm_without_the_pool() -> Runtime {
-    let mut rt = media_pipelines::deploy(PIPELINES);
-    let step_to = |rt: &mut Runtime, ms: u64| {
-        let mut last = SimTime::ZERO;
-        while let Some(at) = rt.step() {
-            let gap = at.saturating_since(last) >= SimDuration::from_millis(TICK_GAP_MS);
-            if at >= SimTime::from_millis(ms) && gap {
-                while rt.step() == Some(at) {}
-                return;
-            }
-            last = at;
-        }
-    };
-    step_to(&mut rt, 1_000);
-    to_every_session(&mut rt, "session_end");
-    step_to(&mut rt, 1_500);
-    to_every_session(&mut rt, "session_start");
-    step_to(&mut rt, 2_000);
-    rt.run_for(SimDuration::from_millis(TICK_GAP_MS));
+    rt.run_for(SimDuration::from_secs(1));
+    inject_slices(&mut rt, 10);
+    rt.run_for(SLICE);
     rt
 }
 
-#[test]
-fn a_runtime_that_goes_quiet_holds_nothing() {
-    let mut rt = warm_without_the_pool();
-    let ((), heap) = heap_of(|| {
-        rt.run_for(SimDuration::from_secs(1));
-        to_every_session(&mut rt, "session_end");
-        rt.run_for(SimDuration::from_secs(1));
-    });
-    assert_eq!(heap.grown, 0, "{heap:?}");
+/// `slices` slices of one frame each, injected for the sink before the
+/// slice's call at an offset into it, as the benchmark's overload workload
+/// injects its own.
+fn inject_slices(rt: &mut Runtime, slices: u64) {
+    for _ in 0..slices {
+        rt.inject_after(SLICE / 2, "sink0", frame()).unwrap();
+        rt.run_for(SLICE);
+    }
 }
 
-/// A map built inside a call and dropped outside any — a reply the
-/// embedding application takes from the outbox — goes to the allocator.
+/// Frames injected between calls reuse the buffer the call before freed:
+/// once warm, 200 slices allocate exactly what 100 do.
 #[test]
-fn a_map_dropped_outside_any_run_is_freed() {
-    let mut rt = warm_without_the_pool();
-    rt.inject("sink0", Message::request("stats", Value::Null))
-        .unwrap();
-    // Well before the next frame tick: the pool has no buffer to give.
-    rt.run_for(SimDuration::from_millis(5));
-    let (_, reply) = rt.take_outbox().pop().expect("the sink replied");
-    let stats = reply.value;
-    assert!(stats.get("frames").is_some(), "{stats}");
-    let built_outside = stats.clone();
+fn frames_injected_between_calls_reuse_the_buffers_the_calls_freed() {
+    let mut rt = quiet_pipeline();
+    inject_slices(&mut rt, 10);
+    let mut window = |slices| {
+        let processed = |rt: &Runtime| rt.observe().component("sink0").unwrap().processed;
+        let before = processed(&rt);
+        let ((), allocs, _) = counted(|| inject_slices(&mut rt, slices));
+        assert_eq!(processed(&rt) - before, slices, "every frame was sunk");
+        allocs
+    };
+    let (short, long) = (window(100), window(200));
+    assert_eq!(long, short, "allocations over 200 slices against 100");
+}
 
-    let ((), dropped) = heap_of(|| drop(stats));
-    let ((), reference) = heap_of(|| drop(built_outside));
-    assert!(dropped.grown < 0, "{dropped:?}");
+/// After a call that takes nothing, with nothing taken between calls, the
+/// thread holds no idle buffer: the frames injected before it took one
+/// buffer and reused it, and the quiet call freed it with the list that
+/// held it.
+#[test]
+fn a_quiet_call_leaves_no_idle_buffer() {
+    let mut rt = quiet_pipeline();
+    let ((), allocs, heap) = counted(|| {
+        inject_slices(&mut rt, 100);
+        rt.run_for(SLICE);
+    });
+    assert_eq!(heap.grown, 0, "{heap:?}");
+    assert_eq!(allocs, 2, "one buffer for 100 frames, and the idle list");
+}
+
+/// Dropping a runtime outside any call leaves no idle buffer on the
+/// thread: the frames injected before the drop reused one buffer, and the
+/// first frame built after it finds none.
+#[test]
+fn a_runtime_dropped_outside_any_call_leaves_no_idle_buffer() {
+    let mut rt = quiet_pipeline();
+    inject_slices(&mut rt, 10);
+    let (after, allocs, _) = counted(|| {
+        inject_slices(&mut rt, 100);
+        drop(rt);
+        frame()
+    });
+    assert_eq!(after.value.get("bytes"), Some(&Value::Int(400)));
     assert_eq!(
-        dropped.grown, reference.grown,
-        "freed like a map no pool saw"
+        allocs, 1,
+        "the frame built after the drop, and nothing else"
+    );
+}
+
+/// A twin played forward inside a heal tick is a call inside the
+/// mainline's: neither its return nor the fork's drop trims the thread's
+/// buffers, so every call keeps the one the next injected frame takes.
+#[test]
+fn a_twin_played_forward_in_a_heal_tick_does_not_trim_the_mainline_call() {
+    let mut rt = quiet_pipeline();
+    rt.set_fail_stop(true);
+    rt.set_repair_policy(RepairPolicy::FailoverMigrate);
+    rt.enable_failure_detector(DetectorConfig::new(
+        SimDuration::from_millis(50),
+        2.0,
+        NodeId(0),
+    ));
+    rt.enable_twin(TwinConfig::default());
+    // The transcoder's node goes down for longer than a twin's horizon.
+    let down = rt.now() + SimDuration::from_secs(1);
+    let mut outage = FaultSchedule::new();
+    outage.node_outage(NodeId(1), down, down + SimDuration::from_secs(30));
+    rt.inject_faults(outage);
+    inject_slices(&mut rt, 5);
+
+    let end = rt.now() + SimDuration::from_secs(5);
+    while rt.now() < end {
+        let ((), allocs, _) = counted(|| rt.inject_after(SLICE / 2, "sink0", frame()).unwrap());
+        assert_eq!(allocs, 0, "the frame injected at {:?}", rt.now());
+        rt.run_for(SLICE);
+    }
+    let audit = rt.obs().audit.entries();
+    let twins = audit.iter().filter(|e| e.kind.label() == "twin_predicted");
+    assert_eq!(twins.count(), 1, "a twin was played forward");
+    assert!(
+        rt.twin_prediction(NodeId(1)).is_none(),
+        "and its repair is done"
     );
 }
