@@ -58,8 +58,9 @@
 //! transactional plan engine),
 //! `validate` (the up-front validation pass), `detect_driver` (heartbeat
 //! transport + phi-accrual ticks), `heal_driver` (repair planning and
-//! crash bookkeeping), `meta` (RAML observation/intercession) and
-//! `metrics` (aggregate metric handles).
+//! crash bookkeeping), `meta` (RAML observation/intercession),
+//! `metrics` (aggregate metric handles) and `invariants` (the runtime's
+//! check of its own books).
 
 use crate::component::{CallCtx, Component, Effect, Lifecycle};
 use crate::config::{BindingDecl, ComponentDecl, Configuration};
@@ -91,6 +92,7 @@ mod detect_driver;
 mod dispatch;
 mod exec;
 mod heal_driver;
+mod invariants;
 mod meta;
 mod metrics;
 mod negotiate_driver;
@@ -102,6 +104,7 @@ mod twin;
 mod validate;
 
 pub use arena::InFlight;
+pub use invariants::Violation;
 pub use metrics::{RouteStats, RuntimeMetrics};
 pub use negotiate_driver::{AgentProfile, CoordinationMode, NegotiateConfig, TWIN_AGENT};
 pub use twin::{TwinConfig, TwinPrediction};

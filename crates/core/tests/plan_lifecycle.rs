@@ -147,8 +147,9 @@ fn outage(rt: &mut Runtime, node: NodeId, from: SimTime, to: SimTime) {
 }
 
 /// Everything the scenarios compare: the audit log in full, then what
-/// the books say once the run is over.
+/// the books say once the run is over — and the books must balance.
 fn trace(rt: &mut Runtime) -> String {
+    assert_eq!(rt.check_settled(), []);
     let mut out = String::new();
     for e in rt.obs().audit.entries() {
         let _ = writeln!(
@@ -489,7 +490,6 @@ fn d_commit_and_rollback_each_release_every_channel_they_blocked() {
     for rt in [&committed, &rolled_back] {
         let blocked = count_of(rt, AuditKind::ChannelBlocked);
         assert!(blocked >= 4, "the plan blocked {blocked} channels");
-        assert_eq!(blocked, count_of(rt, AuditKind::ChannelReleased));
     }
     held(
         "committed",
@@ -599,5 +599,5 @@ fn e_migration_rejected_at_dequeue_does_not_leave_its_agent_moving() {
         "no agent migrated again after its rejected migration: {:?}",
         rt.reports()
     );
-    assert!(!rt.reconfig_in_progress());
+    assert_eq!(rt.check_settled(), []);
 }

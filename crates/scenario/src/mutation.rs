@@ -14,8 +14,9 @@
 //!   or frozen.
 //! - [`run_scenario`] replays one compiled [`ScenarioSchedule`] against a
 //!   fixed five-node telecom harness with the mutation installed and
-//!   evaluates the oracle suite: repair convergence, suspicion clearance,
-//!   audit reconciliation, safe-path exactly-once, a chaos-path
+//!   evaluates the oracle suite: the runtime's own settled check
+//!   ([`Runtime::check_settled`]: repair convergence, suspicion clearance,
+//!   audit reconciliation), safe-path exactly-once, a chaos-path
 //!   availability floor, detector sanity, and flaky-host avoidance.
 //! - [`run_engine`] runs the unmutated baseline (which must be clean on
 //!   every seed) plus every mutant over a seed set and reports the
@@ -31,7 +32,7 @@
 
 use aas_adapt::filters::{FilterMode, FilterPipeline, FilteredComponent, RejectFilter};
 use aas_adapt::strategy::{FnStrategy, IntrospectiveSwitcher, StrategyContext};
-use aas_core::component::{CallCtx, Component, EchoComponent, Lifecycle};
+use aas_core::component::{CallCtx, Component, EchoComponent};
 use aas_core::config::{BindingDecl, ComponentDecl, Configuration};
 use aas_core::connector::{ConnectorAspect, ConnectorSpec, RetryPolicy};
 use aas_core::coverage::AdaptationCoverage;
@@ -407,78 +408,12 @@ fn run_storm_harness(
     let (safe_expected, chaos_expected) = drive_schedule(&mut rt, schedule, true);
     outcome.safe_expected = safe_expected;
     outcome.chaos_expected = chaos_expected;
+    outcome.suspected_at_end = rt.failure_detector().map_or(0, |d| d.suspected().len());
     let v = &mut outcome.violations;
 
-    // Oracle 1 — repair convergence: once the storm is over and the grace
-    // period has drained, every component is Active on a live node and no
-    // plan is still in flight.
-    let names: Vec<String> = rt.instance_names().map(str::to_owned).collect();
-    for name in &names {
-        if rt.lifecycle(name) != Some(Lifecycle::Active) {
-            v.push(format!(
-                "convergence: `{name}` is {:?}, not Active, at END",
-                rt.lifecycle(name)
-            ));
-        }
-        if let Some(node) = rt.node_of(name) {
-            if !rt.topology().node(node).is_up() {
-                v.push(format!("convergence: `{name}` converged onto dead {node}"));
-            }
-        }
-    }
-    if rt.reconfig_in_progress() {
-        v.push("convergence: a reconfiguration never drained".to_owned());
-    }
-
-    // Oracle 2 — suspicion clearance: the detector holds no suspicions at
-    // the grace deadline.
-    let suspected = rt.failure_detector().expect("detector on").suspected();
-    outcome.suspected_at_end = suspected.len();
-    if !suspected.is_empty() {
-        v.push(format!("suspicion: still suspected at END: {suspected:?}"));
-    }
-
-    // Oracle 3 — audit reconciliation: every suspicion cleared, every
-    // submitted plan finished exactly once, crash losses fully accounted.
-    let entries = rt.obs().audit.entries();
-    let count_of = |kind: AuditKind| entries.iter().filter(|e| e.kind == kind).count();
-    if count_of(AuditKind::FailureSuspected) != count_of(AuditKind::FailureCleared) {
-        v.push(format!(
-            "audit: {} suspicions vs {} clearances",
-            count_of(AuditKind::FailureSuspected),
-            count_of(AuditKind::FailureCleared)
-        ));
-    }
-    let ids_of = |kind: AuditKind| {
-        let mut ids: Vec<String> = entries
-            .iter()
-            .filter(|e| e.kind == kind)
-            .map(|e| e.plan.clone())
-            .collect();
-        ids.sort();
-        ids
-    };
-    if ids_of(AuditKind::PlanSubmitted) != ids_of(AuditKind::PlanFinished) {
-        v.push("audit: a submitted plan never finished (or finished twice)".to_owned());
-    }
-    let audited_drops: u64 = entries
-        .iter()
-        .filter(|e| e.kind == AuditKind::DroppedOnCrash)
-        .map(|e| {
-            e.outcome
-                .split_whitespace()
-                .next()
-                .and_then(|w| w.parse::<u64>().ok())
-                .unwrap_or(0)
-        })
-        .sum();
-    if rt.metrics().dropped_on_crash != audited_drops {
-        v.push(format!(
-            "audit: dropped_on_crash counter {} disagrees with audited {}",
-            rt.metrics().dropped_on_crash,
-            audited_drops
-        ));
-    }
+    // Oracles 1–3 — convergence, suspicion clearance and audit
+    // reconciliation: the runtime's own books, once the grace period ends.
+    v.extend(rt.check_settled().iter().map(ToString::to_string));
 
     // Oracle 4 — safe-path exactly-once: nodes 0/1 are never faulted, so
     // the sequenced pipeline must deliver every frame exactly once.
@@ -517,7 +452,8 @@ fn run_storm_harness(
 
     // Oracle 6 — detector sanity: an outage of the storm node lasting two
     // or more seconds cannot go unsuspected.
-    if longest_storm_outage_secs(schedule) >= 2.0 && count_of(AuditKind::FailureSuspected) == 0 {
+    let suspicions = rt.obs().audit.of_kind(AuditKind::FailureSuspected);
+    if longest_storm_outage_secs(schedule) >= 2.0 && suspicions.is_empty() {
         v.push("detector: a ≥2 s crash of the storm node raised no suspicion".to_owned());
     }
 

@@ -419,7 +419,9 @@ pub fn run_differential(seed: u64) -> DifferentialReport {
 /// The oracle suite for one negotiated overload run (optionally mutated):
 /// every violation found, empty for a healthy coordinator.
 ///
-/// - **budget** — no arbitration round grants past the global budget;
+/// - **budget** — the runtime's own books ([`Runtime::check_invariants`]):
+///   no arbitration round grants past the global budget, every grant and
+///   denial is audited, and the plan and repair records reconcile;
 /// - **floor-or-deny** — a granted agent's work-rate share never lands
 ///   below its configured floor fraction of the demand the coordinator
 ///   recorded (a shortfall must surface as an audited denial instead);
@@ -448,20 +450,13 @@ pub fn negotiation_violations(seed: u64, mutation: Option<NegotiatorMutation>) -
         ));
         return v;
     }
+    v.extend(rt.check_invariants().iter().map(ToString::to_string));
     let floor_of = |agent: &str| match agent {
         "gold" => GOLD_FLOOR,
         "silver" => SILVER_FLOOR,
         _ => 0.0,
     };
     for outcome in history {
-        if !outcome.within_budget() {
-            v.push(format!(
-                "budget: epoch {} granted [{}] past budget [{}]",
-                outcome.epoch,
-                outcome.total_granted.render(),
-                outcome.budget.render()
-            ));
-        }
         for g in &outcome.grants {
             let floor = floor_of(&g.agent) * g.demand.work_rate;
             if g.granted.work_rate + 1e-6 < floor {

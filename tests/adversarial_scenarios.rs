@@ -3,9 +3,10 @@
 //!
 //! Fast tier: byte-identical trajectory replay, a clean unmutated
 //! baseline, a ≥90 % mutation-kill score with every survivor
-//! individually expected, a ≥70 % adaptation-coverage floor with JSONL
-//! export, and reproduction of every exact value of the committed
-//! `BENCH_e17.json` artifact by the default tier.
+//! individually expected, the mutants the runtime's own checker kills
+//! alone, a ≥70 % adaptation-coverage floor with JSONL export, and
+//! reproduction of every exact value of the committed `BENCH_e17.json`
+//! artifact by the default tier.
 //!
 //! Deep tier (`--ignored`, CI nightly): the same floors over the
 //! ten-seed grid plus engine-fingerprint determinism across replays.
@@ -103,6 +104,17 @@ fn mutation_engine_holds_the_kill_floor_on_a_clean_baseline() {
             v.violations
         );
     }
+    // What the runtime's own books catch without the harness's oracles
+    // (EXPERIMENTS.md E17 tables the rest).
+    let harness = "exactly-once availability detector flaky-host guard strategy";
+    let by_checker = |v: &String| !harness.split(' ').any(|h| v.split(": ").nth(1) == Some(h));
+    let verdicts = report.verdicts.iter();
+    let killed = verdicts.filter(|v| v.violations.iter().any(by_checker));
+    let killed: Vec<&str> = killed.map(|v| v.mutation.label()).collect();
+    assert_eq!(
+        killed.join(" "),
+        "detector-hair-trigger disable-repair drop-repair-actions failover-to-hottest"
+    );
 }
 
 #[test]

@@ -26,7 +26,8 @@
 //! floors over the full E20 seed grid.
 
 use aas_control::negotiate::{
-    BudgetRequest, Negotiator, NegotiatorMutation, ObjectiveWeights, ResourceVector, UtilityCurve,
+    BudgetRequest, NegotiationOutcome, Negotiator, NegotiatorMutation, ObjectiveWeights,
+    ResourceVector, UtilityCurve,
 };
 use aas_control::situational::SituationalModel;
 use aas_core::config::{BindingDecl, ComponentDecl, Configuration};
@@ -179,48 +180,24 @@ proptest! {
 // Satellite 1b: full-runtime transcript determinism + audited outcomes.
 // ---------------------------------------------------------------------
 
-/// One negotiated overload run's observable negotiation record: per-round
-/// outcome fingerprints plus audit counts.
-fn negotiated_transcript(seed: u64) -> (Vec<u64>, usize, usize, usize, usize) {
+/// One negotiated overload run's per-round outcome fingerprints. Every
+/// round stays within its budget and every grant and deny in the
+/// transcript has its audit record — "every agent gets its floor or an
+/// *audited* deny": the runtime's books balance.
+fn negotiated_transcript(seed: u64) -> Vec<u64> {
     let schedule = overload_spec(seed).build(&overload_topology());
     let mut rt = build_overload_runtime(seed, CoordinationMode::Negotiated, None, MIGRATE_ABOVE);
     drive_overload(&mut rt, &schedule);
-    let fps: Vec<u64> = rt
-        .negotiation_history()
-        .iter()
-        .map(aas_control::negotiate::NegotiationOutcome::fingerprint)
-        .collect();
-    let grants: usize = rt
-        .negotiation_history()
-        .iter()
-        .map(|o| o.grants.len())
-        .sum();
-    let denies: usize = rt
-        .negotiation_history()
-        .iter()
-        .map(|o| o.denied.len())
-        .sum();
-    let audited_grants = rt.obs().audit.of_kind(AuditKind::BudgetGranted).len();
-    let audited_denies = rt.obs().audit.of_kind(AuditKind::BudgetDenied).len();
-    (fps, grants, denies, audited_grants, audited_denies)
+    assert_eq!(rt.check_invariants(), []);
+    let history = rt.negotiation_history().iter();
+    history.map(NegotiationOutcome::fingerprint).collect()
 }
 
 #[test]
 fn negotiation_transcript_replays_byte_identically_and_is_fully_audited() {
-    let (fps_a, grants, denies, audited_grants, audited_denies) = negotiated_transcript(11);
-    let (fps_b, ..) = negotiated_transcript(11);
-    assert!(fps_a.len() > 10, "only {} arbitration rounds", fps_a.len());
-    assert_eq!(fps_a, fps_b, "negotiation transcript diverged on replay");
-    // Every grant and every deny in the transcript has its audit record —
-    // "every agent gets its floor or an *audited* deny".
-    assert_eq!(
-        grants, audited_grants,
-        "{grants} grants in the transcript, {audited_grants} audited"
-    );
-    assert_eq!(
-        denies, audited_denies,
-        "{denies} denials in the transcript, {audited_denies} audited"
-    );
+    let fps = negotiated_transcript(11);
+    assert!(fps.len() > 10, "only {} arbitration rounds", fps.len());
+    assert_eq!(fps, negotiated_transcript(11), "diverged on replay");
 }
 
 #[test]
