@@ -24,7 +24,7 @@ use aas_core::interface::{Interface, Signature};
 use aas_core::message::{Message, Value};
 use aas_core::reconfig::{ReconfigAction, ReconfigPlan, StateTransfer};
 use aas_core::runtime::Runtime;
-use aas_obs::AuditKind;
+use aas_obs::{AuditEvent, AuditKind};
 use aas_sim::network::Topology;
 use aas_sim::node::NodeId;
 use aas_sim::time::{SimDuration, SimTime};
@@ -154,12 +154,10 @@ pub fn run_cell(depth: usize, poison: bool) -> Cell {
         .expect("plan finished")
         .clone();
     assert_eq!(report.success, !poison, "unexpected outcome: {report:?}");
-    let compensated = rt
-        .obs()
-        .audit
-        .for_plan(&id.to_string())
+    let compensations = rt.obs().audit.of_kind(AuditKind::ActionCompensated);
+    let compensated = compensations
         .iter()
-        .filter(|e| e.kind == AuditKind::ActionCompensated)
+        .filter(|r| matches!(r.event, AuditEvent::ActionCompensated { plan, .. } if plan == id.0))
         .count();
     Cell {
         depth,

@@ -9,136 +9,10 @@ use aas_sim::time::SimTime;
 use core::cmp::Ordering;
 use core::fmt;
 use serde::{Deserialize, Serialize};
-use std::borrow::Borrow;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::ops::Deref;
-use std::sync::Arc;
 
-/// An immutable name — operation, sender, port, metric or map key — that
-/// clones without allocating: a literal is kept by reference, any other
-/// string is shared. Names sit on every message, so the per-message path
-/// copies and drops them freely.
-///
-/// # Examples
-///
-/// ```
-/// use aas_core::message::Name;
-///
-/// let lit = Name::from("frame");
-/// let built = Name::from(format!("fra{}", "me"));
-/// assert_eq!(lit, built);
-/// assert_eq!(lit, "frame");
-/// assert_eq!(built.clone().as_str(), "frame");
-/// ```
-#[derive(Clone)]
-pub struct Name(NameRepr);
-
-#[derive(Clone)]
-enum NameRepr {
-    Lit(&'static str),
-    Shared(Arc<str>),
-}
-
-impl Name {
-    /// The name as a string slice.
-    #[must_use]
-    pub fn as_str(&self) -> &str {
-        match &self.0 {
-            NameRepr::Lit(s) => s,
-            NameRepr::Shared(s) => s,
-        }
-    }
-}
-
-impl Default for Name {
-    fn default() -> Self {
-        Name(NameRepr::Lit(""))
-    }
-}
-
-impl From<&'static str> for Name {
-    fn from(s: &'static str) -> Name {
-        Name(NameRepr::Lit(s))
-    }
-}
-
-impl From<String> for Name {
-    fn from(s: String) -> Name {
-        Name(NameRepr::Shared(s.into()))
-    }
-}
-
-impl From<&String> for Name {
-    fn from(s: &String) -> Name {
-        Name(NameRepr::Shared(s.as_str().into()))
-    }
-}
-
-impl Deref for Name {
-    type Target = str;
-    fn deref(&self) -> &str {
-        self.as_str()
-    }
-}
-
-// Equality and order are those of the string, whichever way it is held,
-// so a map keyed by `Name` can be searched with a `&str`.
-impl Borrow<str> for Name {
-    fn borrow(&self) -> &str {
-        self.as_str()
-    }
-}
-
-impl PartialEq for Name {
-    fn eq(&self, other: &Name) -> bool {
-        self.as_str() == other.as_str()
-    }
-}
-
-impl Eq for Name {}
-
-impl PartialOrd for Name {
-    fn partial_cmp(&self, other: &Name) -> Option<core::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Name {
-    fn cmp(&self, other: &Name) -> core::cmp::Ordering {
-        self.as_str().cmp(other.as_str())
-    }
-}
-
-impl PartialEq<str> for Name {
-    fn eq(&self, other: &str) -> bool {
-        self.as_str() == other
-    }
-}
-
-impl PartialEq<&str> for Name {
-    fn eq(&self, other: &&str) -> bool {
-        self.as_str() == *other
-    }
-}
-
-impl PartialEq<String> for Name {
-    fn eq(&self, other: &String) -> bool {
-        self.as_str() == other
-    }
-}
-
-impl fmt::Debug for Name {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(self.as_str(), f)
-    }
-}
-
-impl fmt::Display for Name {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
+pub use aas_obs::Name;
 
 /// The entries of a [`Value::Map`]: one buffer of `(key, value)` pairs,
 /// kept sorted by key and searched linearly.

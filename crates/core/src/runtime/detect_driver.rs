@@ -92,11 +92,8 @@ impl Runtime {
         for ev in events {
             match ev {
                 DetectorEvent::Suspected(node, phi) => {
-                    self.obs.audit.failure_suspected(
-                        &node.to_string(),
-                        &format!("phi={phi:.2}"),
-                        now.as_micros(),
-                    );
+                    let suspected = AuditEvent::FailureSuspected { node: node.0, phi };
+                    self.obs.audit.append(now.as_micros(), suspected);
                     let incident = self.heal.incident(node);
                     incident.queued = true;
                     if let Some(crash_at) = incident.crashed_at {
@@ -109,9 +106,8 @@ impl Runtime {
                         self.heal.policy.label(),
                         PlanOutcome::Observed,
                     );
-                    self.obs
-                        .audit
-                        .failure_cleared(&node.to_string(), now.as_micros());
+                    let cleared = AuditEvent::FailureCleared { node: node.0 };
+                    self.obs.audit.append(now.as_micros(), cleared);
                 }
             }
         }

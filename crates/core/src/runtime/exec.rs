@@ -65,6 +65,8 @@ pub(super) struct ExecState {
     /// The plan [`Runtime::submit`] is running right now, with its report
     /// if it has already ended (see [`Runtime::plan_ended`]).
     submitting: Option<(ReconfigId, Option<ReconfigReport>)>,
+    /// How the reported plans ended.
+    pub(super) ended: PlanTally,
 }
 
 impl ExecState {
@@ -82,6 +84,13 @@ impl ExecState {
     pub(super) fn in_flight(&self) -> impl Iterator<Item = PlanOrigin> + '_ {
         let active = self.active.iter().map(|txn| txn.origin);
         active.chain(self.queued.iter().map(|(_, origin, _)| *origin))
+    }
+
+    /// The ids of the plans in the engine, in the order of
+    /// [`ExecState::in_flight`].
+    pub(super) fn in_flight_ids(&self) -> impl Iterator<Item = ReconfigId> + '_ {
+        let active = self.active.iter().map(|txn| txn.id);
+        active.chain(self.queued.iter().map(|(id, _, _)| *id))
     }
 }
 
@@ -174,7 +183,7 @@ pub(super) struct PlanTxn {
     /// Compensating inverses of applied actions, in application order.
     journal: Vec<Undo>,
     /// Quiesced targets; they stay blocked until commit or rollback.
-    blocked: BTreeMap<String, BlockedTarget>,
+    blocked: BTreeMap<Name, BlockedTarget>,
     /// Channels whose closure (from removals/unbinds) is deferred to
     /// commit so rollback can resurrect them intact.
     deferred_close: Vec<ChannelId>,
@@ -196,10 +205,12 @@ impl Runtime {
         self.exec.last_id += 1;
         let id = ReconfigId(self.exec.last_id);
         let now = self.kernel.now();
-        let what = format!("{} actions", plan.len());
-        self.obs
-            .audit
-            .plan_submitted(&id.to_string(), &what, now.as_micros());
+        let actions = plan.len() as u64;
+        let submitted = AuditEvent::PlanSubmitted {
+            plan: id.0,
+            actions,
+        };
+        self.obs.audit.append(now.as_micros(), submitted);
         if self.exec.active.is_some() {
             self.exec.queued.push_back((id, origin, plan));
         } else {
@@ -209,7 +220,8 @@ impl Runtime {
             self.advance_reconfig();
         }
         if let PlanOrigin::Repair { node, label } = origin {
-            self.note_repair_planned(&id.to_string(), node, label, &what, now);
+            let by = RepairBy::Plan { id: id.0, actions };
+            self.note_repair_planned(node, label, by, now);
         }
         if let Some((_, Some(report))) = self.exec.submitting.take() {
             self.plan_ended(origin, report);
@@ -263,12 +275,14 @@ impl Runtime {
     fn start_exec(&mut self, id: ReconfigId, origin: PlanOrigin, plan: ReconfigPlan) {
         let now_us = self.kernel.now().as_micros();
         if let Err(reason) = self.validate_plan(&plan) {
-            self.reject_plan(id, origin, &reason);
+            self.reject_plan(id, origin, reason);
             return;
         }
-        self.obs
-            .audit
-            .plan_validated(&id.to_string(), &format!("{} actions", plan.len()), now_us);
+        let validated = AuditEvent::PlanValidated {
+            plan: id.0,
+            actions: plan.len() as u64,
+        };
+        self.obs.audit.append(now_us, validated);
         let span = self.obs.tracer.span_start(
             &format!("plan:{id}"),
             SpanId::NONE,
@@ -295,21 +309,26 @@ impl Runtime {
     /// Books a validation rejection: audit (`plan_rejected` + a
     /// `plan_finished` so submissions always reconcile with finishes) and
     /// a zero-action report.
-    fn reject_plan(&mut self, id: ReconfigId, origin: PlanOrigin, reason: &str) {
+    fn reject_plan(&mut self, id: ReconfigId, origin: PlanOrigin, reason: String) {
         let now = self.kernel.now();
-        let plan = id.to_string();
-        self.obs.audit.plan_rejected(&plan, reason, now.as_micros());
-        self.obs.audit.plan_finished(
-            &plan,
-            &format!("failed: rejected: {reason}"),
+        let failure = format!("rejected: {reason}");
+        let audit = &self.obs.audit;
+        audit.append(
             now.as_micros(),
+            AuditEvent::PlanRejected { plan: id.0, reason },
         );
+        let finished = AuditEvent::PlanFinished {
+            plan: id.0,
+            committed: false,
+        };
+        audit.append(now.as_micros(), finished);
+        self.exec.ended.rejected += 1;
         let report = ReconfigReport {
             id,
             started_at: now,
             finished_at: now,
             success: false,
-            failure: Some(format!("rejected: {reason}")),
+            failure: Some(failure),
             actions_applied: 0,
             blackouts: BTreeMap::new(),
             messages_held: 0,
@@ -408,13 +427,11 @@ impl Runtime {
         let now_us = self.kernel.now().as_micros();
         if let Some(exec) = self.exec.active.as_mut() {
             exec.applied += 1;
-            let rendered = action.to_string();
-            self.obs
-                .audit
-                .action_applied(&exec.id.to_string(), &rendered, "ok", now_us);
-            self.obs
-                .tracer
-                .event(exec.span, "action", &rendered, now_us);
+            let action = action.to_string();
+            self.obs.tracer.event(exec.span, "action", &action, now_us);
+            let plan = exec.id.0;
+            let applied = AuditEvent::ActionApplied { plan, action };
+            self.obs.audit.append(now_us, applied);
         }
     }
 
@@ -446,15 +463,20 @@ impl Runtime {
         if txn.blocked.contains_key(name) {
             return; // already blocked by an earlier action of this plan
         }
-        let plan = txn.id.to_string();
+        let plan = txn.id.0;
         let channels = self.inbound_channels(name);
+        let target = match self.instances.id(name) {
+            Some(id) => self.instances.name(id).clone(),
+            None => Name::from(name.to_owned()),
+        };
         for ch in &channels {
             self.kernel.block_channel(*ch);
-            self.obs.audit.channel_blocked(
-                &plan,
-                &format!("ch={} -> {name}", ch.0),
-                now.as_micros(),
-            );
+            let blocked = AuditEvent::ChannelBlocked {
+                plan,
+                channel: ch.0,
+                target: target.clone(),
+            };
+            self.obs.audit.append(now.as_micros(), blocked);
         }
         let mut prior = Lifecycle::Active;
         if let Some(inst) = self.instances.by_name_mut(name) {
@@ -473,7 +495,7 @@ impl Runtime {
         }
         if let Some(txn) = self.exec.active.as_mut() {
             txn.blocked
-                .insert(name.to_owned(), BlockedTarget { channels, prior });
+                .insert(target, BlockedTarget { channels, prior });
         }
     }
 
@@ -543,22 +565,21 @@ impl Runtime {
         let Some(mut txn) = self.exec.active.take() else {
             return;
         };
-        let plan = txn.id.to_string();
-        let mut compensated = 0usize;
+        let plan = txn.id.0;
+        let mut compensated = 0;
         while let Some(undo) = txn.journal.pop() {
-            let desc = undo.describe();
+            let action = undo.describe();
             self.apply_undo(undo, &mut txn);
-            self.obs
-                .audit
-                .action_compensated(&plan, &desc, now.as_micros());
+            let undone = AuditEvent::ActionCompensated { plan, action };
+            self.obs.audit.append(now.as_micros(), undone);
             compensated += 1;
         }
-        self.obs.audit.plan_rolled_back(
-            &plan,
-            &reason,
-            &format!("{compensated} compensated"),
-            now.as_micros(),
-        );
+        let rolled_back = AuditEvent::PlanRolledBack {
+            plan,
+            compensated,
+            reason: reason.clone(),
+        };
+        self.obs.audit.append(now.as_micros(), rolled_back);
         self.release_blocked(&mut txn, false);
         // Every deferred closure stems from a removal that was just
         // compensated; the channels stay open.
@@ -574,7 +595,6 @@ impl Runtime {
     /// The block→release window is the target's blackout.
     fn release_blocked(&mut self, txn: &mut PlanTxn, committed: bool) {
         let now = self.kernel.now();
-        let plan = txn.id.to_string();
         for (name, bt) in std::mem::take(&mut txn.blocked) {
             let mut held = 0;
             for ch in &bt.channels {
@@ -582,11 +602,12 @@ impl Runtime {
             }
             for ch in bt.channels {
                 self.kernel.unblock_channel(ch);
-                self.obs.audit.channel_released(
-                    &plan,
-                    &format!("ch={} -> {name}", ch.0),
-                    now.as_micros(),
-                );
+                let released = AuditEvent::ChannelReleased {
+                    plan: txn.id.0,
+                    channel: ch.0,
+                    target: Some(name.clone()),
+                };
+                self.obs.audit.append(now.as_micros(), released);
             }
             if let Some(inst) = self.instances.by_name_mut(&name) {
                 inst.lifecycle = if committed {
@@ -596,7 +617,8 @@ impl Runtime {
                 };
                 if let Some(at) = inst.blocked_at.take() {
                     let blackout = now.saturating_since(at);
-                    let entry = txn.blackouts.entry(name).or_insert(SimDuration::ZERO);
+                    let entry = txn.blackouts.entry(name.to_string());
+                    let entry = entry.or_insert(SimDuration::ZERO);
                     *entry = (*entry).max(blackout);
                     txn.messages_held += held;
                 }
@@ -616,7 +638,7 @@ impl Runtime {
                         self.close_now(ch, txn);
                     }
                 }
-                txn.blocked.remove(&name);
+                txn.blocked.remove(name.as_str());
             }
             Undo::Plan(InverseAction::MigrateBack { name, to }) => {
                 if let Some(id) = self.instances.id(&name) {
@@ -670,11 +692,14 @@ impl Runtime {
                 .is_some()
         });
         if was_blocked {
-            self.obs.audit.channel_released(
-                &txn.id.to_string(),
-                &format!("ch={} (closed)", ch.0),
-                self.kernel.now().as_micros(),
-            );
+            let released = AuditEvent::ChannelReleased {
+                plan: txn.id.0,
+                channel: ch.0,
+                target: None,
+            };
+            self.obs
+                .audit
+                .append(self.kernel.now().as_micros(), released);
         }
         self.kernel.close_channel(ch);
     }
@@ -918,15 +943,18 @@ impl Runtime {
     fn finish_reconfig(&mut self, txn: PlanTxn, failure: Option<String>) {
         let now = self.kernel.now();
         debug_assert!(txn.blocked.is_empty());
-        self.obs.audit.plan_finished(
-            &txn.id.to_string(),
-            &failure
-                .as_deref()
-                .map_or_else(|| "success".to_owned(), |f| format!("failed: {f}")),
-            now.as_micros(),
-        );
-        self.obs.tracer.span_end(txn.span, now.as_micros());
         let success = failure.is_none();
+        let finished = AuditEvent::PlanFinished {
+            plan: txn.id.0,
+            committed: success,
+        };
+        self.obs.audit.append(now.as_micros(), finished);
+        if success {
+            self.exec.ended.committed += 1;
+        } else {
+            self.exec.ended.rolled_back += 1;
+        }
+        self.obs.tracer.span_end(txn.span, now.as_micros());
         let report = ReconfigReport {
             id: txn.id,
             started_at: txn.started_at,

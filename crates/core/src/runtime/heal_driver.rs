@@ -146,24 +146,23 @@ impl Runtime {
         }
     }
 
-    /// Books that the policy labelled `label` planned `what` for `node`,
-    /// as `plan` (`-` on the connector path, which files no plan).
+    /// Books that the policy labelled `label` planned a repair of `node`,
+    /// carried out `by` a plan or a connector adaptation.
     pub(super) fn note_repair_planned(
         &mut self,
-        plan: &str,
         node: NodeId,
         label: &'static str,
-        what: &str,
+        by: RepairBy,
         now: SimTime,
     ) {
         self.coverage
             .record(DetectPhase::Suspected, label, PlanOutcome::Planned);
-        self.obs.audit.repair_planned(
-            plan,
-            &node.to_string(),
-            &format!("{label}: {what}"),
-            now.as_micros(),
-        );
+        let planned = AuditEvent::RepairPlanned {
+            node: node.0,
+            policy: label,
+            by,
+        };
+        self.obs.audit.append(now.as_micros(), planned);
     }
 
     /// A repair plan for `node` left the engine. Committed, the repair is
@@ -178,8 +177,8 @@ impl Runtime {
         report: &ReconfigReport,
     ) {
         if report.success {
-            let plan = report.id.to_string();
-            self.complete_repair(&plan, node, label, &report.migrated, report.finished_at);
+            let plan = Some(report.id.0);
+            self.complete_repair(plan, node, label, &report.migrated, report.finished_at);
             return;
         }
         self.coverage
@@ -192,10 +191,11 @@ impl Runtime {
     /// Books a finished repair and closes the incident: MTTR observation,
     /// audit entry, grant invalidation, and the `twin_actual` that pairs
     /// with the incident's prediction. `label` is the policy that actually
-    /// executed (the twin's choice, or the static policy).
+    /// executed (the twin's choice, or the static policy); `plan` is `None`
+    /// on the connector path.
     pub(super) fn complete_repair(
         &mut self,
-        plan: &str,
+        plan: Option<u64>,
         node: NodeId,
         label: &'static str,
         moved: &[String],
@@ -208,34 +208,29 @@ impl Runtime {
         let mttr = incident
             .crashed_at
             .map(|crash_at| ms(now.saturating_since(crash_at)));
-        let detail = match mttr {
-            Some(mttr) => {
-                self.m.mttr.observe(mttr);
-                format!("mttr_ms={mttr:.3}")
-            }
-            None => "repaired".to_owned(),
+        if let Some(mttr) = mttr {
+            self.m.mttr.observe(mttr);
+        }
+        let completed = AuditEvent::RepairCompleted {
+            plan,
+            node: node.0,
+            mttr_ms: mttr,
         };
-        self.obs
-            .audit
-            .repair_completed(plan, &node.to_string(), &detail, now.as_micros());
+        self.obs.audit.append(now.as_micros(), completed);
         // Heal/negotiate ordering: the repair just moved or revived this
         // node's agents, so any grant issued against the old placement is
         // stale — invalidate it now rather than throttling the repaired
         // instances until the next negotiation tick.
         self.invalidate_grants_on(node, plan, moved, now);
         if let Some(pred) = incident.prediction {
-            let actual = mttr.map_or("actual_mttr_ms=na".to_owned(), |v| {
-                format!("actual_mttr_ms={v:.3}")
-            });
-            self.obs.audit.twin_actual(
-                label,
-                &node.to_string(),
-                &format!(
-                    "{actual} predicted_mttr_ms={:.3} predicted_availability={:.4}",
-                    pred.mttr_ms, pred.availability
-                ),
-                now.as_micros(),
-            );
+            let actual = AuditEvent::TwinActual {
+                policy: label,
+                node: node.0,
+                mttr_ms: mttr,
+                predicted_mttr_ms: pred.mttr_ms,
+                predicted_availability: pred.availability,
+            };
+            self.obs.audit.append(now.as_micros(), actual);
         }
     }
 
@@ -302,11 +297,12 @@ impl Runtime {
         for (instance, count) in &lost {
             self.m.dropped.add(*count);
             self.m.dropped_on_crash.add(*count);
-            self.obs.audit.dropped_on_crash(
-                instance,
-                &format!("{count} in-flight jobs lost in crash of {node}"),
-                now.as_micros(),
-            );
+            let dropped = AuditEvent::DroppedOnCrash {
+                instance: instance.clone(),
+                jobs: *count,
+                node: node.0,
+            };
+            self.obs.audit.append(now.as_micros(), dropped);
             self.events.push((
                 now,
                 RuntimeEvent::Dropped {

@@ -1,11 +1,14 @@
 //! The runtime checks its own books (DESIGN.md §2.1, *Invariants*): the
 //! one place that says what the plan engine, the heal driver, the twin,
-//! the negotiator and the audit log they write must agree on. Nothing on
-//! the event loop calls it.
+//! the negotiator and the audit log they write must agree on. It reads the
+//! log's running [`Books`](aas_obs::Books) and the runtime's own counters,
+//! never the log, so a check costs the same however long the run. Debug
+//! builds also check after every kernel event and keep what that found
+//! apart ([`Runtime::violations_seen`]); release builds never check on the
+//! event loop.
 
 use super::*;
 use aas_obs::AuditKind as K;
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// One item that breaks one of the runtime's invariants.
@@ -16,6 +19,10 @@ pub struct Violation {
     pub invariant: &'static str,
     /// The offending item.
     pub detail: String,
+    /// When it was seen broken: the time of the check, or, in
+    /// [`Runtime::violations_seen`], of the kernel event after which the
+    /// check first saw it.
+    pub at: SimTime,
 }
 
 impl fmt::Display for Violation {
@@ -26,18 +33,17 @@ impl fmt::Display for Violation {
 
 impl Runtime {
     /// What holds between any two events, one [`Violation`] per offending
-    /// item: `audit-sequence` (gap-free `seq`, `at_us` never going back);
+    /// item: `audit-sequence` (`at_us` never going back);
     /// `plan-numbers` (every plan id reported or in flight);
-    /// `plan-records` (each report's plan submitted once, then rejected
-    /// or rolled back if it was, then finished as it says; every other
-    /// plan submitted and in flight — so submitted = committed +
-    /// rejected + rolled back + in flight); `repairs` (each completion
-    /// planned); `crash-loss` (the counter is the sum the records state,
-    /// each record states one); `twin-pairs` (each actual predicted, each
-    /// held prediction awaited); `negotiation` (each round within budget,
-    /// each grant and denial audited). DESIGN.md §2.1 says what each
-    /// reads. A twin fork, or a runtime sharing its audit log, does not
-    /// balance.
+    /// `plan-records` (each plan's records read submitted, then rejected
+    /// or rolled back if it was, then finished as it ended; the finished
+    /// ones end as the engine's reports did, and the others are exactly
+    /// the plans in flight); `repairs` (each completion planned);
+    /// `crash-loss` (the counter is the sum the records state);
+    /// `twin-pairs` (each actual predicted, each held prediction
+    /// awaited); `negotiation` (each round within budget, each grant and
+    /// denial audited). DESIGN.md §2.1 says what each reads. A twin fork,
+    /// or a runtime sharing its audit log, does not balance.
     #[must_use]
     pub fn check_invariants(&self) -> Vec<Violation> {
         self.check(false)
@@ -54,43 +60,48 @@ impl Runtime {
         self.check(true)
     }
 
+    /// What the check a debug build runs after every kernel event found:
+    /// the first violation of each invariant, dated by that event, kept
+    /// even if it has healed since. Empty in a release build, which does
+    /// not check on the event loop, and on a twin fork.
+    #[must_use]
+    pub fn violations_seen(&self) -> &[Violation] {
+        self.first_violations.as_deref().unwrap_or_default()
+    }
+
+    /// Checks the books after the event at `at`, keeping the first
+    /// violation of each invariant.
+    #[cfg(debug_assertions)]
+    pub(super) fn check_event(&mut self, at: SimTime) {
+        if self.first_violations.is_none() {
+            return;
+        }
+        let found = self.check(false);
+        if let Some(first) = &mut self.first_violations {
+            for v in found {
+                if first.iter().all(|f| f.invariant != v.invariant) {
+                    first.push(Violation { at, ..v });
+                }
+            }
+        }
+    }
+
     fn check(&self, settled: bool) -> Vec<Violation> {
-        let mut found = Vec::new();
+        let (at, mut found) = (self.now(), Vec::new());
         macro_rules! fail {
             ($invariant:expr, $($detail:tt)+) => {
-                found.push(Violation { invariant: $invariant, detail: format!($($detail)+) })
+                found.push(Violation { invariant: $invariant, detail: format!($($detail)+), at })
             };
         }
-        let log = self.obs.audit.entries();
-        let count = |kind| log.iter().filter(|e| e.kind == kind).count();
-        // Each plan's life in the log, as (kind, outcome is "success").
-        let mut lives: BTreeMap<&str, Vec<(K, bool)>> = BTreeMap::new();
-        let (mut planned, mut predicted) = (BTreeSet::new(), BTreeSet::new());
-        let mut lost = 0;
-        for (i, e) in log.iter().enumerate() {
-            if e.seq != i as u64 || (i > 0 && e.at_us < log[i - 1].at_us) {
-                fail!("audit-sequence", "record {i} is out of order");
-            }
-            match e.kind {
-                K::PlanSubmitted | K::PlanRejected | K::PlanRolledBack | K::PlanFinished => {
-                    let record = (e.kind, e.outcome == "success");
-                    lives.entry(&e.plan).or_default().push(record);
-                }
-                K::RepairPlanned => _ = planned.insert(&e.plan),
-                K::RepairCompleted if !planned.contains(&e.plan) => {
-                    fail!("repairs", "{} completed an unplanned repair", e.plan);
-                }
-                K::TwinPredicted => _ = predicted.insert(&e.subject),
-                K::TwinActual if !predicted.remove(&e.subject) => {
-                    fail!("twin-pairs", "{} has an unpaired twin_actual", e.subject);
-                }
-                K::DroppedOnCrash => {
-                    match e.outcome.split_whitespace().next().map(str::parse::<u64>) {
-                        Some(Ok(n)) => lost += n,
-                        _ => fail!("crash-loss", "record {i} reads {:?}", e.outcome),
-                    }
-                }
-                _ => {}
+        let books = self.obs.audit.books();
+        for (invariant, first) in [
+            ("audit-sequence", books.disordered),
+            ("plan-records", books.stray_plan_record),
+            ("repairs", books.unplanned_repair),
+            ("twin-pairs", books.unpaired_actual),
+        ] {
+            if let Some(seq) = first {
+                fail!(invariant, "record {seq} is the first to break it");
             }
         }
 
@@ -99,50 +110,47 @@ impl Runtime {
         if ids != (done + open) as u64 {
             fail!("plan-numbers", "{ids} ids, {done} ended, {open} in flight");
         }
-        let submitted = (K::PlanSubmitted, false);
-        for r in &self.exec.reports {
-            let id = r.id.to_string();
-            let life = lives.remove(id.as_str()).unwrap_or_default();
-            let rejected = matches!(&r.failure, Some(f) if f.starts_with("rejected:"));
-            let finished = (K::PlanFinished, r.success);
-            let expected = match (r.success, rejected) {
-                (true, _) => vec![submitted, finished],
-                (false, true) => vec![submitted, (K::PlanRejected, false), finished],
-                (false, false) => vec![submitted, (K::PlanRolledBack, false), finished],
-            };
-            if life != expected {
-                fail!("plan-records", "{id} ({:?}) reads {life:?}", r.failure);
-            }
+        let (closed, ended) = (books.closed, self.exec.ended);
+        if closed != ended {
+            fail!("plan-records", "closed {closed:?}, ended {ended:?}");
         }
-        // What is left is in flight: submitted, nothing more.
-        let unfinished = lives.values().filter(|life| life[..] == [submitted]);
-        if lives.len() != open || unfinished.count() != open {
-            fail!("plan-records", "{lives:?} unreported, {open} in flight");
+        // What is still open is in flight: submitted, nothing more.
+        let (open_plans, in_flight) = (&books.open_plans, self.exec.in_flight_ids());
+        if !open_plans
+            .iter()
+            .copied()
+            .eq(in_flight.map(|id| (id.0, None)))
+        {
+            fail!("plan-records", "{open_plans:?} open, {open} in flight");
         }
 
-        let counted = self.m.dropped_on_crash.get();
+        let (counted, lost) = (self.m.dropped_on_crash.get(), books.crash_losses);
         if counted != lost {
             fail!("crash-loss", "counted {counted}, audited {lost}");
         }
         for (node, incident) in &self.heal.incidents {
-            let awaited = incident.queued && predicted.contains(&node.to_string());
+            let awaited = incident.queued && books.predicted.contains(&node.0);
             if incident.prediction.is_some() && !awaited {
                 fail!("twin-pairs", "{node}'s incident holds a stale prediction");
             }
         }
 
-        let history = self.negotiation_history();
-        for round in history.iter().filter(|r| !r.within_budget()) {
+        let (transcript, history) = (&self.negotiate.transcript, self.negotiation_history());
+        for round in transcript.over_budget.iter().map(|&i| &history[i]) {
             let (epoch, granted, budget) = (round.epoch, &round.total_granted, &round.budget);
             fail!("negotiation", "epoch {epoch}: [{granted}] over [{budget}]");
         }
-        let grants = history.iter().flat_map(|r| &r.grants);
-        let grants = grants.filter(|g| g.agent != TWIN_AGENT).count();
-        let denials = history.iter().map(|r| r.denied.len()).sum();
-        for (kind, n) in [(K::BudgetGranted, grants), (K::BudgetDenied, denials)] {
-            let audited = count(kind);
-            if audited != n {
-                fail!("negotiation", "{audited} {}; transcript {n}", kind.label());
+        for (kind, n) in [
+            (K::BudgetGranted, transcript.grants),
+            (K::BudgetDenied, transcript.denials),
+        ] {
+            if books.count(kind) != n {
+                fail!(
+                    "negotiation",
+                    "{} {}; transcript {n}",
+                    books.count(kind),
+                    kind.label()
+                );
             }
         }
 
@@ -156,7 +164,7 @@ impl Runtime {
             ("channels", K::ChannelBlocked, K::ChannelReleased),
             ("suspicion", K::FailureSuspected, K::FailureCleared),
         ] {
-            let (n, m) = (count(opened), count(closed));
+            let (n, m) = (books.count(opened), books.count(closed));
             if n != m {
                 fail!(invariant, "{n} {}, {m} {}", opened.label(), closed.label());
             }
@@ -182,7 +190,9 @@ impl Runtime {
 mod tests {
     use super::*;
     use crate::component::EchoComponent;
+    use aas_obs::AuditEvent as E;
     use aas_sim::fault::FaultSchedule;
+    use std::collections::BTreeSet;
 
     /// A seeded storm that writes every kind of book: `svc` on node 2
     /// serves a stream and a burst the crash of node 2 (1–3 s) catches in
@@ -190,6 +200,13 @@ mod tests {
     /// negotiator arbitrates throughout, the twin one of its agents; a
     /// user migration commits and a plan naming nobody is rejected.
     fn storm() -> Runtime {
+        let mut rt = storm_brewing();
+        rt.run_until(SimTime::from_secs(10));
+        rt
+    }
+
+    /// [`storm`], not yet run.
+    fn storm_brewing() -> Runtime {
         let topo = Topology::clique(4, 1000.0, SimDuration::from_millis(2), 1e7);
         let mut registry = ImplementationRegistry::new();
         registry.register("Echo", 1, |_| Box::new(EchoComponent::default()));
@@ -219,7 +236,6 @@ mod tests {
                 to,
             }));
         }
-        rt.run_until(SimTime::from_secs(10));
         rt
     }
 
@@ -243,21 +259,97 @@ mod tests {
             "suspicion",
         ] {
             let rt = storm();
-            let (log, at) = (&rt.obs().audit, rt.now().as_micros());
-            match invariant {
-                "audit-sequence" => log.plan_validated("reconfig1", "1 actions", 0),
-                "plan-records" => log.plan_finished("reconfig1", "success", at),
-                "repairs" => log.repair_completed("reconfig99", "node2", "", at),
-                "crash-loss" => log.dropped_on_crash("svc", "garbage", at),
-                "twin-pairs" => log.twin_actual("failover", "node3", "", at),
-                "negotiation" => log.budget_granted("epoch-1", "svc", "", at),
-                "channels" => log.channel_blocked("reconfig1", "ch=0 -> aux", at),
-                "suspicion" => log.failure_suspected("node1", "phi=9", at),
+            let (log, now) = (&rt.obs().audit, rt.now().as_micros());
+            let (at, forged) = match invariant {
+                "audit-sequence" => (
+                    0,
+                    E::PlanValidated {
+                        plan: 1,
+                        actions: 1,
+                    },
+                ),
+                "plan-records" => (
+                    now,
+                    E::PlanFinished {
+                        plan: 1,
+                        committed: true,
+                    },
+                ),
+                "repairs" => (
+                    now,
+                    E::RepairCompleted {
+                        plan: Some(99),
+                        node: 2,
+                        mttr_ms: None,
+                    },
+                ),
+                // One job more than the counter holds.
+                "crash-loss" => (
+                    now,
+                    E::DroppedOnCrash {
+                        instance: "svc".into(),
+                        jobs: 1,
+                        node: 2,
+                    },
+                ),
+                "twin-pairs" => (now, twin_actual_of(3)),
+                "negotiation" => (now, granted_to("svc")),
+                "channels" => (
+                    now,
+                    E::ChannelBlocked {
+                        plan: 1,
+                        channel: 0,
+                        target: "aux".into(),
+                    },
+                ),
+                "suspicion" => (now, E::FailureSuspected { node: 1, phi: 9.0 }),
                 _ => unreachable!("one forgery per invariant"),
-            }
+            };
+            log.append(at, forged);
             let found = rt.check_settled();
             let named: BTreeSet<_> = found.iter().map(|v| v.invariant).collect();
             assert_eq!(named, BTreeSet::from([invariant]), "{found:?}");
         }
+    }
+
+    fn twin_actual_of(node: u32) -> E {
+        E::TwinActual {
+            policy: "failover-migrate",
+            node,
+            mttr_ms: None,
+            predicted_mttr_ms: 0.0,
+            predicted_availability: 1.0,
+        }
+    }
+
+    fn granted_to(agent: &'static str) -> E {
+        E::BudgetGranted {
+            epoch: 1,
+            agent: agent.into(),
+            granted: [0.0; 4],
+            fraction: 1.0,
+        }
+    }
+
+    #[test]
+    fn a_forgery_between_two_events_is_named_at_the_next_in_a_debug_build() {
+        let mut rt = storm_brewing();
+        rt.run_until(SimTime::from_secs(5));
+        let forged = E::PlanFinished {
+            plan: 1,
+            committed: true,
+        };
+        rt.obs().audit.append(rt.now().as_micros(), forged);
+        let next = rt.step().expect("the storm goes on");
+        rt.run_until(SimTime::from_secs(10));
+        let dated =
+            |found: &[Violation]| -> Vec<_> { found.iter().map(|v| (v.invariant, v.at)).collect() };
+        assert_eq!(dated(&rt.check_settled()), [("plan-records", rt.now())]);
+        let seen = if cfg!(debug_assertions) {
+            vec![("plan-records", next)]
+        } else {
+            Vec::new()
+        };
+        assert_eq!(dated(rt.violations_seen()), seen);
     }
 }

@@ -172,9 +172,8 @@ impl Runtime {
                 Intercession::AdaptConnector { name, spec } => {
                     let _ = self.adapt_connector(&name, spec);
                     if let PlanOrigin::Repair { node, label } = origin {
-                        let what = format!("adapt connector `{name}`");
-                        self.note_repair_planned("-", node, label, &what, now);
-                        self.complete_repair("-", node, label, &[], now);
+                        self.note_repair_planned(node, label, RepairBy::Connector(name), now);
+                        self.complete_repair(None, node, label, &[], now);
                     }
                 }
                 Intercession::Notify(text) => {

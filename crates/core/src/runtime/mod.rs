@@ -78,7 +78,7 @@ use crate::raml::{
 };
 use crate::reconfig::{ReconfigAction, ReconfigId, ReconfigPlan, ReconfigReport, StateTransfer};
 use crate::registry::{ImplementationRegistry, Props};
-use aas_obs::{Gauge, HistogramHandle, Obs, SpanId};
+use aas_obs::{AuditEvent, Gauge, HistogramHandle, Obs, PlanTally, RepairBy, SpanId};
 use aas_sim::channel::ChannelId;
 use aas_sim::fault::FaultKind;
 use aas_sim::kernel::{Fired, Kernel, KernelCounter};
@@ -352,6 +352,10 @@ pub struct Runtime {
     outbox: Vec<(SimTime, Message)>,
     obs: Obs,
     m: MetricHandles,
+    /// Debug builds: the first violation of each invariant the check after
+    /// every event found, at that event's time; `None` on a twin fork,
+    /// whose throwaway log never balances.
+    first_violations: Option<Vec<Violation>>,
     /// Last, so that it drops after every map the runtime holds: frees
     /// the thread's idle payload buffers (see [`message::Fields`]).
     _idle: IdleRelease,
@@ -411,6 +415,7 @@ impl Runtime {
             outbox: Vec::new(),
             obs,
             m,
+            first_violations: Some(Vec::new()),
             _idle: IdleRelease,
         }
     }
@@ -511,7 +516,8 @@ impl Runtime {
     /// Processes one kernel event; returns its time, or `None` when idle.
     /// A step of its own is not a call: the payload maps it builds and
     /// drops reuse the thread's idle buffers as the application's own do,
-    /// and nothing trims them until a [`Runtime::run_until`] returns.
+    /// and nothing trims them until a [`Runtime::run_until`] returns. A
+    /// debug build then checks the books ([`Runtime::check_invariants`]).
     pub fn step(&mut self) -> Option<SimTime> {
         let (at, fired) = self.kernel.step()?;
         match fired {
@@ -531,12 +537,13 @@ impl Runtime {
             }
             Fired::Dropped { msg, reason, .. } => {
                 // A lost heartbeat *is* the detection signal, not loss.
-                if msg.as_heartbeat().is_some() {
-                    return Some(at);
+                if msg.as_heartbeat().is_none() {
+                    self.on_dropped(msg, at, reason.to_string());
                 }
-                self.on_dropped(msg, at, reason.to_string());
             }
         }
+        #[cfg(debug_assertions)]
+        self.check_event(at);
         Some(at)
     }
 

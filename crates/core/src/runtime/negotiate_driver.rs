@@ -196,7 +196,8 @@ impl Agent {
             .set(fraction);
     }
 
-    /// Invalidates the outstanding grant because plan `trigger` committed.
+    /// Invalidates the outstanding grant because plan `trigger` (`None`: a
+    /// connector repair) committed.
     /// With `reset_throttle` the throttle also returns to neutral until
     /// the next round re-grants (the repair path: a fresh instance must
     /// not inherit a starvation grant sized for its dead placement);
@@ -204,8 +205,8 @@ impl Agent {
     fn invalidate(
         &mut self,
         obs: &Obs,
-        name: &str,
-        trigger: &str,
+        name: &Name,
+        trigger: Option<u64>,
         now: SimTime,
         reset_throttle: bool,
     ) {
@@ -216,12 +217,12 @@ impl Agent {
             self.retry_cap = None;
         }
         self.granted_node = None;
-        obs.audit.budget_renegotiated(
-            &format!("epoch-{epoch}"),
-            name,
-            &format!("plan {trigger} committed"),
-            now.as_micros(),
-        );
+        let renegotiated = AuditEvent::BudgetRenegotiated {
+            epoch,
+            agent: name.clone(),
+            trigger,
+        };
+        obs.audit.append(now.as_micros(), renegotiated);
     }
 }
 
@@ -237,6 +238,8 @@ pub(super) struct NegotiateState {
     /// Every arbitration outcome in order — the replayable negotiation
     /// transcript the property harness and the mutation oracles read.
     history: Vec<NegotiationOutcome>,
+    /// What `history` adds up to, kept as it grows.
+    pub(super) transcript: Transcript,
     /// Completed negotiation rounds.
     rounds: u64,
     /// Last `(time_s, cumulative_utilization)` sample per node, used to
@@ -244,7 +247,31 @@ pub(super) struct NegotiateState {
     pub(super) node_busy_last: BTreeMap<u32, (f64, f64)>,
 }
 
+/// What the negotiation transcript adds up to: the figures the invariant
+/// checker holds the audit log's books to.
+#[derive(Debug, Default)]
+pub(super) struct Transcript {
+    /// Grants to agents other than [`TWIN_AGENT`].
+    pub(super) grants: u64,
+    /// Denials.
+    pub(super) denials: u64,
+    /// The rounds that granted past their budget, by index.
+    pub(super) over_budget: Vec<usize>,
+}
+
 impl NegotiateState {
+    /// Appends `outcome` to the transcript.
+    fn record(&mut self, outcome: NegotiationOutcome) {
+        let t = &mut self.transcript;
+        let grants = outcome.grants.iter().filter(|g| g.agent != TWIN_AGENT);
+        t.grants += grants.count() as u64;
+        t.denials += outcome.denied.len() as u64;
+        if !outcome.within_budget() {
+            t.over_budget.push(self.history.len());
+        }
+        self.history.push(outcome);
+    }
+
     /// `id`'s record, created neutral if nothing touched it before.
     pub(super) fn agent(&mut self, id: InstId) -> &mut Agent {
         if id.index() >= self.agents.len() {
@@ -282,6 +309,7 @@ impl NegotiateState {
                 })
                 .collect(),
             history: Vec::new(),
+            transcript: Transcript::default(),
             rounds: self.rounds,
             node_busy_last: self.node_busy_last.clone(),
         }
@@ -490,6 +518,15 @@ impl Runtime {
         requests
     }
 
+    /// The name agent `id` bears, shared; `name` copied when no instance
+    /// bears it.
+    fn agent_name(&self, id: Option<InstId>, name: &str) -> Name {
+        id.map_or_else(
+            || Name::from(name.to_owned()),
+            |id| self.instances.name(id).clone(),
+        )
+    }
+
     /// A coordinated round: arbitrate, audit, actuate. Each name the
     /// coordinator hands back is resolved to its id once; all of them but
     /// [`TWIN_AGENT`] are agents of the model.
@@ -504,7 +541,7 @@ impl Runtime {
             return;
         };
         let outcome = negotiator.arbitrate(model, &requests);
-        let epoch = format!("epoch-{}", outcome.epoch);
+        let (epoch, now_us) = (outcome.epoch, now.as_micros());
 
         // The detect phase this round is booked under: arbitration under a
         // live suspicion incident is a distinct adaptation state.
@@ -527,10 +564,14 @@ impl Runtime {
 
         // Audit and actuate denials first: a denied agent sheds hard.
         for (name, reason) in &outcome.denied {
-            self.obs
-                .audit
-                .budget_denied(&epoch, name, reason.label(), now.as_micros());
-            let Some(id) = self.instances.id(name) else {
+            let id = self.instances.id(name);
+            let denied = AuditEvent::BudgetDenied {
+                epoch,
+                agent: self.agent_name(id, name),
+                reason: reason.label(),
+            };
+            self.obs.audit.append(now_us, denied);
+            let Some(id) = id else {
                 continue;
             };
             let agent = self.negotiate.agent(id);
@@ -550,13 +591,16 @@ impl Runtime {
                 }
                 continue;
             }
-            self.obs.audit.budget_granted(
-                &epoch,
-                &grant.agent,
-                &format!("[{}] fraction={:.6}", grant.granted, grant.fraction),
-                now.as_micros(),
-            );
-            let Some(id) = self.instances.id(&grant.agent) else {
+            let id = self.instances.id(&grant.agent);
+            let g = grant.granted;
+            let granted = AuditEvent::BudgetGranted {
+                epoch,
+                agent: self.agent_name(id, &grant.agent),
+                granted: [g.capacity, g.work_rate, g.retry_budget, g.twin_horizon],
+                fraction: grant.fraction,
+            };
+            self.obs.audit.append(now_us, granted);
+            let Some(id) = id else {
                 continue;
             };
             let host = model.agents[grant.agent.as_str()].node;
@@ -610,7 +654,7 @@ impl Runtime {
             .metrics
             .gauge("negotiate.denied")
             .set(outcome.denied.len() as f64);
-        self.negotiate.history.push(outcome);
+        self.negotiate.record(outcome);
 
         for (id, to) in migrations {
             self.negotiate.agent(id).migrate_from_round =
@@ -664,7 +708,7 @@ impl Runtime {
             self.negotiate.agent(agent).invalidate(
                 &self.obs,
                 self.instances.name(agent),
-                &report.id.to_string(),
+                Some(report.id.0),
                 report.finished_at,
                 false,
             );
@@ -682,7 +726,7 @@ impl Runtime {
     pub(super) fn invalidate_grants_on(
         &mut self,
         node: NodeId,
-        plan: &str,
+        plan: Option<u64>,
         moved: &[String],
         now: SimTime,
     ) {

@@ -186,6 +186,7 @@ impl Runtime {
             obs,
             m,
             twin: TwinState::default(),
+            first_violations: None,
             _idle: IdleRelease,
         })
     }
@@ -243,15 +244,13 @@ impl Runtime {
             }
         }
         let (policy, pred) = best.clone();
-        self.obs.audit.twin_predicted(
-            pred.policy_label,
-            &node.to_string(),
-            &format!(
-                "availability={:.4} mttr_ms={:.3}",
-                pred.availability, pred.mttr_ms
-            ),
-            now.as_micros(),
-        );
+        let predicted = AuditEvent::TwinPredicted {
+            policy: pred.policy_label,
+            node: node.0,
+            availability: pred.availability,
+            mttr_ms: pred.mttr_ms,
+        };
+        self.obs.audit.append(now.as_micros(), predicted);
         self.heal.incident(node).prediction = Some(Box::new(pred));
         Some(policy)
     }

@@ -7,7 +7,9 @@
 //! is a fraction of the mainline's. Names are shared, not copied: a
 //! snapshot allocates its four lists whatever the system's size, the
 //! instances of one type share the registry's copy of its name, and
-//! asking the registry builds no key.
+//! asking the registry builds no key. Audit records are typed where they
+//! are appended, so a warm append copies no text, and the invariant
+//! checker reads a running tally, so a clean check allocates nothing.
 
 #[path = "../../sim/tests/support/counting_alloc.rs"]
 mod counting_alloc;
@@ -19,10 +21,12 @@ use counting_alloc::{enroll, measured, measured_heap, unenroll, HeapDelta, GATE}
 use aas_core::component::{CallCtx, Component, StateSnapshot};
 use aas_core::error::{ComponentError, StateError};
 use aas_core::interface::Interface;
-use aas_core::message::Message;
+use aas_core::message::{Message, Name};
+use aas_core::reconfig::{ReconfigAction, ReconfigPlan};
 use aas_core::registry::{ImplementationRegistry, Props};
 use aas_core::runtime::Runtime;
-use aas_obs::{AtomicHistogram, Histogram};
+use aas_obs::{AtomicHistogram, AuditEvent, AuditLog, Histogram};
+use aas_sim::node::NodeId;
 use aas_sim::time::SimDuration;
 use aas_telecom::services::register_telecom_components;
 
@@ -205,4 +209,89 @@ fn a_fork_grows_the_heap_by_no_more_than_its_pinned_figure() {
     assert!(fork.is_some());
     assert!(heap.grown <= PINNED, "{heap:?}");
     assert!(heap.allocated <= ASKED, "{heap:?}");
+}
+
+/// Once the record vector and the books have room, appending a channel
+/// block, a plan submission or a grant allocates nothing: their names are
+/// shared, their numbers are numbers.
+#[test]
+fn a_warm_append_allocates_nothing_while_the_log_has_room() {
+    let log = AuditLog::new();
+    let (target, agent) = (Name::from("tc0".to_owned()), Name::from("gold".to_owned()));
+    // 33 records: the vector grows to 64, the books have held a plan.
+    log.append(
+        0,
+        AuditEvent::PlanSubmitted {
+            plan: 1,
+            actions: 1,
+        },
+    );
+    for channel in 1..32 {
+        let target = target.clone();
+        log.append(
+            channel,
+            AuditEvent::ChannelBlocked {
+                plan: 1,
+                channel,
+                target,
+            },
+        );
+    }
+    log.append(
+        32,
+        AuditEvent::PlanFinished {
+            plan: 1,
+            committed: true,
+        },
+    );
+    let ((), allocs) = allocs_of(|| {
+        let target = target.clone();
+        log.append(
+            33,
+            AuditEvent::ChannelBlocked {
+                plan: 2,
+                channel: 0,
+                target,
+            },
+        );
+        log.append(
+            33,
+            AuditEvent::PlanSubmitted {
+                plan: 2,
+                actions: 1,
+            },
+        );
+        let (granted, fraction) = ([1.0; 4], 1.0);
+        log.append(
+            33,
+            AuditEvent::BudgetGranted {
+                epoch: 1,
+                agent,
+                granted,
+                fraction,
+            },
+        );
+    });
+    assert_eq!(allocs, 0);
+}
+
+/// The checker reads the audit log's books and the runtime's own
+/// counters, never the log: on a clean warm runtime it allocates nothing,
+/// with a plan in flight and after it.
+#[test]
+fn checking_a_clean_warm_runtime_allocates_nothing() {
+    let mut rt = warm(8);
+    let to = NodeId(2);
+    let migrate = ReconfigAction::Migrate {
+        name: "tc0".into(),
+        to,
+    };
+    rt.request_reconfig(ReconfigPlan::single(migrate));
+    assert!(rt.reconfig_in_progress());
+    let (found, allocs) = allocs_of(|| rt.check_invariants());
+    assert_eq!((found, allocs), (Vec::new(), 0));
+    rt.run_for(SimDuration::from_millis(500));
+    assert_eq!(rt.reports().len(), 1);
+    let (found, allocs) = allocs_of(|| rt.check_invariants());
+    assert_eq!((found, allocs), (Vec::new(), 0));
 }

@@ -150,6 +150,7 @@ fn outage(rt: &mut Runtime, node: NodeId, from: SimTime, to: SimTime) {
 /// the books say once the run is over — and the books must balance.
 fn trace(rt: &mut Runtime) -> String {
     assert_eq!(rt.check_settled(), []);
+    assert_eq!(rt.violations_seen(), []);
     let mut out = String::new();
     for e in rt.obs().audit.entries() {
         let _ = writeln!(
@@ -157,9 +158,9 @@ fn trace(rt: &mut Runtime) -> String {
             "{}|{}|{}|{}|{}",
             e.at_us,
             e.kind.label(),
-            e.plan,
-            e.subject,
-            e.outcome
+            e.plan(),
+            e.subject(),
+            e.outcome()
         );
     }
     for r in rt.reports() {
@@ -600,4 +601,5 @@ fn e_migration_rejected_at_dequeue_does_not_leave_its_agent_moving() {
         rt.reports()
     );
     assert_eq!(rt.check_settled(), []);
+    assert_eq!(rt.violations_seen(), []);
 }

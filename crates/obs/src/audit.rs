@@ -1,4 +1,4 @@
-//! Append-only reconfiguration audit log.
+//! Append-only reconfiguration audit log: typed at append, rendered on read.
 //!
 //! Dynamic reconfiguration is the riskiest thing this system does to
 //! itself, so every step leaves a record: plan submission, each applied
@@ -6,88 +6,165 @@
 //! rollbacks, and plan completion. The log is append-only and queryable,
 //! which is what lets tests assert that a reconfiguration did *exactly*
 //! what its plan said — no missed actions, no phantom ones.
+//!
+//! A record is typed where it is appended: its [`AuditEvent`] holds what
+//! the writer already has — plan ids and epochs as integers, node and
+//! channel numbers, counts, the `f64`s behind grants, phi, MTTR and twin
+//! scores, shared [`Name`]s, and a failure reason or rendered action moved
+//! in rather than copied. Reading hands out [`AuditEntry`]s holding those
+//! values; their `plan` / `subject` / `outcome` texts are rendered only
+//! when asked for. Every append also folds the record into the
+//! log's [`Books`], the running tally an invariant checker reads instead
+//! of the log, so a check costs the same at the millionth record as at
+//! the first.
 
-use std::sync::{Arc, Mutex};
+use crate::Name;
+use std::fmt::{self, Write};
+use std::ops::Deref;
+use std::sync::{Arc, LazyLock, Mutex, MutexGuard};
 
-/// What an audit entry records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AuditKind {
-    /// A reconfiguration plan was submitted for execution.
-    PlanSubmitted,
+/// Declares [`AuditKind`] with its labels and [`AuditEvent`], whose
+/// variant of each kind carries that kind's typed fields.
+macro_rules! audit_kinds {
+    ($($(#[doc = $doc:literal])+ $kind:ident $label:literal { $($field:ident: $ty:ty),* })+) => {
+        /// What an audit entry records.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum AuditKind {
+            $($(#[doc = $doc])+ $kind,)+
+        }
+
+        impl AuditKind {
+            /// How many kinds there are.
+            pub const COUNT: usize = [$($label),+].len();
+
+            /// Stable lowercase label for exports.
+            #[must_use]
+            pub fn label(self) -> &'static str {
+                match self {
+                    $(AuditKind::$kind => $label,)+
+                }
+            }
+        }
+
+        /// What one record says, typed as its writer had it. Read back as
+        /// text, a `plan` id `7` is `reconfig7` (`None`: `-`), a `node` `2`
+        /// is `node2` and an `epoch` `3` is `epoch-3`.
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum AuditEvent {
+            $($(#[doc = $doc])+ $kind { $($field: $ty),* },)+
+        }
+
+        impl AuditEvent {
+            /// The record's kind.
+            #[must_use]
+            pub fn kind(&self) -> AuditKind {
+                match self {
+                    $(AuditEvent::$kind { .. } => AuditKind::$kind,)+
+                }
+            }
+        }
+    };
+}
+
+audit_kinds! {
+    /// A reconfiguration plan of `actions` actions was submitted.
+    PlanSubmitted "plan_submitted" { plan: u64, actions: u64 }
     /// One action of a plan was applied.
-    ActionApplied,
-    /// A plan finished (see `outcome` for success/failure).
-    PlanFinished,
+    ActionApplied "action_applied" { plan: u64, action: String }
+    /// A plan finished; a failed one reads the reason of the plan's
+    /// `plan_rejected` or `plan_rolled_back` before it.
+    PlanFinished "plan_finished" { plan: u64, committed: bool }
     /// A plan passed up-front validation and may begin mutating.
-    PlanValidated,
+    PlanValidated "plan_validated" { plan: u64, actions: u64 }
     /// A plan was rejected by up-front validation before any mutation.
-    PlanRejected,
+    PlanRejected "plan_rejected" { plan: u64, reason: String }
     /// A plan aborted mid-flight and its applied actions were compensated.
-    PlanRolledBack,
+    PlanRolledBack "plan_rolled_back" { plan: u64, compensated: u64, reason: String }
     /// One applied action was undone by replaying its compensating inverse.
-    ActionCompensated,
-    /// A channel was blocked for quiescence.
-    ChannelBlocked,
-    /// A blocked channel was released.
-    ChannelReleased,
-    /// A failure detector began suspecting a node.
-    FailureSuspected,
+    ActionCompensated "action_compensated" { plan: u64, action: String }
+    /// A channel into `target` was blocked for quiescence.
+    ChannelBlocked "channel_blocked" { plan: u64, channel: u64, target: Name }
+    /// A blocked channel was released (`target: None`: as it closed).
+    ChannelReleased "channel_released" { plan: u64, channel: u64, target: Option<Name> }
+    /// A failure detector began suspecting a node, at suspicion `phi`.
+    FailureSuspected "failure_suspected" { node: u32, phi: f64 }
     /// A previously suspected node was seen alive again.
-    FailureCleared,
+    FailureCleared "failure_cleared" { node: u32 }
     /// A repair policy chose a plan in response to a suspected failure.
-    RepairPlanned,
-    /// A repair plan completed and service was restored.
-    RepairCompleted,
-    /// Messages queued on a node at crash time were discarded.
-    DroppedOnCrash,
+    RepairPlanned "repair_planned" { node: u32, policy: &'static str, by: RepairBy }
+    /// A repair completed and service was restored (`plan: None`: by a
+    /// connector), `mttr_ms` after the node's crash if it had crashed.
+    RepairCompleted "repair_completed" { plan: Option<u64>, node: u32, mttr_ms: Option<f64> }
+    /// Jobs in service on `instance` were discarded as `node` crashed.
+    DroppedOnCrash "dropped_on_crash" { instance: Name, jobs: u64, node: u32 }
     /// A digital-twin fork predicted the outcome of a repair plan before
     /// it was committed to the mainline.
-    TwinPredicted,
+    TwinPredicted "twin_predicted" { policy: &'static str, node: u32, availability: f64, mttr_ms: f64 }
     /// The actual, measured outcome of a twin-verified repair; pairs with
     /// the matching [`AuditKind::TwinPredicted`] entry so prediction error
     /// is reconcilable from the log alone.
-    TwinActual,
-    /// The negotiation coordinator issued a resource grant to an agent.
-    BudgetGranted,
-    /// The negotiation coordinator denied an agent's request; the record
-    /// carries the machine-readable reason ("every agent gets its floor or
-    /// an audited deny").
-    BudgetDenied,
+    TwinActual "twin_actual" {
+        policy: &'static str, node: u32, mttr_ms: Option<f64>,
+        predicted_mttr_ms: f64, predicted_availability: f64
+    }
+    /// The negotiation coordinator granted an agent the vector `granted`
+    /// (capacity, work rate, retry budget, twin horizon).
+    BudgetGranted "budget_granted" { epoch: u64, agent: Name, granted: [f64; 4], fraction: f64 }
+    /// The negotiation coordinator denied an agent's request for a
+    /// machine-readable reason ("every agent gets its floor or an audited
+    /// deny").
+    BudgetDenied "budget_denied" { epoch: u64, agent: Name, reason: &'static str }
     /// An outstanding grant was invalidated and queued for renegotiation
-    /// (e.g. a repair plan committed mid-tick for the agent's host node).
-    BudgetRenegotiated,
+    /// because plan `trigger` committed mid-tick for the agent's node.
+    BudgetRenegotiated "budget_renegotiated" { epoch: u64, agent: Name, trigger: Option<u64> }
 }
 
-impl AuditKind {
-    /// Stable lowercase label for exports.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            AuditKind::PlanSubmitted => "plan_submitted",
-            AuditKind::ActionApplied => "action_applied",
-            AuditKind::PlanFinished => "plan_finished",
-            AuditKind::PlanValidated => "plan_validated",
-            AuditKind::PlanRejected => "plan_rejected",
-            AuditKind::PlanRolledBack => "plan_rolled_back",
-            AuditKind::ActionCompensated => "action_compensated",
-            AuditKind::ChannelBlocked => "channel_blocked",
-            AuditKind::ChannelReleased => "channel_released",
-            AuditKind::FailureSuspected => "failure_suspected",
-            AuditKind::FailureCleared => "failure_cleared",
-            AuditKind::RepairPlanned => "repair_planned",
-            AuditKind::RepairCompleted => "repair_completed",
-            AuditKind::DroppedOnCrash => "dropped_on_crash",
-            AuditKind::TwinPredicted => "twin_predicted",
-            AuditKind::TwinActual => "twin_actual",
-            AuditKind::BudgetGranted => "budget_granted",
-            AuditKind::BudgetDenied => "budget_denied",
-            AuditKind::BudgetRenegotiated => "budget_renegotiated",
+/// How a repair is carried out: by plan `id` of `actions` actions, or by
+/// adapting the named connector in place, which files no plan.
+#[derive(Debug, Clone, PartialEq)]
+pub enum RepairBy {
+    Plan { id: u64, actions: u64 },
+    Connector(String),
+}
+
+/// One stored record; its `seq` is its index in the log.
+#[derive(Debug)]
+struct Record {
+    at_us: u64,
+    event: AuditEvent,
+}
+
+impl Record {
+    /// The record at `seq`, preceded by `earlier`, as read.
+    fn read(&self, seq: usize, earlier: &[Record]) -> AuditEntry {
+        use AuditEvent as E;
+        let why = match self.event {
+            E::PlanFinished {
+                plan: id,
+                committed: false,
+            } => earlier.iter().rev().find_map(|r| match &r.event {
+                E::PlanRejected { plan, reason } if *plan == id => {
+                    Some(format!("rejected: {reason}").into())
+                }
+                E::PlanRolledBack { plan, reason, .. } if *plan == id => Some(reason[..].into()),
+                _ => None,
+            }),
+            _ => None,
+        };
+        AuditEntry {
+            seq: seq as u64,
+            at_us: self.at_us,
+            kind: self.event.kind(),
+            event: self.event.clone(),
+            why,
         }
     }
 }
 
-/// One immutable record in the audit log.
-#[derive(Debug, Clone)]
+/// One record as read. It holds the typed [`AuditEvent`]; its `plan`,
+/// `subject` and `outcome` texts are rendered only when asked for, as the
+/// runtime's writers wrote them before records were typed.
+#[derive(Debug, Clone, PartialEq)]
 pub struct AuditEntry {
     /// Position in the log (0-based, gap-free).
     pub seq: u64,
@@ -95,13 +172,321 @@ pub struct AuditEntry {
     pub at_us: u64,
     /// Record kind.
     pub kind: AuditKind,
-    /// Plan this record belongs to; empty for records outside any plan
-    /// (e.g. channel blocks issued by the kernel directly).
-    pub plan: String,
-    /// The subject: an action description, a channel name, etc.
-    pub subject: String,
-    /// Outcome text (`"ok"`, an error, a reason); may be empty.
-    pub outcome: String,
+    /// What the record says.
+    pub event: AuditEvent,
+    /// A failed `plan_finished`: the reason its plan's last
+    /// `plan_rejected` (after `rejected: `) or `plan_rolled_back` gave.
+    why: Option<Box<str>>,
+}
+
+impl AuditEntry {
+    /// The `plan`, `subject` and `outcome` texts.
+    #[must_use]
+    pub fn texts(&self) -> [String; 3] {
+        let mut texts = <[String; 3]>::default();
+        let _ = self.write_texts(&mut texts);
+        texts
+    }
+
+    /// The plan the record belongs to (`reconfig7`; a twin's policy; a
+    /// negotiation `epoch-3`; `-` for a repair filing no plan); empty for
+    /// records outside any plan.
+    #[must_use]
+    pub fn plan(&self) -> String {
+        let [plan, ..] = self.texts();
+        plan
+    }
+
+    /// The subject: an action, a channel, a node, an agent.
+    #[must_use]
+    pub fn subject(&self) -> String {
+        let [_, subject, _] = self.texts();
+        subject
+    }
+
+    /// The outcome (`ok`, `success`, a reason, a measurement); may be empty.
+    #[must_use]
+    pub fn outcome(&self) -> String {
+        let [.., outcome] = self.texts();
+        outcome
+    }
+
+    fn write_texts(&self, [p, s, o]: &mut [String; 3]) -> fmt::Result {
+        use AuditEvent as E;
+        match &self.event {
+            E::PlanSubmitted { plan, actions } | E::PlanValidated { plan, actions } => {
+                write!(p, "reconfig{plan}")?;
+                write!(s, "{actions} actions")
+            }
+            E::ActionApplied { plan, action } | E::ActionCompensated { plan, action } => {
+                write!(p, "reconfig{plan}")?;
+                s.push_str(action);
+                o.push_str("ok");
+                Ok(())
+            }
+            E::PlanFinished { plan, committed } => {
+                write!(p, "reconfig{plan}")?;
+                o.push_str(if *committed { "success" } else { "failed" });
+                self.why.iter().try_for_each(|why| write!(o, ": {why}"))
+            }
+            E::PlanRejected { plan, reason } => {
+                write!(p, "reconfig{plan}")?;
+                o.push_str(reason);
+                Ok(())
+            }
+            E::PlanRolledBack {
+                plan,
+                compensated,
+                reason,
+            } => {
+                write!(p, "reconfig{plan}")?;
+                write!(s, "{compensated} compensated")?;
+                o.push_str(reason);
+                Ok(())
+            }
+            E::ChannelBlocked {
+                plan,
+                channel,
+                target,
+            } => write!(p, "reconfig{plan}").and(write!(s, "ch={channel} -> {target}")),
+            E::ChannelReleased {
+                plan,
+                channel,
+                target,
+            } => {
+                write!(p, "reconfig{plan}")?;
+                match target {
+                    Some(target) => write!(s, "ch={channel} -> {target}"),
+                    None => write!(s, "ch={channel} (closed)"),
+                }
+            }
+            E::FailureSuspected { node, phi } => {
+                write!(s, "node{node}").and(write!(o, "phi={phi:.2}"))
+            }
+            E::FailureCleared { node } => write!(s, "node{node}"),
+            E::RepairPlanned { node, policy, by } => {
+                write!(s, "node{node}")?;
+                match by {
+                    RepairBy::Plan { id, actions } => {
+                        write!(p, "reconfig{id}")?;
+                        write!(o, "{policy}: {actions} actions")
+                    }
+                    RepairBy::Connector(name) => {
+                        p.push('-');
+                        write!(o, "{policy}: adapt connector `{name}`")
+                    }
+                }
+            }
+            E::RepairCompleted {
+                plan,
+                node,
+                mttr_ms,
+            } => {
+                match plan {
+                    Some(id) => write!(p, "reconfig{id}")?,
+                    None => p.push('-'),
+                }
+                write!(s, "node{node}")?;
+                match mttr_ms {
+                    Some(mttr) => write!(o, "mttr_ms={mttr:.3}"),
+                    None => write!(o, "repaired"),
+                }
+            }
+            E::DroppedOnCrash {
+                instance,
+                jobs,
+                node,
+            } => {
+                s.push_str(instance);
+                write!(o, "{jobs} in-flight jobs lost in crash of node{node}")
+            }
+            E::TwinPredicted {
+                policy,
+                node,
+                availability,
+                mttr_ms,
+            } => {
+                p.push_str(policy);
+                write!(s, "node{node}")?;
+                write!(o, "availability={availability:.4} mttr_ms={mttr_ms:.3}")
+            }
+            E::TwinActual {
+                policy,
+                node,
+                mttr_ms,
+                predicted_mttr_ms: mttr,
+                predicted_availability: availability,
+            } => {
+                p.push_str(policy);
+                write!(s, "node{node}")?;
+                match mttr_ms {
+                    Some(actual) => write!(o, "actual_mttr_ms={actual:.3}")?,
+                    None => o.push_str("actual_mttr_ms=na"),
+                }
+                write!(
+                    o,
+                    " predicted_mttr_ms={mttr:.3} predicted_availability={availability:.4}"
+                )
+            }
+            E::BudgetGranted {
+                epoch,
+                agent,
+                granted: [cap, rate, retry, twin],
+                fraction,
+            } => {
+                write!(p, "epoch-{epoch}")?;
+                s.push_str(agent);
+                write!(
+                    o,
+                    "[cap={cap:.6} rate={rate:.6} retry={retry:.6} twin={twin:.6}]"
+                )?;
+                write!(o, " fraction={fraction:.6}")
+            }
+            E::BudgetDenied {
+                epoch,
+                agent,
+                reason,
+            } => {
+                write!(p, "epoch-{epoch}")?;
+                s.push_str(agent);
+                o.push_str(reason);
+                Ok(())
+            }
+            E::BudgetRenegotiated {
+                epoch,
+                agent,
+                trigger,
+            } => {
+                write!(p, "epoch-{epoch}")?;
+                s.push_str(agent);
+                match trigger {
+                    Some(id) => write!(o, "plan reconfig{id} committed"),
+                    None => write!(o, "plan - committed"),
+                }
+            }
+        }
+    }
+}
+
+/// How plans ended.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PlanTally {
+    /// Every action committed.
+    pub committed: u64,
+    /// Refused by validation.
+    pub rejected: u64,
+    /// Aborted and compensated.
+    pub rolled_back: u64,
+}
+
+/// What the records add up to, folded in as each is appended: the books
+/// an invariant checker reads instead of the log. A finished plan leaves
+/// only counts behind; a record that breaks a rule of the fold leaves its
+/// `seq`, if it is the first to break that rule.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Books {
+    /// Records of each kind, by [`AuditKind`]: see [`Books::count`].
+    counts: [u64; AuditKind::COUNT],
+    /// The first record timestamped before the record ahead of it.
+    pub disordered: Option<u64>,
+    /// Plans submitted and not finished, in submission order, each with
+    /// the `plan_rejected` or `plan_rolled_back` recorded for it, if any.
+    pub open_plans: Vec<(u64, Option<AuditKind>)>,
+    /// How the finished plans ended, as their records say.
+    pub closed: PlanTally,
+    /// The first plan record out of place in its plan's life: a second
+    /// submission, a rejection or rollback of a plan not simply
+    /// submitted, a finish of no open plan or not as it was failing.
+    pub stray_plan_record: Option<u64>,
+    /// The first `repair_completed` naming no repair about to complete.
+    pub unplanned_repair: Option<u64>,
+    /// Jobs the `dropped_on_crash` records say were lost.
+    pub crash_losses: u64,
+    /// Nodes with a `twin_predicted` no `twin_actual` has paired yet.
+    pub predicted: Vec<u32>,
+    /// The first `twin_actual` pairing no prediction.
+    pub unpaired_actual: Option<u64>,
+    last_at_us: u64,
+    last_submitted: u64,
+    /// The plan that finished last: one that ends at submission finishes
+    /// before its repair is planned.
+    last_finished: Option<(u64, bool)>,
+    /// Repairs planned (`None`: by a connector) whose plan has not failed,
+    /// until their `repair_completed`.
+    repairs_due: Vec<Option<u64>>,
+}
+
+impl Books {
+    /// Records of `kind` appended so far.
+    #[must_use]
+    pub fn count(&self, kind: AuditKind) -> u64 {
+        self.counts[kind as usize]
+    }
+
+    fn fold(&mut self, seq: u64, at_us: u64, event: &AuditEvent) {
+        use AuditEvent as E;
+        self.counts[event.kind() as usize] += 1;
+        if at_us < self.last_at_us {
+            self.disordered.get_or_insert(seq);
+        }
+        self.last_at_us = at_us;
+        match *event {
+            E::PlanSubmitted { plan, .. } if plan > self.last_submitted => {
+                self.last_submitted = plan;
+                self.open_plans.push((plan, None));
+            }
+            E::PlanRejected { plan, .. } | E::PlanRolledBack { plan, .. } => {
+                match self.open_plans.iter_mut().find(|(id, _)| *id == plan) {
+                    Some((_, failing @ None)) => *failing = Some(event.kind()),
+                    _ => _ = self.stray_plan_record.get_or_insert(seq),
+                }
+            }
+            E::PlanFinished { plan, committed } => {
+                let open = self.open_plans.iter().position(|(id, _)| *id == plan);
+                let closed = &mut self.closed;
+                match (open.map(|i| self.open_plans.remove(i).1), committed) {
+                    (Some(None), true) => closed.committed += 1,
+                    (Some(Some(AuditKind::PlanRejected)), false) => closed.rejected += 1,
+                    (Some(Some(AuditKind::PlanRolledBack)), false) => closed.rolled_back += 1,
+                    _ => _ = self.stray_plan_record.get_or_insert(seq),
+                }
+                if !committed {
+                    self.repairs_due.retain(|due| *due != Some(plan));
+                }
+                self.last_finished = Some((plan, committed));
+            }
+            E::PlanSubmitted { .. } => _ = self.stray_plan_record.get_or_insert(seq),
+            E::RepairPlanned { ref by, .. } => match *by {
+                RepairBy::Plan { id, .. } if self.last_finished == Some((id, false)) => {}
+                RepairBy::Plan { id, .. } => self.repairs_due.push(Some(id)),
+                RepairBy::Connector(_) => self.repairs_due.push(None),
+            },
+            E::RepairCompleted { plan, .. } => {
+                match self.repairs_due.iter().position(|due| *due == plan) {
+                    Some(i) => _ = self.repairs_due.swap_remove(i),
+                    None => _ = self.unplanned_repair.get_or_insert(seq),
+                }
+            }
+            E::DroppedOnCrash { jobs, .. } => self.crash_losses += jobs,
+            E::TwinPredicted { node, .. } if !self.predicted.contains(&node) => {
+                self.predicted.push(node);
+            }
+            E::TwinActual { node, .. } => match self.predicted.iter().position(|n| *n == node) {
+                Some(i) => _ = self.predicted.swap_remove(i),
+                None => _ = self.unpaired_actual.get_or_insert(seq),
+            },
+            _ => {}
+        }
+    }
+}
+
+/// The books of a log nothing has been appended to.
+static NO_BOOKS: LazyLock<Books> = LazyLock::new(Books::default);
+
+#[derive(Debug, Default)]
+struct Log {
+    records: Vec<Record>,
+    books: Books,
 }
 
 /// Shared append-only audit log.
@@ -109,20 +494,25 @@ pub struct AuditEntry {
 /// # Examples
 ///
 /// ```
-/// use aas_obs::{AuditKind, AuditLog};
+/// use aas_obs::{AuditEvent, AuditKind, AuditLog};
 ///
 /// let log = AuditLog::new();
-/// log.plan_submitted("p1", "swap filter implementation", 100);
-/// log.action_applied("p1", "swap-implementation filter", "ok", 150);
-/// log.plan_finished("p1", "success", 200);
+/// log.append(100, AuditEvent::PlanSubmitted { plan: 1, actions: 1 });
+/// let action = "swap-implementation filter".to_owned();
+/// log.append(150, AuditEvent::ActionApplied { plan: 1, action });
+/// log.append(200, AuditEvent::PlanFinished { plan: 1, committed: true });
 ///
-/// let p1 = log.for_plan("p1");
+/// let p1 = log.for_plan("reconfig1");
 /// assert_eq!(p1.len(), 3);
 /// assert_eq!(p1[1].kind, AuditKind::ActionApplied);
+/// assert_eq!(p1[2].outcome(), "success");
+/// assert_eq!(log.books().closed.committed, 1);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct AuditLog {
-    entries: Arc<Mutex<Vec<AuditEntry>>>,
+    /// `None` until the first append: a log nothing writes to, such as a
+    /// twin fork's, carries no books.
+    log: Arc<Mutex<Option<Box<Log>>>>,
 }
 
 impl AuditLog {
@@ -132,135 +522,37 @@ impl AuditLog {
         AuditLog::default()
     }
 
-    fn append(&self, at_us: u64, kind: AuditKind, plan: &str, subject: &str, outcome: &str) {
-        let mut entries = self.entries.lock().expect("audit log poisoned");
-        let seq = entries.len() as u64;
-        entries.push(AuditEntry {
-            seq,
-            at_us,
-            kind,
-            plan: plan.to_owned(),
-            subject: subject.to_owned(),
-            outcome: outcome.to_owned(),
-        });
+    fn lock(&self) -> MutexGuard<'_, Option<Box<Log>>> {
+        self.log.lock().expect("audit log poisoned")
     }
 
-    /// Records submission of `plan`.
-    pub fn plan_submitted(&self, plan: &str, description: &str, at_us: u64) {
-        self.append(at_us, AuditKind::PlanSubmitted, plan, description, "");
+    /// Appends `event`, timestamped `at_us`, and folds it into the books.
+    pub fn append(&self, at_us: u64, event: AuditEvent) {
+        let mut log = self.lock();
+        let log = log.get_or_insert_with(Box::default);
+        let seq = log.records.len() as u64;
+        log.books.fold(seq, at_us, &event);
+        log.records.push(Record { at_us, event });
     }
 
-    /// Records one applied action of `plan` and its outcome.
-    pub fn action_applied(&self, plan: &str, action: &str, outcome: &str, at_us: u64) {
-        self.append(at_us, AuditKind::ActionApplied, plan, action, outcome);
-    }
-
-    /// Records completion of `plan` with `outcome`.
-    pub fn plan_finished(&self, plan: &str, outcome: &str, at_us: u64) {
-        self.append(at_us, AuditKind::PlanFinished, plan, "", outcome);
-    }
-
-    /// Records that `plan` passed up-front validation; `detail` typically
-    /// carries the action count.
-    pub fn plan_validated(&self, plan: &str, detail: &str, at_us: u64) {
-        self.append(at_us, AuditKind::PlanValidated, plan, detail, "");
-    }
-
-    /// Records that `plan` was rejected before any mutation, with the
-    /// validation `reason`.
-    pub fn plan_rejected(&self, plan: &str, reason: &str, at_us: u64) {
-        self.append(at_us, AuditKind::PlanRejected, plan, "", reason);
-    }
-
-    /// Records that `plan` aborted mid-flight and was rolled back;
-    /// `reason` is the triggering failure, `detail` typically carries the
-    /// number of compensated actions.
-    pub fn plan_rolled_back(&self, plan: &str, reason: &str, detail: &str, at_us: u64) {
-        self.append(at_us, AuditKind::PlanRolledBack, plan, detail, reason);
-    }
-
-    /// Records that one applied `action` of `plan` was undone by its
-    /// compensating inverse during rollback.
-    pub fn action_compensated(&self, plan: &str, action: &str, at_us: u64) {
-        self.append(at_us, AuditKind::ActionCompensated, plan, action, "ok");
-    }
-
-    /// Records that `channel` was blocked (for quiescence) under `plan`.
-    pub fn channel_blocked(&self, plan: &str, channel: &str, at_us: u64) {
-        self.append(at_us, AuditKind::ChannelBlocked, plan, channel, "");
-    }
-
-    /// Records that `channel` was released under `plan`.
-    pub fn channel_released(&self, plan: &str, channel: &str, at_us: u64) {
-        self.append(at_us, AuditKind::ChannelReleased, plan, channel, "");
-    }
-
-    /// Records that the failure detector began suspecting `subject` (a
-    /// node); `detail` typically carries the phi value crossed.
-    pub fn failure_suspected(&self, subject: &str, detail: &str, at_us: u64) {
-        self.append(at_us, AuditKind::FailureSuspected, "", subject, detail);
-    }
-
-    /// Records that a previously suspected `subject` was seen alive again.
-    pub fn failure_cleared(&self, subject: &str, at_us: u64) {
-        self.append(at_us, AuditKind::FailureCleared, "", subject, "");
-    }
-
-    /// Records that a repair policy submitted `plan` for `subject` (the
-    /// failed node); `detail` names the policy and actions.
-    pub fn repair_planned(&self, plan: &str, subject: &str, detail: &str, at_us: u64) {
-        self.append(at_us, AuditKind::RepairPlanned, plan, subject, detail);
-    }
-
-    /// Records that repair `plan` for `subject` completed; `detail`
-    /// typically carries the measured time-to-repair.
-    pub fn repair_completed(&self, plan: &str, subject: &str, detail: &str, at_us: u64) {
-        self.append(at_us, AuditKind::RepairCompleted, plan, subject, detail);
-    }
-
-    /// Records messages discarded because their host node crashed with
-    /// them still queued; `detail` carries the count.
-    pub fn dropped_on_crash(&self, subject: &str, detail: &str, at_us: u64) {
-        self.append(at_us, AuditKind::DroppedOnCrash, "", subject, detail);
-    }
-
-    /// Records a digital-twin prediction for the repair of `subject` (the
-    /// failed node): `plan` names the chosen policy, `detail` carries the
-    /// predicted scores (availability, MTTR, latency).
-    pub fn twin_predicted(&self, plan: &str, subject: &str, detail: &str, at_us: u64) {
-        self.append(at_us, AuditKind::TwinPredicted, plan, subject, detail);
-    }
-
-    /// Records the measured outcome of a twin-verified repair of
-    /// `subject`; `detail` carries the actual values next to the
-    /// prediction they reconcile against.
-    pub fn twin_actual(&self, plan: &str, subject: &str, detail: &str, at_us: u64) {
-        self.append(at_us, AuditKind::TwinActual, plan, subject, detail);
-    }
-
-    /// Records that negotiation epoch `plan` granted `subject` (an agent)
-    /// a budget; `detail` renders the granted vector and fraction.
-    pub fn budget_granted(&self, epoch: &str, subject: &str, detail: &str, at_us: u64) {
-        self.append(at_us, AuditKind::BudgetGranted, epoch, subject, detail);
-    }
-
-    /// Records that negotiation epoch `plan` denied `subject`'s request
-    /// for `reason` (e.g. `floor-unsatisfiable`, `host-suspected`).
-    pub fn budget_denied(&self, epoch: &str, subject: &str, reason: &str, at_us: u64) {
-        self.append(at_us, AuditKind::BudgetDenied, epoch, subject, reason);
-    }
-
-    /// Records that `subject`'s outstanding grant was invalidated before
-    /// its epoch ended; `detail` carries the trigger (e.g. the repair plan
-    /// id that committed mid-tick).
-    pub fn budget_renegotiated(&self, epoch: &str, subject: &str, detail: &str, at_us: u64) {
-        self.append(at_us, AuditKind::BudgetRenegotiated, epoch, subject, detail);
+    /// The books, read under the log's lock: append nothing while holding
+    /// them.
+    #[must_use]
+    pub fn books(&self) -> impl Deref<Target = Books> + '_ {
+        struct Held<'a>(MutexGuard<'a, Option<Box<Log>>>);
+        impl Deref for Held<'_> {
+            type Target = Books;
+            fn deref(&self) -> &Books {
+                self.0.as_ref().map_or(&NO_BOOKS, |log| &log.books)
+            }
+        }
+        Held(self.lock())
     }
 
     /// Number of entries.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.lock().expect("audit log poisoned").len()
+        self.lock().as_ref().map_or(0, |log| log.records.len())
     }
 
     /// True when the log is empty.
@@ -269,165 +561,429 @@ impl AuditLog {
         self.len() == 0
     }
 
-    /// Copies all entries, in append order.
+    /// The entries whose event `keep` accepts, in append order, in a
+    /// vector no longer than they are.
+    fn select(&self, keep: impl Fn(&AuditEvent) -> bool) -> Vec<AuditEntry> {
+        let log = self.lock();
+        let records = log.as_ref().map_or(&[][..], |log| &log.records);
+        let kept = records.iter().enumerate().filter(|(_, r)| keep(&r.event));
+        let mut entries = Vec::with_capacity(kept.clone().count());
+        entries.extend(kept.map(|(seq, r)| r.read(seq, &records[..seq])));
+        entries
+    }
+
+    /// All entries, in append order.
     #[must_use]
     pub fn entries(&self) -> Vec<AuditEntry> {
-        self.entries.lock().expect("audit log poisoned").clone()
+        self.select(|_| true)
     }
 
-    /// Copies the entries belonging to `plan`, in append order.
+    /// The entries whose plan text is `plan`, in append order.
     #[must_use]
     pub fn for_plan(&self, plan: &str) -> Vec<AuditEntry> {
-        self.entries
-            .lock()
-            .expect("audit log poisoned")
-            .iter()
-            .filter(|e| e.plan == plan)
-            .cloned()
-            .collect()
+        let mut entries = self.entries();
+        entries.retain(|e| e.plan() == plan);
+        entries
     }
 
-    /// Copies the entries of a given kind, in append order.
+    /// The entries of a given kind, in append order.
     #[must_use]
     pub fn of_kind(&self, kind: AuditKind) -> Vec<AuditEntry> {
-        self.entries
-            .lock()
-            .expect("audit log poisoned")
-            .iter()
-            .filter(|e| e.kind == kind)
-            .cloned()
-            .collect()
+        self.select(|event| event.kind() == kind)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use AuditEvent as E;
+    use AuditKind as K;
+
+    fn log_of(events: impl IntoIterator<Item = AuditEvent>) -> AuditLog {
+        let log = AuditLog::new();
+        for (at, event) in events.into_iter().enumerate() {
+            log.append(at as u64, event);
+        }
+        log
+    }
+
+    /// The last of `events` reads `texts` as `plan`, `subject`, `outcome`.
+    fn renders(events: Vec<AuditEvent>, texts: [&str; 3]) {
+        let kind = events.last().expect("an event").kind();
+        let entries = log_of(events).entries();
+        assert_eq!(entries.capacity(), entries.len());
+        let last = entries.last().expect("an entry");
+        assert_eq!(last.kind, kind);
+        assert_eq!(last.texts(), texts);
+    }
+
+    // One test per kind, each pinning the texts the runtime's writers
+    // produced before records were typed.
+    macro_rules! rendering {
+        ($($test:ident: [$($event:expr),+] => $texts:expr;)+) => {$(
+            #[test]
+            fn $test() {
+                renders(vec![$($event),+], $texts);
+            }
+        )+};
+    }
+
+    rendering! {
+        plan_submitted_renders: [E::PlanSubmitted { plan: 3, actions: 2 }]
+            => ["reconfig3", "2 actions", ""];
+        plan_validated_renders: [E::PlanValidated { plan: 3, actions: 1 }]
+            => ["reconfig3", "1 actions", ""];
+        action_applied_renders: [E::ActionApplied {
+            plan: 12,
+            action: "migrate tc3 -> node2".into(),
+        }] => ["reconfig12", "migrate tc3 -> node2", "ok"];
+        plan_finished_renders: [
+            E::PlanRejected { plan: 4, reason: "unknown component `ghost1`".into() },
+            E::PlanRolledBack { plan: 5, compensated: 1, reason: "target node crashed".into() },
+            E::PlanFinished { plan: 4, committed: false }
+        ] => ["reconfig4", "", "failed: rejected: unknown component `ghost1`"];
+        plan_rejected_renders: [E::PlanRejected {
+            plan: 4,
+            reason: "unknown component `ghost1`".into(),
+        }] => ["reconfig4", "", "unknown component `ghost1`"];
+        plan_rolled_back_renders: [E::PlanRolledBack {
+            plan: 5,
+            compensated: 2,
+            reason: "target node crashed".into(),
+        }] => ["reconfig5", "2 compensated", "target node crashed"];
+        action_compensated_renders: [E::ActionCompensated {
+            plan: 5,
+            action: "migrate coder -> node1".into(),
+        }] => ["reconfig5", "migrate coder -> node1", "ok"];
+        channel_blocked_renders: [E::ChannelBlocked {
+            plan: 7,
+            channel: 14,
+            target: "tc3".into(),
+        }] => ["reconfig7", "ch=14 -> tc3", ""];
+        channel_released_renders: [
+            E::ChannelReleased { plan: 7, channel: 14, target: Some("tc3".into()) },
+            E::ChannelReleased { plan: 7, channel: 15, target: None }
+        ] => ["reconfig7", "ch=15 (closed)", ""];
+        failure_suspected_renders: [E::FailureSuspected { node: 2, phi: 3.251 }]
+            => ["", "node2", "phi=3.25"];
+        failure_cleared_renders: [E::FailureCleared { node: 2 }] => ["", "node2", ""];
+        repair_planned_renders: [
+            E::RepairPlanned {
+                node: 2,
+                policy: "failover-migrate",
+                by: RepairBy::Connector("wire".into()),
+            },
+            E::RepairPlanned {
+                node: 2,
+                policy: "failover-migrate",
+                by: RepairBy::Plan { id: 9, actions: 1 },
+            }
+        ] => ["reconfig9", "node2", "failover-migrate: 1 actions"];
+        repair_completed_renders: [
+            E::RepairCompleted { plan: Some(9), node: 2, mttr_ms: None },
+            E::RepairCompleted { plan: Some(9), node: 2, mttr_ms: Some(412.0) }
+        ] => ["reconfig9", "node2", "mttr_ms=412.000"];
+        dropped_on_crash_renders: [E::DroppedOnCrash {
+            instance: "svc".into(),
+            jobs: 3,
+            node: 2,
+        }] => ["", "svc", "3 in-flight jobs lost in crash of node2"];
+        twin_predicted_renders: [E::TwinPredicted {
+            policy: "restart-in-place",
+            node: 2,
+            availability: 0.75,
+            mttr_ms: 1750.25,
+        }] => ["restart-in-place", "node2", "availability=0.7500 mttr_ms=1750.250"];
+        twin_actual_renders: [E::TwinActual {
+            policy: "failover-migrate",
+            node: 2,
+            mttr_ms: Some(310.5),
+            predicted_mttr_ms: 300.0,
+            predicted_availability: 1.0,
+        }] => [
+            "failover-migrate",
+            "node2",
+            "actual_mttr_ms=310.500 predicted_mttr_ms=300.000 predicted_availability=1.0000",
+        ];
+        budget_granted_renders: [E::BudgetGranted {
+            epoch: 3,
+            agent: "gold".into(),
+            granted: [0.5, 40.0, 1.25, 0.0],
+            fraction: 2.0 / 3.0,
+        }] => [
+            "epoch-3",
+            "gold",
+            "[cap=0.500000 rate=40.000000 retry=1.250000 twin=0.000000] fraction=0.666667",
+        ];
+        budget_denied_renders: [E::BudgetDenied {
+            epoch: 3,
+            agent: "bronze".into(),
+            reason: "floor-unsatisfiable",
+        }] => ["epoch-3", "bronze", "floor-unsatisfiable"];
+        budget_renegotiated_renders: [
+            E::BudgetRenegotiated { epoch: 0, agent: "svc".into(), trigger: None },
+            E::BudgetRenegotiated { epoch: 3, agent: "svc".into(), trigger: Some(7) }
+        ] => ["epoch-3", "svc", "plan reconfig7 committed"];
+    }
 
     #[test]
-    fn sequence_numbers_are_gap_free() {
-        let log = AuditLog::new();
-        log.plan_submitted("p", "d", 0);
-        log.channel_blocked("p", "a->b", 1);
-        log.action_applied("p", "remove-component x", "ok", 2);
-        log.channel_released("p", "a->b", 3);
-        log.plan_finished("p", "success", 4);
-        let entries = log.entries();
-        for (i, e) in entries.iter().enumerate() {
+    fn the_other_branches_render_as_their_writers_did() {
+        let rolled_back = log_of([
+            E::PlanSubmitted {
+                plan: 5,
+                actions: 1,
+            },
+            E::PlanRolledBack {
+                plan: 5,
+                compensated: 1,
+                reason: "migrate coder: node down".into(),
+            },
+            E::PlanFinished {
+                plan: 5,
+                committed: false,
+            },
+            E::PlanFinished {
+                plan: 6,
+                committed: true,
+            },
+            E::ChannelReleased {
+                plan: 6,
+                channel: 14,
+                target: Some("tc3".into()),
+            },
+            E::RepairPlanned {
+                node: 2,
+                policy: "failover-migrate",
+                by: RepairBy::Connector("wire".into()),
+            },
+            E::RepairCompleted {
+                plan: None,
+                node: 2,
+                mttr_ms: None,
+            },
+            E::TwinActual {
+                policy: "restart-in-place",
+                node: 1,
+                mttr_ms: None,
+                predicted_mttr_ms: 0.0,
+                predicted_availability: 0.5,
+            },
+            E::BudgetRenegotiated {
+                epoch: 0,
+                agent: "svc".into(),
+                trigger: None,
+            },
+        ]);
+        let outcomes: Vec<_> = rolled_back
+            .entries()
+            .into_iter()
+            .map(|e| e.texts())
+            .collect();
+        assert_eq!(
+            outcomes[2..],
+            [
+                ["reconfig5", "", "failed: migrate coder: node down"],
+                ["reconfig6", "", "success"],
+                ["reconfig6", "ch=14 -> tc3", ""],
+                ["-", "node2", "failover-migrate: adapt connector `wire`"],
+                ["-", "node2", "repaired"],
+                [
+                    "restart-in-place",
+                    "node1",
+                    "actual_mttr_ms=na predicted_mttr_ms=0.000 predicted_availability=0.5000"
+                ],
+                ["epoch-0", "svc", "plan - committed"],
+            ]
+            .map(|texts| texts.map(str::to_owned))
+        );
+    }
+
+    #[test]
+    fn a_stored_record_is_no_larger_than_a_rendered_entry_was() {
+        assert!(std::mem::size_of::<Record>() <= 96);
+    }
+
+    /// What a reader of the whole log allocates a record for.
+    #[test]
+    fn an_entry_as_read_is_its_record_and_a_reason() {
+        assert!(std::mem::size_of::<AuditEntry>() <= 112);
+    }
+
+    #[test]
+    fn sequence_numbers_are_gap_free_and_queries_filter() {
+        let log = log_of([
+            E::PlanSubmitted {
+                plan: 1,
+                actions: 1,
+            },
+            E::PlanSubmitted {
+                plan: 2,
+                actions: 0,
+            },
+            E::ActionApplied {
+                plan: 1,
+                action: "bind a b".into(),
+            },
+            E::PlanFinished {
+                plan: 1,
+                committed: true,
+            },
+        ]);
+        for (i, e) in log.entries().iter().enumerate() {
             assert_eq!(e.seq, i as u64);
         }
-        assert_eq!(entries.len(), 5);
+        assert_eq!(log.for_plan("reconfig1").len(), 3);
+        assert_eq!(log.for_plan("reconfig2").len(), 1);
+        assert!(log.for_plan("reconfig").is_empty());
+        assert!(log.for_plan("reconfig12").is_empty());
+        assert_eq!(log.of_kind(AuditKind::PlanSubmitted)[1].seq, 1);
+        let finished = log.of_kind(AuditKind::PlanFinished);
+        assert_eq!((finished[0].seq, finished[0].at_us), (3, 3));
+        assert_eq!(log.len(), 4);
     }
 
     #[test]
-    fn queries_filter_correctly() {
-        let log = AuditLog::new();
-        log.plan_submitted("p1", "", 0);
-        log.plan_submitted("p2", "", 1);
-        log.action_applied("p1", "bind a b", "ok", 2);
-        log.plan_rolled_back("p2", "constraint violated", "0 compensated", 3);
-        assert_eq!(log.for_plan("p1").len(), 2);
-        assert_eq!(log.for_plan("p2").len(), 2);
-        assert_eq!(log.of_kind(AuditKind::PlanRolledBack).len(), 1);
-        assert_eq!(
-            log.of_kind(AuditKind::PlanRolledBack)[0].outcome,
-            "constraint violated"
-        );
+    fn the_books_fold_every_append() {
+        let log = log_of([
+            E::PlanSubmitted {
+                plan: 1,
+                actions: 1,
+            },
+            E::PlanSubmitted {
+                plan: 2,
+                actions: 1,
+            },
+            E::PlanRejected {
+                plan: 2,
+                reason: "unknown component".into(),
+            },
+            E::PlanFinished {
+                plan: 2,
+                committed: false,
+            },
+            E::RepairPlanned {
+                node: 1,
+                policy: "restart-in-place",
+                by: RepairBy::Plan { id: 1, actions: 1 },
+            },
+            E::ChannelBlocked {
+                plan: 1,
+                channel: 3,
+                target: "svc".into(),
+            },
+            E::TwinPredicted {
+                policy: "restart-in-place",
+                node: 1,
+                availability: 1.0,
+                mttr_ms: 5.0,
+            },
+            E::DroppedOnCrash {
+                instance: "svc".into(),
+                jobs: 2,
+                node: 1,
+            },
+        ]);
+        {
+            let books = log.books();
+            assert_eq!(books.open_plans, [(1, None)]);
+            assert_eq!(books.closed.rejected, 1);
+            let channels = [K::ChannelBlocked, K::ChannelReleased].map(|k| books.count(k));
+            assert_eq!((channels, books.crash_losses), ([1, 0], 2));
+            assert_eq!(books.predicted, [1]);
+        }
+        for event in [
+            E::ChannelReleased {
+                plan: 1,
+                channel: 3,
+                target: Some("svc".into()),
+            },
+            E::PlanFinished {
+                plan: 1,
+                committed: true,
+            },
+            E::RepairCompleted {
+                plan: Some(1),
+                node: 1,
+                mttr_ms: Some(5.0),
+            },
+            E::TwinActual {
+                policy: "restart-in-place",
+                node: 1,
+                mttr_ms: Some(5.0),
+                predicted_mttr_ms: 5.0,
+                predicted_availability: 1.0,
+            },
+        ] {
+            log.append(20, event);
+        }
+        let books = log.books();
+        assert!(books.open_plans.is_empty() && books.predicted.is_empty());
+        let channels = [K::ChannelBlocked, K::ChannelReleased].map(|k| books.count(k));
+        assert_eq!((books.closed.committed, channels), (1, [1, 1]));
+        let firsts = [
+            books.disordered,
+            books.stray_plan_record,
+            books.unplanned_repair,
+            books.unpaired_actual,
+        ];
+        assert_eq!(firsts, [None; 4]);
     }
 
     #[test]
-    fn self_healing_kinds_round_trip() {
-        let log = AuditLog::new();
-        log.failure_suspected("node1", "phi=3.2", 10);
-        log.repair_planned("7", "node1", "failover-migrate: 1 actions", 20);
-        log.repair_completed("7", "node1", "mttr_ms=412", 30);
-        log.failure_cleared("node1", 40);
-        log.dropped_on_crash("coder", "2 queued jobs", 50);
-        assert_eq!(log.of_kind(AuditKind::FailureSuspected).len(), 1);
-        assert_eq!(log.of_kind(AuditKind::RepairPlanned)[0].plan, "7");
-        assert_eq!(
-            log.of_kind(AuditKind::RepairCompleted)[0].outcome,
-            "mttr_ms=412"
-        );
-        assert_eq!(AuditKind::DroppedOnCrash.label(), "dropped_on_crash");
-        assert_eq!(log.len(), 5);
-    }
-
-    #[test]
-    fn transactional_kinds_round_trip() {
-        let log = AuditLog::new();
-        log.plan_submitted("reconfig3", "migrate coder", 0);
-        log.plan_validated("reconfig3", "1 actions", 1);
-        log.plan_rolled_back("reconfig3", "target node crashed", "1 compensated", 9);
-        log.action_compensated("reconfig3", "migrate coder -> node2", 9);
-        log.plan_rejected("reconfig4", "unknown component ghost", 12);
-        assert_eq!(
-            log.of_kind(AuditKind::PlanValidated)[0].subject,
-            "1 actions"
-        );
-        assert_eq!(
-            log.of_kind(AuditKind::PlanRolledBack)[0].outcome,
-            "target node crashed"
-        );
-        assert_eq!(log.of_kind(AuditKind::ActionCompensated)[0].outcome, "ok");
-        assert_eq!(
-            log.of_kind(AuditKind::PlanRejected)[0].outcome,
-            "unknown component ghost"
-        );
-        assert_eq!(AuditKind::PlanValidated.label(), "plan_validated");
-        assert_eq!(AuditKind::PlanRejected.label(), "plan_rejected");
-        assert_eq!(AuditKind::PlanRolledBack.label(), "plan_rolled_back");
-        assert_eq!(AuditKind::ActionCompensated.label(), "action_compensated");
-    }
-
-    #[test]
-    fn twin_kinds_round_trip() {
-        let log = AuditLog::new();
-        log.twin_predicted(
-            "restart",
-            "node2",
-            "availability=0.97 mttr_ms=310 latency_ms=4.1",
-            10,
-        );
-        log.twin_actual(
-            "restart",
-            "node2",
-            "availability=0.95 mttr_ms=402 predicted_mttr_ms=310",
-            500,
-        );
-        assert_eq!(log.of_kind(AuditKind::TwinPredicted)[0].subject, "node2");
-        assert_eq!(log.of_kind(AuditKind::TwinActual)[0].plan, "restart");
-        assert_eq!(AuditKind::TwinPredicted.label(), "twin_predicted");
-        assert_eq!(AuditKind::TwinActual.label(), "twin_actual");
-        assert_eq!(log.len(), 2);
-    }
-
-    #[test]
-    fn negotiation_kinds_round_trip() {
-        let log = AuditLog::new();
-        log.budget_granted("epoch-3", "svc", "cap=0.5 rate=40 fraction=0.66", 10);
-        log.budget_denied("epoch-3", "furnace", "floor-unsatisfiable", 10);
-        log.budget_renegotiated("epoch-3", "svc", "repair plan 7 committed", 25);
-        assert_eq!(log.of_kind(AuditKind::BudgetGranted)[0].subject, "svc");
-        assert_eq!(
-            log.of_kind(AuditKind::BudgetDenied)[0].outcome,
-            "floor-unsatisfiable"
-        );
-        assert_eq!(
-            log.of_kind(AuditKind::BudgetRenegotiated)[0].plan,
-            "epoch-3"
-        );
-        assert_eq!(AuditKind::BudgetGranted.label(), "budget_granted");
-        assert_eq!(AuditKind::BudgetDenied.label(), "budget_denied");
-        assert_eq!(AuditKind::BudgetRenegotiated.label(), "budget_renegotiated");
-        assert_eq!(log.len(), 3);
+    fn the_books_remember_the_first_record_that_does_not_fit() {
+        let log = log_of([
+            E::PlanSubmitted {
+                plan: 1,
+                actions: 1,
+            },
+            E::PlanFinished {
+                plan: 1,
+                committed: false,
+            },
+            E::PlanRolledBack {
+                plan: 1,
+                compensated: 0,
+                reason: "late".into(),
+            },
+            E::PlanSubmitted {
+                plan: 1,
+                actions: 1,
+            },
+            E::RepairPlanned {
+                node: 0,
+                policy: "restart-in-place",
+                by: RepairBy::Plan { id: 1, actions: 1 },
+            },
+            E::RepairCompleted {
+                plan: Some(1),
+                node: 0,
+                mttr_ms: None,
+            },
+            E::TwinActual {
+                policy: "restart-in-place",
+                node: 0,
+                mttr_ms: None,
+                predicted_mttr_ms: 0.0,
+                predicted_availability: 1.0,
+            },
+        ]);
+        log.append(0, E::FailureCleared { node: 0 });
+        let books = log.books();
+        assert_eq!(books.stray_plan_record, Some(1));
+        assert_eq!(books.unplanned_repair, Some(5), "its plan failed");
+        assert_eq!(books.unpaired_actual, Some(6));
+        assert_eq!(books.disordered, Some(7));
+        assert_eq!(books.closed, PlanTally::default());
     }
 
     #[test]
     fn clone_shares_the_log() {
         let log = AuditLog::new();
         let alias = log.clone();
-        log.plan_submitted("p", "", 0);
+        assert_eq!(*log.books(), Books::default());
+        log.append(0, E::FailureCleared { node: 1 });
         assert_eq!(alias.len(), 1);
+        assert_eq!(alias.books().count(AuditKind::FailureCleared), 1);
+        assert_eq!(log.books().count(AuditKind::FailureSuspected), 0);
     }
 }

@@ -126,15 +126,16 @@ pub fn coverage_jsonl(rows: &[(String, u64, bool)]) -> String {
 pub fn audit_jsonl(entries: &[AuditEntry]) -> String {
     let mut out = String::new();
     for e in entries {
+        let [plan, subject, outcome] = e.texts();
         let _ = writeln!(
             out,
             "{{\"seq\":{},\"at_us\":{},\"kind\":\"{}\",\"plan\":\"{}\",\"subject\":\"{}\",\"outcome\":\"{}\"}}",
             e.seq,
             e.at_us,
             e.kind.label(),
-            escape(&e.plan),
-            escape(&e.subject),
-            escape(&e.outcome),
+            escape(&plan),
+            escape(&subject),
+            escape(&outcome),
         );
     }
     out
@@ -203,18 +204,19 @@ pub fn audit_table(entries: &[AuditEntry]) -> String {
         "seq", "at_us", "kind", "plan"
     );
     for e in entries {
+        let [plan, subject, outcome] = e.texts();
         let _ = writeln!(
             out,
             "{:>4}  {:>10}  {:<16}  {:<12}  {}{}",
             e.seq,
             e.at_us,
             e.kind.label(),
-            if e.plan.is_empty() { "-" } else { &e.plan },
-            e.subject,
-            if e.outcome.is_empty() {
+            if plan.is_empty() { "-" } else { &plan },
+            subject,
+            if outcome.is_empty() {
                 String::new()
             } else {
-                format!(" [{}]", e.outcome)
+                format!(" [{outcome}]")
             },
         );
     }
@@ -224,7 +226,7 @@ pub fn audit_table(entries: &[AuditEntry]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::audit::AuditLog;
+    use crate::audit::{AuditEvent, AuditLog};
     use crate::metrics::MetricsRegistry;
     use crate::trace::{SpanId, Tracer};
 
@@ -248,7 +250,8 @@ mod tests {
     #[test]
     fn strings_are_escaped() {
         let log = AuditLog::new();
-        log.plan_submitted("p\"1\"", "line\nbreak", 0);
+        let reason = "p\"1\" line\nbreak".to_owned();
+        log.append(0, AuditEvent::PlanRejected { plan: 1, reason });
         let jsonl = audit_jsonl(&log.entries());
         assert!(jsonl.contains("p\\\"1\\\""));
         assert!(jsonl.contains("line\\nbreak"));
@@ -274,8 +277,20 @@ mod tests {
         assert!(table.contains("n=1"));
 
         let log = AuditLog::new();
-        log.plan_submitted("p", "desc", 0);
-        log.plan_finished("p", "success", 1);
+        log.append(
+            0,
+            AuditEvent::PlanSubmitted {
+                plan: 1,
+                actions: 1,
+            },
+        );
+        log.append(
+            1,
+            AuditEvent::PlanFinished {
+                plan: 1,
+                committed: true,
+            },
+        );
         let table = audit_table(&log.entries());
         assert_eq!(table.lines().count(), 3);
         assert!(table.contains("[success]"));

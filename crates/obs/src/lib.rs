@@ -21,7 +21,10 @@
 //!   per reconfiguration plan, child events per action, sampled
 //!   per-message hop events from the sim kernel.
 //! * [`audit`] — append-only reconfiguration [`AuditLog`]: every plan,
-//!   action, outcome, rollback and channel block/release, queryable.
+//!   action, outcome, rollback and channel block/release, typed at append
+//!   and rendered on read, with the running [`Books`] an invariant
+//!   checker reads.
+//! * [`name`] — [`Name`], a string that clones without allocating.
 //! * [`export`] — JSONL and human-table renderings of all of the above.
 //!
 //! Timestamps throughout are plain `u64` microseconds supplied by the
@@ -33,12 +36,14 @@ pub mod audit;
 pub mod export;
 pub mod histogram;
 pub mod metrics;
+pub mod name;
 pub mod stats;
 pub mod trace;
 
-pub use audit::{AuditEntry, AuditKind, AuditLog};
+pub use audit::{AuditEntry, AuditEvent, AuditKind, AuditLog, Books, PlanTally, RepairBy};
 pub use histogram::{AtomicHistogram, Histogram};
 pub use metrics::{Counter, Gauge, HistogramHandle, MetricId, MetricsRegistry, MetricsSnapshot};
+pub use name::Name;
 pub use stats::{Counters, Summary};
 pub use trace::{SpanId, TraceEvent, TraceKind, Tracer};
 

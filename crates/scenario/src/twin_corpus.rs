@@ -25,7 +25,7 @@
 
 use aas_core::heal::RepairPolicy;
 use aas_core::runtime::{Runtime, TwinConfig};
-use aas_obs::AuditKind;
+use aas_obs::{AuditEvent, AuditKind};
 
 use crate::mutation::{build_runtime, drive_schedule, harness_topology, oracle_spec};
 use crate::trajectory::fnv1a;
@@ -180,14 +180,6 @@ fn leg_score(rt: &Runtime, chaos_expected: u64) -> LegScore {
     }
 }
 
-/// Pulls the number under `key=` out of a twin audit detail string.
-fn parse_field(detail: &str, key: &str) -> Option<f64> {
-    detail
-        .split_whitespace()
-        .find_map(|w| w.strip_prefix(key))
-        .and_then(|v| v.parse().ok())
-}
-
 /// Runs one seed's schedule through both legs and compares them.
 #[must_use]
 pub fn run_comparison(seed: u64) -> TwinComparison {
@@ -202,19 +194,20 @@ pub fn run_comparison(seed: u64) -> TwinComparison {
     let (_, twin_chaos) = drive_schedule(&mut twin_rt, &schedule, false);
     debug_assert_eq!(chaos_expected, twin_chaos, "legs must see the same traffic");
 
-    let audit = twin_rt.obs().audit.clone();
+    let audit = &twin_rt.obs().audit;
     let predicted = audit.of_kind(AuditKind::TwinPredicted);
     let actual = audit.of_kind(AuditKind::TwinActual);
-    let mut errors: Vec<f64> = Vec::new();
-    for a in &actual {
-        let (Some(p), Some(v)) = (
-            parse_field(&a.outcome, "predicted_mttr_ms="),
-            parse_field(&a.outcome, "actual_mttr_ms="),
-        ) else {
-            continue;
-        };
-        errors.push((p - v).abs());
-    }
+    let errors: Vec<f64> = actual
+        .iter()
+        .filter_map(|a| match a.event {
+            AuditEvent::TwinActual {
+                mttr_ms: Some(v),
+                predicted_mttr_ms: p,
+                ..
+            } => Some((p - v).abs()),
+            _ => None,
+        })
+        .collect();
     let mttr_error_ms = if errors.is_empty() {
         None
     } else {

@@ -318,6 +318,7 @@ fn settled_body(
     let (mut rt, links) = storm_runtime(seed, policy);
     drive(&mut rt, &links, &faults, &moves, safe_gap_ms);
     prop_assert_eq!(rt.check_settled(), []);
+    prop_assert_eq!(rt.violations_seen(), []);
     Ok(())
 }
 
@@ -359,7 +360,7 @@ fn crash_loss_body(seed: u64, crash_at_ms: u64) -> Result<(), TestCaseError> {
         .collect();
     prop_assert!(!drops.is_empty(), "loss happened without an audit entry");
     for e in &drops {
-        prop_assert_eq!(&e.subject, "svc", "loss attributed to the wrong instance");
+        prop_assert_eq!(e.subject(), "svc", "loss attributed to the wrong instance");
         prop_assert_eq!(
             e.at_us,
             crash_at_ms * 1_000,
@@ -368,6 +369,7 @@ fn crash_loss_body(seed: u64, crash_at_ms: u64) -> Result<(), TestCaseError> {
     }
     // The counter equals the sum the audit trail admits.
     prop_assert_eq!(rt.check_invariants(), []);
+    prop_assert_eq!(rt.violations_seen(), []);
     Ok(())
 }
 
@@ -483,6 +485,7 @@ fn single_crash_failover_leaves_a_full_audit_chain() {
     assert!(has(AuditKind::RepairCompleted));
     assert!(has(AuditKind::FailureCleared));
     assert_eq!(rt.check_settled(), []);
+    assert_eq!(rt.violations_seen(), []);
     assert_ne!(
         rt.node_of("svc"),
         Some(NodeId(2)),

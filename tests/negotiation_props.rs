@@ -37,7 +37,7 @@ use aas_core::heal::RepairPolicy;
 use aas_core::message::{Message, Value};
 use aas_core::registry::ImplementationRegistry;
 use aas_core::runtime::{CoordinationMode, NegotiateConfig, Runtime};
-use aas_obs::AuditKind;
+use aas_obs::{AuditEntry, AuditKind};
 use aas_scenario::negotiation::{
     build_overload_runtime, drive_overload, negotiation_coverage, overload_spec, overload_topology,
     run_differential, run_negotiation_mutants, COLLAPSE_CEILING, JAIN_FLOOR, MIGRATE_ABOVE,
@@ -189,6 +189,7 @@ fn negotiated_transcript(seed: u64) -> Vec<u64> {
     let mut rt = build_overload_runtime(seed, CoordinationMode::Negotiated, None, MIGRATE_ABOVE);
     drive_overload(&mut rt, &schedule);
     assert_eq!(rt.check_invariants(), []);
+    assert_eq!(rt.violations_seen(), []);
     let history = rt.negotiation_history().iter();
     history.map(NegotiationOutcome::fingerprint).collect()
 }
@@ -382,7 +383,7 @@ fn repair_commit_invalidates_the_outstanding_grant_mid_tick() {
     rt.run_until(SimTime::from_secs(6));
     let reneg = rt.obs().audit.of_kind(AuditKind::BudgetRenegotiated);
     assert!(
-        reneg.iter().any(|e| e.subject == "svc"),
+        reneg.iter().any(|e| e.subject() == "svc"),
         "the committed repair plan did not invalidate `svc`'s grant — \
          the stale-grant hazard is back"
     );
@@ -391,10 +392,10 @@ fn repair_commit_invalidates_the_outstanding_grant_mid_tick() {
     assert!(
         reneg
             .iter()
-            .filter(|e| e.subject == "svc")
-            .all(|e| e.outcome.contains("plan") && e.outcome.contains("committed")),
+            .filter(|e| e.subject() == "svc")
+            .all(|e| e.outcome().contains("plan") && e.outcome().contains("committed")),
         "renegotiation audit lost its trigger: {:?}",
-        reneg.iter().map(|e| e.outcome.clone()).collect::<Vec<_>>()
+        reneg.iter().map(AuditEntry::outcome).collect::<Vec<_>>()
     );
     // And the agent was re-granted in a later epoch: invalidation forces
     // renegotiation, it does not strand the agent grantless.

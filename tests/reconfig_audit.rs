@@ -14,7 +14,7 @@ use aas_core::message::{Message, Value};
 use aas_core::reconfig::{ReconfigAction, ReconfigPlan, StateTransfer};
 use aas_core::registry::ImplementationRegistry;
 use aas_core::runtime::Runtime;
-use aas_obs::AuditKind;
+use aas_obs::{AuditEntry, AuditKind};
 use aas_sim::network::Topology;
 use aas_sim::node::NodeId;
 use aas_sim::time::{SimDuration, SimTime};
@@ -96,18 +96,19 @@ fn audit_log_reconciles_with_midstream_swap() {
 
     // One submission, finished as reported, in a gap-free, ordered log.
     assert_eq!(rt.check_settled(), []);
+    assert_eq!(rt.violations_seen(), []);
     let submitted = audit.of_kind(AuditKind::PlanSubmitted);
     let finished = audit.of_kind(AuditKind::PlanFinished);
 
     // The applied actions are exactly the plan's actions, in plan order.
     let applied = audit.of_kind(AuditKind::ActionApplied);
-    let applied_subjects: Vec<&str> = applied.iter().map(|e| e.subject.as_str()).collect();
+    let applied_subjects: Vec<String> = applied.iter().map(AuditEntry::subject).collect();
     assert_eq!(
         applied_subjects, expected_actions,
         "audited actions != plan actions"
     );
     for entry in &applied {
-        assert_eq!(entry.outcome, "ok");
+        assert_eq!(entry.outcome(), "ok");
     }
 
     // Channel blackout is bracketed: blocking happened while the plan was
@@ -148,12 +149,12 @@ fn multi_action_plan_audits_every_action_in_order() {
 
     let audit = rt.obs().audit.clone();
     let applied = audit.of_kind(AuditKind::ActionApplied);
-    let subjects: Vec<&str> = applied.iter().map(|e| e.subject.as_str()).collect();
+    let subjects: Vec<String> = applied.iter().map(AuditEntry::subject).collect();
     assert_eq!(
         subjects, expected,
         "each action audited exactly once, in order"
     );
-    assert!(applied.iter().all(|e| e.plan == id.to_string()));
+    assert!(applied.iter().all(|e| e.plan() == id.to_string()));
 }
 
 #[test]

@@ -32,7 +32,7 @@ use aas_core::message::{Message, Value};
 use aas_core::reconfig::{ReconfigAction, ReconfigId, ReconfigPlan, ReconfigReport, StateTransfer};
 use aas_core::registry::ImplementationRegistry;
 use aas_core::runtime::Runtime;
-use aas_obs::AuditKind;
+use aas_obs::{AuditEntry, AuditKind};
 use aas_sim::fault::FaultSchedule;
 use aas_sim::network::Topology;
 use aas_sim::node::NodeId;
@@ -229,6 +229,7 @@ fn rejected_plan_leaves_graph_and_state_byte_identical() {
     // Each rejection is audited as one; none was validated, so no channel
     // was ever blocked on a rejected plan's behalf.
     assert_eq!(rt.check_settled(), []);
+    assert_eq!(rt.violations_seen(), []);
     let audit = &rt.obs().audit;
     assert!(audit.of_kind(AuditKind::PlanValidated).is_empty());
     assert!(audit.of_kind(AuditKind::ChannelBlocked).is_empty());
@@ -298,12 +299,12 @@ fn rolled_back_plan_restores_graph_and_state_byte_identically() {
     let audit = rt.obs().audit.clone();
     let plan_label = id.to_string();
     let rolled = audit.of_kind(AuditKind::PlanRolledBack);
-    assert_eq!(rolled[0].subject, "3 compensated");
+    assert_eq!(rolled[0].subject(), "3 compensated");
     // Compensations replay the journal in reverse application order.
     let comps: Vec<String> = audit
         .of_kind(AuditKind::ActionCompensated)
         .iter()
-        .map(|e| e.subject.clone())
+        .map(AuditEntry::subject)
         .collect();
     assert_eq!(
         comps,
@@ -318,9 +319,10 @@ fn rolled_back_plan_restores_graph_and_state_byte_identically() {
     assert!(audit
         .of_kind(AuditKind::PlanValidated)
         .iter()
-        .any(|e| e.plan == plan_label));
+        .any(|e| e.plan() == plan_label));
     assert!(!audit.of_kind(AuditKind::ChannelBlocked).is_empty());
     assert_eq!(rt.check_settled(), []);
+    assert_eq!(rt.violations_seen(), []);
 }
 
 // ---------------------------------------------------------------------
@@ -403,6 +405,7 @@ fn queued_plan_is_revalidated_against_the_post_commit_graph() {
     assert_eq!(rb.actions_applied, 0);
     // B's rejection is audited as one.
     assert_eq!(rt.check_settled(), []);
+    assert_eq!(rt.violations_seen(), []);
 }
 
 // ---------------------------------------------------------------------
@@ -436,6 +439,7 @@ fn audit_reconciles_submissions_with_the_three_outcomes() {
     // The books balance: submitted = committed + rejected + rolled back,
     // each audited as its report says, every blocked channel released.
     assert_eq!(rt.check_settled(), []);
+    assert_eq!(rt.violations_seen(), []);
     let audit = rt.obs().audit.clone();
     let committed = rt.reports().iter().filter(|r| r.success).count();
     assert_eq!(committed, 2); // the migrate and the empty plan
@@ -588,6 +592,7 @@ fn no_residue_body(
 
     // The books balance at the end of every interleaving.
     prop_assert_eq!(rt.check_settled(), []);
+    prop_assert_eq!(rt.violations_seen(), []);
     Ok(())
 }
 

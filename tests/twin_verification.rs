@@ -77,7 +77,11 @@ fn audit_trace(rt: &Runtime) -> String {
         let _ = writeln!(
             out,
             "{}|{:?}|{}|{}|{}",
-            e.at_us, e.kind, e.plan, e.subject, e.outcome
+            e.at_us,
+            e.kind,
+            e.plan(),
+            e.subject(),
+            e.outcome()
         );
     }
     out
@@ -177,13 +181,14 @@ fn twin_guided_repair_emits_prediction_and_actual_pair() {
     assert_eq!(predicted.len(), 1, "one incident, one prediction");
     assert_eq!(actual.len(), 1, "every prediction reconciles");
     let (p, a) = (&predicted[0], &actual[0]);
-    assert_eq!(p.plan, "failover", "failover strictly beats restart here");
-    assert_eq!(p.subject, VICTIM.to_string());
-    assert_eq!(a.plan, p.plan);
-    assert_eq!(a.subject, p.subject);
+    let ([p_plan, p_subject, p_outcome], [a_plan, a_subject, a_outcome]) = (p.texts(), a.texts());
+    assert_eq!(p_plan, "failover", "failover strictly beats restart here");
+    assert_eq!(p_subject, VICTIM.to_string());
+    assert_eq!(a_plan, p_plan);
+    assert_eq!(a_subject, p_subject);
     assert!(p.at_us <= a.at_us, "prediction must precede the outcome");
-    assert!(p.outcome.contains("availability=") && p.outcome.contains("mttr_ms="));
-    assert!(a.outcome.contains("actual_mttr_ms=") && a.outcome.contains("predicted_mttr_ms="));
+    assert!(p_outcome.contains("availability=") && p_outcome.contains("mttr_ms="));
+    assert!(a_outcome.contains("actual_mttr_ms=") && a_outcome.contains("predicted_mttr_ms="));
 
     // The repair it guided really completed, attributed to the twin's
     // chosen policy, and the prediction ledger drained.
