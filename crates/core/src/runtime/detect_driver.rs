@@ -20,6 +20,27 @@ impl DetectorRt {
             suspected: obs.metrics.gauge("detector.suspected"),
         }
     }
+
+    /// The detector a twin fork runs: the same state and heartbeat
+    /// channels, its `suspected` gauge in `obs`, and one `phi` gauge no
+    /// registry names for every watched node — nothing reads a fork's
+    /// per-node `phi`.
+    pub(super) fn fork(&self, obs: &Obs) -> Self {
+        let phi = Gauge::new();
+        DetectorRt {
+            detector: self.detector.clone(),
+            watched: self
+                .watched
+                .iter()
+                .map(|w| Watched {
+                    node: w.node,
+                    channel: w.channel,
+                    phi: phi.clone(),
+                })
+                .collect(),
+            suspected: obs.metrics.gauge("detector.suspected"),
+        }
+    }
 }
 
 impl Runtime {

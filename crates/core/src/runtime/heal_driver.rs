@@ -4,7 +4,7 @@ use super::*;
 /// first crash or suspicion until it is closed. Whether a repair plan for
 /// the node is in flight is not kept here: the plan carries its origin, so
 /// the engine is asked ([`Runtime::repair_in_flight`]).
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 pub(super) struct Incident {
     /// When the node first crashed inside this incident; MTTD and MTTR are
     /// measured from it. `None` while the node is only suspected.
@@ -22,7 +22,7 @@ pub(super) struct Incident {
 
 /// Grouped self-healing state: the repair policy, failure semantics and
 /// the open incidents that drive repair convergence.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 pub(super) struct HealState {
     /// The repair policy applied to suspected node failures.
     pub(super) policy: RepairPolicy,
@@ -57,12 +57,21 @@ impl HealState {
     /// The heal state a digital twin starts from: the whole healing
     /// picture, no twin state, no repair completed yet.
     pub(super) fn fork(&self) -> HealState {
-        let mut fork = self.clone();
-        fork.repaired_at.clear();
-        for incident in fork.incidents.values_mut() {
-            (incident.prediction, incident.twin_failed) = (None, false);
+        let incidents = self.incidents.iter().map(|(&node, incident)| {
+            let incident = Incident {
+                prediction: None,
+                twin_failed: false,
+                ..*incident
+            };
+            (node, incident)
+        });
+        HealState {
+            policy: self.policy.clone(),
+            fail_stop: self.fail_stop,
+            incidents: incidents.collect(),
+            repaired_at: BTreeMap::new(),
+            plan_mutation: self.plan_mutation,
         }
-        fork
     }
 }
 

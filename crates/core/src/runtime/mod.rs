@@ -86,6 +86,7 @@ use aas_sim::network::Topology;
 use aas_sim::node::NodeId;
 use aas_sim::time::{SimDuration, SimTime};
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 mod arena;
 mod detect_driver;
@@ -190,17 +191,20 @@ struct Instance {
     /// every instance of it.
     type_name: Name,
     version: u32,
-    props: Props,
+    /// Written once by `add_component`; a twin fork shares it.
+    props: Arc<Props>,
     component: Box<dyn Component>,
     lifecycle: Lifecycle,
     inflight: u32,
     processed: u64,
     errors: u64,
-    /// Handle into the shared registry (`comp.<name>.latency_ms`).
+    /// Handle into the shared registry (`comp.<name>.latency_ms`); in a
+    /// twin fork, a histogram no registry names.
     latency: HistogramHandle,
     tracker: SequenceTracker,
     /// Handles into the shared registry (`comp.<name>.<metric>`), interned
-    /// per custom metric name.
+    /// per custom metric name; in a twin fork, those the original had
+    /// when forked are histograms no registry names.
     custom: BTreeMap<Name, HistogramHandle>,
     blocked_at: Option<SimTime>,
     /// The channel injected workload arrives on.
@@ -222,7 +226,8 @@ impl Instance {
 /// resolved to table ids when it was wired.
 #[derive(Debug, Clone)]
 struct BindingRt {
-    decl: BindingDecl,
+    /// Written once by `add_binding`; a twin fork shares it.
+    decl: Arc<BindingDecl>,
     via: ConnId,
     /// One `(target, channel)` per `decl.to` entry, in its order.
     targets: Vec<(InstId, ChannelId)>,
@@ -252,7 +257,8 @@ const _: () = {
 };
 
 /// One watched node: its heartbeat channel to the monitor node and its
-/// `detector.phi.<node>` gauge.
+/// `detector.phi.<node>` gauge (in a twin fork, one gauge no registry
+/// names, shared by every watched node).
 #[derive(Debug)]
 struct Watched {
     node: NodeId,

@@ -53,7 +53,7 @@ impl Runtime {
                 node: decl.node,
                 type_name,
                 version: decl.version,
-                props: decl.props.clone(),
+                props: Arc::new(decl.props.clone()),
                 component,
                 lifecycle: Lifecycle::Active,
                 inflight: 0,
@@ -141,7 +141,11 @@ impl Runtime {
             }
             targets.push((to, self.kernel.open_channel(src_node, dst.node)));
         }
-        self.put_binding(BindingRt { decl, via, targets });
+        self.put_binding(BindingRt {
+            decl: Arc::new(decl),
+            via,
+            targets,
+        });
         Ok(())
     }
 

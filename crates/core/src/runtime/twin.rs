@@ -16,7 +16,9 @@
 //! - the fork shares **no** mutable state with the mainline — the kernel
 //!   is forked ([`aas_sim::kernel::Kernel::fork`]), components are
 //!   re-instantiated from the registry and restored from snapshots, and
-//!   metrics/audit go to a throwaway [`Obs`] bundle;
+//!   metrics/audit go to a throwaway [`Obs`] bundle. What the fork never
+//!   writes — binding declarations, component props, the topology's node
+//!   specs and adjacency — is shared, not copied;
 //! - dropping (or running) a twin leaves the mainline's fingerprints,
 //!   metrics, audit log and RNG stream untouched;
 //! - selection is deterministic: same runtime state, same forks, same
@@ -101,6 +103,11 @@ impl Runtime {
     /// originals' snapshots, cloned connectors/bindings/timers/detector/
     /// heal state — and a **throwaway** [`Obs`] bundle, so nothing the
     /// twin does shows up in mainline metrics, traces or the audit log.
+    /// Each instance's latency and custom histograms, and the detector's
+    /// per-node `phi` gauge, are handles no registry names: they start
+    /// empty and record only the fork's run, which `observe()` reads
+    /// through them, but nothing is registered per instance or per node.
+    /// Binding declarations and props are shared with the original.
     /// The twin's RAML meta-level is detached and its own twin config is
     /// unset (forks never fork recursively).
     ///
@@ -120,7 +127,6 @@ impl Runtime {
         // Same names, same ids: the cloned in-flight envelopes and timers
         // address instances by them.
         let instances = self.instances.try_map(|inst| {
-            let name = &inst.name;
             let (type_name, mut component) = self
                 .registry
                 .instantiate_named(&inst.type_name, inst.version, &inst.props)
@@ -129,25 +135,20 @@ impl Runtime {
             let custom = inst
                 .custom
                 .keys()
-                .map(|k| {
-                    (
-                        k.clone(),
-                        obs.metrics.histogram(&format!("comp.{name}.{k}")),
-                    )
-                })
+                .map(|k| (k.clone(), HistogramHandle::new()))
                 .collect();
             Some(Instance {
-                name: name.clone(),
+                name: inst.name.clone(),
                 node: inst.node,
                 type_name,
                 version: inst.version,
-                props: inst.props.clone(),
+                props: Arc::clone(&inst.props),
                 component,
                 lifecycle: inst.lifecycle,
                 inflight: inst.inflight,
                 processed: inst.processed,
                 errors: inst.errors,
-                latency: obs.metrics.histogram(&format!("comp.{name}.latency_ms")),
+                latency: HistogramHandle::new(),
                 tracker: inst.tracker.clone(),
                 custom,
                 blocked_at: inst.blocked_at,
@@ -155,10 +156,7 @@ impl Runtime {
                 ports: inst.ports.clone(),
             })
         })?;
-        let detector = self.detector.as_ref().map(|d| {
-            let watched = d.watched.iter().map(|w| (w.node, w.channel));
-            DetectorRt::new(d.detector.clone(), watched, &obs)
-        });
+        let detector = self.detector.as_ref().map(|d| d.fork(&obs));
         Some(Runtime {
             kernel,
             arena: self.arena.clone(),
@@ -201,7 +199,7 @@ impl Runtime {
         node: NodeId,
         now: SimTime,
     ) -> Option<RepairPolicy> {
-        let config = self.twin.config.clone()?;
+        let config = self.twin.config.as_ref()?;
         let incident = self.heal.incidents.get(&node)?;
         if incident.twin_failed {
             return None;
@@ -218,7 +216,7 @@ impl Runtime {
         }
         let mut scored: Vec<(RepairPolicy, TwinPrediction)> = Vec::new();
         for candidate in &config.candidates {
-            if let Some(pred) = self.simulate_candidate(candidate, node, &config, now) {
+            if let Some(pred) = self.simulate_candidate(candidate, node, config, now) {
                 scored.push((candidate.clone(), pred));
             }
         }

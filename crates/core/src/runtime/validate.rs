@@ -80,7 +80,7 @@ impl<'a> Shadow<'a> {
     /// Every binding of the shadow graph: the live ones the plan has not
     /// touched, then the ones it added.
     fn bindings(&self) -> impl Iterator<Item = &'a BindingDecl> + '_ {
-        let untouched = self.rt.bindings().map(|b| &b.decl).filter(|decl| {
+        let untouched = self.rt.bindings().map(|b| &*b.decl).filter(|decl| {
             !self
                 .edits
                 .bindings
@@ -92,7 +92,7 @@ impl<'a> Shadow<'a> {
     /// The props a shadow component was (or would be) instantiated with.
     fn props(&self, name: &str, shadow: &ShadowComp<'a>) -> Option<&'a Props> {
         match shadow.impl_src {
-            ShadowImpl::Live => self.rt.instances.by_name(name).map(|i| &i.props),
+            ShadowImpl::Live => self.rt.instances.by_name(name).map(|i| &*i.props),
             ShadowImpl::Decl { props, .. } => Some(props),
         }
     }

@@ -182,11 +182,13 @@ fn the_registry_answers_without_allocating() {
     assert_eq!(allocs, 0);
 }
 
-/// A fork's throwaway telemetry bundle registers every histogram of the
-/// mainline's, empty, and its tracer ring takes memory only as it records.
-/// Each component is restored from a snapshot map the fork drops again,
-/// and the 192 snapshot maps share one buffer, which the thread keeps idle
-/// after the fork.
+/// A fork's throwaway telemetry bundle registers the runtime's own series
+/// and nothing per instance or per node: each instance's histograms are
+/// empty handles no registry names, and its tracer ring takes memory only
+/// as it records. Binding declarations, props and the topology's node
+/// specs and adjacency are shared, not copied. Each component is restored
+/// from a snapshot map the fork drops again, and the 192 snapshot maps
+/// share one buffer, which the thread keeps idle after the fork.
 #[test]
 fn a_fork_grows_the_heap_by_no_more_than_its_pinned_figure() {
     /// Live-heap growth of this very fork: 4,110,168 B at `e2b94c6`,
@@ -195,20 +197,26 @@ fn a_fork_grows_the_heap_by_no_more_than_its_pinned_figure() {
     /// instance copied its type name and the registry's clone its keys,
     /// and 908,058 B at `d8165e4`, whose snapshot maps, built outside any
     /// call, went to the allocator. No frame is under way at the fork, so
-    /// the fork keeps no payload map; the 320 B over that figure are the
-    /// idle snapshot buffer (224 B) and the idle list's storage (96 B).
-    const PINNED: i64 = 908_378;
+    /// the fork keeps no payload map. 908,362 B at `8a48a87`, whose fork
+    /// registered each instance's histograms by name and copied the
+    /// declarations and the topology's names and adjacency.
+    const PINNED: i64 = 789_004;
     /// What the fork asks the allocator for, kept or not: 1,155,246 B at
     /// `0cf57a8`, where each of the 192 snapshot maps was a 632 B B-tree
     /// leaf (a buffer of four entries is 224 B), 1,076,910 B at `162295c`,
     /// 1,072,640 B at `d8165e4`, where each snapshot map took a buffer of
-    /// its own.
-    const ASKED: u64 = 1_029_952;
+    /// its own, 1,029,936 B at `8a48a87`.
+    const ASKED: u64 = 856_528;
+    /// Allocations the fork makes: 4,443 at `8a48a87`. A metric name
+    /// registered per instance, or a declaration copied per binding,
+    /// shows here first.
+    const ALLOCS: u64 = 2_186;
     let rt = warm(64);
-    let (fork, heap) = heap_of(|| rt.fork_twin());
+    let ((fork, heap), allocs) = enrolled(|| measured(|| measured_heap(|| rt.fork_twin())));
     assert!(fork.is_some());
     assert!(heap.grown <= PINNED, "{heap:?}");
     assert!(heap.allocated <= ASKED, "{heap:?}");
+    assert!(allocs <= ALLOCS, "{allocs}");
 }
 
 /// Once the record vector and the books have room, appending a channel

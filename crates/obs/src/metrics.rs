@@ -41,10 +41,17 @@ impl Counter {
 }
 
 /// Last-write-wins float gauge handle (lock-free; stored as f64 bits).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Gauge(Arc<AtomicU64>);
 
 impl Gauge {
+    /// A gauge at `0.0` that no registry names: written like any other,
+    /// absent from every snapshot.
+    #[must_use]
+    pub fn new() -> Self {
+        Gauge::default()
+    }
+
     /// Sets the gauge.
     pub fn set(&self, v: f64) {
         self.0.store(v.to_bits(), Ordering::Relaxed);
@@ -58,10 +65,17 @@ impl Gauge {
 }
 
 /// Handle to a shared [`AtomicHistogram`] (lock-free recording).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct HistogramHandle(Arc<AtomicHistogram>);
 
 impl HistogramHandle {
+    /// An empty histogram that no registry names: it records and answers
+    /// like a registered one, but no snapshot lists it.
+    #[must_use]
+    pub fn new() -> Self {
+        HistogramHandle::default()
+    }
+
     /// Records one observation.
     #[inline]
     pub fn observe(&self, x: f64) {
@@ -340,6 +354,22 @@ mod tests {
         let reg = MetricsRegistry::new();
         let _ = reg.counter("m");
         let _ = reg.gauge("m");
+    }
+
+    #[test]
+    fn unregistered_handles_record_like_registered_ones() {
+        let reg = MetricsRegistry::new();
+        let (named, unnamed) = (reg.histogram("lat"), HistogramHandle::new());
+        for x in [1.0, 4.0, 9.0] {
+            named.observe(x);
+            unnamed.observe(x);
+        }
+        assert_eq!(unnamed.count(), 3);
+        assert_eq!(unnamed.quantile(0.99), named.quantile(0.99));
+        let g = Gauge::new();
+        g.set(0.5);
+        assert_eq!(g.get(), 0.5);
+        assert_eq!(reg.snapshot().histograms.len(), 1);
     }
 
     #[test]

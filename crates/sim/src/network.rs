@@ -105,9 +105,13 @@ pub const LOCAL_TRANSIT: SimDuration = SimDuration::from_micros(5);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Topology {
+    /// Each node's spec is shared by every clone of the topology (see
+    /// [`Node`]); its liveness and queue are the clone's own.
     nodes: Vec<Node>,
     links: Vec<Link>,
-    adjacency: Vec<Vec<LinkId>>,
+    /// Shared by every clone until one adds a node or link (copy on
+    /// write): taking nodes and links up or down leaves it alone.
+    adjacency: Arc<Vec<Vec<LinkId>>>,
     /// Routing epoch: bumps on any mutation that can change a routing
     /// answer. Caches key their validity on it.
     epoch: u64,
@@ -150,7 +154,7 @@ impl Topology {
     pub fn add_node(&mut self, spec: NodeSpec) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(Node::new(id, spec));
-        self.adjacency.push(Vec::new());
+        Arc::make_mut(&mut self.adjacency).push(Vec::new());
         self.node_regions.push(NO_REGION);
         self.epoch += 1;
         self.improve_epoch += 1;
@@ -168,8 +172,9 @@ impl Topology {
             "link endpoint does not exist"
         );
         let id = LinkId(self.links.len() as u32);
-        self.adjacency[spec.a.0 as usize].push(id);
-        self.adjacency[spec.b.0 as usize].push(id);
+        let adjacency = Arc::make_mut(&mut self.adjacency);
+        adjacency[spec.a.0 as usize].push(id);
+        adjacency[spec.b.0 as usize].push(id);
         self.epoch += 1;
         self.improve_epoch += 1;
         self.touch_region_of(spec.a);
@@ -423,7 +428,7 @@ impl Topology {
         let mut min = usize::MAX;
         let mut max = 0usize;
         let mut total = 0usize;
-        for adj in &self.adjacency {
+        for adj in self.adjacency.iter() {
             min = min.min(adj.len());
             max = max.max(adj.len());
             total += adj.len();
@@ -910,6 +915,42 @@ mod tests {
         assert_eq!(t.route(a, b, 1).unwrap().links, vec![LinkId(0)]);
         // Big message: serialization dominates, take the fat link.
         assert_eq!(t.route(a, b, 1_000_000).unwrap().links, vec![LinkId(1)]);
+    }
+
+    /// What a topology answers from its shared storage: adjacency, node
+    /// specs and every cheapest route.
+    fn structure(t: &Topology) -> (Vec<Vec<LinkId>>, Vec<String>, Vec<Option<Route>>) {
+        let adjacency = t.node_ids().map(|n| t.links_of(n).to_vec()).collect();
+        let names = t.nodes().map(|n| n.spec().name.clone()).collect();
+        let pairs = t.node_ids().flat_map(|s| t.node_ids().map(move |d| (s, d)));
+        let routes = pairs.map(|(s, d)| t.route(s, d, 0)).collect();
+        (adjacency, names, routes)
+    }
+
+    #[test]
+    fn a_clone_shares_its_structure_until_one_side_writes_it() {
+        for write_the_clone in [true, false] {
+            let (mut parent, a, _, c) = line3();
+            let mut fork = parent.clone();
+            assert!(std::ptr::eq(parent.links_of(a), fork.links_of(a)));
+            assert!(std::ptr::eq(parent.node(a).spec(), fork.node(a).spec()));
+            let before = structure(&parent);
+            let (written, read) = if write_the_clone {
+                (&mut fork, &parent)
+            } else {
+                (&mut parent, &fork)
+            };
+            let d = written.add_node(NodeSpec::new("d", 1.0));
+            written.add_link(LinkSpec::new(c, d, SimDuration::from_millis(1), 1e9));
+            written.set_link_up(LinkId(0), false);
+            assert_eq!(structure(read), before, "write_the_clone {write_the_clone}");
+            assert_eq!(written.links_of(c), &[LinkId(1), LinkId(2), LinkId(3)]);
+            assert_eq!(written.node(d).spec().name, "d");
+            // a--b is down: a reaches d over the direct 50 ms link to c.
+            let route = written.route(a, d, 0).expect("reachable");
+            assert_eq!(route.links, vec![LinkId(2), LinkId(3)]);
+            assert_eq!(read.route(a, c, 0).expect("reachable").links.len(), 2);
+        }
     }
 
     #[test]

@@ -9,6 +9,7 @@ use crate::time::{SimDuration, SimTime};
 use crate::trace::ResourceTrace;
 use core::fmt;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Identifier of a node in the topology.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -65,7 +66,8 @@ impl NodeSpec {
 #[derive(Debug, Clone)]
 pub struct Node {
     id: NodeId,
-    spec: NodeSpec,
+    /// Never written after the node is built, so a clone shares it.
+    spec: Arc<NodeSpec>,
     up: bool,
     busy_until: SimTime,
     busy_total: SimDuration,
@@ -76,7 +78,7 @@ impl Node {
     pub(crate) fn new(id: NodeId, spec: NodeSpec) -> Self {
         Node {
             id,
-            spec,
+            spec: Arc::new(spec),
             up: true,
             busy_until: SimTime::ZERO,
             busy_total: SimDuration::ZERO,

@@ -69,6 +69,21 @@ fn inject_incident(rt: &mut Runtime, recover_at: SimTime) {
     }
 }
 
+/// Every series name `rt`'s registry lists, by kind.
+fn metric_series(rt: &Runtime) -> [Vec<String>; 3] {
+    let snap = rt.obs().metrics.snapshot();
+    [
+        snap.counters.into_keys().collect(),
+        snap.gauges.into_keys().collect(),
+        snap.histograms.into_keys().collect(),
+    ]
+}
+
+/// What `observe()` reports of `sink`, rendered for equality checks.
+fn sink_reading(rt: &Runtime) -> String {
+    format!("{:?}", rt.observe().component("sink").expect("sink"))
+}
+
 /// Deterministic rendering of the full audit log for equality checks.
 fn audit_trace(rt: &Runtime) -> String {
     use std::fmt::Write as _;
@@ -90,7 +105,8 @@ fn audit_trace(rt: &Runtime) -> String {
 /// A fork is a true bystander: stepping it forward — through its own
 /// repair of the incident — and dropping it leaves the mainline's graph,
 /// component state, metrics and audit log byte-identical, and the
-/// mainline's subsequent run matches a control that never forked.
+/// mainline's subsequent run matches a control that never forked. The
+/// fork's telemetry is its own and registered nowhere the mainline reads.
 #[test]
 fn fork_is_isolated_and_dropping_it_is_inert() {
     let mut rt = harness(7, RepairPolicy::FailoverMigrate);
@@ -106,6 +122,8 @@ fn fork_is_isolated_and_dropping_it_is_inert() {
     let state = rt.state_fingerprint();
     let audit = audit_trace(&rt);
     let dropped = rt.metrics().dropped;
+    let series = metric_series(&rt);
+    let sink = sink_reading(&rt);
 
     {
         let mut fork = rt.fork_twin().expect("fork outside a transaction");
@@ -122,6 +140,14 @@ fn fork_is_isolated_and_dropping_it_is_inert() {
             state,
             "the fork advanced past the projection point"
         );
+        // The fork's histograms start empty and record its own run, read
+        // through `observe()`; the mainline's registry and readings stay
+        // as they were.
+        let snap = fork.observe();
+        let forked_sink = snap.component("sink").expect("sink");
+        assert!(forked_sink.p99_latency_ms > 0.0, "{forked_sink:?}");
+        assert_eq!(metric_series(&rt), series, "fork registered a series");
+        assert_eq!(sink_reading(&rt), sink, "fork moved the mainline sink");
     } // fork dropped here
 
     assert_eq!(rt.graph_fingerprint(), graph, "fork mutated mainline graph");
