@@ -9,7 +9,9 @@
 //! The budget: with tracing disabled (the default), one hop check must
 //! cost at most [`BUDGET_NS`] nanoseconds — it is a single relaxed atomic
 //! load plus a branch. Counters and histogram recording are also measured;
-//! they sit on the delivery path, not the per-hop path, and are lock-free.
+//! they sit on the delivery path, not the per-hop path. A counter is one
+//! relaxed atomic; a histogram records under its own mutex, which only
+//! the thread driving the runtime takes, so the lock is never contended.
 //!
 //! The last three rows price the other side, a *read*: a mean and a p99
 //! off a latency-shaped histogram in place, the copy of it that
@@ -120,7 +122,8 @@ pub fn run(tier: Tier) -> Table {
     let counter = registry.counter("e11.counter");
     price(&mut table, "counter.incr", N, || counter.incr());
 
-    // Histogram record: float-bits bucket index + relaxed adds.
+    // Histogram record: an uncontended lock, a float-bits bucket index
+    // and plain adds.
     let histogram = registry.histogram("e11.histogram");
     let mut x = 0.0f64;
     price(&mut table, "histogram.observe", N, || {

@@ -193,9 +193,9 @@ impl Runtime {
     /// Submits a reconfiguration plan. Plans run one at a time; extra
     /// submissions queue in order and are re-validated against the live
     /// configuration graph when they reach the front. Returns the plan's
-    /// id; the outcome arrives later as a
-    /// [`RuntimeEvent::ReconfigFinished`] event and in
-    /// [`Runtime::reports`].
+    /// id; when the plan ends, its report is added to
+    /// [`Runtime::reports`] and a [`RuntimeEvent::ReconfigFinished`]
+    /// event carrying the id is raised.
     pub fn request_reconfig(&mut self, plan: ReconfigPlan) -> ReconfigId {
         self.submit(plan, PlanOrigin::User)
     }
@@ -252,7 +252,7 @@ impl Runtime {
         }
         self.events.push((
             report.finished_at,
-            RuntimeEvent::ReconfigFinished(report.clone()),
+            RuntimeEvent::ReconfigFinished(report.id),
         ));
         self.exec.reports.push(report);
     }

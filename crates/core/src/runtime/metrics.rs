@@ -1,6 +1,6 @@
 //! Aggregate runtime metrics: the public [`RuntimeMetrics`] snapshot and
-//! the lock-free [`MetricHandles`] into the shared `aas-obs` registry
-//! that the hot paths increment.
+//! the [`MetricHandles`] into the shared `aas-obs` registry that the hot
+//! paths increment.
 
 use aas_obs::{Counter, Histogram, HistogramHandle, Obs};
 
@@ -61,8 +61,9 @@ pub struct RouteStats {
     pub stale_evictions: u64,
 }
 
-/// Lock-free handles into the shared registry for the runtime's hot-path
-/// metrics.
+/// Handles into the shared registry for the runtime's hot-path metrics:
+/// counters are relaxed atomics, histograms a mutex only the runtime's own
+/// thread takes, so recording never waits.
 #[derive(Debug)]
 pub(super) struct MetricHandles {
     pub(super) e2e_latency: HistogramHandle,

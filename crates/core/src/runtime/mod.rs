@@ -157,8 +157,9 @@ struct Request {
 /// Noteworthy happenings surfaced to the embedding application.
 #[derive(Debug, Clone)]
 pub enum RuntimeEvent {
-    /// A reconfiguration finished (successfully or not).
-    ReconfigFinished(ReconfigReport),
+    /// A reconfiguration finished (successfully or not); its report is
+    /// the one with this id in [`Runtime::reports`].
+    ReconfigFinished(ReconfigId),
     /// A connector's protocol was violated by a message.
     ProtocolViolation {
         /// The connector.

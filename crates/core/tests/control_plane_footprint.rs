@@ -25,7 +25,7 @@ use aas_core::message::{Message, Name};
 use aas_core::reconfig::{ReconfigAction, ReconfigPlan};
 use aas_core::registry::{ImplementationRegistry, Props};
 use aas_core::runtime::Runtime;
-use aas_obs::{AtomicHistogram, AuditEvent, AuditLog, Histogram};
+use aas_obs::{AuditEvent, AuditLog, Histogram, MetricsRegistry};
 use aas_sim::node::NodeId;
 use aas_sim::time::SimDuration;
 use aas_telecom::services::register_telecom_components;
@@ -96,12 +96,15 @@ fn an_empty_histogram_allocates_nothing() {
     assert_eq!(heap.allocated, 0, "{heap:?}");
 }
 
-/// Shared as the registry shares it: the 71 unset slots and two 128 B
-/// blocks. Dense, its 71 x 16 cells were 9,088 B.
+/// A registered handle that has seen two octaves keeps its shared
+/// histogram and the histogram's two-octave run of counts; the registry
+/// it came from is gone. Dense, its 71 x 16 cells were 9,088 B;
+/// lock-free, its 71 inline octave slots and two 128 B blocks were at
+/// most 1,536 B.
 #[test]
-fn an_atomic_histogram_weighs_the_octaves_it_has_seen() {
+fn a_registered_histogram_weighs_the_octaves_it_has_seen() {
     let (h, heap) = heap_of(|| {
-        let h = std::sync::Arc::new(AtomicHistogram::new());
+        let h = MetricsRegistry::new().histogram("lat");
         for i in 0..1_000 {
             // [2, 8): two octaves.
             h.observe(2.0 + f64::from(i) * 0.006);
@@ -109,7 +112,7 @@ fn an_atomic_histogram_weighs_the_octaves_it_has_seen() {
         h
     });
     assert_eq!(h.snapshot().count(), 1_000);
-    assert!(heap.grown <= 1_536, "{heap:?}");
+    assert!(heap.grown <= 344, "{heap:?}");
 }
 
 /// What `observe()` asks the allocator for and does not return is the
@@ -199,15 +202,18 @@ fn a_fork_grows_the_heap_by_no_more_than_its_pinned_figure() {
     /// call, went to the allocator. No frame is under way at the fork, so
     /// the fork keeps no payload map. 908,362 B at `8a48a87`, whose fork
     /// registered each instance's histograms by name and copied the
-    /// declarations and the topology's names and adjacency.
-    const PINNED: i64 = 789_004;
+    /// declarations and the topology's names and adjacency. 789,004 B at
+    /// `3b093a8`, whose ~200 per-instance histograms were lock-free and
+    /// weighed 1,192 B each when empty.
+    const PINNED: i64 = 365_772;
     /// What the fork asks the allocator for, kept or not: 1,155,246 B at
     /// `0cf57a8`, where each of the 192 snapshot maps was a 632 B B-tree
     /// leaf (a buffer of four entries is 224 B), 1,076,910 B at `162295c`,
     /// 1,072,640 B at `d8165e4`, where each snapshot map took a buffer of
-    /// its own, 1,029,936 B at `8a48a87`.
-    const ASKED: u64 = 856_528;
-    /// Allocations the fork makes: 4,443 at `8a48a87`. A metric name
+    /// its own, 1,029,936 B at `8a48a87`, 856,528 B at `3b093a8`.
+    const ASKED: u64 = 433_296;
+    /// Allocations the fork makes: 4,443 at `8a48a87`, 2,186 at `3b093a8`
+    /// as now (a histogram is one allocation in either form). A metric name
     /// registered per instance, or a declaration copied per binding,
     /// shows here first.
     const ALLOCS: u64 = 2_186;

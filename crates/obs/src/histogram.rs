@@ -11,13 +11,8 @@
 //! workspace-wide aggregation the same data structure.
 //!
 //! Storage follows the octaves a histogram has seen, not the 71 it could
-//! see (DESIGN.md §3, *Histogram storage*): the plain form keeps one
-//! contiguous run of counts from its first to its last touched octave,
-//! the atomic form one 16-cell block per touched octave.
-
-use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+//! see (DESIGN.md §3, *Histogram storage*): one contiguous run of counts
+//! from the first to the last touched octave.
 
 /// Sub-bucket resolution: 2^4 = 16 sub-buckets per octave.
 const SUB_BITS: u32 = 4;
@@ -52,46 +47,6 @@ fn bucket_value(i: usize) -> f64 {
     // Bucket spans 2^e * [1 + sub/16, 1 + (sub+1)/16); return its center.
     let base = (octave as f64).exp2();
     base * (1.0 + (2.0 * sub + 1.0) / (2.0 * SUBS as f64))
-}
-
-/// The `q`-quantile of `count` observations whose non-empty buckets
-/// `buckets` yields in ascending index order as `(index, count)`. Both
-/// histogram forms answer through this one walk, so they answer alike.
-fn quantile_of(
-    buckets: impl Iterator<Item = (usize, u64)>,
-    count: u64,
-    min: f64,
-    max: f64,
-    q: f64,
-) -> f64 {
-    if count == 0 {
-        return 0.0;
-    }
-    let q = q.clamp(0.0, 1.0);
-    if q == 0.0 {
-        return min;
-    }
-    if q == 1.0 {
-        return max;
-    }
-    let target = (q * count as f64).ceil() as u64;
-    let mut seen = 0;
-    for (i, c) in buckets {
-        seen += c;
-        if seen >= target {
-            return bucket_value(i).clamp(min, max);
-        }
-    }
-    max
-}
-
-/// `sum / count`, `0.0` when empty.
-fn mean_of(sum: f64, count: u64) -> f64 {
-    if count == 0 {
-        0.0
-    } else {
-        sum / count as f64
-    }
 }
 
 /// Bounded-memory log2-bucketed histogram for latency-like positive
@@ -205,7 +160,11 @@ impl Histogram {
     /// Mean of recorded observations; `0.0` when empty.
     #[must_use]
     pub fn mean(&self) -> f64 {
-        mean_of(self.sum, self.count)
+        if self.count == 0 {
+            0.0
+        } else {
+            self.sum / self.count as f64
+        }
     }
 
     /// Smallest recorded observation (exact); `0.0` when empty.
@@ -235,7 +194,25 @@ impl Histogram {
     /// rank value.
     #[must_use]
     pub fn quantile(&self, q: f64) -> f64 {
-        quantile_of(self.buckets(), self.count, self.min, self.max, q)
+        if self.count == 0 {
+            return 0.0;
+        }
+        let q = q.clamp(0.0, 1.0);
+        if q == 0.0 {
+            return self.min;
+        }
+        if q == 1.0 {
+            return self.max;
+        }
+        let target = (q * self.count as f64).ceil() as u64;
+        let mut seen = 0;
+        for (i, c) in self.buckets() {
+            seen += c;
+            if seen >= target {
+                return bucket_value(i).clamp(self.min, self.max);
+            }
+        }
+        self.max
     }
 
     /// Fraction of recorded observations at or below `threshold`, in
@@ -294,210 +271,6 @@ impl Histogram {
         self.sum += other.sum;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
-    }
-}
-
-/// One octave's sixteen cells.
-type Block = Box<[AtomicU64; SUBS]>;
-
-/// Lock-free sibling of [`Histogram`] for the shared metrics registry:
-/// every cell is an atomic, so concurrent owners record without locking
-/// and readers take consistent-enough snapshots — or read the mean, the
-/// count and a quantile in place, without copying a cell.
-///
-/// An octave's cells are allocated when the first value lands in it. An
-/// empty histogram is the 71 unset slots (1,136 B, inline) and no cell;
-/// each touched octave adds one 128 B block.
-///
-/// # Examples
-///
-/// ```
-/// use aas_obs::AtomicHistogram;
-///
-/// let h = AtomicHistogram::new();
-/// h.observe(3.0);
-/// h.observe(5.0);
-/// assert_eq!(h.count(), 2);
-/// assert_eq!(h.mean(), 4.0);
-/// let snap = h.snapshot();
-/// assert_eq!(snap.count(), 2);
-/// assert_eq!(snap.min(), 3.0);
-/// assert_eq!(snap.max(), 5.0);
-/// assert_eq!(h.quantile(0.5), snap.quantile(0.5));
-/// ```
-#[derive(Debug)]
-pub struct AtomicHistogram {
-    /// By octave. A slot is set once, by whichever writer touches its
-    /// octave first; concurrent first writers wait for that one
-    /// allocation and then all count into it.
-    blocks: [OnceLock<Block>; OCTAVES],
-    sum_bits: AtomicU64,
-    /// Min/max as raw f64 bits; for non-negative finite floats the bit
-    /// pattern is order-preserving, so `fetch_min`/`fetch_max` work.
-    min_bits: AtomicU64,
-    max_bits: AtomicU64,
-}
-
-impl Default for AtomicHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl AtomicHistogram {
-    /// Creates an empty atomic histogram.
-    #[must_use]
-    pub fn new() -> Self {
-        AtomicHistogram {
-            blocks: [const { OnceLock::new() }; OCTAVES],
-            sum_bits: AtomicU64::new(0.0_f64.to_bits()),
-            min_bits: AtomicU64::new(u64::MAX),
-            max_bits: AtomicU64::new(0),
-        }
-    }
-
-    /// The cells of `octave`, allocated now if no writer got there first.
-    /// Out of line: a histogram takes this path once per octave.
-    #[cold]
-    #[inline(never)]
-    fn first_touch(&self, octave: usize) -> &Block {
-        self.blocks[octave].get_or_init(|| Box::new([const { AtomicU64::new(0) }; SUBS]))
-    }
-
-    /// Records one non-negative observation without locking. Negative or
-    /// non-finite values are ignored.
-    #[inline]
-    pub fn observe(&self, x: f64) {
-        if !x.is_finite() || x < 0.0 {
-            return;
-        }
-        let i = index_of(x);
-        let block = match self.blocks[i / SUBS].get() {
-            Some(block) => block,
-            None => self.first_touch(i / SUBS),
-        };
-        block[i % SUBS].fetch_add(1, Ordering::Relaxed);
-        // An observation inside the recorded range — almost every one —
-        // only reads the extremes; one that would move an extreme goes to
-        // the read-modify-write, which alone decides between concurrent
-        // writers. (The extremes only ever move outwards, so a stale read
-        // can cause a redundant RMW, never a missed one.) The sign bit is
-        // dropped because -0.0 passes the guard above, and with it would
-        // sort above every positive value.
-        let bits = x.to_bits() & (u64::MAX >> 1);
-        if bits < self.min_bits.load(Ordering::Relaxed) {
-            self.min_bits.fetch_min(bits, Ordering::Relaxed);
-        }
-        // max_bits starts at 0 == 0.0f64 bits, which is safe because
-        // observations are non-negative.
-        if bits > self.max_bits.load(Ordering::Relaxed) {
-            self.max_bits.fetch_max(bits, Ordering::Relaxed);
-        }
-        let mut cur = self.sum_bits.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(cur) + x).to_bits();
-            match self.sum_bits.compare_exchange_weak(
-                cur,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
-    /// The octaves from the smallest recorded value's to the largest's:
-    /// every touched block is among them, so a read walks these and not
-    /// all 71 slots.
-    fn octaves(&self) -> Range<usize> {
-        let min_bits = self.min_bits.load(Ordering::Relaxed);
-        if min_bits == u64::MAX {
-            return 0..0;
-        }
-        let octave = |bits| index_of(f64::from_bits(bits)) / SUBS;
-        octave(min_bits)..octave(self.max_bits.load(Ordering::Relaxed)) + 1
-    }
-
-    /// The non-empty buckets of `octaves` in ascending index order, read
-    /// in place.
-    fn buckets_in(&self, octaves: Range<usize>) -> impl Iterator<Item = (usize, u64)> + '_ {
-        octaves
-            .filter_map(|octave| Some((octave, self.blocks[octave].get()?)))
-            .flat_map(|(octave, block)| {
-                (octave * SUBS..)
-                    .zip(block.iter())
-                    .map(|(i, cell)| (i, cell.load(Ordering::Relaxed)))
-            })
-            .filter(|&(_, c)| c > 0)
-    }
-
-    fn sum(&self) -> f64 {
-        f64::from_bits(self.sum_bits.load(Ordering::Relaxed))
-    }
-
-    /// The extremes as [`Histogram`] keeps them, given the count they
-    /// belong to.
-    fn extremes(&self, count: u64) -> (f64, f64) {
-        let min_bits = self.min_bits.load(Ordering::Relaxed);
-        let min = if min_bits == u64::MAX {
-            f64::INFINITY
-        } else {
-            f64::from_bits(min_bits)
-        };
-        let max = if count == 0 {
-            f64::NEG_INFINITY
-        } else {
-            f64::from_bits(self.max_bits.load(Ordering::Relaxed))
-        };
-        (min, max)
-    }
-
-    /// Number of recorded observations, read in place.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count_in(self.octaves())
-    }
-
-    fn count_in(&self, octaves: Range<usize>) -> u64 {
-        self.buckets_in(octaves).map(|(_, c)| c).sum()
-    }
-
-    /// Mean of recorded observations, read in place; `0.0` when empty.
-    /// What [`AtomicHistogram::snapshot`]'s `mean()` answers, bit for bit.
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        mean_of(self.sum(), self.count())
-    }
-
-    /// The `q`-quantile, read in place: one pass over the touched cells
-    /// for the count, one up to the rank. What
-    /// [`AtomicHistogram::snapshot`]'s `quantile(q)` answers, bit for bit.
-    #[must_use]
-    pub fn quantile(&self, q: f64) -> f64 {
-        let octaves = self.octaves();
-        let count = self.count_in(octaves.clone());
-        let (min, max) = self.extremes(count);
-        quantile_of(self.buckets_in(octaves), count, min, max, q)
-    }
-
-    /// Copies the current state into a plain [`Histogram`] spanning the
-    /// first to the last touched octave.
-    #[must_use]
-    pub fn snapshot(&self) -> Histogram {
-        let mut h = Histogram::new();
-        let octaves = self.octaves();
-        if !octaves.is_empty() {
-            h.cover(octaves.start * SUBS, octaves.end * SUBS);
-            for (i, c) in self.buckets_in(octaves) {
-                h.run[i - h.lo] = c;
-                h.count += c;
-            }
-        }
-        h.sum = self.sum();
-        (h.min, h.max) = self.extremes(h.count);
-        h
     }
 }
 
@@ -573,46 +346,5 @@ mod tests {
         assert!(h.p90() <= h.p99());
         assert!(h.p99() <= h.p999());
         assert!(h.p999() <= h.max());
-    }
-
-    #[test]
-    fn atomic_matches_plain() {
-        let plain = {
-            let mut h = Histogram::new();
-            for i in 1..=1000 {
-                h.observe(f64::from(i) * 0.37);
-            }
-            h
-        };
-        let atomic = AtomicHistogram::new();
-        for i in 1..=1000 {
-            atomic.observe(f64::from(i) * 0.37);
-        }
-        let snap = atomic.snapshot();
-        assert_eq!(snap.count(), plain.count());
-        assert_eq!(snap.min(), plain.min());
-        assert_eq!(snap.max(), plain.max());
-        assert!((snap.sum() - plain.sum()).abs() < 1e-6);
-        assert_eq!(snap.quantile(0.5), plain.quantile(0.5));
-    }
-
-    #[test]
-    fn atomic_negative_zero_does_not_pass_for_the_maximum() {
-        let h = AtomicHistogram::new();
-        h.observe(-0.0);
-        h.observe(5.0);
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.quantile(1.0), 5.0);
-        assert_eq!(h.snapshot().min().to_bits(), 0.0_f64.to_bits());
-    }
-
-    #[test]
-    fn atomic_empty_snapshot_is_zeroed() {
-        let h = AtomicHistogram::new();
-        let snap = h.snapshot();
-        assert_eq!(snap.count(), 0);
-        assert_eq!(snap.min(), 0.0);
-        assert_eq!(snap.max(), 0.0);
-        assert_eq!(snap.quantile(0.5), 0.0);
     }
 }

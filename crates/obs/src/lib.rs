@@ -3,20 +3,22 @@
 //! The paper's central constraint on observation is that the meta-level
 //! must watch the base level **without degrading the availability of the
 //! applications** (PAPER.md §2). Everything in this crate is shaped by
-//! that: hot-path recording is lock-free ([`metrics`]), bounded-memory
-//! ([`histogram`], [`trace`]) and, where per-message cost would otherwise
-//! accumulate, gated behind a sampling knob whose disabled path is a
-//! single relaxed atomic load ([`trace::Tracer::hop_sampling`]).
+//! that: hot-path recording never touches the registry's lock and takes
+//! no contended one ([`metrics`]), is bounded-memory ([`histogram`],
+//! [`trace`]) and, where per-message cost would otherwise accumulate,
+//! gated behind a sampling knob whose disabled path is a single relaxed
+//! atomic load ([`trace::Tracer::hop_sampling`]).
 //!
 //! Module map:
 //!
 //! * [`stats`] — scalar estimators: [`Summary`] (Welford) and
 //!   [`Counters`].
 //! * [`histogram`] — log2-bucketed streaming [`Histogram`] with mergeable
-//!   p50/p90/p99/p99.9 and exact min/max, plus its lock-free sibling
-//!   [`AtomicHistogram`] for the shared registry.
+//!   p50/p90/p99/p99.9 and exact min/max.
 //! * [`metrics`] — typed [`MetricsRegistry`] with interned [`MetricId`]s
-//!   handing out lock-free [`Counter`]/[`Gauge`]/[`HistogramHandle`]s.
+//!   handing out [`Counter`]/[`Gauge`] atomics and
+//!   [`HistogramHandle`]s, each a [`Histogram`] behind its own mutex:
+//!   one thread writes them, so the lock is never contended.
 //! * [`trace`] — bounded span/event ring buffer with causal ids: one span
 //!   per reconfiguration plan, child events per action, sampled
 //!   per-message hop events from the sim kernel.
@@ -41,7 +43,7 @@ pub mod stats;
 pub mod trace;
 
 pub use audit::{AuditEntry, AuditEvent, AuditKind, AuditLog, Books, PlanTally, RepairBy};
-pub use histogram::{AtomicHistogram, Histogram};
+pub use histogram::Histogram;
 pub use metrics::{Counter, Gauge, HistogramHandle, MetricId, MetricsRegistry, MetricsSnapshot};
 pub use name::Name;
 pub use stats::{Counters, Summary};
@@ -65,7 +67,7 @@ use std::sync::Arc;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Obs {
-    /// Lock-free metric registry shared by every layer.
+    /// Metric registry shared by every layer.
     pub metrics: MetricsRegistry,
     /// Span/event ring buffer for causal traces.
     pub tracer: Tracer,

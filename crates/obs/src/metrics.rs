@@ -1,24 +1,27 @@
-//! Typed, lock-free metrics registry.
+//! Typed metrics registry.
 //!
-//! Registration (name → [`MetricId`]) goes through a mutex once; the
-//! returned [`Counter`]/[`Gauge`]/[`HistogramHandle`] handles hold `Arc`s
-//! straight to the atomics, so the record path never takes a lock — a
-//! counter increment is a single relaxed `fetch_add`. This is the
-//! mechanism behind the paper's requirement that observation not degrade
-//! the observed system: the meta-level reads [`MetricsRegistry::snapshot`]
-//! on its own schedule while the base level writes wait-free.
+//! Registration (name → [`MetricId`]) goes through the registry's mutex
+//! once; the returned [`Counter`]/[`Gauge`]/[`HistogramHandle`] handles
+//! hold `Arc`s straight to their metric, so recording never touches the
+//! registry. A counter increment or a gauge write is one relaxed atomic;
+//! a histogram observation locks the histogram's own mutex, which no
+//! other thread holds: every handle is written by the one thread that
+//! drives the runtime, so the lock is never contended and costs its two
+//! uncontended atomics. This is how the meta-level reads
+//! [`MetricsRegistry::snapshot`] on its own schedule without degrading
+//! the base level that writes.
 
-use crate::histogram::{AtomicHistogram, Histogram};
+use crate::histogram::Histogram;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Interned identity of a registered metric; stable for the life of the
 /// registry and cheap to copy into events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MetricId(pub u32);
 
-/// Monotonically increasing counter handle (lock-free).
+/// Monotonically increasing counter handle (one relaxed atomic).
 #[derive(Debug, Clone)]
 pub struct Counter(Arc<AtomicU64>);
 
@@ -40,7 +43,8 @@ impl Counter {
     }
 }
 
-/// Last-write-wins float gauge handle (lock-free; stored as f64 bits).
+/// Last-write-wins float gauge handle (one relaxed atomic of the f64's
+/// bits).
 #[derive(Debug, Clone, Default)]
 pub struct Gauge(Arc<AtomicU64>);
 
@@ -64,9 +68,16 @@ impl Gauge {
     }
 }
 
-/// Handle to a shared [`AtomicHistogram`] (lock-free recording).
+/// Handle to a shared [`Histogram`] behind its own mutex.
 #[derive(Debug, Clone, Default)]
-pub struct HistogramHandle(Arc<AtomicHistogram>);
+pub struct HistogramHandle(Arc<Mutex<Histogram>>);
+
+/// The histogram behind `h`. The guard is held for one `Histogram` call;
+/// were one to panic, it would leave at most that observation
+/// half-counted, so a poisoned lock is read as it stands.
+fn locked(h: &Mutex<Histogram>) -> MutexGuard<'_, Histogram> {
+    h.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 impl HistogramHandle {
     /// An empty histogram that no registry names: it records and answers
@@ -79,33 +90,33 @@ impl HistogramHandle {
     /// Records one observation.
     #[inline]
     pub fn observe(&self, x: f64) {
-        self.0.observe(x);
+        locked(&self.0).observe(x);
     }
 
-    /// Copies the current state into a plain [`Histogram`].
+    /// Copies the current state.
     #[must_use]
     pub fn snapshot(&self) -> Histogram {
-        self.0.snapshot()
+        locked(&self.0).clone()
     }
 
     /// Number of recorded observations, read in place.
     #[must_use]
     pub fn count(&self) -> u64 {
-        self.0.count()
+        locked(&self.0).count()
     }
 
     /// Mean of recorded observations, read in place: what
     /// `snapshot().mean()` answers, without the copy.
     #[must_use]
     pub fn mean(&self) -> f64 {
-        self.0.mean()
+        locked(&self.0).mean()
     }
 
     /// The `q`-quantile, read in place: what `snapshot().quantile(q)`
     /// answers, without the copy.
     #[must_use]
     pub fn quantile(&self, q: f64) -> f64 {
-        self.0.quantile(q)
+        locked(&self.0).quantile(q)
     }
 }
 
@@ -113,7 +124,7 @@ impl HistogramHandle {
 enum Slot {
     Counter(Arc<AtomicU64>),
     Gauge(Arc<AtomicU64>),
-    Histogram(Arc<AtomicHistogram>),
+    Histogram(Arc<Mutex<Histogram>>),
 }
 
 impl Slot {
@@ -230,7 +241,7 @@ impl MetricsRegistry {
     pub fn histogram(&self, name: &str) -> HistogramHandle {
         self.register(
             name,
-            || Slot::Histogram(Arc::new(AtomicHistogram::new())),
+            || Slot::Histogram(Arc::default()),
             |slot| match slot {
                 Slot::Histogram(h) => Some(HistogramHandle(Arc::clone(h))),
                 _ => None,
@@ -276,7 +287,7 @@ impl MetricsRegistry {
                         .insert(name.clone(), f64::from_bits(g.load(Ordering::Relaxed)));
                 }
                 Slot::Histogram(h) => {
-                    snap.histograms.insert(name.clone(), h.snapshot());
+                    snap.histograms.insert(name.clone(), locked(h).clone());
                 }
             }
         }

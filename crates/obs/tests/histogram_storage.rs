@@ -3,14 +3,13 @@
 //!
 //! `dense` below is the implementation every histogram had up to
 //! `e2b94c6` — 71 octaves x 16 cells, allocated whole — kept as the
-//! reference: over seeded streams the run-backed [`Histogram`] and the
-//! block-backed [`AtomicHistogram`] must agree with it on every public
-//! answer to the bit, because `sim_p99_ms` and the benchmark's
-//! fingerprints hash those bits.
+//! reference: over seeded streams the run-backed [`Histogram`], and a
+//! registry's [`HistogramHandle`] read in place or through its snapshot,
+//! must agree with it on every public answer to the bit, because
+//! `sim_p99_ms` and the benchmark's fingerprints hash those bits.
 
-use aas_obs::{AtomicHistogram, Histogram};
+use aas_obs::{Histogram, HistogramHandle, MetricsRegistry};
 use proptest::prelude::*;
-use std::sync::{Arc, Barrier};
 
 mod dense {
     const SUB_BITS: u32 = 4;
@@ -319,32 +318,27 @@ proptest! {
         same_answers(&ref_ba, &ba, q, &a)?;
     }
 
-    /// The atomic form read in place, its snapshot, and the dense store
-    /// agree — and a snapshot merges like any other histogram.
+    /// A registered handle read in place, its snapshot, and the dense
+    /// store agree — and a snapshot merges like any other histogram.
     #[test]
-    fn the_atomic_form_reads_in_place_what_its_snapshot_reads(
+    fn a_handle_reads_in_place_what_its_snapshot_reads(
         values in stream(),
         order in 0u32..3,
         q in 0.0f64..1.0,
     ) {
-        let mut values = ordered(values, order);
-        // The atomic form keeps its extremes as bit patterns and records
-        // a -0.0 as the zero it is; the plain form keeps the sign in
-        // `min`. Not what is held here.
-        values.retain(|v| !(*v == 0.0 && v.is_sign_negative()));
-        let atomic = AtomicHistogram::new();
+        let values = ordered(values, order);
+        let handle = MetricsRegistry::new().histogram("lat");
         for &v in &values {
-            atomic.observe(v);
+            handle.observe(v);
         }
         let (reference, _) = both(&values);
-        let snap = atomic.snapshot();
-        // The atomic sum is the same additions in the same order.
+        let snap = handle.snapshot();
         same_answers(&reference, &snap, q, &values)?;
-        prop_assert_eq!(atomic.count(), snap.count());
-        prop_assert_eq!(atomic.mean().to_bits(), snap.mean().to_bits());
+        prop_assert_eq!(handle.count(), snap.count());
+        prop_assert_eq!(handle.mean().to_bits(), snap.mean().to_bits());
         for q in QS.into_iter().chain([q]) {
             prop_assert_eq!(
-                atomic.quantile(q).to_bits(),
+                handle.quantile(q).to_bits(),
                 snap.quantile(q).to_bits(),
                 "q={}", q
             );
@@ -356,36 +350,15 @@ proptest! {
     }
 }
 
-/// Four writers released together onto one untouched octave: whichever
-/// allocates its cells, the others count into the same ones.
+/// A `-0.0` counts as a zero and does not pass for the maximum; the
+/// minimum keeps its sign, as the dense store's does.
 #[test]
-fn writers_racing_on_an_octaves_first_touch_lose_no_count() {
-    const WRITERS: u32 = 4;
-    const EACH: u32 = 50;
-    // A fresh histogram per round: the first touch is the race.
-    for round in 0..200 {
-        let h = Arc::new(AtomicHistogram::new());
-        let barrier = Arc::new(Barrier::new(WRITERS as usize));
-        let base = f64::from(round % 60 - 25).exp2();
-        let writers: Vec<_> = (0..WRITERS)
-            .map(|w| {
-                let (h, barrier) = (Arc::clone(&h), Arc::clone(&barrier));
-                std::thread::spawn(move || {
-                    barrier.wait();
-                    for i in 0..EACH {
-                        // One octave, every writer in several cells.
-                        h.observe(base * (1.0 + f64::from((w + i) % 16) / 16.0));
-                    }
-                })
-            })
-            .collect();
-        for writer in writers {
-            writer.join().expect("writer");
-        }
-        assert_eq!(h.count(), u64::from(WRITERS * EACH), "round {round}");
-        let snap = h.snapshot();
-        assert_eq!(snap.count(), u64::from(WRITERS * EACH));
-        assert_eq!(snap.min(), base);
-        assert_eq!(snap.fraction_below(base * 2.0), 1.0);
-    }
+fn a_negative_zero_does_not_pass_for_the_maximum() {
+    let h = HistogramHandle::new();
+    h.observe(-0.0);
+    h.observe(5.0);
+    assert_eq!(h.count(), 2);
+    assert_eq!(h.quantile(1.0), 5.0);
+    assert_eq!(h.snapshot().max(), 5.0);
+    assert_eq!(h.snapshot().min().to_bits(), (-0.0_f64).to_bits());
 }

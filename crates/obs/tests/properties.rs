@@ -1,7 +1,7 @@
 //! Property-based verification of the histogram's accuracy contract.
 //!
-//! The log2-bucketed histogram trades exactness for O(1) lock-free
-//! recording; these properties pin down exactly how much it trades:
+//! The log2-bucketed histogram trades exactness for O(1) recording in
+//! bounded memory; these properties pin down exactly how much it trades:
 //! every reported percentile stays within one bucket's relative error of
 //! the exact rank statistic, and merging is indistinguishable from having
 //! recorded one concatenated stream.

@@ -134,12 +134,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nafter 60s: coder hosted on {coder_node}");
     for (at, ev) in rt.drain_events() {
         match ev {
-            RuntimeEvent::ReconfigFinished(r) => println!(
-                "  {at}: reconfig success={} blackout={} state={}B",
-                r.success,
-                r.max_blackout(),
-                r.state_bytes_transferred
-            ),
+            RuntimeEvent::ReconfigFinished(id) => {
+                let r = rt.reports().iter().find(|r| r.id == id).expect("report");
+                println!(
+                    "  {at}: reconfig success={} blackout={} state={}B",
+                    r.success,
+                    r.max_blackout(),
+                    r.state_bytes_transferred
+                );
+            }
             RuntimeEvent::Notify(n) => println!("  {at}: notify {n}"),
             _ => {}
         }
