@@ -169,8 +169,6 @@ struct BlockedTarget {
 pub(super) struct PlanTxn {
     id: ReconfigId,
     origin: PlanOrigin,
-    /// Trace span covering the whole plan execution.
-    span: SpanId,
     actions: VecDeque<ReconfigAction>,
     started_at: SimTime,
     phase: ExecPhase,
@@ -283,15 +281,9 @@ impl Runtime {
             actions: plan.len() as u64,
         };
         self.obs.audit.append(now_us, validated);
-        let span = self.obs.tracer.span_start(
-            &format!("plan:{id}"),
-            SpanId::NONE,
-            self.kernel.now().as_micros(),
-        );
         self.exec.active = Some(PlanTxn {
             id,
             origin,
-            span,
             actions: plan.into_actions().into(),
             started_at: self.kernel.now(),
             phase: ExecPhase::Idle,
@@ -422,15 +414,15 @@ impl Runtime {
     }
 
     /// Counts one applied action into the active transaction and records
-    /// it in the audit log and the plan's trace span.
+    /// it in the audit log.
     fn record_action(&mut self, action: &ReconfigAction) {
         let now_us = self.kernel.now().as_micros();
         if let Some(exec) = self.exec.active.as_mut() {
             exec.applied += 1;
-            let action = action.to_string();
-            self.obs.tracer.event(exec.span, "action", &action, now_us);
-            let plan = exec.id.0;
-            let applied = AuditEvent::ActionApplied { plan, action };
+            let applied = AuditEvent::ActionApplied {
+                plan: exec.id.0,
+                action: action.to_string(),
+            };
             self.obs.audit.append(now_us, applied);
         }
     }
@@ -937,7 +929,7 @@ impl Runtime {
         }
     }
 
-    /// Books the transaction's outcome: audit, trace span and report.
+    /// Books the transaction's outcome: audit and report.
     /// Channel state has already been settled by [`Runtime::commit_txn`]
     /// or [`Runtime::abort_txn`].
     fn finish_reconfig(&mut self, txn: PlanTxn, failure: Option<String>) {
@@ -954,7 +946,6 @@ impl Runtime {
         } else {
             self.exec.ended.rolled_back += 1;
         }
-        self.obs.tracer.span_end(txn.span, now.as_micros());
         let report = ReconfigReport {
             id: txn.id,
             started_at: txn.started_at,

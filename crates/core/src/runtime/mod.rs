@@ -78,7 +78,7 @@ use crate::raml::{
 };
 use crate::reconfig::{ReconfigAction, ReconfigId, ReconfigPlan, ReconfigReport, StateTransfer};
 use crate::registry::{ImplementationRegistry, Props};
-use aas_obs::{AuditEvent, Gauge, HistogramHandle, Obs, PlanTally, RepairBy, SpanId};
+use aas_obs::{AuditEvent, Gauge, HistogramHandle, Obs, PlanTally, RepairBy};
 use aas_sim::channel::ChannelId;
 use aas_sim::fault::FaultKind;
 use aas_sim::kernel::{Fired, Kernel, KernelCounter};
@@ -392,7 +392,6 @@ impl Runtime {
         if kernel.topology().region_count() > 0 && kernel.topology().regions_fully_assigned() {
             kernel.enable_hier_routing();
         }
-        kernel.set_tracer(obs.tracer.clone());
         let mut instances = Table::new();
         let external = instances.intern(EXTERNAL);
         Runtime {
@@ -679,8 +678,8 @@ impl Runtime {
         }
     }
 
-    /// The runtime's telemetry bundle: shared metrics registry, tracer and
-    /// the reconfiguration audit log.
+    /// The runtime's telemetry bundle: shared metrics registry and the
+    /// reconfiguration audit log.
     #[must_use]
     pub fn obs(&self) -> &Obs {
         &self.obs

@@ -121,8 +121,7 @@ impl Runtime {
             return None;
         }
         let obs = Obs::new();
-        let mut kernel = self.kernel.fork();
-        kernel.set_tracer(obs.tracer.clone());
+        let kernel = self.kernel.fork();
         let m = MetricHandles::new(&obs);
         // Same names, same ids: the cloned in-flight envelopes and timers
         // address instances by them.

@@ -187,11 +187,12 @@ fn the_registry_answers_without_allocating() {
 
 /// A fork's throwaway telemetry bundle registers the runtime's own series
 /// and nothing per instance or per node: each instance's histograms are
-/// empty handles no registry names, and its tracer ring takes memory only
-/// as it records. Binding declarations, props and the topology's node
-/// specs and adjacency are shared, not copied. Each component is restored
-/// from a snapshot map the fork drops again, and the 192 snapshot maps
-/// share one buffer, which the thread keeps idle after the fork.
+/// empty handles no registry names, and neither it nor its kernel keeps a
+/// second record beside the audit log. Binding declarations, props and
+/// the topology's node specs and adjacency are shared, not copied. Each
+/// component is restored from a snapshot map the fork drops again, and
+/// the 192 snapshot maps share one buffer, which the thread keeps idle
+/// after the fork.
 #[test]
 fn a_fork_grows_the_heap_by_no_more_than_its_pinned_figure() {
     /// Live-heap growth of this very fork: 4,110,168 B at `e2b94c6`,
@@ -204,19 +205,23 @@ fn a_fork_grows_the_heap_by_no_more_than_its_pinned_figure() {
     /// registered each instance's histograms by name and copied the
     /// declarations and the topology's names and adjacency. 789,004 B at
     /// `3b093a8`, whose ~200 per-instance histograms were lock-free and
-    /// weighed 1,192 B each when empty.
-    const PINNED: i64 = 365_772;
+    /// weighed 1,192 B each when empty. 365,772 B at `73f8f82`, whose
+    /// fork's telemetry bundle held an empty string tracer.
+    const PINNED: i64 = 365_684;
     /// What the fork asks the allocator for, kept or not: 1,155,246 B at
     /// `0cf57a8`, where each of the 192 snapshot maps was a 632 B B-tree
     /// leaf (a buffer of four entries is 224 B), 1,076,910 B at `162295c`,
     /// 1,072,640 B at `d8165e4`, where each snapshot map took a buffer of
-    /// its own, 1,029,936 B at `8a48a87`, 856,528 B at `3b093a8`.
-    const ASKED: u64 = 433_296;
+    /// its own, 1,029,936 B at `8a48a87`, 856,528 B at `3b093a8`,
+    /// 433,296 B at `73f8f82`, where the fork's bundle and its kernel
+    /// each built a tracer.
+    const ASKED: u64 = 433_120;
     /// Allocations the fork makes: 4,443 at `8a48a87`, 2,186 at `3b093a8`
-    /// as now (a histogram is one allocation in either form). A metric name
+    /// (a histogram is one allocation in either form) and at `73f8f82`,
+    /// whose two tracers were one allocation each. A metric name
     /// registered per instance, or a declaration copied per binding,
     /// shows here first.
-    const ALLOCS: u64 = 2_186;
+    const ALLOCS: u64 = 2_184;
     let rt = warm(64);
     let ((fork, heap), allocs) = enrolled(|| measured(|| measured_heap(|| rt.fork_twin())));
     assert!(fork.is_some());

@@ -26,6 +26,7 @@ use aas_core::message::{Message, Value};
 use aas_core::reconfig::{ReconfigAction, ReconfigPlan, StateTransfer};
 use aas_core::registry::ImplementationRegistry;
 use aas_core::runtime::{InFlight, Runtime, RuntimeEvent};
+use aas_obs::export::audit_jsonl;
 use aas_sim::channel::DropReason;
 use aas_sim::fault::FaultSchedule;
 use aas_sim::link::LinkId;
@@ -436,30 +437,20 @@ fn a_cancelled_jobs_timer_completes_no_other_message() {
     assert_eq!(rt.in_flight(), InFlight::default());
 }
 
-/// What a run leaves for an operator and for the kernel's tracer.
-fn outcome(rt: &Runtime) -> (String, String, InFlight, Vec<String>) {
-    let hops = rt
-        .obs()
-        .tracer
-        .events()
-        .iter()
-        .map(|e| format!("{} {} {}", e.at_us, e.name, e.detail))
-        .collect();
+/// What a run leaves for an operator: its metrics, counters, messages in
+/// flight and audit log.
+fn outcome(rt: &Runtime) -> (String, String, InFlight, String) {
     (
         format!("{:?}", rt.metrics()),
         format!("{:?}", rt.kernel_counters()),
         rt.in_flight(),
-        hops,
+        audit_jsonl(&rt.obs().audit.entries()),
     )
 }
 
 #[test]
 fn a_fork_run_forward_and_dropped_leaves_the_mainline_as_unforked() {
-    let scenario = || {
-        let (rt, _) = pipeline(clique());
-        rt.obs().tracer.set_hop_sampling(1);
-        rt
-    };
+    let scenario = || pipeline(clique()).0;
     let mut control = scenario();
     let mut rt = scenario();
     rt.run_until(ms(305));

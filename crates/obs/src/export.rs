@@ -1,4 +1,5 @@
-//! JSONL and human-table exporters for metrics, traces and audit logs.
+//! JSONL and human-table exporters for metrics, coverage cells and audit
+//! logs.
 //!
 //! JSON is rendered by hand (the values are flat: strings, integers,
 //! floats), which keeps the exporters dependency-free and the output
@@ -7,7 +8,6 @@
 
 use crate::audit::AuditEntry;
 use crate::metrics::MetricsSnapshot;
-use crate::trace::TraceEvent;
 use std::fmt::Write as _;
 
 /// Escapes `s` for inclusion inside a JSON string literal.
@@ -141,25 +141,6 @@ pub fn audit_jsonl(entries: &[AuditEntry]) -> String {
     out
 }
 
-/// Renders trace events as JSONL, one object per record, oldest first.
-#[must_use]
-pub fn trace_jsonl(events: &[TraceEvent]) -> String {
-    let mut out = String::new();
-    for e in events {
-        let _ = writeln!(
-            out,
-            "{{\"at_us\":{},\"kind\":\"{}\",\"span\":{},\"parent\":{},\"name\":\"{}\",\"detail\":\"{}\"}}",
-            e.at_us,
-            e.kind.label(),
-            e.span.0,
-            e.parent.0,
-            escape(&e.name),
-            escape(&e.detail),
-        );
-    }
-    out
-}
-
 /// Renders a metrics snapshot as an aligned human-readable table.
 #[must_use]
 pub fn metrics_table(snap: &MetricsSnapshot) -> String {
@@ -228,7 +209,6 @@ mod tests {
     use super::*;
     use crate::audit::{AuditEvent, AuditLog};
     use crate::metrics::MetricsRegistry;
-    use crate::trace::{SpanId, Tracer};
 
     #[test]
     fn metrics_jsonl_is_line_per_metric() {
@@ -255,16 +235,6 @@ mod tests {
         let jsonl = audit_jsonl(&log.entries());
         assert!(jsonl.contains("p\\\"1\\\""));
         assert!(jsonl.contains("line\\nbreak"));
-    }
-
-    #[test]
-    fn trace_jsonl_roundtrips_ids() {
-        let t = Tracer::new();
-        let s = t.span_start("plan:x", SpanId::NONE, 5);
-        t.span_end(s, 9);
-        let jsonl = trace_jsonl(&t.events());
-        assert!(jsonl.contains("\"kind\":\"span_start\""));
-        assert!(jsonl.contains(&format!("\"span\":{}", s.0)));
     }
 
     #[test]

@@ -4,10 +4,9 @@
 //! must watch the base level **without degrading the availability of the
 //! applications** (PAPER.md §2). Everything in this crate is shaped by
 //! that: hot-path recording never touches the registry's lock and takes
-//! no contended one ([`metrics`]), is bounded-memory ([`histogram`],
-//! [`trace`]) and, where per-message cost would otherwise accumulate,
-//! gated behind a sampling knob whose disabled path is a single relaxed
-//! atomic load ([`trace::Tracer::hop_sampling`]).
+//! no contended one ([`metrics`]), and what is kept is bounded
+//! ([`histogram`]) or typed and rendered only when read ([`audit`]).
+//! The audit log is the one record of what reconfiguration did.
 //!
 //! Module map:
 //!
@@ -19,15 +18,13 @@
 //!   handing out [`Counter`]/[`Gauge`] atomics and
 //!   [`HistogramHandle`]s, each a [`Histogram`] behind its own mutex:
 //!   one thread writes them, so the lock is never contended.
-//! * [`trace`] — bounded span/event ring buffer with causal ids: one span
-//!   per reconfiguration plan, child events per action, sampled
-//!   per-message hop events from the sim kernel.
 //! * [`audit`] — append-only reconfiguration [`AuditLog`]: every plan,
 //!   action, outcome, rollback and channel block/release, typed at append
 //!   and rendered on read, with the running [`Books`] an invariant
 //!   checker reads.
 //! * [`name`] — [`Name`], a string that clones without allocating.
-//! * [`export`] — JSONL and human-table renderings of all of the above.
+//! * [`export`] — JSONL and human-table renderings of metrics, coverage
+//!   cells and the audit log.
 //!
 //! Timestamps throughout are plain `u64` microseconds supplied by the
 //! caller; `aas-obs` has no dependency on the simulator's clock (or on
@@ -40,19 +37,15 @@ pub mod histogram;
 pub mod metrics;
 pub mod name;
 pub mod stats;
-pub mod trace;
 
 pub use audit::{AuditEntry, AuditEvent, AuditKind, AuditLog, Books, PlanTally, RepairBy};
 pub use histogram::Histogram;
 pub use metrics::{Counter, Gauge, HistogramHandle, MetricId, MetricsRegistry, MetricsSnapshot};
 pub use name::Name;
 pub use stats::{Counters, Summary};
-pub use trace::{SpanId, TraceEvent, TraceKind, Tracer};
 
-use std::sync::Arc;
-
-/// One bundle of the three telemetry facets, cheaply cloneable and shared
-/// across layers (runtime, kernel, monitors, mechanisms).
+/// One bundle of the two telemetry facets, cheaply cloneable and shared
+/// across layers (runtime, monitors, mechanisms).
 ///
 /// # Examples
 ///
@@ -69,8 +62,6 @@ use std::sync::Arc;
 pub struct Obs {
     /// Metric registry shared by every layer.
     pub metrics: MetricsRegistry,
-    /// Span/event ring buffer for causal traces.
-    pub tracer: Tracer,
     /// Append-only reconfiguration audit log.
     pub audit: AuditLog,
 }
@@ -80,11 +71,5 @@ impl Obs {
     #[must_use]
     pub fn new() -> Self {
         Obs::default()
-    }
-
-    /// Wraps a fresh bundle in an [`Arc`] for sharing across owners.
-    #[must_use]
-    pub fn shared() -> Arc<Self> {
-        Arc::new(Obs::new())
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! A [`Kernel`] owns virtual time, one `ShardCore` (event queue, channel
 //! sides, router — see [`crate::shard`] for the transitions), the
-//! [`Topology`], an RNG stream and a tracer. Higher layers (the component
+//! [`Topology`] and an RNG stream. Higher layers (the component
 //! runtime in `aas-core`) drive it by calling [`Kernel::step`] in a loop
 //! and reacting to the [`Fired`] occurrences it yields. Commands take
 //! effect *now*: a send runs the core's send transition at the current
@@ -22,7 +22,7 @@ use crate::shard::{
     ShardEvent, SyncCmd, SyncEntry,
 };
 use crate::time::{SimDuration, SimTime};
-use aas_obs::{Counters, SpanId, Tracer};
+use aas_obs::Counters;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
@@ -75,7 +75,6 @@ pub struct Kernel<M> {
     sync: BinaryHeap<SyncEntry>,
     topology: Topology,
     rng: SimRng,
-    tracer: Tracer,
     /// Issue-order id of the next caller command.
     next_cmd: u64,
     next_timer_tag: u64,
@@ -91,7 +90,6 @@ impl<M> Kernel<M> {
             sync: BinaryHeap::new(),
             topology,
             rng: SimRng::seed_from(seed),
-            tracer: Tracer::new(),
             next_cmd: 0,
             next_timer_tag: 0,
         }
@@ -183,19 +181,6 @@ impl<M> Kernel<M> {
         self.core.router.hier_stats()
     }
 
-    /// Replaces the kernel's tracer, typically with a shared workspace
-    /// [`Tracer`] so kernel hop events interleave with runtime spans.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
-    }
-
-    /// The kernel's tracer. Per-message hop recording is off until
-    /// [`Tracer::set_hop_sampling`] enables it.
-    #[must_use]
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-
     // ----- channels --------------------------------------------------
 
     /// Opens a FIFO channel from `src` to `dst`, returning its id.
@@ -279,26 +264,12 @@ impl<M> Kernel<M> {
     /// "manage messages in transit" behaviour the paper describes.
     pub fn block_channel(&mut self, ch: ChannelId) {
         self.sync_now(SyncCmd::Block(ch));
-        self.tracer.event(
-            SpanId::NONE,
-            "queue",
-            &format!("block ch={}", ch.0),
-            self.now.as_micros(),
-        );
     }
 
     /// Unblocks a channel, rescheduling all held messages for immediate
     /// delivery in their original order.
     pub fn unblock_channel(&mut self, ch: ChannelId) {
-        let before = self.counter(KernelCounter::Released);
         self.sync_now(SyncCmd::Unblock(ch));
-        let held_count = self.counter(KernelCounter::Released) - before;
-        self.tracer.event(
-            SpanId::NONE,
-            "queue",
-            &format!("release ch={} held={held_count}", ch.0),
-            self.now.as_micros(),
-        );
     }
 
     /// Sends `msg` of `size` bytes on channel `ch`.
@@ -314,14 +285,6 @@ impl<M> Kernel<M> {
         {
             Ok((transit, route)) => {
                 self.topology.account_route(&route, size);
-                if self.tracer.sample_hop() {
-                    let (src, dst) = self.channel_endpoints(ch);
-                    self.tracer.hop(
-                        "send",
-                        &format!("ch={} {}->{}", ch.0, src.0, dst.0),
-                        self.now.as_micros(),
-                    );
-                }
                 SendOutcome::Sent(transit)
             }
             Err((_, reason)) => SendOutcome::Dropped(reason),
@@ -378,34 +341,13 @@ impl<M> Kernel<M> {
                 continue;
             }
             let entry = self.core.queue.pop().expect("peeked");
-            let (at, channel) = (entry.at, entry.ev.channel());
+            let at = entry.at;
             debug_assert!(at >= self.now, "time went backwards");
             self.now = at;
-            match self.core.process(entry, &self.topology, None) {
-                Some(fired) => {
-                    if let Fired::Delivered {
-                        channel, sent_at, ..
-                    } = &fired
-                    {
-                        if self.tracer.sample_hop() {
-                            let delay_us = at.saturating_since(*sent_at).as_micros();
-                            self.tracer.hop(
-                                "deliver",
-                                &format!("ch={} delay_us={delay_us}", channel.0),
-                                at.as_micros(),
-                            );
-                        }
-                    }
-                    return Some((at, fired));
-                }
-                // Held by a blocked channel: invisible to the
-                // application; keep stepping.
-                None => {
-                    if let Some(ch) = channel.filter(|_| self.tracer.sample_hop()) {
-                        self.tracer
-                            .hop("hold", &format!("ch={}", ch.0), at.as_micros());
-                    }
-                }
+            // `None`: held by a blocked channel, invisible to the
+            // application; keep stepping.
+            if let Some(fired) = self.core.process(entry, &self.topology, None) {
+                return Some((at, fired));
             }
         }
     }
@@ -444,13 +386,10 @@ impl<M: Clone> Kernel<M> {
     /// replays **byte-identically** to the mainline, and dropping a fork
     /// never perturbs the mainline (see `tests/fork_determinism.rs`).
     ///
-    /// Two pieces are deliberately rebuilt rather than copied:
-    ///
-    /// - the router starts cold — route *resolution* is a pure function
-    ///   of the topology, so behaviour is identical; only
-    ///   `route_cache_stats` / `hier_stats` differ;
-    /// - the tracer is a fresh, inert [`Tracer`] — a fork never writes
-    ///   into the mainline's span/event ring.
+    /// One piece is deliberately rebuilt rather than copied: the router
+    /// starts cold — route *resolution* is a pure function of the
+    /// topology, so behaviour is identical; only `route_cache_stats` /
+    /// `hier_stats` differ.
     #[must_use]
     pub fn fork(&self) -> Kernel<M> {
         Kernel {
@@ -459,7 +398,6 @@ impl<M: Clone> Kernel<M> {
             sync: self.sync.clone(),
             topology: self.topology.clone(),
             rng: self.rng.clone(),
-            tracer: Tracer::new(),
             next_cmd: self.next_cmd,
             next_timer_tag: self.next_timer_tag,
         }
@@ -524,6 +462,7 @@ mod tests {
         assert_eq!(k.channel_stats(ch).held, 5);
 
         k.unblock_channel(ch);
+        assert_eq!(k.counter(KernelCounter::Released), 5);
         let order: Vec<u32> = drain(&mut k)
             .iter()
             .filter_map(|(_, f)| match f {
@@ -680,50 +619,6 @@ mod tests {
         assert_eq!(k.counters().get("sent"), 1);
         assert_eq!(k.counters().get("delivered"), 1);
         assert_eq!(k.counters().get("dropped"), 0);
-    }
-
-    #[test]
-    fn hop_tracing_is_off_by_default_and_sampled_when_on() {
-        let (mut k, a, b) = kernel2();
-        let ch = k.open_channel(a, b);
-        for i in 0..10 {
-            k.send(ch, i, 10);
-        }
-        let _ = drain(&mut k);
-        assert!(k.tracer().is_empty(), "no hops recorded with sampling off");
-
-        k.tracer().set_hop_sampling(1);
-        for i in 0..5 {
-            k.send(ch, i, 10);
-        }
-        let _ = drain(&mut k);
-        let events = k.tracer().events();
-        let sends = events.iter().filter(|e| e.name == "send").count();
-        let delivers = events.iter().filter(|e| e.name == "deliver").count();
-        assert_eq!(sends, 5);
-        assert_eq!(delivers, 5);
-    }
-
-    #[test]
-    fn block_and_release_leave_queue_events() {
-        let (mut k, a, b) = kernel2();
-        let ch = k.open_channel(a, b);
-        k.block_channel(ch);
-        k.send(ch, 1, 10);
-        assert!(k.step().is_none());
-        k.unblock_channel(ch);
-        let _ = drain(&mut k);
-        let queue_events: Vec<String> = k
-            .tracer()
-            .events()
-            .into_iter()
-            .filter(|e| e.name == "queue")
-            .map(|e| e.detail)
-            .collect();
-        assert_eq!(queue_events.len(), 2);
-        assert!(queue_events[0].starts_with("block"));
-        assert!(queue_events[1].starts_with("release"));
-        assert!(queue_events[1].contains("held=1"));
     }
 
     #[test]

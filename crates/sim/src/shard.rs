@@ -862,10 +862,10 @@ impl<M> ShardCore<M> {
     /// arrival order, as sub-events 1.. of the command `key`: an unblocked
     /// side then delivers them, a closed one drops them.
     fn requeue_held(&mut self, ch: ChannelId, at: SimTime, key: EventKey) {
+        // Drained, not taken: the side keeps its buffer for the next hold.
         let side = self.deliver_sides[ch.0 as usize].as_mut().expect("owner");
-        let held = std::mem::take(&mut side.held);
-        self.counters[KernelCounter::Released as usize] += held.len() as u64;
-        for (i, h) in held.into_iter().enumerate() {
+        self.counters[KernelCounter::Released as usize] += side.held.len() as u64;
+        for (i, h) in side.held.drain(..).enumerate() {
             self.queue.push(Entry {
                 at,
                 key: EventKey::new(key.cmd, i as u32 + 1),

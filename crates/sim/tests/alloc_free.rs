@@ -1,6 +1,7 @@
 //! Proves the kernel's cache-hit send path is allocation-free — for the
 //! serial kernel on the caller thread, and for the sharded kernel on
-//! every worker thread.
+//! every worker thread — and that so is a warm block / hold / unblock
+//! cycle of the serial kernel.
 //!
 //! The thread-enrolled counting allocator lives in
 //! `support/counting_alloc.rs`, shared with `aas-core`'s dispatch budget.
@@ -72,6 +73,56 @@ fn cache_hit_send_path_allocates_nothing() {
         "one miss per (channel, size) pair, everything else hits"
     );
     assert!(stats.hits >= 10_000);
+    unenroll();
+}
+
+/// A reconfiguration's view of a channel: block it, let sends arrive and
+/// be held, unblock it and deliver what was held. Once the held queues
+/// and the event queue have grown to the cycle's peak, the kernel
+/// records the block and the release in its counters alone and the whole
+/// cycle touches no allocator.
+#[test]
+fn a_warm_block_hold_unblock_cycle_allocates_nothing() {
+    let _gate = GATE
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    enroll();
+
+    let topo = Topology::clique(4, 100.0, SimDuration::from_millis(2), 1e7);
+    let mut k: Kernel<u64> = Kernel::new(topo, 7);
+    let channels: Vec<_> = (0..4u32)
+        .map(|i| k.open_channel(NodeId(i), NodeId((i + 1) % 4)))
+        .collect();
+    let cycle = |k: &mut Kernel<u64>| {
+        for &ch in &channels {
+            k.block_channel(ch);
+        }
+        for i in 0..64u64 {
+            k.send(channels[(i % 4) as usize], i, 256);
+        }
+        // Every send arrives at a blocked channel: nothing is visible.
+        assert!(k.step().is_none(), "a blocked channel delivers nothing");
+        for &ch in &channels {
+            k.unblock_channel(ch);
+        }
+        let mut delivered = 0u64;
+        while let Some((_, fired)) = k.step() {
+            if matches!(fired, Fired::Delivered { .. }) {
+                delivered += 1;
+            }
+        }
+        delivered
+    };
+    for _ in 0..4 {
+        assert_eq!(cycle(&mut k), 64, "warm-up must deliver everything");
+    }
+
+    let (delivered, delta) = measured(|| (0..16).map(|_| cycle(&mut k)).sum::<u64>());
+    assert_eq!(delivered, 16 * 64, "every held message is delivered");
+    assert_eq!(
+        delta, 0,
+        "16 warm block / unblock cycles performed {delta} heap allocations"
+    );
     unenroll();
 }
 
