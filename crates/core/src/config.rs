@@ -10,7 +10,7 @@
 
 use crate::connector::ConnectorSpec;
 use crate::reconfig::{ReconfigAction, ReconfigPlan, StateTransfer};
-use crate::registry::{ImplementationRegistry, Props};
+use crate::registry::Props;
 use aas_sim::node::NodeId;
 use core::fmt;
 use std::collections::BTreeMap;
@@ -100,41 +100,6 @@ impl fmt::Display for BindingDecl {
     }
 }
 
-/// A problem found while validating a configuration.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ConfigIssue {
-    /// A binding references an undeclared component.
-    UnknownComponent(String),
-    /// A binding references an undeclared connector.
-    UnknownConnector(String),
-    /// A declared implementation is missing from the registry.
-    UnknownImplementation(String, u32),
-    /// A connector is declared but never used by a binding.
-    UnusedConnector(String),
-    /// Two bindings share the same `(instance, port)` source.
-    DuplicateBindingSource(String, String),
-}
-
-impl fmt::Display for ConfigIssue {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ConfigIssue::UnknownComponent(n) => {
-                write!(f, "binding references undeclared component `{n}`")
-            }
-            ConfigIssue::UnknownConnector(n) => {
-                write!(f, "binding references undeclared connector `{n}`")
-            }
-            ConfigIssue::UnknownImplementation(n, v) => {
-                write!(f, "implementation `{n}` v{v} not in registry")
-            }
-            ConfigIssue::UnusedConnector(n) => write!(f, "connector `{n}` is never used"),
-            ConfigIssue::DuplicateBindingSource(i, p) => {
-                write!(f, "port `{i}.{p}` is bound more than once")
-            }
-        }
-    }
-}
-
 /// The declarative structure of an application: components, connectors and
 /// bindings.
 ///
@@ -210,51 +175,6 @@ impl Configuration {
     /// All declared connectors.
     pub fn connectors(&self) -> impl Iterator<Item = &ConnectorSpec> {
         self.connectors.values()
-    }
-
-    /// Validates internal consistency and registry coverage. Empty result
-    /// means the configuration is deployable.
-    #[must_use]
-    pub fn validate(&self, registry: &ImplementationRegistry) -> Vec<ConfigIssue> {
-        let mut issues = Vec::new();
-        for (name, decl) in &self.components {
-            if !registry.contains(&decl.type_name, decl.version) {
-                issues.push(ConfigIssue::UnknownImplementation(
-                    decl.type_name.clone(),
-                    decl.version,
-                ));
-                let _ = name;
-            }
-        }
-        let mut used_connectors = std::collections::BTreeSet::new();
-        let mut seen_sources = std::collections::BTreeSet::new();
-        for b in &self.bindings {
-            if !self.components.contains_key(&b.from.0) {
-                issues.push(ConfigIssue::UnknownComponent(b.from.0.clone()));
-            }
-            for (inst, _) in &b.to {
-                if !self.components.contains_key(inst) {
-                    issues.push(ConfigIssue::UnknownComponent(inst.clone()));
-                }
-            }
-            if !self.connectors.contains_key(&b.via) {
-                issues.push(ConfigIssue::UnknownConnector(b.via.clone()));
-            } else {
-                used_connectors.insert(b.via.clone());
-            }
-            if !seen_sources.insert(b.from.clone()) {
-                issues.push(ConfigIssue::DuplicateBindingSource(
-                    b.from.0.clone(),
-                    b.from.1.clone(),
-                ));
-            }
-        }
-        for name in self.connectors.keys() {
-            if !used_connectors.contains(name) {
-                issues.push(ConfigIssue::UnusedConnector(name.clone()));
-            }
-        }
-        issues
     }
 
     /// Computes the reconfiguration plan that turns `self` into `target`.
@@ -349,16 +269,7 @@ fn connector_specs_equal(a: &ConnectorSpec, b: &ConnectorSpec) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::component::EchoComponent;
     use crate::connector::RoutingPolicy;
-
-    fn registry() -> ImplementationRegistry {
-        let mut r = ImplementationRegistry::new();
-        r.register("Client", 1, |_| Box::new(EchoComponent::default()));
-        r.register("Server", 1, |_| Box::new(EchoComponent::default()));
-        r.register("Server", 2, |_| Box::new(EchoComponent::default()));
-        r
-    }
 
     fn base_config() -> Configuration {
         let mut cfg = Configuration::new();
@@ -367,40 +278,6 @@ mod tests {
         cfg.connector(ConnectorSpec::direct("wire"));
         cfg.bind(BindingDecl::new("client", "out", "wire", "server", "in"));
         cfg
-    }
-
-    #[test]
-    fn valid_config_has_no_issues() {
-        assert!(base_config().validate(&registry()).is_empty());
-    }
-
-    #[test]
-    fn validation_catches_unknowns() {
-        let mut cfg = base_config();
-        cfg.bind(BindingDecl::new("ghost", "out", "nowire", "server", "in"));
-        let issues = cfg.validate(&registry());
-        assert!(issues.contains(&ConfigIssue::UnknownComponent("ghost".into())));
-        assert!(issues.contains(&ConfigIssue::UnknownConnector("nowire".into())));
-    }
-
-    #[test]
-    fn validation_catches_missing_implementation() {
-        let mut cfg = base_config();
-        cfg.component("extra", ComponentDecl::new("Mystery", 9, NodeId(0)));
-        let issues = cfg.validate(&registry());
-        assert!(issues.contains(&ConfigIssue::UnknownImplementation("Mystery".into(), 9)));
-    }
-
-    #[test]
-    fn validation_catches_duplicate_sources_and_unused_connectors() {
-        let mut cfg = base_config();
-        cfg.connector(ConnectorSpec::direct("spare"));
-        cfg.bind(BindingDecl::new("client", "out", "wire", "server", "in"));
-        let issues = cfg.validate(&registry());
-        assert!(issues
-            .iter()
-            .any(|i| matches!(i, ConfigIssue::DuplicateBindingSource(c, p) if c == "client" && p == "out")));
-        assert!(issues.contains(&ConfigIssue::UnusedConnector("spare".into())));
     }
 
     #[test]

@@ -19,15 +19,30 @@ pub enum RuntimeError {
     },
     /// A component with this name already exists.
     DuplicateComponent(String),
-    /// A binding referenced a port the component does not declare.
-    UnknownPort {
+    /// A connector with this name already exists.
+    DuplicateConnector(String),
+    /// The component is still the source or a target of a binding.
+    ComponentInUse(String),
+    /// The connector still mediates a binding.
+    ConnectorInUse(String),
+    /// The source port already has a binding.
+    PortBound {
         /// The component instance.
         component: String,
-        /// The missing port.
+        /// The bound port.
+        port: String,
+    },
+    /// The source port has no binding.
+    NoBinding {
+        /// The component instance.
+        component: String,
+        /// The unbound port.
         port: String,
     },
     /// The target node does not exist or is down.
     NodeUnavailable(String),
+    /// The target node has no capacity left to host anything.
+    NoCapacity(String),
     /// An interface change was not backward compatible.
     IncompatibleInterface {
         /// The component whose interface was being modified.
@@ -45,15 +60,14 @@ pub enum RuntimeError {
         /// The joint deadlock states found.
         deadlocks: Vec<String>,
     },
-    /// A reconfiguration was rejected or failed; the system was rolled back.
+    /// A reconfiguration action failed while it was being applied; the
+    /// plan was rolled back.
     ReconfigFailed {
         /// Which action failed.
         action: String,
         /// Why.
         reason: String,
     },
-    /// A configuration failed validation.
-    InvalidConfiguration(String),
     /// A component handler failed.
     Component(ComponentError),
 }
@@ -64,39 +78,47 @@ impl fmt::Display for RuntimeError {
             RuntimeError::UnknownComponent(n) => write!(f, "unknown component `{n}`"),
             RuntimeError::UnknownConnector(n) => write!(f, "unknown connector `{n}`"),
             RuntimeError::UnknownImplementation { type_name, version } => {
-                write!(f, "no implementation `{type_name}` v{version} in registry")
+                write!(f, "unknown implementation `{type_name}` v{version}")
             }
-            RuntimeError::DuplicateComponent(n) => {
-                write!(f, "component `{n}` already exists")
+            RuntimeError::DuplicateComponent(n) => write!(f, "component `{n}` already exists"),
+            RuntimeError::DuplicateConnector(n) => write!(f, "connector `{n}` already exists"),
+            RuntimeError::ComponentInUse(n) => write!(f, "component `{n}` still has bindings"),
+            RuntimeError::ConnectorInUse(n) => write!(f, "connector `{n}` still in use"),
+            RuntimeError::PortBound { component, port } => {
+                write!(f, "port `{component}.{port}` already bound")
             }
-            RuntimeError::UnknownPort { component, port } => {
-                write!(f, "component `{component}` has no port `{port}`")
-            }
+            RuntimeError::NoBinding { component, port } => NoBindingAt(component, port).fmt(f),
             RuntimeError::NodeUnavailable(n) => write!(f, "node `{n}` unavailable"),
-            RuntimeError::IncompatibleInterface { component, reason } => {
-                write!(
-                    f,
-                    "interface change on `{component}` not backward compatible: {reason}"
-                )
+            RuntimeError::NoCapacity(n) => write!(f, "target `{n}` has no effective capacity"),
+            RuntimeError::IncompatibleInterface { reason, .. } => {
+                write!(f, "incompatible interface: {reason}")
             }
             RuntimeError::IncompatibleProtocols {
                 connector,
                 component,
-                deadlocks,
+                ..
             } => {
                 write!(
                     f,
-                    "binding via `{connector}` can deadlock with `{component}`: {deadlocks:?}"
+                    "incompatible protocols between connector `{connector}` and `{component}`"
                 )
             }
             RuntimeError::ReconfigFailed { action, reason } => {
                 write!(f, "reconfiguration action {action} failed: {reason}")
             }
-            RuntimeError::InvalidConfiguration(msg) => {
-                write!(f, "invalid configuration: {msg}")
-            }
             RuntimeError::Component(e) => write!(f, "component error: {e}"),
         }
+    }
+}
+
+/// The text of [`RuntimeError::NoBinding`], written straight from the
+/// names: the message path reports a send on an unbound port with it
+/// without building the error.
+pub(crate) struct NoBindingAt<'a>(pub(crate) &'a str, pub(crate) &'a str);
+
+impl fmt::Display for NoBindingAt<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "no binding at `{}.{}`", self.0, self.1)
     }
 }
 

@@ -1,4 +1,5 @@
 use super::*;
+use crate::error::NoBindingAt;
 
 impl Runtime {
     /// Puts the stored message `r` on `ch`. A refused send is counted
@@ -209,7 +210,7 @@ impl Runtime {
             self.events.push((
                 now,
                 RuntimeEvent::Dropped {
-                    reason: format!("no binding at `{}.{port}`", sender.name),
+                    reason: NoBindingAt(&sender.name, port).to_string(),
                 },
             ));
             return;

@@ -11,10 +11,13 @@
 //!   its target and waits for in-flight jobs to drain. Targets stay
 //!   blocked until the whole plan commits or rolls back, so the blocked
 //!   set is exactly the plan's write-set.
-//! - **Apply**: every mutation pushes a compensating [`Undo`] onto the
-//!   transaction journal. Channel closures implied by removals are
-//!   deferred to commit so rollback can re-insert the original live
-//!   channels with their held messages intact.
+//! - **Apply**: each action asks its structural check again against the
+//!   live graph (a change the graph no longer admits rolls the plan back
+//!   with the text validation would have given), then every mutation
+//!   pushes a compensating [`Undo`] onto the transaction journal.
+//!   Channel closures implied by removals are deferred to commit so
+//!   rollback can re-insert the original live channels with their held
+//!   messages intact.
 //! - **Commit** releases held messages in order and closes deferred
 //!   channels; **rollback** replays the journal in reverse (each undo
 //!   audited as `action_compensated`), releases blocked channels and
@@ -31,6 +34,7 @@
 //! submitter. The submitters keep no list of their own plans: what is in
 //! flight, and for whom, is [`ExecState::in_flight`].
 
+use super::validate::Shadow;
 use super::*;
 use crate::reconfig::InverseAction;
 
@@ -342,7 +346,7 @@ impl Runtime {
                 continue;
             };
             let phase = std::mem::replace(&mut txn.phase, ExecPhase::Idle);
-            match phase {
+            let action = match phase {
                 ExecPhase::Idle => {
                     let Some(action) = self
                         .exec
@@ -354,28 +358,12 @@ impl Runtime {
                         continue;
                     };
                     if let Some(target) = action.quiesce_target() {
-                        if !self.instances.contains(target) {
-                            self.abort_txn(format!("unknown component `{target}`"));
-                            continue;
-                        }
                         self.begin_quiesce(target);
-                        let drained = self
-                            .instances
-                            .by_name(target)
-                            .is_some_and(|i| i.lifecycle == Lifecycle::Quiescent);
                         self.exec.active.as_mut().expect("active").phase =
                             ExecPhase::AwaitQuiesce { action };
-                        if drained {
-                            continue; // already drained: mutate immediately
-                        }
-                        return; // wait for in-flight jobs to finish
+                        continue; // mutate now if already drained
                     }
-                    match self.apply_instant(&action) {
-                        Ok(()) => self.record_action(&action),
-                        Err(e) => {
-                            self.abort_txn(format!("{action}: {e}"));
-                        }
-                    }
+                    action
                 }
                 ExecPhase::AwaitQuiesce { action } => {
                     let target = action.quiesce_target().expect("quiesce action");
@@ -389,26 +377,26 @@ impl Runtime {
                             ExecPhase::AwaitQuiesce { action };
                         return;
                     }
-                    match self.start_mutation(&action) {
-                        Ok(Some(delay)) => {
-                            self.arm(delay, TimerPurpose::TransferDone);
-                            self.exec.active.as_mut().expect("active").phase =
-                                ExecPhase::AwaitTransfer { action };
-                            return;
-                        }
-                        // The target stays blocked until the whole plan
-                        // commits; release happens in `commit_txn`.
-                        Ok(None) => self.record_action(&action),
-                        Err(e) => {
-                            self.abort_txn(format!("{action}: {e}"));
-                        }
-                    }
+                    action
                 }
                 ExecPhase::AwaitTransfer { action } => {
                     // Re-entered from the TransferDone timer; the mutation
                     // itself was journaled when it was applied.
                     self.record_action(&action);
+                    continue;
                 }
+            };
+            match self.apply_action(&action) {
+                Ok(Some(delay)) => {
+                    self.arm(delay, TimerPurpose::TransferDone);
+                    self.exec.active.as_mut().expect("active").phase =
+                        ExecPhase::AwaitTransfer { action };
+                    return;
+                }
+                // A quiesced target stays blocked until the whole plan
+                // commits; release happens in `commit_txn`.
+                Ok(None) => self.record_action(&action),
+                Err(e) => self.abort_txn(format!("{action}: {e}")),
             }
         }
     }
@@ -696,11 +684,13 @@ impl Runtime {
         self.kernel.close_channel(ch);
     }
 
-    /// Starts the mutation for a quiesce-requiring action, journaling its
-    /// compensating inverse. Returns `Ok(Some(delay))` when a simulated
-    /// state transfer must elapse before the action completes, `Ok(None)`
-    /// when the mutation is already complete.
-    fn start_mutation(
+    /// The apply step: asks the structural check of `action` against the
+    /// live graph (directly, or through the structural call that makes
+    /// the change), then mutates, journaling the compensating inverse.
+    /// Returns `Ok(Some(delay))` when a simulated state transfer must
+    /// elapse before the action completes, `Ok(None)` when the mutation
+    /// is already complete.
+    fn apply_action(
         &mut self,
         action: &ReconfigAction,
     ) -> Result<Option<SimDuration>, RuntimeError> {
@@ -711,26 +701,9 @@ impl Runtime {
                 version,
                 transfer,
             } => {
-                let inst = self
-                    .instances
-                    .by_name(name)
-                    .ok_or_else(|| RuntimeError::UnknownComponent(name.clone()))?;
-                let (type_name, mut replacement) =
-                    self.registry
-                        .instantiate_named(type_name, *version, &inst.props)?;
-                let old_iface = inst.component.provided();
-                let new_iface = replacement.provided();
-                let violations = new_iface.check_backward_compatible(&old_iface);
-                if !violations.is_empty() {
-                    return Err(RuntimeError::IncompatibleInterface {
-                        component: name.clone(),
-                        reason: violations
-                            .iter()
-                            .map(ToString::to_string)
-                            .collect::<Vec<_>>()
-                            .join("; "),
-                    });
-                }
+                let (_, type_name, mut replacement) =
+                    Shadow::live(self).swap_implementation(name, type_name, *version)?;
+                let inst = self.instances.by_name(name).expect("checked");
                 let mut transferred = 0;
                 let delay = match transfer {
                     StateTransfer::None => None,
@@ -765,15 +738,8 @@ impl Runtime {
                 Ok(delay)
             }
             ReconfigAction::Migrate { name, to } => {
-                if (to.0 as usize) >= self.kernel.topology().node_count()
-                    || !self.kernel.topology().node(*to).is_up()
-                {
-                    return Err(RuntimeError::NodeUnavailable(to.to_string()));
-                }
-                let id = self
-                    .instances
-                    .id(name)
-                    .ok_or_else(|| RuntimeError::UnknownComponent(name.clone()))?;
+                Shadow::live(self).migrate(name, *to)?;
+                let id = self.instances.id(name).expect("checked");
                 let inst = self.instances.get(id).expect("id is live");
                 let from_node = inst.node;
                 let snap = inst.component.snapshot();
@@ -808,20 +774,8 @@ impl Runtime {
                 Ok(Some(transit))
             }
             ReconfigAction::RemoveComponent { name } => {
-                let id = self
-                    .instances
-                    .id(name)
-                    .ok_or_else(|| RuntimeError::UnknownComponent(name.clone()))?;
-                let used_by_binding = self.instances.get(id).is_some_and(|i| !i.ports.is_empty())
-                    || self
-                        .bindings()
-                        .any(|b| b.targets.iter().any(|(to, _)| *to == id));
-                if used_by_binding {
-                    return Err(RuntimeError::ReconfigFailed {
-                        action: action.kind().to_owned(),
-                        reason: format!("component `{name}` still has bindings"),
-                    });
-                }
+                Shadow::live(self).remove_component(name)?;
+                let id = self.instances.id(name).expect("checked");
                 let instance = self.instances.remove(name).expect("id is live");
                 let replies = self.reply_channels_of(id);
                 // Closure is deferred to commit: rollback re-inserts the
@@ -837,95 +791,58 @@ impl Runtime {
                 });
                 Ok(None)
             }
-            other => Err(RuntimeError::ReconfigFailed {
-                action: other.kind().to_owned(),
-                reason: "not a quiesce-requiring action".into(),
-            }),
-        }
-    }
-
-    /// Applies an action that needs no quiescence, journaling its
-    /// compensating inverse.
-    fn apply_instant(&mut self, action: &ReconfigAction) -> Result<(), RuntimeError> {
-        match action {
             ReconfigAction::AddComponent { name, decl } => {
                 self.add_component(name, decl)?;
                 self.journal(Undo::Plan(
                     action.derive_inverse(None).expect("add has inverse"),
                 ));
-                Ok(())
+                Ok(None)
             }
             ReconfigAction::AddConnector { spec, .. } => {
                 self.add_connector(spec.clone())?;
                 self.journal(Undo::Plan(
                     action.derive_inverse(None).expect("add has inverse"),
                 ));
-                Ok(())
+                Ok(None)
             }
             ReconfigAction::SwapConnector { name, spec } => {
-                // Same replacement `adapt_connector` performs, but the
-                // displaced connector object (id and statistics intact) is
-                // captured for the journal instead of dropped.
-                if !self.connectors.contains(name) {
-                    return Err(RuntimeError::UnknownConnector(name.clone()));
-                }
-                let id = ConnectorId(self.next_connector_id);
-                self.next_connector_id += 1;
-                let prior = self
-                    .connectors
-                    .insert(name, Connector::new(id, spec.clone()));
-                if let Some(connector) = prior {
-                    self.journal(Undo::ReinsertConnector {
-                        name: name.clone(),
-                        connector: Box::new(connector),
-                    });
-                }
-                Ok(())
-            }
-            ReconfigAction::RemoveConnector { name } => {
-                if self.bindings().any(|b| b.decl.via == *name) {
-                    return Err(RuntimeError::ReconfigFailed {
-                        action: action.kind().to_owned(),
-                        reason: format!("connector `{name}` still in use"),
-                    });
-                }
-                let connector = self
-                    .connectors
-                    .remove(name)
-                    .ok_or_else(|| RuntimeError::UnknownConnector(name.clone()))?;
+                // The replacement `adapt_connector` makes, with the
+                // displaced connector captured for the journal.
+                let connector = self.replace_connector(name, spec.clone())?;
                 self.journal(Undo::ReinsertConnector {
                     name: name.clone(),
                     connector: Box::new(connector),
                 });
-                Ok(())
+                Ok(None)
+            }
+            ReconfigAction::RemoveConnector { name } => {
+                Shadow::live(self).remove_connector(name)?;
+                let connector = self.connectors.remove(name).expect("checked");
+                self.journal(Undo::ReinsertConnector {
+                    name: name.clone(),
+                    connector: Box::new(connector),
+                });
+                Ok(None)
             }
             ReconfigAction::Bind(decl) => {
                 self.add_binding(decl.clone())?;
                 self.journal(Undo::Plan(
                     action.derive_inverse(None).expect("bind has inverse"),
                 ));
-                Ok(())
+                Ok(None)
             }
             ReconfigAction::Unbind { from } => {
                 // Transaction-aware unbind: the binding leaves the graph
                 // now, but its channels stay open (closure deferred to
                 // commit) so rollback can re-insert them intact.
-                let binding = self.take_binding(from).ok_or_else(|| {
-                    RuntimeError::InvalidConfiguration(format!(
-                        "no binding at `{}.{}`",
-                        from.0, from.1
-                    ))
-                })?;
+                Shadow::live(self).unbind(from)?;
+                let binding = self.take_binding(from).expect("checked");
                 for (_, ch) in &binding.targets {
                     self.defer_close(*ch);
                 }
                 self.journal(Undo::ReinsertBinding(binding));
-                Ok(())
+                Ok(None)
             }
-            other => Err(RuntimeError::ReconfigFailed {
-                action: other.kind().to_owned(),
-                reason: "requires quiescence".into(),
-            }),
         }
     }
 

@@ -28,7 +28,8 @@
 //!    reconfiguration point (`Quiescing` → `Quiescent`). Held messages are
 //!    kept, not lost, and targets stay blocked until the whole plan
 //!    resolves so rollback restores exactly the pre-plan picture.
-//! 3. **Apply (journaled)**: each action is applied and a compensating
+//! 3. **Apply (journaled)**: each action asks its structural check again
+//!    against the graph as it now stands, is applied, and a compensating
 //!    inverse is journaled (re-insert the captured instance/binding/
 //!    connector, migrate back, restore the previous implementation).
 //!    Channel closures implied by removals are *deferred to commit*.
@@ -56,7 +57,8 @@
 //! as a 4-byte handle), `dispatch` (message routing, retries, replies),
 //! `exec` (the
 //! transactional plan engine),
-//! `validate` (the up-front validation pass), `detect_driver` (heartbeat
+//! `validate` (the structural rules, and the up-front validation pass
+//! that asks them of a whole plan), `detect_driver` (heartbeat
 //! transport + phi-accrual ticks), `heal_driver` (repair planning and
 //! crash bookkeeping), `meta` (RAML observation/intercession),
 //! `metrics` (aggregate metric handles) and `invariants` (the runtime's

@@ -1,3 +1,8 @@
+//! Deployment and the direct structural API. Each call asks the
+//! structural check of its action kind (`validate.rs`) against the live
+//! graph before it changes anything.
+
+use super::validate::Shadow;
 use super::*;
 
 impl Runtime {
@@ -35,12 +40,7 @@ impl Runtime {
     ///
     /// Fails on duplicate names, unknown implementations or bad nodes.
     pub fn add_component(&mut self, name: &str, decl: &ComponentDecl) -> Result<(), RuntimeError> {
-        if self.instances.contains(name) {
-            return Err(RuntimeError::DuplicateComponent(name.to_owned()));
-        }
-        if (decl.node.0 as usize) >= self.kernel.topology().node_count() {
-            return Err(RuntimeError::NodeUnavailable(decl.node.to_string()));
-        }
+        Shadow::live(self).add_component(name, decl)?;
         let (type_name, component) =
             self.registry
                 .instantiate_named(&decl.type_name, decl.version, &decl.props)?;
@@ -79,12 +79,7 @@ impl Runtime {
     ///
     /// Fails if a connector with this name already exists.
     pub fn add_connector(&mut self, spec: ConnectorSpec) -> Result<(), RuntimeError> {
-        if self.connectors.contains(&spec.name) {
-            return Err(RuntimeError::InvalidConfiguration(format!(
-                "connector `{}` already exists",
-                spec.name
-            )));
-        }
+        Shadow::live(self).add_connector(&spec.name, &spec)?;
         let id = ConnectorId(self.next_connector_id);
         self.next_connector_id += 1;
         let name = spec.name.clone();
@@ -99,47 +94,14 @@ impl Runtime {
     /// Fails if any referenced component or the connector is missing, or
     /// the source port is already bound.
     pub fn add_binding(&mut self, decl: BindingDecl) -> Result<(), RuntimeError> {
-        let src = self
-            .instances
-            .by_name(&decl.from.0)
-            .ok_or_else(|| RuntimeError::UnknownComponent(decl.from.0.clone()))?;
-        let via = self
-            .connectors
-            .id(&decl.via)
-            .ok_or_else(|| RuntimeError::UnknownConnector(decl.via.clone()))?;
-        if src.port(&decl.from.1).is_ok() {
-            return Err(RuntimeError::InvalidConfiguration(format!(
-                "port `{}.{}` already bound",
-                decl.from.0, decl.from.1
-            )));
-        }
-        let src_node = src.node;
-        // Composition-correctness analysis (Wright-style): if both the
-        // connector and a participating component publish protocols, their
-        // synchronous product must be deadlock-free.
-        let conn_protocol = self
-            .connectors
-            .get(via)
-            .and_then(|c| c.spec().protocol.as_ref());
+        Shadow::live(self).bind(&decl)?;
+        let src_node = self.instances.by_name(&decl.from.0).expect("checked").node;
+        let via = self.connectors.id(&decl.via).expect("checked");
         let mut targets = Vec::with_capacity(decl.to.len());
         for (inst, _) in &decl.to {
-            let to = self
-                .instances
-                .id(inst)
-                .ok_or_else(|| RuntimeError::UnknownComponent(inst.clone()))?;
-            let dst = self.instances.get(to).expect("id is live");
-            if let (Some(conn_proto), Some(comp_proto)) = (conn_protocol, dst.component.protocol())
-            {
-                let report = crate::lts::check_compatibility(conn_proto, &comp_proto);
-                if !report.is_compatible() {
-                    return Err(RuntimeError::IncompatibleProtocols {
-                        connector: decl.via.clone(),
-                        component: inst.clone(),
-                        deadlocks: report.deadlocks,
-                    });
-                }
-            }
-            targets.push((to, self.kernel.open_channel(src_node, dst.node)));
+            let to = self.instances.id(inst).expect("checked");
+            let dst_node = self.instances.get(to).expect("id is live").node;
+            targets.push((to, self.kernel.open_channel(src_node, dst_node)));
         }
         self.put_binding(BindingRt {
             decl: Arc::new(decl),
@@ -156,9 +118,8 @@ impl Runtime {
     ///
     /// Fails if no such binding exists.
     pub fn remove_binding(&mut self, from: &(String, String)) -> Result<(), RuntimeError> {
-        let b = self.take_binding(from).ok_or_else(|| {
-            RuntimeError::InvalidConfiguration(format!("no binding at `{}.{}`", from.0, from.1))
-        })?;
+        Shadow::live(self).unbind(from)?;
+        let b = self.take_binding(from).expect("checked");
         for (_, ch) in b.targets {
             self.kernel.close_channel(ch);
         }
@@ -204,13 +165,22 @@ impl Runtime {
     ///
     /// Fails if the connector does not exist.
     pub fn adapt_connector(&mut self, name: &str, spec: ConnectorSpec) -> Result<(), RuntimeError> {
-        if !self.connectors.contains(name) {
-            return Err(RuntimeError::UnknownConnector(name.to_owned()));
-        }
+        self.replace_connector(name, spec).map(drop)
+    }
+
+    /// Puts a new connector built from `spec` in place of `name`, keeping
+    /// its bindings, and hands back the one it displaced (id and
+    /// statistics intact).
+    pub(super) fn replace_connector(
+        &mut self,
+        name: &str,
+        spec: ConnectorSpec,
+    ) -> Result<Connector, RuntimeError> {
+        Shadow::live(self).swap_connector(name, &spec)?;
         let id = ConnectorId(self.next_connector_id);
         self.next_connector_id += 1;
-        self.connectors.insert(name, Connector::new(id, spec));
-        Ok(())
+        let prior = self.connectors.insert(name, Connector::new(id, spec));
+        Ok(prior.expect("checked"))
     }
 
     /// Interchanges a connector **at its next quiescent point**: if the
@@ -232,10 +202,8 @@ impl Runtime {
         name: &str,
         spec: ConnectorSpec,
     ) -> Result<bool, RuntimeError> {
-        let id = self
-            .connectors
-            .id(name)
-            .ok_or_else(|| RuntimeError::UnknownConnector(name.to_owned()))?;
+        Shadow::live(self).swap_connector(name, &spec)?;
+        let id = self.connectors.id(name).expect("checked");
         if self
             .connectors
             .get(id)

@@ -106,10 +106,6 @@ impl<I: SlotId, T> Table<I, T> {
         self.get_mut(id)
     }
 
-    pub(super) fn contains(&self, name: &str) -> bool {
-        self.by_name(name).is_some()
-    }
-
     /// Makes `value` the bearer of `name`, returning the previous one.
     pub(super) fn insert(&mut self, name: &str, value: T) -> Option<T> {
         let id = self.intern(name);

@@ -7,7 +7,6 @@
 //! that domain, synthesized (see DESIGN.md §4):
 //!
 //! - [`codec`] — codec profiles and the five-level degradation ladder;
-//! - [`session`] — the media-session state machine walking that ladder;
 //! - [`mobility`] — cells + random-waypoint users, producing the handover
 //!   events that drive geographical reconfiguration;
 //! - [`load`] — non-homogeneous Poisson session workloads (rush hour,
@@ -28,11 +27,9 @@ pub mod load;
 pub mod mobility;
 pub mod planet;
 pub mod services;
-pub mod session;
 
 pub use codec::{standard_ladder, CodecProfile};
 pub use load::{LoadEvent, LoadGenerator, SessionId};
 pub use mobility::{CellGrid, CellId, Position, RandomWaypoint};
 pub use planet::{plan_sessions, PlanetEvent, PlanetLoadSpec, PlanetMobility, TierCells};
 pub use services::{register_telecom_components, MediaSink, MediaSource, Transcoder};
-pub use session::{MediaSession, SessionState};
