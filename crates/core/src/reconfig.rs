@@ -21,10 +21,10 @@
 
 use crate::config::{BindingDecl, ComponentDecl};
 use crate::connector::ConnectorSpec;
+use crate::message::Name;
 use aas_sim::node::NodeId;
 use aas_sim::time::{SimDuration, SimTime};
 use core::fmt;
-use std::collections::BTreeMap;
 
 /// How state moves from the old to the new implementation during a swap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -341,9 +341,10 @@ pub struct ReconfigReport {
     pub failure: Option<String>,
     /// Actions that committed before completion/abort.
     pub actions_applied: usize,
-    /// Per-component unavailability window (block → unblock) — the
-    /// measured cost of reconfiguration vs adaptation (experiments E1/E10).
-    pub blackouts: BTreeMap<String, SimDuration>,
+    /// Per-component unavailability window (block → unblock), in name
+    /// order — the measured cost of reconfiguration vs adaptation
+    /// (experiments E1/E10).
+    pub blackouts: Vec<(Name, SimDuration)>,
     /// Messages that were held at blocked channels and released unharmed.
     pub messages_held: u64,
     /// Bytes of component state transferred (strong swaps + migrations).
@@ -364,11 +365,8 @@ impl ReconfigReport {
     /// The longest single-component blackout, or zero if none.
     #[must_use]
     pub fn max_blackout(&self) -> SimDuration {
-        self.blackouts
-            .values()
-            .copied()
-            .max()
-            .unwrap_or(SimDuration::ZERO)
+        let windows = self.blackouts.iter().map(|&(_, d)| d);
+        windows.max().unwrap_or(SimDuration::ZERO)
     }
 }
 
@@ -488,9 +486,10 @@ mod tests {
 
     #[test]
     fn report_duration_and_blackout() {
-        let mut blackouts = BTreeMap::new();
-        blackouts.insert("a".to_owned(), SimDuration::from_millis(10));
-        blackouts.insert("b".to_owned(), SimDuration::from_millis(30));
+        let blackouts = vec![
+            (Name::from("a"), SimDuration::from_millis(10)),
+            (Name::from("b"), SimDuration::from_millis(30)),
+        ];
         let r = ReconfigReport {
             id: ReconfigId(1),
             started_at: SimTime::from_secs(1),

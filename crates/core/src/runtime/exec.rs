@@ -176,7 +176,7 @@ pub(super) struct PlanTxn {
     actions: VecDeque<ReconfigAction>,
     started_at: SimTime,
     phase: ExecPhase,
-    blackouts: BTreeMap<String, SimDuration>,
+    blackouts: Vec<(Name, SimDuration)>,
     messages_held: u64,
     state_bytes: u64,
     applied: usize,
@@ -291,7 +291,7 @@ impl Runtime {
             actions: plan.into_actions().into(),
             started_at: self.kernel.now(),
             phase: ExecPhase::Idle,
-            blackouts: BTreeMap::new(),
+            blackouts: Vec::new(),
             messages_held: 0,
             state_bytes: 0,
             applied: 0,
@@ -326,7 +326,7 @@ impl Runtime {
             success: false,
             failure: Some(failure),
             actions_applied: 0,
-            blackouts: BTreeMap::new(),
+            blackouts: Vec::new(),
             messages_held: 0,
             state_bytes_transferred: 0,
             migrated: Vec::new(),
@@ -575,6 +575,7 @@ impl Runtime {
     /// The block→release window is the target's blackout.
     fn release_blocked(&mut self, txn: &mut PlanTxn, committed: bool) {
         let now = self.kernel.now();
+        txn.blackouts.reserve_exact(txn.blocked.len());
         for (name, bt) in std::mem::take(&mut txn.blocked) {
             let mut held = 0;
             for ch in &bt.channels {
@@ -596,10 +597,7 @@ impl Runtime {
                     bt.prior
                 };
                 if let Some(at) = inst.blocked_at.take() {
-                    let blackout = now.saturating_since(at);
-                    let entry = txn.blackouts.entry(name.to_string());
-                    let entry = entry.or_insert(SimDuration::ZERO);
-                    *entry = (*entry).max(blackout);
+                    txn.blackouts.push((name, now.saturating_since(at)));
                     txn.messages_held += held;
                 }
             }

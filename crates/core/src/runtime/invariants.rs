@@ -135,8 +135,8 @@ impl Runtime {
             }
         }
 
-        let (transcript, history) = (&self.negotiate.transcript, self.negotiation_history());
-        for round in transcript.over_budget.iter().map(|&i| &history[i]) {
+        let transcript = &self.negotiate.transcript;
+        for round in &transcript.over_budget {
             let (epoch, granted, budget) = (round.epoch, &round.total_granted, &round.budget);
             fail!("negotiation", "epoch {epoch}: [{granted}] over [{budget}]");
         }
@@ -190,6 +190,7 @@ impl Runtime {
 mod tests {
     use super::*;
     use crate::component::EchoComponent;
+    use aas_control::negotiate::{NegotiationOutcome, ResourceVector};
     use aas_obs::AuditEvent as E;
     use aas_sim::fault::FaultSchedule;
     use std::collections::BTreeSet;
@@ -310,6 +311,33 @@ mod tests {
             let named: BTreeSet<_> = found.iter().map(|v| v.invariant).collect();
             assert_eq!(named, BTreeSet::from([invariant]), "{found:?}");
         }
+    }
+
+    /// A round that granted past its budget is named by its epoch, also
+    /// once later rounds have run within theirs.
+    #[test]
+    fn a_round_over_its_budget_is_named_by_its_epoch() {
+        let mut rt = storm();
+        let budget = NegotiateConfig::default().budget;
+        let total_granted = ResourceVector {
+            capacity: 2.0 * budget.capacity,
+            ..budget
+        };
+        rt.negotiate.record(NegotiationOutcome {
+            epoch: 999,
+            model_fingerprint: 0,
+            budget,
+            grants: Vec::new(),
+            denied: Vec::new(),
+            total_granted,
+        });
+        rt.run_until(SimTime::from_secs(11));
+        let found = rt.check_invariants();
+        let named: Vec<_> = found
+            .iter()
+            .map(|v| (v.invariant, v.detail.split(':').next()))
+            .collect();
+        assert_eq!(named, [("negotiation", Some("epoch 999"))], "{found:?}");
     }
 
     fn twin_actual_of(node: u32) -> E {

@@ -235,10 +235,11 @@ pub(super) struct NegotiateState {
     negotiator: Option<Negotiator>,
     /// One record per agent, indexed by [`InstId`], grown on first touch.
     agents: Vec<Agent>,
-    /// Every arbitration outcome in order — the replayable negotiation
-    /// transcript the property harness and the mutation oracles read.
-    history: Vec<NegotiationOutcome>,
-    /// What `history` adds up to, kept as it grows.
+    /// The most recent arbitration outcome. The rounds before it are
+    /// folded into `transcript`; a reader that wants each one steps the
+    /// runtime a negotiation period at a time.
+    last: Option<NegotiationOutcome>,
+    /// What the rounds so far add up to.
     pub(super) transcript: Transcript,
     /// Completed negotiation rounds.
     rounds: u64,
@@ -247,7 +248,7 @@ pub(super) struct NegotiateState {
     pub(super) node_busy_last: BTreeMap<u32, (f64, f64)>,
 }
 
-/// What the negotiation transcript adds up to: the figures the invariant
+/// What the negotiation rounds add up to: the figures the invariant
 /// checker holds the audit log's books to.
 #[derive(Debug, Default)]
 pub(super) struct Transcript {
@@ -255,21 +256,21 @@ pub(super) struct Transcript {
     pub(super) grants: u64,
     /// Denials.
     pub(super) denials: u64,
-    /// The rounds that granted past their budget, by index.
-    pub(super) over_budget: Vec<usize>,
+    /// The rounds that granted past their budget; none in a correct run.
+    pub(super) over_budget: Vec<NegotiationOutcome>,
 }
 
 impl NegotiateState {
-    /// Appends `outcome` to the transcript.
-    fn record(&mut self, outcome: NegotiationOutcome) {
+    /// Folds `outcome` into the transcript and keeps it as the last.
+    pub(super) fn record(&mut self, outcome: NegotiationOutcome) {
         let t = &mut self.transcript;
         let grants = outcome.grants.iter().filter(|g| g.agent != TWIN_AGENT);
         t.grants += grants.count() as u64;
         t.denials += outcome.denied.len() as u64;
         if !outcome.within_budget() {
-            t.over_budget.push(self.history.len());
+            t.over_budget.push(outcome.clone());
         }
-        self.history.push(outcome);
+        self.last = Some(outcome);
     }
 
     /// `id`'s record, created neutral if nothing touched it before.
@@ -295,7 +296,8 @@ impl NegotiateState {
     }
 
     /// The control plane a digital twin starts from: the coordinator and
-    /// every agent's record, but not the transcript.
+    /// every agent's record, but neither the last outcome nor the
+    /// transcript.
     pub(super) fn fork(&self) -> NegotiateState {
         NegotiateState {
             config: self.config.clone(),
@@ -308,7 +310,7 @@ impl NegotiateState {
                     ..a.clone()
                 })
                 .collect(),
-            history: Vec::new(),
+            last: None,
             transcript: Transcript::default(),
             rounds: self.rounds,
             node_busy_last: self.node_busy_last.clone(),
@@ -346,14 +348,7 @@ impl Runtime {
     /// The most recent arbitration outcome, if a round has run.
     #[must_use]
     pub fn negotiation_outcome(&self) -> Option<&NegotiationOutcome> {
-        self.negotiate.history.last()
-    }
-
-    /// Every arbitration outcome so far, in epoch order — the negotiation
-    /// transcript. Empty in [`CoordinationMode::Independent`].
-    #[must_use]
-    pub fn negotiation_history(&self) -> &[NegotiationOutcome] {
-        &self.negotiate.history
+        self.negotiate.last.as_ref()
     }
 
     /// The outstanding grant for `agent`, if any.

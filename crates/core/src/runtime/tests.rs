@@ -1105,7 +1105,7 @@ fn an_agent_record_belongs_to_its_name_and_a_fork_leaves_the_transcript_behind()
     tick(&mut rt, 5);
     rt.run_until(SimTime::from_millis(350));
 
-    assert_eq!(rt.negotiation_history().len(), 3);
+    assert_eq!(rt.negotiation_rounds(), 3);
     let grant = rt.grant_of("counter").expect("granted").clone();
     assert_eq!(grant.epoch, 3);
     assert!(
@@ -1116,17 +1116,14 @@ fn an_agent_record_belongs_to_its_name_and_a_fork_leaves_the_transcript_behind()
 
     // The fork negotiates on from the same coordinator and records, and
     // starts a transcript of its own.
+    let epoch = |rt: &Runtime| rt.negotiation_outcome().map(|o| o.epoch);
     let mut fork = rt.fork_twin().expect("nothing in flight");
-    assert!(fork.negotiation_history().is_empty());
+    assert_eq!(epoch(&fork), None);
     assert_eq!(fork.negotiation_rounds(), 3);
     assert_eq!(fork.grant_of("counter"), Some(&grant));
     fork.run_until(SimTime::from_millis(450));
-    assert_eq!(fork.negotiation_history()[0].epoch, 4);
-    assert_eq!(
-        rt.negotiation_history().len(),
-        3,
-        "the mainline's is its own"
-    );
+    assert_eq!(epoch(&fork), Some(4));
+    assert_eq!(epoch(&rt), Some(3), "the mainline's is its own");
 }
 
 /// A twin's negotiation round writes its grants to the twin's registry,
@@ -1143,8 +1140,8 @@ fn a_twins_negotiation_round_leaves_the_parents_fraction_gauges_alone() {
     let mut fork = rt.fork_twin().expect("nothing in flight");
     fork.run_until(SimTime::from_millis(450));
     assert_eq!(
-        fork.negotiation_history()[0].epoch,
-        4,
+        fork.negotiation_outcome().map(|o| o.epoch),
+        Some(4),
         "the twin negotiated"
     );
     let twins = fork.obs().metrics.gauge("negotiate.fraction.counter").get();

@@ -24,7 +24,7 @@ use aas_core::interface::Interface;
 use aas_core::message::{Message, Name};
 use aas_core::reconfig::{ReconfigAction, ReconfigPlan};
 use aas_core::registry::{ImplementationRegistry, Props};
-use aas_core::runtime::Runtime;
+use aas_core::runtime::{NegotiateConfig, Runtime};
 use aas_obs::{AuditEvent, AuditLog, Histogram, MetricsRegistry};
 use aas_sim::node::NodeId;
 use aas_sim::time::SimDuration;
@@ -313,4 +313,38 @@ fn checking_a_clean_warm_runtime_allocates_nothing() {
     assert_eq!(rt.reports().len(), 1);
     let (found, allocs) = allocs_of(|| rt.check_invariants());
     assert_eq!((found, allocs), (Vec::new(), 0));
+}
+
+/// [`warm`]'s 8 pipelines with the negotiator arbitrating their 24
+/// agents every 100 ms: 20 rounds in, every agent has its grant and its
+/// gauge.
+fn warm_negotiated() -> Runtime {
+    let mut rt = media_pipelines::deploy(8);
+    rt.enable_negotiation(NegotiateConfig::default());
+    rt.run_for(SimDuration::from_millis(2_020));
+    rt
+}
+
+/// Past its audit records, a negotiated runtime keeps nothing per round:
+/// the last outcome replaces the one before it. Two runs from the same
+/// warm state, 30 and 60 rounds long, end with the audit log's records in
+/// one buffer (1,200 and 1,920 of 2,048), so whatever else one keeps
+/// beyond the other is what the extra 30 rounds left behind. At
+/// `f970229`, which kept every round's outcome, that was 77,312 B: about
+/// 107 B a grant.
+#[test]
+fn a_negotiated_runtime_keeps_nothing_per_round_beyond_its_audit_records() {
+    let run = |rounds: u64| {
+        let mut rt = warm_negotiated();
+        let ((), heap) = heap_of(|| rt.run_for(SimDuration::from_millis(100 * rounds)));
+        (rt.obs().audit.len(), heap.grown)
+    };
+    let ((short_records, short), (long_records, long)) = (run(30), run(60));
+    assert_eq!(
+        short_records.next_power_of_two(),
+        long_records.next_power_of_two(),
+        "{short_records} and {long_records} records are not in one buffer"
+    );
+    let kept = long - short;
+    assert!(kept <= 1_024, "30 more rounds kept {kept} B");
 }

@@ -26,7 +26,9 @@
 //! no false denial of the priority class, situational-model freshness —
 //! that must kill every one of them while passing the honest coordinator.
 
-use aas_control::negotiate::{NegotiatorMutation, ObjectiveVector, ResourceVector, UtilityCurve};
+use aas_control::negotiate::{
+    NegotiationOutcome, NegotiatorMutation, ObjectiveVector, ResourceVector, UtilityCurve,
+};
 use aas_core::config::{BindingDecl, ComponentDecl, Configuration};
 use aas_core::connector::ConnectorSpec;
 use aas_core::coverage::AdaptationCoverage;
@@ -46,6 +48,8 @@ const HOST: NodeId = NodeId(1);
 const HORIZON: SimTime = SimTime::from_secs(4);
 /// Run deadline: half a second of grace past the horizon.
 const END: SimTime = SimTime::from_micros(4_500_000);
+/// The negotiation period.
+const INTERVAL: SimDuration = SimDuration::from_millis(50);
 /// Latency deadline a frame must meet at the saturated stage to count as
 /// goodput (milliseconds).
 pub const DEADLINE_MS: f64 = 250.0;
@@ -161,7 +165,7 @@ pub fn build_overload_runtime(
         );
     }
     rt.enable_negotiation(NegotiateConfig {
-        interval: SimDuration::from_millis(50),
+        interval: INTERVAL,
         budget: ResourceVector {
             capacity: 4.0,
             work_rate: BUDGET_RATE,
@@ -181,6 +185,18 @@ pub fn build_overload_runtime(
 /// its faults and runs to the grace deadline. Returns per-class offered
 /// counts.
 pub fn drive_overload(rt: &mut Runtime, schedule: &ScenarioSchedule) -> (u64, u64) {
+    fold_overload(rt, schedule, |_| {})
+}
+
+/// [`drive_overload`], handing `round` each arbitration outcome as its
+/// round ends: the runtime keeps only the last outcome, so a reader of
+/// every round folds them here. The run advances one negotiation period
+/// at a time; `run_until` steps the same events either way.
+pub fn fold_overload(
+    rt: &mut Runtime,
+    schedule: &ScenarioSchedule,
+    mut round: impl FnMut(&NegotiationOutcome),
+) -> (u64, u64) {
     rt.inject_faults(schedule.faults.clone());
     let (mut gold, mut silver) = (0u64, 0u64);
     for (at, flow) in &schedule.traffic {
@@ -195,7 +211,17 @@ pub fn drive_overload(rt: &mut Runtime, schedule: &ScenarioSchedule) -> (u64, u6
             silver += 1;
         }
     }
-    rt.run_until(END);
+    let (mut at, mut rounds) = (rt.now(), rt.negotiation_rounds());
+    while at < END {
+        at = (at + INTERVAL).min(END);
+        rt.run_until(at);
+        let ended = rt.negotiation_rounds();
+        assert!(ended <= rounds + 1, "two rounds in one period");
+        if let Some(outcome) = rt.negotiation_outcome().filter(|_| ended > rounds) {
+            round(outcome);
+        }
+        rounds = ended;
+    }
     (gold, silver)
 }
 
@@ -440,48 +466,44 @@ pub fn negotiation_violations(seed: u64, mutation: Option<NegotiatorMutation>) -
     let schedule = overload_spec(seed).build(&overload_topology());
     let mut rt =
         build_overload_runtime(seed, CoordinationMode::Negotiated, mutation, MIGRATE_ABOVE);
-    drive_overload(&mut rt, &schedule);
-    let mut v = Vec::new();
-    let history = rt.negotiation_history();
-    if history.len() < 3 {
-        v.push(format!(
-            "rounds: only {} arbitration rounds ran",
-            history.len()
-        ));
-        return v;
-    }
-    v.extend(rt.check_invariants().iter().map(ToString::to_string));
     let floor_of = |agent: &str| match agent {
         "gold" => GOLD_FLOOR,
         "silver" => SILVER_FLOOR,
         _ => 0.0,
     };
-    for outcome in history {
+    let (mut rounds, mut gold_denied, mut floors) = (0, 0, Vec::new());
+    let (mut first_model, mut frozen) = (None, true);
+    fold_overload(&mut rt, &schedule, |outcome| {
+        rounds += 1;
         for g in &outcome.grants {
             let floor = floor_of(&g.agent) * g.demand.work_rate;
             if g.granted.work_rate + 1e-6 < floor {
-                v.push(format!(
+                floors.push(format!(
                     "floor: epoch {} granted `{}` {:.3} f/s, below its floor {:.3}",
                     outcome.epoch, g.agent, g.granted.work_rate, floor
                 ));
             }
         }
+        if outcome.denied.iter().any(|(agent, _)| agent == "gold") {
+            gold_denied += 1;
+        }
+        let first = *first_model.get_or_insert(outcome.model_fingerprint);
+        frozen &= outcome.model_fingerprint == first;
+    });
+    if rounds < 3 {
+        return vec![format!("rounds: only {rounds} arbitration rounds ran")];
     }
-    let gold_denied = history
-        .iter()
-        .filter(|o| o.denied.iter().any(|(agent, _)| agent == "gold"))
-        .count();
-    if gold_denied * 10 > history.len() {
+    let mut v = Vec::new();
+    v.extend(rt.check_invariants().iter().map(ToString::to_string));
+    v.extend(floors);
+    if gold_denied * 10 > rounds {
         v.push(format!(
-            "false-denial: the priority class was denied in {gold_denied}/{} rounds",
-            history.len()
+            "false-denial: the priority class was denied in {gold_denied}/{rounds} rounds"
         ));
     }
-    let first_model = history[0].model_fingerprint;
-    if history.iter().all(|o| o.model_fingerprint == first_model) {
+    if let Some(first_model) = first_model.filter(|_| frozen) {
         v.push(format!(
-            "freshness: situational model frozen at {first_model:#018x} across {} rounds",
-            history.len()
+            "freshness: situational model frozen at {first_model:#018x} across {rounds} rounds"
         ));
     }
     v

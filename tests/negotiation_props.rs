@@ -26,8 +26,7 @@
 //! floors over the full E20 seed grid.
 
 use aas_control::negotiate::{
-    BudgetRequest, NegotiationOutcome, Negotiator, NegotiatorMutation, ObjectiveWeights,
-    ResourceVector, UtilityCurve,
+    BudgetRequest, Negotiator, NegotiatorMutation, ObjectiveWeights, ResourceVector, UtilityCurve,
 };
 use aas_control::situational::SituationalModel;
 use aas_core::config::{BindingDecl, ComponentDecl, Configuration};
@@ -39,7 +38,7 @@ use aas_core::registry::ImplementationRegistry;
 use aas_core::runtime::{CoordinationMode, NegotiateConfig, Runtime};
 use aas_obs::{AuditEntry, AuditKind};
 use aas_scenario::negotiation::{
-    build_overload_runtime, drive_overload, negotiation_coverage, overload_spec, overload_topology,
+    build_overload_runtime, fold_overload, negotiation_coverage, overload_spec, overload_topology,
     run_differential, run_negotiation_mutants, COLLAPSE_CEILING, JAIN_FLOOR, MIGRATE_ABOVE,
     NEGOTIATED_AVAILABILITY_FLOOR,
 };
@@ -187,11 +186,11 @@ proptest! {
 fn negotiated_transcript(seed: u64) -> Vec<u64> {
     let schedule = overload_spec(seed).build(&overload_topology());
     let mut rt = build_overload_runtime(seed, CoordinationMode::Negotiated, None, MIGRATE_ABOVE);
-    drive_overload(&mut rt, &schedule);
+    let mut fingerprints = Vec::new();
+    fold_overload(&mut rt, &schedule, |o| fingerprints.push(o.fingerprint()));
     assert_eq!(rt.check_invariants(), []);
     assert_eq!(rt.violations_seen(), []);
-    let history = rt.negotiation_history().iter();
-    history.map(NegotiationOutcome::fingerprint).collect()
+    fingerprints
 }
 
 #[test]
