@@ -7,8 +7,9 @@
 //! style interaction rules.
 
 use aas_core::message::Value;
-use core::fmt;
 use std::collections::BTreeMap;
+
+pub use aas_core::raml::{Cmp, TemporalOp};
 
 /// A parsed `system` block.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -149,83 +150,16 @@ pub struct ConstraintDecl {
     pub limit: Option<f64>,
 }
 
-/// Comparison operator in rule conditions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Cmp {
-    /// `>`
-    Gt,
-    /// `<`
-    Lt,
-    /// `>=`
-    Ge,
-    /// `<=`
-    Le,
-}
-
-impl Cmp {
-    /// Evaluates `lhs CMP rhs`.
-    #[must_use]
-    pub fn eval(self, lhs: f64, rhs: f64) -> bool {
-        match self {
-            Cmp::Gt => lhs > rhs,
-            Cmp::Lt => lhs < rhs,
-            Cmp::Ge => lhs >= rhs,
-            Cmp::Le => lhs <= rhs,
-        }
-    }
-}
-
-impl fmt::Display for Cmp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            Cmp::Gt => ">",
-            Cmp::Lt => "<",
-            Cmp::Ge => ">=",
-            Cmp::Le => "<=",
-        };
-        f.write_str(s)
-    }
-}
-
 /// A metric reference `metric(subject)` in a rule condition.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetricRef {
-    /// Metric name: `latency`, `p99_latency`, `error_rate`, `utilization`,
-    /// `backlog`, `inflight`, `processed`.
+    /// Metric name: one of the component metrics `latency`, `p99_latency`,
+    /// `error_rate`, `inflight`, `processed`, `seq_anomalies`, or the node
+    /// metrics `utilization`, `backlog`, `capacity` (see
+    /// [`aas_core::raml::Metric::named`]).
     pub metric: String,
     /// The component or node observed.
     pub subject: String,
-}
-
-/// The FLO/C temporal operators, as the paper lists them: "impliesLater,
-/// implies, impliesBefore, permittedIf, and waitUntil".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TemporalOp {
-    /// Fire while the condition holds (level-triggered, with cooldown).
-    Implies,
-    /// Fire one observation tick after the condition held.
-    ImpliesLater,
-    /// Fire *in anticipation*: when the metric reaches 80% of the
-    /// threshold, before the condition itself becomes true.
-    ImpliesBefore,
-    /// The action is *permitted* (and taken) only while the condition
-    /// holds; requests outside the window are discarded.
-    PermittedIf,
-    /// Arm immediately; fire on the first false→true transition.
-    WaitUntil,
-}
-
-impl fmt::Display for TemporalOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            TemporalOp::Implies => "implies",
-            TemporalOp::ImpliesLater => "implies_later",
-            TemporalOp::ImpliesBefore => "implies_before",
-            TemporalOp::PermittedIf => "permitted_if",
-            TemporalOp::WaitUntil => "wait_until",
-        };
-        f.write_str(s)
-    }
 }
 
 /// A rule action.
@@ -286,15 +220,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn cmp_eval_table() {
-        assert!(Cmp::Gt.eval(2.0, 1.0));
-        assert!(!Cmp::Gt.eval(1.0, 1.0));
-        assert!(Cmp::Ge.eval(1.0, 1.0));
-        assert!(Cmp::Lt.eval(0.0, 1.0));
-        assert!(Cmp::Le.eval(1.0, 1.0));
-    }
-
-    #[test]
     fn action_affected_component() {
         let m = ActionDecl::Migrate {
             component: "svc".into(),
@@ -302,11 +227,5 @@ mod tests {
         };
         assert_eq!(m.affected_component(), Some("svc"));
         assert_eq!(ActionDecl::Notify("x".into()).affected_component(), None);
-    }
-
-    #[test]
-    fn displays() {
-        assert_eq!(TemporalOp::ImpliesLater.to_string(), "implies_later");
-        assert_eq!(Cmp::Ge.to_string(), ">=");
     }
 }

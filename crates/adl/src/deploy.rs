@@ -9,20 +9,18 @@
 //! search — the paper's deployment concern of "load balancing and
 //! performance".
 
-use crate::ast::{ActionDecl, AspectAst, Placement, PolicyAst, SystemDecl, TemporalOp};
-use crate::rules::RuleMonitor;
+use crate::ast::{ActionDecl, AspectAst, Placement, PolicyAst, SystemDecl};
 use aas_core::config::{BindingDecl, ComponentDecl, Configuration};
 use aas_core::connector::{ConnectorAspect, ConnectorSpec, RoutingPolicy};
 use aas_core::lts::{Label, Lts};
-use aas_core::raml::{Constraint, Intercession, Raml, Rule, SystemSnapshot};
+use aas_core::raml::{Constraint, Intercession, Metric, MetricOf, Raml, Rule, RuleMonitor};
 use aas_core::reconfig::{ReconfigAction, ReconfigPlan, StateTransfer};
 use aas_sim::link::LinkSpec;
 use aas_sim::network::Topology;
 use aas_sim::node::{NodeId, NodeSpec};
-use aas_sim::time::{SimDuration, SimTime};
+use aas_sim::time::SimDuration;
 use core::fmt;
 use std::collections::BTreeMap;
-use std::sync::Mutex;
 
 /// A compile-time problem (references are expected to have been validated;
 /// these are the residual failure modes).
@@ -30,6 +28,8 @@ use std::sync::Mutex;
 pub enum CompileError {
     /// A referenced node is not declared.
     UnknownNode(String),
+    /// A rule observes a metric the language does not define.
+    UnknownMetric(String),
     /// No node can host a component (memory exhausted everywhere).
     Unplaceable(String),
     /// The system declares no nodes but has components.
@@ -40,6 +40,7 @@ impl fmt::Display for CompileError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CompileError::UnknownNode(n) => write!(f, "unknown node `{n}`"),
+            CompileError::UnknownMetric(m) => write!(f, "unknown metric `{m}`"),
             CompileError::Unplaceable(c) => {
                 write!(f, "no node can host component `{c}`")
             }
@@ -57,8 +58,6 @@ pub struct Deployment {
     pub topology: Topology,
     /// The component/connector/binding configuration.
     pub configuration: Configuration,
-    /// Behavioural constraints for RAML.
-    pub constraints: Vec<Constraint>,
     /// Node name → id mapping.
     pub node_ids: BTreeMap<String, NodeId>,
     /// Final component placements (including planner decisions).
@@ -83,15 +82,9 @@ pub fn compile(sys: &SystemDecl) -> Result<Deployment, CompileError> {
         node_ids.insert(n.name.clone(), id);
     }
     for l in &sys.links {
-        let a = *node_ids
-            .get(&l.a)
-            .ok_or_else(|| CompileError::UnknownNode(l.a.clone()))?;
-        let b = *node_ids
-            .get(&l.b)
-            .ok_or_else(|| CompileError::UnknownNode(l.b.clone()))?;
         topology.add_link(LinkSpec::new(
-            a,
-            b,
+            node_id(&node_ids, &l.a)?,
+            node_id(&node_ids, &l.b)?,
             SimDuration::from_secs_f64(l.latency_ms / 1e3),
             l.bandwidth,
         ));
@@ -119,41 +112,9 @@ pub fn compile(sys: &SystemDecl) -> Result<Deployment, CompileError> {
         });
     }
 
-    // Constraints.
-    let mut constraints = Vec::new();
-    for c in &sys.constraints {
-        let limit = c.limit.unwrap_or(0.0);
-        let constraint = match c.kind.as_str() {
-            "max_mean_latency" => Constraint::MaxMeanLatencyMs {
-                component: c.subject.clone(),
-                limit_ms: limit,
-            },
-            "max_p99_latency" => Constraint::MaxP99LatencyMs {
-                component: c.subject.clone(),
-                limit_ms: limit,
-            },
-            "max_error_rate" => Constraint::MaxErrorRate {
-                component: c.subject.clone(),
-                limit,
-            },
-            "max_node_utilization" => Constraint::MaxNodeUtilization {
-                node: *node_ids
-                    .get(&c.subject)
-                    .ok_or_else(|| CompileError::UnknownNode(c.subject.clone()))?,
-                limit,
-            },
-            "no_sequence_anomalies" => Constraint::NoSequenceAnomalies {
-                component: c.subject.clone(),
-            },
-            _ => continue, // validation already flagged it
-        };
-        constraints.push(constraint);
-    }
-
     Ok(Deployment {
         topology,
         configuration,
-        constraints,
         node_ids,
         placements,
     })
@@ -223,9 +184,7 @@ pub fn plan_placement(
     for c in &sys.components {
         match &c.placement {
             Placement::On(node) => {
-                let id = *node_ids
-                    .get(node)
-                    .ok_or_else(|| CompileError::UnknownNode(node.clone()))?;
+                let id = node_id(node_ids, node)?;
                 placements.insert(c.name.clone(), id);
                 *node_load.get_mut(&id).expect("known node") += c.expected_load;
                 let mem = node_mem_left.get_mut(&id).expect("known node");
@@ -298,114 +257,101 @@ pub fn plan_placement(
     Ok(placements)
 }
 
-/// Builds a RAML meta-level executing the system's interaction rules with
-/// FLO/C temporal semantics. `interval` is the observation period;
-/// reconfiguring actions get `action_cooldown` between firings.
-#[must_use]
+/// The id of the node declared as `name`.
+fn node_id(node_ids: &BTreeMap<String, NodeId>, name: &str) -> Result<NodeId, CompileError> {
+    node_ids
+        .get(name)
+        .copied()
+        .ok_or_else(|| CompileError::UnknownNode(name.to_owned()))
+}
+
+/// Builds the RAML meta-level of a system: its behavioural constraints,
+/// and its interaction rules as [`Rule`] values with FLO/C temporal
+/// semantics. `interval` is the observation period; reconfiguring actions
+/// get `action_cooldown` between firings.
+///
+/// # Errors
+///
+/// [`CompileError::UnknownNode`] when a constraint, a rule's metric or a
+/// migration names an undeclared node; [`CompileError::UnknownMetric`]
+/// when a rule observes a metric the language does not define.
 pub fn build_raml(
     sys: &SystemDecl,
     node_ids: &BTreeMap<String, NodeId>,
     interval: SimDuration,
     action_cooldown: SimDuration,
-) -> Raml {
+) -> Result<Raml, CompileError> {
     let mut raml = Raml::new(interval);
+    for c in &sys.constraints {
+        let limit = c.limit.unwrap_or(0.0);
+        let component = c.subject.clone();
+        raml.add_constraint(match c.kind.as_str() {
+            "max_mean_latency" => Constraint::MaxMeanLatencyMs {
+                component,
+                limit_ms: limit,
+            },
+            "max_p99_latency" => Constraint::MaxP99LatencyMs {
+                component,
+                limit_ms: limit,
+            },
+            "max_error_rate" => Constraint::MaxErrorRate { component, limit },
+            "max_node_utilization" => Constraint::MaxNodeUtilization {
+                node: node_id(node_ids, &c.subject)?,
+                limit,
+            },
+            "no_sequence_anomalies" => Constraint::NoSequenceAnomalies { component },
+            _ => continue, // validation already flagged it
+        });
+    }
     for r in &sys.rules {
-        let monitor = Mutex::new(RuleMonitor::new(r.op, r.cmp, r.threshold));
-        let metric = r.condition.metric.clone();
-        let subject = r.condition.subject.clone();
-        let ids = node_ids.clone();
-        let intercession = action_to_intercession(&r.action, node_ids);
-        let cooldown = match r.action {
-            ActionDecl::Notify(_) => SimDuration::ZERO,
-            _ => action_cooldown,
+        let subject = &r.condition.subject;
+        let metric = match Metric::named(&r.condition.metric) {
+            Some(MetricOf::Component(metric)) => metric(subject.into()),
+            Some(MetricOf::Node(metric)) => metric(node_id(node_ids, subject)?),
+            None => return Err(CompileError::UnknownMetric(r.condition.metric.clone())),
         };
-        // WaitUntil monitors re-arm after the cooldown elapses, so the
-        // rule can respond to later episodes too.
-        let rearm = matches!(r.op, TemporalOp::WaitUntil);
-        let last_fire = Mutex::new(SimTime::ZERO);
-        raml.add_rule(
-            Rule::when(r.name.clone(), move |snap: &SystemSnapshot| {
-                let Some(value) = metric_value(snap, &metric, &subject, &ids) else {
-                    return false;
-                };
-                let mut m = monitor.lock().expect("rule monitor");
-                if rearm {
-                    let mut last = last_fire.lock().expect("fire time");
-                    if !cooldown.is_zero() && snap.at.saturating_since(*last) >= cooldown * 2 {
-                        m.rearm();
-                        *last = snap.at;
-                    }
-                }
-                m.step(value)
-            })
-            .cooldown(cooldown)
-            .then(move |_snap| vec![intercession.clone()]),
-        );
+        let (intercession, cooldown) = match &r.action {
+            ActionDecl::Migrate { component, to_node } => (
+                Intercession::Reconfigure(ReconfigPlan::single(ReconfigAction::Migrate {
+                    name: component.clone(),
+                    to: node_id(node_ids, to_node)?,
+                })),
+                action_cooldown,
+            ),
+            ActionDecl::Swap {
+                component,
+                type_name,
+                version,
+            } => (
+                Intercession::Reconfigure(ReconfigPlan::single(
+                    ReconfigAction::SwapImplementation {
+                        name: component.clone(),
+                        type_name: type_name.clone(),
+                        version: *version,
+                        transfer: StateTransfer::Snapshot,
+                    },
+                )),
+                action_cooldown,
+            ),
+            ActionDecl::Notify(text) => (Intercession::Notify(text.clone()), SimDuration::ZERO),
+        };
+        raml.add_rule(Rule::new(
+            r.name.clone(),
+            metric,
+            RuleMonitor::new(r.op, r.cmp, r.threshold),
+            intercession,
+            cooldown,
+        ));
     }
-    raml
-}
-
-/// Reads a rule metric from a snapshot.
-#[must_use]
-pub fn metric_value(
-    snap: &SystemSnapshot,
-    metric: &str,
-    subject: &str,
-    node_ids: &BTreeMap<String, NodeId>,
-) -> Option<f64> {
-    match metric {
-        "latency" => snap.component(subject).map(|c| c.mean_latency_ms),
-        "p99_latency" => snap.component(subject).map(|c| c.p99_latency_ms),
-        "error_rate" => snap.component(subject).map(|c| c.error_rate()),
-        "inflight" => snap.component(subject).map(|c| f64::from(c.inflight)),
-        "processed" => snap.component(subject).map(|c| c.processed as f64),
-        "seq_anomalies" => snap.component(subject).map(|c| c.seq_anomalies as f64),
-        "utilization" => {
-            let id = node_ids.get(subject)?;
-            snap.node(*id).map(|n| n.utilization)
-        }
-        "backlog" => {
-            let id = node_ids.get(subject)?;
-            snap.node(*id).map(|n| n.backlog_ms)
-        }
-        "capacity" => {
-            let id = node_ids.get(subject)?;
-            snap.node(*id).map(|n| n.effective_capacity)
-        }
-        _ => None,
-    }
-}
-
-fn action_to_intercession(
-    action: &ActionDecl,
-    node_ids: &BTreeMap<String, NodeId>,
-) -> Intercession {
-    match action {
-        ActionDecl::Migrate { component, to_node } => {
-            let to = node_ids.get(to_node).copied().unwrap_or(NodeId(0));
-            Intercession::Reconfigure(ReconfigPlan::single(ReconfigAction::Migrate {
-                name: component.clone(),
-                to,
-            }))
-        }
-        ActionDecl::Swap {
-            component,
-            type_name,
-            version,
-        } => Intercession::Reconfigure(ReconfigPlan::single(ReconfigAction::SwapImplementation {
-            name: component.clone(),
-            type_name: type_name.clone(),
-            version: *version,
-            transfer: StateTransfer::Snapshot,
-        })),
-        ActionDecl::Notify(text) => Intercession::Notify(text.clone()),
-    }
+    Ok(raml)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::parser::parse_system;
+    use aas_core::raml::{ComponentObservation, SystemSnapshot};
+    use aas_sim::time::SimTime;
 
     fn demo() -> SystemDecl {
         parse_system(
@@ -436,7 +382,6 @@ mod tests {
         assert_eq!(d.configuration.component_names().count(), 3);
         assert!(d.configuration.connector_spec("w").is_some());
         assert_eq!(d.configuration.bindings().len(), 1);
-        assert_eq!(d.constraints.len(), 2);
     }
 
     #[test]
@@ -528,53 +473,134 @@ mod tests {
     }
 
     #[test]
-    fn build_raml_installs_rules() {
+    fn build_raml_installs_rules_and_constraints() {
         let sys = demo();
-        let d = compile(&sys).unwrap();
-        let raml = build_raml(
+        let mut raml = deployed(
             &sys,
-            &d.node_ids,
             SimDuration::from_millis(100),
             SimDuration::from_secs(1),
         );
         assert_eq!(raml.rules().len(), 1);
         assert_eq!(raml.rules()[0].name(), "hot");
+        let mut snap = latency_at(1, Some(500.0));
+        snap.components[0].name = "heavy".into();
+        raml.evaluate(&snap);
+        let logged: Vec<String> = raml
+            .violations()
+            .iter()
+            .map(|(_, v)| v.to_string())
+            .collect();
+        assert_eq!(
+            logged,
+            ["max-mean-latency violated by heavy: 500.000 > 100.000"]
+        );
     }
 
     #[test]
-    fn metric_value_reads_components_and_nodes() {
-        let sys = demo();
-        let d = compile(&sys).unwrap();
-        let mut snap = SystemSnapshot::default();
-        snap.components.push(aas_core::raml::ComponentObservation {
-            name: "heavy".into(),
-            type_name: "H".into(),
-            version: 1,
-            node: d.node_ids["big"],
-            lifecycle: aas_core::component::Lifecycle::Active,
-            inflight: 2,
-            processed: 10,
-            errors: 1,
-            mean_latency_ms: 42.0,
-            p99_latency_ms: 99.0,
-            seq_anomalies: 0,
-        });
-        snap.nodes.push(aas_core::raml::NodeObservation {
-            id: d.node_ids["big"],
-            up: true,
-            utilization: 0.5,
-            backlog_ms: 7.0,
-            effective_capacity: 1000.0,
-        });
-        let ids = &d.node_ids;
-        assert_eq!(metric_value(&snap, "latency", "heavy", ids), Some(42.0));
-        assert_eq!(metric_value(&snap, "p99_latency", "heavy", ids), Some(99.0));
-        assert_eq!(metric_value(&snap, "error_rate", "heavy", ids), Some(0.1));
-        assert_eq!(metric_value(&snap, "inflight", "heavy", ids), Some(2.0));
-        assert_eq!(metric_value(&snap, "utilization", "big", ids), Some(0.5));
-        assert_eq!(metric_value(&snap, "backlog", "big", ids), Some(7.0));
-        assert_eq!(metric_value(&snap, "capacity", "big", ids), Some(1000.0));
-        assert_eq!(metric_value(&snap, "latency", "ghost", ids), None);
-        assert_eq!(metric_value(&snap, "bogus", "heavy", ids), None);
+    fn build_raml_rejects_unknown_nodes_and_metrics() {
+        let build = |rule: &str| {
+            let sys = parse_system(&format!(
+                "system U {{ node n0 {{ }} component a : A v1 on n0 rule r: {rule}; }}"
+            ))
+            .unwrap();
+            let d = compile(&sys).unwrap();
+            build_raml(
+                &sys,
+                &d.node_ids,
+                SimDuration::from_secs(1),
+                SimDuration::ZERO,
+            )
+            .map(|raml| raml.rules().len())
+        };
+        assert_eq!(build("latency(a) > 1.0 implies migrate(a, n0)"), Ok(1));
+        assert_eq!(
+            build("latency(a) > 1.0 implies migrate(a, ghost)"),
+            Err(CompileError::UnknownNode("ghost".into()))
+        );
+        assert_eq!(
+            build("utilization(ghost) > 0.5 implies notify(\"hot\")"),
+            Err(CompileError::UnknownNode("ghost".into()))
+        );
+        assert_eq!(
+            build("temperature(a) > 50.0 implies notify(\"hot\")"),
+            Err(CompileError::UnknownMetric("temperature".into()))
+        );
+    }
+
+    /// A snapshot at `secs` in which component `a` reads `latency` (and
+    /// is absent when it is `None`).
+    fn latency_at(secs: u64, latency: Option<f64>) -> SystemSnapshot {
+        let mut snap = SystemSnapshot {
+            at: SimTime::from_secs(secs),
+            ..SystemSnapshot::default()
+        };
+        snap.components
+            .extend(latency.map(|ms| ComponentObservation {
+                name: "a".into(),
+                type_name: "A".into(),
+                version: 1,
+                node: NodeId(0),
+                lifecycle: aas_core::component::Lifecycle::Active,
+                inflight: 0,
+                processed: 0,
+                errors: 0,
+                mean_latency_ms: ms,
+                p99_latency_ms: ms,
+                seq_anomalies: 0,
+            }));
+        snap
+    }
+
+    fn deployed(sys: &SystemDecl, interval: SimDuration, cooldown: SimDuration) -> Raml {
+        build_raml(sys, &compile(sys).unwrap().node_ids, interval, cooldown).unwrap()
+    }
+
+    /// Each FLO/C operator, deployed from ADL as `latency(a) > 10` with a
+    /// migration (so a 2 s cooldown applies) and observed once a second:
+    /// the tick indices at which the rule fires. A tick in cooldown or
+    /// without `a` does not step the monitor. `wait_until` re-arms once
+    /// twice the cooldown has passed since it last re-armed (from t = 0):
+    /// at tick 5 and again at tick 9. Its cooldown after tick 3 swallows
+    /// the fall at tick 4, so tick 5 is no edge though the monitor is armed.
+    #[test]
+    fn deployed_rules_fire_per_operator_under_cooldown() {
+        const N: Option<f64> = None;
+        const fn s(v: f64) -> Option<f64> {
+            Some(v)
+        }
+        /// An operator, its metric series, the ticks it fires at.
+        type Row = (&'static str, [Option<f64>; 12], &'static [usize]);
+        #[rustfmt::skip]
+        let rows: [Row; 5] = [
+            ("implies",
+             [s(5.), s(15.), s(15.), N, s(15.), s(15.), s(5.), s(5.), s(15.), s(15.), s(15.), s(5.)],
+             &[1, 4, 8, 10]),
+            ("implies_later",
+             [s(15.), s(5.), s(5.), s(15.), N, s(5.), s(15.), s(15.), s(5.), s(5.), s(15.), s(5.)],
+             &[1, 5, 8, 11]),
+            ("implies_before",
+             [s(5.), s(9.), s(12.), s(12.), s(9.), s(8.), N, s(12.), s(9.), s(10.), s(5.), s(9.)],
+             &[1, 4, 8, 11]),
+            ("permitted_if",
+             [s(5.), s(15.), s(5.), s(5.), s(15.), s(15.), s(15.), s(5.), N, s(15.), s(5.), s(15.)],
+             &[1, 4, 6, 9, 11]),
+            ("wait_until",
+             [s(5.), s(5.), s(5.), s(15.), s(5.), s(15.), s(5.), s(15.), s(5.), s(5.), s(15.), s(5.)],
+             &[3, 7, 10]),
+        ];
+        for (op, series, expected) in rows {
+            let sys = parse_system(&format!(
+                "system T {{ node n0 {{ }} node n1 {{ }} \
+                 component a : A v1 on n0 component b : B v1 on n0 \
+                 rule r: latency(a) > 10.0 {op} migrate(b, n1); }}"
+            ))
+            .unwrap();
+            let mut raml = deployed(&sys, SimDuration::from_secs(1), SimDuration::from_secs(2));
+            let fired: Vec<usize> = (0..series.len())
+                .filter(|&i| !raml.evaluate(&latency_at(i as u64, series[i])).is_empty())
+                .collect();
+            assert_eq!(fired, expected, "{op}");
+            assert_eq!(raml.rules()[0].fired_count(), expected.len() as u64, "{op}");
+        }
     }
 }

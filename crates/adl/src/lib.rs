@@ -12,14 +12,14 @@
 //!   aspects and protocols, bindings, constraints and interaction rules;
 //! - [`validate`](mod@validate) — semantic validation, including the FLO/C rule-cycle
 //!   check the paper highlights;
-//! - [`rules`] — executable semantics for the five FLO/C temporal
-//!   operators (`implies`, `implies_later`, `implies_before`,
-//!   `permitted_if`, `wait_until`);
 //! - [`behavior`] — Wright-style interconnection compatibility over
 //!   component protocols (LTS products, deadlock detection);
 //! - [`deploy`] — compilation to an `aas-sim` topology + `aas-core`
-//!   configuration, automatic placement planning, and RAML rule
-//!   installation.
+//!   configuration, automatic placement planning, and RAML installation:
+//!   each interaction rule becomes an `aas_core::raml::Rule` value whose
+//!   monitor gives the five FLO/C temporal operators (`implies`,
+//!   `implies_later`, `implies_before`, `permitted_if`, `wait_until`)
+//!   their executable meaning.
 //!
 //! ```
 //! use aas_adl::parser::parse_system;
@@ -46,12 +46,10 @@ pub mod behavior;
 pub mod deploy;
 pub mod lexer;
 pub mod parser;
-pub mod rules;
 pub mod validate;
 
 pub use ast::{SystemDecl, TemporalOp};
 pub use behavior::{check_bindings, BindingVerdict};
 pub use deploy::{build_raml, compile, plan_placement, CompileError, Deployment};
 pub use parser::{parse_system, ParseError};
-pub use rules::RuleMonitor;
 pub use validate::{validate, SemIssue};

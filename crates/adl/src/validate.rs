@@ -7,20 +7,10 @@
 //! affects/observes graph.
 
 use crate::ast::{ActionDecl, SystemDecl};
+use aas_core::raml::{Metric, MetricOf};
 use core::fmt;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Metrics valid on components.
-pub const COMPONENT_METRICS: &[&str] = &[
-    "latency",
-    "p99_latency",
-    "error_rate",
-    "inflight",
-    "processed",
-    "seq_anomalies",
-];
-/// Metrics valid on nodes.
-pub const NODE_METRICS: &[&str] = &["utilization", "backlog", "capacity"];
 /// Recognized constraint kinds.
 pub const CONSTRAINT_KINDS: &[&str] = &[
     "max_mean_latency",
@@ -197,21 +187,19 @@ pub fn validate(sys: &SystemDecl) -> Vec<SemIssue> {
 
     // Rules: metric/subject agreement + reference checks.
     for r in &sys.rules {
-        let m = r.condition.metric.as_str();
         let s = r.condition.subject.as_str();
-        if COMPONENT_METRICS.contains(&m) {
-            if !comp_names.contains(s) {
+        match Metric::named(&r.condition.metric) {
+            Some(MetricOf::Component(_)) if !comp_names.contains(s) => {
                 issues.push(SemIssue::UnknownComponent(s.to_owned()));
             }
-        } else if NODE_METRICS.contains(&m) {
-            if !node_names.contains(s) {
+            Some(MetricOf::Node(_)) if !node_names.contains(s) => {
                 issues.push(SemIssue::UnknownNode(s.to_owned()));
             }
-        } else {
-            issues.push(SemIssue::BadMetric {
-                metric: m.to_owned(),
+            Some(_) => {}
+            None => issues.push(SemIssue::BadMetric {
+                metric: r.condition.metric.clone(),
                 subject: s.to_owned(),
-            });
+            }),
         }
         match &r.action {
             ActionDecl::Migrate { component, to_node } => {

@@ -1,9 +1,6 @@
-//! Property-based tests for the ADL: render→parse roundtrips and rule
-//! monitor invariants.
+//! Property-based tests for the ADL: render→parse roundtrips.
 
-use aas_adl::ast::{Cmp, TemporalOp};
 use aas_adl::parser::parse_system;
-use aas_adl::rules::RuleMonitor;
 use aas_adl::validate::validate;
 use proptest::prelude::*;
 
@@ -73,80 +70,6 @@ proptest! {
                 text.contains("never used"),
                 "unexpected issue: {text}\nsource:\n{src}"
             );
-        }
-    }
-
-    /// `implies` fires exactly on ticks where the condition holds.
-    #[test]
-    fn implies_matches_condition(values in prop::collection::vec(0.0f64..20.0, 1..100)) {
-        let mut m = RuleMonitor::new(TemporalOp::Implies, Cmp::Gt, 10.0);
-        for &v in &values {
-            prop_assert_eq!(m.step(v), v > 10.0);
-        }
-        let expected = values.iter().filter(|v| **v > 10.0).count() as u64;
-        prop_assert_eq!(m.fires(), expected);
-    }
-
-    /// `implies_later` fires exactly one tick after the condition held:
-    /// total fires equals condition-true ticks among all but the last.
-    #[test]
-    fn implies_later_shifts_by_one(values in prop::collection::vec(0.0f64..20.0, 2..100)) {
-        let mut m = RuleMonitor::new(TemporalOp::ImpliesLater, Cmp::Gt, 10.0);
-        let mut fires = Vec::new();
-        for &v in &values {
-            fires.push(m.step(v));
-        }
-        for i in 1..values.len() {
-            prop_assert_eq!(fires[i], values[i - 1] > 10.0, "at {}", i);
-        }
-        prop_assert!(!fires[0]);
-    }
-
-    /// `wait_until` fires at most once between rearms.
-    #[test]
-    fn wait_until_fires_once(values in prop::collection::vec(0.0f64..20.0, 1..100)) {
-        let mut m = RuleMonitor::new(TemporalOp::WaitUntil, Cmp::Gt, 10.0);
-        let mut fired = 0;
-        for &v in &values {
-            if m.step(v) {
-                fired += 1;
-            }
-        }
-        prop_assert!(fired <= 1);
-        // It fires iff some rising edge exists.
-        let mut prev = false;
-        let mut has_edge = false;
-        for &v in &values {
-            let cond = v > 10.0;
-            if cond && !prev {
-                has_edge = true;
-            }
-            prev = cond;
-        }
-        prop_assert_eq!(fired == 1, has_edge);
-    }
-
-    /// `permitted_if` permits exactly while the condition holds.
-    #[test]
-    fn permitted_if_gates(values in prop::collection::vec(0.0f64..20.0, 1..50)) {
-        let m = RuleMonitor::new(TemporalOp::PermittedIf, Cmp::Le, 10.0);
-        for &v in &values {
-            prop_assert_eq!(m.permits(v), v <= 10.0);
-        }
-    }
-
-    /// `implies_before` never fires while the condition itself holds.
-    #[test]
-    fn implies_before_is_anticipatory(values in prop::collection::vec(0.0f64..200.0, 1..100)) {
-        let mut m = RuleMonitor::new(TemporalOp::ImpliesBefore, Cmp::Gt, 100.0);
-        for &v in &values {
-            let fired = m.step(v);
-            if v > 100.0 {
-                prop_assert!(!fired, "fired during the violation at {v}");
-            }
-            if fired {
-                prop_assert!(v >= 80.0, "fired too early at {v}");
-            }
         }
     }
 }

@@ -29,8 +29,8 @@
 //!   (detector-phase × policy × plan-outcome) cells a run exercised.
 //! - [`heal`] — repair policies turning suspicions into intercessions:
 //!   restart-in-place, failover-migrate, degrade-to-backup.
-//! - [`raml`] — introspection snapshots, behavioural constraints, trigger
-//!   rules, intercession commands.
+//! - [`raml`] — introspection snapshots, behavioural constraints, FLO/C
+//!   interaction rules held as values, intercession commands.
 //! - [`runtime`] — the [`runtime::Runtime`] executing all of the above on
 //!   the deterministic `aas-sim` substrate.
 //! - [`registry`] — the implementation registry standing in for dynamic
@@ -95,7 +95,7 @@ pub use heal::RepairPolicy;
 pub use interface::{Interface, Signature, TypeTag};
 pub use lts::{check_compatibility, Label, Lts, LtsRunner};
 pub use message::{Message, MessageId, MessageKind, Name, Value};
-pub use raml::{Constraint, FaultRule, Intercession, Raml, Rule, SystemSnapshot};
+pub use raml::{Constraint, Intercession, Metric, Raml, Rule, SystemSnapshot};
 pub use reconfig::{ReconfigAction, ReconfigPlan, ReconfigReport, StateTransfer};
 pub use registry::{ImplementationRegistry, Props};
 pub use runtime::{RouteStats, Runtime, RuntimeEvent, RuntimeMetrics, EXTERNAL};

@@ -14,15 +14,15 @@
 //!   (submit a reconfiguration plan, interchange a connector, notify);
 //! - **compliance** — [`Constraint`]s checked against every snapshot, with
 //!   violations logged and exposed;
-//! - **policy** — [`Rule`]s: condition → action pairs with cooldowns,
-//!   covering both of the paper's trigger styles ("specified criteria" and
-//!   "periodical measurements on the evolving infrastructure").
+//! - **policy** — [`Rule`]s: FLO/C interaction rules held as values (a
+//!   [`Metric`], a [`RuleMonitor`] over a threshold, an [`Intercession`]
+//!   and a cooldown), evaluated on the same periodic snapshots — the
+//!   paper's "periodical measurements on the evolving infrastructure".
 
 use crate::component::Lifecycle;
 use crate::connector::ConnectorSpec;
 use crate::message::Name;
 use crate::reconfig::ReconfigPlan;
-use aas_sim::fault::FaultKind;
 use aas_sim::node::NodeId;
 use aas_sim::time::{SimDuration, SimTime};
 use core::fmt;
@@ -314,87 +314,253 @@ impl Constraint {
     }
 }
 
-type Condition = Box<dyn Fn(&SystemSnapshot) -> bool + Send>;
-type Action = Box<dyn Fn(&SystemSnapshot) -> Vec<Intercession> + Send>;
-type FaultAction = Box<dyn Fn(FaultKind, &SystemSnapshot) -> Vec<Intercession> + Send>;
-
-/// An event-triggered rule reacting to injected faults — the Durra-style
-/// "reconfiguration … used for error recovery purposes, where the
-/// reconfiguration is based on event-triggering mechanism".
-pub struct FaultRule {
-    name: String,
-    action: FaultAction,
-    fired_count: u64,
+/// One reading a rule watches: a component's or a node's, as the ADL
+/// names it (`latency(coder)`, `utilization(edge)`).
+#[derive(Debug, Clone)]
+pub enum Metric {
+    /// `latency(c)`: mean end-to-end latency (ms).
+    Latency(Name),
+    /// `p99_latency(c)`: 99th-percentile latency (ms).
+    P99Latency(Name),
+    /// `error_rate(c)`: handler errors per message processed.
+    ErrorRate(Name),
+    /// `inflight(c)`: messages being processed.
+    Inflight(Name),
+    /// `processed(c)`: messages processed so far.
+    Processed(Name),
+    /// `seq_anomalies(c)`: sequence anomalies at the inbox.
+    SeqAnomalies(Name),
+    /// `utilization(n)`: utilization over the run so far.
+    Utilization(NodeId),
+    /// `backlog(n)`: queued work (ms).
+    Backlog(NodeId),
+    /// `capacity(n)`: effective capacity (work units per second).
+    Capacity(NodeId),
 }
 
-impl fmt::Debug for FaultRule {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("FaultRule")
-            .field("name", &self.name)
-            .field("fired_count", &self.fired_count)
-            .finish_non_exhaustive()
+/// What an ADL metric name is read off, with the constructor of its
+/// [`Metric`].
+#[derive(Debug, Clone, Copy)]
+pub enum MetricOf {
+    /// A component metric.
+    Component(fn(Name) -> Metric),
+    /// A node metric.
+    Node(fn(NodeId) -> Metric),
+}
+
+/// The ADL's metric names: the one list of them.
+const METRICS: [(&str, MetricOf); 9] = [
+    ("latency", MetricOf::Component(Metric::Latency)),
+    ("p99_latency", MetricOf::Component(Metric::P99Latency)),
+    ("error_rate", MetricOf::Component(Metric::ErrorRate)),
+    ("inflight", MetricOf::Component(Metric::Inflight)),
+    ("processed", MetricOf::Component(Metric::Processed)),
+    ("seq_anomalies", MetricOf::Component(Metric::SeqAnomalies)),
+    ("utilization", MetricOf::Node(Metric::Utilization)),
+    ("backlog", MetricOf::Node(Metric::Backlog)),
+    ("capacity", MetricOf::Node(Metric::Capacity)),
+];
+
+impl Metric {
+    /// Looks up the metric the ADL calls `name`; `None` if it is none.
+    #[must_use]
+    pub fn named(name: &str) -> Option<MetricOf> {
+        METRICS.iter().find(|(n, _)| *n == name).map(|&(_, of)| of)
+    }
+
+    /// The reading in `snap`; `None` while its subject is absent.
+    #[must_use]
+    pub fn read(&self, snap: &SystemSnapshot) -> Option<f64> {
+        match self {
+            Metric::Latency(c) => snap.component(c).map(|c| c.mean_latency_ms),
+            Metric::P99Latency(c) => snap.component(c).map(|c| c.p99_latency_ms),
+            Metric::ErrorRate(c) => snap.component(c).map(ComponentObservation::error_rate),
+            Metric::Inflight(c) => snap.component(c).map(|c| f64::from(c.inflight)),
+            Metric::Processed(c) => snap.component(c).map(|c| c.processed as f64),
+            Metric::SeqAnomalies(c) => snap.component(c).map(|c| c.seq_anomalies as f64),
+            Metric::Utilization(n) => snap.node(*n).map(|n| n.utilization),
+            Metric::Backlog(n) => snap.node(*n).map(|n| n.backlog_ms),
+            Metric::Capacity(n) => snap.node(*n).map(|n| n.effective_capacity),
+        }
     }
 }
 
-impl FaultRule {
-    /// A fault rule named `name`; `action` receives the fault and a fresh
-    /// system snapshot and returns the intercessions to execute.
+/// Comparison operator in rule conditions.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Cmp {
+    /// `>`
+    Gt,
+    /// `<`
+    Lt,
+    /// `>=`
+    Ge,
+    /// `<=`
+    Le,
+}
+
+impl Cmp {
+    /// Evaluates `lhs CMP rhs`.
     #[must_use]
-    pub fn new<A>(name: impl Into<String>, action: A) -> Self
-    where
-        A: Fn(FaultKind, &SystemSnapshot) -> Vec<Intercession> + Send + 'static,
-    {
-        FaultRule {
-            name: name.into(),
-            action: Box::new(action),
-            fired_count: 0,
+    pub fn eval(self, lhs: f64, rhs: f64) -> bool {
+        match self {
+            Cmp::Gt => lhs > rhs,
+            Cmp::Lt => lhs < rhs,
+            Cmp::Ge => lhs >= rhs,
+            Cmp::Le => lhs <= rhs,
+        }
+    }
+}
+
+impl fmt::Display for Cmp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let s = match self {
+            Cmp::Gt => ">",
+            Cmp::Lt => "<",
+            Cmp::Ge => ">=",
+            Cmp::Le => "<=",
+        };
+        f.write_str(s)
+    }
+}
+
+/// The FLO/C temporal operators, as the paper lists them: "impliesLater,
+/// implies, impliesBefore, permittedIf, and waitUntil".
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum TemporalOp {
+    /// Fire while the condition holds (level-triggered, with cooldown).
+    Implies,
+    /// Fire one observation tick after the condition held.
+    ImpliesLater,
+    /// Fire *in anticipation*: when the metric reaches 80% of the
+    /// threshold, before the condition itself becomes true.
+    ImpliesBefore,
+    /// The action is *permitted* (and taken) only while the condition
+    /// holds.
+    PermittedIf,
+    /// Arm immediately; fire on the first false→true transition.
+    WaitUntil,
+}
+
+impl fmt::Display for TemporalOp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let s = match self {
+            TemporalOp::Implies => "implies",
+            TemporalOp::ImpliesLater => "implies_later",
+            TemporalOp::ImpliesBefore => "implies_before",
+            TemporalOp::PermittedIf => "permitted_if",
+            TemporalOp::WaitUntil => "wait_until",
+        };
+        f.write_str(s)
+    }
+}
+
+/// The executable meaning of one FLO/C interaction rule over the periodic
+/// observation stream. The paper (citing FLO/C) lists five operators:
+///
+/// - **implies** — fire whenever the condition holds (level-triggered).
+/// - **implies_later** — fire one observation *after* the condition held
+///   (delayed action).
+/// - **implies_before** — anticipatory: fire when the metric is within 80%
+///   of the threshold, before the condition itself becomes true.
+/// - **permitted_if** — the action is permitted, and taken, only while the
+///   condition holds.
+/// - **wait_until** — armed immediately; fires once on the first
+///   false→true transition, then disarms until re-armed.
+#[derive(Debug, Clone)]
+pub struct RuleMonitor {
+    op: TemporalOp,
+    cmp: Cmp,
+    threshold: f64,
+    prev_condition: bool,
+    pending_later: bool,
+    armed: bool,
+}
+
+impl RuleMonitor {
+    /// A monitor for `metric CMP threshold` under `op`.
+    #[must_use]
+    pub fn new(op: TemporalOp, cmp: Cmp, threshold: f64) -> Self {
+        RuleMonitor {
+            op,
+            cmp,
+            threshold,
+            prev_condition: false,
+            pending_later: false,
+            armed: true,
         }
     }
 
-    /// The rule's name.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
+    /// Feeds one observation; returns `true` if the rule's action should
+    /// fire now.
+    pub fn step(&mut self, value: f64) -> bool {
+        let cond = self.cmp.eval(value, self.threshold);
+        let fire = match self.op {
+            TemporalOp::Implies | TemporalOp::PermittedIf => cond,
+            TemporalOp::ImpliesLater => {
+                let fire = self.pending_later;
+                self.pending_later = cond;
+                fire
+            }
+            TemporalOp::ImpliesBefore => {
+                // Anticipate: fire when within 80% of the threshold, in the
+                // direction of the comparison.
+                let approaching = match self.cmp {
+                    Cmp::Gt | Cmp::Ge => value >= self.threshold * 0.8,
+                    Cmp::Lt | Cmp::Le => value <= self.threshold * 1.25,
+                };
+                approaching && !cond
+            }
+            TemporalOp::WaitUntil => {
+                let fire = cond && !self.prev_condition && self.armed;
+                self.armed &= !fire;
+                fire
+            }
+        };
+        self.prev_condition = cond;
+        fire
     }
 
-    /// Times this rule has fired.
-    #[must_use]
-    pub fn fired_count(&self) -> u64 {
-        self.fired_count
+    /// Re-arms a `wait_until` monitor so it can fire again.
+    pub fn rearm(&mut self) {
+        self.armed = true;
     }
 }
 
-/// A trigger rule: when `condition` holds on a snapshot (and the cooldown
-/// has elapsed), `action` produces intercessions.
+/// A trigger rule, held as the value it was declared as: when its monitor
+/// fires on the [`Metric`] it reads (and the cooldown has elapsed), it
+/// issues its [`Intercession`].
+#[derive(Debug, Clone)]
 pub struct Rule {
     name: String,
-    condition: Condition,
-    action: Action,
+    metric: Metric,
+    monitor: RuleMonitor,
+    intercession: Intercession,
     cooldown: SimDuration,
     last_fired: Option<SimTime>,
+    last_rearmed: SimTime,
     fired_count: u64,
 }
 
-impl fmt::Debug for Rule {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Rule")
-            .field("name", &self.name)
-            .field("cooldown", &self.cooldown)
-            .field("fired_count", &self.fired_count)
-            .finish_non_exhaustive()
-    }
-}
-
 impl Rule {
-    /// Starts building a rule: `Rule::when(name, cond).then(action)`.
-    pub fn when<C>(name: impl Into<String>, condition: C) -> RuleBuilder
-    where
-        C: Fn(&SystemSnapshot) -> bool + Send + 'static,
-    {
-        RuleBuilder {
+    /// A rule named `name` issuing `intercession` when `monitor` fires on
+    /// `metric`, at most once per `cooldown`.
+    #[must_use]
+    pub fn new(
+        name: impl Into<String>,
+        metric: Metric,
+        monitor: RuleMonitor,
+        intercession: Intercession,
+        cooldown: SimDuration,
+    ) -> Self {
+        Rule {
             name: name.into(),
-            condition: Box::new(condition),
-            cooldown: SimDuration::ZERO,
+            metric,
+            monitor,
+            intercession,
+            cooldown,
+            last_fired: None,
+            last_rearmed: SimTime::ZERO,
+            fired_count: 0,
         }
     }
 
@@ -409,44 +575,32 @@ impl Rule {
     pub fn fired_count(&self) -> u64 {
         self.fired_count
     }
-}
 
-/// Intermediate rule builder produced by [`Rule::when`].
-pub struct RuleBuilder {
-    name: String,
-    condition: Condition,
-    cooldown: SimDuration,
-}
-
-impl fmt::Debug for RuleBuilder {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RuleBuilder")
-            .field("name", &self.name)
-            .finish_non_exhaustive()
-    }
-}
-
-impl RuleBuilder {
-    /// Sets the minimum interval between firings.
-    #[must_use]
-    pub fn cooldown(mut self, d: SimDuration) -> Self {
-        self.cooldown = d;
-        self
-    }
-
-    /// Completes the rule with its action.
-    pub fn then<A>(self, action: A) -> Rule
-    where
-        A: Fn(&SystemSnapshot) -> Vec<Intercession> + Send + 'static,
-    {
-        Rule {
-            name: self.name,
-            condition: self.condition,
-            action: Box::new(action),
-            cooldown: self.cooldown,
-            last_fired: None,
-            fired_count: 0,
+    /// Shows the rule one snapshot; `true` if it fires. The monitor steps
+    /// only out of cooldown and while the metric reads a value. Before it
+    /// steps, a `wait_until` rule with a cooldown re-arms once twice its
+    /// cooldown has passed since it last did (from t = 0), so it can answer
+    /// later episodes too.
+    fn fires(&mut self, snap: &SystemSnapshot) -> bool {
+        let cooled = self
+            .last_fired
+            .is_none_or(|t| snap.at.saturating_since(t) >= self.cooldown);
+        let Some(value) = cooled.then(|| self.metric.read(snap)).flatten() else {
+            return false;
+        };
+        if self.monitor.op == TemporalOp::WaitUntil
+            && !self.cooldown.is_zero()
+            && snap.at.saturating_since(self.last_rearmed) >= self.cooldown * 2
+        {
+            self.monitor.rearm();
+            self.last_rearmed = snap.at;
         }
+        let fire = self.monitor.step(value);
+        if fire {
+            self.last_fired = Some(snap.at);
+            self.fired_count += 1;
+        }
+        fire
     }
 }
 
@@ -455,7 +609,6 @@ impl RuleBuilder {
 pub struct Raml {
     interval: SimDuration,
     rules: Vec<Rule>,
-    fault_rules: Vec<FaultRule>,
     constraints: Vec<Constraint>,
     violations: Vec<(SimTime, Violation)>,
     snapshots_taken: u64,
@@ -473,7 +626,6 @@ impl Raml {
         Raml {
             interval,
             rules: Vec::new(),
-            fault_rules: Vec::new(),
             constraints: Vec::new(),
             violations: Vec::new(),
             snapshots_taken: 0,
@@ -492,32 +644,6 @@ impl Raml {
         self
     }
 
-    /// Installs an event-triggered fault rule.
-    pub fn add_fault_rule(&mut self, rule: FaultRule) -> &mut Self {
-        self.fault_rules.push(rule);
-        self
-    }
-
-    /// Reacts to an injected fault: every fault rule sees the fault and
-    /// the snapshot; their intercessions are concatenated.
-    pub fn on_fault(&mut self, kind: FaultKind, snap: &SystemSnapshot) -> Vec<Intercession> {
-        let mut out = Vec::new();
-        for rule in &mut self.fault_rules {
-            let actions = (rule.action)(kind, snap);
-            if !actions.is_empty() {
-                rule.fired_count += 1;
-            }
-            out.extend(actions);
-        }
-        out
-    }
-
-    /// Installed fault rules (for inspection).
-    #[must_use]
-    pub fn fault_rules(&self) -> &[FaultRule] {
-        &self.fault_rules
-    }
-
     /// Installs a constraint.
     pub fn add_constraint(&mut self, constraint: Constraint) -> &mut Self {
         self.constraints.push(constraint);
@@ -533,18 +659,10 @@ impl Raml {
                 self.violations.push((snap.at, v));
             }
         }
-        let mut out = Vec::new();
-        for rule in &mut self.rules {
-            let cooled = rule
-                .last_fired
-                .is_none_or(|t| snap.at.saturating_since(t) >= rule.cooldown);
-            if cooled && (rule.condition)(snap) {
-                rule.last_fired = Some(snap.at);
-                rule.fired_count += 1;
-                out.extend((rule.action)(snap));
-            }
-        }
-        out
+        self.rules
+            .iter_mut()
+            .filter_map(|rule| rule.fires(snap).then(|| rule.intercession.clone()))
+            .collect()
     }
 
     /// The violation log.
@@ -642,16 +760,25 @@ mod tests {
             .is_none());
     }
 
+    fn notify_rule(name: &str, metric: Metric, limit: f64, cooldown: SimDuration) -> Rule {
+        Rule::new(
+            name,
+            metric,
+            RuleMonitor::new(TemporalOp::Implies, Cmp::Gt, limit),
+            Intercession::Notify(format!("{name}!")),
+            cooldown,
+        )
+    }
+
     #[test]
     fn rule_fires_once_per_cooldown() {
         let mut raml = Raml::new(SimDuration::from_millis(100));
-        raml.add_rule(
-            Rule::when("hot", |s: &SystemSnapshot| {
-                s.component("svc").is_some_and(|c| c.mean_latency_ms > 10.0)
-            })
-            .cooldown(SimDuration::from_secs(1))
-            .then(|_| vec![Intercession::Notify("hot!".into())]),
-        );
+        raml.add_rule(notify_rule(
+            "hot",
+            Metric::Latency("svc".into()),
+            10.0,
+            SimDuration::from_secs(1),
+        ));
         // Fires at t=0.
         let a1 = raml.evaluate(&snap_with_latency(SimTime::ZERO, 50.0));
         assert_eq!(a1.len(), 1);
@@ -665,14 +792,117 @@ mod tests {
     }
 
     #[test]
-    fn rule_respects_condition() {
+    fn rule_respects_condition_and_absent_subjects() {
         let mut raml = Raml::new(SimDuration::from_millis(100));
-        raml.add_rule(
-            Rule::when("never", |_| false).then(|_| vec![Intercession::Notify("x".into())]),
-        );
+        raml.add_rule(notify_rule(
+            "never",
+            Metric::Latency("svc".into()),
+            1000.0,
+            SimDuration::ZERO,
+        ));
+        raml.add_rule(notify_rule(
+            "ghost",
+            Metric::Latency("ghost".into()),
+            0.0,
+            SimDuration::ZERO,
+        ));
         assert!(raml
             .evaluate(&snap_with_latency(SimTime::ZERO, 50.0))
             .is_empty());
+    }
+
+    #[test]
+    fn metrics_are_named_once_and_read_off_the_snapshot() {
+        let snap = snap_with_latency(SimTime::ZERO, 42.0);
+        let read = |name: &str| match Metric::named(name).expect("a metric") {
+            MetricOf::Component(metric) => metric("svc".into()).read(&snap),
+            MetricOf::Node(metric) => metric(NodeId(0)).read(&snap),
+        };
+        assert_eq!(read("latency"), Some(42.0));
+        assert_eq!(read("p99_latency"), Some(126.0));
+        assert_eq!(read("error_rate"), Some(0.05));
+        assert_eq!(read("inflight"), Some(0.0));
+        assert_eq!(read("processed"), Some(100.0));
+        assert_eq!(read("seq_anomalies"), Some(0.0));
+        assert_eq!(read("utilization"), Some(0.9));
+        assert_eq!(read("backlog"), Some(5.0));
+        assert_eq!(read("capacity"), Some(100.0));
+        assert!(Metric::named("temperature").is_none());
+        assert_eq!(Metric::Latency("ghost".into()).read(&snap), None);
+        assert_eq!(Metric::Utilization(NodeId(9)).read(&snap), None);
+    }
+
+    #[test]
+    fn cmp_eval_table() {
+        assert!(Cmp::Gt.eval(2.0, 1.0));
+        assert!(!Cmp::Gt.eval(1.0, 1.0));
+        assert!(Cmp::Ge.eval(1.0, 1.0));
+        assert!(Cmp::Lt.eval(0.0, 1.0));
+        assert!(Cmp::Le.eval(1.0, 1.0));
+    }
+
+    #[test]
+    fn displays() {
+        assert_eq!(TemporalOp::ImpliesLater.to_string(), "implies_later");
+        assert_eq!(Cmp::Ge.to_string(), ">=");
+    }
+
+    #[test]
+    fn implies_is_level_triggered() {
+        let mut m = RuleMonitor::new(TemporalOp::Implies, Cmp::Gt, 10.0);
+        assert!(!m.step(5.0));
+        assert!(m.step(15.0));
+        assert!(m.step(15.0), "fires every tick while true");
+        assert!(!m.step(5.0));
+    }
+
+    #[test]
+    fn implies_later_fires_one_tick_late() {
+        let mut m = RuleMonitor::new(TemporalOp::ImpliesLater, Cmp::Gt, 10.0);
+        assert!(!m.step(15.0), "condition true now, action later");
+        assert!(m.step(5.0), "fires for the previous tick");
+        assert!(!m.step(5.0));
+    }
+
+    #[test]
+    fn implies_before_anticipates_upward() {
+        let mut m = RuleMonitor::new(TemporalOp::ImpliesBefore, Cmp::Gt, 100.0);
+        assert!(!m.step(50.0), "far below");
+        assert!(m.step(85.0), "within 80%: act before the violation");
+        assert!(
+            !m.step(150.0),
+            "condition already true: too late to act before"
+        );
+    }
+
+    #[test]
+    fn implies_before_anticipates_downward() {
+        let mut m = RuleMonitor::new(TemporalOp::ImpliesBefore, Cmp::Lt, 10.0);
+        assert!(!m.step(50.0));
+        assert!(m.step(12.0), "within 1.25x of a lower threshold");
+        assert!(!m.step(5.0), "already below");
+    }
+
+    #[test]
+    fn permitted_if_fires_while_permitted() {
+        let mut m = RuleMonitor::new(TemporalOp::PermittedIf, Cmp::Le, 0.5);
+        assert!(m.step(0.3));
+        assert!(!m.step(0.9));
+        assert!(m.step(0.5));
+    }
+
+    #[test]
+    fn wait_until_fires_once_on_rising_edge() {
+        let mut m = RuleMonitor::new(TemporalOp::WaitUntil, Cmp::Gt, 10.0);
+        assert!(!m.step(5.0));
+        assert!(m.step(20.0), "rising edge");
+        assert!(!m.step(25.0), "still true, no refire");
+        assert!(!m.step(5.0));
+        assert!(!m.step(20.0), "disarmed: second edge ignored");
+        m.rearm();
+        assert!(!m.step(25.0), "no edge: was already true");
+        assert!(!m.step(5.0));
+        assert!(m.step(30.0), "re-armed and edge");
     }
 
     #[test]

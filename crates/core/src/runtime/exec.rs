@@ -44,7 +44,7 @@ use crate::reconfig::InverseAction;
 pub(super) enum PlanOrigin {
     /// [`Runtime::request_reconfig`], from outside the runtime.
     User,
-    /// A RAML rule or fault rule.
+    /// A RAML rule.
     Raml,
     /// The heal driver's repair of `node`, planned by the policy labelled
     /// `label` — the twin's choice where it made one, else the static

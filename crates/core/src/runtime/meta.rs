@@ -125,32 +125,17 @@ impl Runtime {
         self.effects_buf = effects;
     }
 
-    /// Event-triggered reconfiguration (the Durra path): faults are fed
-    /// to RAML's fault rules immediately, outside the periodic tick.
-    pub(super) fn on_fault(&mut self, kind: FaultKind) {
-        self.raml_react(self.kernel.now(), |raml, snap| raml.on_fault(kind, snap));
-    }
-
+    /// Shows RAML a fresh snapshot, carries out what its rules ask for and
+    /// arms the next tick.
     pub(super) fn on_raml_tick(&mut self, now: SimTime) {
-        if let Some(interval) = self.raml_react(now, Raml::evaluate) {
-            self.arm(interval, TimerPurpose::RamlTick);
-        }
-    }
-
-    /// Shows RAML a fresh snapshot through `react` and carries out what it
-    /// asks for. Returns RAML's tick interval; `None` without a RAML.
-    fn raml_react(
-        &mut self,
-        now: SimTime,
-        react: impl FnOnce(&mut Raml, &SystemSnapshot) -> Vec<Intercession>,
-    ) -> Option<SimDuration> {
-        let mut raml = self.raml.take()?;
-        let snap = self.observe();
-        let intercessions = react(&mut raml, &snap);
+        let Some(mut raml) = self.raml.take() else {
+            return;
+        };
+        let intercessions = raml.evaluate(&self.observe());
         let interval = raml.interval();
         self.raml = Some(raml);
         self.apply_intercessions(intercessions, PlanOrigin::Raml, now);
-        Some(interval)
+        self.arm(interval, TimerPurpose::RamlTick);
     }
 
     /// Carries out what the meta-level — RAML's rules, or the repair

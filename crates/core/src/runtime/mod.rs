@@ -541,7 +541,6 @@ impl Runtime {
             Fired::Fault(kind) => {
                 self.events.push((at, RuntimeEvent::Fault(kind)));
                 self.on_topology_fault(kind, at);
-                self.on_fault(kind);
             }
             Fired::Dropped { msg, reason, .. } => {
                 // A lost heartbeat *is* the detection signal, not loss.

@@ -4,7 +4,7 @@ use crate::connector::{ConnectorAspect, RoutingPolicy};
 use crate::error::ComponentError;
 use crate::interface::{Interface, Signature};
 use crate::message::Value;
-use crate::raml::{Constraint, Rule};
+use crate::raml::{Cmp, Constraint, Metric, Rule, RuleMonitor, TemporalOp};
 
 /// Counts `tick` messages and replies with the running count.
 #[derive(Debug, Default)]
@@ -490,18 +490,16 @@ fn raml_rule_fires_and_adapts() {
     raml.add_constraint(Constraint::NoSequenceAnomalies {
         component: "counter".into(),
     });
-    raml.add_rule(
-        Rule::when("meter-when-busy", |s: &SystemSnapshot| {
-            s.component("counter").is_some_and(|c| c.processed >= 3)
-        })
-        .cooldown(SimDuration::from_secs(100))
-        .then(|_| {
-            vec![Intercession::AdaptConnector {
-                name: "wire".into(),
-                spec: ConnectorSpec::direct("wire").with_aspect(ConnectorAspect::Metering),
-            }]
-        }),
-    );
+    raml.add_rule(Rule::new(
+        "meter-when-busy",
+        Metric::Processed("counter".into()),
+        RuleMonitor::new(TemporalOp::Implies, Cmp::Ge, 3.0),
+        Intercession::AdaptConnector {
+            name: "wire".into(),
+            spec: ConnectorSpec::direct("wire").with_aspect(ConnectorAspect::Metering),
+        },
+        SimDuration::from_secs(100),
+    ));
     rt.install_raml(raml);
 
     for i in 0..10u64 {

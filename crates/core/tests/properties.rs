@@ -1,9 +1,11 @@
-//! Property-based tests for the component model's core data structures.
+//! Property-based tests for the component model's core data structures
+//! and the RAML rule monitor's temporal operators.
 
 use aas_core::component::{CallCtx, Component, EchoComponent};
 use aas_core::interface::{Interface, Signature, TypeTag};
 use aas_core::lts::{check_compatibility, synthetic_ring, Dir, Label, Lts};
 use aas_core::message::{Message, SeqVerdict, SequenceTracker, Value};
+use aas_core::raml::{Cmp, RuleMonitor, TemporalOp};
 use aas_sim::time::SimTime;
 use proptest::prelude::*;
 
@@ -161,6 +163,69 @@ proptest! {
         prop_assert!(r.complements(&s));
         prop_assert!(!s.complements(&s));
         prop_assert!(!r.complements(&r));
+    }
+
+    /// `implies` fires exactly on ticks where the condition holds.
+    #[test]
+    fn implies_matches_condition(values in prop::collection::vec(0.0f64..20.0, 1..100)) {
+        let mut m = RuleMonitor::new(TemporalOp::Implies, Cmp::Gt, 10.0);
+        for &v in &values {
+            prop_assert_eq!(m.step(v), v > 10.0);
+        }
+    }
+
+    /// `implies_later` fires exactly one tick after the condition held:
+    /// total fires equals condition-true ticks among all but the last.
+    #[test]
+    fn implies_later_shifts_by_one(values in prop::collection::vec(0.0f64..20.0, 2..100)) {
+        let mut m = RuleMonitor::new(TemporalOp::ImpliesLater, Cmp::Gt, 10.0);
+        let mut fires = Vec::new();
+        for &v in &values {
+            fires.push(m.step(v));
+        }
+        for i in 1..values.len() {
+            prop_assert_eq!(fires[i], values[i - 1] > 10.0, "at {}", i);
+        }
+        prop_assert!(!fires[0]);
+    }
+
+    /// `wait_until` fires at most once between rearms.
+    #[test]
+    fn wait_until_fires_once(values in prop::collection::vec(0.0f64..20.0, 1..100)) {
+        let mut m = RuleMonitor::new(TemporalOp::WaitUntil, Cmp::Gt, 10.0);
+        let mut fired = 0;
+        for &v in &values {
+            if m.step(v) {
+                fired += 1;
+            }
+        }
+        prop_assert!(fired <= 1);
+        // It fires iff some rising edge exists.
+        let mut prev = false;
+        let mut has_edge = false;
+        for &v in &values {
+            let cond = v > 10.0;
+            if cond && !prev {
+                has_edge = true;
+            }
+            prev = cond;
+        }
+        prop_assert_eq!(fired == 1, has_edge);
+    }
+
+    /// `implies_before` never fires while the condition itself holds.
+    #[test]
+    fn implies_before_is_anticipatory(values in prop::collection::vec(0.0f64..200.0, 1..100)) {
+        let mut m = RuleMonitor::new(TemporalOp::ImpliesBefore, Cmp::Gt, 100.0);
+        for &v in &values {
+            let fired = m.step(v);
+            if v > 100.0 {
+                prop_assert!(!fired, "fired during the violation at {v}");
+            }
+            if fired {
+                prop_assert!(v >= 80.0, "fired too early at {v}");
+            }
+        }
     }
 }
 

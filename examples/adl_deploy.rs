@@ -95,27 +95,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     assert!(all_compatible(&verdicts), "protocol incompatibility");
 
-    // 4. Compile: topology + configuration + constraints + placements.
+    // 4. Compile: topology + configuration + placements.
     let deployment = compile(&sys)?;
     println!("\nplacements:");
     for (comp, node) in &deployment.placements {
         println!("  {comp} -> {node}");
     }
 
-    // 5. Deploy and install the meta level.
+    // 5. Deploy and install the meta level: constraints and rules.
     let mut registry = ImplementationRegistry::new();
     register_telecom_components(&mut registry);
     let mut rt = Runtime::new(deployment.topology, 5, registry);
     rt.deploy(&deployment.configuration)?;
-    let mut raml = build_raml(
+    let raml = build_raml(
         &sys,
         &deployment.node_ids,
         SimDuration::from_millis(200),
         SimDuration::from_secs(5),
-    );
-    for c in deployment.constraints {
-        raml.add_constraint(c);
-    }
+    )?;
     rt.install_raml(raml);
 
     // 6. Drive load: sessions arrive, the weak edge node saturates, the
@@ -149,6 +146,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let fired = rt.raml().expect("raml").rules()[0].fired_count();
     println!("rule `offload` fired {fired} time(s)");
+    assert_eq!(fired, 1, "the edge saturates once: `offload` fires once");
     assert_eq!(
         coder_node, deployment.node_ids["core"],
         "transcoder should have been offloaded to the core node"

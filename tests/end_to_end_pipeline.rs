@@ -47,7 +47,8 @@ fn deployed_runtime() -> Runtime {
         &deployment.node_ids,
         SimDuration::from_millis(250),
         SimDuration::from_secs(2),
-    );
+    )
+    .expect("build raml");
     rt.install_raml(raml);
     rt
 }

@@ -1,9 +1,11 @@
 //! Failure injection across crates: node crashes and link outages hitting
 //! live pipelines and in-progress reconfigurations.
 
-use aas_core::component::EchoComponent;
+use aas_core::component::{EchoComponent, Lifecycle};
 use aas_core::config::{BindingDecl, ComponentDecl, Configuration};
 use aas_core::connector::ConnectorSpec;
+use aas_core::detector::DetectorConfig;
+use aas_core::heal::RepairPolicy;
 use aas_core::message::{Message, Value};
 use aas_core::reconfig::{ReconfigAction, ReconfigPlan};
 use aas_core::registry::ImplementationRegistry;
@@ -195,31 +197,16 @@ fn crashed_host_component_recovers_with_node() {
 }
 
 #[test]
-fn fault_rule_migrates_components_off_crashed_node() {
-    use aas_core::raml::{FaultRule, Intercession, Raml};
-    use aas_core::reconfig::StateTransfer;
-
+fn heal_migrates_components_off_crashed_node() {
     let mut rt = two_stage_runtime();
-    // RAML fault rule: when a node crashes, migrate every component it
-    // hosted to the coolest surviving node (Durra-style error recovery).
-    let mut raml = Raml::new(SimDuration::from_millis(250));
-    raml.add_fault_rule(FaultRule::new("evacuate", |kind, snap| {
-        let FaultKind::NodeCrash(dead) = kind else {
-            return Vec::new();
-        };
-        let Some(target) = snap.coolest_node().map(|n| n.id) else {
-            return Vec::new();
-        };
-        snap.hosted(dead)
-            .map(|victim| {
-                Intercession::Reconfigure(ReconfigPlan::single(ReconfigAction::Migrate {
-                    name: victim.name.to_string(),
-                    to: target,
-                }))
-            })
-            .collect()
-    }));
-    rt.install_raml(raml);
+    // Heal is the fault path: the detector on node 2 suspects the silent
+    // node, and the failover policy migrates what it hosted to a survivor.
+    rt.set_repair_policy(RepairPolicy::FailoverMigrate);
+    rt.enable_failure_detector(DetectorConfig::new(
+        SimDuration::from_millis(50),
+        2.0,
+        NodeId(2),
+    ));
 
     for i in 0..200u64 {
         rt.inject_after(SimDuration::from_millis(i * 20), "coder", frame())
@@ -231,13 +218,13 @@ fn fault_rule_migrates_components_off_crashed_node() {
     rt.inject_faults(faults);
     rt.run_until(SimTime::from_secs(20));
 
-    // The fault rule fired and the coder was evacuated.
-    assert_eq!(rt.raml().unwrap().fault_rules()[0].fired_count(), 1);
+    // One repair, and the coder was evacuated.
+    assert_eq!(rt.metrics().mttr_ms.count(), 1);
     let new_home = rt.node_of("coder").unwrap();
     assert_ne!(new_home, NodeId(0), "coder evacuated");
+    assert_eq!(rt.lifecycle("coder"), Some(Lifecycle::Active));
     let report = rt.reports().last().unwrap();
     assert!(report.success, "{:?}", report.failure);
-    let _ = StateTransfer::Snapshot;
 
     // Service resumed: most frames processed (some were lost in the crash
     // window before the evacuation finished).
