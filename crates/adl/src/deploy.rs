@@ -30,6 +30,10 @@ pub enum CompileError {
     UnknownNode(String),
     /// A rule observes a metric the language does not define.
     UnknownMetric(String),
+    /// A constraint is of a kind the language does not define.
+    UnknownConstraintKind(String),
+    /// A constraint of this kind, which needs a limit, declares none.
+    MissingLimit(String),
     /// No node can host a component (memory exhausted everywhere).
     Unplaceable(String),
     /// The system declares no nodes but has components.
@@ -41,6 +45,8 @@ impl fmt::Display for CompileError {
         match self {
             CompileError::UnknownNode(n) => write!(f, "unknown node `{n}`"),
             CompileError::UnknownMetric(m) => write!(f, "unknown metric `{m}`"),
+            CompileError::UnknownConstraintKind(k) => write!(f, "unknown constraint kind `{k}`"),
+            CompileError::MissingLimit(k) => write!(f, "constraint `{k}` needs a limit"),
             CompileError::Unplaceable(c) => {
                 write!(f, "no node can host component `{c}`")
             }
@@ -274,7 +280,9 @@ fn node_id(node_ids: &BTreeMap<String, NodeId>, name: &str) -> Result<NodeId, Co
 ///
 /// [`CompileError::UnknownNode`] when a constraint, a rule's metric or a
 /// migration names an undeclared node; [`CompileError::UnknownMetric`]
-/// when a rule observes a metric the language does not define.
+/// when a rule observes a metric the language does not define;
+/// [`CompileError::UnknownConstraintKind`] and
+/// [`CompileError::MissingLimit`] for a constraint validation would flag.
 pub fn build_raml(
     sys: &SystemDecl,
     node_ids: &BTreeMap<String, NodeId>,
@@ -283,24 +291,30 @@ pub fn build_raml(
 ) -> Result<Raml, CompileError> {
     let mut raml = Raml::new(interval);
     for c in &sys.constraints {
-        let limit = c.limit.unwrap_or(0.0);
+        let limit = || {
+            c.limit
+                .ok_or_else(|| CompileError::MissingLimit(c.kind.clone()))
+        };
         let component = c.subject.clone();
         raml.add_constraint(match c.kind.as_str() {
             "max_mean_latency" => Constraint::MaxMeanLatencyMs {
                 component,
-                limit_ms: limit,
+                limit_ms: limit()?,
             },
             "max_p99_latency" => Constraint::MaxP99LatencyMs {
                 component,
-                limit_ms: limit,
+                limit_ms: limit()?,
             },
-            "max_error_rate" => Constraint::MaxErrorRate { component, limit },
+            "max_error_rate" => Constraint::MaxErrorRate {
+                component,
+                limit: limit()?,
+            },
             "max_node_utilization" => Constraint::MaxNodeUtilization {
                 node: node_id(node_ids, &c.subject)?,
-                limit,
+                limit: limit()?,
             },
             "no_sequence_anomalies" => Constraint::NoSequenceAnomalies { component },
-            _ => continue, // validation already flagged it
+            _ => return Err(CompileError::UnknownConstraintKind(c.kind.clone())),
         });
     }
     for r in &sys.rules {
@@ -498,9 +512,9 @@ mod tests {
 
     #[test]
     fn build_raml_rejects_unknown_nodes_and_metrics() {
-        let build = |rule: &str| {
+        let build = |decl: &str| {
             let sys = parse_system(&format!(
-                "system U {{ node n0 {{ }} component a : A v1 on n0 rule r: {rule}; }}"
+                "system U {{ node n0 {{ }} component a : A v1 on n0 {decl}; }}"
             ))
             .unwrap();
             let d = compile(&sys).unwrap();
@@ -512,18 +526,31 @@ mod tests {
             )
             .map(|raml| raml.rules().len())
         };
-        assert_eq!(build("latency(a) > 1.0 implies migrate(a, n0)"), Ok(1));
         assert_eq!(
-            build("latency(a) > 1.0 implies migrate(a, ghost)"),
+            build("rule r: latency(a) > 1.0 implies migrate(a, n0)"),
+            Ok(1)
+        );
+        assert_eq!(
+            build("rule r: latency(a) > 1.0 implies migrate(a, ghost)"),
             Err(CompileError::UnknownNode("ghost".into()))
         );
         assert_eq!(
-            build("utilization(ghost) > 0.5 implies notify(\"hot\")"),
+            build("rule r: utilization(ghost) > 0.5 implies notify(\"hot\")"),
             Err(CompileError::UnknownNode("ghost".into()))
         );
         assert_eq!(
-            build("temperature(a) > 50.0 implies notify(\"hot\")"),
+            build("rule r: temperature(a) > 50.0 implies notify(\"hot\")"),
             Err(CompileError::UnknownMetric("temperature".into()))
+        );
+        assert_eq!(
+            build("constraint max_temperature(a, 50.0)"),
+            Err(CompileError::UnknownConstraintKind(
+                "max_temperature".into()
+            ))
+        );
+        assert_eq!(
+            build("constraint max_mean_latency(a)"),
+            Err(CompileError::MissingLimit("max_mean_latency".into()))
         );
     }
 

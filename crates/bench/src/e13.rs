@@ -18,7 +18,7 @@
 use crate::common::experiment_registry;
 use crate::table::{exact, f2, Table, Tier};
 use aas_core::component::{CallCtx, Component, StateSnapshot};
-use aas_core::config::{BindingDecl, ComponentDecl, Configuration};
+use aas_core::config::{ComponentDecl, Configuration};
 use aas_core::error::{ComponentError, StateError};
 use aas_core::interface::{Interface, Signature};
 use aas_core::message::{Message, Value};
@@ -207,23 +207,6 @@ pub fn run(tier: Tier) -> Table {
             ]);
         }
     }
-    // The transactional primitive: compensating-inverse derivation.
-    let actions = [
-        ReconfigAction::AddComponent {
-            name: "x".into(),
-            decl: ComponentDecl::new("Worker", 1, NodeId(0)),
-        },
-        ReconfigAction::Migrate {
-            name: "x".into(),
-            to: NodeId(2),
-        },
-        ReconfigAction::Bind(BindingDecl::new("x", "out", "w", "y", "in")),
-    ];
-    table.note_ns_per_call("derive inverse of 3 actions ns", 200_000, || {
-        actions
-            .each_ref()
-            .map(|a| a.derive_inverse(Some(NodeId(0))))
-    });
     table
 }
 

@@ -87,7 +87,9 @@ impl fmt::Display for RuntimeError {
             RuntimeError::PortBound { component, port } => {
                 write!(f, "port `{component}.{port}` already bound")
             }
-            RuntimeError::NoBinding { component, port } => NoBindingAt(component, port).fmt(f),
+            RuntimeError::NoBinding { component, port } => {
+                write!(f, "no binding at `{component}.{port}`")
+            }
             RuntimeError::NodeUnavailable(n) => write!(f, "node `{n}` unavailable"),
             RuntimeError::NoCapacity(n) => write!(f, "target `{n}` has no effective capacity"),
             RuntimeError::IncompatibleInterface { reason, .. } => {
@@ -108,17 +110,6 @@ impl fmt::Display for RuntimeError {
             }
             RuntimeError::Component(e) => write!(f, "component error: {e}"),
         }
-    }
-}
-
-/// The text of [`RuntimeError::NoBinding`], written straight from the
-/// names: the message path reports a send on an unbound port with it
-/// without building the error.
-pub(crate) struct NoBindingAt<'a>(pub(crate) &'a str, pub(crate) &'a str);
-
-impl fmt::Display for NoBindingAt<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "no binding at `{}.{}`", self.0, self.1)
     }
 }
 

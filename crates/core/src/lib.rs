@@ -98,4 +98,4 @@ pub use message::{Message, MessageId, MessageKind, Name, Value};
 pub use raml::{Constraint, Intercession, Metric, Raml, Rule, SystemSnapshot};
 pub use reconfig::{ReconfigAction, ReconfigPlan, ReconfigReport, StateTransfer};
 pub use registry::{ImplementationRegistry, Props};
-pub use runtime::{RouteStats, Runtime, RuntimeEvent, RuntimeMetrics, EXTERNAL};
+pub use runtime::{RouteStats, Runtime, RuntimeMetrics, EXTERNAL};

@@ -139,85 +139,6 @@ impl ReconfigAction {
             _ => None,
         }
     }
-
-    /// The plan-level compensating inverse of this action, when one can be
-    /// derived from the action alone plus cheap prior state.
-    ///
-    /// `prior_node` must carry the component's pre-action placement for
-    /// [`ReconfigAction::Migrate`] (and is ignored otherwise). Actions that
-    /// destroy state the plan text cannot reconstruct — removals, swaps,
-    /// unbinds — return `None` here; the transaction journal compensates
-    /// those by re-inserting the captured runtime objects instead (see
-    /// `runtime/exec.rs`).
-    #[must_use]
-    pub fn derive_inverse(&self, prior_node: Option<NodeId>) -> Option<InverseAction> {
-        match self {
-            ReconfigAction::AddComponent { name, .. } => {
-                Some(InverseAction::RemoveComponent { name: name.clone() })
-            }
-            ReconfigAction::Migrate { name, .. } => {
-                prior_node.map(|to| InverseAction::MigrateBack {
-                    name: name.clone(),
-                    to,
-                })
-            }
-            ReconfigAction::AddConnector { name, .. } => {
-                Some(InverseAction::RemoveConnector { name: name.clone() })
-            }
-            ReconfigAction::Bind(decl) => Some(InverseAction::Unbind {
-                from: decl.from.clone(),
-            }),
-            _ => None,
-        }
-    }
-}
-
-/// A compensating inverse derived from a [`ReconfigAction`], replayed in
-/// reverse journal order when a transaction rolls back.
-///
-/// Only the *constructive* actions have plan-level inverses (what was
-/// added can be removed; what was moved can be moved back). Destructive
-/// actions are compensated by the runtime re-inserting captured objects,
-/// which cannot be expressed as a plan action.
-#[derive(Debug, Clone, PartialEq)]
-pub enum InverseAction {
-    /// Undo an `AddComponent`: retire the instance again.
-    RemoveComponent {
-        /// Instance name.
-        name: String,
-    },
-    /// Undo a `Migrate`: move the component back where it came from.
-    MigrateBack {
-        /// Instance name.
-        name: String,
-        /// The node it lived on before the plan touched it.
-        to: NodeId,
-    },
-    /// Undo an `AddConnector`: remove the connector again.
-    RemoveConnector {
-        /// Connector name.
-        name: String,
-    },
-    /// Undo a `Bind`: remove the binding rooted at this source.
-    Unbind {
-        /// The `(instance, port)` whose binding is removed.
-        from: (String, String),
-    },
-}
-
-impl fmt::Display for InverseAction {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            InverseAction::RemoveComponent { name } => write!(f, "undo-add: remove {name}"),
-            InverseAction::MigrateBack { name, to } => {
-                write!(f, "undo-migrate: {name} back to {to}")
-            }
-            InverseAction::RemoveConnector { name } => {
-                write!(f, "undo-add: remove connector {name}")
-            }
-            InverseAction::Unbind { from } => write!(f, "undo-bind: unbind {}.{}", from.0, from.1),
-        }
-    }
 }
 
 impl fmt::Display for ReconfigAction {
@@ -417,71 +338,6 @@ mod tests {
         let text = plan.to_string();
         assert!(text.contains("migrate s -> node2"));
         assert!(text.contains("unbind a.out"));
-    }
-
-    #[test]
-    fn inverses_cover_exactly_the_constructive_actions() {
-        let add = ReconfigAction::AddComponent {
-            name: "x".into(),
-            decl: ComponentDecl::new("T", 1, NodeId(0)),
-        };
-        assert_eq!(
-            add.derive_inverse(None),
-            Some(InverseAction::RemoveComponent { name: "x".into() })
-        );
-        let mig = ReconfigAction::Migrate {
-            name: "x".into(),
-            to: NodeId(2),
-        };
-        assert_eq!(
-            mig.derive_inverse(Some(NodeId(0))),
-            Some(InverseAction::MigrateBack {
-                name: "x".into(),
-                to: NodeId(0),
-            })
-        );
-        assert_eq!(mig.derive_inverse(None), None, "migrate needs prior node");
-        let addc = ReconfigAction::AddConnector {
-            name: "w".into(),
-            spec: ConnectorSpec::direct("w"),
-        };
-        assert_eq!(
-            addc.derive_inverse(None),
-            Some(InverseAction::RemoveConnector { name: "w".into() })
-        );
-        let bind = ReconfigAction::Bind(BindingDecl::new("a", "out", "w", "b", "in"));
-        assert_eq!(
-            bind.derive_inverse(None),
-            Some(InverseAction::Unbind {
-                from: ("a".into(), "out".into()),
-            })
-        );
-        // Destructive actions journal captured objects instead.
-        for act in [
-            ReconfigAction::RemoveComponent { name: "x".into() },
-            ReconfigAction::Unbind {
-                from: ("a".into(), "out".into()),
-            },
-            ReconfigAction::RemoveConnector { name: "w".into() },
-            ReconfigAction::SwapConnector {
-                name: "w".into(),
-                spec: ConnectorSpec::direct("w"),
-            },
-            ReconfigAction::SwapImplementation {
-                name: "x".into(),
-                type_name: "T".into(),
-                version: 2,
-                transfer: StateTransfer::Snapshot,
-            },
-        ] {
-            assert_eq!(act.derive_inverse(Some(NodeId(0))), None, "{act}");
-        }
-        assert!(InverseAction::MigrateBack {
-            name: "x".into(),
-            to: NodeId(0),
-        }
-        .to_string()
-        .contains("back to node0"));
     }
 
     #[test]

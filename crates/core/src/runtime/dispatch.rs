@@ -1,5 +1,4 @@
 use super::*;
-use crate::error::NoBindingAt;
 
 impl Runtime {
     /// Puts the stored message `r` on `ch`. A refused send is counted
@@ -89,32 +88,29 @@ impl Runtime {
         }
     }
 
-    /// Counts a drop in transit or at delivery, reports it and offers the
-    /// message for retry.
-    pub(super) fn on_dropped(&mut self, r: MsgRef, now: SimTime, reason: String) {
+    /// Counts a drop in transit or at delivery and offers the message for
+    /// retry.
+    pub(super) fn on_dropped(&mut self, r: MsgRef) {
         self.m.dropped.incr();
-        self.events.push((now, RuntimeEvent::Dropped { reason }));
         self.maybe_retry(r);
     }
 
-    /// Counts and reports the stored message `r`, whose target's name
-    /// bears no instance, and frees it: there is no one to retry towards.
-    pub(super) fn drop_unaddressed(&mut self, r: MsgRef, now: SimTime) {
-        let reason = format!("no instance `{}`", self.instances.name(self.arena[r].to));
+    /// Counts the stored message `r`, whose target's name bears no
+    /// instance, and frees it: there is no one to retry towards.
+    pub(super) fn drop_unaddressed(&mut self, r: MsgRef) {
         self.m.dropped.incr();
-        self.events.push((now, RuntimeEvent::Dropped { reason }));
+        self.m.count_cause(&self.obs, DropCause::Unaddressed);
         self.arena.free(r);
     }
 
-    pub(super) fn on_delivered(&mut self, r: MsgRef, now: SimTime) {
+    pub(super) fn on_delivered(&mut self, r: MsgRef) {
         let env = &self.arena[r];
         let to = env.to;
         let Some(inst) = self.instances.get(to) else {
-            return self.drop_unaddressed(r, now);
+            return self.drop_unaddressed(r);
         };
         if inst.lifecycle == Lifecycle::Failed {
-            let reason = format!("instance `{}` failed", inst.name);
-            return self.on_dropped(r, now, reason);
+            return self.on_dropped(r);
         }
         // Negotiation admission gate: a granted-down agent sheds the
         // overflow deterministically and cheapens what it does admit.
@@ -125,8 +121,7 @@ impl Runtime {
         }
         let cost = (env.extra_cost + inst.component.work_cost(&env.msg)) * cost_scale;
         let Some(delay) = self.kernel.run_job(inst.node, cost) else {
-            let reason = format!("node for `{}` down", inst.name);
-            return self.on_dropped(r, now, reason);
+            return self.on_dropped(r);
         };
         self.m.delivered.incr();
         self.instances.get_mut(to).expect("found above").inflight += 1;
@@ -176,16 +171,9 @@ impl Runtime {
                 op: msg.op.clone(),
             });
             let mut ctx = CallCtx::with_buffer(now, &inst.name, effects);
-            if let Err(e) = inst.component.on_message(&mut ctx, msg) {
+            if inst.component.on_message(&mut ctx, msg).is_err() {
                 inst.errors += 1;
                 self.m.handler_errors.incr();
-                self.events.push((
-                    now,
-                    RuntimeEvent::HandlerError {
-                        instance: inst.name.to_string(),
-                        details: e.to_string(),
-                    },
-                ));
             }
             effects = ctx.into_effects();
         }
@@ -207,27 +195,12 @@ impl Runtime {
         let sender = self.instances.get(from).expect("the sender just ran");
         let Ok(port) = sender.port(port) else {
             self.m.unrouted.incr();
-            self.events.push((
-                now,
-                RuntimeEvent::Dropped {
-                    reason: NoBindingAt(&sender.name, port).to_string(),
-                },
-            ));
             return;
         };
         let binding = &sender.ports[port];
         let via = binding.via;
         let connector = self.connectors.get_mut(via).expect("bound connector");
         let mediation = connector.mediate(&msg, now, binding.targets.len());
-        if let Some(v) = &mediation.violation {
-            self.events.push((
-                now,
-                RuntimeEvent::ProtocolViolation {
-                    connector: self.connectors.name(via).to_string(),
-                    details: v.to_string(),
-                },
-            ));
-        }
 
         // Every chosen target but the last gets a copy; the last (almost
         // always the only one) gets the message itself.

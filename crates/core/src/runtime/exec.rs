@@ -36,7 +36,6 @@
 
 use super::validate::Shadow;
 use super::*;
-use crate::reconfig::InverseAction;
 
 /// Who submitted a plan, and on whose behalf: recorded when the plan is
 /// submitted, read when it ends.
@@ -105,14 +104,20 @@ enum ExecPhase {
     AwaitTransfer { action: ReconfigAction },
 }
 
-/// A compensating journal entry. `Plan` inverses are derived from the
-/// action text alone ([`ReconfigAction::derive_inverse`]); the other
-/// variants carry captured runtime objects that a plan action could not
-/// reconstruct.
+/// A compensating journal entry, pushed by the apply step of the action
+/// it undoes: what was added is removed, what was moved is moved back, and
+/// what was removed or displaced is re-inserted from the runtime object
+/// captured when it was.
 #[derive(Debug)]
 enum Undo {
-    /// Replay a plan-level inverse (remove what was added, migrate back).
-    Plan(InverseAction),
+    /// Retire an added instance again.
+    RemoveComponent { name: String },
+    /// Move a migrated instance back to the node it left.
+    MigrateBack { name: String, to: NodeId },
+    /// Remove an added connector again.
+    RemoveConnector { name: String },
+    /// Remove an added binding, rooted at this `(instance, port)` source.
+    Unbind { from: (String, String) },
     /// Restore the implementation a swap displaced.
     RestoreImpl {
         name: String,
@@ -139,7 +144,10 @@ enum Undo {
 impl Undo {
     fn describe(&self) -> String {
         match self {
-            Undo::Plan(inv) => inv.to_string(),
+            Undo::RemoveComponent { name } => format!("undo-add: remove {name}"),
+            Undo::MigrateBack { name, to } => format!("undo-migrate: {name} back to {to}"),
+            Undo::RemoveConnector { name } => format!("undo-add: remove connector {name}"),
+            Undo::Unbind { from } => format!("undo-bind: unbind {}.{}", from.0, from.1),
             Undo::RestoreImpl {
                 name,
                 type_name,
@@ -196,8 +204,8 @@ impl Runtime {
     /// submissions queue in order and are re-validated against the live
     /// configuration graph when they reach the front. Returns the plan's
     /// id; when the plan ends, its report is added to
-    /// [`Runtime::reports`] and a [`RuntimeEvent::ReconfigFinished`]
-    /// event carrying the id is raised.
+    /// [`Runtime::reports`] and the audit log records its
+    /// `plan_finished`.
     pub fn request_reconfig(&mut self, plan: ReconfigPlan) -> ReconfigId {
         self.submit(plan, PlanOrigin::User)
     }
@@ -252,10 +260,6 @@ impl Runtime {
             PlanOrigin::Repair { node, label } => self.repair_plan_ended(node, label, &report),
             PlanOrigin::Migration { agent } => self.migration_plan_ended(agent, &report),
         }
-        self.events.push((
-            report.finished_at,
-            RuntimeEvent::ReconfigFinished(report.id),
-        ));
         self.exec.reports.push(report);
     }
 
@@ -607,7 +611,7 @@ impl Runtime {
     /// Applies one compensating inverse during rollback.
     fn apply_undo(&mut self, undo: Undo, txn: &mut PlanTxn) {
         match undo {
-            Undo::Plan(InverseAction::RemoveComponent { name }) => {
+            Undo::RemoveComponent { name } => {
                 if let Some(id) = self.instances.id(&name) {
                     let inst = self.instances.remove(&name).expect("id is live");
                     self.close_now(inst.external, txn);
@@ -618,16 +622,16 @@ impl Runtime {
                 }
                 txn.blocked.remove(name.as_str());
             }
-            Undo::Plan(InverseAction::MigrateBack { name, to }) => {
+            Undo::MigrateBack { name, to } => {
                 if let Some(id) = self.instances.id(&name) {
                     self.instances.get_mut(id).expect("id is live").node = to;
                     self.rehome_channels(id, to);
                 }
             }
-            Undo::Plan(InverseAction::RemoveConnector { name }) => {
+            Undo::RemoveConnector { name } => {
                 self.connectors.remove(&name);
             }
-            Undo::Plan(InverseAction::Unbind { from }) => {
+            Undo::Unbind { from } => {
                 if let Some(b) = self.take_binding(&from) {
                     for (_, ch) in b.targets {
                         self.close_now(ch, txn);
@@ -760,11 +764,10 @@ impl Runtime {
                 // the action completes. The inverse migrates back.
                 self.instances.get_mut(id).expect("id is live").node = *to;
                 self.rehome_channels(id, *to);
-                self.journal(Undo::Plan(
-                    action
-                        .derive_inverse(Some(from_node))
-                        .expect("migrate has inverse"),
-                ));
+                self.journal(Undo::MigrateBack {
+                    name: name.clone(),
+                    to: from_node,
+                });
                 if let Some(exec) = self.exec.active.as_mut() {
                     exec.state_bytes += bytes;
                     exec.moved.push(name.clone());
@@ -791,16 +794,12 @@ impl Runtime {
             }
             ReconfigAction::AddComponent { name, decl } => {
                 self.add_component(name, decl)?;
-                self.journal(Undo::Plan(
-                    action.derive_inverse(None).expect("add has inverse"),
-                ));
+                self.journal(Undo::RemoveComponent { name: name.clone() });
                 Ok(None)
             }
-            ReconfigAction::AddConnector { spec, .. } => {
+            ReconfigAction::AddConnector { name, spec } => {
                 self.add_connector(spec.clone())?;
-                self.journal(Undo::Plan(
-                    action.derive_inverse(None).expect("add has inverse"),
-                ));
+                self.journal(Undo::RemoveConnector { name: name.clone() });
                 Ok(None)
             }
             ReconfigAction::SwapConnector { name, spec } => {
@@ -824,9 +823,9 @@ impl Runtime {
             }
             ReconfigAction::Bind(decl) => {
                 self.add_binding(decl.clone())?;
-                self.journal(Undo::Plan(
-                    action.derive_inverse(None).expect("bind has inverse"),
-                ));
+                self.journal(Undo::Unbind {
+                    from: decl.from.clone(),
+                });
                 Ok(None)
             }
             ReconfigAction::Unbind { from } => {

@@ -312,14 +312,6 @@ impl Runtime {
                 node: node.0,
             };
             self.obs.audit.append(now.as_micros(), dropped);
-            self.events.push((
-                now,
-                RuntimeEvent::Dropped {
-                    reason: format!(
-                        "{count} in-flight jobs on `{instance}` lost in crash of {node}"
-                    ),
-                },
-            ));
             if let Some(inst) = self.instances.by_name_mut(instance) {
                 if inst.lifecycle == Lifecycle::Quiescing && inst.inflight == 0 {
                     inst.lifecycle = Lifecycle::Quiescent;

@@ -161,9 +161,7 @@ impl Runtime {
                         self.complete_repair(None, node, label, &[], now);
                     }
                 }
-                Intercession::Notify(text) => {
-                    self.events.push((now, RuntimeEvent::Notify(text)));
-                }
+                Intercession::Notify(text) => self.notifications.push((now, text)),
             }
         }
     }

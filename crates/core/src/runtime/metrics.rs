@@ -3,6 +3,7 @@
 //! paths increment.
 
 use aas_obs::{Counter, Histogram, HistogramHandle, Obs};
+use aas_sim::channel::DropReason;
 
 /// Point-in-time view of the runtime's aggregate metrics, assembled from
 /// the shared `aas-obs` registry by [`crate::runtime::Runtime::metrics`]. The registry is
@@ -17,7 +18,12 @@ pub struct RuntimeMetrics {
     pub delivered: u64,
     /// Messages that found no binding at their source port.
     pub unrouted: u64,
-    /// Messages dropped in transit or at delivery.
+    /// Messages dropped in transit or at delivery. The registry also
+    /// counts some of them by cause, each series registered at its
+    /// cause's first drop: `runtime.dropped.<reason>` for those the
+    /// kernel dropped (`unreachable`, `destination_down`,
+    /// `channel_closed`) and `runtime.dropped.unaddressed` for those
+    /// whose target's name bore no instance when they were due.
     pub dropped: u64,
     /// Handler errors.
     pub handler_errors: u64,
@@ -78,6 +84,33 @@ pub(super) struct MetricHandles {
     pub(super) mttd: HistogramHandle,
     pub(super) mttr: HistogramHandle,
     pub(super) phi: HistogramHandle,
+    /// `runtime.dropped.<cause>`, by [`DropCause::series`] slot; `None`
+    /// until the cause's first drop.
+    by_cause: [Option<Counter>; 4],
+}
+
+/// Why a message counted in `runtime.dropped` was dropped, where the
+/// registry tells it apart.
+#[derive(Debug, Clone, Copy)]
+pub(super) enum DropCause {
+    /// The kernel dropped it, for this reason.
+    Kernel(DropReason),
+    /// Its target's name bore no instance when it was due.
+    Unaddressed,
+}
+
+impl DropCause {
+    /// The cause's slot in `by_cause` and its series name.
+    fn series(self) -> (usize, &'static str) {
+        match self {
+            DropCause::Kernel(DropReason::Unreachable) => (0, "runtime.dropped.unreachable"),
+            DropCause::Kernel(DropReason::DestinationDown) => {
+                (1, "runtime.dropped.destination_down")
+            }
+            DropCause::Kernel(DropReason::ChannelClosed) => (2, "runtime.dropped.channel_closed"),
+            DropCause::Unaddressed => (3, "runtime.dropped.unaddressed"),
+        }
+    }
 }
 
 impl MetricHandles {
@@ -95,6 +128,17 @@ impl MetricHandles {
             mttd: obs.metrics.histogram("heal.mttd_ms"),
             mttr: obs.metrics.histogram("heal.mttr_ms"),
             phi: obs.metrics.histogram("detector.phi"),
+            by_cause: Default::default(),
         }
+    }
+
+    /// Counts a drop under its cause, registering the cause's counter at
+    /// its first drop: a run that never drops for a cause exports no
+    /// series for it.
+    pub(super) fn count_cause(&mut self, obs: &Obs, cause: DropCause) {
+        let (slot, name) = cause.series();
+        self.by_cause[slot]
+            .get_or_insert_with(|| obs.metrics.counter(name))
+            .incr();
     }
 }

@@ -45,6 +45,16 @@
 //! submitted against a graph later changed by an aborted or competing
 //! plan is rejected instead of executed blindly.
 //!
+//! # What the runtime reports
+//!
+//! Each fact the runtime records is kept once: plan outcomes in
+//! [`Runtime::reports`] and the audit log ([`Runtime::obs`]); deliveries,
+//! drops and handler errors in [`Runtime::metrics`] and the metrics
+//! registry; applied faults in [`Runtime::kernel_counters`]; what each
+//! component, node and connector reads in [`Runtime::observe`].
+//! [`Runtime::drain_events`] hands over the one thing kept nowhere else:
+//! the texts RAML `Notify` intercessions address to the embedder.
+//!
 //! # Module map
 //!
 //! The runtime is layered into focused submodules (DESIGN.md §2.1):
@@ -115,7 +125,7 @@ pub use twin::{TwinConfig, TwinPrediction};
 use arena::{Arena, MsgRef, Slots, Stage};
 use exec::{ExecState, PlanOrigin};
 use heal_driver::HealState;
-use metrics::MetricHandles;
+use metrics::{DropCause, MetricHandles};
 use negotiate_driver::NegotiateState;
 use table::{ConnId, InstId, Table};
 use twin::TwinState;
@@ -156,36 +166,6 @@ struct Request {
     op: Name,
 }
 
-/// Noteworthy happenings surfaced to the embedding application.
-#[derive(Debug, Clone)]
-pub enum RuntimeEvent {
-    /// A reconfiguration finished (successfully or not); its report is
-    /// the one with this id in [`Runtime::reports`].
-    ReconfigFinished(ReconfigId),
-    /// A connector's protocol was violated by a message.
-    ProtocolViolation {
-        /// The connector.
-        connector: String,
-        /// Rendered violation.
-        details: String,
-    },
-    /// A component handler returned an error.
-    HandlerError {
-        /// The instance.
-        instance: String,
-        /// Rendered error.
-        details: String,
-    },
-    /// A message could not be routed or delivered.
-    Dropped {
-        /// Why.
-        reason: String,
-    },
-    /// A fault was injected into the topology.
-    Fault(FaultKind),
-    /// A RAML rule asked for a notification.
-    Notify(String),
-}
 #[derive(Debug)]
 struct Instance {
     name: Name,
@@ -357,7 +337,9 @@ pub struct Runtime {
     negotiate: NegotiateState,
     /// Adaptation-state-space odometer (see [`crate::coverage`]).
     coverage: AdaptationCoverage,
-    events: Vec<(SimTime, RuntimeEvent)>,
+    /// What RAML's `Notify` intercessions asked to hand the embedder,
+    /// until [`Runtime::drain_events`] takes it.
+    notifications: Vec<(SimTime, String)>,
     outbox: Vec<(SimTime, Message)>,
     obs: Obs,
     m: MetricHandles,
@@ -375,18 +357,7 @@ impl Runtime {
     /// given implementation registry.
     #[must_use]
     pub fn new(topology: Topology, seed: u64, registry: ImplementationRegistry) -> Self {
-        Self::with_obs(topology, seed, registry, Obs::new())
-    }
-
-    /// Like [`Runtime::new`], but recording into an existing telemetry
-    /// bundle (so several runtimes, monitors or tools can share one).
-    #[must_use]
-    pub fn with_obs(
-        topology: Topology,
-        seed: u64,
-        registry: ImplementationRegistry,
-        obs: Obs,
-    ) -> Self {
+        let obs = Obs::new();
         let m = MetricHandles::new(&obs);
         let mut kernel = Kernel::new(topology, seed);
         // A full region map is what region-scoped routing needs; a
@@ -419,7 +390,7 @@ impl Runtime {
             twin: TwinState::default(),
             negotiate: NegotiateState::default(),
             coverage: AdaptationCoverage::new(),
-            events: Vec::new(),
+            notifications: Vec::new(),
             outbox: Vec::new(),
             obs,
             m,
@@ -465,7 +436,7 @@ impl Runtime {
     /// `None`, and the message is dropped, if nothing does.
     fn launch(&mut self, r: MsgRef) -> Option<MessageId> {
         let Some(inst) = self.instances.get(self.arena[r].to) else {
-            self.drop_unaddressed(r, self.kernel.now());
+            self.drop_unaddressed(r);
             return None;
         };
         let ch = inst.external;
@@ -535,17 +506,15 @@ impl Runtime {
                         drt.detector.record_heartbeat(node, at);
                     }
                 }
-                None => self.on_delivered(msg, at),
+                None => self.on_delivered(msg),
             },
             Fired::Timer { tag } => self.on_timer(tag, at),
-            Fired::Fault(kind) => {
-                self.events.push((at, RuntimeEvent::Fault(kind)));
-                self.on_topology_fault(kind, at);
-            }
+            Fired::Fault(kind) => self.on_topology_fault(kind, at),
             Fired::Dropped { msg, reason, .. } => {
                 // A lost heartbeat *is* the detection signal, not loss.
                 if msg.as_heartbeat().is_none() {
-                    self.on_dropped(msg, at, reason.to_string());
+                    self.m.count_cause(&self.obs, DropCause::Kernel(reason));
+                    self.on_dropped(msg);
                 }
             }
         }
@@ -719,9 +688,15 @@ impl Runtime {
         std::mem::take(&mut self.outbox)
     }
 
-    /// Removes and returns accumulated runtime events.
-    pub fn drain_events(&mut self) -> Vec<(SimTime, RuntimeEvent)> {
-        std::mem::take(&mut self.events)
+    /// Removes and returns the texts RAML's `notify` rules asked to hand
+    /// the embedding application, each at the time its rule fired. What
+    /// else the runtime did is read where it is recorded: plan outcomes
+    /// in [`Runtime::reports`] and the audit log, drops, handler errors
+    /// and applied faults in [`Runtime::metrics`] and
+    /// [`Runtime::kernel_counters`], protocol violations in
+    /// [`Runtime::observe`].
+    pub fn drain_events(&mut self) -> Vec<(SimTime, String)> {
+        std::mem::take(&mut self.notifications)
     }
 
     /// Names of live component instances.

@@ -178,7 +178,7 @@ impl Runtime {
             heal: self.heal.fork(),
             negotiate: self.negotiate.fork(),
             coverage: AdaptationCoverage::new(),
-            events: Vec::new(),
+            notifications: Vec::new(),
             outbox: Vec::new(),
             obs,
             m,

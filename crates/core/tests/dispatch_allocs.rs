@@ -29,11 +29,13 @@ use aas_core::detector::DetectorConfig;
 use aas_core::error::{ComponentError, StateError};
 use aas_core::interface::{Interface, Signature};
 use aas_core::message::{Message, Value};
+use aas_core::reconfig::{ReconfigAction, ReconfigPlan};
 use aas_core::registry::ImplementationRegistry;
 use aas_core::runtime::Runtime;
+use aas_sim::fault::FaultSchedule;
 use aas_sim::network::Topology;
 use aas_sim::node::NodeId;
-use aas_sim::time::SimDuration;
+use aas_sim::time::{SimDuration, SimTime};
 
 /// Heap allocations per frame through source → transcoder → sink, once
 /// a call has drawn its buffers.
@@ -300,4 +302,111 @@ fn heartbeat_round_allocates_nothing() {
         "ten rounds of seven heartbeats"
     );
     assert_eq!(allocs, 0, "allocations over ten detector rounds");
+}
+
+/// Forwards every message it is handed out of `out`.
+#[derive(Debug, Default)]
+struct Relay;
+
+impl Component for Relay {
+    fn type_name(&self) -> &str {
+        "Relay"
+    }
+    fn provided(&self) -> Interface {
+        Interface::new("Relay", vec![Signature::one_way("go")])
+    }
+    fn on_message(&mut self, ctx: &mut CallCtx, msg: Message) -> Result<(), ComponentError> {
+        ctx.send("out", msg);
+        Ok(())
+    }
+    fn snapshot(&self) -> StateSnapshot {
+        StateSnapshot::new("Relay", 1)
+    }
+    fn restore(&mut self, _snapshot: &StateSnapshot) -> Result<(), StateError> {
+        Ok(())
+    }
+}
+
+/// Frames a cycle of the drop test sends or parks.
+const FRAMES: u64 = 20;
+
+fn ms(ms: u64) -> SimTime {
+    SimTime::from_millis(ms)
+}
+
+/// What `rt`'s registry counts under `runtime.dropped.<cause>`.
+fn dropped_for(rt: &Runtime, cause: &str) -> u64 {
+    let series = format!("runtime.dropped.{cause}");
+    rt.obs().metrics.snapshot().counter(&series).unwrap_or(0)
+}
+
+/// A frame the kernel drops at delivery because its destination node
+/// went down while it was in transit, and a frame whose target's name
+/// nobody bears when it is due, are counted and freed: once warm, neither
+/// allocates.
+#[test]
+fn a_dropped_frame_allocates_nothing() {
+    let _gate = GATE
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let mut registry = ImplementationRegistry::new();
+    registry.register("Relay", 1, |_| Box::new(Relay));
+    let slow = Topology::clique(3, 1000.0, SimDuration::from_millis(50), 1e7);
+    let mut rt = Runtime::new(slow, 14, registry);
+    let mut cfg = Configuration::new();
+    cfg.component("relay", ComponentDecl::new("Relay", 1, NodeId(0)));
+    cfg.component("sink", ComponentDecl::new("Relay", 1, NodeId(1)));
+    cfg.component("gone", ComponentDecl::new("Relay", 1, NodeId(2)));
+    cfg.connector(ConnectorSpec::direct("wire"));
+    cfg.bind(BindingDecl::new("relay", "out", "wire", "sink", "in"));
+    rt.deploy(&cfg).unwrap();
+
+    // Cycle `c` starts at `c` seconds: `FRAMES` frames leave the relay in
+    // its first 21 ms and take 50 ms to reach the sink's node, which is
+    // down from 40 ms to 200 ms in a dropping cycle and from 300 ms to
+    // 400 ms, with nothing in transit, in a control cycle. Cycles 0 and 1
+    // warm, 2 and 3 are measured. Then `gone` is removed, and the frames
+    // parked for it fall due from 4.1 s on, the first half to warm.
+    let mut faults = FaultSchedule::new();
+    for (cycle, down, up) in [(0, 40, 200), (1, 300, 400), (2, 300, 400), (3, 40, 200)] {
+        faults.node_outage(NodeId(1), ms(cycle * 1000 + down), ms(cycle * 1000 + up));
+    }
+    rt.inject_faults(faults);
+    for i in 0..2 * FRAMES {
+        let due = SimDuration::from_millis(4100 + 10 * i);
+        rt.inject_after(due, "gone", Message::event("go", Value::Null))
+            .unwrap();
+    }
+    let cycle = |rt: &mut Runtime, c: u64| {
+        let start = ms(c * 1000).saturating_since(rt.now());
+        for _ in 0..FRAMES {
+            rt.inject_after(start, "relay", Message::event("go", Value::Null))
+                .unwrap();
+        }
+        rt.run_until(ms(c * 1000 + 999));
+    };
+    cycle(&mut rt, 0);
+    cycle(&mut rt, 1);
+    let down_before = dropped_for(&rt, "destination_down");
+    enroll();
+    let ((), control) = measured(|| cycle(&mut rt, 2));
+    let ((), dropping) = measured(|| cycle(&mut rt, 3));
+    unenroll();
+    assert_eq!(
+        dropped_for(&rt, "destination_down") - down_before,
+        FRAMES,
+        "every frame of the dropping cycle was dropped at delivery"
+    );
+    assert_eq!(dropping, control, "allocations of {FRAMES} dropped frames");
+
+    rt.request_reconfig(ReconfigPlan::single(ReconfigAction::RemoveComponent {
+        name: "gone".into(),
+    }));
+    rt.run_until(ms(4095 + 10 * FRAMES));
+    let unaddressed = dropped_for(&rt, "unaddressed");
+    enroll();
+    let ((), allocs) = measured(|| rt.run_until(ms(5000)));
+    unenroll();
+    assert_eq!(dropped_for(&rt, "unaddressed") - unaddressed, FRAMES);
+    assert_eq!(allocs, 0, "allocations of {FRAMES} unaddressed frames");
 }

@@ -25,9 +25,8 @@ use aas_core::interface::{Interface, Signature};
 use aas_core::message::{Message, Value};
 use aas_core::reconfig::{ReconfigAction, ReconfigPlan, StateTransfer};
 use aas_core::registry::ImplementationRegistry;
-use aas_core::runtime::{InFlight, Runtime, RuntimeEvent};
+use aas_core::runtime::{InFlight, Runtime};
 use aas_obs::export::audit_jsonl;
-use aas_sim::channel::DropReason;
 use aas_sim::fault::FaultSchedule;
 use aas_sim::link::LinkId;
 use aas_sim::network::Topology;
@@ -196,29 +195,27 @@ fn replace_mid() -> ReconfigPlan {
 /// What the kernel and the instances say is under way, from their own
 /// counters. A refused send is `dropped` in the kernel without ever
 /// having been `sent`, so only the drops that surfaced at delivery time —
-/// counted here from the runtime's events, which quote the kernel's
-/// reason — come off what was sent.
+/// counted here from the registry's `runtime.dropped.<cause>` series,
+/// named after the kernel's reason — come off what was sent.
 #[derive(Default)]
 struct Books {
     dropped_at_delivery: u64,
     closed_channel_drops: u64,
-    /// Drops reported for `mid` once nothing bore the name any more.
+    /// Drops of messages whose target's name bore no instance: in this
+    /// run, `mid`'s once nothing bore the name any more.
     no_mid: u64,
 }
 
 impl Books {
     fn check(&mut self, rt: &mut Runtime, due: &[SimTime]) -> InFlight {
-        let at_delivery = [
-            DropReason::DestinationDown.to_string(),
-            DropReason::ChannelClosed.to_string(),
-        ];
-        for (_, event) in rt.drain_events() {
-            if let RuntimeEvent::Dropped { reason } = event {
-                self.dropped_at_delivery += u64::from(at_delivery.contains(&reason));
-                self.closed_channel_drops += u64::from(reason == at_delivery[1]);
-                self.no_mid += u64::from(reason == "no instance `mid`");
-            }
-        }
+        let counters = rt.obs().metrics.snapshot().counters;
+        let dropped = |cause: &str| {
+            let series = format!("runtime.dropped.{cause}");
+            counters.get(&series).copied().unwrap_or(0)
+        };
+        self.closed_channel_drops = dropped("channel_closed");
+        self.dropped_at_delivery = dropped("destination_down") + self.closed_channel_drops;
+        self.no_mid = dropped("unaddressed");
         let now = rt.now();
         let k = rt.kernel_counters();
         let f = rt.in_flight();

@@ -12,7 +12,7 @@ use aas_adl::validate::validate;
 use aas_core::lts::{Label, Lts};
 use aas_core::message::{Message, Value};
 use aas_core::registry::ImplementationRegistry;
-use aas_core::runtime::{Runtime, RuntimeEvent};
+use aas_core::runtime::Runtime;
 use aas_sim::time::{SimDuration, SimTime};
 use aas_telecom::services::register_telecom_components;
 use std::collections::BTreeMap;
@@ -129,20 +129,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let coder_node = rt.node_of("coder").expect("coder");
     println!("\nafter 60s: coder hosted on {coder_node}");
-    for (at, ev) in rt.drain_events() {
-        match ev {
-            RuntimeEvent::ReconfigFinished(id) => {
-                let r = rt.reports().iter().find(|r| r.id == id).expect("report");
-                println!(
-                    "  {at}: reconfig success={} blackout={} state={}B",
-                    r.success,
-                    r.max_blackout(),
-                    r.state_bytes_transferred
-                );
-            }
-            RuntimeEvent::Notify(n) => println!("  {at}: notify {n}"),
-            _ => {}
-        }
+    for r in rt.reports() {
+        println!(
+            "  {}: reconfig success={} blackout={} state={}B",
+            r.finished_at,
+            r.success,
+            r.max_blackout(),
+            r.state_bytes_transferred
+        );
     }
     let fired = rt.raml().expect("raml").rules()[0].fired_count();
     println!("rule `offload` fired {fired} time(s)");

@@ -193,10 +193,11 @@ fn trace(rt: &mut Runtime) -> String {
         k.get("released")
     );
     let no_instance = rt
-        .drain_events()
-        .iter()
-        .filter(|(_, e)| format!("{e:?}").contains("no instance"))
-        .count();
+        .obs()
+        .metrics
+        .snapshot()
+        .counter("runtime.dropped.unaddressed")
+        .unwrap_or(0);
     let _ = writeln!(out, "no-instance drops: {no_instance}");
     for c in &rt.observe().components {
         let _ = writeln!(
