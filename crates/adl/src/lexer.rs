@@ -1,12 +1,17 @@
-//! Lexer for the AAS architecture description language.
+//! Pull lexer for the AAS architecture description language.
+//!
+//! [`Lexer`] scans the source's bytes in place and hands out one
+//! [`Token`] per call: identifiers and string literals borrow from the
+//! source, so lexing allocates nothing unless it fails. Columns count
+//! chars, not bytes.
 
 use core::fmt;
 
 /// A token with its source position.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Token<'a> {
     /// The token kind and payload.
-    pub kind: TokenKind,
+    pub kind: TokenKind<'a>,
     /// 1-based line.
     pub line: usize,
     /// 1-based column.
@@ -14,16 +19,16 @@ pub struct Token {
 }
 
 /// Token kinds.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum TokenKind<'a> {
     /// Identifier or keyword.
-    Ident(String),
+    Ident(&'a str),
     /// Integer literal.
     Int(u64),
     /// Float literal (also produced for ints followed by `.`).
     Float(f64),
-    /// String literal (double-quoted).
-    Str(String),
+    /// String literal (double-quoted), without its quotes.
+    Str(&'a str),
     /// `{`
     LBrace,
     /// `}`
@@ -58,7 +63,7 @@ pub enum TokenKind {
     Eof,
 }
 
-impl fmt::Display for TokenKind {
+impl fmt::Display for TokenKind<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TokenKind::Ident(s) => write!(f, "`{s}`"),
@@ -108,173 +113,201 @@ impl fmt::Display for LexError {
 
 impl std::error::Error for LexError {}
 
-/// Tokenizes ADL source. `//` comments run to end of line.
+/// Tokenizes ADL source on demand. `//` comments run to end of line.
 ///
-/// # Errors
-///
-/// Returns [`LexError`] on unknown characters or unterminated strings.
+/// As an iterator it yields each token, then one [`TokenKind::Eof`],
+/// then nothing; after a [`LexError`] (an unknown character, an
+/// unterminated string, a malformed number) it yields nothing more.
 ///
 /// # Examples
 ///
 /// ```
-/// use aas_adl::lexer::{tokenize, TokenKind};
+/// use aas_adl::lexer::{Lexer, TokenKind};
 ///
-/// let tokens = tokenize("system S { }").unwrap();
-/// assert_eq!(tokens[0].kind, TokenKind::Ident("system".into()));
+/// let tokens: Vec<_> = Lexer::new("system S { }").collect::<Result<_, _>>().unwrap();
+/// assert_eq!(tokens[0].kind, TokenKind::Ident("system"));
 /// assert_eq!(tokens.last().unwrap().kind, TokenKind::Eof);
 /// ```
-pub fn tokenize(src: &str) -> Result<Vec<Token>, LexError> {
-    let mut tokens = Vec::new();
-    let chars: Vec<char> = src.chars().collect();
-    let mut i = 0;
-    let mut line = 1;
-    let mut col = 1;
+#[derive(Debug, Clone)]
+pub struct Lexer<'a> {
+    src: &'a str,
+    /// Byte offset of the next unread byte.
+    pos: usize,
+    line: usize,
+    col: usize,
+    /// The `Eof` token or an error has been handed out.
+    done: bool,
+}
 
-    macro_rules! push {
-        ($kind:expr, $len:expr) => {{
-            tokens.push(Token {
-                kind: $kind,
-                line,
-                col,
-            });
-            i += $len;
-            col += $len;
-        }};
-    }
-
-    while i < chars.len() {
-        let c = chars[i];
-        match c {
-            '\n' => {
-                i += 1;
-                line += 1;
-                col = 1;
-            }
-            ' ' | '\t' | '\r' => {
-                i += 1;
-                col += 1;
-            }
-            '/' if chars.get(i + 1) == Some(&'/') => {
-                while i < chars.len() && chars[i] != '\n' {
-                    i += 1;
-                }
-            }
-            '{' => push!(TokenKind::LBrace, 1),
-            '}' => push!(TokenKind::RBrace, 1),
-            '(' => push!(TokenKind::LParen, 1),
-            ')' => push!(TokenKind::RParen, 1),
-            ':' => push!(TokenKind::Colon, 1),
-            ';' => push!(TokenKind::Semi, 1),
-            ',' => push!(TokenKind::Comma, 1),
-            '.' => push!(TokenKind::Dot, 1),
-            '=' => push!(TokenKind::Eq, 1),
-            '>' if chars.get(i + 1) == Some(&'=') => push!(TokenKind::Ge, 2),
-            '<' if chars.get(i + 1) == Some(&'=') => push!(TokenKind::Le, 2),
-            '>' => push!(TokenKind::Gt, 1),
-            '<' => push!(TokenKind::Lt, 1),
-            '-' if chars.get(i + 1) == Some(&'>') => push!(TokenKind::Arrow, 2),
-            '-' if chars.get(i + 1) == Some(&'-') => push!(TokenKind::DashDash, 2),
-            '"' => {
-                let start_col = col;
-                let mut s = String::new();
-                let mut j = i + 1;
-                loop {
-                    match chars.get(j) {
-                        None | Some('\n') => {
-                            return Err(LexError {
-                                message: "unterminated string".into(),
-                                line,
-                                col: start_col,
-                            })
-                        }
-                        Some('"') => break,
-                        Some(ch) => {
-                            s.push(*ch);
-                            j += 1;
-                        }
-                    }
-                }
-                let len = j - i + 1;
-                tokens.push(Token {
-                    kind: TokenKind::Str(s),
-                    line,
-                    col,
-                });
-                i += len;
-                col += len;
-            }
-            c if c.is_ascii_digit()
-                || (c == '-' && chars.get(i + 1).is_some_and(|d| d.is_ascii_digit())) =>
-            {
-                let start = i;
-                let mut j = i;
-                if chars[j] == '-' {
-                    j += 1;
-                }
-                let mut is_float = false;
-                while j < chars.len()
-                    && (chars[j].is_ascii_digit()
-                        || chars[j] == '.'
-                        || chars[j] == 'e'
-                        || chars[j] == 'E'
-                        || ((chars[j] == '+' || chars[j] == '-')
-                            && matches!(chars.get(j - 1), Some('e') | Some('E'))))
-                {
-                    if chars[j] == '.' || chars[j] == 'e' || chars[j] == 'E' {
-                        is_float = true;
-                    }
-                    j += 1;
-                }
-                let text: String = chars[start..j].iter().collect();
-                let len = j - start;
-                if is_float || text.starts_with('-') {
-                    let v: f64 = text.parse().map_err(|_| LexError {
-                        message: format!("bad number `{text}`"),
-                        line,
-                        col,
-                    })?;
-                    push!(TokenKind::Float(v), len);
-                } else {
-                    let v: u64 = text.parse().map_err(|_| LexError {
-                        message: format!("bad integer `{text}`"),
-                        line,
-                        col,
-                    })?;
-                    push!(TokenKind::Int(v), len);
-                }
-            }
-            c if c.is_ascii_alphabetic() || c == '_' => {
-                let start = i;
-                let mut j = i;
-                while j < chars.len() && (chars[j].is_ascii_alphanumeric() || chars[j] == '_') {
-                    j += 1;
-                }
-                let text: String = chars[start..j].iter().collect();
-                let len = j - start;
-                push!(TokenKind::Ident(text), len);
-            }
-            other => {
-                return Err(LexError {
-                    message: format!("unexpected character `{other}`"),
-                    line,
-                    col,
-                })
-            }
+impl<'a> Lexer<'a> {
+    /// A lexer at the start of `src`.
+    #[must_use]
+    pub fn new(src: &'a str) -> Self {
+        Lexer {
+            src,
+            pos: 0,
+            line: 1,
+            col: 1,
+            done: false,
         }
     }
-    tokens.push(Token {
-        kind: TokenKind::Eof,
-        line,
-        col,
-    });
-    Ok(tokens)
+
+    fn byte_at(&self, i: usize) -> Option<u8> {
+        self.src.as_bytes().get(i).copied()
+    }
+
+    fn error(&mut self, message: String, col: usize) -> LexError {
+        self.done = true;
+        LexError {
+            message,
+            line: self.line,
+            col,
+        }
+    }
+
+    /// The token that spans `len` ASCII bytes from here.
+    fn token(&mut self, kind: TokenKind<'a>, len: usize) -> Token<'a> {
+        let token = Token {
+            kind,
+            line: self.line,
+            col: self.col,
+        };
+        self.pos += len;
+        self.col += len;
+        token
+    }
+
+    fn string(&mut self) -> Result<Token<'a>, LexError> {
+        let body = &self.src[self.pos + 1..];
+        match body.find(['"', '\n']) {
+            Some(end) if body.as_bytes()[end] == b'"' => {
+                let text = &body[..end];
+                let token = Token {
+                    kind: TokenKind::Str(text),
+                    line: self.line,
+                    col: self.col,
+                };
+                self.pos += end + 2;
+                self.col += text.chars().count() + 2;
+                Ok(token)
+            }
+            _ => Err(self.error("unterminated string".into(), self.col)),
+        }
+    }
+
+    fn number(&mut self) -> Result<Token<'a>, LexError> {
+        let bytes = self.src.as_bytes();
+        let start = self.pos;
+        let mut j = start + usize::from(bytes[start] == b'-');
+        let mut is_float = false;
+        while let Some(&b) = bytes.get(j) {
+            let sign_of_exponent = (b == b'+' || b == b'-') && matches!(bytes[j - 1], b'e' | b'E');
+            if !(b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E') || sign_of_exponent) {
+                break;
+            }
+            is_float |= matches!(b, b'.' | b'e' | b'E');
+            j += 1;
+        }
+        let text = &self.src[start..j];
+        let kind = if is_float || text.starts_with('-') {
+            match text.parse() {
+                Ok(v) => TokenKind::Float(v),
+                Err(_) => return Err(self.error(format!("bad number `{text}`"), self.col)),
+            }
+        } else {
+            match text.parse() {
+                Ok(v) => TokenKind::Int(v),
+                Err(_) => return Err(self.error(format!("bad integer `{text}`"), self.col)),
+            }
+        };
+        Ok(self.token(kind, j - start))
+    }
+
+    fn ident(&mut self) -> Token<'a> {
+        let rest = &self.src.as_bytes()[self.pos..];
+        let len = rest
+            .iter()
+            .position(|b| !(b.is_ascii_alphanumeric() || *b == b'_'))
+            .unwrap_or(rest.len());
+        let text = &self.src[self.pos..self.pos + len];
+        self.token(TokenKind::Ident(text), len)
+    }
+}
+
+impl<'a> Iterator for Lexer<'a> {
+    type Item = Result<Token<'a>, LexError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.done {
+            return None;
+        }
+        loop {
+            let Some(c) = self.byte_at(self.pos) else {
+                self.done = true;
+                return Some(Ok(self.token(TokenKind::Eof, 0)));
+            };
+            let next = self.byte_at(self.pos + 1);
+            let token = match c {
+                b'\n' => {
+                    self.pos += 1;
+                    self.line += 1;
+                    self.col = 1;
+                    continue;
+                }
+                b' ' | b'\t' | b'\r' => {
+                    self.pos += 1;
+                    self.col += 1;
+                    continue;
+                }
+                // A comment moves no column: the newline that ends it resets it.
+                b'/' if next == Some(b'/') => {
+                    let rest = &self.src[self.pos..];
+                    self.pos += rest.find('\n').unwrap_or(rest.len());
+                    continue;
+                }
+                b'{' => self.token(TokenKind::LBrace, 1),
+                b'}' => self.token(TokenKind::RBrace, 1),
+                b'(' => self.token(TokenKind::LParen, 1),
+                b')' => self.token(TokenKind::RParen, 1),
+                b':' => self.token(TokenKind::Colon, 1),
+                b';' => self.token(TokenKind::Semi, 1),
+                b',' => self.token(TokenKind::Comma, 1),
+                b'.' => self.token(TokenKind::Dot, 1),
+                b'=' => self.token(TokenKind::Eq, 1),
+                b'>' if next == Some(b'=') => self.token(TokenKind::Ge, 2),
+                b'<' if next == Some(b'=') => self.token(TokenKind::Le, 2),
+                b'>' => self.token(TokenKind::Gt, 1),
+                b'<' => self.token(TokenKind::Lt, 1),
+                b'-' if next == Some(b'>') => self.token(TokenKind::Arrow, 2),
+                b'-' if next == Some(b'-') => self.token(TokenKind::DashDash, 2),
+                b'"' => return Some(self.string()),
+                c if c.is_ascii_digit()
+                    || (c == b'-' && next.is_some_and(|d| d.is_ascii_digit())) =>
+                {
+                    return Some(self.number())
+                }
+                c if c.is_ascii_alphabetic() || c == b'_' => self.ident(),
+                _ => {
+                    let other = self.src[self.pos..].chars().next().unwrap_or_default();
+                    return Some(Err(
+                        self.error(format!("unexpected character `{other}`"), self.col)
+                    ));
+                }
+            };
+            return Some(Ok(token));
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<TokenKind> {
+    fn tokenize(src: &str) -> Result<Vec<Token<'_>>, LexError> {
+        Lexer::new(src).collect()
+    }
+
+    fn kinds(src: &str) -> Vec<TokenKind<'_>> {
         tokenize(src).unwrap().into_iter().map(|t| t.kind).collect()
     }
 
@@ -283,11 +316,11 @@ mod tests {
         assert_eq!(
             kinds("a . b -> c ; { } ( ) : , = -- > < >= <="),
             vec![
-                TokenKind::Ident("a".into()),
+                TokenKind::Ident("a"),
                 TokenKind::Dot,
-                TokenKind::Ident("b".into()),
+                TokenKind::Ident("b"),
                 TokenKind::Arrow,
-                TokenKind::Ident("c".into()),
+                TokenKind::Ident("c"),
                 TokenKind::Semi,
                 TokenKind::LBrace,
                 TokenKind::RBrace,
@@ -325,8 +358,8 @@ mod tests {
         assert_eq!(
             kinds("\"hello world\" // comment to end\nx"),
             vec![
-                TokenKind::Str("hello world".into()),
-                TokenKind::Ident("x".into()),
+                TokenKind::Str("hello world"),
+                TokenKind::Ident("x"),
                 TokenKind::Eof,
             ]
         );
@@ -340,6 +373,13 @@ mod tests {
     }
 
     #[test]
+    fn columns_count_chars_not_bytes() {
+        let toks = tokenize("\"né→\" x").unwrap();
+        assert_eq!(toks[0].kind, TokenKind::Str("né→"));
+        assert_eq!((toks[1].line, toks[1].col), (1, 7));
+    }
+
+    #[test]
     fn unterminated_string_errors() {
         let err = tokenize("\"oops").unwrap_err();
         assert!(err.message.contains("unterminated"));
@@ -350,5 +390,19 @@ mod tests {
         let err = tokenize("a @ b").unwrap_err();
         assert!(err.to_string().contains('@'));
         assert_eq!(err.col, 3);
+    }
+
+    #[test]
+    fn nothing_follows_eof_or_an_error() {
+        let mut lexer = Lexer::new("a");
+        assert!(matches!(lexer.next(), Some(Ok(t)) if t.kind == TokenKind::Ident("a")));
+        assert!(matches!(lexer.next(), Some(Ok(t)) if t.kind == TokenKind::Eof));
+        assert!(lexer.next().is_none());
+        let mut lexer = Lexer::new("é b");
+        assert_eq!(
+            lexer.next().unwrap().unwrap_err().message,
+            "unexpected character `é`"
+        );
+        assert!(lexer.next().is_none());
     }
 }

@@ -29,7 +29,7 @@ use crate::ast::{
     ActionDecl, AspectAst, BindDecl, Cmp, ComponentDeclAst, ConnectorDeclAst, ConstraintDecl,
     LinkDecl, MetricRef, NodeDecl, Placement, PolicyAst, RuleDecl, SystemDecl, TemporalOp,
 };
-use crate::lexer::{tokenize, LexError, Token, TokenKind};
+use crate::lexer::{LexError, Lexer, Token, TokenKind};
 use aas_core::message::Value;
 use core::fmt;
 use std::collections::BTreeMap;
@@ -69,6 +69,10 @@ impl From<LexError> for ParseError {
 
 /// Parses one `system` declaration from ADL source.
 ///
+/// The source is lexed as it is parsed, one token of lookahead, and the
+/// AST owns only the names and texts it keeps. A lexical error anywhere
+/// in the source is reported ahead of a parse error before it.
+///
 /// # Errors
 ///
 /// Returns [`ParseError`] on lexical or syntactic problems.
@@ -89,24 +93,51 @@ impl From<LexError> for ParseError {
 /// assert_eq!(sys.components.len(), 1);
 /// ```
 pub fn parse_system(src: &str) -> Result<SystemDecl, ParseError> {
-    let tokens = tokenize(src)?;
-    Parser { tokens, pos: 0 }.system()
+    let mut parser = Parser {
+        lexer: Lexer::new(src),
+        peeked: Token {
+            kind: TokenKind::Eof,
+            line: 1,
+            col: 1,
+        },
+        lex_error: None,
+    };
+    parser.advance();
+    let parsed = parser.system();
+    if parser.lex_error.is_none() && parsed.is_err() {
+        // The rest of the source, validated and dropped token by token.
+        parser.lexer.try_for_each(|t| t.map(drop))?;
+    }
+    match parser.lex_error {
+        Some(e) => Err(e.into()),
+        None => parsed,
+    }
 }
 
-struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
+struct Parser<'a> {
+    lexer: Lexer<'a>,
+    /// The one token of lookahead.
+    peeked: Token<'a>,
+    /// The lexer's error, which ended the input where it occurred.
+    lex_error: Option<LexError>,
 }
 
-impl Parser {
-    fn peek(&self) -> &Token {
-        &self.tokens[self.pos.min(self.tokens.len() - 1)]
+impl<'a> Parser<'a> {
+    fn peek(&self) -> &Token<'a> {
+        &self.peeked
     }
 
-    fn advance(&mut self) -> Token {
-        let t = self.tokens[self.pos.min(self.tokens.len() - 1)].clone();
-        self.pos += 1;
-        t
+    /// Moves to the next token. At the end of input, or past a lexical
+    /// error, the lookahead stays `Eof`.
+    fn advance(&mut self) {
+        match self.lexer.next() {
+            Some(Ok(token)) => self.peeked = token,
+            Some(Err(e)) => {
+                self.peeked.kind = TokenKind::Eof;
+                self.lex_error = Some(e);
+            }
+            None => self.peeked.kind = TokenKind::Eof,
+        }
     }
 
     fn error(&self, message: impl Into<String>) -> ParseError {
@@ -118,7 +149,7 @@ impl Parser {
         }
     }
 
-    fn expect(&mut self, kind: &TokenKind) -> Result<(), ParseError> {
+    fn expect(&mut self, kind: &TokenKind<'_>) -> Result<(), ParseError> {
         if &self.peek().kind == kind {
             self.advance();
             Ok(())
@@ -127,10 +158,10 @@ impl Parser {
         }
     }
 
-    fn ident(&mut self) -> Result<String, ParseError> {
-        match &self.peek().kind {
+    /// An identifier, borrowed from the source.
+    fn word(&mut self) -> Result<&'a str, ParseError> {
+        match self.peek().kind {
             TokenKind::Ident(s) => {
-                let s = s.clone();
                 self.advance();
                 Ok(s)
             }
@@ -138,8 +169,13 @@ impl Parser {
         }
     }
 
+    /// An identifier the AST keeps.
+    fn ident(&mut self) -> Result<String, ParseError> {
+        self.word().map(str::to_owned)
+    }
+
     fn keyword(&mut self, kw: &str) -> Result<(), ParseError> {
-        match &self.peek().kind {
+        match self.peek().kind {
             TokenKind::Ident(s) if s == kw => {
                 self.advance();
                 Ok(())
@@ -158,7 +194,7 @@ impl Parser {
                 self.advance();
                 Ok(x)
             }
-            ref other => Err(self.error(format!("expected number, found {other}"))),
+            other => Err(self.error(format!("expected number, found {other}"))),
         }
     }
 
@@ -168,16 +204,15 @@ impl Parser {
                 self.advance();
                 Ok(i)
             }
-            ref other => Err(self.error(format!("expected integer, found {other}"))),
+            other => Err(self.error(format!("expected integer, found {other}"))),
         }
     }
 
     fn string(&mut self) -> Result<String, ParseError> {
-        match &self.peek().kind {
+        match self.peek().kind {
             TokenKind::Str(s) => {
-                let s = s.clone();
                 self.advance();
-                Ok(s)
+                Ok(s.to_owned())
             }
             other => Err(self.error(format!("expected string, found {other}"))),
         }
@@ -192,12 +227,12 @@ impl Parser {
             ..SystemDecl::default()
         };
         loop {
-            match &self.peek().kind {
+            match self.peek().kind {
                 TokenKind::RBrace => {
                     self.advance();
                     break;
                 }
-                TokenKind::Ident(kw) => match kw.as_str() {
+                TokenKind::Ident(kw) => match kw {
                     "node" => sys.nodes.push(self.node()?),
                     "link" => sys.links.push(self.link()?),
                     "component" => sys.components.push(self.component()?),
@@ -210,7 +245,7 @@ impl Parser {
                 other => return Err(self.error(format!("unexpected token {other}"))),
             }
         }
-        match &self.peek().kind {
+        match self.peek().kind {
             TokenKind::Eof => Ok(sys),
             other => Err(self.error(format!("trailing input after system: {other}"))),
         }
@@ -224,9 +259,9 @@ impl Parser {
         if self.peek().kind == TokenKind::LBrace {
             self.advance();
             while self.peek().kind != TokenKind::RBrace {
-                let key = self.ident()?;
+                let key = self.word()?;
                 self.expect(&TokenKind::Eq)?;
-                match key.as_str() {
+                match key {
                     "capacity" => capacity = self.number()?,
                     "memory" => memory = self.integer()?,
                     other => return Err(self.error(format!("unknown node property `{other}`"))),
@@ -252,9 +287,9 @@ impl Parser {
         if self.peek().kind == TokenKind::LBrace {
             self.advance();
             while self.peek().kind != TokenKind::RBrace {
-                let key = self.ident()?;
+                let key = self.word()?;
                 self.expect(&TokenKind::Eq)?;
-                match key.as_str() {
+                match key {
                     "latency_ms" => latency_ms = self.number()?,
                     "bandwidth" => bandwidth = self.number()?,
                     other => return Err(self.error(format!("unknown link property `{other}`"))),
@@ -277,17 +312,15 @@ impl Parser {
         self.expect(&TokenKind::Colon)?;
         let type_name = self.ident()?;
         // Version: `v<INT>` arrives as one identifier like `v1`.
-        let vtok = self.ident()?;
+        let vtok = self.word()?;
         let version: u32 = vtok
             .strip_prefix('v')
             .and_then(|s| s.parse().ok())
             .ok_or_else(|| self.error(format!("expected version like `v1`, found `{vtok}`")))?;
         self.keyword("on")?;
-        let place = self.ident()?;
-        let placement = if place == "auto" {
-            Placement::Auto
-        } else {
-            Placement::On(place)
+        let placement = match self.word()? {
+            "auto" => Placement::Auto,
+            place => Placement::On(place.to_owned()),
         };
         let mut props = BTreeMap::new();
         let mut expected_load = 1.0;
@@ -295,32 +328,19 @@ impl Parser {
         if self.peek().kind == TokenKind::LBrace {
             self.advance();
             while self.peek().kind != TokenKind::RBrace {
-                let key = self.ident()?;
+                let key = self.word()?;
                 self.expect(&TokenKind::Eq)?;
-                let value = match &self.peek().kind {
-                    TokenKind::Int(i) => {
-                        let v = *i;
-                        self.advance();
-                        Value::Int(v as i64)
-                    }
-                    TokenKind::Float(x) => {
-                        let v = *x;
-                        self.advance();
-                        Value::Float(v)
-                    }
-                    TokenKind::Str(s) => {
-                        let v = s.clone();
-                        self.advance();
-                        Value::Str(v)
-                    }
-                    TokenKind::Ident(b) if b == "true" || b == "false" => {
-                        let v = b == "true";
-                        self.advance();
-                        Value::Bool(v)
-                    }
+                let value = match self.peek().kind {
+                    TokenKind::Int(i) => Value::Int(i64::try_from(i).map_err(|_| {
+                        self.error(format!("integer {i} is out of range (max {})", i64::MAX))
+                    })?),
+                    TokenKind::Float(x) => Value::Float(x),
+                    TokenKind::Str(s) => Value::Str(s.to_owned()),
+                    TokenKind::Ident(b @ ("true" | "false")) => Value::Bool(b == "true"),
                     other => return Err(self.error(format!("expected literal, found {other}"))),
                 };
-                match key.as_str() {
+                self.advance();
+                match key {
                     "expected_load" => {
                         expected_load = match &value {
                             Value::Float(x) => *x,
@@ -339,7 +359,7 @@ impl Parser {
                         }
                     }
                     _ => {
-                        props.insert(key, value);
+                        props.insert(key.to_owned(), value);
                     }
                 }
                 self.expect(&TokenKind::Semi)?;
@@ -369,11 +389,9 @@ impl Parser {
         };
         self.expect(&TokenKind::LBrace)?;
         while self.peek().kind != TokenKind::RBrace {
-            let key = self.ident()?;
-            match key.as_str() {
+            match self.word()? {
                 "policy" => {
-                    let p = self.ident()?;
-                    decl.policy = match p.as_str() {
+                    decl.policy = match self.word()? {
                         "direct" => PolicyAst::Direct,
                         "round_robin" => PolicyAst::RoundRobin,
                         "broadcast" => PolicyAst::Broadcast,
@@ -381,8 +399,7 @@ impl Parser {
                     };
                 }
                 "aspect" => {
-                    let a = self.ident()?;
-                    let aspect = match a.as_str() {
+                    let aspect = match self.word()? {
                         "logging" => AspectAst::Logging,
                         "metering" => AspectAst::Metering,
                         "sequence_check" => AspectAst::SequenceCheck,
@@ -476,8 +493,7 @@ impl Parser {
         };
         self.advance();
         let threshold = self.number()?;
-        let op_name = self.ident()?;
-        let op = match op_name.as_str() {
+        let op = match self.word()? {
             "implies" => TemporalOp::Implies,
             "implies_later" => TemporalOp::ImpliesLater,
             "implies_before" => TemporalOp::ImpliesBefore,
@@ -485,8 +501,7 @@ impl Parser {
             "wait_until" => TemporalOp::WaitUntil,
             other => return Err(self.error(format!("unknown temporal operator `{other}`"))),
         };
-        let action_name = self.ident()?;
-        let action = match action_name.as_str() {
+        let action = match self.word()? {
             "migrate" => {
                 self.expect(&TokenKind::LParen)?;
                 let component = self.ident()?;
@@ -650,6 +665,111 @@ mod tests {
     fn bad_version_rejected() {
         let err = parse_system("system X { component a : T version2 on n0 }").unwrap_err();
         assert!(err.message.contains("version"));
+    }
+
+    /// Malformed sources with the `(message, line, col)` they report.
+    /// A lexical error anywhere outranks a parse error before it, and
+    /// columns count chars.
+    #[test]
+    fn malformed_sources_report_their_first_error_where_it_is() {
+        let table: &[(&str, &str, usize, usize)] = &[
+            (
+                "system X { gizmo ; \"unterminated }",
+                "unterminated string",
+                1,
+                20,
+            ),
+            (
+                "system X { node n0 { capacity = \"oops; } }",
+                "unterminated string",
+                1,
+                33,
+            ),
+            (
+                "system X { rule r: a(b) > 1 implies notify(\"abc\n\"); }",
+                "unterminated string",
+                1,
+                44,
+            ),
+            ("system X { node n0 @ }", "unexpected character `@`", 1, 20),
+            ("system X { é }", "unexpected character `é`", 1, 12),
+            ("system X { link a - b }", "unexpected character `-`", 1, 19),
+            ("system X { } extra @", "unexpected character `@`", 1, 20),
+            (
+                "system X { node n0 { capacity = 1.2.3; } }",
+                "bad number `1.2.3`",
+                1,
+                33,
+            ),
+            (
+                "system X { node n0 { capacity = 3e; } }",
+                "bad number `3e`",
+                1,
+                33,
+            ),
+            (
+                "system X { node n0 { memory = 99999999999999999999; } }",
+                "bad integer `99999999999999999999`",
+                1,
+                31,
+            ),
+            (
+                "system X { rule r: a(b) > 1 implies swap(c, T, 4294967296); }",
+                "version too large",
+                1,
+                58,
+            ),
+            (
+                "system X { } node",
+                "trailing input after system: `node`",
+                1,
+                14,
+            ),
+            (
+                "system X { rule r: latency(s) > 1.0 implies notify(\"héllo→\") x; }",
+                "expected ;, found `x`",
+                1,
+                62,
+            ),
+            (
+                "system X { node n0 // trailing comment",
+                "unexpected token <eof>",
+                1,
+                20,
+            ),
+            (
+                "system X {\n  component ; }",
+                "expected identifier, found ;",
+                2,
+                13,
+            ),
+            (
+                "// header\nsystem X {\n  // note\n  link a -- b { latency_ms = 2.0 }\n}",
+                "expected ;, found }",
+                4,
+                34,
+            ),
+            ("", "expected `system`, found <eof>", 1, 1),
+        ];
+        for &(src, message, line, col) in table {
+            let err = parse_system(src).unwrap_err();
+            assert_eq!(
+                (&err.message[..], err.line, err.col),
+                (message, line, col),
+                "{src:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_property_integer_above_i64_max_is_an_error() {
+        let src = "system X { component c : T v1 on n0 { big = 9223372036854775808; } }";
+        let err = parse_system(src).unwrap_err();
+        let expected = "integer 9223372036854775808 is out of range (max 9223372036854775807)";
+        assert_eq!((&err.message[..], err.line, err.col), (expected, 1, 45));
+        let sys = parse_system(&src.replace("808", "807")).unwrap();
+        let big = sys.components[0].props.get("big");
+        assert_eq!(big, Some(&Value::Int(i64::MAX)));
     }
 
     #[test]

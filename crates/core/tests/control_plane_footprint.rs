@@ -348,3 +348,89 @@ fn a_negotiated_runtime_keeps_nothing_per_round_beyond_its_audit_records() {
     let kept = long - short;
     assert!(kept <= 1_024, "30 more rounds kept {kept} B");
 }
+
+/// Reading the whole log, as a harness does to count kinds, renders one
+/// record at a time under the log's lock: over 20,000 records of churn —
+/// validated, applied and committed plans with their channels, rejected
+/// ones, suspicions and denials — the heap rises by the count map and one
+/// entry. At `6ee0708`, `entries()` first copied every record into a
+/// vector of 112 B entries: 2,240,000 B for these.
+#[test]
+fn counting_kinds_over_the_whole_log_reads_it_in_place() {
+    let log = AuditLog::new();
+    let (target, agent) = (Name::from("tc0".to_owned()), Name::from("gold".to_owned()));
+    for plan in 1..=2_500 {
+        let at = plan * 1_000;
+        log.append(at, AuditEvent::PlanSubmitted { plan, actions: 1 });
+        if plan % 5 == 0 {
+            let reason = format!("unknown component `ghost{plan}`");
+            log.append(at, AuditEvent::PlanRejected { plan, reason });
+            log.append(
+                at,
+                AuditEvent::PlanFinished {
+                    plan,
+                    committed: false,
+                },
+            );
+            for epoch in plan..plan + 5 {
+                let (agent, reason) = (agent.clone(), "floor-unsatisfiable");
+                log.append(
+                    at,
+                    AuditEvent::BudgetDenied {
+                        epoch,
+                        agent,
+                        reason,
+                    },
+                );
+            }
+            continue;
+        }
+        let (channel, action) = (plan, format!("migrate tc{plan} -> node1"));
+        log.append(at, AuditEvent::PlanValidated { plan, actions: 1 });
+        let blocked = target.clone();
+        log.append(
+            at,
+            AuditEvent::ChannelBlocked {
+                plan,
+                channel,
+                target: blocked,
+            },
+        );
+        log.append(at, AuditEvent::ActionApplied { plan, action });
+        let released = Some(target.clone());
+        log.append(
+            at,
+            AuditEvent::ChannelReleased {
+                plan,
+                channel,
+                target: released,
+            },
+        );
+        log.append(
+            at,
+            AuditEvent::PlanFinished {
+                plan,
+                committed: true,
+            },
+        );
+        log.append(at, AuditEvent::FailureSuspected { node: 2, phi: 3.5 });
+        log.append(at, AuditEvent::FailureCleared { node: 2 });
+    }
+    assert_eq!(log.len(), 20_000);
+    let (kinds, heap) = heap_of(|| {
+        let mut kinds = std::collections::BTreeMap::new();
+        for e in log.entries() {
+            *kinds.entry(e.kind.label()).or_insert(0) += 1;
+        }
+        kinds
+    });
+    assert_eq!(kinds.values().sum::<u64>(), 20_000);
+    assert_eq!(
+        (kinds["plan_finished"], kinds["budget_denied"]),
+        (2_500, 2_500)
+    );
+    assert!(
+        heap.peak < 1_024,
+        "counting kinds rose the heap by {heap:?}"
+    );
+}

@@ -19,6 +19,7 @@ use aas_core::detector::DetectorConfig;
 use aas_core::heal::RepairPolicy;
 use aas_core::message::{Message, Value};
 use aas_core::runtime::{Runtime, TwinConfig};
+use aas_obs::AuditKind;
 use aas_sim::fault::FaultSchedule;
 use aas_sim::node::NodeId;
 use aas_sim::time::SimDuration;
@@ -152,9 +153,8 @@ fn a_twin_played_forward_in_a_heal_tick_does_not_trim_the_mainline_call() {
         assert_eq!(allocs, 0, "the frame injected at {:?}", rt.now());
         rt.run_for(SLICE);
     }
-    let audit = rt.obs().audit.entries();
-    let twins = audit.iter().filter(|e| e.kind.label() == "twin_predicted");
-    assert_eq!(twins.count(), 1, "a twin was played forward");
+    let twins = rt.obs().audit.of_kind(AuditKind::TwinPredicted);
+    assert_eq!(twins.len(), 1, "a twin was played forward");
     assert!(
         rt.twin_prediction(NodeId(1)).is_none(),
         "and its repair is done"

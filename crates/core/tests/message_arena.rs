@@ -441,7 +441,7 @@ fn outcome(rt: &Runtime) -> (String, String, InFlight, String) {
         format!("{:?}", rt.metrics()),
         format!("{:?}", rt.kernel_counters()),
         rt.in_flight(),
-        audit_jsonl(&rt.obs().audit.entries()),
+        audit_jsonl(rt.obs().audit.entries()),
     )
 }
 

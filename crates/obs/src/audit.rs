@@ -184,7 +184,7 @@ impl AuditEntry {
     #[must_use]
     pub fn texts(&self) -> [String; 3] {
         let mut texts = <[String; 3]>::default();
-        let _ = self.write_texts(&mut texts);
+        let _ = self.event.write_texts(self.why.as_deref(), &mut texts);
         texts
     }
 
@@ -210,10 +210,14 @@ impl AuditEntry {
         let [.., outcome] = self.texts();
         outcome
     }
+}
 
-    fn write_texts(&self, [p, s, o]: &mut [String; 3]) -> fmt::Result {
+impl AuditEvent {
+    /// Appends the `plan`, `subject` and `outcome` texts; `why` is the
+    /// reason a failed `plan_finished` gives.
+    fn write_texts(&self, why: Option<&str>, [p, s, o]: &mut [String; 3]) -> fmt::Result {
         use AuditEvent as E;
-        match &self.event {
+        match self {
             E::PlanSubmitted { plan, actions } | E::PlanValidated { plan, actions } => {
                 write!(p, "reconfig{plan}")?;
                 write!(s, "{actions} actions")
@@ -227,7 +231,7 @@ impl AuditEntry {
             E::PlanFinished { plan, committed } => {
                 write!(p, "reconfig{plan}")?;
                 o.push_str(if *committed { "success" } else { "failed" });
-                self.why.iter().try_for_each(|why| write!(o, ": {why}"))
+                why.iter().try_for_each(|why| write!(o, ": {why}"))
             }
             E::PlanRejected { plan, reason } => {
                 write!(p, "reconfig{plan}")?;
@@ -561,35 +565,167 @@ impl AuditLog {
         self.len() == 0
     }
 
-    /// The entries whose event `keep` accepts, in append order, in a
-    /// vector no longer than they are.
-    fn select(&self, keep: impl Fn(&AuditEvent) -> bool) -> Vec<AuditEntry> {
-        let log = self.lock();
-        let records = log.as_ref().map_or(&[][..], |log| &log.records);
-        let kept = records.iter().enumerate().filter(|(_, r)| keep(&r.event));
-        let mut entries = Vec::with_capacity(kept.clone().count());
-        entries.extend(kept.map(|(seq, r)| r.read(seq, &records[..seq])));
-        entries
+    /// All entries, in append order, read in place under the log's lock:
+    /// append nothing while holding them. Each is rendered as it is
+    /// reached, so reading the whole log copies one record at a time.
+    #[must_use]
+    pub fn entries(&self) -> Entries<'_> {
+        Entries(self.lock())
     }
 
-    /// All entries, in append order.
-    #[must_use]
-    pub fn entries(&self) -> Vec<AuditEntry> {
-        self.select(|_| true)
+    /// The entries whose event `keep` accepts, in append order, in a
+    /// vector no longer than they are.
+    fn select(&self, mut keep: impl FnMut(&AuditEvent) -> bool) -> Vec<AuditEntry> {
+        let entries = self.entries();
+        let records = entries.records();
+        let mut kept = Vec::with_capacity(records.iter().filter(|r| keep(&r.event)).count());
+        for (seq, r) in records.iter().enumerate() {
+            if keep(&r.event) {
+                kept.push(r.read(seq, &records[..seq]));
+            }
+        }
+        kept
     }
 
     /// The entries whose plan text is `plan`, in append order.
     #[must_use]
     pub fn for_plan(&self, plan: &str) -> Vec<AuditEntry> {
-        let mut entries = self.entries();
-        entries.retain(|e| e.plan() == plan);
-        entries
+        let mut texts = <[String; 3]>::default();
+        self.select(|event| {
+            texts.iter_mut().for_each(String::clear);
+            let _ = event.write_texts(None, &mut texts);
+            texts[0] == plan
+        })
     }
 
     /// The entries of a given kind, in append order.
     #[must_use]
     pub fn of_kind(&self, kind: AuditKind) -> Vec<AuditEntry> {
         self.select(|event| event.kind() == kind)
+    }
+}
+
+/// An audit log's entries, read in place: the view holds the log's lock,
+/// so append nothing while holding it. Iterating renders one
+/// [`AuditEntry`] at a time.
+///
+/// # Examples
+///
+/// ```
+/// use aas_obs::{AuditEvent, AuditKind, AuditLog};
+///
+/// let log = AuditLog::new();
+/// log.append(0, AuditEvent::FailureCleared { node: 1 });
+/// log.append(5, AuditEvent::FailureCleared { node: 2 });
+/// let mut cleared = 0;
+/// for e in log.entries() {
+///     cleared += u32::from(e.kind == AuditKind::FailureCleared);
+/// }
+/// assert_eq!(cleared, 2);
+/// assert_eq!(log.entries().iter().nth(1).map(|e| e.at_us), Some(5));
+/// ```
+#[derive(Debug)]
+pub struct Entries<'a>(MutexGuard<'a, Option<Box<Log>>>);
+
+impl Entries<'_> {
+    fn records(&self) -> &[Record] {
+        self.0.as_ref().map_or(&[], |log| &log.records)
+    }
+
+    /// Number of entries.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.records().len()
+    }
+
+    /// True when the log is empty.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.records().is_empty()
+    }
+
+    /// The entries in append order, each rendered as it is reached.
+    #[must_use]
+    pub fn iter(&self) -> Iter<'_> {
+        Iter {
+            records: self.records(),
+            next: 0,
+        }
+    }
+}
+
+/// The entry at `seq` of `records`, if there is one.
+fn read_at(records: &[Record], seq: usize) -> Option<AuditEntry> {
+    Some(records.get(seq)?.read(seq, &records[..seq]))
+}
+
+/// Iterator over an [`Entries`] view.
+#[derive(Debug, Clone)]
+pub struct Iter<'a> {
+    records: &'a [Record],
+    next: usize,
+}
+
+impl Iterator for Iter<'_> {
+    type Item = AuditEntry;
+
+    fn next(&mut self) -> Option<AuditEntry> {
+        let entry = read_at(self.records, self.next)?;
+        self.next += 1;
+        Some(entry)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.records.len() - self.next;
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for Iter<'_> {}
+
+impl<'a> IntoIterator for &'a Entries<'_> {
+    type Item = AuditEntry;
+    type IntoIter = Iter<'a>;
+
+    fn into_iter(self) -> Iter<'a> {
+        self.iter()
+    }
+}
+
+/// The owning iterator of an [`Entries`] view: it holds the log's lock
+/// until it is dropped.
+#[derive(Debug)]
+pub struct IntoIter<'a> {
+    entries: Entries<'a>,
+    next: usize,
+}
+
+impl Iterator for IntoIter<'_> {
+    type Item = AuditEntry;
+
+    fn next(&mut self) -> Option<AuditEntry> {
+        let entry = read_at(self.entries.records(), self.next)?;
+        self.next += 1;
+        Some(entry)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.entries.len() - self.next;
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for IntoIter<'_> {}
+
+impl<'a> IntoIterator for Entries<'a> {
+    type Item = AuditEntry;
+    type IntoIter = IntoIter<'a>;
+
+    fn into_iter(self) -> IntoIter<'a> {
+        IntoIter {
+            entries: self,
+            next: 0,
+        }
     }
 }
 
@@ -609,10 +745,11 @@ mod tests {
 
     /// The last of `events` reads `texts` as `plan`, `subject`, `outcome`.
     fn renders(events: Vec<AuditEvent>, texts: [&str; 3]) {
-        let kind = events.last().expect("an event").kind();
-        let entries = log_of(events).entries();
-        assert_eq!(entries.capacity(), entries.len());
-        let last = entries.last().expect("an entry");
+        let (kind, n) = (events.last().expect("an event").kind(), events.len());
+        let log = log_of(events);
+        let entries = log.entries();
+        assert_eq!((entries.len(), entries.iter().len()), (n, n));
+        let last = entries.iter().last().expect("an entry");
         assert_eq!(last.kind, kind);
         assert_eq!(last.texts(), texts);
     }
@@ -840,6 +977,30 @@ mod tests {
         let finished = log.of_kind(AuditKind::PlanFinished);
         assert_eq!((finished[0].seq, finished[0].at_us), (3, 3));
         assert_eq!(log.len(), 4);
+    }
+
+    #[test]
+    fn the_view_reads_in_place_and_queries_keep_only_their_matches() {
+        let log = log_of((1..=6).map(|plan| E::PlanSubmitted { plan, actions: 1 }));
+        log.append(
+            9,
+            E::PlanFinished {
+                plan: 3,
+                committed: true,
+            },
+        );
+        let entries = log.entries();
+        assert_eq!((entries.len(), entries.iter().len()), (7, 7));
+        let borrowed: Vec<_> = entries.iter().collect();
+        drop(entries);
+        let owned: Vec<_> = log.entries().into_iter().collect();
+        assert_eq!(owned, borrowed);
+        assert!(owned.iter().enumerate().all(|(i, e)| e.seq == i as u64));
+        let plan = log.for_plan("reconfig3");
+        assert_eq!((plan.len(), plan.capacity()), (2, 2));
+        let finished = log.of_kind(K::PlanFinished);
+        assert_eq!((finished.len(), finished.capacity()), (1, 1));
+        assert!(AuditLog::new().entries().is_empty());
     }
 
     #[test]

@@ -8,6 +8,7 @@
 
 use crate::audit::AuditEntry;
 use crate::metrics::MetricsSnapshot;
+use std::borrow::Borrow;
 use std::fmt::Write as _;
 
 /// Escapes `s` for inclusion inside a JSON string literal.
@@ -121,11 +122,13 @@ pub fn coverage_jsonl(rows: &[(String, u64, bool)]) -> String {
     out
 }
 
-/// Renders audit entries as JSONL, one object per entry, in append order.
+/// Renders audit entries as JSONL, one object per entry, in the order
+/// given: a slice of entries, or an audit log's `entries()` read in place.
 #[must_use]
-pub fn audit_jsonl(entries: &[AuditEntry]) -> String {
+pub fn audit_jsonl(entries: impl IntoIterator<Item = impl Borrow<AuditEntry>>) -> String {
     let mut out = String::new();
     for e in entries {
+        let e = e.borrow();
         let [plan, subject, outcome] = e.texts();
         let _ = writeln!(
             out,
@@ -175,9 +178,10 @@ pub fn metrics_table(snap: &MetricsSnapshot) -> String {
     out
 }
 
-/// Renders audit entries as an aligned human-readable table.
+/// Renders audit entries as an aligned human-readable table, in the
+/// order given.
 #[must_use]
-pub fn audit_table(entries: &[AuditEntry]) -> String {
+pub fn audit_table(entries: impl IntoIterator<Item = impl Borrow<AuditEntry>>) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -185,6 +189,7 @@ pub fn audit_table(entries: &[AuditEntry]) -> String {
         "seq", "at_us", "kind", "plan"
     );
     for e in entries {
+        let e = e.borrow();
         let [plan, subject, outcome] = e.texts();
         let _ = writeln!(
             out,
@@ -232,7 +237,7 @@ mod tests {
         let log = AuditLog::new();
         let reason = "p\"1\" line\nbreak".to_owned();
         log.append(0, AuditEvent::PlanRejected { plan: 1, reason });
-        let jsonl = audit_jsonl(&log.entries());
+        let jsonl = audit_jsonl(log.entries());
         assert!(jsonl.contains("p\\\"1\\\""));
         assert!(jsonl.contains("line\\nbreak"));
     }
@@ -261,7 +266,7 @@ mod tests {
                 committed: true,
             },
         );
-        let table = audit_table(&log.entries());
+        let table = audit_table(log.entries());
         assert_eq!(table.lines().count(), 3);
         assert!(table.contains("[success]"));
     }

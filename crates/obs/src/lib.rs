@@ -38,7 +38,7 @@ pub mod metrics;
 pub mod name;
 pub mod stats;
 
-pub use audit::{AuditEntry, AuditEvent, AuditKind, AuditLog, Books, PlanTally, RepairBy};
+pub use audit::{AuditEntry, AuditEvent, AuditKind, AuditLog, Books, Entries, PlanTally, RepairBy};
 pub use histogram::Histogram;
 pub use metrics::{Counter, Gauge, HistogramHandle, MetricId, MetricsRegistry, MetricsSnapshot};
 pub use name::Name;

@@ -12,7 +12,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 struct CountingAlloc;
@@ -22,6 +22,11 @@ static ALLOCS: AtomicU64 = AtomicU64::new(0);
 /// is how much the live heap grew.
 static BYTES_IN: AtomicU64 = AtomicU64::new(0);
 static BYTES_OUT: AtomicU64 = AtomicU64::new(0);
+/// How far the live heap has risen since the measurement began, and the
+/// highest it has been; a `realloc` counts as freeing the old block
+/// before asking for the new one.
+static LIVE: AtomicI64 = AtomicI64::new(0);
+static PEAK: AtomicI64 = AtomicI64::new(0);
 /// Global gate: when false the allocator counts nothing anywhere.
 static MEASURING: AtomicBool = AtomicBool::new(false);
 
@@ -50,6 +55,13 @@ fn counting() -> bool {
 fn count_block(size: usize) {
     ALLOCS.fetch_add(1, Ordering::Relaxed);
     BYTES_IN.fetch_add(size as u64, Ordering::Relaxed);
+    let live = LIVE.fetch_add(size as i64, Ordering::Relaxed) + size as i64;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
+fn count_free(size: usize) {
+    BYTES_OUT.fetch_add(size as u64, Ordering::Relaxed);
+    LIVE.fetch_sub(size as i64, Ordering::Relaxed);
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
@@ -62,15 +74,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         if counting() {
-            BYTES_OUT.fetch_add(layout.size() as u64, Ordering::Relaxed);
+            count_free(layout.size());
         }
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         if counting() {
+            count_free(layout.size());
             count_block(new_size);
-            BYTES_OUT.fetch_add(layout.size() as u64, Ordering::Relaxed);
         }
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -103,6 +115,9 @@ pub struct HeapDelta {
     /// How much the live heap grew over the call: `allocated` minus what
     /// it freed, what it returned still alive.
     pub grown: i64,
+    /// How far above its starting point the live heap rose at its
+    /// highest during the call.
+    pub peak: i64,
 }
 
 /// Runs `f` with counting enabled and returns what it did to the heap on
@@ -116,12 +131,15 @@ pub fn measured_heap<R>(f: impl FnOnce() -> R) -> (R, HeapDelta) {
         )
     };
     let (in_before, out_before) = read();
+    LIVE.store(0, Ordering::SeqCst);
+    PEAK.store(0, Ordering::SeqCst);
     let (r, _) = measured(f);
     let (bytes_in, bytes_out) = read();
     let allocated = bytes_in - in_before;
     let delta = HeapDelta {
         allocated,
         grown: allocated as i64 - (bytes_out - out_before) as i64,
+        peak: PEAK.load(Ordering::Relaxed),
     };
     (r, delta)
 }

@@ -137,6 +137,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         aas_obs::export::metrics_jsonl(&obs.metrics.snapshot())
     );
     println!("--- audit trail (JSONL) ---");
-    print!("{}", aas_obs::export::audit_jsonl(&obs.audit.entries()));
+    print!("{}", aas_obs::export::audit_jsonl(obs.audit.entries()));
     Ok(())
 }

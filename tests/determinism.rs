@@ -116,7 +116,7 @@ fn fault_campaign_audit(seed: u64) -> String {
         .unwrap();
     }
     rt.run_until(SimTime::from_secs(40));
-    export::audit_jsonl(&rt.obs().audit.entries())
+    export::audit_jsonl(rt.obs().audit.entries())
 }
 
 #[test]

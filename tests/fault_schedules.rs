@@ -345,11 +345,7 @@ fn crash_loss_body(seed: u64, crash_at_ms: u64) -> Result<(), TestCaseError> {
     );
     let m = rt.metrics();
     prop_assert!(m.dropped_on_crash > 0, "crash caught nothing in flight");
-    let entries = rt.obs().audit.entries();
-    let drops: Vec<_> = entries
-        .iter()
-        .filter(|e| e.kind == AuditKind::DroppedOnCrash)
-        .collect();
+    let drops = rt.obs().audit.of_kind(AuditKind::DroppedOnCrash);
     prop_assert!(!drops.is_empty(), "loss happened without an audit entry");
     for e in &drops {
         prop_assert_eq!(e.subject(), "svc", "loss attributed to the wrong instance");
@@ -470,8 +466,7 @@ fn single_crash_failover_leaves_a_full_audit_chain() {
         dur_ms: 2_000,
     }];
     drive(&mut rt, &links, &faults, &[], 20);
-    let entries = rt.obs().audit.entries();
-    let has = |kind: AuditKind| entries.iter().any(|e| e.kind == kind);
+    let has = |kind: AuditKind| rt.obs().audit.books().count(kind) > 0;
     assert!(has(AuditKind::FailureSuspected));
     assert!(has(AuditKind::RepairPlanned));
     assert!(has(AuditKind::RepairCompleted));
