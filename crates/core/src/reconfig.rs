@@ -181,12 +181,12 @@ impl ReconfigPlan {
         ReconfigPlan::default()
     }
 
-    /// A plan consisting of one action.
+    /// A plan consisting of one action, in a buffer of one slot.
     #[must_use]
     pub fn single(action: ReconfigAction) -> Self {
-        let mut p = ReconfigPlan::new();
-        p.push(action);
-        p
+        ReconfigPlan {
+            actions: vec![action],
+        }
     }
 
     /// Appends an action.

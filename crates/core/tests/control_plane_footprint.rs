@@ -8,8 +8,10 @@
 //! snapshot allocates its four lists whatever the system's size, the
 //! instances of one type share the registry's copy of its name, and
 //! asking the registry builds no key. Audit records are typed where they
-//! are appended, so a warm append copies no text, and the invariant
-//! checker reads a running tally, so a clean check allocates nothing.
+//! are appended and stored as bytes, so a warm append copies no text and
+//! a record holds what it encodes to; the invariant checker reads a
+//! running tally, so a clean check allocates nothing. A one-action plan
+//! holds one slot.
 
 #[path = "../../sim/tests/support/counting_alloc.rs"]
 mod counting_alloc;
@@ -230,14 +232,15 @@ fn a_fork_grows_the_heap_by_no_more_than_its_pinned_figure() {
     assert!(allocs <= ALLOCS, "{allocs}");
 }
 
-/// Once the record vector and the books have room, appending a channel
-/// block, a plan submission or a grant allocates nothing: their names are
-/// shared, their numbers are numbers.
+/// Once the current chunk and the books have room, appending a channel
+/// block, a plan submission or a grant allocates nothing: a record is
+/// encoded into the chunk, its names and numbers as bytes.
 #[test]
-fn a_warm_append_allocates_nothing_while_the_log_has_room() {
+fn a_warm_append_allocates_nothing_while_the_current_chunk_has_room() {
     let log = AuditLog::new();
     let (target, agent) = (Name::from("tc0".to_owned()), Name::from("gold".to_owned()));
-    // 33 records: the vector grows to 64, the books have held a plan.
+    // 34 records: the first 33 fill the 256 B first chunk, the 34th opens
+    // a 1 KiB one; the books have held a plan.
     log.append(
         0,
         AuditEvent::PlanSubmitted {
@@ -263,6 +266,7 @@ fn a_warm_append_allocates_nothing_while_the_log_has_room() {
             committed: true,
         },
     );
+    log.append(33, AuditEvent::FailureCleared { node: 1 });
     let ((), allocs) = allocs_of(|| {
         let target = target.clone();
         log.append(
@@ -325,38 +329,40 @@ fn warm_negotiated() -> Runtime {
     rt
 }
 
+/// What an audit log holds on the heap: what a copy of its records,
+/// appended in the same order, grows the heap by.
+fn held_by(log: &AuditLog) -> i64 {
+    let (_copy, heap) = heap_of(|| {
+        let copy = AuditLog::new();
+        for e in log.entries() {
+            copy.append(e.at_us, e.event);
+        }
+        copy
+    });
+    heap.grown
+}
+
 /// Past its audit records, a negotiated runtime keeps nothing per round:
 /// the last outcome replaces the one before it. Two runs from the same
-/// warm state, 30 and 60 rounds long, end with the audit log's records in
-/// one buffer (1,200 and 1,920 of 2,048), so whatever else one keeps
-/// beyond the other is what the extra 30 rounds left behind. At
-/// `f970229`, which kept every round's outcome, that was 77,312 B: about
-/// 107 B a grant.
+/// warm state, 30 and 60 rounds long, each grow the heap by what their
+/// audit log took on and what the rest of the runtime kept; what the
+/// longer run kept beyond its records and beyond the shorter run is what
+/// the extra 30 rounds left behind. At `f970229`, which kept every
+/// round's outcome, that was 77,312 B: about 107 B a grant.
 #[test]
 fn a_negotiated_runtime_keeps_nothing_per_round_beyond_its_audit_records() {
     let run = |rounds: u64| {
         let mut rt = warm_negotiated();
         let ((), heap) = heap_of(|| rt.run_for(SimDuration::from_millis(100 * rounds)));
-        (rt.obs().audit.len(), heap.grown)
+        heap.grown - held_by(&rt.obs().audit)
     };
-    let ((short_records, short), (long_records, long)) = (run(30), run(60));
-    assert_eq!(
-        short_records.next_power_of_two(),
-        long_records.next_power_of_two(),
-        "{short_records} and {long_records} records are not in one buffer"
-    );
-    let kept = long - short;
+    let kept = run(60) - run(30);
     assert!(kept <= 1_024, "30 more rounds kept {kept} B");
 }
 
-/// Reading the whole log, as a harness does to count kinds, renders one
-/// record at a time under the log's lock: over 20,000 records of churn —
-/// validated, applied and committed plans with their channels, rejected
-/// ones, suspicions and denials — the heap rises by the count map and one
-/// entry. At `6ee0708`, `entries()` first copied every record into a
-/// vector of 112 B entries: 2,240,000 B for these.
-#[test]
-fn counting_kinds_over_the_whole_log_reads_it_in_place() {
+/// 20,000 records of churn — validated, applied and committed plans with
+/// their channels, rejected ones, suspicions and denials.
+fn churn_log() -> AuditLog {
     let log = AuditLog::new();
     let (target, agent) = (Name::from("tc0".to_owned()), Name::from("gold".to_owned()));
     for plan in 1..=2_500 {
@@ -417,6 +423,17 @@ fn counting_kinds_over_the_whole_log_reads_it_in_place() {
         log.append(at, AuditEvent::FailureCleared { node: 2 });
     }
     assert_eq!(log.len(), 20_000);
+    log
+}
+
+/// Reading the whole log, as a harness does to count kinds, renders one
+/// record at a time under the log's lock: over [`churn_log`]'s 20,000
+/// records the heap rises by the count map and one entry. At `6ee0708`,
+/// `entries()` first copied every record into a vector of 112 B entries:
+/// 2,240,000 B for these.
+#[test]
+fn counting_kinds_over_the_whole_log_reads_it_in_place() {
+    let log = churn_log();
     let (kinds, heap) = heap_of(|| {
         let mut kinds = std::collections::BTreeMap::new();
         for e in log.entries() {
@@ -433,4 +450,32 @@ fn counting_kinds_over_the_whole_log_reads_it_in_place() {
         heap.peak < 1_024,
         "counting kinds rose the heap by {heap:?}"
     );
+}
+
+/// A record is stored as its encoded bytes, in chunks that never move:
+/// [`churn_log`]'s 20,000 records hold 17.5 B of heap each, the last
+/// chunk's slack and the log's books included. At `1f08808` each was an 80 B record in
+/// a 32,768-slot vector, and an applied action or a rejection also kept
+/// its `String`: about 134 B a record.
+#[test]
+fn twenty_thousand_records_hold_at_most_24_bytes_each() {
+    let (log, heap) = heap_of(churn_log);
+    let per_record = heap.grown as f64 / log.len() as f64;
+    assert!(per_record <= 24.0, "{per_record:.1} B a record: {heap:?}");
+}
+
+/// A one-action plan is one slot: `ReconfigPlan::single` makes one
+/// allocation, of one `ReconfigAction`. At `1f08808` it pushed onto an
+/// empty vector, which reserved four.
+#[test]
+fn a_one_action_plan_allocates_one_slot() {
+    let migrate = ReconfigAction::Migrate {
+        name: "tc0".into(),
+        to: NodeId(2),
+    };
+    let ((plan, heap), allocs) =
+        enrolled(|| measured(|| measured_heap(|| ReconfigPlan::single(migrate))));
+    assert_eq!(plan.len(), 1);
+    let slot = std::mem::size_of::<ReconfigAction>() as u64;
+    assert_eq!((allocs, heap.allocated), (1, slot), "{heap:?}");
 }

@@ -1,4 +1,5 @@
-//! Append-only reconfiguration audit log: typed at append, rendered on read.
+//! Append-only reconfiguration audit log: typed at append, stored as
+//! bytes, rendered on read.
 //!
 //! Dynamic reconfiguration is the riskiest thing this system does to
 //! itself, so every step leaves a record: plan submission, each applied
@@ -11,12 +12,29 @@
 //! the writer already has — plan ids and epochs as integers, node and
 //! channel numbers, counts, the `f64`s behind grants, phi, MTTR and twin
 //! scores, shared [`Name`]s, and a failure reason or rendered action moved
-//! in rather than copied. Reading hands out [`AuditEntry`]s holding those
-//! values; their `plan` / `subject` / `outcome` texts are rendered only
-//! when asked for. Every append also folds the record into the
+//! in rather than copied. Every append folds the typed record into the
 //! log's [`Books`], the running tally an invariant checker reads instead
 //! of the log, so a check costs the same at the millionth record as at
-//! the first.
+//! the first; then the record is stored encoded as bytes.
+//!
+//! A stored record is a kind byte and its timestamp and integers as
+//! LEB128 varints; each `f64` is its 8 raw bytes, each string or name its
+//! varint length and UTF-8, each `&'static str` (a policy or denial
+//! reason) a varint index into the log's table of the distinct ones it
+//! has seen. With a 3 B timestamp and 2 B plan ids, a `plan_submitted`
+//! or a committed `plan_finished` is 7 B, a `failure_suspected` 13 B, a
+//! `channel_blocked` 9 B and its name's bytes, an `action_applied` or a
+//! `plan_rejected` 7 B and its text's, a `budget_denied` 8 B and a
+//! `budget_granted` 47 B and their agent's name's. A failed
+//! `plan_finished` also stores where its plan's `plan_rejected` or
+//! `plan_rolled_back` sits (3-5 B), so it reads that reason without
+//! searching back. The bytes fill chunks that never move, from
+//! 256 B growing four-fold to 256 KiB, so a short log holds one small
+//! chunk, a long one leaves at most one chunk's slack, and a log opens
+//! chunks no more often than a doubling vector of records would grow.
+//!
+//! Reading hands out [`AuditEntry`]s decoded one at a time; their `plan`
+//! / `subject` / `outcome` texts are rendered only when asked for.
 
 use crate::Name;
 use std::fmt::{self, Write};
@@ -62,7 +80,26 @@ macro_rules! audit_kinds {
                     $(AuditEvent::$kind { .. } => AuditKind::$kind,)+
                 }
             }
+
+            /// Encodes the fields, in declaration order.
+            fn put_fields(&self, w: &mut Writer<'_, impl Sink>) {
+                match self {
+                    $(AuditEvent::$kind { $($field),* } => { $($field.put(w);)* })+
+                }
+            }
+
+            /// Decodes the fields of a record of `kind`.
+            fn take_fields(kind: AuditKind, r: &mut Reader<'_>) -> Option<Self> {
+                match kind {
+                    $(AuditKind::$kind => Some(AuditEvent::$kind {
+                        $($field: Field::take(r)?),*
+                    }),)+
+                }
+            }
         }
+
+        /// Every kind, indexed by its stored byte.
+        const KINDS: [AuditKind; AuditKind::COUNT] = [$(AuditKind::$kind),+];
     };
 }
 
@@ -71,8 +108,9 @@ audit_kinds! {
     PlanSubmitted "plan_submitted" { plan: u64, actions: u64 }
     /// One action of a plan was applied.
     ActionApplied "action_applied" { plan: u64, action: String }
-    /// A plan finished; a failed one reads the reason of the plan's
-    /// `plan_rejected` or `plan_rolled_back` before it.
+    /// A plan finished; a failed one reads the reason of the plan's last
+    /// `plan_rejected` or `plan_rolled_back` before it that no earlier
+    /// failed `plan_finished` of the plan has read.
     PlanFinished "plan_finished" { plan: u64, committed: bool }
     /// A plan passed up-front validation and may begin mutating.
     PlanValidated "plan_validated" { plan: u64, actions: u64 }
@@ -127,38 +165,262 @@ pub enum RepairBy {
     Connector(String),
 }
 
-/// One stored record; its `seq` is its index in the log.
-#[derive(Debug)]
-struct Record {
-    at_us: u64,
-    event: AuditEvent,
+/// Where encoded bytes go: a chunk, or a count of how many there are.
+trait Sink {
+    fn put(&mut self, bytes: &[u8]);
 }
 
-impl Record {
-    /// The record at `seq`, preceded by `earlier`, as read.
-    fn read(&self, seq: usize, earlier: &[Record]) -> AuditEntry {
-        use AuditEvent as E;
-        let why = match self.event {
-            E::PlanFinished {
-                plan: id,
-                committed: false,
-            } => earlier.iter().rev().find_map(|r| match &r.event {
-                E::PlanRejected { plan, reason } if *plan == id => {
-                    Some(format!("rejected: {reason}").into())
-                }
-                E::PlanRolledBack { plan, reason, .. } if *plan == id => Some(reason[..].into()),
-                _ => None,
-            }),
-            _ => None,
+impl Sink for usize {
+    fn put(&mut self, bytes: &[u8]) {
+        *self += bytes.len();
+    }
+}
+
+impl Sink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
+/// Encodes one record into `out`, interning its `&'static str`s.
+struct Writer<'a, S> {
+    out: &'a mut S,
+    statics: &'a mut Vec<&'static str>,
+}
+
+impl<S: Sink> Writer<'_, S> {
+    fn varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.out.put(&[v as u8 | 0x80]);
+            v >>= 7;
+        }
+        self.out.put(&[v as u8]);
+    }
+
+    fn text(&mut self, s: &str) {
+        self.varint(s.len() as u64);
+        self.out.put(s.as_bytes());
+    }
+}
+
+/// Decodes the records of one chunk.
+struct Reader<'a> {
+    bytes: &'a [u8],
+    at: usize,
+    statics: &'a [&'static str],
+}
+
+impl<'a> Reader<'a> {
+    fn bytes(&mut self, n: usize) -> Option<&'a [u8]> {
+        let end = self.at.checked_add(n)?;
+        let bytes = self.bytes.get(self.at..end)?;
+        self.at = end;
+        Some(bytes)
+    }
+
+    fn byte(&mut self) -> Option<u8> {
+        Some(self.bytes(1)?[0])
+    }
+
+    fn varint(&mut self) -> Option<u64> {
+        let mut v = 0;
+        for shift in (0..64).step_by(7) {
+            let b = self.byte()?;
+            v |= u64::from(b & 0x7f) << shift;
+            if b < 0x80 {
+                return Some(v);
+            }
+        }
+        None
+    }
+
+    fn len(&mut self) -> Option<usize> {
+        usize::try_from(self.varint()?).ok()
+    }
+
+    fn text(&mut self) -> Option<&'a str> {
+        let n = self.len()?;
+        std::str::from_utf8(self.bytes(n)?).ok()
+    }
+}
+
+/// A field of an [`AuditEvent`], as it is stored.
+trait Field: Sized {
+    fn put(&self, w: &mut Writer<'_, impl Sink>);
+    fn take(r: &mut Reader<'_>) -> Option<Self>;
+}
+
+impl Field for u64 {
+    fn put(&self, w: &mut Writer<'_, impl Sink>) {
+        w.varint(*self);
+    }
+    fn take(r: &mut Reader<'_>) -> Option<Self> {
+        r.varint()
+    }
+}
+
+impl Field for u32 {
+    fn put(&self, w: &mut Writer<'_, impl Sink>) {
+        w.varint(u64::from(*self));
+    }
+    fn take(r: &mut Reader<'_>) -> Option<Self> {
+        u32::try_from(r.varint()?).ok()
+    }
+}
+
+impl Field for bool {
+    fn put(&self, w: &mut Writer<'_, impl Sink>) {
+        w.out.put(&[u8::from(*self)]);
+    }
+    fn take(r: &mut Reader<'_>) -> Option<Self> {
+        Some(r.byte()? != 0)
+    }
+}
+
+impl Field for f64 {
+    fn put(&self, w: &mut Writer<'_, impl Sink>) {
+        w.out.put(&self.to_bits().to_le_bytes());
+    }
+    fn take(r: &mut Reader<'_>) -> Option<Self> {
+        let bits = r.bytes(8)?.try_into().ok()?;
+        Some(f64::from_bits(u64::from_le_bytes(bits)))
+    }
+}
+
+impl Field for [f64; 4] {
+    fn put(&self, w: &mut Writer<'_, impl Sink>) {
+        self.iter().for_each(|v| v.put(w));
+    }
+    fn take(r: &mut Reader<'_>) -> Option<Self> {
+        Some([f64::take(r)?, f64::take(r)?, f64::take(r)?, f64::take(r)?])
+    }
+}
+
+impl Field for String {
+    fn put(&self, w: &mut Writer<'_, impl Sink>) {
+        w.text(self);
+    }
+    fn take(r: &mut Reader<'_>) -> Option<Self> {
+        r.text().map(str::to_owned)
+    }
+}
+
+impl Field for Name {
+    fn put(&self, w: &mut Writer<'_, impl Sink>) {
+        w.text(self);
+    }
+    fn take(r: &mut Reader<'_>) -> Option<Self> {
+        r.text().map(|s| Name::from(s.to_owned()))
+    }
+}
+
+impl Field for &'static str {
+    fn put(&self, w: &mut Writer<'_, impl Sink>) {
+        let i = match w.statics.iter().position(|s| s == self) {
+            Some(i) => i,
+            None => {
+                w.statics.push(self);
+                w.statics.len() - 1
+            }
         };
-        AuditEntry {
-            seq: seq as u64,
-            at_us: self.at_us,
-            kind: self.event.kind(),
-            event: self.event.clone(),
-            why,
+        w.varint(i as u64);
+    }
+    fn take(r: &mut Reader<'_>) -> Option<Self> {
+        let i = r.len()?;
+        r.statics.get(i).copied()
+    }
+}
+
+impl<T: Field> Field for Option<T> {
+    fn put(&self, w: &mut Writer<'_, impl Sink>) {
+        self.is_some().put(w);
+        if let Some(v) = self {
+            v.put(w);
         }
     }
+    fn take(r: &mut Reader<'_>) -> Option<Self> {
+        match bool::take(r)? {
+            true => T::take(r).map(Some),
+            false => Some(None),
+        }
+    }
+}
+
+impl Field for RepairBy {
+    fn put(&self, w: &mut Writer<'_, impl Sink>) {
+        match self {
+            RepairBy::Plan { id, actions } => {
+                false.put(w);
+                id.put(w);
+                actions.put(w);
+            }
+            RepairBy::Connector(name) => {
+                true.put(w);
+                name.put(w);
+            }
+        }
+    }
+    fn take(r: &mut Reader<'_>) -> Option<Self> {
+        match bool::take(r)? {
+            false => Some(RepairBy::Plan {
+                id: r.varint()?,
+                actions: r.varint()?,
+            }),
+            true => String::take(r).map(RepairBy::Connector),
+        }
+    }
+}
+
+/// Where a stored record starts: its chunk and its offset in it.
+#[derive(Debug, Clone, Copy, Default)]
+struct Pos {
+    chunk: usize,
+    at: usize,
+}
+
+impl Field for Pos {
+    fn put(&self, w: &mut Writer<'_, impl Sink>) {
+        w.varint(self.chunk as u64);
+        w.varint(self.at as u64);
+    }
+    fn take(r: &mut Reader<'_>) -> Option<Self> {
+        Some(Pos {
+            chunk: r.len()?,
+            at: r.len()?,
+        })
+    }
+}
+
+/// Encodes a record: its kind, `at_us`, its fields and, for a failed
+/// `plan_finished`, where its plan's failing record sits.
+fn encode(at_us: u64, event: &AuditEvent, why: Option<Pos>, w: &mut Writer<'_, impl Sink>) {
+    w.out.put(&[event.kind() as u8]);
+    at_us.put(w);
+    event.put_fields(w);
+    if fails(event) {
+        why.put(w);
+    }
+}
+
+/// A `plan_finished` that did not commit: it reads its plan's reason.
+fn fails(event: &AuditEvent) -> bool {
+    matches!(
+        event,
+        AuditEvent::PlanFinished {
+            committed: false,
+            ..
+        }
+    )
+}
+
+/// One decoded record: its timestamp, its event and, for a failed
+/// `plan_finished`, where its plan's failing record sits.
+fn decode(r: &mut Reader<'_>) -> Option<(u64, AuditEvent, Option<Pos>)> {
+    let kind = *KINDS.get(usize::from(r.byte()?))?;
+    let at_us = r.varint()?;
+    let event = AuditEvent::take_fields(kind, r)?;
+    let why = if fails(&event) { Field::take(r)? } else { None };
+    Some((at_us, event, why))
 }
 
 /// One record as read. It holds the typed [`AuditEvent`]; its `plan`,
@@ -487,10 +749,125 @@ impl Books {
 /// The books of a log nothing has been appended to.
 static NO_BOOKS: LazyLock<Books> = LazyLock::new(Books::default);
 
+/// The first chunk's size, and the cap each next chunk's four-fold
+/// growth stops at. Below the cap a log opens a chunk half as often as a
+/// doubling vector of its records would grow; past it, its slack is at
+/// most one chunk.
+const FIRST_CHUNK: usize = 256;
+const CHUNK_CAP: usize = 256 << 10;
+
 #[derive(Debug, Default)]
 struct Log {
-    records: Vec<Record>,
+    /// The chunk records are appended to. A record never spans two
+    /// chunks, and no chunk grows past the capacity it was made with, so
+    /// stored bytes never move.
+    open: Vec<u8>,
+    /// The chunks filled before `open`, oldest first.
+    full: Vec<Vec<u8>>,
+    /// Records stored.
+    len: usize,
+    /// The distinct `&'static str`s recorded, in order first seen.
+    statics: Vec<&'static str>,
+    /// Plans with a `plan_rejected` or `plan_rolled_back` no failed
+    /// `plan_finished` has read yet, and where the latest of them sits.
+    failing: Vec<(u64, Pos)>,
     books: Books,
+}
+
+impl Log {
+    /// Stores `event` after the last record.
+    fn push(&mut self, at_us: u64, event: &AuditEvent) {
+        use AuditEvent as E;
+        let why = match *event {
+            E::PlanFinished {
+                plan,
+                committed: false,
+            } => {
+                let failing = self.failing.iter().position(|(id, _)| *id == plan);
+                failing.map(|i| self.failing.swap_remove(i).1)
+            }
+            _ => None,
+        };
+        let statics = &mut self.statics;
+        let mut size = 0;
+        let out = &mut size;
+        encode(at_us, event, why, &mut Writer { out, statics });
+        if self.open.capacity() - self.open.len() < size {
+            let next = match self.open.capacity() {
+                0 => FIRST_CHUNK,
+                full => (full * 4).min(CHUNK_CAP),
+            };
+            let filled = std::mem::replace(&mut self.open, Vec::with_capacity(next.max(size)));
+            if !filled.is_empty() {
+                self.full.push(filled);
+            }
+        }
+        let here = Pos {
+            chunk: self.full.len(),
+            at: self.open.len(),
+        };
+        let out = &mut self.open;
+        encode(at_us, event, why, &mut Writer { out, statics });
+        self.len += 1;
+        if let E::PlanRejected { plan, .. } | E::PlanRolledBack { plan, .. } = *event {
+            match self.failing.iter_mut().find(|(id, _)| *id == plan) {
+                Some((_, at)) => *at = here,
+                None => self.failing.push((plan, here)),
+            }
+        }
+    }
+
+    fn chunk(&self, i: usize) -> Option<&[u8]> {
+        match self.full.get(i) {
+            Some(chunk) => Some(chunk),
+            None => (i == self.full.len()).then_some(&self.open),
+        }
+    }
+
+    fn reader(&self, at: Pos) -> Option<Reader<'_>> {
+        Some(Reader {
+            bytes: self.chunk(at.chunk)?,
+            at: at.at,
+            statics: &self.statics,
+        })
+    }
+
+    /// The record under `cursor`, as read; moves `cursor` past it.
+    fn read(&self, cursor: &mut Cursor) -> Option<AuditEntry> {
+        if cursor.seq == self.len {
+            return None;
+        }
+        let mut r = self.reader(cursor.at)?;
+        let (at_us, event, why) = decode(&mut r)?;
+        let why = why.and_then(|at| match decode(&mut self.reader(at)?)?.1 {
+            AuditEvent::PlanRejected { reason, .. } => Some(format!("rejected: {reason}").into()),
+            AuditEvent::PlanRolledBack { reason, .. } => Some(reason.into()),
+            _ => None,
+        });
+        let entry = AuditEntry {
+            seq: cursor.seq as u64,
+            at_us,
+            kind: event.kind(),
+            event,
+            why,
+        };
+        cursor.seq += 1;
+        cursor.at.at = r.at;
+        if r.at == r.bytes.len() {
+            cursor.at = Pos {
+                chunk: cursor.at.chunk + 1,
+                at: 0,
+            };
+        }
+        Some(entry)
+    }
+}
+
+/// How far a reader of the log has come.
+#[derive(Debug, Clone, Default)]
+struct Cursor {
+    seq: usize,
+    at: Pos,
 }
 
 /// Shared append-only audit log.
@@ -534,9 +911,8 @@ impl AuditLog {
     pub fn append(&self, at_us: u64, event: AuditEvent) {
         let mut log = self.lock();
         let log = log.get_or_insert_with(Box::default);
-        let seq = log.records.len() as u64;
-        log.books.fold(seq, at_us, &event);
-        log.records.push(Record { at_us, event });
+        log.books.fold(log.len as u64, at_us, &event);
+        log.push(at_us, &event);
     }
 
     /// The books, read under the log's lock: append nothing while holding
@@ -556,7 +932,7 @@ impl AuditLog {
     /// Number of entries.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.lock().as_ref().map_or(0, |log| log.records.len())
+        self.lock().as_ref().map_or(0, |log| log.len)
     }
 
     /// True when the log is empty.
@@ -577,13 +953,8 @@ impl AuditLog {
     /// vector no longer than they are.
     fn select(&self, mut keep: impl FnMut(&AuditEvent) -> bool) -> Vec<AuditEntry> {
         let entries = self.entries();
-        let records = entries.records();
-        let mut kept = Vec::with_capacity(records.iter().filter(|r| keep(&r.event)).count());
-        for (seq, r) in records.iter().enumerate() {
-            if keep(&r.event) {
-                kept.push(r.read(seq, &records[..seq]));
-            }
-        }
+        let mut kept = Vec::with_capacity(entries.iter().filter(|e| keep(&e.event)).count());
+        kept.extend(entries.iter().filter(|e| keep(&e.event)));
         kept
     }
 
@@ -628,55 +999,48 @@ impl AuditLog {
 pub struct Entries<'a>(MutexGuard<'a, Option<Box<Log>>>);
 
 impl Entries<'_> {
-    fn records(&self) -> &[Record] {
-        self.0.as_ref().map_or(&[], |log| &log.records)
+    fn log(&self) -> Option<&Log> {
+        self.0.as_deref()
     }
 
     /// Number of entries.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.records().len()
+        self.log().map_or(0, |log| log.len)
     }
 
     /// True when the log is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.records().is_empty()
+        self.len() == 0
     }
 
     /// The entries in append order, each rendered as it is reached.
     #[must_use]
     pub fn iter(&self) -> Iter<'_> {
         Iter {
-            records: self.records(),
-            next: 0,
+            log: self.log(),
+            cursor: Cursor::default(),
         }
     }
-}
-
-/// The entry at `seq` of `records`, if there is one.
-fn read_at(records: &[Record], seq: usize) -> Option<AuditEntry> {
-    Some(records.get(seq)?.read(seq, &records[..seq]))
 }
 
 /// Iterator over an [`Entries`] view.
 #[derive(Debug, Clone)]
 pub struct Iter<'a> {
-    records: &'a [Record],
-    next: usize,
+    log: Option<&'a Log>,
+    cursor: Cursor,
 }
 
 impl Iterator for Iter<'_> {
     type Item = AuditEntry;
 
     fn next(&mut self) -> Option<AuditEntry> {
-        let entry = read_at(self.records, self.next)?;
-        self.next += 1;
-        Some(entry)
+        self.log?.read(&mut self.cursor)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.records.len() - self.next;
+        let left = self.log.map_or(0, |log| log.len) - self.cursor.seq;
         (left, Some(left))
     }
 }
@@ -697,20 +1061,18 @@ impl<'a> IntoIterator for &'a Entries<'_> {
 #[derive(Debug)]
 pub struct IntoIter<'a> {
     entries: Entries<'a>,
-    next: usize,
+    cursor: Cursor,
 }
 
 impl Iterator for IntoIter<'_> {
     type Item = AuditEntry;
 
     fn next(&mut self) -> Option<AuditEntry> {
-        let entry = read_at(self.entries.records(), self.next)?;
-        self.next += 1;
-        Some(entry)
+        self.entries.log()?.read(&mut self.cursor)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.entries.len() - self.next;
+        let left = self.entries.len() - self.cursor.seq;
         (left, Some(left))
     }
 }
@@ -724,7 +1086,7 @@ impl<'a> IntoIterator for Entries<'a> {
     fn into_iter(self) -> IntoIter<'a> {
         IntoIter {
             entries: self,
-            next: 0,
+            cursor: Cursor::default(),
         }
     }
 }
@@ -935,9 +1297,307 @@ mod tests {
         );
     }
 
+    /// The `f64`s an event holds, as bits: `PartialEq` cannot tell a NaN's
+    /// payload or the sign of a zero.
+    fn f64_bits(event: &AuditEvent) -> Vec<u64> {
+        let values = match *event {
+            E::FailureSuspected { phi, .. } => vec![phi],
+            E::RepairCompleted { mttr_ms, .. } => mttr_ms.into_iter().collect(),
+            E::TwinPredicted {
+                availability,
+                mttr_ms,
+                ..
+            } => vec![availability, mttr_ms],
+            E::TwinActual {
+                mttr_ms,
+                predicted_mttr_ms,
+                predicted_availability,
+                ..
+            } => mttr_ms
+                .into_iter()
+                .chain([predicted_mttr_ms, predicted_availability])
+                .collect(),
+            E::BudgetGranted {
+                granted, fraction, ..
+            } => granted.into_iter().chain([fraction]).collect(),
+            _ => Vec::new(),
+        };
+        values.into_iter().map(f64::to_bits).collect()
+    }
+
+    /// Every kind, each `Option` and `RepairBy` arm, at the edges of its
+    /// fields' ranges; the last three are the `plan_finished`s.
+    fn edge_events(long: &str) -> Vec<AuditEvent> {
+        let nan = f64::from_bits(0x7ff4_dead_beef_0001);
+        let subnormal = f64::from_bits(1);
+        let (max, node) = (u64::MAX, u32::MAX);
+        vec![
+            E::PlanSubmitted {
+                plan: max,
+                actions: max,
+            },
+            E::ActionApplied {
+                plan: 0,
+                action: String::new(),
+            },
+            E::ActionApplied {
+                plan: max,
+                action: long.into(),
+            },
+            E::PlanValidated {
+                plan: max,
+                actions: 0,
+            },
+            E::PlanRejected {
+                plan: max,
+                reason: long.into(),
+            },
+            E::PlanRolledBack {
+                plan: 1,
+                compensated: max,
+                reason: String::new(),
+            },
+            E::ActionCompensated {
+                plan: max,
+                action: "\u{e9}\u{1f600}".into(),
+            },
+            E::ChannelBlocked {
+                plan: max,
+                channel: max,
+                target: Name::from(long.to_owned()),
+            },
+            E::ChannelReleased {
+                plan: max,
+                channel: max,
+                target: Some("".into()),
+            },
+            E::ChannelReleased {
+                plan: 0,
+                channel: 0,
+                target: None,
+            },
+            E::FailureSuspected { node, phi: -0.0 },
+            E::FailureSuspected { node: 0, phi: nan },
+            E::FailureCleared { node },
+            E::RepairPlanned {
+                node,
+                policy: "",
+                by: RepairBy::Plan {
+                    id: max,
+                    actions: max,
+                },
+            },
+            E::RepairPlanned {
+                node: 0,
+                policy: "failover-migrate",
+                by: RepairBy::Connector(long.into()),
+            },
+            E::RepairPlanned {
+                node: 1,
+                policy: "",
+                by: RepairBy::Connector(String::new()),
+            },
+            E::RepairCompleted {
+                plan: Some(max),
+                node,
+                mttr_ms: Some(f64::INFINITY),
+            },
+            E::RepairCompleted {
+                plan: None,
+                node: 0,
+                mttr_ms: None,
+            },
+            E::DroppedOnCrash {
+                instance: "\u{7bc0}".into(),
+                // Below `u64::MAX`: the books add up the jobs of every round.
+                jobs: max >> 8,
+                node,
+            },
+            E::TwinPredicted {
+                policy: "restart-in-place",
+                node,
+                availability: subnormal,
+                mttr_ms: f64::NEG_INFINITY,
+            },
+            E::TwinActual {
+                policy: "failover-migrate",
+                node,
+                mttr_ms: Some(-subnormal),
+                predicted_mttr_ms: nan,
+                predicted_availability: -0.0,
+            },
+            E::TwinActual {
+                policy: "restart-in-place",
+                node: 0,
+                mttr_ms: None,
+                predicted_mttr_ms: f64::MAX,
+                predicted_availability: f64::MIN_POSITIVE,
+            },
+            E::BudgetGranted {
+                epoch: max,
+                agent: Name::from(long.to_owned()),
+                granted: [-0.0, nan, f64::INFINITY, subnormal],
+                fraction: -nan,
+            },
+            E::BudgetDenied {
+                epoch: max,
+                agent: "".into(),
+                reason: "floor-unsatisfiable",
+            },
+            E::BudgetDenied {
+                epoch: 0,
+                agent: "gold".into(),
+                reason: "",
+            },
+            E::BudgetRenegotiated {
+                epoch: max,
+                agent: "svc".into(),
+                trigger: Some(max),
+            },
+            E::BudgetRenegotiated {
+                epoch: 0,
+                agent: "svc".into(),
+                trigger: None,
+            },
+            E::PlanFinished {
+                plan: max,
+                committed: false,
+            },
+            E::PlanFinished {
+                plan: 1,
+                committed: false,
+            },
+            E::PlanFinished {
+                plan: max,
+                committed: true,
+            },
+        ]
+    }
+
+    /// Stored as bytes, every field reads back as it was appended, the
+    /// `f64`s bit for bit, over enough rounds to fill several chunks; a
+    /// failed `plan_finished` reads its plan's reason wherever it sits.
     #[test]
-    fn a_stored_record_is_no_larger_than_a_rendered_entry_was() {
-        assert!(std::mem::size_of::<Record>() <= 96);
+    fn every_kind_reads_back_bit_for_bit() {
+        let long = "cha\u{ee}ne \u{2192} \u{7bc0}\u{70b9} ".repeat(12);
+        assert!(long.len() > 127, "a two-byte length");
+        let events = edge_events(&long);
+        let mut kinds: Vec<_> = events.iter().map(|e| e.kind() as usize).collect();
+        kinds.sort_unstable();
+        kinds.dedup();
+        assert_eq!(kinds, (0..AuditKind::COUNT).collect::<Vec<_>>());
+        let (log, rounds) = (AuditLog::new(), 40);
+        for round in 0..rounds {
+            for event in events.clone() {
+                log.append(u64::MAX - rounds + round, event);
+            }
+        }
+        let chunks = log.lock().as_ref().map_or(0, |log| log.full.len() + 1);
+        assert!(chunks > 4, "{chunks} chunks");
+        let entries = log.entries();
+        assert_eq!(entries.len(), events.len() * rounds as usize);
+        let finished = events.len() - 3;
+        for (i, read) in entries.iter().enumerate() {
+            let (round, wrote) = (i / events.len(), &events[i % events.len()]);
+            let at_us = u64::MAX - rounds + round as u64;
+            assert_eq!(
+                (read.seq, read.at_us, read.kind),
+                (i as u64, at_us, wrote.kind())
+            );
+            assert_eq!(format!("{:?}", read.event), format!("{wrote:?}"));
+            assert_eq!(f64_bits(&read.event), f64_bits(wrote), "{wrote:?}");
+            let outcome = read.outcome();
+            match (i % events.len()).checked_sub(finished) {
+                Some(0) => assert_eq!(outcome, format!("failed: rejected: {long}")),
+                Some(1) => assert_eq!(outcome, "failed: "),
+                _ => {}
+            }
+        }
+    }
+
+    /// A record costs its encoded bytes: a kind byte, varints, the raw
+    /// bits of each `f64` and the text of each string or name. Here every
+    /// timestamp is 3 B and every plan id 2 B.
+    #[test]
+    fn a_stored_record_is_its_encoded_bytes() {
+        let sized = [
+            (
+                E::PlanSubmitted {
+                    plan: 4_500,
+                    actions: 1,
+                },
+                7,
+            ),
+            (
+                E::ChannelBlocked {
+                    plan: 4_500,
+                    channel: 9_000,
+                    target: "tc12".into(),
+                },
+                13,
+            ),
+            (
+                E::ActionApplied {
+                    plan: 4_500,
+                    action: "migrate tc12 -> node3".into(),
+                },
+                28,
+            ),
+            (
+                E::PlanFinished {
+                    plan: 4_500,
+                    committed: true,
+                },
+                7,
+            ),
+            (
+                E::PlanRejected {
+                    plan: 4_501,
+                    reason: "unknown component `g`".into(),
+                },
+                28,
+            ),
+            (
+                E::PlanFinished {
+                    plan: 4_501,
+                    committed: false,
+                },
+                10,
+            ),
+            (E::FailureSuspected { node: 2, phi: 3.5 }, 13),
+            (
+                E::BudgetDenied {
+                    epoch: 480,
+                    agent: "gold".into(),
+                    reason: "floor",
+                },
+                12,
+            ),
+            (
+                E::BudgetGranted {
+                    epoch: 480,
+                    agent: "gold".into(),
+                    granted: [1.0; 4],
+                    fraction: 1.0,
+                },
+                51,
+            ),
+        ];
+        let log = AuditLog::new();
+        for (event, _) in &sized {
+            log.append(1_000_000, event.clone());
+        }
+        let stored = log
+            .lock()
+            .as_ref()
+            .map(|log| (log.full.len(), log.open.len()));
+        let total = sized.iter().map(|(_, bytes)| bytes).sum();
+        assert_eq!(stored, Some((0, total)));
+        let failed = log.entries().iter().nth(5).map(|e| e.outcome());
+        assert_eq!(
+            failed.as_deref(),
+            Some("failed: rejected: unknown component `g`")
+        );
     }
 
     /// What a reader of the whole log allocates a record for.

@@ -5,7 +5,8 @@
 //! applications** (PAPER.md §2). Everything in this crate is shaped by
 //! that: hot-path recording never touches the registry's lock and takes
 //! no contended one ([`metrics`]), and what is kept is bounded
-//! ([`histogram`]) or typed and rendered only when read ([`audit`]).
+//! ([`histogram`]) or stored as compact bytes and rendered only when
+//! read ([`audit`]).
 //! The audit log is the one record of what reconfiguration did.
 //!
 //! Module map:
@@ -19,9 +20,9 @@
 //!   [`HistogramHandle`]s, each a [`Histogram`] behind its own mutex:
 //!   one thread writes them, so the lock is never contended.
 //! * [`audit`] — append-only reconfiguration [`AuditLog`]: every plan,
-//!   action, outcome, rollback and channel block/release, typed at append
-//!   and rendered on read, with the running [`Books`] an invariant
-//!   checker reads.
+//!   action, outcome, rollback and channel block/release, typed at append,
+//!   stored as bytes and rendered on read, with the running [`Books`] an
+//!   invariant checker reads.
 //! * [`name`] — [`Name`], a string that clones without allocating.
 //! * [`export`] — JSONL and human-table renderings of metrics, coverage
 //!   cells and the audit log.

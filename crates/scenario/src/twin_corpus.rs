@@ -195,7 +195,7 @@ pub fn run_comparison(seed: u64) -> TwinComparison {
     debug_assert_eq!(chaos_expected, twin_chaos, "legs must see the same traffic");
 
     let audit = &twin_rt.obs().audit;
-    let predicted = audit.of_kind(AuditKind::TwinPredicted);
+    let twin_decisions = audit.books().count(AuditKind::TwinPredicted);
     let actual = audit.of_kind(AuditKind::TwinActual);
     let errors: Vec<f64> = actual
         .iter()
@@ -219,7 +219,7 @@ pub fn run_comparison(seed: u64) -> TwinComparison {
         chaos_expected,
         static_leg: leg_score(&static_rt, chaos_expected),
         twin_leg: leg_score(&twin_rt, chaos_expected),
-        twin_decisions: predicted.len() as u64,
+        twin_decisions,
         twin_reconciled: actual.len() as u64,
         mttr_error_ms,
     }
