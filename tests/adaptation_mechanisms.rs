@@ -1,21 +1,24 @@
-//! Cross-crate integration of the adaptability mechanisms: filters and
-//! adaptive interfaces wrapping live components inside a running system,
-//! connector interchange under traffic, and the availability contrast with
-//! reconfiguration.
+//! Cross-crate integration of the adaptability mechanisms: filters,
+//! meta-object chains and adaptive interfaces wrapping live components
+//! inside a running system, connector interchange under traffic, and the
+//! availability contrast with reconfiguration.
 
 use aas_adapt::adaptive_iface::AdaptiveComponent;
 use aas_adapt::filters::{FilterMode, FilterPipeline, FilteredComponent, RejectFilter};
+use aas_adapt::interaction::{ChainedComponent, MetaChain, MetaObject, WrapperProp};
 use aas_adapt::mechanism::MechanismKind;
 use aas_core::component::EchoComponent;
 use aas_core::config::{BindingDecl, ComponentDecl, Configuration};
 use aas_core::connector::{ConnectorAspect, ConnectorSpec};
-use aas_core::message::{Message, Value};
+use aas_core::message::{Message, Name, Value};
 use aas_core::registry::ImplementationRegistry;
 use aas_core::runtime::Runtime;
 use aas_sim::network::Topology;
 use aas_sim::node::NodeId;
 use aas_sim::time::{SimDuration, SimTime};
 use aas_telecom::services::register_telecom_components;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 fn registry_with_wrapped_components() -> ImplementationRegistry {
     let mut r = ImplementationRegistry::new();
@@ -209,4 +212,101 @@ fn runtime_filter_attach_detach_with_traffic() {
     rt.request_reconfig(registry_update);
     rt.run_until(SimTime::from_secs(2));
     assert!(rt.reports().last().unwrap().success);
+}
+
+/// An echo behind a meta-object chain, ordered by priority: a conditional
+/// observer counts `ping` requests into `pings`, a modificatory wrapper
+/// renames `ping` to `echo`, another stamps the payload, and a last
+/// non-modificatory observer tries to mark it.
+fn register_chained_echo(registry: &mut ImplementationRegistry, pings: &Arc<AtomicU64>) {
+    let pings = Arc::clone(pings);
+    registry.register("ChainedEcho", 1, move |_| {
+        let pings = Arc::clone(&pings);
+        let mut chain = MetaChain::new();
+        chain
+            .compose(
+                MetaObject::new("count-pings", 0, move |_| {
+                    pings.fetch_add(1, Ordering::Relaxed);
+                })
+                .with_condition(|m| m.op == "ping"),
+            )
+            .expect("an empty chain takes any meta-object");
+        chain
+            .compose(
+                MetaObject::new("rename", 1, |m| {
+                    if m.op == "ping" {
+                        m.op = Name::from("echo");
+                    }
+                })
+                .with_prop(WrapperProp::Modificatory),
+            )
+            .expect("distinct name");
+        chain
+            .compose(
+                MetaObject::new("stamp", 2, |m| m.value.set("stamped", Value::Bool(true)))
+                    .with_prop(WrapperProp::Modificatory),
+            )
+            .expect("distinct name");
+        chain
+            .compose(MetaObject::new("observer", 3, |m| {
+                m.value.set("observed", Value::Bool(true));
+            }))
+            .expect("distinct name");
+        Box::new(ChainedComponent::new(
+            Box::new(EchoComponent::default()),
+            chain,
+        ))
+    });
+}
+
+#[test]
+fn chained_component_adapts_live_traffic_without_quiescence() {
+    let pings = Arc::new(AtomicU64::new(0));
+    let mut registry = registry_with_wrapped_components();
+    register_chained_echo(&mut registry, &pings);
+    let topo = Topology::clique(2, 1000.0, SimDuration::from_millis(1), 1e7);
+    let mut rt = Runtime::new(topo, 3, registry);
+    let mut cfg = Configuration::new();
+    cfg.component("chained", ComponentDecl::new("ChainedEcho", 1, NodeId(0)));
+    rt.deploy(&cfg).unwrap();
+
+    let ops = ["echo", "ping", "echo", "ping", "ping", "echo"];
+    for (i, op) in ops.iter().enumerate() {
+        let payload = Value::map([("seq", Value::Int(i as i64))]);
+        rt.inject_after(
+            SimDuration::from_millis(10 * i as u64),
+            "chained",
+            Message::request(*op, payload),
+        )
+        .unwrap();
+    }
+    rt.run_until(SimTime::from_secs(1));
+
+    let replies = rt.take_outbox();
+    assert_eq!(replies.len(), ops.len(), "every request is answered");
+    assert_eq!(rt.metrics().handler_errors, 0, "every `ping` became `echo`");
+    for (i, (_, reply)) in replies.iter().enumerate() {
+        assert_eq!(reply.value.get("seq"), Some(&Value::Int(i as i64)));
+        assert_eq!(
+            reply.value.get("stamped"),
+            Some(&Value::Bool(true)),
+            "the modificatory wrapper's field reaches the reply"
+        );
+        assert_eq!(
+            reply.value.get("observed"),
+            None,
+            "the observer's edit is discarded"
+        );
+    }
+    let expected_pings = ops.iter().filter(|op| **op == "ping").count() as u64;
+    assert_eq!(
+        pings.load(Ordering::Relaxed),
+        expected_pings,
+        "the conditional wrapper runs on `ping` only"
+    );
+
+    let kernel = rt.kernel_counters();
+    assert_eq!(kernel.get("held"), 0, "no channel was blocked");
+    assert_eq!(kernel.get("released"), 0);
+    assert!(rt.reports().is_empty(), "no reconfiguration took place");
 }
