@@ -10,14 +10,14 @@
 //! protocol: **observation** (an execution trace plus watchpoints that
 //! fire on predicates) and **modification** (operation rewrites, disabled
 //! operations, response overrides). The adaptive interface is *generated*:
-//! [`AdaptiveComponent::provided`] reflects the rewrites applied to the
-//! base interface.
+//! the wrapped component's `provided()` reflects the rewrites applied to
+//! the base interface.
 
-use aas_core::component::{CallCtx, Component, StateSnapshot};
-use aas_core::error::{ComponentError, StateError};
+use crate::hook::{Chain, Front, Hook, Opaque, Predicate, Wrapper};
+use aas_core::component::{CallCtx, Component};
+use aas_core::error::ComponentError;
 use aas_core::interface::{Interface, Signature};
 use aas_core::message::{Message, Name, Value};
-use core::fmt;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One observed base-level execution.
@@ -34,20 +34,7 @@ pub struct TraceEntry {
 
 /// A watchpoint: fires (counts) whenever its predicate matches an incoming
 /// message.
-pub struct Watchpoint {
-    name: String,
-    predicate: Box<dyn Fn(&Message) -> bool + Send>,
-    hits: u64,
-}
-
-impl fmt::Debug for Watchpoint {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Watchpoint")
-            .field("name", &self.name)
-            .field("hits", &self.hits)
-            .finish_non_exhaustive()
-    }
-}
+pub type Watchpoint = Hook<Predicate>;
 
 impl Watchpoint {
     /// A watchpoint named `name` firing when `predicate` matches.
@@ -56,24 +43,20 @@ impl Watchpoint {
     where
         F: Fn(&Message) -> bool + Send + 'static,
     {
-        Watchpoint {
-            name: name.into(),
-            predicate: Box::new(predicate),
-            hits: 0,
-        }
+        Hook::named(name, Opaque(Box::new(predicate)))
     }
+}
 
-    /// The watchpoint's name.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// How many times it fired.
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
+/// The AJ-style meta protocol an [`AdaptiveComponent`] puts in front of
+/// its base component.
+#[derive(Debug)]
+pub struct MetaProtocol {
+    rewrites: BTreeMap<String, String>,
+    disabled: BTreeSet<String>,
+    overrides: BTreeMap<String, Value>,
+    trace: Vec<TraceEntry>,
+    trace_cap: usize,
+    watchpoints: Chain<Predicate>,
 }
 
 /// A component wrapped with the observe/modify meta protocol.
@@ -96,107 +79,90 @@ impl Watchpoint {
 /// assert_eq!(ac.trace().len(), 1);
 /// assert_eq!(ac.trace()[0].executed_op.as_deref(), Some("echo"));
 /// ```
-pub struct AdaptiveComponent {
-    inner: Box<dyn Component>,
-    rewrites: BTreeMap<String, String>,
-    disabled: BTreeSet<String>,
-    overrides: BTreeMap<String, Value>,
-    trace: Vec<TraceEntry>,
-    trace_cap: usize,
-    watchpoints: Vec<Watchpoint>,
-}
-
-impl fmt::Debug for AdaptiveComponent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("AdaptiveComponent")
-            .field("inner", &self.inner.type_name())
-            .field("rewrites", &self.rewrites)
-            .field("disabled", &self.disabled)
-            .field("trace_len", &self.trace.len())
-            .finish_non_exhaustive()
-    }
-}
+pub type AdaptiveComponent = Wrapper<MetaProtocol>;
 
 impl AdaptiveComponent {
     /// Wraps `inner` with an initially-transparent meta protocol.
     #[must_use]
     pub fn new(inner: Box<dyn Component>) -> Self {
-        AdaptiveComponent {
-            inner,
+        let front = MetaProtocol {
             rewrites: BTreeMap::new(),
             disabled: BTreeSet::new(),
             overrides: BTreeMap::new(),
             trace: Vec::new(),
             trace_cap: 1024,
-            watchpoints: Vec::new(),
-        }
+            watchpoints: Chain::default(),
+        };
+        Wrapper { inner, front }
     }
 
     // ----- modification (intercession) --------------------------------
 
     /// Adds an operation alias: incoming `alias` executes as `target`.
     pub fn rewrite_op(&mut self, alias: impl Into<String>, target: impl Into<String>) {
-        self.rewrites.insert(alias.into(), target.into());
+        self.front.rewrites.insert(alias.into(), target.into());
     }
 
     /// Disables an operation: messages for it are suppressed (traced, not
     /// executed).
     pub fn disable_op(&mut self, op: impl Into<String>) {
-        self.disabled.insert(op.into());
+        self.front.disabled.insert(op.into());
     }
 
     /// Re-enables a disabled operation.
     pub fn enable_op(&mut self, op: &str) {
-        self.disabled.remove(op);
+        self.front.disabled.remove(op);
     }
 
     /// Overrides responses for `op`: the base handler is bypassed and the
     /// fixed value is replied instead.
     pub fn override_response(&mut self, op: impl Into<String>, value: Value) {
-        self.overrides.insert(op.into(), value);
+        self.front.overrides.insert(op.into(), value);
     }
 
     /// Clears a response override.
     pub fn clear_override(&mut self, op: &str) {
-        self.overrides.remove(op);
+        self.front.overrides.remove(op);
     }
 
     // ----- observation (introspection) --------------------------------
 
-    /// Installs a watchpoint.
+    /// Installs (or replaces, by name) a watchpoint.
     pub fn watch(&mut self, wp: Watchpoint) {
-        self.watchpoints.push(wp);
+        self.front.watchpoints.install(wp);
     }
 
     /// The installed watchpoints.
     #[must_use]
     pub fn watchpoints(&self) -> &[Watchpoint] {
-        &self.watchpoints
+        &self.front.watchpoints.0
     }
 
     /// The execution trace (bounded; oldest entries drop first).
     #[must_use]
     pub fn trace(&self) -> &[TraceEntry] {
-        &self.trace
-    }
-
-    fn record(&mut self, entry: TraceEntry) {
-        if self.trace.len() == self.trace_cap {
-            self.trace.remove(0);
-        }
-        self.trace.push(entry);
+        &self.front.trace
     }
 }
 
-impl Component for AdaptiveComponent {
-    fn type_name(&self) -> &str {
-        self.inner.type_name()
+impl MetaProtocol {
+    fn record(&mut self, received_op: String, executed_op: Option<String>, ok: bool) {
+        if self.trace.len() == self.trace_cap {
+            self.trace.remove(0);
+        }
+        self.trace.push(TraceEntry {
+            received_op,
+            executed_op,
+            ok,
+        });
     }
+}
 
-    fn provided(&self) -> Interface {
+impl Front for MetaProtocol {
+    fn provided(&self, inner: &dyn Component) -> Interface {
         // Generate the adaptive interface: base ops minus disabled, plus
         // aliases for every rewrite whose target exists.
-        let base = self.inner.provided();
+        let base = inner.provided();
         let mut signatures: Vec<Signature> = base
             .signatures
             .iter()
@@ -221,28 +187,25 @@ impl Component for AdaptiveComponent {
         }
     }
 
-    fn on_message(&mut self, ctx: &mut CallCtx, mut msg: Message) -> Result<(), ComponentError> {
-        for wp in &mut self.watchpoints {
-            if (wp.predicate)(&msg) {
-                wp.hits += 1;
+    fn handle(
+        &mut self,
+        inner: &mut dyn Component,
+        ctx: &mut CallCtx,
+        mut msg: Message,
+    ) -> Result<(), ComponentError> {
+        for wp in &mut self.watchpoints.0 {
+            if (wp.action.0)(&msg) {
+                wp.runs += 1;
             }
         }
         let received_op = msg.op.to_string();
         if self.disabled.contains(&received_op) {
-            self.record(TraceEntry {
-                received_op,
-                executed_op: None,
-                ok: true,
-            });
+            self.record(received_op, None, true);
             return Ok(());
         }
         if let Some(v) = self.overrides.get(&received_op) {
             ctx.reply(v.clone());
-            self.record(TraceEntry {
-                received_op,
-                executed_op: None,
-                ok: true,
-            });
+            self.record(received_op, None, true);
             return Ok(());
         }
         let target = self
@@ -251,30 +214,14 @@ impl Component for AdaptiveComponent {
             .cloned()
             .unwrap_or_else(|| received_op.clone());
         msg.op = Name::from(&target);
-        let result = self.inner.on_message(ctx, msg);
-        self.record(TraceEntry {
-            received_op,
-            executed_op: Some(target),
-            ok: result.is_ok(),
-        });
+        let result = inner.on_message(ctx, msg);
+        self.record(received_op, Some(target), result.is_ok());
         result
     }
 
-    fn on_timer(&mut self, ctx: &mut CallCtx, tag: u64) {
-        self.inner.on_timer(ctx, tag);
-    }
-
-    fn snapshot(&self) -> StateSnapshot {
-        self.inner.snapshot()
-    }
-
-    fn restore(&mut self, snapshot: &StateSnapshot) -> Result<(), StateError> {
-        self.inner.restore(snapshot)
-    }
-
-    fn work_cost(&self, msg: &Message) -> f64 {
+    fn cost(&self) -> f64 {
         // The meta level costs a little on every message.
-        self.inner.work_cost(msg) + 0.02
+        0.02
     }
 }
 
@@ -368,7 +315,7 @@ mod tests {
             .unwrap();
         ac.on_message(&mut ctx, Message::request("echo", Value::from(5)))
             .unwrap();
-        assert_eq!(ac.watchpoints()[0].hits(), 1);
+        assert_eq!(ac.watchpoints()[0].runs(), 1);
         assert_eq!(ac.watchpoints()[0].name(), "big-payload");
     }
 
@@ -383,7 +330,7 @@ mod tests {
     #[test]
     fn trace_is_bounded() {
         let mut ac = adaptive_echo();
-        ac.trace_cap = 4;
+        ac.front.trace_cap = 4;
         for _ in 0..10 {
             let _ = call(&mut ac, "echo");
         }

@@ -37,8 +37,8 @@ pub struct SelectorRung {
 ///     .rung(0.7, ConnectorSpec::direct("wire")
 ///         .with_aspect(ConnectorAspect::Compression { ratio: 0.5, cost: 0.2 }));
 ///
-/// assert!(selector.select(0.3).aspects.is_empty());
-/// assert_eq!(selector.select(0.9).aspects.len(), 1);
+/// assert!(selector.select(0.3).unwrap().aspects.is_empty());
+/// assert_eq!(selector.select(0.9).unwrap().aspects.len(), 1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct ConnectorSelector {
@@ -83,32 +83,23 @@ impl ConnectorSelector {
         self.rungs.is_empty()
     }
 
-    /// Selects the spec for condition `value`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the selector has no rungs.
+    /// Selects the spec for condition `value`: the highest rung at or
+    /// below it, else the lowest rung. Returns `None` when the selector
+    /// has no rungs.
     #[must_use]
-    pub fn select(&self, value: f64) -> &ConnectorSpec {
-        assert!(!self.rungs.is_empty(), "selector has no rungs");
-        let mut chosen = &self.rungs[0];
-        for r in &self.rungs {
-            if value >= r.threshold {
-                chosen = r;
-            } else {
-                break;
-            }
-        }
-        &chosen.spec
+    pub fn select(&self, value: f64) -> Option<&ConnectorSpec> {
+        let eligible = self.rungs.iter().take_while(|r| value >= r.threshold);
+        eligible.last().or(self.rungs.first()).map(|r| &r.spec)
     }
 
     /// Convenience: the spec name selected for `value` — useful to decide
-    /// whether a swap is needed without comparing whole specs.
+    /// whether a swap is needed without comparing whole specs. `None`
+    /// when the selector has no rungs.
     #[must_use]
-    pub fn select_fingerprint(&self, value: f64) -> String {
-        let spec = self.select(value);
+    pub fn select_fingerprint(&self, value: f64) -> Option<String> {
+        let spec = self.select(value)?;
         let aspects: Vec<&str> = spec.aspects.iter().map(ConnectorAspect::name).collect();
-        format!("{}#{:?}#{:?}", spec.name, spec.policy, aspects)
+        Some(format!("{}#{:?}#{:?}", spec.name, spec.policy, aspects))
     }
 }
 
@@ -154,16 +145,18 @@ mod tests {
     fn rungs_sort_by_threshold() {
         let s = selector();
         assert_eq!(s.len(), 3);
-        assert!(s.select(0.0).aspects.is_empty());
+        assert!(s.select(0.0).unwrap().aspects.is_empty());
     }
 
     #[test]
     fn selection_picks_highest_eligible_rung() {
         let s = selector();
-        assert_eq!(s.select(0.5).aspects.len(), 0);
-        assert_eq!(s.select(0.75).aspects.len(), 1);
-        assert_eq!(s.select(0.95).aspects.len(), 2);
-        assert_eq!(s.select(5.0).aspects.len(), 2, "clamps to top rung");
+        let aspects = |value| s.select(value).unwrap().aspects.len();
+        assert_eq!(aspects(0.5), 0);
+        assert_eq!(aspects(0.75), 1);
+        assert_eq!(aspects(0.95), 2);
+        assert_eq!(aspects(5.0), 2, "clamps to top rung");
+        assert_eq!(aspects(-1.0), 0, "below every rung: the lowest");
     }
 
     #[test]
@@ -174,10 +167,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "no rungs")]
-    fn empty_selector_panics() {
+    fn empty_selector_selects_nothing() {
         let s = ConnectorSelector::new("x");
-        let _ = s.select(0.5);
+        assert!(s.select(0.5).is_none());
+        assert!(s.select_fingerprint(0.5).is_none());
     }
 
     #[test]

@@ -17,12 +17,13 @@
 //! [`Superimposition`] applies one pipeline definition across many
 //! components — the crosscutting composition the paper pairs filters with.
 
-use aas_core::component::{CallCtx, Component, StateSnapshot};
-use aas_core::error::{ComponentError, StateError};
-use aas_core::interface::Interface;
+use crate::hook::{Chain, Front, Hook, Opaque, Wrapper};
+use aas_core::component::Component;
 use aas_core::message::{Message, Name, Value};
 use core::fmt;
 use std::collections::BTreeSet;
+
+pub use crate::hook::SealedError;
 
 /// What a filter decided about a message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,7 +61,7 @@ impl fmt::Debug for dyn MessageFilter {
 }
 
 /// Matches operations against a simple pattern: exact, or prefix with a
-/// trailing `*`.
+/// trailing `*`. Filters and pointcuts share it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OpPattern(String);
 
@@ -115,19 +116,11 @@ impl MessageFilter for RejectFilter {
 }
 
 /// Sets a payload field on matching messages — a `Meta`-style transformer.
+#[derive(Debug)]
 pub struct TransformFilter {
     pattern: OpPattern,
     key: String,
-    compute: Box<dyn Fn(&Message) -> Value + Send>,
-}
-
-impl fmt::Debug for TransformFilter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TransformFilter")
-            .field("pattern", &self.pattern)
-            .field("key", &self.key)
-            .finish_non_exhaustive()
-    }
+    compute: Opaque<dyn Fn(&Message) -> Value + Send>,
 }
 
 impl TransformFilter {
@@ -140,7 +133,7 @@ impl TransformFilter {
         TransformFilter {
             pattern: OpPattern::new(pattern),
             key: key.into(),
-            compute: Box::new(compute),
+            compute: Opaque(Box::new(compute)),
         }
     }
 }
@@ -154,7 +147,7 @@ impl MessageFilter for TransformFilter {
         if !self.pattern.matches(&msg.op) {
             return FilterVerdict::Pass;
         }
-        let v = (self.compute)(msg);
+        let v = (self.compute.0)(msg);
         if let Value::Map(_) = msg.value {
             msg.value.set(self.key.clone(), v);
         } else {
@@ -209,20 +202,16 @@ pub struct ThrottleFilter {
 }
 
 impl ThrottleFilter {
-    /// Admits `limit` messages out of every `window_len`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window_len` is zero.
+    /// Admits `limit` messages out of every `window_len`. Returns `None`
+    /// when `window_len` is zero.
     #[must_use]
-    pub fn new(limit: u64, window_len: u64) -> Self {
-        assert!(window_len > 0, "window must be non-empty");
-        ThrottleFilter {
+    pub fn new(limit: u64, window_len: u64) -> Option<Self> {
+        (window_len > 0).then_some(ThrottleFilter {
             limit,
             seen: 0,
             admitted: 0,
             window_len,
-        }
+        })
     }
 }
 
@@ -294,7 +283,7 @@ pub struct PipelineOutcome {
 #[derive(Debug)]
 pub struct FilterPipeline {
     mode: FilterMode,
-    filters: Vec<Box<dyn MessageFilter>>,
+    filters: Chain<Box<dyn MessageFilter>>,
     sealed: bool,
     evaluated: u64,
     blocked: u64,
@@ -311,29 +300,11 @@ impl FilterPipeline {
     pub fn new(mode: FilterMode) -> Self {
         FilterPipeline {
             mode,
-            filters: Vec::new(),
+            filters: Chain::default(),
             sealed: false,
             evaluated: 0,
             blocked: 0,
         }
-    }
-
-    /// The pipeline's mode.
-    #[must_use]
-    pub fn mode(&self) -> FilterMode {
-        self.mode
-    }
-
-    /// Number of filters installed.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.filters.len()
-    }
-
-    /// True if no filters are installed.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.filters.is_empty()
     }
 
     /// Appends a filter.
@@ -342,10 +313,11 @@ impl FilterPipeline {
     ///
     /// Fails on a sealed inlined pipeline.
     pub fn attach(&mut self, filter: Box<dyn MessageFilter>) -> Result<(), SealedError> {
-        if self.sealed && self.mode == FilterMode::Inlined {
+        if self.sealed {
             return Err(SealedError);
         }
-        self.filters.push(filter);
+        let name = filter.name().to_owned();
+        self.filters.0.push(Hook::named(name, filter));
         Ok(())
     }
 
@@ -356,20 +328,10 @@ impl FilterPipeline {
     /// Fails on a sealed inlined pipeline; returns `Ok(false)` when no
     /// filter had that name.
     pub fn detach(&mut self, name: &str) -> Result<bool, SealedError> {
-        if self.sealed && self.mode == FilterMode::Inlined {
+        if self.sealed {
             return Err(SealedError);
         }
-        let before = self.filters.len();
-        let mut removed = false;
-        self.filters.retain(|f| {
-            if !removed && f.name() == name {
-                removed = true;
-                false
-            } else {
-                true
-            }
-        });
-        Ok(self.filters.len() < before)
+        Ok(self.filters.remove(name))
     }
 
     /// Runs `msg` through the chain in order.
@@ -378,32 +340,25 @@ impl FilterPipeline {
             self.sealed = true;
         }
         self.evaluated += 1;
-        let mut cost = match self.mode {
-            FilterMode::Inlined => INLINED_DISPATCH_COST,
-            FilterMode::Runtime => RUNTIME_DISPATCH_COST,
-        };
-        let per_filter_factor = match self.mode {
-            FilterMode::Inlined => 0.5, // inlining fuses filter bodies
-            FilterMode::Runtime => 1.0,
+        // Inlining fuses filter bodies: half the cost per filter.
+        let (mut cost, per_filter_factor) = match self.mode {
+            FilterMode::Inlined => (INLINED_DISPATCH_COST, 0.5),
+            FilterMode::Runtime => (RUNTIME_DISPATCH_COST, 1.0),
         };
         let mut filters_run = 0;
-        for f in &mut self.filters {
+        let mut blocked = None;
+        for f in &mut self.filters.0 {
             filters_run += 1;
-            cost += f.cost() * per_filter_factor;
-            match f.evaluate(msg) {
-                FilterVerdict::Pass | FilterVerdict::Transformed => {}
-                FilterVerdict::Block { reason } => {
-                    self.blocked += 1;
-                    return PipelineOutcome {
-                        blocked: Some(reason),
-                        cost,
-                        filters_run,
-                    };
-                }
+            f.runs += 1;
+            cost += f.action.cost() * per_filter_factor;
+            if let FilterVerdict::Block { reason } = f.action.evaluate(msg) {
+                self.blocked += 1;
+                blocked = Some(reason);
+                break;
             }
         }
         PipelineOutcome {
-            blocked: None,
+            blocked,
             cost,
             filters_run,
         }
@@ -422,107 +377,51 @@ impl FilterPipeline {
     }
 }
 
-/// Error: attempted to modify a sealed inlined pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SealedError;
-
-impl fmt::Display for SealedError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("pipeline is inlined and sealed; filters cannot change at run time")
-    }
-}
-
-impl std::error::Error for SealedError {}
-
 /// A component wrapped with input filters: the composition-filters
 /// integration point. Input messages run through the pipeline before the
 /// inner component sees them; blocked messages are absorbed (and counted)
 /// without reaching it.
-#[derive(Debug)]
-pub struct FilteredComponent {
-    inner: Box<dyn Component>,
-    input: FilterPipeline,
-    absorbed: u64,
-}
+pub type FilteredComponent = Wrapper<FilterPipeline>;
 
 impl FilteredComponent {
     /// Wraps `inner` with `input` filters.
     #[must_use]
     pub fn new(inner: Box<dyn Component>, input: FilterPipeline) -> Self {
-        FilteredComponent {
+        Wrapper {
             inner,
-            input,
-            absorbed: 0,
+            front: input,
         }
     }
 
-    /// Messages absorbed by the input pipeline.
+    /// Messages absorbed: those the input pipeline has blocked.
     #[must_use]
     pub fn absorbed(&self) -> u64 {
-        self.absorbed
-    }
-
-    /// The input pipeline (e.g. to attach filters at run time).
-    pub fn input_pipeline(&mut self) -> &mut FilterPipeline {
-        &mut self.input
+        self.front.blocked_count()
     }
 }
 
-impl Component for FilteredComponent {
-    fn type_name(&self) -> &str {
-        self.inner.type_name()
+impl Front for FilterPipeline {
+    fn before(&mut self, msg: &mut Message) -> bool {
+        self.run(msg).blocked.is_none()
     }
 
-    fn provided(&self) -> Interface {
-        self.inner.provided()
-    }
-
-    fn on_message(&mut self, ctx: &mut CallCtx, mut msg: Message) -> Result<(), ComponentError> {
-        let outcome = self.input.run(&mut msg);
-        if outcome.blocked.is_some() {
-            self.absorbed += 1;
-            return Ok(());
-        }
-        self.inner.on_message(ctx, msg)
-    }
-
-    fn on_timer(&mut self, ctx: &mut CallCtx, tag: u64) {
-        self.inner.on_timer(ctx, tag);
-    }
-
-    fn snapshot(&self) -> StateSnapshot {
-        self.inner.snapshot()
-    }
-
-    fn restore(&mut self, snapshot: &StateSnapshot) -> Result<(), StateError> {
-        self.inner.restore(snapshot)
-    }
-
-    fn work_cost(&self, msg: &Message) -> f64 {
+    fn cost(&self) -> f64 {
         // Filter cost is charged on top of the inner component's cost.
-        let per_filter = match self.input.mode() {
+        let per_filter = match self.mode {
             FilterMode::Inlined => 0.005,
             FilterMode::Runtime => 0.01,
         };
-        self.inner.work_cost(msg) + per_filter * self.input.len() as f64
+        per_filter * self.filters.0.len() as f64
     }
 }
 
 /// Applies one pipeline definition across a set of components — the
 /// superimposition mechanism that lets filters "express aspects".
+#[derive(Debug)]
 pub struct Superimposition {
     name: String,
-    template: Box<dyn Fn() -> FilterPipeline + Send>,
+    template: Opaque<dyn Fn() -> FilterPipeline + Send>,
     applied_to: BTreeSet<String>,
-}
-
-impl fmt::Debug for Superimposition {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Superimposition")
-            .field("name", &self.name)
-            .field("applied_to", &self.applied_to)
-            .finish_non_exhaustive()
-    }
 }
 
 impl Superimposition {
@@ -534,7 +433,7 @@ impl Superimposition {
     {
         Superimposition {
             name: name.into(),
-            template: Box::new(template),
+            template: Opaque(Box::new(template)),
             applied_to: BTreeSet::new(),
         }
     }
@@ -553,7 +452,7 @@ impl Superimposition {
         component: Box<dyn Component>,
     ) -> FilteredComponent {
         self.applied_to.insert(instance_name.into());
-        FilteredComponent::new(component, (self.template)())
+        FilteredComponent::new(component, (self.template.0)())
     }
 
     /// The instances this aspect has been superimposed on.
@@ -566,7 +465,7 @@ impl Superimposition {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aas_core::component::EchoComponent;
+    use aas_core::component::{CallCtx, EchoComponent};
     use aas_sim::time::SimTime;
 
     fn msg(op: &'static str) -> Message {
@@ -620,7 +519,8 @@ mod tests {
     #[test]
     fn throttle_admits_limit_per_window() {
         let mut p = FilterPipeline::new(FilterMode::Runtime);
-        p.attach(Box::new(ThrottleFilter::new(2, 4))).unwrap();
+        p.attach(Box::new(ThrottleFilter::new(2, 4).unwrap()))
+            .unwrap();
         let verdicts: Vec<bool> = (0..8)
             .map(|_| p.run(&mut msg("x")).blocked.is_none())
             .collect();
@@ -628,6 +528,12 @@ mod tests {
             verdicts,
             vec![true, true, false, false, true, true, false, false]
         );
+    }
+
+    #[test]
+    fn throttle_needs_a_window() {
+        assert!(ThrottleFilter::new(2, 0).is_none());
+        assert!(ThrottleFilter::new(0, 1).is_some());
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //! set of crosscutting [`FrameworkAspect`]s applied around every dispatch.
 //! Both components and aspects interchange at run time.
 
+use crate::hook::{Chain, Hook, Opaque};
 use aas_core::component::{CallCtx, Component};
+use aas_core::error::ComponentError;
 use aas_core::interface::Interface;
 use aas_core::message::Message;
 use core::fmt;
@@ -52,6 +54,13 @@ pub enum FrameworkError {
     },
     /// The slot is empty.
     EmptySlot(String),
+    /// The component in the slot failed to handle the message.
+    Handler {
+        /// The slot.
+        slot: String,
+        /// What the component reported.
+        error: ComponentError,
+    },
 }
 
 impl fmt::Display for FrameworkError {
@@ -62,28 +71,19 @@ impl fmt::Display for FrameworkError {
                 write!(f, "component `{candidate}` does not fit slot `{slot}`")
             }
             FrameworkError::EmptySlot(s) => write!(f, "slot `{s}` is empty"),
+            FrameworkError::Handler { slot, error } => {
+                write!(f, "component in slot `{slot}` failed: {error}")
+            }
         }
     }
 }
 
 impl std::error::Error for FrameworkError {}
 
-/// A crosscutting aspect applied around every slot dispatch.
-pub struct FrameworkAspect {
-    name: String,
-    #[allow(clippy::type_complexity)]
-    before: Box<dyn FnMut(&str, &mut Message) + Send>,
-    invocations: u64,
-}
+type Before = Opaque<dyn FnMut(&str, &mut Message) + Send>;
 
-impl fmt::Debug for FrameworkAspect {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("FrameworkAspect")
-            .field("name", &self.name)
-            .field("invocations", &self.invocations)
-            .finish_non_exhaustive()
-    }
-}
+/// A crosscutting aspect applied around every slot dispatch.
+pub type FrameworkAspect = Hook<Before>;
 
 impl FrameworkAspect {
     /// An aspect running `before(slot_name, msg)` ahead of every dispatch.
@@ -92,43 +92,24 @@ impl FrameworkAspect {
     where
         F: FnMut(&str, &mut Message) + Send + 'static,
     {
-        FrameworkAspect {
-            name: name.into(),
-            before: Box::new(before),
-            invocations: 0,
-        }
-    }
-
-    /// The aspect's name.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// How many dispatches the aspect has seen.
-    #[must_use]
-    pub fn invocations(&self) -> u64 {
-        self.invocations
+        Hook::named(name, Opaque(Box::new(before)))
     }
 }
 
+#[derive(Debug)]
 struct Slot {
     spec: SlotSpec,
     plugged: Option<Box<dyn Component>>,
     interchanges: u64,
 }
 
-impl fmt::Debug for Slot {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Slot")
-            .field("name", &self.spec.name)
-            .field(
-                "plugged",
-                &self.plugged.as_ref().map(|c| c.type_name().to_owned()),
-            )
-            .field("interchanges", &self.interchanges)
-            .finish()
-    }
+fn slot_mut<'a>(
+    slots: &'a mut BTreeMap<String, Slot>,
+    name: &str,
+) -> Result<&'a mut Slot, FrameworkError> {
+    slots
+        .get_mut(name)
+        .ok_or_else(|| FrameworkError::UnknownSlot(name.to_owned()))
 }
 
 /// The electronic cabinet: named slots + crosscutting aspects.
@@ -149,7 +130,7 @@ impl fmt::Debug for Slot {
 #[derive(Debug, Default)]
 pub struct CompositionFramework {
     slots: BTreeMap<String, Slot>,
-    aspects: Vec<FrameworkAspect>,
+    aspects: Chain<Before>,
 }
 
 impl CompositionFramework {
@@ -182,10 +163,7 @@ impl CompositionFramework {
         slot: &str,
         component: Box<dyn Component>,
     ) -> Result<(), FrameworkError> {
-        let s = self
-            .slots
-            .get_mut(slot)
-            .ok_or_else(|| FrameworkError::UnknownSlot(slot.to_owned()))?;
+        let s = slot_mut(&mut self.slots, slot)?;
         if !component.provided().satisfies_requirement(&s.spec.family) {
             return Err(FrameworkError::FamilyMismatch {
                 slot: slot.to_owned(),
@@ -205,21 +183,14 @@ impl CompositionFramework {
     ///
     /// Fails if the slot is unknown.
     pub fn unplug(&mut self, slot: &str) -> Result<Option<Box<dyn Component>>, FrameworkError> {
-        let s = self
-            .slots
-            .get_mut(slot)
-            .ok_or_else(|| FrameworkError::UnknownSlot(slot.to_owned()))?;
+        let s = slot_mut(&mut self.slots, slot)?;
         Ok(s.plugged.take())
     }
 
     /// The type name of the component in `slot`, if any.
     #[must_use]
     pub fn plugged_type(&self, slot: &str) -> Option<&str> {
-        self.slots
-            .get(slot)?
-            .plugged
-            .as_ref()
-            .map(|c| c.type_name())
+        Some(self.slots.get(slot)?.plugged.as_deref()?.type_name())
     }
 
     /// How often `slot` has had its occupant interchanged.
@@ -230,15 +201,12 @@ impl CompositionFramework {
 
     /// Installs (or replaces, by name) a crosscutting aspect.
     pub fn install_aspect(&mut self, aspect: FrameworkAspect) {
-        self.aspects.retain(|a| a.name != aspect.name);
-        self.aspects.push(aspect);
+        self.aspects.install(aspect);
     }
 
     /// Removes an aspect by name; `true` if removed.
     pub fn remove_aspect(&mut self, name: &str) -> bool {
-        let before = self.aspects.len();
-        self.aspects.retain(|a| a.name != name);
-        self.aspects.len() < before
+        self.aspects.remove(name)
     }
 
     /// Declared slot names.
@@ -258,21 +226,20 @@ impl CompositionFramework {
         ctx: &mut CallCtx,
         mut msg: Message,
     ) -> Result<(), FrameworkError> {
-        if !self.slots.contains_key(slot) {
-            return Err(FrameworkError::UnknownSlot(slot.to_owned()));
+        let s = slot_mut(&mut self.slots, slot)?;
+        for aspect in &mut self.aspects.0 {
+            (aspect.action.0)(slot, &mut msg);
+            aspect.runs += 1;
         }
-        for aspect in &mut self.aspects {
-            (aspect.before)(slot, &mut msg);
-            aspect.invocations += 1;
-        }
-        let s = self.slots.get_mut(slot).expect("checked");
         let comp = s
             .plugged
             .as_mut()
             .ok_or_else(|| FrameworkError::EmptySlot(slot.to_owned()))?;
         comp.on_message(ctx, msg)
-            .map_err(|e| FrameworkError::EmptySlot(format!("{slot}: {e}")))?;
-        Ok(())
+            .map_err(|error| FrameworkError::Handler {
+                slot: slot.to_owned(),
+                error,
+            })
     }
 }
 
@@ -383,6 +350,25 @@ mod tests {
             .unwrap();
         assert!(fw.remove_aspect("a"));
         assert!(!fw.remove_aspect("a"));
+    }
+
+    #[test]
+    fn handler_failure_is_not_an_empty_slot() {
+        let mut fw = framework();
+        fw.plug("codec", Box::new(EchoComponent::default()))
+            .unwrap();
+        let mut ctx = CallCtx::new(SimTime::ZERO, "fw");
+        let err = fw
+            .dispatch("codec", &mut ctx, Message::request("nonsense", Value::Null))
+            .unwrap_err();
+        assert!(
+            matches!(&err, FrameworkError::Handler { slot, error: aas_core::error::ComponentError::UnsupportedOperation(op) }
+                if slot == "codec" && op == "nonsense"),
+            "{err:?}"
+        );
+        let text = err.to_string();
+        assert!(text.contains("failed") && !text.contains("empty"), "{text}");
+        assert_eq!(fw.plugged_type("codec"), Some("Echo"), "still occupied");
     }
 
     #[test]

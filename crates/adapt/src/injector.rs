@@ -11,6 +11,7 @@
 //! names it may affect — and one [`InjectedBehavior`]: reroute, transform,
 //! or filter.
 
+use crate::hook::{Chain, Hook};
 use aas_core::message::Message;
 use core::fmt;
 use std::collections::BTreeSet;
@@ -38,14 +39,10 @@ impl fmt::Debug for InjectedBehavior {
     }
 }
 
+type Scoped = (BTreeSet<String>, InjectedBehavior);
+
 /// A scoped communication interceptor.
-#[derive(Debug)]
-pub struct Injector {
-    name: String,
-    scope: BTreeSet<String>,
-    behavior: InjectedBehavior,
-    interceptions: u64,
-}
+pub type Injector = Hook<Scoped>;
 
 impl Injector {
     /// An injector named `name` affecting only components in `scope`.
@@ -55,36 +52,7 @@ impl Injector {
         scope: impl IntoIterator<Item = String>,
         behavior: InjectedBehavior,
     ) -> Self {
-        Injector {
-            name: name.into(),
-            scope: scope.into_iter().collect(),
-            behavior,
-            interceptions: 0,
-        }
-    }
-
-    /// The injector's name.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Whether `component` is in scope.
-    #[must_use]
-    pub fn affects(&self, component: &str) -> bool {
-        self.scope.contains(component)
-    }
-
-    /// The scope set.
-    #[must_use]
-    pub fn scope(&self) -> &BTreeSet<String> {
-        &self.scope
-    }
-
-    /// Times this injector has intercepted a message.
-    #[must_use]
-    pub fn interceptions(&self) -> u64 {
-        self.interceptions
+        Hook::named(name, (scope.into_iter().collect(), behavior))
     }
 }
 
@@ -128,54 +96,26 @@ pub enum InjectionOutcome {
 /// let outcome = reg.intercept("catalog", &mut msg);
 /// assert_eq!(outcome, InjectionOutcome::Deliver);
 /// ```
-#[derive(Debug, Default)]
-pub struct InjectorRegistry {
-    injectors: Vec<Injector>,
-}
+///
+/// The registry adds no rule of its own to `install` (which replaces by
+/// name), `remove`, `get` and `names`: it is the injectors' bare chain,
+/// and `intercept` applies the scope rule.
+pub type InjectorRegistry = Chain<Scoped>;
 
 impl InjectorRegistry {
-    /// An empty registry.
-    #[must_use]
-    pub fn new() -> Self {
-        InjectorRegistry::default()
-    }
-
-    /// Installs (or replaces, by name) an injector.
-    pub fn install(&mut self, injector: Injector) {
-        self.injectors.retain(|i| i.name != injector.name);
-        self.injectors.push(injector);
-    }
-
-    /// Removes an injector by name; `true` if removed.
-    pub fn remove(&mut self, name: &str) -> bool {
-        let before = self.injectors.len();
-        self.injectors.retain(|i| i.name != name);
-        self.injectors.len() < before
-    }
-
-    /// Installed injector names.
-    pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.injectors.iter().map(|i| i.name.as_str())
-    }
-
-    /// The injector named `name`.
-    #[must_use]
-    pub fn get(&self, name: &str) -> Option<&Injector> {
-        self.injectors.iter().find(|i| i.name == name)
-    }
-
     /// Runs the chain for a message addressed to `target`. Injectors whose
     /// scope excludes `target` are skipped. A reroute retargets the rest of
     /// the chain; a failed filter stops it.
     pub fn intercept(&mut self, target: &str, msg: &mut Message) -> InjectionOutcome {
         let mut current_target = target.to_owned();
         let mut rerouted = false;
-        for inj in &mut self.injectors {
-            if !inj.affects(&current_target) {
+        for inj in &mut self.0 {
+            let (scope, behavior) = &mut inj.action;
+            if !scope.contains(&current_target) {
                 continue;
             }
-            inj.interceptions += 1;
-            match &mut inj.behavior {
+            inj.runs += 1;
+            match behavior {
                 InjectedBehavior::Reroute { to } => {
                     current_target.clone_from(to);
                     rerouted = true;
@@ -224,7 +164,7 @@ mod tests {
         let mut out_of_scope = msg("op");
         reg.intercept("b", &mut out_of_scope);
         assert_eq!(out_of_scope.value.get("touched"), None);
-        assert_eq!(reg.get("t").unwrap().interceptions(), 1);
+        assert_eq!(reg.get("t").unwrap().runs(), 1);
     }
 
     #[test]

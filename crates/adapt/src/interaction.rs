@@ -15,6 +15,8 @@
 //! consult a predicate per message, and modificatory wrappers that are the
 //! only ones allowed to rewrite messages.
 
+use crate::hook::{Chain, Front, Hook, Opaque, Predicate, Wrapper};
+use aas_core::component::Component;
 use aas_core::message::Message;
 use core::fmt;
 use std::collections::BTreeSet;
@@ -32,27 +34,18 @@ pub enum WrapperProp {
     Modificatory,
 }
 
-/// A meta-object wrapping base-level message handling.
-pub struct MetaObject {
-    name: String,
+/// What a meta-object holds besides its name and run count: its
+/// priority, its wrapper properties, its condition and its handler.
+#[derive(Debug)]
+pub struct Meta {
     priority: i32,
     props: Vec<WrapperProp>,
-    #[allow(clippy::type_complexity)]
-    condition: Option<Box<dyn Fn(&Message) -> bool + Send>>,
-    handler: Box<dyn FnMut(&mut Message) + Send>,
-    invocations: u64,
+    condition: Option<Predicate>,
+    handler: Opaque<dyn FnMut(&mut Message) + Send>,
 }
 
-impl fmt::Debug for MetaObject {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("MetaObject")
-            .field("name", &self.name)
-            .field("priority", &self.priority)
-            .field("props", &self.props)
-            .field("invocations", &self.invocations)
-            .finish_non_exhaustive()
-    }
-}
+/// A meta-object wrapping base-level message handling.
+pub type MetaObject = Hook<Meta>;
 
 impl MetaObject {
     /// A meta-object named `name` with the given priority (lower runs
@@ -62,20 +55,19 @@ impl MetaObject {
     where
         F: FnMut(&mut Message) + Send + 'static,
     {
-        MetaObject {
-            name: name.into(),
+        let meta = Meta {
             priority,
             props: Vec::new(),
             condition: None,
-            handler: Box::new(handler),
-            invocations: 0,
-        }
+            handler: Opaque(Box::new(handler)),
+        };
+        Hook::named(name, meta)
     }
 
     /// Adds a wrapper property (builder style).
     #[must_use]
     pub fn with_prop(mut self, prop: WrapperProp) -> Self {
-        self.props.push(prop);
+        self.action.props.push(prop);
         self
     }
 
@@ -85,36 +77,26 @@ impl MetaObject {
     where
         F: Fn(&Message) -> bool + Send + 'static,
     {
-        if !self.props.contains(&WrapperProp::Conditional) {
-            self.props.push(WrapperProp::Conditional);
+        if !self.has_prop(&WrapperProp::Conditional) {
+            self.action.props.push(WrapperProp::Conditional);
         }
-        self.condition = Some(Box::new(condition));
+        self.action.condition = Some(Opaque(Box::new(condition)));
         self
-    }
-
-    /// The meta-object's name.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// Whether the wrapper has the given property.
     #[must_use]
     pub fn has_prop(&self, prop: &WrapperProp) -> bool {
-        self.props.contains(prop)
+        self.action.props.contains(prop)
     }
+}
 
+impl Meta {
     fn exclusive_group(&self) -> Option<&str> {
         self.props.iter().find_map(|p| match p {
             WrapperProp::Exclusive(g) => Some(g.as_str()),
             _ => None,
         })
-    }
-
-    /// How many times the handler ran.
-    #[must_use]
-    pub fn invocations(&self) -> u64 {
-        self.invocations
     }
 }
 
@@ -174,9 +156,7 @@ impl std::error::Error for CompositionError {}
 /// ```
 #[derive(Debug, Default)]
 pub struct MetaChain {
-    objects: Vec<MetaObject>,
-    declaration_counter: u64,
-    declaration_order: Vec<u64>,
+    objects: Chain<Meta>,
     invocations: u64,
 }
 
@@ -195,14 +175,14 @@ impl MetaChain {
     ///
     /// See [`CompositionError`].
     pub fn compose(&mut self, object: MetaObject) -> Result<(), CompositionError> {
-        if self.objects.iter().any(|o| o.name == object.name) {
+        if self.objects.get(&object.name).is_some() {
             return Err(CompositionError::Duplicate(object.name));
         }
-        if let Some(group) = object.exclusive_group() {
-            if let Some(existing) = self
-                .objects
+        let chained = &mut self.objects.0;
+        if let Some(group) = object.action.exclusive_group() {
+            if let Some(existing) = chained
                 .iter()
-                .find(|o| o.exclusive_group() == Some(group))
+                .find(|o| o.action.exclusive_group() == Some(group))
             {
                 return Err(CompositionError::ExclusiveConflict {
                     group: group.to_owned(),
@@ -210,17 +190,13 @@ impl MetaChain {
                 });
             }
         }
-        self.declaration_counter += 1;
-        let decl = self.declaration_counter;
-        // Insert respecting (priority, declaration order).
-        let pos = self
-            .objects
+        // Every chained object was declared earlier, so it runs first
+        // unless its priority is higher.
+        let pos = chained
             .iter()
-            .zip(&self.declaration_order)
-            .position(|(o, d)| (o.priority, *d) > (object.priority, decl))
-            .unwrap_or(self.objects.len());
-        self.objects.insert(pos, object);
-        self.declaration_order.insert(pos, decl);
+            .position(|o| o.action.priority > object.action.priority)
+            .unwrap_or(chained.len());
+        chained.insert(pos, object);
         Ok(())
     }
 
@@ -230,16 +206,14 @@ impl MetaChain {
     ///
     /// Fails for mandatory or unknown objects.
     pub fn remove(&mut self, name: &str) -> Result<(), CompositionError> {
-        let idx = self
+        let object = self
             .objects
-            .iter()
-            .position(|o| o.name == name)
+            .get(name)
             .ok_or_else(|| CompositionError::Unknown(name.to_owned()))?;
-        if self.objects[idx].has_prop(&WrapperProp::Mandatory) {
+        if object.has_prop(&WrapperProp::Mandatory) {
             return Err(CompositionError::MandatoryRemoval(name.to_owned()));
         }
-        self.objects.remove(idx);
-        self.declaration_order.remove(idx);
+        self.objects.remove(name);
         Ok(())
     }
 
@@ -247,15 +221,16 @@ impl MetaChain {
     /// all the meta-objects that have been already chained".
     #[must_use]
     pub fn chained(&self) -> Vec<&str> {
-        self.objects.iter().map(|o| o.name.as_str()).collect()
+        self.objects.names().collect()
     }
 
     /// Groups currently occupied by exclusive wrappers.
     #[must_use]
     pub fn occupied_groups(&self) -> BTreeSet<String> {
         self.objects
+            .0
             .iter()
-            .filter_map(|o| o.exclusive_group().map(str::to_owned))
+            .filter_map(|o| o.action.exclusive_group().map(str::to_owned))
             .collect()
     }
 
@@ -265,20 +240,18 @@ impl MetaChain {
     pub fn invoke(&mut self, msg: &mut Message) -> usize {
         self.invocations += 1;
         let mut ran = 0;
-        for o in &mut self.objects {
-            if o.has_prop(&WrapperProp::Conditional) {
-                let pass = o.condition.as_ref().is_some_and(|c| c(msg));
-                if !pass {
-                    continue;
-                }
+        for o in &mut self.objects.0 {
+            if o.has_prop(&WrapperProp::Conditional)
+                && !o.action.condition.as_ref().is_some_and(|c| (c.0)(msg))
+            {
+                continue;
             }
             if o.has_prop(&WrapperProp::Modificatory) {
-                (o.handler)(msg);
+                (o.action.handler.0)(msg);
             } else {
-                let mut copy = msg.clone();
-                (o.handler)(&mut copy); // observation only
+                (o.action.handler.0)(&mut msg.clone()); // observation only
             }
-            o.invocations += 1;
+            o.runs += 1;
             ran += 1;
         }
         ran
@@ -446,68 +419,32 @@ mod tests {
 /// the chain first (meta level), then reaches the base component — the
 /// interaction-pattern integration mirror of
 /// [`FilteredComponent`](crate::filters::FilteredComponent).
-pub struct ChainedComponent {
-    inner: Box<dyn aas_core::component::Component>,
-    chain: MetaChain,
-}
-
-impl fmt::Debug for ChainedComponent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ChainedComponent")
-            .field("inner", &self.inner.type_name())
-            .field("chain", &self.chain.chained())
-            .finish()
-    }
-}
+pub type ChainedComponent = Wrapper<MetaChain>;
 
 impl ChainedComponent {
     /// Wraps `inner` with `chain`.
     #[must_use]
-    pub fn new(inner: Box<dyn aas_core::component::Component>, chain: MetaChain) -> Self {
-        ChainedComponent { inner, chain }
+    pub fn new(inner: Box<dyn Component>, chain: MetaChain) -> Self {
+        Wrapper {
+            inner,
+            front: chain,
+        }
     }
 
     /// The chain, for run-time composition.
     pub fn chain_mut(&mut self) -> &mut MetaChain {
-        &mut self.chain
+        &mut self.front
     }
 }
 
-impl aas_core::component::Component for ChainedComponent {
-    fn type_name(&self) -> &str {
-        self.inner.type_name()
+impl Front for MetaChain {
+    fn before(&mut self, msg: &mut Message) -> bool {
+        self.invoke(msg);
+        true
     }
 
-    fn provided(&self) -> aas_core::interface::Interface {
-        self.inner.provided()
-    }
-
-    fn on_message(
-        &mut self,
-        ctx: &mut aas_core::component::CallCtx,
-        mut msg: Message,
-    ) -> Result<(), aas_core::error::ComponentError> {
-        self.chain.invoke(&mut msg);
-        self.inner.on_message(ctx, msg)
-    }
-
-    fn on_timer(&mut self, ctx: &mut aas_core::component::CallCtx, tag: u64) {
-        self.inner.on_timer(ctx, tag);
-    }
-
-    fn snapshot(&self) -> aas_core::component::StateSnapshot {
-        self.inner.snapshot()
-    }
-
-    fn restore(
-        &mut self,
-        snapshot: &aas_core::component::StateSnapshot,
-    ) -> Result<(), aas_core::error::StateError> {
-        self.inner.restore(snapshot)
-    }
-
-    fn work_cost(&self, msg: &Message) -> f64 {
-        self.inner.work_cost(msg) + 0.01 * self.chain.chained().len() as f64
+    fn cost(&self) -> f64 {
+        0.01 * self.objects.0.len() as f64
     }
 }
 

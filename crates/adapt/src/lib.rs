@@ -7,19 +7,22 @@
 //!
 //! | # | Paper approach | Module |
 //! |---|---|---|
-//! | 1 | Composition frameworks (pluggable slots + aspects) | [`framework`] |
+//! | 1 | Composition frameworks (family-checked slots + aspects) | [`framework`] |
 //! | 2 | Strategy pattern + introspective switching | [`strategy`] |
-//! | 3 | Aspect weaving (static weave, dynamic interchange) | [`weaving`] |
-//! | 4 | Composition filters (+ superimposition) | [`filters`] |
+//! | 3 | Aspect weaving (sealed static advice, dynamic interchange) | [`weaving`] |
+//! | 4 | Composition filters (inlined pipelines seal; superimposition) | [`filters`] |
 //! | 5 | Connector interchange policies | [`connector_swap`] |
 //! | 6 | Composition paths (frozen stages) | [`paths`] |
-//! | 7 | Interaction patterns (meta-object chains) | [`interaction`] |
+//! | 7 | Interaction patterns (meta-objects by priority, four properties) | [`interaction`] |
 //! | 8 | Adaptive middleware (reflective service stack) | [`middleware`] |
-//! | 9 | Injectors (scoped interception) | [`injector`] |
-//! | 10 | Adaptive component interfaces (meta protocol) | [`adaptive_iface`] |
+//! | 9 | Injectors (scoped interception, reroute) | [`injector`] |
+//! | 10 | Adaptive component interfaces (meta protocol, watchpoints) | [`adaptive_iface`] |
 //!
-//! [`mechanism`] catalogues the ten with the cost profiles used by the
-//! adaptation-vs-reconfiguration experiments (E1, E10).
+//! Approaches 1, 3, 4, 7 and 9 and the watchpoints of 10 are one act —
+//! named behaviour run in front of a message — so they share one hook
+//! record and chain, and the three component wrappers share one wrapper;
+//! each module keeps only its paper rule. [`mechanism`] catalogues the
+//! ten with the cost profiles used by experiments E1 and E10.
 //!
 //! The common thread — and the paper's central claim about adaptability —
 //! is that every mechanism here changes behaviour **without quiescence**:
@@ -34,6 +37,7 @@ pub mod adaptive_iface;
 pub mod connector_swap;
 pub mod filters;
 pub mod framework;
+mod hook;
 pub mod injector;
 pub mod interaction;
 pub mod mechanism;

@@ -13,10 +13,12 @@
 //! approach's documented limitation — while the *variant* active within
 //! each stage can be interchanged freely.
 
+use crate::hook::Opaque;
 use aas_core::message::Value;
 use core::fmt;
 
 /// One service variant selectable within a stage.
+#[derive(Debug)]
 pub struct ServiceVariant {
     /// Variant name.
     pub name: String,
@@ -24,17 +26,7 @@ pub struct ServiceVariant {
     pub cost: f64,
     /// Quality delivered by this variant, in `[0, 1]`.
     pub quality: f64,
-    transform: Box<dyn FnMut(Value) -> Value + Send>,
-}
-
-impl fmt::Debug for ServiceVariant {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ServiceVariant")
-            .field("name", &self.name)
-            .field("cost", &self.cost)
-            .field("quality", &self.quality)
-            .finish_non_exhaustive()
-    }
+    transform: Opaque<dyn FnMut(Value) -> Value + Send>,
 }
 
 impl ServiceVariant {
@@ -48,7 +40,7 @@ impl ServiceVariant {
             name: name.into(),
             cost,
             quality,
-            transform: Box::new(transform),
+            transform: Opaque(Box::new(transform)),
         }
     }
 }
@@ -63,14 +55,15 @@ pub struct Stage {
 }
 
 impl Stage {
-    /// A stage with at least one variant; the first is active.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `variants` is empty.
+    /// A stage whose first variant is active. Returns `None` when
+    /// `variants` is empty.
     #[must_use]
-    pub fn new(name: impl Into<String>, variants: Vec<ServiceVariant>) -> Self {
-        assert!(!variants.is_empty(), "stage needs at least one variant");
+    pub fn new(name: impl Into<String>, variants: Vec<ServiceVariant>) -> Option<Self> {
+        (!variants.is_empty()).then(|| Stage::of(name, variants))
+    }
+
+    /// [`Stage::new`] for a list known not to be empty.
+    fn of(name: impl Into<String>, variants: Vec<ServiceVariant>) -> Self {
         Stage {
             name: name.into(),
             variants,
@@ -145,12 +138,11 @@ pub struct PathExecution {
 /// use aas_adapt::paths::{CompositionPath, ServiceVariant, Stage};
 /// use aas_core::message::Value;
 ///
-/// let mut path = CompositionPath::new(vec![
-///     Stage::new("coding", vec![
-///         ServiceVariant::new("h264", 4.0, 0.9, |v| v),
-///         ServiceVariant::new("mjpeg", 1.0, 0.5, |v| v),
-///     ]),
-/// ]);
+/// let coding = Stage::new("coding", vec![
+///     ServiceVariant::new("h264", 4.0, 0.9, |v| v),
+///     ServiceVariant::new("mjpeg", 1.0, 0.5, |v| v),
+/// ]).expect("one variant or more");
+/// let mut path = CompositionPath::new(vec![coding]).expect("one stage or more");
 /// path.select("coding", "mjpeg").unwrap();
 /// let run = path.execute(Value::Null);
 /// assert_eq!(run.variants_used, vec!["mjpeg"]);
@@ -164,17 +156,13 @@ pub struct CompositionPath {
 
 impl CompositionPath {
     /// Builds the path; the stage list is frozen from this point on.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stages` is empty.
+    /// Returns `None` when `stages` is empty.
     #[must_use]
-    pub fn new(stages: Vec<Stage>) -> Self {
-        assert!(!stages.is_empty(), "path needs at least one stage");
-        CompositionPath {
+    pub fn new(stages: Vec<Stage>) -> Option<Self> {
+        (!stages.is_empty()).then_some(CompositionPath {
             stages,
             executions: 0,
-        }
+        })
     }
 
     /// Number of (frozen) stages.
@@ -229,7 +217,7 @@ impl CompositionPath {
         let mut variants_used = Vec::with_capacity(self.stages.len());
         for stage in &mut self.stages {
             let v = &mut stage.variants[stage.active];
-            value = (v.transform)(value);
+            value = (v.transform.0)(value);
             total_cost += v.cost;
             min_quality = min_quality.min(v.quality);
             variants_used.push(v.name.clone());
@@ -258,15 +246,15 @@ impl CompositionPath {
 /// Builds the paper's video example: extraction → coding → transfer.
 #[must_use]
 pub fn video_path() -> CompositionPath {
-    CompositionPath::new(vec![
-        Stage::new(
+    let stages = vec![
+        Stage::of(
             "extraction",
             vec![
                 ServiceVariant::new("full-frame", 2.0, 1.0, |v| v),
                 ServiceVariant::new("keyframe-only", 0.5, 0.6, |v| v),
             ],
         ),
-        Stage::new(
+        Stage::of(
             "coding",
             vec![
                 ServiceVariant::new("h264-1080p", 6.0, 1.0, |mut v| {
@@ -283,14 +271,18 @@ pub fn video_path() -> CompositionPath {
                 }),
             ],
         ),
-        Stage::new(
+        Stage::of(
             "transfer",
             vec![
                 ServiceVariant::new("reliable", 1.5, 1.0, |v| v),
                 ServiceVariant::new("best-effort", 0.5, 0.8, |v| v),
             ],
         ),
-    ])
+    ];
+    CompositionPath {
+        stages,
+        executions: 0,
+    }
 }
 
 #[cfg(test)]
@@ -368,14 +360,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one stage")]
     fn empty_path_rejected() {
-        let _ = CompositionPath::new(Vec::new());
+        assert!(CompositionPath::new(Vec::new()).is_none());
     }
 
     #[test]
-    #[should_panic(expected = "at least one variant")]
     fn empty_stage_rejected() {
-        let _ = Stage::new("s", Vec::new());
+        assert!(Stage::new("s", Vec::new()).is_none());
     }
 }

@@ -10,6 +10,7 @@
 //! [`IntrospectiveSwitcher`] is the separated adaptation mechanism that
 //! watches a metric and switches strategy when its rules say so.
 
+use crate::hook::{Hook, Opaque};
 use crate::mechanism::{MechanismKind, SwitchMeter};
 use core::fmt;
 use std::collections::BTreeMap;
@@ -23,17 +24,8 @@ pub trait Strategy<I: ?Sized, O>: Send {
     fn apply(&mut self, input: &I) -> O;
 }
 
-/// A closure-backed strategy.
-pub struct FnStrategy<I: ?Sized, O> {
-    name: String,
-    f: Box<dyn FnMut(&I) -> O + Send>,
-}
-
-impl<I: ?Sized, O> fmt::Debug for FnStrategy<I, O> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "FnStrategy({})", self.name)
-    }
-}
+/// A closure-backed strategy; its run count is how often it was applied.
+pub type FnStrategy<I, O> = Hook<Opaque<dyn FnMut(&I) -> O + Send>>;
 
 impl<I: ?Sized, O> FnStrategy<I, O> {
     /// Wraps a closure as a strategy.
@@ -42,10 +34,7 @@ impl<I: ?Sized, O> FnStrategy<I, O> {
     where
         F: FnMut(&I) -> O + Send + 'static,
     {
-        FnStrategy {
-            name: name.into(),
-            f: Box::new(f),
-        }
+        Hook::named(name, Opaque(Box::new(f)))
     }
 }
 
@@ -55,7 +44,8 @@ impl<I: ?Sized, O> Strategy<I, O> for FnStrategy<I, O> {
     }
 
     fn apply(&mut self, input: &I) -> O {
-        (self.f)(input)
+        self.runs += 1;
+        (self.action.0)(input)
     }
 }
 
@@ -248,16 +238,12 @@ impl IntrospectiveSwitcher {
         ctx: &mut StrategyContext<I, O>,
     ) -> Option<String> {
         self.evaluations += 1;
-        for rule in &self.rules {
-            if (rule.condition)(metric) {
-                let before = ctx.switches();
-                if ctx.switch_to(&rule.strategy).is_ok() && ctx.switches() > before {
-                    return Some(rule.strategy.clone());
-                }
-                return None; // matched but already active (or unknown)
-            }
-        }
-        None
+        let rule = self.rules.iter().find(|r| (r.condition)(metric))?;
+        // A matching rule whose strategy is already active (or unknown)
+        // switches nothing.
+        let before = ctx.switches();
+        let switched = ctx.switch_to(&rule.strategy).is_ok() && ctx.switches() > before;
+        switched.then(|| rule.strategy.clone())
     }
 
     /// Number of observations evaluated.

@@ -7,8 +7,9 @@
 //! time, and *dynamic* advice slots whose content can be interchanged at
 //! run time (trait-object dispatch standing in for JVM dynamic dispatch).
 
+use crate::filters::OpPattern;
+use crate::hook::{Chain, Hook, Opaque, SealedError};
 use aas_core::message::Message;
-use core::fmt;
 
 /// Where advice attaches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -28,7 +29,7 @@ pub struct Pointcut {
     /// The join point.
     pub join: JoinPoint,
     /// Operation pattern.
-    pub op_pattern: String,
+    pub op_pattern: OpPattern,
 }
 
 impl Pointcut {
@@ -37,40 +38,21 @@ impl Pointcut {
     pub fn new(join: JoinPoint, op_pattern: impl Into<String>) -> Self {
         Pointcut {
             join,
-            op_pattern: op_pattern.into(),
+            op_pattern: OpPattern::new(op_pattern),
         }
     }
 
     /// Whether the pointcut matches.
     #[must_use]
     pub fn matches(&self, join: JoinPoint, op: &str) -> bool {
-        if self.join != join {
-            return false;
-        }
-        match self.op_pattern.strip_suffix('*') {
-            Some(prefix) => op.starts_with(prefix),
-            None => op == self.op_pattern,
-        }
+        self.join == join && self.op_pattern.matches(op)
     }
 }
+
+type AdviceBody = (Pointcut, Opaque<dyn FnMut(&mut Message) + Send>);
 
 /// A piece of advice: a named action bound to a pointcut.
-pub struct Advice {
-    name: String,
-    pointcut: Pointcut,
-    action: Box<dyn FnMut(&mut Message) + Send>,
-    executions: u64,
-}
-
-impl fmt::Debug for Advice {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Advice")
-            .field("name", &self.name)
-            .field("pointcut", &self.pointcut)
-            .field("executions", &self.executions)
-            .finish_non_exhaustive()
-    }
-}
+pub type Advice = Hook<AdviceBody>;
 
 impl Advice {
     /// Creates advice.
@@ -79,43 +61,14 @@ impl Advice {
     where
         F: FnMut(&mut Message) + Send + 'static,
     {
-        Advice {
-            name: name.into(),
-            pointcut,
-            action: Box::new(action),
-            executions: 0,
-        }
-    }
-
-    /// The advice's name.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// How many times the advice ran.
-    #[must_use]
-    pub fn executions(&self) -> u64 {
-        self.executions
+        Hook::named(name, (pointcut, Opaque(Box::new(action))))
     }
 }
-
-/// Error: attempted to modify statically woven advice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StaticallyWoven;
-
-impl fmt::Display for StaticallyWoven {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("advice was woven statically and cannot change at run time")
-    }
-}
-
-impl std::error::Error for StaticallyWoven {}
 
 /// Builds a weaver: static advice first, then sealed.
 #[derive(Debug, Default)]
 pub struct WeaverBuilder {
-    static_advice: Vec<Advice>,
+    static_advice: Chain<AdviceBody>,
 }
 
 impl WeaverBuilder {
@@ -128,7 +81,7 @@ impl WeaverBuilder {
     /// Weaves advice statically (fixed for the weaver's lifetime).
     #[must_use]
     pub fn weave_static(mut self, advice: Advice) -> Self {
-        self.static_advice.push(advice);
+        self.static_advice.0.push(advice);
         self
     }
 
@@ -137,8 +90,7 @@ impl WeaverBuilder {
     pub fn build(self) -> Weaver {
         Weaver {
             static_advice: self.static_advice,
-            dynamic_advice: Vec::new(),
-            meter: None,
+            dynamic_advice: Chain::default(),
         }
     }
 }
@@ -165,62 +117,44 @@ impl WeaverBuilder {
 /// ```
 #[derive(Debug)]
 pub struct Weaver {
-    static_advice: Vec<Advice>,
-    dynamic_advice: Vec<Advice>,
-    meter: Option<crate::mechanism::SwitchMeter>,
+    static_advice: Chain<AdviceBody>,
+    dynamic_advice: Chain<AdviceBody>,
 }
 
 impl Weaver {
-    /// Attaches a [`SwitchMeter`](crate::mechanism::SwitchMeter): every
-    /// dynamic interchange is then also recorded under
-    /// `mech.aspect-weaving.*` in the shared metrics registry.
-    pub fn set_meter(&mut self, meter: crate::mechanism::SwitchMeter) {
-        self.meter = Some(meter);
-    }
-
     /// Installs (or replaces, by name) dynamic advice — the run-time
     /// interchange path.
     pub fn swap_dynamic(&mut self, advice: Advice) {
-        self.dynamic_advice.retain(|a| a.name != advice.name);
-        self.dynamic_advice.push(advice);
-        if let Some(meter) = &self.meter {
-            meter.record_profiled_switch(crate::mechanism::MechanismKind::AspectWeaving);
-        }
+        self.dynamic_advice.install(advice);
     }
 
     /// Removes dynamic advice by name; `true` if something was removed.
     pub fn remove_dynamic(&mut self, name: &str) -> bool {
-        let before = self.dynamic_advice.len();
-        self.dynamic_advice.retain(|a| a.name != name);
-        self.dynamic_advice.len() < before
+        self.dynamic_advice.remove(name)
     }
 
     /// Attempting to remove static advice always fails.
     ///
     /// # Errors
     ///
-    /// Always returns [`StaticallyWoven`] when `name` names static advice;
+    /// Always returns [`SealedError`] when `name` names static advice;
     /// `Ok(false)` when it names nothing.
-    pub fn remove_static(&mut self, name: &str) -> Result<bool, StaticallyWoven> {
-        if self.static_advice.iter().any(|a| a.name == name) {
-            Err(StaticallyWoven)
-        } else {
-            Ok(false)
-        }
+    pub fn remove_static(&mut self, name: &str) -> Result<bool, SealedError> {
+        self.static_advice
+            .get(name)
+            .map_or(Ok(false), |_| Err(SealedError))
     }
 
     /// Runs all matching advice (static first, then dynamic) on `msg`.
     /// Returns how many advice bodies executed.
     pub fn execute(&mut self, join: JoinPoint, msg: &mut Message) -> usize {
         let mut ran = 0;
-        for advice in self
-            .static_advice
-            .iter_mut()
-            .chain(self.dynamic_advice.iter_mut())
-        {
-            if advice.pointcut.matches(join, &msg.op) {
-                (advice.action)(msg);
-                advice.executions += 1;
+        let statics = self.static_advice.0.iter_mut();
+        for advice in statics.chain(&mut self.dynamic_advice.0) {
+            let (pointcut, body) = &mut advice.action;
+            if pointcut.matches(join, &msg.op) {
+                (body.0)(msg);
+                advice.runs += 1;
                 ran += 1;
             }
         }
@@ -229,18 +163,14 @@ impl Weaver {
 
     /// Names of dynamic advice.
     pub fn dynamic_names(&self) -> impl Iterator<Item = &str> {
-        self.dynamic_advice.iter().map(|a| a.name.as_str())
+        self.dynamic_advice.names()
     }
 
-    /// Total executions of the named advice (static or dynamic).
+    /// Total runs of the named advice (static or dynamic).
     #[must_use]
-    pub fn executions(&self, name: &str) -> u64 {
-        self.static_advice
-            .iter()
-            .chain(&self.dynamic_advice)
-            .filter(|a| a.name == name)
-            .map(Advice::executions)
-            .sum()
+    pub fn runs(&self, name: &str) -> u64 {
+        let all = self.static_advice.0.iter().chain(&self.dynamic_advice.0);
+        all.filter(|a| a.name == name).map(Hook::runs).sum()
     }
 }
 
@@ -272,8 +202,8 @@ mod tests {
             .build();
         let mut m = msg("x");
         assert_eq!(w.execute(JoinPoint::AfterReceive, &mut m), 1);
-        assert_eq!(w.executions("count"), 1);
-        assert_eq!(w.remove_static("count"), Err(StaticallyWoven));
+        assert_eq!(w.runs("count"), 1);
+        assert_eq!(w.remove_static("count"), Err(SealedError));
         assert_eq!(w.remove_static("ghost"), Ok(false));
     }
 

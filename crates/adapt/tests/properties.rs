@@ -36,7 +36,7 @@ proptest! {
     ) {
         let window = window.max(limit);
         let mut p = FilterPipeline::new(FilterMode::Runtime);
-        p.attach(Box::new(ThrottleFilter::new(limit, window))).unwrap();
+        p.attach(Box::new(ThrottleFilter::new(limit, window).unwrap())).unwrap();
         let mut admitted_in_window = 0u64;
         for i in 0..total {
             if (i as u64).is_multiple_of(window) {
@@ -150,8 +150,10 @@ proptest! {
                     .map(|i| ServiceVariant::new(format!("v{i}"), f64::from(i as u32) + 1.0, 1.0, |v| v))
                     .collect(),
             )
+            .unwrap()
         };
-        let mut path = CompositionPath::new(vec![make_stage("a"), make_stage("b"), make_stage("c")]);
+        let mut path =
+            CompositionPath::new(vec![make_stage("a"), make_stage("b"), make_stage("c")]).unwrap();
         let stage_names = ["a", "b", "c"];
         let mut active = [0usize; 3];
         for (stage, variant) in selects {

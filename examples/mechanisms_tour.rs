@@ -103,8 +103,8 @@ fn main() {
         );
     println!(
         " 5. connector-interchange: load 0.2 -> {} aspects; load 0.9 -> {} aspects",
-        selector.select(0.2).aspects.len(),
-        selector.select(0.9).aspects.len()
+        selector.select(0.2).map_or(0, |spec| spec.aspects.len()),
+        selector.select(0.9).map_or(0, |spec| spec.aspects.len())
     );
 
     // 6. Composition paths: frozen stages, interchangeable variants.
