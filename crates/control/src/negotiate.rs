@@ -19,8 +19,14 @@
 //! fingerprints, and the same `(model, requests)` input always produces a
 //! byte-identical [`NegotiationOutcome`] — across replays and across
 //! sharded-kernel execution modes.
+//!
+//! Agent names are the runtime's shared [`Name`]s, and a [`Negotiator`]
+//! keeps its arbitration scratch between rounds: once warm, arbitrating
+//! into an outcome the caller keeps ([`Negotiator::arbitrate_into`])
+//! allocates nothing.
 
 use crate::situational::SituationalModel;
+use aas_obs::Name;
 use core::fmt::{self, Write as _};
 use serde::{Deserialize, Serialize};
 
@@ -314,7 +320,7 @@ impl ObjectiveWeights {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BudgetRequest {
     /// Agent (instance) name; the arbitration tie-break key.
-    pub agent: String,
+    pub agent: Name,
     /// The minimum viable grant: below this the agent cannot meet its
     /// contract at all. Guaranteed or explicitly denied, never silently
     /// shorted.
@@ -333,7 +339,7 @@ impl BudgetRequest {
     /// A request with default (balanced, linear-utility, priority-1)
     /// shape.
     #[must_use]
-    pub fn new(agent: impl Into<String>, floor: ResourceVector, demand: ResourceVector) -> Self {
+    pub fn new(agent: impl Into<Name>, floor: ResourceVector, demand: ResourceVector) -> Self {
         BudgetRequest {
             agent: agent.into(),
             floor,
@@ -370,7 +376,7 @@ impl BudgetRequest {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Grant {
     /// The agent the grant belongs to.
-    pub agent: String,
+    pub agent: Name,
     /// The granted vector (floor + surplus share, capped at demand).
     pub granted: ResourceVector,
     /// What the agent demanded (kept for fraction/utility accounting).
@@ -441,8 +447,9 @@ impl NegotiatorMutation {
 }
 
 /// The outcome of one arbitration epoch: grants, audited denials, and the
-/// inputs they were derived from. Byte-identically fingerprintable.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// inputs they were derived from. Byte-identically fingerprintable. The
+/// default is an empty outcome for [`Negotiator::arbitrate_into`] to fill.
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct NegotiationOutcome {
     /// The epoch this outcome belongs to.
     pub epoch: u64,
@@ -454,7 +461,7 @@ pub struct NegotiationOutcome {
     /// Grants, sorted by agent name.
     pub grants: Vec<Grant>,
     /// Audited denials: `(agent, reason)`, sorted by agent name.
-    pub denied: Vec<(String, DenyReason)>,
+    pub denied: Vec<(Name, DenyReason)>,
     /// Element-wise total of all grants (for the budget-cap invariant).
     pub total_granted: ResourceVector,
 }
@@ -478,18 +485,19 @@ impl NegotiationOutcome {
     /// nothing are excluded; an empty round is vacuously fair.
     #[must_use]
     pub fn jain_fairness(&self) -> f64 {
-        let fracs: Vec<f64> = self
-            .grants
-            .iter()
-            .filter(|g| ResourceKind::ALL.iter().any(|&k| g.demand.get(k) > 0.0))
-            .map(|g| g.fraction)
-            .collect();
-        if fracs.is_empty() {
+        let fracs = || {
+            self.grants
+                .iter()
+                .filter(|g| ResourceKind::ALL.iter().any(|&k| g.demand.get(k) > 0.0))
+                .map(|g| g.fraction)
+        };
+        let n = fracs().count();
+        if n == 0 {
             return 1.0;
         }
-        let n = fracs.len() as f64;
-        let sum: f64 = fracs.iter().sum();
-        let sq: f64 = fracs.iter().map(|x| x * x).sum();
+        let n = n as f64;
+        let sum: f64 = fracs().sum();
+        let sq: f64 = fracs().map(|x| x * x).sum();
         if sq <= 0.0 {
             return 1.0;
         }
@@ -521,8 +529,9 @@ impl NegotiationOutcome {
 }
 
 /// The arbitrating coordinator. Holds the global budget, the objective
-/// weights, the epoch counter and (for the adversarial harness) an
-/// optional injected mutation.
+/// weights, the epoch counter, (for the adversarial harness) an optional
+/// injected mutation, and the scratch one round fills and the next
+/// reuses.
 #[derive(Debug, Clone)]
 pub struct Negotiator {
     weights: ObjectiveWeights,
@@ -530,6 +539,39 @@ pub struct Negotiator {
     epoch: u64,
     mutation: Option<NegotiatorMutation>,
     frozen_model: Option<SituationalModel>,
+    scratch: Scratch,
+}
+
+/// A request that reserved its floor: its index in the batch, and the
+/// floor and demand arbitration holds it to (the inflate-requests mutant
+/// changes both; the ignore-floors mutant zeroes the floor).
+#[derive(Debug, Clone, Copy)]
+struct Admitted {
+    req: usize,
+    floor: ResourceVector,
+    demand: ResourceVector,
+}
+
+/// What one arbitration works in, cleared and refilled each round so a
+/// warm round allocates nothing. Nothing in it outlives the round.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    /// Request indices in arbitration order.
+    order: Vec<usize>,
+    /// Requests that reserved their floor, in arbitration order.
+    admitted: Vec<Admitted>,
+    /// `(position in order, reason)` for each denial.
+    denied: Vec<(usize, DenyReason)>,
+    /// Effective weight of each admitted request.
+    weights: Vec<f64>,
+    /// Surplus each admitted request has taken so far.
+    extra: Vec<ResourceVector>,
+    /// Admitted requests still open to surplus in this pass, and in the
+    /// next.
+    open: Vec<usize>,
+    next_open: Vec<usize>,
+    /// Indices into `admitted` in grant (name) order.
+    by_name: Vec<usize>,
 }
 
 impl Negotiator {
@@ -543,6 +585,7 @@ impl Negotiator {
             epoch: 0,
             mutation: None,
             frozen_model: None,
+            scratch: Scratch::default(),
         }
     }
 
@@ -576,105 +619,137 @@ impl Negotiator {
     /// come from the static budget.
     #[must_use]
     pub fn effective_budget(&self, model: &SituationalModel) -> ResourceVector {
-        let mut b = self.budget;
-        if model.capacity_rate > 0.0 {
-            b.work_rate = b.work_rate.min(model.capacity_rate);
-        }
-        b
+        capped(self.budget, model)
     }
 
-    /// Runs one arbitration epoch: floors first (lexicographic by
-    /// priority-descending then name-ascending; unsatisfiable floors are
-    /// audited denials), then the surplus is water-filled proportionally
-    /// to effective weight, capped at demand. Deterministic throughout.
+    /// Runs one arbitration epoch into a fresh outcome; see
+    /// [`Negotiator::arbitrate_into`].
     pub fn arbitrate(
         &mut self,
         live_model: &SituationalModel,
         requests: &[BudgetRequest],
     ) -> NegotiationOutcome {
+        let mut out = NegotiationOutcome::default();
+        self.arbitrate_into(live_model, requests, &mut out);
+        out
+    }
+
+    /// Runs one arbitration epoch into `out`, replacing all it held: floors
+    /// first (lexicographic by priority-descending then name-ascending;
+    /// unsatisfiable floors are audited denials), then the surplus is
+    /// water-filled proportionally to effective weight, capped at demand.
+    /// Deterministic throughout. Once `out` and this negotiator have held
+    /// a batch as large, it allocates nothing.
+    pub fn arbitrate_into(
+        &mut self,
+        live_model: &SituationalModel,
+        requests: &[BudgetRequest],
+        out: &mut NegotiationOutcome,
+    ) {
         self.epoch += 1;
+        let epoch = self.epoch;
+        let Scratch {
+            order,
+            admitted,
+            denied,
+            weights,
+            extra,
+            open,
+            next_open,
+            by_name,
+        } = &mut self.scratch;
 
         // Mutant: arbitrate against the first model ever seen.
         let model: &SituationalModel = if self.mutation == Some(NegotiatorMutation::StaleModel) {
-            if self.frozen_model.is_none() {
-                self.frozen_model = Some(live_model.clone());
-            }
-            self.frozen_model.as_ref().unwrap()
+            self.frozen_model.get_or_insert_with(|| live_model.clone())
         } else {
             live_model
         };
 
-        // Canonical arbitration order: priority desc, then name asc.
-        let mut reqs: Vec<BudgetRequest> = requests.to_vec();
-        reqs.sort_by(|a, b| b.priority.cmp(&a.priority).then(a.agent.cmp(&b.agent)));
+        // Canonical arbitration order: priority desc, then name asc, then
+        // batch position — a key no two requests share, so the unstable
+        // sort orders them as a stable one would.
+        order.clear();
+        order.extend(0..requests.len());
+        order.sort_unstable_by(|&a, &b| {
+            let (ra, rb) = (&requests[a], &requests[b]);
+            rb.priority
+                .cmp(&ra.priority)
+                .then_with(|| ra.agent.cmp(&rb.agent))
+                .then(a.cmp(&b))
+        });
 
         // Mutant: the first agent in arbitration order lies tenfold.
-        if self.mutation == Some(NegotiatorMutation::InflateRequests) {
-            if let Some(first) = reqs.first_mut() {
-                first.demand = first.demand.scaled(10.0);
-                first.floor = first.floor.scaled(4.0);
-            }
-        }
-
+        let inflate = self.mutation == Some(NegotiatorMutation::InflateRequests);
         let ignore_floors = self.mutation == Some(NegotiatorMutation::IgnoreFloors);
-        let budget = self.effective_budget(model);
+        let budget = capped(self.budget, model);
         let mut remaining = budget;
-        let mut denied: Vec<(String, DenyReason)> = Vec::new();
-        let mut admitted: Vec<(BudgetRequest, ResourceVector)> = Vec::new();
+        admitted.clear();
+        denied.clear();
 
         // Step 1: reserve floors in arbitration order; deny what the
         // remaining budget cannot cover.
-        for req in reqs {
-            let floor = if ignore_floors {
-                ResourceVector::ZERO
-            } else {
-                req.floor
-            };
+        for (pos, &i) in order.iter().enumerate() {
+            let req = &requests[i];
+            let (mut floor, mut demand) = (req.floor, req.demand);
+            if inflate && pos == 0 {
+                demand = demand.scaled(10.0);
+                floor = floor.scaled(4.0);
+            }
+            if ignore_floors {
+                floor = ResourceVector::ZERO;
+            }
             let host_down = model
                 .agents
-                .get(&req.agent)
+                .get(req.agent.as_str())
                 .and_then(|a| model.nodes.get(&a.node))
                 .is_some_and(|n| !n.up);
             if host_down {
-                denied.push((req.agent.clone(), DenyReason::HostSuspected));
+                denied.push((pos, DenyReason::HostSuspected));
                 continue;
             }
             if !floor.fits_within(&remaining, 1e-9) {
-                denied.push((req.agent.clone(), DenyReason::FloorUnsatisfiable));
+                denied.push((pos, DenyReason::FloorUnsatisfiable));
                 continue;
             }
             for k in ResourceKind::ALL {
                 remaining.set(k, remaining.get(k) - floor.get(k));
             }
-            admitted.push((req, floor));
+            admitted.push(Admitted {
+                req: i,
+                floor,
+                demand,
+            });
         }
 
         // Step 2: per-dimension weighted water-filling of the surplus.
         // Iterate passes: agents whose demand cap binds drop out and
         // release their share to the rest; at most n passes per dimension.
-        let weights: Vec<f64> = admitted
-            .iter()
-            .map(|(r, _)| self.weights.effective_weight(&r.objectives))
-            .collect();
-        let mut extra: Vec<ResourceVector> = vec![ResourceVector::ZERO; admitted.len()];
+        weights.clear();
+        weights.extend(
+            admitted
+                .iter()
+                .map(|a| self.weights.effective_weight(&requests[a.req].objectives)),
+        );
+        extra.clear();
+        extra.resize(admitted.len(), ResourceVector::ZERO);
         for k in ResourceKind::ALL {
             let mut surplus = remaining.get(k).max(0.0);
-            let mut open: Vec<usize> = (0..admitted.len())
-                .filter(|&i| {
-                    let (req, floor) = &admitted[i];
-                    req.demand.get(k) > floor.get(k) + 1e-12
-                })
-                .collect();
+            open.clear();
+            open.extend((0..admitted.len()).filter(|&i| {
+                let a = &admitted[i];
+                a.demand.get(k) > a.floor.get(k) + 1e-12
+            }));
             while surplus > 1e-9 && !open.is_empty() {
                 let total_w: f64 = open.iter().map(|&i| weights[i]).sum();
                 if total_w <= 0.0 {
                     break;
                 }
-                let mut next_open = Vec::with_capacity(open.len());
+                next_open.clear();
                 let mut distributed = 0.0;
-                for &i in &open {
-                    let (req, floor) = &admitted[i];
-                    let headroom = req.demand.get(k) - floor.get(k) - extra[i].get(k);
+                for &i in open.iter() {
+                    let a = &admitted[i];
+                    let headroom = a.demand.get(k) - a.floor.get(k) - extra[i].get(k);
                     let share = surplus * weights[i] / total_w;
                     let take = share.min(headroom);
                     let already = extra[i].get(k);
@@ -690,47 +765,63 @@ impl Negotiator {
                 if distributed <= 1e-12 {
                     break;
                 }
-                open = next_open;
+                core::mem::swap(open, next_open);
             }
         }
 
         // Assemble grants. The lexicographic tie-break is already encoded
-        // in arbitration order; the output is re-sorted by name for
-        // stable rendering.
-        let epoch = self.epoch;
-        let mut grants: Vec<Grant> = admitted
-            .iter()
-            .zip(extra.iter())
-            .map(|((req, floor), ex)| {
-                let granted = floor.plus(ex);
-                let fraction = granted.fraction_of(&req.demand);
-                Grant {
-                    agent: req.agent.clone(),
-                    granted,
-                    demand: req.demand,
-                    fraction,
-                    utility: req.curve.utility(fraction),
-                    epoch,
-                }
-            })
-            .collect();
-        grants.sort_by(|a, b| a.agent.cmp(&b.agent));
-        denied.sort_by(|a, b| a.0.cmp(&b.0));
+        // in arbitration order; the output is in name order (arbitration
+        // order among equal names) for stable rendering.
+        by_name.clear();
+        by_name.extend(0..admitted.len());
+        by_name.sort_unstable_by(|&a, &b| {
+            let name = |i: usize| &requests[admitted[i].req].agent;
+            name(a).cmp(name(b)).then(a.cmp(&b))
+        });
+        out.grants.clear();
+        out.grants.extend(by_name.iter().map(|&i| {
+            let (a, ex) = (&admitted[i], &extra[i]);
+            let req = &requests[a.req];
+            let granted = a.floor.plus(ex);
+            let fraction = granted.fraction_of(&a.demand);
+            Grant {
+                agent: req.agent.clone(),
+                granted,
+                demand: a.demand,
+                fraction,
+                utility: req.curve.utility(fraction),
+                epoch,
+            }
+        }));
+        let denied_name = |pos: usize| &requests[order[pos]].agent;
+        denied.sort_unstable_by(|&(a, _), &(b, _)| {
+            denied_name(a).cmp(denied_name(b)).then(a.cmp(&b))
+        });
+        out.denied.clear();
+        out.denied.extend(
+            denied
+                .iter()
+                .map(|&(pos, reason)| (denied_name(pos).clone(), reason)),
+        );
 
         let mut total = ResourceVector::ZERO;
-        for g in &grants {
+        for g in &out.grants {
             total = total.plus(&g.granted);
         }
 
-        NegotiationOutcome {
-            epoch,
-            model_fingerprint: model.fingerprint(),
-            budget,
-            grants,
-            denied,
-            total_granted: total,
-        }
+        out.epoch = epoch;
+        out.model_fingerprint = model.fingerprint();
+        out.budget = budget;
+        out.total_granted = total;
     }
+}
+
+/// `budget` with its work rate capped at `model`'s sustainable capacity.
+fn capped(mut budget: ResourceVector, model: &SituationalModel) -> ResourceVector {
+    if model.capacity_rate > 0.0 {
+        budget.work_rate = budget.work_rate.min(model.capacity_rate);
+    }
+    budget
 }
 
 #[cfg(test)]
@@ -903,6 +994,95 @@ mod tests {
         let s = UtilityCurve::Step { threshold: 0.8 };
         assert!(s.utility(0.79) < 0.1);
         assert!((s.utility(0.8) - 1.0).abs() < 1e-12);
+    }
+
+    /// `n` agents over four nodes (node 3 down in every third round) and
+    /// their requests, at a sustainable rate that is abundant in even
+    /// rounds and covers about half the floors in odd ones.
+    fn batch(n: usize, round: usize) -> (SituationalModel, Vec<BudgetRequest>) {
+        let mut rng = aas_sim::rng::SimRng::seed_from(round as u64);
+        let mut m = SituationalModel::empty(SimTime::from_millis(50 * round as u64));
+        let mut requests = Vec::new();
+        for i in 0..n {
+            let name = format!("a{i:02}");
+            m.agents
+                .insert(name.clone(), AgentObservation::idle((i % 4) as u32));
+            let rate = rng.uniform(10.0, 400.0);
+            let demand = vec4(1.0, rate, 3.0, if i == 0 { 2.0 } else { 0.0 });
+            let floor = demand.scaled(rng.uniform(0.05, 0.3));
+            let curve = match i % 3 {
+                0 => UtilityCurve::Linear,
+                1 => UtilityCurve::Diminishing { knee: 0.5 },
+                _ => UtilityCurve::Step { threshold: 0.6 },
+            };
+            let objectives = ObjectiveVector {
+                latency: rng.uniform(0.5, 2.0),
+                ..ObjectiveVector::default()
+            };
+            requests.push(
+                BudgetRequest::new(name, floor, demand)
+                    .with_priority((i % 3) as u8)
+                    .with_objectives(objectives)
+                    .with_curve(curve),
+            );
+        }
+        for node in 0..4 {
+            let mut situation = NodeSituation::healthy(1000.0);
+            situation.up = !(node == 3 && round % 3 == 1);
+            m.nodes.insert(node, situation);
+        }
+        m.capacity_rate = if round.is_multiple_of(2) {
+            1e6
+        } else {
+            10.0 * n as f64
+        };
+        (m, requests)
+    }
+
+    /// One negotiator and one outcome reused over batches that shrink and
+    /// grow, denials that come and go and each mutant set and cleared
+    /// arbitrate as a copy of the negotiator with no scratch would, into
+    /// a new outcome: nothing of a longer round is left behind.
+    #[test]
+    fn a_reused_negotiator_arbitrates_as_a_fresh_one() {
+        use NegotiatorMutation as M;
+        let sizes = [32, 32, 5, 32, 5, 5, 32, 32, 5, 32, 32, 5, 32, 32];
+        let mutations = [
+            (1, Some(M::InflateRequests)),
+            (3, None),
+            (4, Some(M::IgnoreFloors)),
+            (6, None),
+            (8, Some(M::StaleModel)),
+            (11, None),
+        ];
+        let mut reused = Negotiator::new(ObjectiveWeights::default(), vec4(12.0, 1e5, 60.0, 4.0));
+        let mut out = NegotiationOutcome::default();
+        let (mut denials, mut clean) = (0, 0);
+        for (round, &n) in sizes.iter().enumerate() {
+            if let Some(&(_, m)) = mutations.iter().find(|(at, _)| *at == round) {
+                reused.set_mutation(m);
+            }
+            let (model, requests) = batch(n, round);
+            let mut fresh = Negotiator {
+                scratch: Scratch::default(),
+                ..reused.clone()
+            };
+            reused.arbitrate_into(&model, &requests, &mut out);
+            let expected = fresh.arbitrate(&model, &requests);
+            assert_eq!(out.epoch, round as u64 + 1);
+            assert_eq!(out.fingerprint(), expected.fingerprint(), "round {round}");
+            assert_eq!(out, expected, "round {round}");
+            assert_eq!(out.grants.len() + out.denied.len(), n, "round {round}");
+            if out.denied.is_empty() {
+                clean += 1;
+            } else {
+                denials += 1;
+            }
+        }
+        assert!(
+            denials >= 4 && clean >= 4,
+            "{denials} rounds deny, {clean} do not"
+        );
     }
 
     #[test]

@@ -8,11 +8,13 @@
 //! backlog, failure-detector suspicion) and the region epoch, stamped with
 //! the instant it was observed.
 //!
-//! The model is pure data: the runtime (aas-core) builds it each
-//! negotiation tick from its meta-level's observation snapshot, and the
-//! [`Negotiator`](crate::negotiate::Negotiator) consumes it read-only.
-//! Keeping it a value type is what makes arbitration replayable
-//! byte-for-byte: same model + same requests = same grants.
+//! The model is pure data: the runtime (aas-core) keeps it and refreshes
+//! it in place each negotiation tick from what its meta-level reads of
+//! the instances and nodes — an agent's entry is added when the instance
+//! appears and removed when it leaves, every other entry is overwritten —
+//! and the [`Negotiator`](crate::negotiate::Negotiator) consumes it
+//! read-only. Keeping it a value type is what makes arbitration
+//! replayable byte-for-byte: same model + same requests = same grants.
 
 use crate::negotiate::Fnv1a;
 use aas_sim::time::SimTime;

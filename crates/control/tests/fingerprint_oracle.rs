@@ -132,7 +132,7 @@ fn outcome(rng: &mut SimRng) -> NegotiationOutcome {
     let epoch = rng.below(10_000);
     let grants = (0..rng.below(10))
         .map(|_| Grant {
-            agent: name(rng),
+            agent: name(rng).into(),
             granted: vector(rng),
             demand: vector(rng),
             fraction: float(rng),
@@ -147,7 +147,7 @@ fn outcome(rng: &mut SimRng) -> NegotiationOutcome {
             } else {
                 DenyReason::HostSuspected
             };
-            (name(rng), reason)
+            (name(rng).into(), reason)
         })
         .collect();
     NegotiationOutcome {

@@ -31,19 +31,7 @@ impl Runtime {
         let mut components = Vec::with_capacity(self.instances.len());
         let mut custom = Vec::with_capacity(self.instances.values().map(|i| i.custom.len()).sum());
         for inst in self.instances.values() {
-            components.push(ComponentObservation {
-                name: inst.name.clone(),
-                type_name: inst.type_name.clone(),
-                version: inst.version,
-                node: inst.node,
-                lifecycle: inst.lifecycle,
-                inflight: inst.inflight,
-                processed: inst.processed,
-                errors: inst.errors,
-                mean_latency_ms: inst.latency.mean(),
-                p99_latency_ms: inst.latency.quantile(0.99),
-                seq_anomalies: inst.tracker.gaps() + inst.tracker.duplicates(),
-            });
+            components.push(inst.observation());
             custom.extend(inst.custom.iter().map(|(metric, s)| CustomMean {
                 component: inst.name.clone(),
                 metric: metric.clone(),
@@ -51,13 +39,7 @@ impl Runtime {
             }));
         }
         let mut nodes = Vec::with_capacity(topology.node_count());
-        nodes.extend(topology.nodes().map(|n| NodeObservation {
-            id: n.id(),
-            up: n.is_up(),
-            utilization: n.utilization(now),
-            backlog_ms: n.backlog(now).as_micros() as f64 / 1e3,
-            effective_capacity: n.effective_capacity(now),
-        }));
+        nodes.extend(topology.nodes().map(|n| node_observation(n, now)));
         let mut connectors = Vec::with_capacity(self.connectors.len());
         connectors.extend(self.connectors.iter().map(|(id, c)| ConnectorObservation {
             name: self.connectors.name(id).clone(),
@@ -164,5 +146,36 @@ impl Runtime {
                 Intercession::Notify(text) => self.notifications.push((now, text)),
             }
         }
+    }
+}
+
+impl Instance {
+    /// What the meta-level reads of this instance: its latency mean and
+    /// p99 from the histogram in place, its names shared.
+    pub(super) fn observation(&self) -> ComponentObservation {
+        ComponentObservation {
+            name: self.name.clone(),
+            type_name: self.type_name.clone(),
+            version: self.version,
+            node: self.node,
+            lifecycle: self.lifecycle,
+            inflight: self.inflight,
+            processed: self.processed,
+            errors: self.errors,
+            mean_latency_ms: self.latency.mean(),
+            p99_latency_ms: self.latency.quantile(0.99),
+            seq_anomalies: self.tracker.gaps() + self.tracker.duplicates(),
+        }
+    }
+}
+
+/// What the meta-level reads of node `n` at `now`.
+pub(super) fn node_observation(n: &aas_sim::node::Node, now: SimTime) -> NodeObservation {
+    NodeObservation {
+        id: n.id(),
+        up: n.is_up(),
+        utilization: n.utilization(now),
+        backlog_ms: n.backlog(now).as_micros() as f64 / 1e3,
+        effective_capacity: n.effective_capacity(now),
     }
 }

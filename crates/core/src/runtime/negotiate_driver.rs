@@ -1,11 +1,14 @@
 //! The GORNA resource-negotiation control plane (DESIGN.md §2.10).
 //!
-//! Every component instance is a budget agent. Each negotiation tick the
-//! driver builds the global [`SituationalModel`] from the meta-level's
-//! [`Runtime::observe`] snapshot and [`FailureDetector::phi`], derives
-//! one [`BudgetRequest`] per agent from its observed offered load,
-//! and hands the batch to the [`Negotiator`] for deterministic
-//! multi-objective arbitration. Grants are then *actuated*:
+//! Every component instance is a budget agent. The driver keeps the
+//! global [`SituationalModel`] and refreshes it in place each negotiation
+//! tick, reading the instance table and the topology as
+//! [`Runtime::observe`] does and [`FailureDetector::phi`]; it refills one
+//! [`BudgetRequest`] per agent from its observed offered load, and hands
+//! the batch to the [`Negotiator`] for deterministic multi-objective
+//! arbitration into the outcome it keeps. A model entry is added only for
+//! a new instance and dropped when one leaves, and every name is shared,
+//! so a warm round allocates nothing. Grants are then *actuated*:
 //!
 //! - **load shedding** — the admission gate in the dispatch path keeps
 //!   `keep_permille` out of every 1000 offered messages, deterministically
@@ -235,9 +238,14 @@ pub(super) struct NegotiateState {
     negotiator: Option<Negotiator>,
     /// One record per agent, indexed by [`InstId`], grown on first touch.
     agents: Vec<Agent>,
-    /// The most recent arbitration outcome. The rounds before it are
-    /// folded into `transcript`; a reader that wants each one steps the
-    /// runtime a negotiation period at a time.
+    /// The coordinator's picture as of the last tick, refreshed in place.
+    pub(super) model: SituationalModel,
+    /// The last round's request batch, refilled in place.
+    requests: Vec<BudgetRequest>,
+    /// The most recent arbitration outcome, which the next round
+    /// overwrites. The rounds before it are folded into `transcript`; a
+    /// reader that wants each one steps the runtime a negotiation period
+    /// at a time.
     last: Option<NegotiationOutcome>,
     /// What the rounds so far add up to.
     pub(super) transcript: Transcript,
@@ -275,10 +283,7 @@ impl NegotiateState {
 
     /// `id`'s record, created neutral if nothing touched it before.
     pub(super) fn agent(&mut self, id: InstId) -> &mut Agent {
-        if id.index() >= self.agents.len() {
-            self.agents.resize_with(id.index() + 1, Agent::default);
-        }
-        &mut self.agents[id.index()]
+        agent_in(&mut self.agents, id)
     }
 
     /// The admission gate and downgrade lookup the dispatch path runs for
@@ -296,8 +301,8 @@ impl NegotiateState {
     }
 
     /// The control plane a digital twin starts from: the coordinator and
-    /// every agent's record, but neither the last outcome nor the
-    /// transcript.
+    /// every agent's record, but neither the model, the last requests and
+    /// outcome nor the transcript: its first tick builds what it needs.
     pub(super) fn fork(&self) -> NegotiateState {
         NegotiateState {
             config: self.config.clone(),
@@ -310,12 +315,23 @@ impl NegotiateState {
                     ..a.clone()
                 })
                 .collect(),
+            model: SituationalModel::default(),
+            requests: Vec::new(),
             last: None,
             transcript: Transcript::default(),
             rounds: self.rounds,
             node_busy_last: self.node_busy_last.clone(),
         }
     }
+}
+
+/// `id`'s record in `agents`, created neutral if nothing touched it
+/// before.
+fn agent_in(agents: &mut Vec<Agent>, id: InstId) -> &mut Agent {
+    if id.index() >= agents.len() {
+        agents.resize_with(id.index() + 1, Agent::default);
+    }
+    &mut agents[id.index()]
 }
 
 impl Runtime {
@@ -377,19 +393,22 @@ impl Runtime {
         self.negotiate.agents.get(to.index())?.retry_cap
     }
 
-    /// One negotiation period: build the situational model, collect
+    /// One negotiation period: refresh the situational model, collect
     /// requests, arbitrate (or run the independent baseline), actuate the
     /// grants, export gauges, book coverage, re-arm the timer.
     pub(super) fn on_negotiate_tick(&mut self, now: SimTime) {
         let Some(config) = self.negotiate.config.clone() else {
             return;
         };
-        let snap = self.observe();
-        let model = self.situational_model(&snap, &config);
+        self.refresh_model(&config);
+        // The round reads the model while it writes the rest of the
+        // runtime; taking it out and back moves no entry.
+        let model = std::mem::take(&mut self.negotiate.model);
         match config.mode {
             CoordinationMode::Negotiated => self.negotiated_round(&config, &model, now),
             CoordinationMode::Independent => self.independent_round(&config, &model),
         }
+        self.negotiate.model = model;
         // Roll the offered-delta baseline for the next tick's demand.
         for agent in &mut self.negotiate.agents {
             agent.offered_last = agent.offered;
@@ -402,53 +421,64 @@ impl Runtime {
         self.arm(config.interval, TimerPurpose::NegotiateTick);
     }
 
-    /// The coordinator's global picture: `snap`, plus the offered deltas,
-    /// windowed utilization and suspicion only the control plane tracks.
-    pub(super) fn situational_model(
-        &mut self,
-        snap: &SystemSnapshot,
-        config: &NegotiateConfig,
-    ) -> SituationalModel {
-        let mut model = SituationalModel::empty(snap.at);
+    /// Brings the coordinator's global picture up to now, in place: what
+    /// [`Runtime::observe`] reads of every live instance and every node,
+    /// plus the offered deltas, windowed utilization and suspicion only
+    /// the control plane tracks. An instance that left loses its entry; a
+    /// new one gains one; every other entry is overwritten.
+    pub(super) fn refresh_model(&mut self, config: &NegotiateConfig) {
+        let now = self.kernel.now();
+        let NegotiateState {
+            model,
+            agents,
+            node_busy_last,
+            ..
+        } = &mut self.negotiate;
+        let instances = &self.instances;
+        model.observed_at = now;
+        model.agents.retain(|name, _| instances.id(name).is_some());
         let dt = config.interval.as_secs_f64().max(1e-9);
         let mut offered_total = 0u64;
-        for (id, c) in self.instances.live_ids().zip(&snap.components) {
-            debug_assert_eq!(self.instances.name(id), &c.name);
-            let agent = self.negotiate.agent(id);
+        for (id, inst) in instances.iter() {
+            let c = inst.observation();
+            let agent = agent_in(agents, id);
             let arrivals = agent.offered.saturating_sub(agent.offered_last);
             offered_total += arrivals;
-            model.agents.insert(
-                c.name.to_string(),
-                AgentObservation {
-                    node: c.node.0,
-                    arrivals,
-                    inflight: u64::from(c.inflight),
-                    processed: c.processed,
-                    errors: c.errors,
-                    mean_latency_ms: c.mean_latency_ms,
-                },
-            );
+            let seen = AgentObservation {
+                node: c.node.0,
+                arrivals,
+                inflight: u64::from(c.inflight),
+                processed: c.processed,
+                errors: c.errors,
+                mean_latency_ms: c.mean_latency_ms,
+            };
+            match model.agents.get_mut(c.name.as_str()) {
+                Some(slot) => *slot = seen,
+                None => {
+                    model.agents.insert(c.name.to_string(), seen);
+                }
+            }
         }
+        // Nodes are only ever added, so overwriting every node's entry
+        // leaves none stale.
         let mut capacity_units = 0.0;
-        let now_s = snap.at.as_secs_f64();
-        for n in &snap.nodes {
+        let now_s = now.as_secs_f64();
+        for n in self.kernel.topology().nodes() {
+            let n = meta::node_observation(n, now);
             if n.up {
                 capacity_units += n.effective_capacity;
             }
             let suspicion = self
                 .detector
                 .as_ref()
-                .map_or(0.0, |d| d.detector.phi(n.id, snap.at));
+                .map_or(0.0, |d| d.detector.phi(n.id, now));
             // The node's utilization is cumulative since t=0; the
             // coordinator needs the *current* pressure, so differentiate
             // it over the tick window (a cumulative figure never decays,
             // which would read one historical burst as permanent overload
             // and drive endless migration).
             let cumulative = n.utilization;
-            let last = self
-                .negotiate
-                .node_busy_last
-                .insert(n.id.0, (now_s, cumulative));
+            let last = node_busy_last.insert(n.id.0, (now_s, cumulative));
             let utilization = match last {
                 Some((t0, u0)) if now_s > t0 + 1e-9 => {
                     ((cumulative * now_s - u0 * t0) / (now_s - t0)).clamp(0.0, 1.0)
@@ -468,24 +498,21 @@ impl Runtime {
         }
         model.arrival_rate = offered_total as f64 / dt;
         model.capacity_rate = capacity_units / config.nominal_cost.max(1e-9);
-        model
     }
 
-    /// Derives the per-agent request batch from observed demand.
-    fn collect_requests(
-        &self,
-        config: &NegotiateConfig,
-        model: &SituationalModel,
-    ) -> Vec<BudgetRequest> {
-        let mut requests = Vec::with_capacity(model.agents.len() + 1);
+    /// Refills the request batch with what each agent's observed demand
+    /// asks for.
+    fn collect_requests(&mut self, config: &NegotiateConfig, model: &SituationalModel) {
+        let NegotiateState {
+            agents, requests, ..
+        } = &mut self.negotiate;
+        requests.clear();
         let dt = config.interval.as_secs_f64().max(1e-9);
-        for (id, (name, seen)) in self.instances.live_ids().zip(&model.agents) {
-            let profile = self.negotiate.agents[id.index()]
-                .profile
-                .unwrap_or(AgentProfile {
-                    floor_fraction: config.floor_fraction,
-                    ..AgentProfile::default()
-                });
+        for (id, seen) in self.instances.live_ids().zip(model.agents.values()) {
+            let profile = agents[id.index()].profile.unwrap_or(AgentProfile {
+                floor_fraction: config.floor_fraction,
+                ..AgentProfile::default()
+            });
             if profile.exempt {
                 continue;
             }
@@ -497,7 +524,7 @@ impl Runtime {
             let mut floor = demand.scaled(profile.floor_fraction.clamp(0.0, 1.0));
             floor.capacity = if rate > 0.0 { MIN_COST_SCALE } else { 0.0 };
             requests.push(
-                BudgetRequest::new(name.as_str(), floor, demand)
+                BudgetRequest::new(self.instances.name(id).clone(), floor, demand)
                     .with_priority(profile.priority)
                     .with_objectives(profile.objectives)
                     .with_curve(profile.curve),
@@ -510,32 +537,25 @@ impl Runtime {
             floor.twin_horizon = 0.25;
             requests.push(BudgetRequest::new(TWIN_AGENT, floor, demand).with_priority(0));
         }
-        requests
     }
 
-    /// The name agent `id` bears, shared; `name` copied when no instance
-    /// bears it.
-    fn agent_name(&self, id: Option<InstId>, name: &str) -> Name {
-        id.map_or_else(
-            || Name::from(name.to_owned()),
-            |id| self.instances.name(id).clone(),
-        )
-    }
-
-    /// A coordinated round: arbitrate, audit, actuate. Each name the
-    /// coordinator hands back is resolved to its id once; all of them but
-    /// [`TWIN_AGENT`] are agents of the model.
+    /// A coordinated round: arbitrate into the kept outcome, audit,
+    /// actuate. Each name the coordinator hands back is resolved to its id
+    /// once; all of them but [`TWIN_AGENT`] are agents of the model, and a
+    /// grant for any other is audited and not actuated.
     fn negotiated_round(
         &mut self,
         config: &NegotiateConfig,
         model: &SituationalModel,
         now: SimTime,
     ) {
-        let requests = self.collect_requests(config, model);
-        let Some(negotiator) = self.negotiate.negotiator.as_mut() else {
+        self.collect_requests(config, model);
+        let state = &mut self.negotiate;
+        let Some(negotiator) = state.negotiator.as_mut() else {
             return;
         };
-        let outcome = negotiator.arbitrate(model, &requests);
+        let mut outcome = state.last.take().unwrap_or_default();
+        negotiator.arbitrate_into(model, &state.requests, &mut outcome);
         let (epoch, now_us) = (outcome.epoch, now.as_micros());
 
         // The detect phase this round is booked under: arbitration under a
@@ -545,10 +565,10 @@ impl Runtime {
                 .exec
                 .in_flight()
                 .any(|origin| matches!(origin, PlanOrigin::Repair { .. }))
-            || self
-                .detector
-                .as_ref()
-                .is_some_and(|d| !d.detector.suspected().is_empty());
+            || self.detector.as_ref().is_some_and(|d| {
+                let mut nodes = self.kernel.topology().nodes();
+                nodes.any(|n| d.detector.is_suspected(n.id()))
+            });
         let phase = if suspected {
             DetectPhase::Suspected
         } else {
@@ -562,7 +582,7 @@ impl Runtime {
             let id = self.instances.id(name);
             let denied = AuditEvent::BudgetDenied {
                 epoch,
-                agent: self.agent_name(id, name),
+                agent: name.clone(),
                 reason: reason.label(),
             };
             self.obs.audit.append(now_us, denied);
@@ -574,7 +594,7 @@ impl Runtime {
             agent.keep_permille = 0;
             agent.cost_scale = MIN_COST_SCALE;
             agent.retry_cap = Some(0);
-            agent.granted_node = model.agents.get(name).map(|a| a.node);
+            agent.granted_node = model.agents.get(name.as_str()).map(|a| a.node);
         }
 
         // Actuate grants.
@@ -590,15 +610,15 @@ impl Runtime {
             let g = grant.granted;
             let granted = AuditEvent::BudgetGranted {
                 epoch,
-                agent: self.agent_name(id, &grant.agent),
+                agent: grant.agent.clone(),
                 granted: [g.capacity, g.work_rate, g.retry_budget, g.twin_horizon],
                 fraction: grant.fraction,
             };
             self.obs.audit.append(now_us, granted);
-            let Some(id) = id else {
+            let (Some(id), Some(seen)) = (id, model.agents.get(grant.agent.as_str())) else {
                 continue;
             };
-            let host = model.agents[grant.agent.as_str()].node;
+            let host = seen.node;
             let agent = self.negotiate.agent(id);
             agent.set_fraction(&self.obs, &grant.agent, grant.fraction);
             if grant.demand.work_rate > 0.0 {

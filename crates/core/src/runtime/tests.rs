@@ -1144,9 +1144,9 @@ fn a_twins_negotiation_round_leaves_the_parents_fraction_gauges_alone() {
 
 use aas_control::situational::{AgentObservation, NodeSituation, SituationalModel};
 
-/// The situational model as the negotiator once built it: a second read
-/// of the instance table and the topology, beside `observe()`'s. Kept as
-/// the oracle the model built from the snapshot must equal.
+/// The situational model as the negotiator once built it: a fresh read of
+/// the instance table and the topology into an empty model. Kept as the
+/// oracle the model kept and refreshed in place must equal.
 fn situational_model_oracle(rt: &mut Runtime, config: &NegotiateConfig) -> SituationalModel {
     let now = rt.now();
     let mut model = SituationalModel::empty(now);
@@ -1246,8 +1246,13 @@ fn overload_run(mode: CoordinationMode, crash: bool) -> (Runtime, NegotiateConfi
 }
 
 /// Steps `rt` to 2.5 s and, at the last instant before each negotiation
-/// tick, holds the model built from `observe()` to the oracle's.
-fn assert_model_equals_oracle_before_every_tick(mut rt: Runtime, config: &NegotiateConfig) {
+/// tick, holds the kept model, refreshed in place, to the oracle's. Each
+/// of `plans` is requested right after the check before its round.
+fn assert_model_equals_oracle_before_every_tick(
+    mut rt: Runtime,
+    config: &NegotiateConfig,
+    mut plans: Vec<(u64, ReconfigPlan)>,
+) -> Runtime {
     let end = SimTime::from_millis(2_500);
     let mut checked = 0;
     while let Some(at) = rt.kernel.next_event_time().filter(|t| *t <= end) {
@@ -1256,27 +1261,59 @@ fn assert_model_equals_oracle_before_every_tick(mut rt: Runtime, config: &Negoti
             let busy_last = rt.negotiate.node_busy_last.clone();
             let expected = situational_model_oracle(&mut rt, config);
             rt.negotiate.node_busy_last = busy_last.clone();
-            let snap = rt.observe();
-            let model = rt.situational_model(&snap, config);
+            rt.refresh_model(config);
+            let model = &rt.negotiate.model;
+            assert_eq!(model, &expected, "round {checked} at {}", rt.now());
             rt.negotiate.node_busy_last = busy_last;
-            assert_eq!(model, expected, "round {checked} at {}", rt.now());
+            if let Some(i) = plans.iter().position(|(round, _)| *round == checked) {
+                rt.request_reconfig(plans.remove(i).1);
+            }
             checked += 1;
         }
         rt.step();
     }
     assert_eq!(checked, 25, "every tick to 2.5 s was checked");
+    rt
 }
 
 #[test]
-fn the_negotiated_model_from_the_snapshot_equals_a_second_read_through_a_crash() {
+fn the_kept_negotiated_model_equals_a_fresh_read_through_a_crash() {
     let (rt, config) = overload_run(CoordinationMode::Negotiated, true);
-    assert_model_equals_oracle_before_every_tick(rt, &config);
+    assert_model_equals_oracle_before_every_tick(rt, &config, Vec::new());
+}
+
+/// An instance that leaves loses its entry in the kept model, and one
+/// that arrives gains one, at the round the oracle sees them.
+#[test]
+fn the_kept_model_drops_an_instance_that_leaves_and_adds_one_that_arrives() {
+    let (rt, config) = overload_run(CoordinationMode::Negotiated, false);
+    let remove = ReconfigAction::RemoveComponent {
+        name: "cool".into(),
+    };
+    let add = ReconfigAction::AddComponent {
+        name: "cold".into(),
+        decl: ComponentDecl::new("Counter", 1, NodeId(2)),
+    };
+    let plans = vec![
+        (8, ReconfigPlan::single(remove)),
+        (16, ReconfigPlan::single(add)),
+    ];
+    let rt = assert_model_equals_oracle_before_every_tick(rt, &config, plans);
+    assert!(rt.reports().iter().all(|r| r.success));
+    let agents: Vec<&str> = rt
+        .negotiate
+        .model
+        .agents
+        .keys()
+        .map(String::as_str)
+        .collect();
+    assert_eq!(agents, ["cold", "hot", "warm"]);
 }
 
 #[test]
-fn the_independent_model_from_the_snapshot_equals_a_second_read() {
+fn the_kept_independent_model_equals_a_fresh_read() {
     let (rt, config) = overload_run(CoordinationMode::Independent, false);
-    assert_model_equals_oracle_before_every_tick(rt, &config);
+    assert_model_equals_oracle_before_every_tick(rt, &config, Vec::new());
 }
 
 /// How many of 1,000 offers an agent's admission gate lets through, the
@@ -1309,7 +1346,7 @@ fn every_round_actuates_its_grants_and_denials_as_arbitrated() {
     let (mut rt, _) = overload_run(CoordinationMode::Negotiated, false);
     node_outage(&mut rt, 0, 800, 1400);
     let end = SimTime::from_millis(2_500);
-    let mut last: BTreeMap<String, (u64, Throttle)> = BTreeMap::new();
+    let mut last: BTreeMap<Name, (u64, Throttle)> = BTreeMap::new();
     let (mut granted, mut denied, mut kept, mut skipped) = (0, 0, 0, 0);
     while rt.kernel.next_event_time().is_some_and(|t| t <= end) {
         let round = rt.negotiation_rounds();

@@ -11,7 +11,9 @@
 //! are appended and stored as bytes, so a warm append copies no text and
 //! a record holds what it encodes to; the invariant checker reads a
 //! running tally, so a clean check allocates nothing. A one-action plan
-//! holds one slot.
+//! holds one slot. The negotiator keeps its model, requests, scratch and
+//! outcome across rounds, so a warm round allocates nothing beyond the
+//! audit chunks its records open.
 
 #[path = "../../sim/tests/support/counting_alloc.rs"]
 mod counting_alloc;
@@ -358,6 +360,49 @@ fn a_negotiated_runtime_keeps_nothing_per_round_beyond_its_audit_records() {
     };
     let kept = run(60) - run(30);
     assert!(kept <= 1_024, "30 more rounds kept {kept} B");
+}
+
+/// `rounds` negotiation periods of `rt`, counted twice: what the runtime
+/// allocates over them, and what appending the records they audited to a
+/// copy of the log as it stood before allocates — the chunks those
+/// records open.
+fn negotiated_window(rt: &mut Runtime, rounds: u64) -> (u64, u64) {
+    let before = rt.obs().audit.len();
+    let copy = AuditLog::new();
+    for e in rt.obs().audit.entries() {
+        copy.append(e.at_us, e.event);
+    }
+    let ((), allocs) = allocs_of(|| rt.run_for(SimDuration::from_millis(100 * rounds)));
+    let audited: Vec<_> = rt.obs().audit.entries().iter().skip(before).collect();
+    assert!(audited.len() as u64 >= 24 * rounds, "every agent granted");
+    let ((), chunks) = allocs_of(|| {
+        for e in audited {
+            copy.append(e.at_us, e.event);
+        }
+    });
+    (allocs, chunks)
+}
+
+/// A warm negotiation round allocates nothing: the situational model, the
+/// requests, the negotiator's scratch and the outcome are kept and
+/// refreshed in place, and every name in them is shared. A window of 60
+/// rounds allocates, beyond the audit chunks it opens, exactly what one
+/// of 30 does: the buffers a `run_until` call draws once (52 here). At
+/// `29e03e4`, which rebuilt all of them every round, the 30 further
+/// rounds made 140 allocations each.
+#[test]
+fn a_warm_negotiation_round_allocates_nothing_beyond_its_audit_chunks() {
+    let mut rt = warm_negotiated();
+    let (short, short_chunks) = negotiated_window(&mut rt, 30);
+    let (long, long_chunks) = negotiated_window(&mut rt, 60);
+    let per_round = ((long - long_chunks) as f64 - (short - short_chunks) as f64) / 30.0;
+    assert_eq!(
+        long - long_chunks,
+        short - short_chunks,
+        "{per_round:.1} allocations a round beyond the audit chunks \
+         ({long} with {long_chunks} for chunks over 60 rounds, \
+         {short} with {short_chunks} over 30)"
+    );
 }
 
 /// 20,000 records of churn — validated, applied and committed plans with
