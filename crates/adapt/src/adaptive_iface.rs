@@ -11,7 +11,8 @@
 //! fire on predicates) and **modification** (operation rewrites, disabled
 //! operations, response overrides). The adaptive interface is *generated*:
 //! the wrapped component's `provided()` reflects the rewrites applied to
-//! the base interface.
+//! the base interface. It is generated when a rewrite, a disabled or a
+//! re-enabled operation changes it, and read in place in between.
 
 use crate::hook::{Chain, Front, Hook, Opaque, Predicate, Wrapper};
 use aas_core::component::{CallCtx, Component};
@@ -53,6 +54,8 @@ impl Watchpoint {
 pub struct MetaProtocol {
     rewrites: BTreeMap<String, String>,
     disabled: BTreeSet<String>,
+    /// The interface `rewrites` and `disabled` make of the base one.
+    interface: Interface,
     overrides: BTreeMap<String, Value>,
     trace: Vec<TraceEntry>,
     trace_cap: usize,
@@ -88,6 +91,7 @@ impl AdaptiveComponent {
         let front = MetaProtocol {
             rewrites: BTreeMap::new(),
             disabled: BTreeSet::new(),
+            interface: generate(inner.provided(), &BTreeMap::new(), &BTreeSet::new()),
             overrides: BTreeMap::new(),
             trace: Vec::new(),
             trace_cap: 1024,
@@ -101,17 +105,27 @@ impl AdaptiveComponent {
     /// Adds an operation alias: incoming `alias` executes as `target`.
     pub fn rewrite_op(&mut self, alias: impl Into<String>, target: impl Into<String>) {
         self.front.rewrites.insert(alias.into(), target.into());
+        self.regenerate();
     }
 
     /// Disables an operation: messages for it are suppressed (traced, not
     /// executed).
     pub fn disable_op(&mut self, op: impl Into<String>) {
         self.front.disabled.insert(op.into());
+        self.regenerate();
     }
 
     /// Re-enables a disabled operation.
     pub fn enable_op(&mut self, op: &str) {
-        self.front.disabled.remove(op);
+        if self.front.disabled.remove(op) {
+            self.regenerate();
+        }
+    }
+
+    /// Generates the adaptive interface anew after a modification.
+    fn regenerate(&mut self) {
+        let front = &mut self.front;
+        front.interface = generate(self.inner.provided(), &front.rewrites, &front.disabled);
     }
 
     /// Overrides responses for `op`: the base handler is bypassed and the
@@ -158,33 +172,40 @@ impl MetaProtocol {
     }
 }
 
-impl Front for MetaProtocol {
-    fn provided(&self, inner: &dyn Component) -> Interface {
-        // Generate the adaptive interface: base ops minus disabled, plus
-        // aliases for every rewrite whose target exists.
-        let base = inner.provided();
-        let mut signatures: Vec<Signature> = base
-            .signatures
-            .iter()
-            .filter(|s| !self.disabled.contains(&s.name))
-            .cloned()
-            .collect();
-        for (alias, target) in &self.rewrites {
-            if let Some(sig) = base.signature(target) {
-                if !signatures.iter().any(|s| &s.name == alias) {
-                    signatures.push(Signature::new(
-                        alias.clone(),
-                        sig.params.clone(),
-                        sig.returns,
-                    ));
-                }
+/// The adaptive interface: the base operations minus the disabled ones,
+/// plus an alias for every rewrite whose target exists.
+fn generate(
+    base: &Interface,
+    rewrites: &BTreeMap<String, String>,
+    disabled: &BTreeSet<String>,
+) -> Interface {
+    let mut signatures: Vec<Signature> = base
+        .signatures
+        .iter()
+        .filter(|s| !disabled.contains(&*s.name))
+        .cloned()
+        .collect();
+    for (alias, target) in rewrites {
+        if let Some(sig) = base.signature(target) {
+            if !signatures.iter().any(|s| &s.name == alias) {
+                signatures.push(Signature::new(
+                    alias.clone(),
+                    sig.params.clone(),
+                    sig.returns,
+                ));
             }
         }
-        Interface {
-            name: base.name,
-            version: base.version + 1,
-            signatures,
-        }
+    }
+    Interface {
+        name: base.name.clone(),
+        version: base.version + 1,
+        signatures: signatures.into(),
+    }
+}
+
+impl Front for MetaProtocol {
+    fn provided<'a>(&'a self, _inner: &'a dyn Component) -> &'a Interface {
+        &self.interface
     }
 
     fn handle(
@@ -343,6 +364,91 @@ mod tests {
         let plain = EchoComponent::default();
         let m = Message::request("echo", Value::Null);
         assert!(ac.work_cost(&m) > Component::work_cost(&plain, &m));
+    }
+
+    /// A base component of three operations of different shapes.
+    struct Three;
+
+    impl Component for Three {
+        fn type_name(&self) -> &str {
+            "Three"
+        }
+        fn provided(&self) -> &Interface {
+            use aas_core::interface::TypeTag;
+            static OPS: [Signature; 3] = [
+                Signature::one_way("frame"),
+                Signature::fixed("set_ratio", &[TypeTag::Float], TypeTag::Unit),
+                Signature::fixed("stats", &[], TypeTag::Map),
+            ];
+            static THREE: Interface = Interface::fixed("Three", &OPS);
+            &THREE
+        }
+        fn on_message(&mut self, _: &mut CallCtx, _: Message) -> Result<(), ComponentError> {
+            Ok(())
+        }
+        fn snapshot(&self) -> aas_core::component::StateSnapshot {
+            aas_core::component::StateSnapshot::new("Three", 1)
+        }
+        fn restore(
+            &mut self,
+            _: &aas_core::component::StateSnapshot,
+        ) -> Result<(), aas_core::error::StateError> {
+            Ok(())
+        }
+    }
+
+    /// The adaptive interface built from scratch, as every call of
+    /// `provided()` once built it: the inner component's operations that
+    /// are not disabled, then one alias per rewrite, in alias order, whose
+    /// target the inner component serves and whose name is not taken.
+    fn built_from_scratch(ac: &AdaptiveComponent) -> Interface {
+        let base = ac.inner.provided().clone();
+        let mut signatures: Vec<Signature> = base
+            .signatures
+            .iter()
+            .filter(|s| !ac.front.disabled.contains(&*s.name))
+            .cloned()
+            .collect();
+        for (alias, target) in &ac.front.rewrites {
+            let taken = signatures.iter().any(|s| &s.name == alias);
+            if let (Some(sig), false) = (base.signature(target), taken) {
+                let mut aliased = sig.clone();
+                aliased.name = alias.clone().into();
+                signatures.push(aliased);
+            }
+        }
+        Interface {
+            name: base.name,
+            version: base.version + 1,
+            signatures: signatures.into(),
+        }
+    }
+
+    /// Rewrites, disables and re-enables drawn from a seeded stream, over
+    /// the base's own operations and names it does not serve: after each
+    /// call the interface read in place is the one built from scratch.
+    #[test]
+    fn the_kept_interface_equals_one_built_from_scratch_after_every_change() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        const OPS: [&str; 6] = ["frame", "set_ratio", "stats", "ping", "pong", "gone"];
+        let mut rng = SmallRng::seed_from_u64(48);
+        let mut ac = AdaptiveComponent::new(Box::new(Three));
+        assert_eq!(*ac.provided(), built_from_scratch(&ac));
+        let mut changed = 0;
+        for step in 0..400 {
+            let before = ac.provided().clone();
+            let mut draw = |n: usize| rng.random_range(0..n as u64) as usize;
+            let op = OPS[draw(OPS.len())];
+            match draw(3) {
+                0 => ac.rewrite_op(op, OPS[draw(OPS.len())]),
+                1 => ac.disable_op(op),
+                _ => ac.enable_op(op),
+            }
+            assert_eq!(*ac.provided(), built_from_scratch(&ac), "step {step}");
+            changed += u32::from(*ac.provided() != before);
+        }
+        assert!(changed > 100, "only {changed} calls changed the interface");
     }
 
     #[test]

@@ -143,8 +143,9 @@ pub trait Front: Send {
         }
     }
 
-    /// The interface the wrapped component offers.
-    fn provided(&self, inner: &dyn Component) -> Interface {
+    /// The interface the wrapped component offers: by default the inner
+    /// component's own.
+    fn provided<'a>(&'a self, inner: &'a dyn Component) -> &'a Interface {
         inner.provided()
     }
 
@@ -165,7 +166,7 @@ impl<F: Front> Component for Wrapper<F> {
         self.inner.type_name()
     }
 
-    fn provided(&self) -> Interface {
+    fn provided(&self) -> &Interface {
         self.front.provided(&*self.inner)
     }
 

@@ -31,8 +31,10 @@ impl Component for Sink {
     fn type_name(&self) -> &str {
         "Sink"
     }
-    fn provided(&self) -> Interface {
-        Interface::new("Sink", vec![Signature::one_way("frame")])
+    fn provided(&self) -> &Interface {
+        static OPS: [Signature; 1] = [Signature::one_way("frame")];
+        static IFACE: Interface = Interface::fixed("Sink", &OPS);
+        &IFACE
     }
     fn on_message(&mut self, _ctx: &mut CallCtx, msg: Message) -> Result<(), ComponentError> {
         self.bytes += msg.value.get("bytes").and_then(Value::as_int).unwrap_or(0);

@@ -42,8 +42,10 @@ impl Component for Worker {
         "Worker"
     }
 
-    fn provided(&self) -> Interface {
-        Interface::new("Worker", vec![Signature::one_way("work")])
+    fn provided(&self) -> &Interface {
+        static OPS: [Signature; 1] = [Signature::one_way("work")];
+        static WORKER: Interface = Interface::fixed("Worker", &OPS);
+        &WORKER
     }
 
     fn on_message(&mut self, ctx: &mut CallCtx, msg: Message) -> Result<(), ComponentError> {

@@ -49,8 +49,10 @@ impl Component for PoisonWorker {
         "PoisonWorker"
     }
 
-    fn provided(&self) -> Interface {
-        Interface::new("Worker", vec![Signature::one_way("work")])
+    fn provided(&self) -> &Interface {
+        static OPS: [Signature; 1] = [Signature::one_way("work")];
+        static WORKER: Interface = Interface::fixed("Worker", &OPS);
+        &WORKER
     }
 
     fn on_message(&mut self, _ctx: &mut CallCtx, msg: Message) -> Result<(), ComponentError> {

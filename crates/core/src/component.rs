@@ -12,7 +12,7 @@
 //! adequate internal state variables, contexts, program counters") possible.
 
 use crate::error::{ComponentError, StateError};
-use crate::interface::Interface;
+use crate::interface::{Interface, Signature};
 use crate::lts::Lts;
 use crate::message::{Message, Name, Value};
 use aas_sim::time::{SimDuration, SimTime};
@@ -262,8 +262,10 @@ impl<'a> CallCtx<'a> {
 /// impl Component for Counter {
 ///     fn type_name(&self) -> &str { "Counter" }
 ///
-///     fn provided(&self) -> Interface {
-///         Interface::new("Counter", vec![Signature::one_way("tick")])
+///     fn provided(&self) -> &Interface {
+///         static OPS: [Signature; 1] = [Signature::one_way("tick")];
+///         static COUNTER: Interface = Interface::fixed("Counter", &OPS);
+///         &COUNTER
 ///     }
 ///
 ///     fn on_message(&mut self, ctx: &mut CallCtx, msg: Message)
@@ -292,8 +294,12 @@ pub trait Component: Send {
     /// The implementation's type name (the registry key).
     fn type_name(&self) -> &str;
 
-    /// The interface this component provides.
-    fn provided(&self) -> Interface;
+    /// The interface this component provides, read in place: a fixed
+    /// interface lives in a `static` ([`Interface::fixed`]) or a field,
+    /// and one that changes at run time is kept current by whatever
+    /// changes it. The runtime asks on every delivered reply and on every
+    /// implementation swap, so an answer is never built per question.
+    fn provided(&self) -> &Interface;
 
     /// Handles one message, which the handler owns: it may change it and
     /// send it on, or keep any part of it, without a copy. The one thing
@@ -353,8 +359,10 @@ impl Component for EchoComponent {
         "Echo"
     }
 
-    fn provided(&self) -> Interface {
-        Interface::new("Echo", vec![crate::interface::Signature::one_way("echo")])
+    fn provided(&self) -> &Interface {
+        static OPS: [Signature; 1] = [Signature::one_way("echo")];
+        static ECHO: Interface = Interface::fixed("Echo", &OPS);
+        &ECHO
     }
 
     fn on_message(&mut self, ctx: &mut CallCtx, msg: Message) -> Result<(), ComponentError> {

@@ -14,11 +14,12 @@
 //! run time without touching the components they glue.
 
 use crate::lts::{Label, Lts, LtsRunner, ProtocolViolation};
-use crate::message::{Message, Name, SequenceTracker};
+use crate::message::{Message, Name};
 use aas_obs::Summary;
 use aas_sim::time::{SimDuration, SimTime};
 use core::fmt;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 
 /// Unique identifier of a connector instance within a runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -231,7 +232,9 @@ pub struct Connector {
     spec: ConnectorSpec,
     runner: Option<LtsRunner>,
     rr_next: usize,
-    seq: SequenceTracker,
+    /// The next sequence number expected on each flow, by the ids of its
+    /// sender and receiver.
+    seq_next: BTreeMap<(u64, u64), u64>,
     stats: ConnectorStats,
 }
 
@@ -245,7 +248,7 @@ impl Connector {
             spec,
             runner,
             rr_next: 0,
-            seq: SequenceTracker::new(),
+            seq_next: BTreeMap::new(),
             stats: ConnectorStats::default(),
         }
     }
@@ -284,15 +287,21 @@ impl Connector {
             .any(|a| matches!(a, ConnectorAspect::SequenceCheck))
     }
 
-    /// Feeds one message's `(flow, seq)` pair to the sequence-check
-    /// aspect. The runtime calls this when it stamps the message at send
-    /// time, right after drawing `seq` from its own per-flow counter.
-    pub fn observe_sequence(&mut self, flow: &str, seq: u64) {
-        use crate::message::SeqVerdict;
-        match self.seq.observe(flow, seq) {
-            SeqVerdict::InOrder => {}
-            SeqVerdict::Gap { missing } => self.stats.seq_anomalies += missing,
-            SeqVerdict::Duplicate => self.stats.seq_anomalies += 1,
+    /// Feeds one message's sequence number on `flow` — the ids of its
+    /// sender and receiver — to the sequence-check aspect. The runtime
+    /// calls this when it stamps the message at send time, right after
+    /// drawing `seq` from its own per-flow counter. The first number seen
+    /// on a flow is its start: a connector put in mid-stream joins flows
+    /// whose counters are already running. After that, a jump forward
+    /// counts the numbers it skipped and a number at or before one seen
+    /// counts once.
+    pub fn observe_sequence(&mut self, flow: (u64, u64), seq: u64) {
+        let next = self.seq_next.entry(flow).or_insert(seq);
+        if seq >= *next {
+            self.stats.seq_anomalies += seq - *next;
+            *next = seq + 1;
+        } else {
+            self.stats.seq_anomalies += 1;
         }
     }
 
@@ -536,10 +545,14 @@ mod tests {
         let spec = ConnectorSpec::direct("s").with_aspect(ConnectorAspect::SequenceCheck);
         let mut c = Connector::new(ConnectorId(0), spec);
         assert!(c.has_sequence_check());
-        c.observe_sequence("a->b", 0);
-        c.observe_sequence("a->b", 1);
-        c.observe_sequence("a->b", 5); // gap of 3
-        c.observe_sequence("a->b", 5); // duplicate
+        c.observe_sequence((1, 2), 0);
+        c.observe_sequence((1, 2), 1);
+        c.observe_sequence((1, 2), 5); // gap of 3
+        c.observe_sequence((1, 2), 5); // duplicate
+        assert_eq!(c.stats().seq_anomalies, 4);
+        // A flow first seen mid-stream starts where it is seen.
+        c.observe_sequence((3, 2), 49);
+        c.observe_sequence((3, 2), 50);
         assert_eq!(c.stats().seq_anomalies, 4);
         assert!(!Connector::new(ConnectorId(1), ConnectorSpec::direct("d")).has_sequence_check());
     }

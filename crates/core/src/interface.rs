@@ -6,9 +6,15 @@
 //! machine-checkable form of that obligation: every signature of the old
 //! interface must still be served, with parameter types that accept at
 //! least what they used to and return types that promise no less.
+//!
+//! Names and lists are borrowed when they are fixed: a component whose
+//! interface never changes keeps it in a `static` built at compile time
+//! ([`Interface::fixed`], [`Signature::fixed`]), so reading it, comparing
+//! it or holding it costs no allocation.
 
 use core::fmt;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// Dynamic type tags for operation parameters and results.
 ///
@@ -68,9 +74,9 @@ impl fmt::Display for TypeTag {
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Signature {
     /// Operation name.
-    pub name: String,
+    pub name: Cow<'static, str>,
     /// Parameter types, in order.
-    pub params: Vec<TypeTag>,
+    pub params: Cow<'static, [TypeTag]>,
     /// Result type (`Unit` for one-way operations).
     pub returns: TypeTag,
 }
@@ -78,10 +84,24 @@ pub struct Signature {
 impl Signature {
     /// A new signature.
     #[must_use]
-    pub fn new(name: impl Into<String>, params: Vec<TypeTag>, returns: TypeTag) -> Self {
+    pub fn new(
+        name: impl Into<Cow<'static, str>>,
+        params: impl Into<Cow<'static, [TypeTag]>>,
+        returns: TypeTag,
+    ) -> Self {
         Signature {
             name: name.into(),
-            params,
+            params: params.into(),
+            returns,
+        }
+    }
+
+    /// A signature fixed at compile time, for a `static` interface.
+    #[must_use]
+    pub const fn fixed(name: &'static str, params: &'static [TypeTag], returns: TypeTag) -> Self {
+        Signature {
+            name: Cow::Borrowed(name),
+            params: Cow::Borrowed(params),
             returns,
         }
     }
@@ -89,8 +109,8 @@ impl Signature {
     /// A one-way operation taking a single `Any` payload — the common case
     /// for message-oriented components.
     #[must_use]
-    pub fn one_way(name: impl Into<String>) -> Self {
-        Signature::new(name, vec![TypeTag::Any], TypeTag::Unit)
+    pub const fn one_way(name: &'static str) -> Self {
+        Signature::fixed(name, &[TypeTag::Any], TypeTag::Unit)
     }
 
     /// Whether this (newer) signature can serve calls written against
@@ -102,7 +122,7 @@ impl Signature {
             && older
                 .params
                 .iter()
-                .zip(&self.params)
+                .zip(self.params.iter())
                 .all(|(old_p, new_p)| old_p.satisfies(*new_p))
             && self.returns.satisfies(older.returns)
     }
@@ -125,11 +145,11 @@ impl fmt::Display for Signature {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Interface {
     /// Interface name.
-    pub name: String,
+    pub name: Cow<'static, str>,
     /// Interface version; bumped on every modification.
     pub version: u32,
     /// Provided operations.
-    pub signatures: Vec<Signature>,
+    pub signatures: Cow<'static, [Signature]>,
 }
 
 /// Why an interface change is not backward compatible.
@@ -163,17 +183,49 @@ impl fmt::Display for CompatViolation {
 impl Interface {
     /// A new interface at version 1.
     #[must_use]
-    pub fn new(name: impl Into<String>, signatures: Vec<Signature>) -> Self {
+    pub fn new(
+        name: impl Into<Cow<'static, str>>,
+        signatures: impl Into<Cow<'static, [Signature]>>,
+    ) -> Self {
         Interface {
             name: name.into(),
             version: 1,
-            signatures,
+            signatures: signatures.into(),
+        }
+    }
+
+    /// An interface at version 1 fixed at compile time, for a `static`:
+    /// it holds no allocation.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use aas_core::interface::{Interface, Signature, TypeTag};
+    ///
+    /// static OPS: [Signature; 2] = [
+    ///     Signature::one_way("tick"),
+    ///     Signature::fixed("reset", &[TypeTag::Int], TypeTag::Unit),
+    /// ];
+    /// static COUNTER: Interface = Interface::fixed("Counter", &OPS);
+    /// assert!(COUNTER.provides("reset"));
+    /// let built = vec![
+    ///     Signature::one_way("tick"),
+    ///     Signature::new("reset", vec![TypeTag::Int], TypeTag::Unit),
+    /// ];
+    /// assert_eq!(COUNTER, Interface::new("Counter", built));
+    /// ```
+    #[must_use]
+    pub const fn fixed(name: &'static str, signatures: &'static [Signature]) -> Self {
+        Interface {
+            name: Cow::Borrowed(name),
+            version: 1,
+            signatures: Cow::Borrowed(signatures),
         }
     }
 
     /// An empty interface (components that only consume).
     #[must_use]
-    pub fn empty(name: impl Into<String>) -> Self {
+    pub fn empty(name: impl Into<Cow<'static, str>>) -> Self {
         Interface::new(name, Vec::new())
     }
 
@@ -194,7 +246,7 @@ impl Interface {
     /// backward compatible by construction.
     #[must_use]
     pub fn extended_with(&self, extra: Vec<Signature>) -> Interface {
-        let mut signatures = self.signatures.clone();
+        let mut signatures = self.signatures.to_vec();
         for sig in extra {
             signatures.retain(|s| s.name != sig.name);
             signatures.push(sig);
@@ -202,7 +254,7 @@ impl Interface {
         Interface {
             name: self.name.clone(),
             version: self.version + 1,
-            signatures,
+            signatures: signatures.into(),
         }
     }
 
@@ -211,13 +263,15 @@ impl Interface {
     #[must_use]
     pub fn check_backward_compatible(&self, older: &Interface) -> Vec<CompatViolation> {
         let mut violations = Vec::new();
-        for old_sig in &older.signatures {
+        for old_sig in older.signatures.iter() {
             match self.signature(&old_sig.name) {
-                None => violations.push(CompatViolation::RemovedOperation(old_sig.name.clone())),
+                None => {
+                    violations.push(CompatViolation::RemovedOperation(old_sig.name.to_string()))
+                }
                 Some(new_sig) => {
                     if !new_sig.can_replace(old_sig) {
                         violations.push(CompatViolation::ChangedSignature {
-                            name: old_sig.name.clone(),
+                            name: old_sig.name.to_string(),
                             old: old_sig.to_string(),
                             new: new_sig.to_string(),
                         });

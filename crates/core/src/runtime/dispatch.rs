@@ -1,3 +1,4 @@
+use super::table::SlotId as _;
 use super::*;
 
 impl Runtime {
@@ -52,40 +53,6 @@ impl Runtime {
         let size = env.msg.wire_size();
         self.arena.set_stage(r, Stage::Transit);
         self.send_on(ch, r, size);
-    }
-
-    /// Rebinds every channel touching `id`'s instance to its new node.
-    pub(super) fn rehome_channels(&mut self, id: InstId, node: NodeId) {
-        let node_of = |other: InstId| {
-            if other == id {
-                Some(node)
-            } else {
-                self.instances.get(other).map(|i| i.node)
-            }
-        };
-        let mut updates: Vec<(ChannelId, NodeId, NodeId)> = Vec::new();
-        if let Some(inst) = self.instances.get(id) {
-            updates.push((inst.external, node, node));
-        }
-        for (&(from, to), &ch) in &self.reply_channels {
-            if from == id || to == id {
-                if let (Some(s), Some(d)) = (node_of(from), node_of(to)) {
-                    updates.push((ch, s, d));
-                }
-            }
-        }
-        for (src, inst) in self.instances.iter() {
-            for &(to, ch) in inst.ports.iter().flat_map(|b| &b.targets) {
-                if src == id || to == id {
-                    if let (Some(s), Some(d)) = (node_of(src), node_of(to)) {
-                        updates.push((ch, s, d));
-                    }
-                }
-            }
-        }
-        for (ch, s, d) in updates {
-            self.kernel.rebind_channel(ch, s, d);
-        }
     }
 
     /// Counts a drop in transit or at delivery and offers the message for
@@ -274,15 +241,8 @@ impl Runtime {
             *seq += 1;
             if let Some(conn) = via.and_then(|via| self.connectors.get_mut(via)) {
                 if conn.has_sequence_check() {
-                    use std::fmt::Write as _;
-                    self.seq_key_buf.clear();
-                    let _ = write!(
-                        self.seq_key_buf,
-                        "{}->{}",
-                        msg.from,
-                        self.instances.name(*to)
-                    );
-                    conn.observe_sequence(&self.seq_key_buf, msg.seq);
+                    let flow = (from.index() as u64, to.index() as u64);
+                    conn.observe_sequence(flow, msg.seq);
                 }
             }
         }

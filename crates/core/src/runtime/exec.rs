@@ -24,6 +24,12 @@
 //!   restores pre-plan lifecycles — the graph is exactly as the plan
 //!   found it.
 //!
+//! The journal, the blocked targets and their channels, the deferred
+//! closures, the scans' scratch and the text of the record being audited
+//! are the engine's [`TxnWork`], kept between plans and empty between
+//! them: a warm plan allocates only what its report and its audit records
+//! keep.
+//!
 //! Queued plans are re-validated at dequeue time against the then-current
 //! graph, so a plan queued behind one that aborted (or that consumed the
 //! resources it needed) is rejected instead of executed blindly.
@@ -36,6 +42,7 @@
 
 use super::validate::Shadow;
 use super::*;
+use std::fmt::{self, Write as _};
 
 /// Who submitted a plan, and on whose behalf: recorded when the plan is
 /// submitted, read when it ends.
@@ -70,6 +77,38 @@ pub(super) struct ExecState {
     submitting: Option<(ReconfigId, Option<ReconfigReport>)>,
     /// How the reported plans ended.
     pub(super) ended: PlanTally,
+    /// The active transaction's working buffers, empty between plans.
+    work: TxnWork,
+}
+
+/// What a transaction works with and keeps nothing of when it ends. The
+/// engine keeps these buffers from one plan to the next, so a warm plan
+/// grows none of them.
+#[derive(Debug, Default)]
+struct TxnWork {
+    /// Compensating inverses of applied actions, in application order.
+    journal: Vec<Undo>,
+    /// The connectors the journal's re-insertions put back, in the same
+    /// order.
+    displaced: Vec<Connector>,
+    /// Quiesced targets and the lifecycle each returns to on rollback, in
+    /// the order they were blocked; they stay blocked until commit or
+    /// rollback.
+    blocked: Vec<(Name, Lifecycle)>,
+    /// The channels blocked on the targets' behalf, each with its target,
+    /// in the order they were blocked.
+    blocked_channels: Vec<(Name, ChannelId)>,
+    /// Channels whose closure (from removals/unbinds) is deferred to
+    /// commit so rollback can resurrect them intact.
+    deferred_close: Vec<ChannelId>,
+    /// The channels a quiesce scan found, and the reply channels it
+    /// looked through.
+    inbound: Vec<ChannelId>,
+    replies: Vec<((InstId, InstId), ChannelId)>,
+    /// The channels a migration re-homes, with their new ends.
+    rehome: Vec<(ChannelId, NodeId, NodeId)>,
+    /// The rendered action, refusal or rollback reason being audited.
+    text: String,
 }
 
 impl ExecState {
@@ -111,16 +150,16 @@ enum ExecPhase {
 #[derive(Debug)]
 enum Undo {
     /// Retire an added instance again.
-    RemoveComponent { name: String },
+    RemoveComponent { name: Name },
     /// Move a migrated instance back to the node it left.
-    MigrateBack { name: String, to: NodeId },
+    MigrateBack { name: Name, to: NodeId },
     /// Remove an added connector again.
-    RemoveConnector { name: String },
+    RemoveConnector { name: Name },
     /// Remove an added binding, rooted at this `(instance, port)` source.
     Unbind { from: (String, String) },
     /// Restore the implementation a swap displaced.
     RestoreImpl {
-        name: String,
+        name: Name,
         component: Box<dyn Component>,
         type_name: Name,
         version: u32,
@@ -134,46 +173,53 @@ enum Undo {
     /// closure is deferred to commit).
     ReinsertBinding(BindingRt),
     /// Re-insert a removed or interchanged connector object (preserving
-    /// its id and statistics).
-    ReinsertConnector {
-        name: String,
-        connector: Box<Connector>,
-    },
+    /// its id and statistics): the last of [`TxnWork::displaced`].
+    ReinsertConnector { name: Name },
 }
 
-impl Undo {
-    fn describe(&self) -> String {
+impl fmt::Display for Undo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Undo::RemoveComponent { name } => format!("undo-add: remove {name}"),
-            Undo::MigrateBack { name, to } => format!("undo-migrate: {name} back to {to}"),
-            Undo::RemoveConnector { name } => format!("undo-add: remove connector {name}"),
-            Undo::Unbind { from } => format!("undo-bind: unbind {}.{}", from.0, from.1),
+            Undo::RemoveComponent { name } => write!(f, "undo-add: remove {name}"),
+            Undo::MigrateBack { name, to } => write!(f, "undo-migrate: {name} back to {to}"),
+            Undo::RemoveConnector { name } => write!(f, "undo-add: remove connector {name}"),
+            Undo::Unbind { from } => write!(f, "undo-bind: unbind {}.{}", from.0, from.1),
             Undo::RestoreImpl {
                 name,
                 type_name,
                 version,
                 ..
-            } => format!("undo-swap: restore {name} to {type_name} v{version}"),
+            } => write!(f, "undo-swap: restore {name} to {type_name} v{version}"),
             Undo::ReinsertInstance { instance, .. } => {
-                format!("undo-remove: reinsert {}", instance.name)
+                write!(f, "undo-remove: reinsert {}", instance.name)
             }
             Undo::ReinsertBinding(binding) => {
                 let from = &binding.decl.from;
-                format!("undo-unbind: rebind {}.{}", from.0, from.1)
+                write!(f, "undo-unbind: rebind {}.{}", from.0, from.1)
             }
             Undo::ReinsertConnector { name, .. } => {
-                format!("undo: reinsert connector {name}")
+                write!(f, "undo: reinsert connector {name}")
             }
         }
     }
 }
 
-/// One quiesced target of the active transaction: the channels blocked on
-/// its behalf and the lifecycle to restore on rollback.
-#[derive(Debug)]
-struct BlockedTarget {
-    channels: Vec<ChannelId>,
-    prior: Lifecycle,
+/// Renders `args` into a string of exactly their length: one allocation,
+/// where `format!` may grow its buffer several times. For a text a report
+/// keeps.
+pub(super) fn render(args: fmt::Arguments<'_>) -> String {
+    struct Len(usize);
+    impl fmt::Write for Len {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            self.0 += s.len();
+            Ok(())
+        }
+    }
+    let mut len = Len(0);
+    let _ = len.write_fmt(args);
+    let mut text = String::with_capacity(len.0);
+    let _ = text.write_fmt(args);
+    text
 }
 
 /// An executing reconfiguration transaction.
@@ -190,13 +236,6 @@ pub(super) struct PlanTxn {
     applied: usize,
     /// Instances moved by committed migrate actions, in order.
     moved: Vec<String>,
-    /// Compensating inverses of applied actions, in application order.
-    journal: Vec<Undo>,
-    /// Quiesced targets; they stay blocked until commit or rollback.
-    blocked: BTreeMap<Name, BlockedTarget>,
-    /// Channels whose closure (from removals/unbinds) is deferred to
-    /// commit so rollback can resurrect them intact.
-    deferred_close: Vec<ChannelId>,
 }
 
 impl Runtime {
@@ -280,8 +319,8 @@ impl Runtime {
     /// audited, reported and dropped.
     fn start_exec(&mut self, id: ReconfigId, origin: PlanOrigin, plan: ReconfigPlan) {
         let now_us = self.kernel.now().as_micros();
-        if let Err(reason) = self.validate_plan(&plan) {
-            self.reject_plan(id, origin, reason);
+        if let Err(failure) = self.validate_plan(&plan) {
+            self.reject_plan(id, origin, failure);
             return;
         }
         let validated = AuditEvent::PlanValidated {
@@ -300,28 +339,24 @@ impl Runtime {
             state_bytes: 0,
             applied: 0,
             moved: Vec::new(),
-            journal: Vec::new(),
-            blocked: BTreeMap::new(),
-            deferred_close: Vec::new(),
         });
     }
 
     /// Books a validation rejection: audit (`plan_rejected` + a
     /// `plan_finished` so submissions always reconcile with finishes) and
-    /// a zero-action report.
-    fn reject_plan(&mut self, id: ReconfigId, origin: PlanOrigin, reason: String) {
+    /// a zero-action report, which keeps `failure`, the `rejected: `
+    /// refusal the audit record gives the reason of.
+    fn reject_plan(&mut self, id: ReconfigId, origin: PlanOrigin, failure: String) {
         let now = self.kernel.now();
-        let failure = format!("rejected: {reason}");
-        let audit = &self.obs.audit;
-        audit.append(
-            now.as_micros(),
-            AuditEvent::PlanRejected { plan: id.0, reason },
-        );
+        let mut reason = self.text_buffer();
+        reason.push_str(failure.strip_prefix("rejected: ").unwrap_or(&failure));
+        let rejected = AuditEvent::PlanRejected { plan: id.0, reason };
+        self.append_with_text(now.as_micros(), rejected);
         let finished = AuditEvent::PlanFinished {
             plan: id.0,
             committed: false,
         };
-        audit.append(now.as_micros(), finished);
+        self.obs.audit.append(now.as_micros(), finished);
         self.exec.ended.rejected += 1;
         let report = ReconfigReport {
             id,
@@ -350,7 +385,7 @@ impl Runtime {
                 continue;
             };
             let phase = std::mem::replace(&mut txn.phase, ExecPhase::Idle);
-            let action = match phase {
+            let mut action = match phase {
                 ExecPhase::Idle => {
                     let Some(action) = self
                         .exec
@@ -390,7 +425,7 @@ impl Runtime {
                     continue;
                 }
             };
-            match self.apply_action(&action) {
+            match self.apply_action(&mut action) {
                 Ok(Some(delay)) => {
                     self.arm(delay, TimerPurpose::TransferDone);
                     self.exec.active.as_mut().expect("active").phase =
@@ -400,8 +435,29 @@ impl Runtime {
                 // A quiesced target stays blocked until the whole plan
                 // commits; release happens in `commit_txn`.
                 Ok(None) => self.record_action(&action),
-                Err(e) => self.abort_txn(format!("{action}: {e}")),
+                Err(e) => self.abort_txn(render(format_args!("{action}: {e}"))),
             }
+        }
+    }
+
+    /// The engine's text buffer, emptied, for a record's text to be
+    /// rendered into. [`Runtime::append_with_text`] gives it back: a text
+    /// a record encodes is not kept, so it is not allocated per record.
+    fn text_buffer(&mut self) -> String {
+        let mut text = std::mem::take(&mut self.exec.work.text);
+        text.clear();
+        text
+    }
+
+    /// Appends `event`, taking back the text buffer it carries.
+    fn append_with_text(&mut self, at_us: u64, event: AuditEvent) {
+        self.obs.audit.append(at_us, &event);
+        if let AuditEvent::ActionApplied { action: text, .. }
+        | AuditEvent::ActionCompensated { action: text, .. }
+        | AuditEvent::PlanRejected { reason: text, .. }
+        | AuditEvent::PlanRolledBack { reason: text, .. } = event
+        {
+            self.exec.work.text = text;
         }
     }
 
@@ -411,27 +467,40 @@ impl Runtime {
         let now_us = self.kernel.now().as_micros();
         if let Some(exec) = self.exec.active.as_mut() {
             exec.applied += 1;
-            let applied = AuditEvent::ActionApplied {
-                plan: exec.id.0,
-                action: action.to_string(),
-            };
-            self.obs.audit.append(now_us, applied);
+            let plan = exec.id.0;
+            let mut text = self.text_buffer();
+            let _ = write!(text, "{action}");
+            let applied = AuditEvent::ActionApplied { plan, action: text };
+            self.append_with_text(now_us, applied);
         }
     }
 
     /// Pushes a compensating inverse onto the active transaction's
     /// journal.
     fn journal(&mut self, undo: Undo) {
-        if let Some(txn) = self.exec.active.as_mut() {
-            txn.journal.push(undo);
+        if self.exec.active.is_some() {
+            self.exec.work.journal.push(undo);
+        }
+    }
+
+    /// Journals the re-insertion of `connector`, removed or displaced from
+    /// `name`. The connector waits in [`TxnWork::displaced`], so a
+    /// journal entry stays small without a box of its own.
+    fn journal_connector(&mut self, name: Name, connector: Connector) {
+        if self.exec.active.is_some() {
+            self.exec.work.displaced.push(connector);
+            self.exec
+                .work
+                .journal
+                .push(Undo::ReinsertConnector { name });
         }
     }
 
     /// Defers a channel closure to commit time, so rollback can re-insert
     /// the still-open channel (held messages intact).
     fn defer_close(&mut self, ch: ChannelId) {
-        if let Some(txn) = self.exec.active.as_mut() {
-            txn.deferred_close.push(ch);
+        if self.exec.active.is_some() {
+            self.exec.work.deferred_close.push(ch);
         }
     }
 
@@ -444,24 +513,28 @@ impl Runtime {
         let Some(txn) = self.exec.active.as_ref() else {
             return;
         };
-        if txn.blocked.contains_key(name) {
+        let work = &mut self.exec.work;
+        if work.blocked.iter().any(|(target, _)| target == name) {
             return; // already blocked by an earlier action of this plan
         }
         let plan = txn.id.0;
-        let channels = self.inbound_channels(name);
         let target = match self.instances.id(name) {
             Some(id) => self.instances.name(id).clone(),
             None => Name::from(name.to_owned()),
         };
-        for ch in &channels {
-            self.kernel.block_channel(*ch);
+        let mut channels = std::mem::take(&mut work.inbound);
+        self.inbound_channels(name, &mut channels);
+        for ch in channels.drain(..) {
+            self.kernel.block_channel(ch);
             let blocked = AuditEvent::ChannelBlocked {
                 plan,
                 channel: ch.0,
                 target: target.clone(),
             };
             self.obs.audit.append(now.as_micros(), blocked);
+            self.exec.work.blocked_channels.push((target.clone(), ch));
         }
+        self.exec.work.inbound = channels;
         let mut prior = Lifecycle::Active;
         if let Some(inst) = self.instances.by_name_mut(name) {
             prior = inst.lifecycle;
@@ -477,26 +550,26 @@ impl Runtime {
                 inst.blocked_at = Some(now);
             }
         }
-        if let Some(txn) = self.exec.active.as_mut() {
-            txn.blocked
-                .insert(target, BlockedTarget { channels, prior });
-        }
+        self.exec.work.blocked.push((target, prior));
     }
 
-    /// Every channel delivering into `name`: its external channel, the
-    /// reply channels it is the requester of, the binding channels it is
-    /// a target of.
-    fn inbound_channels(&self, name: &str) -> Vec<ChannelId> {
+    /// Appends to `out` every channel delivering into `name`: its
+    /// external channel, the reply channels it is the requester of, the
+    /// binding channels it is a target of.
+    fn inbound_channels(&mut self, name: &str, out: &mut Vec<ChannelId>) {
         let Some(id) = self.instances.id(name) else {
-            return Vec::new();
+            return;
         };
-        let mut out = vec![self.instances.get(id).expect("id is live").external];
+        out.push(self.instances.get(id).expect("id is live").external);
+        let mut replies = std::mem::take(&mut self.exec.work.replies);
+        self.reply_channels_of(id, &mut replies);
         out.extend(
-            self.reply_channels_of(id)
-                .into_iter()
+            replies
+                .drain(..)
                 .filter(|((_, to), _)| *to == id)
                 .map(|(_, ch)| ch),
         );
+        self.exec.work.replies = replies;
         for b in self.bindings() {
             out.extend(
                 b.targets
@@ -505,21 +578,60 @@ impl Runtime {
                     .map(|(_, ch)| *ch),
             );
         }
-        out
     }
 
-    /// The reply channels `id` is either end of, ordered by `(replier,
-    /// requester)` name — the order blocks, releases and closures of
-    /// them are issued and audited in.
-    fn reply_channels_of(&self, id: InstId) -> Vec<((InstId, InstId), ChannelId)> {
-        let mut out: Vec<_> = self
-            .reply_channels
-            .iter()
-            .filter(|((from, to), _)| *from == id || *to == id)
-            .map(|(key, ch)| (*key, *ch))
-            .collect();
-        out.sort_by_key(|((from, to), _)| (self.instances.name(*from), self.instances.name(*to)));
-        out
+    /// Appends to `out` the reply channels `id` is either end of, ordered
+    /// by `(replier, requester)` name — the order blocks, releases and
+    /// closures of them are issued and audited in.
+    fn reply_channels_of(&self, id: InstId, out: &mut Vec<((InstId, InstId), ChannelId)>) {
+        let start = out.len();
+        out.extend(
+            self.reply_channels
+                .iter()
+                .filter(|((from, to), _)| *from == id || *to == id)
+                .map(|(key, ch)| (*key, *ch)),
+        );
+        // No two keys share both names, so the unstable sort is the
+        // stable one.
+        out[start..].sort_unstable_by_key(|((from, to), _)| {
+            (self.instances.name(*from), self.instances.name(*to))
+        });
+    }
+
+    /// Rebinds every channel touching `id`'s instance to its new node:
+    /// its external channel, its reply channels and its binding channels.
+    fn rehome_channels(&mut self, id: InstId, node: NodeId) {
+        let node_of = |other: InstId| {
+            if other == id {
+                Some(node)
+            } else {
+                self.instances.get(other).map(|i| i.node)
+            }
+        };
+        let mut updates = std::mem::take(&mut self.exec.work.rehome);
+        if let Some(inst) = self.instances.get(id) {
+            updates.push((inst.external, node, node));
+        }
+        for (&(from, to), &ch) in &self.reply_channels {
+            if from == id || to == id {
+                if let (Some(s), Some(d)) = (node_of(from), node_of(to)) {
+                    updates.push((ch, s, d));
+                }
+            }
+        }
+        for (src, inst) in self.instances.iter() {
+            for &(to, ch) in inst.ports.iter().flat_map(|b| &b.targets) {
+                if src == id || to == id {
+                    if let (Some(s), Some(d)) = (node_of(src), node_of(to)) {
+                        updates.push((ch, s, d));
+                    }
+                }
+            }
+        }
+        for (ch, s, d) in updates.drain(..) {
+            self.kernel.rebind_channel(ch, s, d);
+        }
+        self.exec.work.rehome = updates;
     }
 
     /// Commit: run deferred channel closures, release every held message
@@ -532,9 +644,11 @@ impl Runtime {
         // Deferred closures from removals/unbinds close without
         // re-queueing their held messages — those were destined for a
         // component or binding that no longer exists.
-        for ch in std::mem::take(&mut txn.deferred_close) {
-            self.close_now(ch, &mut txn);
+        let mut deferred = std::mem::take(&mut self.exec.work.deferred_close);
+        for ch in deferred.drain(..) {
+            self.close_now(ch, txn.id);
         }
+        self.exec.work.deferred_close = deferred;
         self.release_blocked(&mut txn, true);
         self.finish_reconfig(txn, None);
     }
@@ -551,41 +665,51 @@ impl Runtime {
         };
         let plan = txn.id.0;
         let mut compensated = 0;
-        while let Some(undo) = txn.journal.pop() {
-            let action = undo.describe();
-            self.apply_undo(undo, &mut txn);
+        while let Some(undo) = self.exec.work.journal.pop() {
+            let mut action = self.text_buffer();
+            let _ = write!(action, "{undo}");
+            self.apply_undo(undo, txn.id);
             let undone = AuditEvent::ActionCompensated { plan, action };
-            self.obs.audit.append(now.as_micros(), undone);
+            self.append_with_text(now.as_micros(), undone);
             compensated += 1;
         }
+        let mut text = self.text_buffer();
+        text.push_str(&reason);
         let rolled_back = AuditEvent::PlanRolledBack {
             plan,
             compensated,
-            reason: reason.clone(),
+            reason: text,
         };
-        self.obs.audit.append(now.as_micros(), rolled_back);
+        self.append_with_text(now.as_micros(), rolled_back);
         self.release_blocked(&mut txn, false);
         // Every deferred closure stems from a removal that was just
         // compensated; the channels stay open.
-        txn.deferred_close.clear();
+        self.exec.work.deferred_close.clear();
         // Nothing stays committed: the report reflects the rollback.
         txn.applied = 0;
         self.finish_reconfig(txn, Some(reason));
     }
 
-    /// Releases every target `txn` still blocks: its channels hand their
-    /// held messages on in order, and the target returns to `Active` if
-    /// the plan `committed`, to the lifecycle the plan found it in if not.
-    /// The block→release window is the target's blackout.
+    /// Releases every target the transaction still blocks, in name order:
+    /// its channels hand their held messages on in order, and the target
+    /// returns to `Active` if the plan `committed`, to the lifecycle the
+    /// plan found it in if not. The block→release window is the target's
+    /// blackout.
     fn release_blocked(&mut self, txn: &mut PlanTxn, committed: bool) {
         let now = self.kernel.now();
-        txn.blackouts.reserve_exact(txn.blocked.len());
-        for (name, bt) in std::mem::take(&mut txn.blocked) {
-            let mut held = 0;
-            for ch in &bt.channels {
-                held += self.kernel.channel_stats(*ch).held;
-            }
-            for ch in bt.channels {
+        let work = &mut self.exec.work;
+        // Names are unique here, so the unstable sort is the stable one.
+        work.blocked.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
+        txn.blackouts.reserve_exact(work.blocked.len());
+        for (name, prior) in work.blocked.drain(..) {
+            let channels = || {
+                let of_target = work.blocked_channels.iter();
+                of_target.filter(|(t, _)| *t == name).map(|(_, ch)| *ch)
+            };
+            let held: u64 = channels()
+                .map(|ch| self.kernel.channel_stats(ch).held)
+                .sum();
+            for ch in channels() {
                 self.kernel.unblock_channel(ch);
                 let released = AuditEvent::ChannelReleased {
                     plan: txn.id.0,
@@ -595,32 +719,33 @@ impl Runtime {
                 self.obs.audit.append(now.as_micros(), released);
             }
             if let Some(inst) = self.instances.by_name_mut(&name) {
-                inst.lifecycle = if committed {
-                    Lifecycle::Active
-                } else {
-                    bt.prior
-                };
+                inst.lifecycle = if committed { Lifecycle::Active } else { prior };
                 if let Some(at) = inst.blocked_at.take() {
                     txn.blackouts.push((name, now.saturating_since(at)));
                     txn.messages_held += held;
                 }
             }
         }
+        work.blocked_channels.clear();
     }
 
     /// Applies one compensating inverse during rollback.
-    fn apply_undo(&mut self, undo: Undo, txn: &mut PlanTxn) {
+    fn apply_undo(&mut self, undo: Undo, plan: ReconfigId) {
         match undo {
             Undo::RemoveComponent { name } => {
                 if let Some(id) = self.instances.id(&name) {
                     let inst = self.instances.remove(&name).expect("id is live");
-                    self.close_now(inst.external, txn);
-                    for (key, ch) in self.reply_channels_of(id) {
+                    self.close_now(inst.external, plan);
+                    let mut replies = Vec::new();
+                    self.reply_channels_of(id, &mut replies);
+                    for (key, ch) in replies {
                         self.reply_channels.remove(&key);
-                        self.close_now(ch, txn);
+                        self.close_now(ch, plan);
                     }
                 }
-                txn.blocked.remove(name.as_str());
+                let work = &mut self.exec.work;
+                work.blocked.retain(|(target, _)| *target != name);
+                work.blocked_channels.retain(|(target, _)| *target != name);
             }
             Undo::MigrateBack { name, to } => {
                 if let Some(id) = self.instances.id(&name) {
@@ -634,7 +759,7 @@ impl Runtime {
             Undo::Unbind { from } => {
                 if let Some(b) = self.take_binding(&from) {
                     for (_, ch) in b.targets {
-                        self.close_now(ch, txn);
+                        self.close_now(ch, plan);
                     }
                 }
             }
@@ -656,26 +781,23 @@ impl Runtime {
                 self.reply_channels.extend(replies);
             }
             Undo::ReinsertBinding(binding) => self.put_binding(binding),
-            Undo::ReinsertConnector { name, connector } => {
-                self.connectors.insert(&name, *connector);
+            Undo::ReinsertConnector { name } => {
+                let connector = self.exec.work.displaced.pop();
+                self.connectors
+                    .insert(&name, connector.expect("journaled with its connector"));
             }
         }
     }
 
     /// Closes a channel for good — a removal's at commit, an addition's
-    /// at rollback — first auditing its release if the transaction had
-    /// blocked it (blocks and releases stay balanced in the audit log).
-    fn close_now(&mut self, ch: ChannelId, txn: &mut PlanTxn) {
-        let was_blocked = txn.blocked.values_mut().any(|bt| {
-            bt.channels
-                .iter()
-                .position(|c| *c == ch)
-                .map(|pos| bt.channels.remove(pos))
-                .is_some()
-        });
-        if was_blocked {
+    /// at rollback — first auditing its release if `plan` had blocked it
+    /// (blocks and releases stay balanced in the audit log).
+    fn close_now(&mut self, ch: ChannelId, plan: ReconfigId) {
+        let blocked = &mut self.exec.work.blocked_channels;
+        if let Some(at) = blocked.iter().position(|(_, c)| *c == ch) {
+            blocked.remove(at);
             let released = AuditEvent::ChannelReleased {
-                plan: txn.id.0,
+                plan: plan.0,
                 channel: ch.0,
                 target: None,
             };
@@ -691,11 +813,14 @@ impl Runtime {
     /// the change), then mutates, journaling the compensating inverse.
     /// Returns `Ok(Some(delay))` when a simulated state transfer must
     /// elapse before the action completes, `Ok(None)` when the mutation
-    /// is already complete.
+    /// is already complete. A connector's spec moves out of its action
+    /// into the connector: all that is read of the action afterwards is
+    /// what it renders, its kind and its names.
     fn apply_action(
         &mut self,
-        action: &ReconfigAction,
+        action: &mut ReconfigAction,
     ) -> Result<Option<SimDuration>, RuntimeError> {
+        let kind = action.kind();
         match action {
             ReconfigAction::SwapImplementation {
                 name,
@@ -705,7 +830,8 @@ impl Runtime {
             } => {
                 let (_, type_name, mut replacement) =
                     Shadow::live(self).swap_implementation(name, type_name, *version)?;
-                let inst = self.instances.by_name(name).expect("checked");
+                let id = self.instances.id(name).expect("checked");
+                let inst = self.instances.get(id).expect("id is live");
                 let mut transferred = 0;
                 let delay = match transfer {
                     StateTransfer::None => None,
@@ -715,7 +841,7 @@ impl Runtime {
                         replacement
                             .restore(&snap)
                             .map_err(|e| RuntimeError::ReconfigFailed {
-                                action: action.kind().to_owned(),
+                                action: kind.to_owned(),
                                 reason: e.to_string(),
                             })?;
                         // Encoding + decoding the context costs node time.
@@ -724,12 +850,12 @@ impl Runtime {
                         self.kernel.run_job(node, cost)
                     }
                 };
-                let inst = self.instances.by_name_mut(name).expect("checked");
+                let inst = self.instances.get_mut(id).expect("id is live");
                 let old = std::mem::replace(&mut inst.component, replacement);
                 let old_type = std::mem::replace(&mut inst.type_name, type_name);
                 let old_version = std::mem::replace(&mut inst.version, *version);
                 self.journal(Undo::RestoreImpl {
-                    name: name.clone(),
+                    name: self.instances.name(id).clone(),
                     component: old,
                     type_name: old_type,
                     version: old_version,
@@ -765,7 +891,7 @@ impl Runtime {
                 self.instances.get_mut(id).expect("id is live").node = *to;
                 self.rehome_channels(id, *to);
                 self.journal(Undo::MigrateBack {
-                    name: name.clone(),
+                    name: self.instances.name(id).clone(),
                     to: from_node,
                 });
                 if let Some(exec) = self.exec.active.as_mut() {
@@ -778,7 +904,8 @@ impl Runtime {
                 Shadow::live(self).remove_component(name)?;
                 let id = self.instances.id(name).expect("checked");
                 let instance = self.instances.remove(name).expect("id is live");
-                let replies = self.reply_channels_of(id);
+                let mut replies = Vec::new();
+                self.reply_channels_of(id, &mut replies);
                 // Closure is deferred to commit: rollback re-inserts the
                 // same live channels with their held messages intact.
                 self.defer_close(instance.external);
@@ -794,31 +921,37 @@ impl Runtime {
             }
             ReconfigAction::AddComponent { name, decl } => {
                 self.add_component(name, decl)?;
-                self.journal(Undo::RemoveComponent { name: name.clone() });
+                let id = self.instances.id(name).expect("just added");
+                let name = self.instances.name(id).clone();
+                self.journal(Undo::RemoveComponent { name });
                 Ok(None)
             }
             ReconfigAction::AddConnector { name, spec } => {
-                self.add_connector(spec.clone())?;
-                self.journal(Undo::RemoveConnector { name: name.clone() });
+                self.add_connector(std::mem::replace(
+                    spec,
+                    ConnectorSpec::direct(String::new()),
+                ))?;
+                let id = self.connectors.id(name).expect("just added");
+                let name = self.connectors.name(id).clone();
+                self.journal(Undo::RemoveConnector { name });
                 Ok(None)
             }
             ReconfigAction::SwapConnector { name, spec } => {
                 // The replacement `adapt_connector` makes, with the
                 // displaced connector captured for the journal.
-                let connector = self.replace_connector(name, spec.clone())?;
-                self.journal(Undo::ReinsertConnector {
-                    name: name.clone(),
-                    connector: Box::new(connector),
-                });
+                let spec = std::mem::replace(spec, ConnectorSpec::direct(String::new()));
+                let connector = self.replace_connector(name, spec)?;
+                let id = self.connectors.id(name).expect("just replaced");
+                let name = self.connectors.name(id).clone();
+                self.journal_connector(name, connector);
                 Ok(None)
             }
             ReconfigAction::RemoveConnector { name } => {
                 Shadow::live(self).remove_connector(name)?;
-                let connector = self.connectors.remove(name).expect("checked");
-                self.journal(Undo::ReinsertConnector {
-                    name: name.clone(),
-                    connector: Box::new(connector),
-                });
+                let id = self.connectors.id(name).expect("checked");
+                let name = self.connectors.name(id).clone();
+                let connector = self.connectors.remove(&name).expect("id is live");
+                self.journal_connector(name, connector);
                 Ok(None)
             }
             ReconfigAction::Bind(decl) => {
@@ -848,7 +981,12 @@ impl Runtime {
     /// or [`Runtime::abort_txn`].
     fn finish_reconfig(&mut self, txn: PlanTxn, failure: Option<String>) {
         let now = self.kernel.now();
-        debug_assert!(txn.blocked.is_empty());
+        let work = &mut self.exec.work;
+        debug_assert!(work.blocked.is_empty() && work.blocked_channels.is_empty());
+        debug_assert!(work.deferred_close.is_empty());
+        // Committed or compensated, the journal is spent.
+        work.journal.clear();
+        work.displaced.clear();
         let success = failure.is_none();
         let finished = AuditEvent::PlanFinished {
             plan: txn.id.0,

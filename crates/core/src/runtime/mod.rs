@@ -313,9 +313,6 @@ pub struct Runtime {
     timers: Slots<TimerPurpose>,
     /// Per-flow send sequence numbers by `(sender, target)`.
     flow_seq: BTreeMap<(InstId, InstId), u64>,
-    /// Reusable buffer for the `from->to` flow key a sequence-checking
-    /// connector is told, so dispatch renders it without allocating.
-    seq_key_buf: String,
     /// The one effects buffer every handler call fills and
     /// `apply_effects` drains.
     effects_buf: Vec<Effect>,
@@ -377,7 +374,6 @@ impl Runtime {
             reply_channels: BTreeMap::new(),
             timers: Slots::new(),
             flow_seq: BTreeMap::new(),
-            seq_key_buf: String::new(),
             effects_buf: Vec::new(),
             pending_requests: BTreeMap::new(),
             next_msg_id: 1,

@@ -16,8 +16,10 @@ impl Component for Counter {
     fn type_name(&self) -> &str {
         "Counter"
     }
-    fn provided(&self) -> Interface {
-        Interface::new("Counter", vec![Signature::one_way("tick")])
+    fn provided(&self) -> &Interface {
+        static OPS: [Signature; 1] = [Signature::one_way("tick")];
+        static IFACE: Interface = Interface::fixed("Counter", &OPS);
+        &IFACE
     }
     fn on_message(&mut self, ctx: &mut CallCtx, msg: Message) -> Result<(), ComponentError> {
         match msg.op.as_str() {
@@ -48,11 +50,10 @@ impl Component for CounterV2 {
     fn type_name(&self) -> &str {
         "Counter"
     }
-    fn provided(&self) -> Interface {
-        Interface::new(
-            "Counter",
-            vec![Signature::one_way("tick"), Signature::one_way("reset")],
-        )
+    fn provided(&self) -> &Interface {
+        static OPS: [Signature; 2] = [Signature::one_way("tick"), Signature::one_way("reset")];
+        static IFACE: Interface = Interface::fixed("Counter", &OPS);
+        &IFACE
     }
     fn on_message(&mut self, ctx: &mut CallCtx, msg: Message) -> Result<(), ComponentError> {
         match msg.op.as_str() {
@@ -85,8 +86,10 @@ impl Component for CounterBroken {
     fn type_name(&self) -> &str {
         "Counter"
     }
-    fn provided(&self) -> Interface {
-        Interface::new("Counter", vec![Signature::one_way("other")])
+    fn provided(&self) -> &Interface {
+        static OPS: [Signature; 1] = [Signature::one_way("other")];
+        static IFACE: Interface = Interface::fixed("Counter", &OPS);
+        &IFACE
     }
     fn on_message(&mut self, _: &mut CallCtx, _: Message) -> Result<(), ComponentError> {
         Ok(())
@@ -107,8 +110,10 @@ impl Component for Forwarder {
     fn type_name(&self) -> &str {
         "Forwarder"
     }
-    fn provided(&self) -> Interface {
-        Interface::new("Forwarder", vec![Signature::one_way("tick")])
+    fn provided(&self) -> &Interface {
+        static OPS: [Signature; 1] = [Signature::one_way("tick")];
+        static IFACE: Interface = Interface::fixed("Forwarder", &OPS);
+        &IFACE
     }
     fn on_message(&mut self, ctx: &mut CallCtx, msg: Message) -> Result<(), ComponentError> {
         ctx.send("out", Message::event("tick", msg.value));
@@ -665,8 +670,10 @@ fn bind_rejects_protocol_deadlock() {
         fn type_name(&self) -> &str {
             "Picky"
         }
-        fn provided(&self) -> Interface {
-            Interface::new("Picky", vec![Signature::one_way("request")])
+        fn provided(&self) -> &Interface {
+            static OPS: [Signature; 1] = [Signature::one_way("request")];
+            static IFACE: Interface = Interface::fixed("Picky", &OPS);
+            &IFACE
         }
         fn on_message(&mut self, _: &mut CallCtx, _: Message) -> Result<(), ComponentError> {
             Ok(())
@@ -820,8 +827,10 @@ fn component_timers_drive_behavior() {
         fn type_name(&self) -> &str {
             "Ticker"
         }
-        fn provided(&self) -> Interface {
-            Interface::new("Ticker", vec![Signature::one_way("start")])
+        fn provided(&self) -> &Interface {
+            static OPS: [Signature; 1] = [Signature::one_way("start")];
+            static IFACE: Interface = Interface::fixed("Ticker", &OPS);
+            &IFACE
         }
         fn on_message(&mut self, ctx: &mut CallCtx, _msg: Message) -> Result<(), ComponentError> {
             ctx.set_timer(SimDuration::from_millis(100), 7);

@@ -166,7 +166,6 @@ impl Runtime {
             reply_channels: self.reply_channels.clone(),
             timers: self.timers.clone(),
             flow_seq: self.flow_seq.clone(),
-            seq_key_buf: String::new(),
             effects_buf: Vec::new(),
             pending_requests: self.pending_requests.clone(),
             next_msg_id: self.next_msg_id,

@@ -21,8 +21,10 @@
 //! a route or node job refused at transfer time, a state snapshot that
 //! will not restore — is caught there, and also rolls back.
 
+use super::exec::render;
 use super::*;
 use crate::interface::Interface;
+use std::borrow::Cow;
 
 /// Where a shadow component's implementation comes from: the live
 /// instance (untouched so far by the plan) or a declaration introduced by
@@ -125,28 +127,31 @@ impl<'a> Shadow<'a> {
         }
     }
 
-    /// The provided interface of a shadow component: read from the live
-    /// instance when untouched, otherwise instantiated from the registry
-    /// declaration an earlier plan action introduced.
-    fn provided(&self, name: &str, shadow: &ShadowComp<'a>) -> Interface {
+    /// The provided interface of a shadow component: read in place from
+    /// the live instance when untouched, otherwise copied from an instance
+    /// of the registry declaration an earlier plan action introduced.
+    fn provided(&self, name: &str, shadow: &ShadowComp<'a>) -> Cow<'a, Interface> {
         match shadow.impl_src {
-            ShadowImpl::Live => self
-                .rt
-                .instances
-                .by_name(name)
-                .expect("a live shadow component is live")
-                .component
-                .provided(),
+            ShadowImpl::Live => Cow::Borrowed(
+                self.rt
+                    .instances
+                    .by_name(name)
+                    .expect("a live shadow component is live")
+                    .component
+                    .provided(),
+            ),
             ShadowImpl::Decl {
                 type_name,
                 version,
                 props,
-            } => self
-                .rt
-                .registry
-                .instantiate(type_name, version, props)
-                .expect("the action that introduced it found it registered")
-                .provided(),
+            } => Cow::Owned(
+                self.rt
+                    .registry
+                    .instantiate(type_name, version, props)
+                    .expect("the action that introduced it found it registered")
+                    .provided()
+                    .clone(),
+            ),
         }
     }
 
@@ -361,10 +366,9 @@ impl<'a> Shadow<'a> {
         Ok(Edit::Binding(from, None))
     }
 
-    /// Checks `action` and records its edit in the overlay, for the
-    /// plan's later actions to read.
-    fn apply(&mut self, action: &'a ReconfigAction) -> Result<(), RuntimeError> {
-        let edit = match action {
+    /// The check of `action`'s kind, and the edit it would make.
+    fn check(&self, action: &'a ReconfigAction) -> Result<Edit<'a>, RuntimeError> {
+        match action {
             ReconfigAction::AddComponent { name, decl } => self.add_component(name, decl),
             ReconfigAction::RemoveComponent { name } => self.remove_component(name),
             ReconfigAction::SwapImplementation {
@@ -381,7 +385,11 @@ impl<'a> Shadow<'a> {
             ReconfigAction::SwapConnector { name, spec } => self.swap_connector(name, spec),
             ReconfigAction::Bind(decl) => self.bind(decl),
             ReconfigAction::Unbind { from } => self.unbind(from),
-        }?;
+        }
+    }
+
+    /// Records `edit` in the overlay, for the plan's later actions to read.
+    fn record(&mut self, edit: Edit<'a>) {
         match edit {
             Edit::Comp(name, comp) => {
                 self.edits.comps.insert(name, comp);
@@ -393,19 +401,24 @@ impl<'a> Shadow<'a> {
                 self.edits.bindings.insert((&from.0, &from.1), decl);
             }
         }
-        Ok(())
     }
 }
 
 impl Runtime {
     /// Simulates `plan` against a shadow of the live configuration graph.
-    /// Returns the first structural impossibility as
-    /// `"{action}: {error}"`, or `Ok(())` if every action is applicable
-    /// in order.
+    /// Returns the first structural impossibility as the refusal its
+    /// report keeps, `"rejected: {action}: {error}"`, or `Ok(())` if every
+    /// action is applicable in order. Only an edit a later action can
+    /// read is recorded, so a one-action plan leaves the overlay empty.
     pub(super) fn validate_plan(&self, plan: &ReconfigPlan) -> Result<(), String> {
         let mut shadow = Shadow::live(self);
-        for action in plan.actions() {
-            shadow.apply(action).map_err(|e| format!("{action}: {e}"))?;
+        let mut actions = plan.actions().iter().peekable();
+        while let Some(action) = actions.next() {
+            match shadow.check(action) {
+                Ok(edit) if actions.peek().is_some() => shadow.record(edit),
+                Ok(_) => {}
+                Err(e) => return Err(render(format_args!("rejected: {action}: {e}"))),
+            }
         }
         Ok(())
     }

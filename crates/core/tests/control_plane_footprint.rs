@@ -11,7 +11,8 @@
 //! are appended and stored as bytes, so a warm append copies no text and
 //! a record holds what it encodes to; the invariant checker reads a
 //! running tally, so a clean check allocates nothing. A one-action plan
-//! holds one slot. The negotiator keeps its model, requests, scratch and
+//! holds one slot, and a warm one allocates what its report and audit
+//! records keep, a transfer's state snapshot and a swap's replacement. The negotiator keeps its model, requests, scratch and
 //! outcome across rounds, so a warm round allocates nothing beyond the
 //! audit chunks its records open.
 
@@ -23,10 +24,11 @@ mod media_pipelines;
 use counting_alloc::{enroll, measured, measured_heap, unenroll, HeapDelta, GATE};
 
 use aas_core::component::{CallCtx, Component, StateSnapshot};
+use aas_core::connector::{ConnectorAspect, ConnectorSpec};
 use aas_core::error::{ComponentError, StateError};
 use aas_core::interface::Interface;
 use aas_core::message::{Message, Name};
-use aas_core::reconfig::{ReconfigAction, ReconfigPlan};
+use aas_core::reconfig::{ReconfigAction, ReconfigPlan, StateTransfer};
 use aas_core::registry::{ImplementationRegistry, Props};
 use aas_core::runtime::{NegotiateConfig, Runtime};
 use aas_obs::{AuditEvent, AuditLog, Histogram, MetricsRegistry};
@@ -70,8 +72,9 @@ impl Component for Nothing {
         "Nothing"
     }
 
-    fn provided(&self) -> Interface {
-        Interface::new("Nothing", Vec::new())
+    fn provided(&self) -> &Interface {
+        static IFACE: Interface = Interface::fixed("Nothing", &[]);
+        &IFACE
     }
 
     fn on_message(&mut self, _: &mut CallCtx, msg: Message) -> Result<(), ComponentError> {
@@ -523,4 +526,99 @@ fn a_one_action_plan_allocates_one_slot() {
     assert_eq!(plan.len(), 1);
     let slot = std::mem::size_of::<ReconfigAction>() as u64;
     assert_eq!((allocs, heap.allocated), (1, slot), "{heap:?}");
+}
+
+/// The four plans `reconfig_churn` submits, one of each kind: a
+/// migration, a snapshot swap, a connector swap, and a migration of a
+/// component nobody bears, which validation refuses.
+fn churn_plans() -> [ReconfigPlan; 4] {
+    let mut spec = ConnectorSpec::direct("b").with_aspect(ConnectorAspect::SequenceCheck);
+    spec = spec.with_aspect(ConnectorAspect::Metering);
+    [
+        ReconfigAction::Migrate {
+            name: "tc0".into(),
+            to: NodeId(2),
+        },
+        ReconfigAction::SwapImplementation {
+            name: "tc1".into(),
+            type_name: "Transcoder".into(),
+            version: 1,
+            transfer: StateTransfer::Snapshot,
+        },
+        ReconfigAction::SwapConnector {
+            name: "b".into(),
+            spec,
+        },
+        ReconfigAction::Migrate {
+            name: "ghost0".into(),
+            to: NodeId(0),
+        },
+    ]
+    .map(ReconfigPlan::single)
+}
+
+/// What one plan of `rt` allocates from its submission to its end a
+/// virtual second later, beyond what an idle second allocates; and what
+/// its report and its audit records keep: the allocations a copy of the
+/// report makes, and those appending its records to a copy of the log
+/// makes — the chunks they open.
+fn plan_footprint(rt: &mut Runtime, plan: ReconfigPlan) -> (u64, u64) {
+    let second = SimDuration::from_secs(1);
+    let ((), idle) = allocs_of(|| rt.run_for(second));
+    let before = rt.obs().audit.len();
+    let copy = AuditLog::new();
+    for e in rt.obs().audit.entries() {
+        copy.append(e.at_us, e.event);
+    }
+    let ((), allocs) = allocs_of(|| {
+        rt.request_reconfig(plan);
+        rt.run_for(second);
+    });
+    let report = rt.reports().last().expect("the plan ended");
+    let (_, report_keeps) = allocs_of(|| report.clone());
+    let audited: Vec<_> = rt.obs().audit.entries().iter().skip(before).collect();
+    let ((), chunks) = allocs_of(|| {
+        for e in audited {
+            copy.append(e.at_us, e.event);
+        }
+    });
+    (allocs - idle, report_keeps + chunks)
+}
+
+/// A warm plan allocates what its report and its audit records keep, and
+/// beyond that only what its kind cannot do without: a transfer's state
+/// snapshot — its type name, its field map and the map's place in the
+/// thread's idle pool, 3 — and a swap's replacement, instantiated once to
+/// check its interface and once to be installed. The interfaces it
+/// compares are read in place, its action is rendered into a buffer the
+/// engine keeps, the journal, the blocked targets, their channels and the
+/// scans' scratch are the engine's, a refusal is rendered once into the
+/// text its report keeps, and a connector swap moves its spec into the
+/// new connector. On an idle runtime whose engine has already run each
+/// kind, so the reports' vector has room. At `63e5a2c` the migration made
+/// 16 allocations, the snapshot swap 40 (24 of them the interfaces its
+/// check built, twice), the connector swap 8 and the refusal 7.
+#[test]
+fn a_warm_plan_allocates_only_what_its_report_and_audit_keep() {
+    let mut rt = media_pipelines::deploy_idle(8);
+    for _ in 0..3 {
+        for plan in churn_plans() {
+            rt.request_reconfig(plan);
+            rt.run_for(SimDuration::from_secs(1));
+        }
+    }
+    let [migrate, swap, swap_connector, refused] =
+        churn_plans().map(|plan| plan_footprint(&mut rt, plan));
+    // The report's blackout list, and the list of what migrated with the
+    // name in it; then the snapshot.
+    assert_eq!(migrate, (3 + 3, 3), "migration: (allocations, kept)");
+    // The blackout list; two replacements and the snapshot.
+    assert_eq!(swap, (1 + 2 + 3, 1), "snapshot swap: (allocations, kept)");
+    assert_eq!(
+        swap_connector,
+        (0, 0),
+        "connector swap: (allocations, kept)"
+    );
+    // The refusal text; the error's copy of the unknown name.
+    assert_eq!(refused, (1 + 1, 1), "refused plan: (allocations, kept)");
 }

@@ -124,8 +124,10 @@ impl Component for Fan {
     fn type_name(&self) -> &str {
         "Fan"
     }
-    fn provided(&self) -> Interface {
-        Interface::new("Fan", vec![Signature::one_way("go")])
+    fn provided(&self) -> &Interface {
+        static OPS: [Signature; 1] = [Signature::one_way("go")];
+        static IFACE: Interface = Interface::fixed("Fan", &OPS);
+        &IFACE
     }
     fn on_message(&mut self, ctx: &mut CallCtx, _msg: Message) -> Result<(), ComponentError> {
         ctx.send("out", Message::event("frame", payload()));
@@ -165,8 +167,10 @@ impl Component for Check {
     fn type_name(&self) -> &str {
         "Check"
     }
-    fn provided(&self) -> Interface {
-        Interface::new("Check", vec![Signature::one_way("frame")])
+    fn provided(&self) -> &Interface {
+        static OPS: [Signature; 1] = [Signature::one_way("frame")];
+        static IFACE: Interface = Interface::fixed("Check", &OPS);
+        &IFACE
     }
     fn on_message(&mut self, _ctx: &mut CallCtx, msg: Message) -> Result<(), ComponentError> {
         self.kept.push(msg);
@@ -312,8 +316,10 @@ impl Component for Relay {
     fn type_name(&self) -> &str {
         "Relay"
     }
-    fn provided(&self) -> Interface {
-        Interface::new("Relay", vec![Signature::one_way("go")])
+    fn provided(&self) -> &Interface {
+        static OPS: [Signature; 1] = [Signature::one_way("go")];
+        static IFACE: Interface = Interface::fixed("Relay", &OPS);
+        &IFACE
     }
     fn on_message(&mut self, ctx: &mut CallCtx, msg: Message) -> Result<(), ComponentError> {
         ctx.send("out", msg);

@@ -54,14 +54,16 @@ impl Component for Part {
             Part::Picky => "Picky",
         }
     }
-    fn provided(&self) -> Interface {
-        let ops: &[&str] = match self {
-            Part::Wide => &["frame", "reset"],
-            Part::Narrow => &["frame"],
-            Part::Picky => &["request"],
-        };
-        let signatures = ops.iter().map(|op| Signature::one_way(*op)).collect();
-        Interface::new(self.type_name(), signatures)
+    fn provided(&self) -> &Interface {
+        static WIDE: [Signature; 2] = [Signature::one_way("frame"), Signature::one_way("reset")];
+        static NARROW: [Signature; 1] = [Signature::one_way("frame")];
+        static PICKY: [Signature; 1] = [Signature::one_way("request")];
+        static IFACES: [Interface; 3] = [
+            Interface::fixed("Wide", &WIDE),
+            Interface::fixed("Narrow", &NARROW),
+            Interface::fixed("Picky", &PICKY),
+        ];
+        &IFACES[*self as usize]
     }
     fn on_message(&mut self, _: &mut CallCtx, _: Message) -> Result<(), ComponentError> {
         Ok(())

@@ -62,8 +62,10 @@ impl Component for Count {
     fn type_name(&self) -> &str {
         "Count"
     }
-    fn provided(&self) -> Interface {
-        Interface::new("Count", vec![Signature::one_way("frame")])
+    fn provided(&self) -> &Interface {
+        static OPS: [Signature; 1] = [Signature::one_way("frame")];
+        static IFACE: Interface = Interface::fixed("Count", &OPS);
+        &IFACE
     }
     fn on_message(&mut self, _ctx: &mut CallCtx, _msg: Message) -> Result<(), ComponentError> {
         self.ticks += 1;

@@ -18,6 +18,21 @@ pub const SESSIONS: u64 = 4;
 /// one runtime, sources, transcoders and sinks on a node each, every
 /// session started and nothing run yet.
 pub fn deploy(pipelines: u64) -> Runtime {
+    let mut rt = deploy_idle(pipelines);
+    for i in 0..pipelines {
+        let src = format!("src{i}");
+        rt.inject(&src, Message::event("init", Value::Null))
+            .unwrap();
+        for _ in 0..SESSIONS {
+            rt.inject(&src, Message::event("session_start", Value::Null))
+                .unwrap();
+        }
+    }
+    rt
+}
+
+/// [`deploy`]'s chains with no source started: nothing is sent.
+pub fn deploy_idle(pipelines: u64) -> Runtime {
     let mut registry = ImplementationRegistry::new();
     register_telecom_components(&mut registry);
     // Capacity to spare, so that no frame queues into the next tick.
@@ -59,14 +74,5 @@ pub fn deploy(pipelines: u64) -> Runtime {
         ));
     }
     rt.deploy(&cfg).unwrap();
-    for i in 0..pipelines {
-        let src = format!("src{i}");
-        rt.inject(&src, Message::event("init", Value::Null))
-            .unwrap();
-        for _ in 0..SESSIONS {
-            rt.inject(&src, Message::event("session_start", Value::Null))
-                .unwrap();
-        }
-    }
     rt
 }

@@ -37,6 +37,7 @@
 //! / `subject` / `outcome` texts are rendered only when asked for.
 
 use crate::Name;
+use std::borrow::Borrow;
 use std::fmt::{self, Write};
 use std::ops::Deref;
 use std::sync::{Arc, LazyLock, Mutex, MutexGuard};
@@ -908,11 +909,14 @@ impl AuditLog {
     }
 
     /// Appends `event`, timestamped `at_us`, and folds it into the books.
-    pub fn append(&self, at_us: u64, event: AuditEvent) {
+    /// The record is encoded from a borrow, so a writer may pass
+    /// `&event` and keep the event's text for its next record.
+    pub fn append(&self, at_us: u64, event: impl Borrow<AuditEvent>) {
+        let event = event.borrow();
         let mut log = self.lock();
         let log = log.get_or_insert_with(Box::default);
-        log.books.fold(log.len as u64, at_us, &event);
-        log.push(at_us, &event);
+        log.books.fold(log.len as u64, at_us, event);
+        log.push(at_us, event);
     }
 
     /// The books, read under the log's lock: append nothing while holding

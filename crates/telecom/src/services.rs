@@ -66,21 +66,22 @@ impl MediaSource {
     }
 }
 
+/// The interface every `MediaSource` provides.
+static MEDIA_SOURCE: Interface = Interface::fixed("MediaSource", &MEDIA_SOURCE_OPS);
+static MEDIA_SOURCE_OPS: [Signature; 4] = [
+    Signature::one_way("init"),
+    Signature::one_way("session_start"),
+    Signature::one_way("session_end"),
+    Signature::fixed("set_level", &[TypeTag::Int], TypeTag::Unit),
+];
+
 impl Component for MediaSource {
     fn type_name(&self) -> &str {
         "MediaSource"
     }
 
-    fn provided(&self) -> Interface {
-        Interface::new(
-            "MediaSource",
-            vec![
-                Signature::one_way("init"),
-                Signature::one_way("session_start"),
-                Signature::one_way("session_end"),
-                Signature::new("set_level", vec![TypeTag::Int], TypeTag::Unit),
-            ],
-        )
+    fn provided(&self) -> &Interface {
+        &MEDIA_SOURCE
     }
 
     fn on_message(&mut self, ctx: &mut CallCtx, msg: Message) -> Result<(), ComponentError> {
@@ -185,19 +186,20 @@ impl Default for Transcoder {
     }
 }
 
+/// The interface every `Transcoder` provides.
+static TRANSCODER: Interface = Interface::fixed("Transcoder", &TRANSCODER_OPS);
+static TRANSCODER_OPS: [Signature; 2] = [
+    Signature::one_way("frame"),
+    Signature::fixed("set_ratio", &[TypeTag::Float], TypeTag::Unit),
+];
+
 impl Component for Transcoder {
     fn type_name(&self) -> &str {
         "Transcoder"
     }
 
-    fn provided(&self) -> Interface {
-        Interface::new(
-            "Transcoder",
-            vec![
-                Signature::one_way("frame"),
-                Signature::new("set_ratio", vec![TypeTag::Float], TypeTag::Unit),
-            ],
-        )
+    fn provided(&self) -> &Interface {
+        &TRANSCODER
     }
 
     fn on_message(&mut self, ctx: &mut CallCtx, msg: Message) -> Result<(), ComponentError> {
@@ -271,19 +273,20 @@ impl MediaSink {
     }
 }
 
+/// The interface every `MediaSink` provides.
+static MEDIA_SINK: Interface = Interface::fixed("MediaSink", &MEDIA_SINK_OPS);
+static MEDIA_SINK_OPS: [Signature; 2] = [
+    Signature::one_way("frame"),
+    Signature::fixed("stats", &[], TypeTag::Map),
+];
+
 impl Component for MediaSink {
     fn type_name(&self) -> &str {
         "MediaSink"
     }
 
-    fn provided(&self) -> Interface {
-        Interface::new(
-            "MediaSink",
-            vec![
-                Signature::one_way("frame"),
-                Signature::new("stats", vec![], TypeTag::Map),
-            ],
-        )
+    fn provided(&self) -> &Interface {
+        &MEDIA_SINK
     }
 
     fn on_message(&mut self, ctx: &mut CallCtx, msg: Message) -> Result<(), ComponentError> {

@@ -36,8 +36,10 @@ macro_rules! impl_greeter {
             fn type_name(&self) -> &str {
                 "Greeter"
             }
-            fn provided(&self) -> Interface {
-                Interface::new("Greeter", vec![Signature::one_way("greet")])
+            fn provided(&self) -> &Interface {
+                static OPS: [Signature; 1] = [Signature::one_way("greet")];
+                static IFACE: Interface = Interface::fixed("Greeter", &OPS);
+                &IFACE
             }
             fn on_message(
                 &mut self,

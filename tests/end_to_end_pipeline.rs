@@ -4,6 +4,7 @@
 use aas_adl::deploy::{build_raml, compile};
 use aas_adl::parser::parse_system;
 use aas_adl::validate::validate;
+use aas_core::connector::{ConnectorAspect, ConnectorSpec};
 use aas_core::message::{Message, Value};
 use aas_core::reconfig::{ReconfigAction, ReconfigPlan, StateTransfer};
 use aas_core::registry::ImplementationRegistry;
@@ -74,6 +75,35 @@ fn pipeline_streams_frames_end_to_end() {
     assert_eq!(sink.seq_anomalies, 0);
     assert!(snap.connector("stage2").unwrap().mean_metered_latency_ms > 0.0);
     assert_eq!(snap.connector("stage1").unwrap().seq_anomalies, 0);
+}
+
+/// A sequence-checking connector put in mid-stream joins a flow whose
+/// counter is already running: it takes the first number it sees as the
+/// flow's start. A fresh check that expected 0 instead reported every
+/// frame sent before the swap as missing — 49 after two seconds of one
+/// session — while the sink saw every frame in order.
+#[test]
+fn a_swapped_sequence_check_reports_no_false_gap() {
+    let mut rt = deployed_runtime();
+    start_streaming(&mut rt, 1);
+    rt.run_until(SimTime::from_secs(2));
+    let stage1 = rt.observe().connector("stage1").unwrap().clone();
+    assert!(stage1.mediated >= 40, "mediated {}", stage1.mediated);
+    assert_eq!(stage1.seq_anomalies, 0);
+
+    let spec = ConnectorSpec::direct("stage1").with_aspect(ConnectorAspect::SequenceCheck);
+    rt.request_reconfig(ReconfigPlan::single(ReconfigAction::SwapConnector {
+        name: "stage1".into(),
+        spec,
+    }));
+    assert!(rt.reports().last().unwrap().success);
+    rt.run_until(SimTime::from_secs(4));
+
+    let snap = rt.observe();
+    let swapped = snap.connector("stage1").unwrap();
+    assert!(swapped.mediated >= 40, "mediated {}", swapped.mediated);
+    assert_eq!(swapped.seq_anomalies, 0, "no frame was lost");
+    assert_eq!(snap.component("sink").unwrap().seq_anomalies, 0);
 }
 
 #[test]

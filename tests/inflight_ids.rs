@@ -44,8 +44,10 @@ impl Component for Fwd {
     fn type_name(&self) -> &str {
         "Fwd"
     }
-    fn provided(&self) -> Interface {
-        Interface::new("Fwd", vec![Signature::one_way("tick")])
+    fn provided(&self) -> &Interface {
+        static OPS: [Signature; 1] = [Signature::one_way("tick")];
+        static IFACE: Interface = Interface::fixed("Fwd", &OPS);
+        &IFACE
     }
     fn on_message(&mut self, ctx: &mut CallCtx, msg: Message) -> Result<(), ComponentError> {
         self.seen += 1;
@@ -78,8 +80,10 @@ impl Component for Count {
     fn type_name(&self) -> &str {
         "Count"
     }
-    fn provided(&self) -> Interface {
-        Interface::new("Count", vec![Signature::one_way("tick")])
+    fn provided(&self) -> &Interface {
+        static OPS: [Signature; 1] = [Signature::one_way("tick")];
+        static IFACE: Interface = Interface::fixed("Count", &OPS);
+        &IFACE
     }
     fn on_message(&mut self, _ctx: &mut CallCtx, _msg: Message) -> Result<(), ComponentError> {
         self.ticks += 1;

@@ -60,8 +60,10 @@ impl Component for Fragile {
         "Fragile"
     }
 
-    fn provided(&self) -> Interface {
-        Interface::new("Fragile", vec![Signature::one_way("tick")])
+    fn provided(&self) -> &Interface {
+        static OPS: [Signature; 1] = [Signature::one_way("tick")];
+        static IFACE: Interface = Interface::fixed("Fragile", &OPS);
+        &IFACE
     }
 
     fn on_message(&mut self, _ctx: &mut CallCtx, msg: Message) -> Result<(), ComponentError> {
