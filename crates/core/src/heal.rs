@@ -26,7 +26,7 @@
 //! the next detector tick until the configuration converges.
 
 use crate::connector::ConnectorSpec;
-use crate::raml::{Intercession, SystemSnapshot};
+use crate::raml::{Intercession, NodeObservation, Observe};
 use crate::reconfig::{ReconfigAction, ReconfigPlan, StateTransfer};
 use aas_sim::node::NodeId;
 
@@ -115,10 +115,10 @@ impl RepairPolicy {
     }
 
     /// Builds the repair intercessions for a failure of `failed`, given a
-    /// fresh snapshot. Returns an empty vector when there is nothing to do
+    /// fresh reading. Returns an empty vector when there is nothing to do
     /// (nothing hosted, no live target, policy `None`).
     #[must_use]
-    pub fn plan_for(&self, failed: NodeId, snap: &SystemSnapshot) -> Vec<Intercession> {
+    pub fn plan_for(&self, failed: NodeId, snap: &impl Observe) -> Vec<Intercession> {
         self.plan_for_mutated(failed, snap, None)
     }
 
@@ -129,12 +129,11 @@ impl RepairPolicy {
     pub fn plan_for_mutated(
         &self,
         failed: NodeId,
-        snap: &SystemSnapshot,
+        snap: &impl Observe,
         mutation: Option<PlanMutation>,
     ) -> Vec<Intercession> {
-        let by_util = |a: &&crate::raml::NodeObservation, b: &&crate::raml::NodeObservation| {
-            a.utilization.total_cmp(&b.utilization)
-        };
+        let by_util =
+            |a: &NodeObservation, b: &NodeObservation| a.utilization.total_cmp(&b.utilization);
         let planned = match self {
             RepairPolicy::None => Vec::new(),
             RepairPolicy::RestartInPlace => {
@@ -160,7 +159,7 @@ impl RepairPolicy {
             RepairPolicy::FailoverMigrate => {
                 // The coolest *live* node other than the failed one; the
                 // failed node may still be up under a false suspicion.
-                let live = || snap.nodes.iter().filter(|n| n.up && n.id != failed);
+                let live = || snap.nodes().filter(|n| n.up && n.id != failed);
                 let target = match mutation {
                     Some(PlanMutation::TargetSuspect) => Some(failed),
                     Some(PlanMutation::TargetHottest) => live().max_by(by_util).map(|n| n.id),
@@ -213,7 +212,7 @@ impl RepairPolicy {
 mod tests {
     use super::*;
     use crate::component::Lifecycle;
-    use crate::raml::{ComponentObservation, NodeObservation};
+    use crate::raml::{ComponentObservation, SystemSnapshot};
     use aas_sim::time::SimTime;
 
     fn snapshot() -> SystemSnapshot {

@@ -79,6 +79,7 @@ pub mod heal;
 pub mod interface;
 pub mod lts;
 pub mod message;
+mod meta;
 pub mod raml;
 pub mod reconfig;
 pub mod registry;

@@ -1,9 +1,9 @@
 //! The GORNA resource-negotiation control plane (DESIGN.md §2.10).
 //!
-//! Every component instance is a budget agent. The driver keeps the
-//! global [`SituationalModel`] and refreshes it in place each negotiation
-//! tick, reading the instance table and the topology as
-//! [`Runtime::observe`] does and [`FailureDetector::phi`]; it refills one
+//! Every component instance is a budget agent. The loop keeps the global
+//! [`SituationalModel`] and refreshes it in place each negotiation round
+//! from the meta-level's view of the instances and nodes and the
+//! detector's `phi`; it refills one
 //! [`BudgetRequest`] per agent from its observed offered load, and hands
 //! the batch to the [`Negotiator`] for deterministic multi-objective
 //! arbitration into the outcome it keeps. A model entry is added only for
@@ -12,7 +12,9 @@
 //!
 //! - **load shedding** — the admission gate in the dispatch path keeps
 //!   `keep_permille` out of every 1000 offered messages, deterministically
-//!   by per-agent sequence number;
+//!   by per-agent sequence number (the gate and its throttles stay in the
+//!   runtime, which runs them on every delivery; the loop sets them
+//!   through the door);
 //! - **strategy downgrade** — a deeply shorted agent also cheapens each
 //!   admitted message (`cost_scale < 1`), the service-ladder move;
 //! - **migration** — an agent starving on an overloaded node while
@@ -23,7 +25,7 @@
 //! - **twin horizon** — the heal/twin subsystem itself is an agent (named
 //!   [`TWIN_AGENT`]): its fork horizon follows its granted budget.
 //!
-//! The same driver also runs the *independent* baseline
+//! The same loop also runs the *independent* baseline
 //! ([`CoordinationMode::Independent`]): each agent reacts only to its own
 //! latency signal with a slow additive ramp and no floors — the
 //! uncoordinated per-loop behaviour the negotiator is measured against in
@@ -32,15 +34,22 @@
 //! Interop with self-healing: a repair plan that commits mid-tick
 //! invalidates the repaired agents' outstanding grants immediately
 //! (audited as `budget_renegotiated`) instead of letting a stale grant
-//! throttle a freshly repaired instance until the next tick.
+//! throttle a freshly repaired instance until the next round.
 
-use super::table::SlotId;
-use super::*;
+use super::{Loop, MetaLevel};
+use crate::coverage::{DetectPhase, PlanOutcome};
+use crate::raml::Observe as _;
+use crate::reconfig::{ReconfigAction, ReconfigPlan, ReconfigReport};
+use crate::runtime::{Door, InstId, PlanOrigin, Runtime, SlotId as _, View};
 use aas_control::negotiate::{
     BudgetRequest, Grant, NegotiationOutcome, Negotiator, NegotiatorMutation, ObjectiveVector,
     ObjectiveWeights, ResourceVector, UtilityCurve,
 };
 use aas_control::situational::{AgentObservation, NodeSituation, SituationalModel};
+use aas_obs::{AuditEvent, Gauge, Obs};
+use aas_sim::node::NodeId;
+use aas_sim::time::{SimDuration, SimTime};
+use std::collections::BTreeMap;
 
 /// Reserved agent name under which the heal/twin subsystem requests its
 /// twin-horizon budget.
@@ -137,27 +146,18 @@ const MIN_COST_SCALE: f64 = 0.25;
 /// its strategy (in addition to shedding) and may ask to migrate.
 const DOWNGRADE_BELOW: f64 = 0.5;
 
-/// Everything the control plane holds about one agent, at the index of
-/// its [`InstId`] in [`NegotiateState::agents`]. The id stands for the
-/// agent's *name* for good, so a profile set before the instance exists
-/// and a throttle across a same-name replacement land in the same record.
-/// Neutral values leave the hot path byte-identical to a runtime without
-/// negotiation.
-#[derive(Debug, Clone)]
-pub(super) struct Agent {
+/// What the control plane holds about one agent, at the index of its
+/// [`InstId`] in [`NegotiateState::agents`]. The id stands for the agent's
+/// *name* for good, so a profile set before the instance exists and a
+/// decision across a same-name replacement land in the same record. The
+/// agent's throttle is not here: the admission gate holds it in the
+/// runtime.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Agent {
     /// Request shaping, if [`Runtime::set_agent_profile`] set any.
     profile: Option<AgentProfile>,
-    /// Multiplier on per-message work cost (strategy downgrade).
-    cost_scale: f64,
-    /// Admitted messages per 1000 offered (load shedding).
-    keep_permille: u32,
-    /// Cap on connector retry attempts, if granted below the policy.
-    retry_cap: Option<u32>,
-    /// Offered-message counter: drives the deterministic shed gate and
-    /// the next tick's demand estimate.
-    pub(super) offered: u64,
-    /// Offered count at the previous tick (for the delta).
-    pub(super) offered_last: u64,
+    /// The gate's offered count at the previous round (for the delta).
+    pub(crate) offered_last: u64,
     /// Node the agent was hosted on when its current grant (or deny) was
     /// issued; a repair committing for this node invalidates the decision.
     granted_node: Option<u32>,
@@ -173,23 +173,6 @@ pub(super) struct Agent {
     fraction: Option<Gauge>,
 }
 
-impl Default for Agent {
-    fn default() -> Self {
-        Agent {
-            profile: None,
-            cost_scale: 1.0,
-            keep_permille: 1000,
-            retry_cap: None,
-            offered: 0,
-            offered_last: 0,
-            granted_node: None,
-            migrate_from_round: 0,
-            grant: None,
-            fraction: None,
-        }
-    }
-}
-
 impl Agent {
     /// Sets the agent's `negotiate.fraction.<name>` gauge in `obs`,
     /// registering it the first time.
@@ -198,48 +181,38 @@ impl Agent {
             .get_or_insert_with(|| obs.metrics.gauge(&format!("negotiate.fraction.{name}")))
             .set(fraction);
     }
+}
 
-    /// Invalidates the outstanding grant because plan `trigger` (`None`: a
-    /// connector repair) committed.
-    /// With `reset_throttle` the throttle also returns to neutral until
-    /// the next round re-grants (the repair path: a fresh instance must
-    /// not inherit a starvation grant sized for its dead placement);
-    /// without it the throttle stays in force (the planned-migration path).
-    fn invalidate(
-        &mut self,
-        obs: &Obs,
-        name: &Name,
-        trigger: Option<u64>,
-        now: SimTime,
-        reset_throttle: bool,
-    ) {
-        let epoch = self.grant.take().map_or(0, |g| g.epoch);
-        if reset_throttle {
-            self.cost_scale = 1.0;
-            self.keep_permille = 1000;
-            self.retry_cap = None;
+/// The gauges every round sets, resolved when negotiation is enabled (a
+/// twin's at its first round, in its own registry).
+#[derive(Debug)]
+struct RoundGauges {
+    rounds: Gauge,
+    jain: Gauge,
+    denied: Gauge,
+}
+
+impl RoundGauges {
+    fn new(obs: &Obs) -> Self {
+        RoundGauges {
+            rounds: obs.metrics.gauge("negotiate.rounds"),
+            jain: obs.metrics.gauge("negotiate.jain"),
+            denied: obs.metrics.gauge("negotiate.denied"),
         }
-        self.granted_node = None;
-        let renegotiated = AuditEvent::BudgetRenegotiated {
-            epoch,
-            agent: name.clone(),
-            trigger,
-        };
-        obs.audit.append(now.as_micros(), renegotiated);
     }
 }
 
-/// Grouped negotiation state hanging off the runtime.
+/// Grouped negotiation state.
 #[derive(Debug, Default)]
-pub(super) struct NegotiateState {
+pub(crate) struct NegotiateState {
     /// Enabled iff set.
     config: Option<NegotiateConfig>,
     /// The coordinator (only in [`CoordinationMode::Negotiated`]).
     negotiator: Option<Negotiator>,
     /// One record per agent, indexed by [`InstId`], grown on first touch.
-    agents: Vec<Agent>,
-    /// The coordinator's picture as of the last tick, refreshed in place.
-    pub(super) model: SituationalModel,
+    pub(crate) agents: Vec<Agent>,
+    /// The coordinator's picture as of the last round, refreshed in place.
+    pub(crate) model: SituationalModel,
     /// The last round's request batch, refilled in place.
     requests: Vec<BudgetRequest>,
     /// The most recent arbitration outcome, which the next round
@@ -248,29 +221,30 @@ pub(super) struct NegotiateState {
     /// at a time.
     last: Option<NegotiationOutcome>,
     /// What the rounds so far add up to.
-    pub(super) transcript: Transcript,
+    pub(crate) transcript: Transcript,
     /// Completed negotiation rounds.
     rounds: u64,
     /// Last `(time_s, cumulative_utilization)` sample per node, used to
     /// derive the windowed utilization the situational model carries.
-    pub(super) node_busy_last: BTreeMap<u32, (f64, f64)>,
+    pub(crate) node_busy_last: BTreeMap<u32, (f64, f64)>,
+    gauges: Option<RoundGauges>,
 }
 
 /// What the negotiation rounds add up to: the figures the invariant
 /// checker holds the audit log's books to.
 #[derive(Debug, Default)]
-pub(super) struct Transcript {
+pub(crate) struct Transcript {
     /// Grants to agents other than [`TWIN_AGENT`].
-    pub(super) grants: u64,
+    pub(crate) grants: u64,
     /// Denials.
-    pub(super) denials: u64,
+    pub(crate) denials: u64,
     /// The rounds that granted past their budget; none in a correct run.
-    pub(super) over_budget: Vec<NegotiationOutcome>,
+    pub(crate) over_budget: Vec<NegotiationOutcome>,
 }
 
 impl NegotiateState {
     /// Folds `outcome` into the transcript and keeps it as the last.
-    pub(super) fn record(&mut self, outcome: NegotiationOutcome) {
+    pub(crate) fn record(&mut self, outcome: NegotiationOutcome) {
         let t = &mut self.transcript;
         let grants = outcome.grants.iter().filter(|g| g.agent != TWIN_AGENT);
         t.grants += grants.count() as u64;
@@ -282,27 +256,14 @@ impl NegotiateState {
     }
 
     /// `id`'s record, created neutral if nothing touched it before.
-    pub(super) fn agent(&mut self, id: InstId) -> &mut Agent {
+    pub(crate) fn agent(&mut self, id: InstId) -> &mut Agent {
         agent_in(&mut self.agents, id)
-    }
-
-    /// The admission gate and downgrade lookup the dispatch path runs for
-    /// every delivery. Returns `(cost_scale, admit)`; neutral when the
-    /// control plane is off.
-    pub(super) fn admit(&mut self, to: InstId) -> (f64, bool) {
-        if self.config.is_none() {
-            return (1.0, true);
-        }
-        let agent = self.agent(to);
-        let seq = agent.offered;
-        agent.offered += 1;
-        let admit = agent.keep_permille >= 1000 || seq % 1000 < u64::from(agent.keep_permille);
-        (agent.cost_scale, admit)
     }
 
     /// The control plane a digital twin starts from: the coordinator and
     /// every agent's record, but neither the model, the last requests and
-    /// outcome nor the transcript: its first tick builds what it needs.
+    /// outcome, the transcript nor the gauges: its first round builds
+    /// what it needs, the gauges in the twin's own registry.
     pub(super) fn fork(&self) -> NegotiateState {
         NegotiateState {
             config: self.config.clone(),
@@ -315,12 +276,9 @@ impl NegotiateState {
                     ..a.clone()
                 })
                 .collect(),
-            model: SituationalModel::default(),
-            requests: Vec::new(),
-            last: None,
-            transcript: Transcript::default(),
             rounds: self.rounds,
             node_busy_last: self.node_busy_last.clone(),
+            ..NegotiateState::default()
         }
     }
 }
@@ -334,115 +292,76 @@ fn agent_in(agents: &mut Vec<Agent>, id: InstId) -> &mut Agent {
     &mut agents[id.index()]
 }
 
-impl Runtime {
-    /// Enables the negotiation control plane and starts its periodic tick.
-    pub fn enable_negotiation(&mut self, config: NegotiateConfig) {
-        let interval = config.interval;
+impl MetaLevel {
+    /// Enables the control plane in place of any earlier one: opens the
+    /// admission gate and starts the rounds.
+    fn enable_negotiation(&mut self, door: &mut Door<'_>, config: NegotiateConfig) {
+        let state = &mut self.negotiate;
         // The arbitration weights are the control crate's defaults.
-        self.negotiate.negotiator = (config.mode == CoordinationMode::Negotiated)
+        state.negotiator = (config.mode == CoordinationMode::Negotiated)
             .then(|| Negotiator::new(ObjectiveWeights::default(), config.budget));
-        self.negotiate.config = Some(config);
-        self.arm(interval, TimerPurpose::NegotiateTick);
-    }
-
-    /// Shapes how `agent`'s budget requests are derived (priority,
-    /// objectives, utility curve, floor fraction).
-    pub fn set_agent_profile(&mut self, agent: &str, profile: AgentProfile) {
-        let id = self.instances.intern(agent);
-        self.negotiate.agent(id).profile = Some(profile);
-    }
-
-    /// Installs (or clears) a deliberate negotiator corruption — the seam
-    /// the `aas-scenario` mutation engine flips. `None` is byte-identical
-    /// to unmutated arbitration.
-    pub fn set_negotiator_mutation(&mut self, mutation: Option<NegotiatorMutation>) {
-        if let Some(n) = self.negotiate.negotiator.as_mut() {
-            n.set_mutation(mutation);
+        state.gauges = Some(RoundGauges::new(door.obs()));
+        // Every name known now has a record from the start, as it has a
+        // throttle in the gate.
+        if let Some(last) = door.view().names().map(|(id, _)| id).max() {
+            state.agent(last);
         }
+        let interval = config.interval;
+        state.config = Some(config);
+        door.open_gate();
+        self.start(door, Loop::Negotiate, interval);
     }
 
-    /// The most recent arbitration outcome, if a round has run.
-    #[must_use]
-    pub fn negotiation_outcome(&self) -> Option<&NegotiationOutcome> {
-        self.negotiate.last.as_ref()
-    }
-
-    /// The outstanding grant for `agent`, if any.
-    #[must_use]
-    pub fn grant_of(&self, agent: &str) -> Option<&Grant> {
-        let id = self.instances.id(agent)?;
-        self.negotiate.agents.get(id.index())?.grant.as_ref()
-    }
-
-    /// Messages the admission gate has shed so far.
-    #[must_use]
-    pub fn shed_total(&self) -> u64 {
-        self.m.shed.get()
-    }
-
-    /// Completed negotiation rounds.
-    #[must_use]
-    pub fn negotiation_rounds(&self) -> u64 {
-        self.negotiate.rounds
-    }
-
-    /// The retry-budget cap for deliveries to `to`, if one was granted
-    /// below the connector policy's own limit.
-    pub(super) fn negotiate_retry_cap(&self, to: InstId) -> Option<u32> {
-        self.negotiate.config.as_ref()?;
-        self.negotiate.agents.get(to.index())?.retry_cap
-    }
-
-    /// One negotiation period: refresh the situational model, collect
+    /// One negotiation round: refresh the situational model, collect
     /// requests, arbitrate (or run the independent baseline), actuate the
-    /// grants, export gauges, book coverage, re-arm the timer.
-    pub(super) fn on_negotiate_tick(&mut self, now: SimTime) {
+    /// grants, export gauges, book coverage.
+    pub(super) fn negotiate(&mut self, door: &mut Door<'_>) {
         let Some(config) = self.negotiate.config.clone() else {
             return;
         };
-        self.refresh_model(&config);
+        // A twin's gauges are resolved at its first round, in its registry.
+        let gauges = &mut self.negotiate.gauges;
+        gauges.get_or_insert_with(|| RoundGauges::new(door.obs()));
+        self.refresh_model(door.view(), &config);
         // The round reads the model while it writes the rest of the
-        // runtime; taking it out and back moves no entry.
+        // meta-level; taking it out and back moves no entry.
         let model = std::mem::take(&mut self.negotiate.model);
         match config.mode {
-            CoordinationMode::Negotiated => self.negotiated_round(&config, &model, now),
-            CoordinationMode::Independent => self.independent_round(&config, &model),
+            CoordinationMode::Negotiated => self.negotiated_round(door, &config, &model),
+            CoordinationMode::Independent => self.independent_round(door, &config, &model),
         }
         self.negotiate.model = model;
-        // Roll the offered-delta baseline for the next tick's demand.
-        for agent in &mut self.negotiate.agents {
-            agent.offered_last = agent.offered;
+        // Roll the offered-delta baseline for the next round's demand.
+        for (id, offered) in door.view().offers() {
+            self.negotiate.agent(id).offered_last = offered;
         }
         self.negotiate.rounds += 1;
-        self.obs
-            .metrics
-            .gauge("negotiate.rounds")
-            .set(self.negotiate.rounds as f64);
-        self.arm(config.interval, TimerPurpose::NegotiateTick);
+        if let Some(g) = &self.negotiate.gauges {
+            g.rounds.set(self.negotiate.rounds as f64);
+        }
     }
 
-    /// Brings the coordinator's global picture up to now, in place: what
-    /// [`Runtime::observe`] reads of every live instance and every node,
-    /// plus the offered deltas, windowed utilization and suspicion only
-    /// the control plane tracks. An instance that left loses its entry; a
-    /// new one gains one; every other entry is overwritten.
-    pub(super) fn refresh_model(&mut self, config: &NegotiateConfig) {
-        let now = self.kernel.now();
+    /// Brings the coordinator's global picture up to now, in place, from
+    /// the view's instances and nodes, plus the offered deltas, windowed
+    /// utilization and suspicion only the control plane tracks. An
+    /// instance that left loses its entry; a new one gains one; every
+    /// other entry is overwritten.
+    pub(crate) fn refresh_model(&mut self, view: View<'_>, config: &NegotiateConfig) {
+        let now = view.now();
         let NegotiateState {
             model,
             agents,
             node_busy_last,
             ..
         } = &mut self.negotiate;
-        let instances = &self.instances;
         model.observed_at = now;
-        model.agents.retain(|name, _| instances.id(name).is_some());
+        model.agents.retain(|name, _| view.id(name).is_some());
         let dt = config.interval.as_secs_f64().max(1e-9);
         let mut offered_total = 0u64;
-        for (id, inst) in instances.iter() {
-            let c = inst.observation();
-            let agent = agent_in(agents, id);
-            let arrivals = agent.offered.saturating_sub(agent.offered_last);
+        for (id, c) in view.instances() {
+            let arrivals = view
+                .offered(id)
+                .saturating_sub(agent_in(agents, id).offered_last);
             offered_total += arrivals;
             let seen = AgentObservation {
                 node: c.node.0,
@@ -463,8 +382,7 @@ impl Runtime {
         // leaves none stale.
         let mut capacity_units = 0.0;
         let now_s = now.as_secs_f64();
-        for n in self.kernel.topology().nodes() {
-            let n = meta::node_observation(n, now);
+        for n in view.nodes() {
             if n.up {
                 capacity_units += n.effective_capacity;
             }
@@ -474,9 +392,9 @@ impl Runtime {
                 .map_or(0.0, |d| d.detector.phi(n.id, now));
             // The node's utilization is cumulative since t=0; the
             // coordinator needs the *current* pressure, so differentiate
-            // it over the tick window (a cumulative figure never decays,
-            // which would read one historical burst as permanent overload
-            // and drive endless migration).
+            // it over the round's window (a cumulative figure never
+            // decays, which would read one historical burst as permanent
+            // overload and drive endless migration).
             let cumulative = n.utilization;
             let last = node_busy_last.insert(n.id.0, (now_s, cumulative));
             let utilization = match last {
@@ -502,13 +420,18 @@ impl Runtime {
 
     /// Refills the request batch with what each agent's observed demand
     /// asks for.
-    fn collect_requests(&mut self, config: &NegotiateConfig, model: &SituationalModel) {
+    fn collect_requests(
+        &mut self,
+        view: View<'_>,
+        config: &NegotiateConfig,
+        model: &SituationalModel,
+    ) {
         let NegotiateState {
             agents, requests, ..
         } = &mut self.negotiate;
         requests.clear();
         let dt = config.interval.as_secs_f64().max(1e-9);
-        for (id, seen) in self.instances.live_ids().zip(model.agents.values()) {
+        for (id, seen) in view.live_ids().zip(model.agents.values()) {
             let profile = agents[id.index()].profile.unwrap_or(AgentProfile {
                 floor_fraction: config.floor_fraction,
                 ..AgentProfile::default()
@@ -524,13 +447,13 @@ impl Runtime {
             let mut floor = demand.scaled(profile.floor_fraction.clamp(0.0, 1.0));
             floor.capacity = if rate > 0.0 { MIN_COST_SCALE } else { 0.0 };
             requests.push(
-                BudgetRequest::new(self.instances.name(id).clone(), floor, demand)
+                BudgetRequest::new(view.name(id).clone(), floor, demand)
                     .with_priority(profile.priority)
                     .with_objectives(profile.objectives)
                     .with_curve(profile.curve),
             );
         }
-        if self.twin.config.is_some() {
+        if self.twin.is_some() {
             let mut demand = ResourceVector::ZERO;
             demand.twin_horizon = config.budget.twin_horizon.max(1.0);
             let mut floor = ResourceVector::ZERO;
@@ -545,29 +468,29 @@ impl Runtime {
     /// grant for any other is audited and not actuated.
     fn negotiated_round(
         &mut self,
+        door: &mut Door<'_>,
         config: &NegotiateConfig,
         model: &SituationalModel,
-        now: SimTime,
     ) {
-        self.collect_requests(config, model);
+        self.collect_requests(door.view(), config, model);
         let state = &mut self.negotiate;
         let Some(negotiator) = state.negotiator.as_mut() else {
             return;
         };
         let mut outcome = state.last.take().unwrap_or_default();
         negotiator.arbitrate_into(model, &state.requests, &mut outcome);
-        let (epoch, now_us) = (outcome.epoch, now.as_micros());
+        let epoch = outcome.epoch;
 
         // The detect phase this round is booked under: arbitration under a
         // live suspicion incident is a distinct adaptation state.
+        let view = door.view();
         let suspected = self.heal.incidents.values().any(|i| i.queued)
-            || self
-                .exec
+            || view
                 .in_flight()
                 .any(|origin| matches!(origin, PlanOrigin::Repair { .. }))
             || self.detector.as_ref().is_some_and(|d| {
-                let mut nodes = self.kernel.topology().nodes();
-                nodes.any(|n| d.detector.is_suspected(n.id()))
+                let mut nodes = (0..view.node_count()).map(|n| NodeId(n as u32));
+                nodes.any(|n| d.detector.is_suspected(n))
             });
         let phase = if suspected {
             DetectPhase::Suspected
@@ -579,21 +502,21 @@ impl Runtime {
 
         // Audit and actuate denials first: a denied agent sheds hard.
         for (name, reason) in &outcome.denied {
-            let id = self.instances.id(name);
-            let denied = AuditEvent::BudgetDenied {
+            let id = door.view().id(name);
+            door.audit(AuditEvent::BudgetDenied {
                 epoch,
                 agent: name.clone(),
                 reason: reason.label(),
-            };
-            self.obs.audit.append(now_us, denied);
+            });
             let Some(id) = id else {
                 continue;
             };
+            let throttle = door.throttle(id);
+            throttle.keep_permille = 0;
+            throttle.cost_scale = MIN_COST_SCALE;
+            throttle.retry_cap = 0;
             let agent = self.negotiate.agent(id);
             agent.grant = None;
-            agent.keep_permille = 0;
-            agent.cost_scale = MIN_COST_SCALE;
-            agent.retry_cap = Some(0);
             agent.granted_node = model.agents.get(name.as_str()).map(|a| a.node);
         }
 
@@ -601,41 +524,44 @@ impl Runtime {
         let mut migrations: Vec<(InstId, NodeId)> = Vec::new();
         for grant in &outcome.grants {
             if grant.agent == TWIN_AGENT {
-                if let Some(tc) = self.twin.config.as_mut() {
+                if let Some(tc) = self.twin.as_mut() {
                     tc.horizon = SimDuration::from_secs_f64(grant.granted.twin_horizon.max(0.25));
                 }
                 continue;
             }
-            let id = self.instances.id(&grant.agent);
+            let id = door.view().id(&grant.agent);
             let g = grant.granted;
-            let granted = AuditEvent::BudgetGranted {
+            door.audit(AuditEvent::BudgetGranted {
                 epoch,
                 agent: grant.agent.clone(),
                 granted: [g.capacity, g.work_rate, g.retry_budget, g.twin_horizon],
                 fraction: grant.fraction,
-            };
-            self.obs.audit.append(now_us, granted);
+            });
             let (Some(id), Some(seen)) = (id, model.agents.get(grant.agent.as_str())) else {
                 continue;
             };
             let host = seen.node;
-            let agent = self.negotiate.agent(id);
-            agent.set_fraction(&self.obs, &grant.agent, grant.fraction);
             if grant.demand.work_rate > 0.0 {
+                let throttle = door.throttle(id);
                 let rate_frac = (grant.granted.work_rate / grant.demand.work_rate).clamp(0.0, 1.0);
-                agent.keep_permille = (rate_frac * 1000.0).floor() as u32;
-                agent.cost_scale = if grant.fraction < DOWNGRADE_BELOW {
+                throttle.keep_permille = (rate_frac * 1000.0).floor() as u32;
+                throttle.cost_scale = if grant.fraction < DOWNGRADE_BELOW {
                     grant.fraction.max(MIN_COST_SCALE)
                 } else {
                     1.0
                 };
-                agent.retry_cap = (grant.demand.retry_budget > 0.0)
-                    .then(|| grant.granted.retry_budget.floor().max(0.0) as u32);
+                throttle.retry_cap = if grant.demand.retry_budget > 0.0 {
+                    grant.granted.retry_budget.floor().max(0.0) as u32
+                } else {
+                    u32::MAX
+                };
             }
             // A zero-demand agent keeps its previous throttle: an agent
             // quiesced by an executing plan observes no arrivals, and
             // opening its gate to neutral would admit the entire held
             // backlog as one unthrottled burst at plan release.
+            let agent = self.negotiate.agent(id);
+            agent.set_fraction(door.obs(), &grant.agent, grant.fraction);
             agent.granted_node = Some(host);
             agent.grant = Some(grant.clone());
 
@@ -655,30 +581,26 @@ impl Runtime {
                     .map(|(id, _)| NodeId(*id));
                 let cooled = agent.migrate_from_round <= self.negotiate.rounds;
                 let moving = PlanOrigin::Migration { agent: id };
-                let already_moving = self.exec.in_flight().any(|origin| origin == moving);
+                let already_moving = door.view().in_flight().any(|origin| origin == moving);
                 if let Some(to) = target.filter(|_| overloaded && !already_moving && cooled) {
                     migrations.push((id, to));
                 }
             }
         }
-        self.obs
-            .metrics
-            .gauge("negotiate.jain")
-            .set(outcome.jain_fairness());
-        self.obs
-            .metrics
-            .gauge("negotiate.denied")
-            .set(outcome.denied.len() as f64);
+        if let Some(g) = &self.negotiate.gauges {
+            g.jain.set(outcome.jain_fairness());
+            g.denied.set(outcome.denied.len() as f64);
+        }
         self.negotiate.record(outcome);
 
         for (id, to) in migrations {
             self.negotiate.agent(id).migrate_from_round =
                 self.negotiate.rounds + MIGRATE_COOLDOWN_ROUNDS;
-            let name = self.instances.name(id).to_string();
+            let name = door.view().name(id).to_string();
             let plan = ReconfigPlan::single(ReconfigAction::Migrate { name, to });
             self.coverage
                 .record(DetectPhase::Steady, "negotiate", PlanOutcome::Planned);
-            let _ = self.submit(plan, PlanOrigin::Migration { agent: id });
+            self.submit(door, plan, PlanOrigin::Migration { agent: id });
         }
     }
 
@@ -687,15 +609,24 @@ impl Runtime {
     /// own latency signal — an additive-increase/additive-decrease ramp
     /// that reacts only after its host is already drowning, and punishes
     /// victims as readily as culprits.
-    fn independent_round(&mut self, config: &NegotiateConfig, model: &SituationalModel) {
+    fn independent_round(
+        &mut self,
+        door: &mut Door<'_>,
+        config: &NegotiateConfig,
+        model: &SituationalModel,
+    ) {
         let interval_ms = config.interval.as_secs_f64() * 1e3;
-        for (id, (name, seen)) in self.instances.live_ids().zip(&model.agents) {
+        for (name, seen) in &model.agents {
+            let Some(id) = door.view().id(name) else {
+                continue;
+            };
             let agent = self.negotiate.agent(id);
             if agent.profile.is_some_and(|p| p.exempt) {
                 continue;
             }
             let backlog = model.nodes.get(&seen.node).map_or(0.0, |n| n.backlog_ms);
-            let keep = i64::from(agent.keep_permille);
+            let throttle = door.throttle(id);
+            let keep = i64::from(throttle.keep_permille);
             let next = if backlog > 4.0 * interval_ms {
                 keep - 100
             } else if backlog > interval_ms {
@@ -703,43 +634,72 @@ impl Runtime {
             } else {
                 keep + 100
             };
-            agent.keep_permille = next.clamp(100, 1000) as u32;
-            let fraction = f64::from(agent.keep_permille) / 1000.0;
-            agent.set_fraction(&self.obs, name, fraction);
+            throttle.keep_permille = next.clamp(100, 1000) as u32;
+            let fraction = f64::from(throttle.keep_permille) / 1000.0;
+            agent.set_fraction(door.obs(), name, fraction);
         }
+    }
+
+    /// Invalidates `id`'s outstanding grant because plan `trigger`
+    /// (`None`: a connector repair) committed. With `reset_throttle` the
+    /// throttle also returns to neutral until the next round re-grants
+    /// (the repair path: a fresh instance must not inherit a starvation
+    /// grant sized for its dead placement); without it the throttle stays
+    /// in force (the planned-migration path).
+    fn invalidate(
+        &mut self,
+        door: &mut Door<'_>,
+        id: InstId,
+        trigger: Option<u64>,
+        now: SimTime,
+        reset_throttle: bool,
+    ) {
+        let agent = self.negotiate.agent(id);
+        let epoch = agent.grant.take().map_or(0, |g| g.epoch);
+        agent.granted_node = None;
+        if reset_throttle {
+            door.throttle(id).reset();
+        }
+        let renegotiated = AuditEvent::BudgetRenegotiated {
+            epoch,
+            agent: door.view().name(id).clone(),
+            trigger,
+        };
+        door.obs().audit.append(now.as_micros(), renegotiated);
     }
 
     /// A migration the negotiator filed for `agent` left the engine; a
     /// rejected or rolled-back one leaves nothing to settle, and the agent
     /// may file again once its cooldown has passed.
-    pub(super) fn migration_plan_ended(&mut self, agent: InstId, report: &ReconfigReport) {
+    pub(super) fn migration_plan_ended(
+        &mut self,
+        door: &mut Door<'_>,
+        agent: InstId,
+        report: &ReconfigReport,
+    ) {
         if report.success {
             self.coverage
                 .record(DetectPhase::Steady, "negotiate", PlanOutcome::Completed);
             // The agent moved: its grant was computed for the old
-            // placement, so force renegotiation next tick. The throttle is
-            // *kept* — a planned migration under overload must not open
-            // an unthrottled admission window until the re-grant lands.
-            self.negotiate.agent(agent).invalidate(
-                &self.obs,
-                self.instances.name(agent),
-                Some(report.id.0),
-                report.finished_at,
-                false,
-            );
+            // placement, so force renegotiation next round. The throttle
+            // is *kept* — a planned migration under overload must not
+            // open an unthrottled admission window until the re-grant
+            // lands.
+            self.invalidate(door, agent, Some(report.id.0), report.finished_at, false);
         }
     }
 
     /// The heal/negotiate ordering fix: a repair plan committing for
-    /// `node` mid-tick invalidates every outstanding budget decision
+    /// `node` mid-round invalidates every outstanding budget decision
     /// issued against the pre-repair placement — grants and hard-shed
     /// *denials* pinned to the node, grants of agents hosted there now,
     /// and agents the plan itself moved (whose current decision was
     /// arbitrated from observations of the dead placement). Without this,
     /// a freshly repaired instance keeps being throttled — or fully shed —
-    /// by a stale decision until the next tick. In name order.
+    /// by a stale decision until the next round. In name order.
     pub(super) fn invalidate_grants_on(
         &mut self,
+        door: &mut Door<'_>,
         node: NodeId,
         plan: Option<u64>,
         moved: &[String],
@@ -748,20 +708,70 @@ impl Runtime {
         if self.negotiate.config.is_none() {
             return;
         }
-        for id in self.instances.ids() {
-            let Some(agent) = self.negotiate.agents.get_mut(id.index()) else {
-                continue;
-            };
-            let name = self.instances.name(id);
-            let hosted_here = || self.instances.get(id).is_some_and(|i| i.node == node);
-            if agent.granted_node == Some(node.0)
-                || (agent.grant.is_some() && hosted_here())
-                || moved.iter().any(|m| m == name.as_str())
-            {
-                agent.invalidate(&self.obs, name, plan, now, true);
-                self.coverage
-                    .record(DetectPhase::Suspected, "negotiate", PlanOutcome::Completed);
-            }
+        let view = door.view();
+        let agents = &self.negotiate.agents;
+        let stale: Vec<InstId> = view
+            .names()
+            .filter(|(id, name)| {
+                agents.get(id.index()).is_some_and(|agent| {
+                    agent.granted_node == Some(node.0)
+                        || (agent.grant.is_some() && view.node_of(*id) == Some(node))
+                        || moved.iter().any(|m| m == name.as_str())
+                })
+            })
+            .map(|(id, _)| id)
+            .collect();
+        for id in stale {
+            self.invalidate(door, id, plan, now, true);
+            self.coverage
+                .record(DetectPhase::Suspected, "negotiate", PlanOutcome::Completed);
         }
+    }
+}
+
+impl Runtime {
+    /// Enables the negotiation control plane and starts its periodic
+    /// rounds; a second call replaces the first.
+    pub fn enable_negotiation(&mut self, config: NegotiateConfig) {
+        self.meta_call(|meta, door| meta.enable_negotiation(door, config));
+    }
+
+    /// Shapes how `agent`'s budget requests are derived (priority,
+    /// objectives, utility curve, floor fraction).
+    pub fn set_agent_profile(&mut self, agent: &str, profile: AgentProfile) {
+        self.meta_call(|meta, door| {
+            let id = door.intern(agent);
+            meta.negotiate.agent(id).profile = Some(profile);
+        });
+    }
+
+    /// Installs (or clears) a deliberate negotiator corruption — the seam
+    /// the `aas-scenario` mutation engine flips. `None` is byte-identical
+    /// to unmutated arbitration.
+    pub fn set_negotiator_mutation(&mut self, mutation: Option<NegotiatorMutation>) {
+        self.meta_call(|meta, _| {
+            if let Some(n) = meta.negotiate.negotiator.as_mut() {
+                n.set_mutation(mutation);
+            }
+        });
+    }
+
+    /// The most recent arbitration outcome, if a round has run.
+    #[must_use]
+    pub fn negotiation_outcome(&self) -> Option<&NegotiationOutcome> {
+        self.meta().negotiate.last.as_ref()
+    }
+
+    /// The outstanding grant for `agent`, if any.
+    #[must_use]
+    pub fn grant_of(&self, agent: &str) -> Option<&Grant> {
+        let id = self.view().id(agent)?;
+        self.meta().negotiate.agents.get(id.index())?.grant.as_ref()
+    }
+
+    /// Completed negotiation rounds.
+    #[must_use]
+    pub fn negotiation_rounds(&self) -> u64 {
+        self.meta().negotiate.rounds
     }
 }

@@ -7,9 +7,9 @@
 //!
 //! The split follows the reflection literature the paper builds on:
 //!
-//! - **introspection** — [`SystemSnapshot`]: a read-only observation of
-//!   every component, node and connector, produced by the runtime on a
-//!   periodic meta-protocol tick;
+//! - **introspection** — [`Observe`]: a read-only observation of every
+//!   component and node, which the runtime's meta tick reads in place and
+//!   [`SystemSnapshot`] holds as a copy for readers outside it;
 //! - **intercession** — [`Intercession`]: commands that change the system
 //!   (submit a reconfiguration plan, interchange a connector, notify);
 //! - **compliance** — [`Constraint`]s checked against every snapshot, with
@@ -188,6 +188,45 @@ impl SystemSnapshot {
     }
 }
 
+/// What the meta-level reads of the running system: the runtime's own
+/// view, read in place at a meta tick, or a [`SystemSnapshot`] taken once.
+/// Rules, constraints and repair policies read through it, so they read
+/// either alike.
+pub trait Observe {
+    /// When the reading is taken.
+    fn at(&self) -> SimTime;
+    /// The live component instance named `name`.
+    fn component(&self, name: &str) -> Option<ComponentObservation>;
+    /// Every node, ascending by id.
+    fn nodes(&self) -> impl Iterator<Item = NodeObservation> + '_;
+    /// The node `id`, if there is one.
+    fn node(&self, id: NodeId) -> Option<NodeObservation>;
+    /// The components hosted on `node`, in name order.
+    fn hosted(&self, node: NodeId) -> impl Iterator<Item = ComponentObservation> + '_;
+}
+
+impl Observe for SystemSnapshot {
+    fn at(&self) -> SimTime {
+        self.at
+    }
+
+    fn component(&self, name: &str) -> Option<ComponentObservation> {
+        SystemSnapshot::component(self, name).cloned()
+    }
+
+    fn nodes(&self) -> impl Iterator<Item = NodeObservation> + '_ {
+        self.nodes.iter().cloned()
+    }
+
+    fn node(&self, id: NodeId) -> Option<NodeObservation> {
+        SystemSnapshot::node(self, id).cloned()
+    }
+
+    fn hosted(&self, node: NodeId) -> impl Iterator<Item = ComponentObservation> + '_ {
+        SystemSnapshot::hosted(self, node).cloned()
+    }
+}
+
 /// An intercession command RAML can issue against the running system.
 #[derive(Debug, Clone)]
 pub enum Intercession {
@@ -269,9 +308,9 @@ pub enum Constraint {
 }
 
 impl Constraint {
-    /// Checks the constraint against a snapshot; `None` means compliant.
+    /// Checks the constraint against a reading; `None` means compliant.
     #[must_use]
-    pub fn check(&self, snap: &SystemSnapshot) -> Option<Violation> {
+    pub fn check(&self, snap: &impl Observe) -> Option<Violation> {
         let (constraint, subject, measured, limit): (_, &dyn fmt::Display, _, _) = match self {
             Constraint::MaxMeanLatencyMs {
                 component,
@@ -370,11 +409,11 @@ impl Metric {
 
     /// The reading in `snap`; `None` while its subject is absent.
     #[must_use]
-    pub fn read(&self, snap: &SystemSnapshot) -> Option<f64> {
+    pub fn read(&self, snap: &impl Observe) -> Option<f64> {
         match self {
             Metric::Latency(c) => snap.component(c).map(|c| c.mean_latency_ms),
             Metric::P99Latency(c) => snap.component(c).map(|c| c.p99_latency_ms),
-            Metric::ErrorRate(c) => snap.component(c).map(ComponentObservation::error_rate),
+            Metric::ErrorRate(c) => snap.component(c).map(|c| c.error_rate()),
             Metric::Inflight(c) => snap.component(c).map(|c| f64::from(c.inflight)),
             Metric::Processed(c) => snap.component(c).map(|c| c.processed as f64),
             Metric::SeqAnomalies(c) => snap.component(c).map(|c| c.seq_anomalies as f64),
@@ -576,28 +615,29 @@ impl Rule {
         self.fired_count
     }
 
-    /// Shows the rule one snapshot; `true` if it fires. The monitor steps
+    /// Shows the rule one reading; `true` if it fires. The monitor steps
     /// only out of cooldown and while the metric reads a value. Before it
     /// steps, a `wait_until` rule with a cooldown re-arms once twice its
     /// cooldown has passed since it last did (from t = 0), so it can answer
     /// later episodes too.
-    fn fires(&mut self, snap: &SystemSnapshot) -> bool {
+    fn fires(&mut self, snap: &impl Observe) -> bool {
+        let at = snap.at();
         let cooled = self
             .last_fired
-            .is_none_or(|t| snap.at.saturating_since(t) >= self.cooldown);
+            .is_none_or(|t| at.saturating_since(t) >= self.cooldown);
         let Some(value) = cooled.then(|| self.metric.read(snap)).flatten() else {
             return false;
         };
         if self.monitor.op == TemporalOp::WaitUntil
             && !self.cooldown.is_zero()
-            && snap.at.saturating_since(self.last_rearmed) >= self.cooldown * 2
+            && at.saturating_since(self.last_rearmed) >= self.cooldown * 2
         {
             self.monitor.rearm();
-            self.last_rearmed = snap.at;
+            self.last_rearmed = at;
         }
         let fire = self.monitor.step(value);
         if fire {
-            self.last_fired = Some(snap.at);
+            self.last_fired = Some(at);
             self.fired_count += 1;
         }
         fire
@@ -652,11 +692,11 @@ impl Raml {
 
     /// Evaluates constraints and rules against `snap`, returning the
     /// intercessions to execute. Violations are logged.
-    pub fn evaluate(&mut self, snap: &SystemSnapshot) -> Vec<Intercession> {
+    pub fn evaluate(&mut self, snap: &impl Observe) -> Vec<Intercession> {
         self.snapshots_taken += 1;
         for c in &self.constraints {
             if let Some(v) = c.check(snap) {
-                self.violations.push((snap.at, v));
+                self.violations.push((snap.at(), v));
             }
         }
         self.rules

@@ -1,6 +1,101 @@
 use super::table::SlotId as _;
 use super::*;
 
+/// One agent's throttle as the negotiator last set it (DESIGN.md §2.10).
+/// Neutral values leave delivery byte-identical to a runtime without
+/// negotiation.
+#[derive(Debug, Clone)]
+pub(crate) struct Throttle {
+    /// Multiplier on per-message work cost (strategy downgrade).
+    pub(crate) cost_scale: f64,
+    /// Offered-message counter: the shed gate's sequence number, and the
+    /// demand the negotiator reads.
+    offered: u64,
+    /// Admitted messages per 1000 offered (load shedding).
+    pub(crate) keep_permille: u32,
+    /// Cap on connector retry attempts; `u32::MAX`, the neutral value,
+    /// caps nothing.
+    pub(crate) retry_cap: u32,
+}
+
+impl Default for Throttle {
+    fn default() -> Self {
+        Throttle {
+            cost_scale: 1.0,
+            offered: 0,
+            keep_permille: 1000,
+            retry_cap: u32::MAX,
+        }
+    }
+}
+
+impl Throttle {
+    /// Back to neutral, the offer count kept.
+    pub(crate) fn reset(&mut self) {
+        *self = Throttle {
+            offered: self.offered,
+            ..Throttle::default()
+        };
+    }
+}
+
+/// The admission gate the dispatch path runs for every delivery: one
+/// [`Throttle`] per instance id, one for every name known when the gate
+/// opens and grown on first touch for the rest. Off until the
+/// negotiation control plane is enabled.
+#[derive(Debug, Clone, Default)]
+pub(super) struct Gate {
+    on: bool,
+    throttles: Vec<Throttle>,
+}
+
+impl Gate {
+    /// Turns the gate on, with a neutral throttle for each of `ids`.
+    pub(super) fn open(&mut self, ids: usize) {
+        self.on = true;
+        if ids > self.throttles.len() {
+            self.throttles.resize_with(ids, Throttle::default);
+        }
+    }
+
+    pub(super) fn throttle(&mut self, id: InstId) -> &mut Throttle {
+        if id.index() >= self.throttles.len() {
+            self.throttles
+                .resize_with(id.index() + 1, Throttle::default);
+        }
+        &mut self.throttles[id.index()]
+    }
+
+    /// Returns `(cost_scale, admit)` for a delivery to `to`; neutral when
+    /// the gate is off.
+    pub(super) fn admit(&mut self, to: InstId) -> (f64, bool) {
+        if !self.on {
+            return (1.0, true);
+        }
+        let t = self.throttle(to);
+        let seq = t.offered;
+        t.offered += 1;
+        let admit = t.keep_permille >= 1000 || seq % 1000 < u64::from(t.keep_permille);
+        (t.cost_scale, admit)
+    }
+
+    /// The retry-budget cap for deliveries to `to`: `u32::MAX` unless one
+    /// was granted.
+    pub(super) fn retry_cap(&self, to: InstId) -> u32 {
+        let throttle = self.throttles.get(to.index()).filter(|_| self.on);
+        throttle.map_or(u32::MAX, |t| t.retry_cap)
+    }
+
+    pub(super) fn offered(&self, id: InstId) -> u64 {
+        self.throttles.get(id.index()).map_or(0, |t| t.offered)
+    }
+
+    pub(super) fn offers(&self) -> impl Iterator<Item = (InstId, u64)> + '_ {
+        let offers = self.throttles.iter().enumerate();
+        offers.map(|(i, t)| (InstId::from_index(i), t.offered))
+    }
+}
+
 impl Runtime {
     /// Puts the stored message `r` on `ch`. A refused send is counted
     /// and, like any other drop, offered to the connector's retry policy.
@@ -23,7 +118,7 @@ impl Runtime {
         let back_off = policy.and_then(|policy| {
             // The negotiated retry budget caps (never raises) the
             // connector's own policy.
-            let cap = self.negotiate_retry_cap(env.to).unwrap_or(u32::MAX);
+            let cap = self.gate.retry_cap(env.to);
             (env.attempt + 1 < policy.max_attempts.min(cap)).then(|| policy.delay_for(env.attempt))
         });
         let Some(delay) = back_off else {
@@ -81,7 +176,7 @@ impl Runtime {
         }
         // Negotiation admission gate: a granted-down agent sheds the
         // overflow deterministically and cheapens what it does admit.
-        let (cost_scale, admit) = self.negotiate.admit(to);
+        let (cost_scale, admit) = self.gate.admit(to);
         if !admit {
             self.m.shed.incr();
             return self.arena.free(r);
@@ -286,5 +381,53 @@ impl Runtime {
         let size = reply.wire_size();
         let r = self.admit(from, to, reply, None, 0.0);
         self.send_on(ch, r, size);
+    }
+
+    /// Applies the effects a handler of `from` buffered, in order, and
+    /// hands the emptied buffer back for the next handler call. `request`
+    /// is the request that handler was given, if it was given one: a
+    /// reply to anything else goes nowhere.
+    pub(super) fn apply_effects(
+        &mut self,
+        from: InstId,
+        mut effects: Vec<Effect>,
+        request: Option<&Request>,
+        now: SimTime,
+    ) {
+        for effect in effects.drain(..) {
+            match effect {
+                Effect::Send { port, message } => {
+                    self.dispatch_send(from, &port, message);
+                }
+                Effect::Reply { value } => {
+                    if let Some(req) = request {
+                        let reply = Message::reply(req.id, &req.op, value);
+                        self.route_reply(from, req.from, reply, now);
+                    }
+                }
+                Effect::SetTimer { delay, tag } => {
+                    self.arm(
+                        delay,
+                        TimerPurpose::ComponentTimer {
+                            instance: from,
+                            tag,
+                        },
+                    );
+                }
+                Effect::Metric { name, value } => {
+                    let metrics = &self.obs.metrics;
+                    if let Some(inst) = self.instances.get_mut(from) {
+                        let owner = &inst.name;
+                        inst.custom
+                            .entry(name)
+                            .or_insert_with_key(|key| {
+                                metrics.histogram(&format!("comp.{owner}.{key}"))
+                            })
+                            .observe(value);
+                    }
+                }
+            }
+        }
+        self.effects_buf = effects;
     }
 }

@@ -47,12 +47,12 @@ use std::fmt::{self, Write as _};
 /// Who submitted a plan, and on whose behalf: recorded when the plan is
 /// submitted, read when it ends.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(super) enum PlanOrigin {
+pub(crate) enum PlanOrigin {
     /// [`Runtime::request_reconfig`], from outside the runtime.
     User,
     /// A RAML rule.
     Raml,
-    /// The heal driver's repair of `node`, planned by the policy labelled
+    /// The heal loop's repair of `node`, planned by the policy labelled
     /// `label` — the twin's choice where it made one, else the static
     /// policy.
     Repair { node: NodeId, label: &'static str },
@@ -246,11 +246,19 @@ impl Runtime {
     /// [`Runtime::reports`] and the audit log records its
     /// `plan_finished`.
     pub fn request_reconfig(&mut self, plan: ReconfigPlan) -> ReconfigId {
-        self.submit(plan, PlanOrigin::User)
+        let (id, ended) = self.submit(plan, PlanOrigin::User);
+        self.exec.reports.extend(ended);
+        id
     }
 
-    /// The one way into the engine, for every submitter.
-    pub(super) fn submit(&mut self, plan: ReconfigPlan, origin: PlanOrigin) -> ReconfigId {
+    /// The one way into the engine, for every submitter. A plan that ends
+    /// inside the call hands its report back, for the submitter to book
+    /// and publish; any other ends in [`Runtime::plan_ended`].
+    pub(super) fn submit(
+        &mut self,
+        plan: ReconfigPlan,
+        origin: PlanOrigin,
+    ) -> (ReconfigId, Option<ReconfigReport>) {
         self.exec.last_id += 1;
         let id = ReconfigId(self.exec.last_id);
         let now = self.kernel.now();
@@ -268,25 +276,17 @@ impl Runtime {
             self.start_exec(id, origin, plan);
             self.advance_reconfig();
         }
-        if let PlanOrigin::Repair { node, label } = origin {
-            let by = RepairBy::Plan { id: id.0, actions };
-            self.note_repair_planned(node, label, by, now);
-        }
-        if let Some((_, Some(report))) = self.exec.submitting.take() {
-            self.plan_ended(origin, report);
-        }
-        id
+        (id, self.exec.submitting.take().and_then(|(_, end)| end))
     }
 
     /// The one way out: books the end of a plan — committed, rolled back
-    /// or rejected, at submission or on any later event — with whoever
+    /// or rejected, on any event after its submission — with whoever
     /// submitted it, then publishes the report.
     ///
-    /// The end of the plan `submit` is still running is kept until
-    /// `submit` has recorded the submission, so the audit log reads
-    /// `plan_submitted … plan_finished`, `repair_planned`,
-    /// `repair_completed` whether or not the plan had anything to wait
-    /// for.
+    /// The end of the plan `submit` is still running goes back to its
+    /// submitter, so the audit log reads `plan_submitted … plan_finished`,
+    /// `repair_planned`, `repair_completed` whether or not the plan had
+    /// anything to wait for.
     fn plan_ended(&mut self, origin: PlanOrigin, report: ReconfigReport) {
         if let Some((id, end)) = self.exec.submitting.as_mut() {
             if *id == report.id {
@@ -294,10 +294,8 @@ impl Runtime {
                 return;
             }
         }
-        match origin {
-            PlanOrigin::User | PlanOrigin::Raml => {}
-            PlanOrigin::Repair { node, label } => self.repair_plan_ended(node, label, &report),
-            PlanOrigin::Migration { agent } => self.migration_plan_ended(agent, &report),
+        if origin != PlanOrigin::User {
+            self.meta_call(|meta, door| meta.plan_ended(door, origin, &report));
         }
         self.exec.reports.push(report);
     }

@@ -128,14 +128,14 @@ impl Runtime {
         if counted != lost {
             fail!("crash-loss", "counted {counted}, audited {lost}");
         }
-        for (node, incident) in &self.heal.incidents {
+        for (node, incident) in &self.meta().heal.incidents {
             let awaited = incident.queued && books.predicted.contains(&node.0);
             if incident.prediction.is_some() && !awaited {
                 fail!("twin-pairs", "{node}'s incident holds a stale prediction");
             }
         }
 
-        let transcript = &self.negotiate.transcript;
+        let transcript = &self.meta().negotiate.transcript;
         for round in &transcript.over_budget {
             let (epoch, granted, budget) = (round.epoch, &round.total_granted, &round.budget);
             fail!("negotiation", "epoch {epoch}: [{granted}] over [{budget}]");
@@ -169,7 +169,12 @@ impl Runtime {
                 fail!(invariant, "{n} {}, {m} {}", opened.label(), closed.label());
             }
         }
-        if let Some(suspected) = self.detector.as_ref().map(|d| d.detector.suspected()) {
+        if let Some(suspected) = self
+            .meta()
+            .detector
+            .as_ref()
+            .map(|d| d.detector.suspected())
+        {
             if !suspected.is_empty() {
                 fail!("suspicion", "still suspected: {suspected:?}");
             }
@@ -190,6 +195,8 @@ impl Runtime {
 mod tests {
     use super::*;
     use crate::component::EchoComponent;
+    use crate::detector::DetectorConfig;
+    use crate::heal::RepairPolicy;
     use aas_control::negotiate::{NegotiationOutcome, ResourceVector};
     use aas_obs::AuditEvent as E;
     use aas_sim::fault::FaultSchedule;
@@ -323,7 +330,7 @@ mod tests {
             capacity: 2.0 * budget.capacity,
             ..budget
         };
-        rt.negotiate.record(NegotiationOutcome {
+        rt.meta_mut().negotiate.record(NegotiationOutcome {
             epoch: 999,
             model_fingerprint: 0,
             budget,

@@ -81,9 +81,6 @@ pub(super) struct MetricHandles {
     pub(super) dropped_on_crash: Counter,
     pub(super) retries: Counter,
     pub(super) shed: Counter,
-    pub(super) mttd: HistogramHandle,
-    pub(super) mttr: HistogramHandle,
-    pub(super) phi: HistogramHandle,
     /// `runtime.dropped.<cause>`, by [`DropCause::series`] slot; `None`
     /// until the cause's first drop.
     by_cause: [Option<Counter>; 4],
@@ -125,9 +122,6 @@ impl MetricHandles {
             dropped_on_crash: obs.metrics.counter("runtime.dropped_on_crash"),
             retries: obs.metrics.counter("runtime.retries"),
             shed: obs.metrics.counter("runtime.shed"),
-            mttd: obs.metrics.histogram("heal.mttd_ms"),
-            mttr: obs.metrics.histogram("heal.mttr_ms"),
-            phi: obs.metrics.histogram("detector.phi"),
             by_cause: Default::default(),
         }
     }

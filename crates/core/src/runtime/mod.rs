@@ -5,8 +5,8 @@
 //! The runtime drives an [`aas_sim::Kernel`] event loop. Application
 //! messages travel as envelopes over kernel channels; processing cost
 //! is charged to the hosting node (so overload produces queueing delay);
-//! and the RAML meta-level observes the whole system on a periodic
-//! meta-protocol tick.
+//! and the meta-level (`crate::meta`) observes the whole system on a
+//! periodic meta-protocol tick, through the view and the door in `door`.
 //!
 //! # Transactional reconfiguration protocol
 //!
@@ -64,33 +64,31 @@
 //! name-indexed slot tables instances and connectors live in, so that the
 //! message path indexes by id and only the write path looks names up),
 //! `arena` (the messages in flight, each stored once and passed around
-//! as a 4-byte handle), `dispatch` (message routing, retries, replies),
-//! `exec` (the
-//! transactional plan engine),
+//! as a 4-byte handle), `dispatch` (message routing, retries, replies,
+//! handler effects and the admission gate), `exec` (the transactional
+//! plan engine),
 //! `validate` (the structural rules, and the up-front validation pass
-//! that asks them of a whole plan), `detect_driver` (heartbeat
-//! transport + phi-accrual ticks), `heal_driver` (repair planning and
-//! crash bookkeeping), `meta` (RAML observation/intercession),
-//! `metrics` (aggregate metric handles) and `invariants` (the runtime's
-//! check of its own books).
+//! that asks them of a whole plan), `door` (the meta-level's borrowed
+//! view of the runtime and its one door into it), `twin` (forking the
+//! runtime into a digital twin), `metrics` (aggregate metric handles)
+//! and `invariants` (the runtime's check of its own books). The
+//! meta-level's four loops — RAML, failure detection, self-healing and
+//! negotiation — live outside, in `crate::meta`.
 
 use crate::component::{CallCtx, Component, Effect, Lifecycle};
 use crate::config::{BindingDecl, ComponentDecl, Configuration};
 use crate::connector::{Connector, ConnectorId, ConnectorSpec};
-use crate::coverage::{AdaptationCoverage, DetectPhase, PlanOutcome};
-use crate::detector::{DetectorConfig, DetectorEvent, FailureDetector};
 use crate::error::RuntimeError;
-use crate::heal::{PlanMutation, RepairPolicy};
 use crate::message::{
     self, IdleRelease, Message, MessageId, MessageKind, Name, SequenceTracker, Value,
 };
+use crate::meta::MetaLevel;
 use crate::raml::{
-    ComponentObservation, ConnectorObservation, CustomMean, Intercession, NodeObservation, Raml,
-    SystemSnapshot,
+    ComponentObservation, ConnectorObservation, CustomMean, NodeObservation, SystemSnapshot,
 };
 use crate::reconfig::{ReconfigAction, ReconfigId, ReconfigPlan, ReconfigReport, StateTransfer};
 use crate::registry::{ImplementationRegistry, Props};
-use aas_obs::{AuditEvent, Gauge, HistogramHandle, Obs, PlanTally, RepairBy};
+use aas_obs::{AuditEvent, HistogramHandle, Obs, PlanTally};
 use aas_sim::channel::ChannelId;
 use aas_sim::fault::FaultKind;
 use aas_sim::kernel::{Fired, Kernel, KernelCounter};
@@ -101,14 +99,11 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 mod arena;
-mod detect_driver;
 mod dispatch;
+mod door;
 mod exec;
-mod heal_driver;
 mod invariants;
-mod meta;
 mod metrics;
-mod negotiate_driver;
 mod structure;
 mod table;
 #[cfg(test)]
@@ -116,26 +111,30 @@ mod tests;
 mod twin;
 mod validate;
 
+pub use crate::meta::{
+    AgentProfile, CoordinationMode, NegotiateConfig, TwinConfig, TwinPrediction, TWIN_AGENT,
+};
 pub use arena::InFlight;
 pub use invariants::Violation;
 pub use metrics::{RouteStats, RuntimeMetrics};
-pub use negotiate_driver::{AgentProfile, CoordinationMode, NegotiateConfig, TWIN_AGENT};
-pub use twin::{TwinConfig, TwinPrediction};
+
+pub(crate) use dispatch::Throttle;
+pub(crate) use door::{Door, View};
+pub(crate) use exec::PlanOrigin;
+pub(crate) use table::{InstId, SlotId};
 
 use arena::{Arena, MsgRef, Slots, Stage};
-use exec::{ExecState, PlanOrigin};
-use heal_driver::HealState;
+use dispatch::Gate;
+use exec::ExecState;
 use metrics::{DropCause, MetricHandles};
-use negotiate_driver::NegotiateState;
-use table::{ConnId, InstId, Table};
-use twin::TwinState;
+use table::{ConnId, Table};
 
 /// The sender name used for injected (external) workload messages.
 pub const EXTERNAL: &str = "external";
 
 /// Milliseconds represented by a sim duration — the workspace-wide unit
 /// for latency metrics.
-fn ms(d: SimDuration) -> f64 {
+pub(crate) fn ms(d: SimDuration) -> f64 {
     d.as_micros() as f64 / 1e3
 }
 
@@ -225,12 +224,9 @@ enum TimerPurpose {
         instance: InstId,
         tag: u64,
     },
-    RamlTick,
     TransferDone,
-    /// Periodic heartbeat emission + suspicion evaluation.
-    DetectorTick,
-    /// Periodic resource-negotiation round (see [`negotiate_driver`]).
-    NegotiateTick,
+    /// The meta-level's periodic tick (see [`crate::meta`]).
+    MetaTick,
 }
 
 const _: () = {
@@ -239,26 +235,6 @@ const _: () = {
     assert!(std::mem::size_of::<TimerPurpose>() <= 16);
 };
 
-/// One watched node: its heartbeat channel to the monitor node and its
-/// `detector.phi.<node>` gauge (in a twin fork, one gauge no registry
-/// names, shared by every watched node).
-#[derive(Debug)]
-struct Watched {
-    node: NodeId,
-    channel: ChannelId,
-    phi: Gauge,
-}
-
-/// The failure detector plus its heartbeat transport and gauges, resolved
-/// once when the detector is enabled (or forked into a twin, whose gauges
-/// are its own).
-#[derive(Debug)]
-struct DetectorRt {
-    detector: FailureDetector,
-    /// Ascending by node id.
-    watched: Vec<Watched>,
-    suspected: Gauge,
-}
 /// The component runtime.
 ///
 /// # Examples
@@ -323,17 +299,15 @@ pub struct Runtime {
     pending_connector_swaps: BTreeMap<ConnId, ConnectorSpec>,
     /// Transactional plan-execution state (see [`exec`]).
     exec: ExecState,
-    raml: Option<Raml>,
-    detector: Option<DetectorRt>,
-    /// Self-healing state: policy and open incidents (see
-    /// [`heal_driver`]).
-    heal: HealState,
-    /// Digital-twin plan verification state (see [`twin`]).
-    twin: TwinState,
-    /// Resource-negotiation control plane state (see [`negotiate_driver`]).
-    negotiate: NegotiateState,
-    /// Adaptation-state-space odometer (see [`crate::coverage`]).
-    coverage: AdaptationCoverage,
+    /// The admission gate the negotiator throttles.
+    gate: Gate,
+    /// Whether a node crash kills its hosted instances (fail-stop).
+    fail_stop: bool,
+    /// The meta-level, taken out while [`Runtime::meta_call`] runs it.
+    meta: Option<MetaLevel>,
+    /// The timer slot of the one meta tick that counts; an earlier one
+    /// that has not fired yet fires for nothing.
+    meta_tick: Option<u32>,
     /// What RAML's `Notify` intercessions asked to hand the embedder,
     /// until [`Runtime::drain_events`] takes it.
     notifications: Vec<(SimTime, String)>,
@@ -380,12 +354,10 @@ impl Runtime {
             next_connector_id: 1,
             pending_connector_swaps: BTreeMap::new(),
             exec: ExecState::default(),
-            raml: None,
-            detector: None,
-            heal: HealState::default(),
-            twin: TwinState::default(),
-            negotiate: NegotiateState::default(),
-            coverage: AdaptationCoverage::new(),
+            gate: Gate::default(),
+            fail_stop: false,
+            meta: Some(MetaLevel::new(&obs)),
+            meta_tick: None,
             notifications: Vec::new(),
             outbox: Vec::new(),
             obs,
@@ -464,10 +436,11 @@ impl Runtime {
         Ok(())
     }
 
-    /// Schedules `purpose` for `delay` from now.
-    fn arm(&mut self, delay: SimDuration, purpose: TimerPurpose) {
+    /// Schedules `purpose` for `delay` from now; returns the timer's slot.
+    fn arm(&mut self, delay: SimDuration, purpose: TimerPurpose) -> u32 {
         let tag = self.timers.insert(purpose);
         self.kernel.set_timer_with_tag(delay, u64::from(tag));
+        tag
     }
 
     /// Schedules the one timer of the stored message `r`; what it means
@@ -497,11 +470,7 @@ impl Runtime {
         let (at, fired) = self.kernel.step()?;
         match fired {
             Fired::Delivered { msg, .. } => match msg.as_heartbeat() {
-                Some(node) => {
-                    if let Some(drt) = self.detector.as_mut() {
-                        drt.detector.record_heartbeat(node, at);
-                    }
-                }
+                Some(node) => self.meta_mut().heartbeat(node, at),
                 None => self.on_delivered(msg),
             },
             Fired::Timer { tag } => self.on_timer(tag, at),
@@ -554,10 +523,13 @@ impl Runtime {
                     self.apply_effects(instance, effects, None, now);
                 }
             }
-            TimerPurpose::RamlTick => self.on_raml_tick(now),
             TimerPurpose::TransferDone => self.advance_reconfig(),
-            TimerPurpose::DetectorTick => self.on_detector_tick(now),
-            TimerPurpose::NegotiateTick => self.on_negotiate_tick(now),
+            TimerPurpose::MetaTick => {
+                if self.meta_tick == Some(tag) {
+                    self.meta_tick = None;
+                    self.meta_call(|meta, door| meta.on_tick(door, now));
+                }
+            }
         }
     }
 
@@ -573,6 +545,66 @@ impl Runtime {
             // nothing refer to the slot any more.
             None => self.arena.free(r),
             Some(Stage::Transit) => unreachable!("a message in transit has no timer"),
+        }
+    }
+
+    /// A node crashed or came back. A crash opens (or extends) the
+    /// node's incident, cancels the handler jobs queued there and, under
+    /// fail-stop, kills its instances; a return lets the heal loop plan
+    /// what the outage left to repair.
+    fn on_topology_fault(&mut self, kind: FaultKind, now: SimTime) {
+        match kind {
+            FaultKind::NodeCrash(node) => {
+                self.meta_mut().heal.crashed(node, now);
+                self.cancel_jobs_on(node, now);
+                if self.fail_stop {
+                    for inst in self.instances.values_mut() {
+                        if inst.node == node && inst.lifecycle == Lifecycle::Active {
+                            inst.lifecycle = Lifecycle::Failed;
+                        }
+                    }
+                }
+            }
+            FaultKind::NodeRecover(node) => {
+                self.meta_call(|meta, door| meta.recovered(door, node, now));
+            }
+            FaultKind::LinkDown(_) | FaultKind::LinkUp(_) => {}
+        }
+    }
+
+    /// Handler jobs queued on a crashing node are cancelled here, each
+    /// one counted, with an audit entry per affected instance.
+    fn cancel_jobs_on(&mut self, node: NodeId, now: SimTime) {
+        let instances = &mut self.instances;
+        let mut lost: BTreeMap<Name, u64> = BTreeMap::new();
+        self.arena
+            .cancel_in_service(|env| match instances.get_mut(env.to) {
+                Some(inst) if inst.node == node => {
+                    inst.inflight = inst.inflight.saturating_sub(1);
+                    *lost.entry(inst.name.clone()).or_insert(0) += 1;
+                    true
+                }
+                _ => false,
+            });
+        let mut drained = false;
+        for (instance, count) in &lost {
+            self.m.dropped.add(*count);
+            self.m.dropped_on_crash.add(*count);
+            let dropped = AuditEvent::DroppedOnCrash {
+                instance: instance.clone(),
+                jobs: *count,
+                node: node.0,
+            };
+            self.obs.audit.append(now.as_micros(), dropped);
+            if let Some(inst) = self.instances.by_name_mut(instance) {
+                if inst.lifecycle == Lifecycle::Quiescing && inst.inflight == 0 {
+                    inst.lifecycle = Lifecycle::Quiescent;
+                    drained = true;
+                }
+            }
+        }
+        if drained {
+            self.advance_reconfig();
         }
     }
 
@@ -611,8 +643,8 @@ impl Runtime {
             dropped_on_crash: self.m.dropped_on_crash.get(),
             retries: self.m.retries.get(),
             shed: self.m.shed.get(),
-            mttd_ms: self.m.mttd.snapshot(),
-            mttr_ms: self.m.mttr.snapshot(),
+            mttd_ms: self.meta().mttd.snapshot(),
+            mttr_ms: self.meta().mttr.snapshot(),
         }
     }
 
@@ -658,13 +690,19 @@ impl Runtime {
         self.kernel.counters()
     }
 
-    /// The adaptation-state-space odometer: every (detector-phase ×
-    /// repair-policy × plan-outcome) cell the detect→plan→repair loop has
-    /// visited so far. Harnesses clone and merge these across runs to
-    /// report coverage of [`crate::coverage::reachable_cells`].
+    /// Messages the admission gate has shed so far.
     #[must_use]
-    pub fn adaptation_coverage(&self) -> &AdaptationCoverage {
-        &self.coverage
+    pub fn shed_total(&self) -> u64 {
+        self.m.shed.get()
+    }
+
+    /// Switches fail-stop semantics on or off (default: off). Under
+    /// fail-stop, a node crash kills its hosted component instances —
+    /// they enter [`Lifecycle::Failed`] and discard deliveries until a
+    /// repair plan reinstates or relocates them. Without it, a crash
+    /// merely pauses the node and instances resume with it.
+    pub fn set_fail_stop(&mut self, on: bool) {
+        self.fail_stop = on;
     }
 
     /// Lifecycle of an instance, if it exists.

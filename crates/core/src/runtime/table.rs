@@ -18,7 +18,7 @@ use crate::message::Name;
 use std::collections::BTreeMap;
 
 /// A dense table id: an index into one table's slots.
-pub(super) trait SlotId: Copy {
+pub(crate) trait SlotId: Copy {
     fn from_index(index: usize) -> Self;
     fn index(self) -> usize;
 }
@@ -27,7 +27,7 @@ macro_rules! slot_id {
     ($(#[$doc:meta])* $name:ident) => {
         $(#[$doc])*
         #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-        pub(super) struct $name(u32);
+        pub(crate) struct $name(u32);
 
         impl SlotId for $name {
             fn from_index(index: usize) -> Self {

@@ -4,7 +4,7 @@ use crate::connector::{ConnectorAspect, RoutingPolicy};
 use crate::error::ComponentError;
 use crate::interface::{Interface, Signature};
 use crate::message::Value;
-use crate::raml::{Cmp, Constraint, Metric, Rule, RuleMonitor, TemporalOp};
+use crate::raml::{Cmp, Constraint, Intercession, Metric, Raml, Rule, RuleMonitor, TemporalOp};
 
 /// Counts `tick` messages and replies with the running count.
 #[derive(Debug, Default)]
@@ -1161,9 +1161,10 @@ fn situational_model_oracle(rt: &mut Runtime, config: &NegotiateConfig) -> Situa
     let mut model = SituationalModel::empty(now);
     let dt = config.interval.as_secs_f64().max(1e-9);
     let mut offered_total = 0u64;
+    let meta = rt.meta.as_mut().expect("in place");
     for (id, inst) in rt.instances.iter() {
-        let agent = rt.negotiate.agent(id);
-        let arrivals = agent.offered.saturating_sub(agent.offered_last);
+        let offered_last = meta.negotiate.agent(id).offered_last;
+        let arrivals = rt.gate.offered(id).saturating_sub(offered_last);
         offered_total += arrivals;
         model.agents.insert(
             inst.name.to_string(),
@@ -1184,12 +1185,12 @@ fn situational_model_oracle(rt: &mut Runtime, config: &NegotiateConfig) -> Situa
         if up {
             capacity_units += effective_capacity;
         }
-        let suspicion = rt
+        let suspicion = meta
             .detector
             .as_ref()
             .map_or(0.0, |d| d.detector.phi(n.id(), now));
         let cumulative = n.utilization(now);
-        let last = rt
+        let last = meta
             .negotiate
             .node_busy_last
             .insert(n.id().0, (now_s, cumulative));
@@ -1267,13 +1268,13 @@ fn assert_model_equals_oracle_before_every_tick(
     while let Some(at) = rt.kernel.next_event_time().filter(|t| *t <= end) {
         let next_tick = SimTime::ZERO + config.interval * (rt.negotiation_rounds() + 1);
         if at >= next_tick && checked == rt.negotiation_rounds() {
-            let busy_last = rt.negotiate.node_busy_last.clone();
+            let busy_last = rt.meta().negotiate.node_busy_last.clone();
             let expected = situational_model_oracle(&mut rt, config);
-            rt.negotiate.node_busy_last = busy_last.clone();
-            rt.refresh_model(config);
-            let model = &rt.negotiate.model;
+            rt.meta_mut().negotiate.node_busy_last = busy_last.clone();
+            rt.meta_call(|meta, door| meta.refresh_model(door.view(), config));
+            let model = &rt.meta().negotiate.model;
             assert_eq!(model, &expected, "round {checked} at {}", rt.now());
-            rt.negotiate.node_busy_last = busy_last;
+            rt.meta_mut().negotiate.node_busy_last = busy_last;
             if let Some(i) = plans.iter().position(|(round, _)| *round == checked) {
                 rt.request_reconfig(plans.remove(i).1);
             }
@@ -1310,6 +1311,7 @@ fn the_kept_model_drops_an_instance_that_leaves_and_adds_one_that_arrives() {
     let rt = assert_model_equals_oracle_before_every_tick(rt, &config, plans);
     assert!(rt.reports().iter().all(|r| r.success));
     let agents: Vec<&str> = rt
+        .meta()
         .negotiate
         .model
         .agents
@@ -1334,11 +1336,12 @@ fn actuation(fork: &mut Runtime, id: InstId) -> Throttle {
     let mut admitted = 0;
     let mut scale = f64::NAN;
     for _ in 0..1000 {
-        let (s, admit) = fork.negotiate.admit(id);
+        let (s, admit) = fork.gate.admit(id);
         admitted += u32::from(admit);
         scale = s;
     }
-    (admitted, scale, fork.negotiate_retry_cap(id))
+    let cap = fork.gate.retry_cap(id);
+    (admitted, scale, (cap != u32::MAX).then_some(cap))
 }
 
 /// Every grant and deny is acted on as DESIGN §2.10 says, checked on a
@@ -1408,5 +1411,174 @@ fn every_round_actuates_its_grants_and_denials_as_arbitrated() {
         (granted, denied, kept, skipped),
         (39, 12, 15, 3),
         "grants, denials, zero-demand grants checked; rounds a plan kept unforked"
+    );
+}
+
+// ------------------------------------------------------------------
+// The meta tick
+// ------------------------------------------------------------------
+
+use aas_obs::{AuditEntry, AuditKind, RepairBy};
+
+/// Installing RAML again replaces it: two installs at t = 0 with a
+/// 100 ms period evaluate ten times in a second, not twenty.
+#[test]
+fn raml_installed_twice_evaluates_ten_times_a_second() {
+    let mut rt = counter_runtime();
+    for _ in 0..2 {
+        rt.install_raml(Raml::new(SimDuration::from_millis(100)));
+    }
+    rt.run_until(SimTime::from_secs(1));
+    assert_eq!(rt.raml().unwrap().snapshots_taken(), 10);
+}
+
+/// Enabling the detector again replaces it: ten ticks in a second, each
+/// sending one heartbeat a watched node, over the channels the first
+/// enabling opened.
+#[test]
+fn a_detector_enabled_twice_ticks_ten_times_a_second_on_one_set_of_channels() {
+    let config = DetectorConfig::new(SimDuration::from_millis(100), 3.0, NodeId(0));
+    let probe = |enables: usize| {
+        let mut rt = runtime(3);
+        for _ in 0..enables {
+            rt.enable_failure_detector(config);
+        }
+        rt.run_until(SimTime::from_secs(1));
+        let ticks = rt
+            .obs()
+            .metrics
+            .histogram("detector.phi")
+            .snapshot()
+            .count();
+        let heartbeats = rt.kernel_counters().get("sent");
+        (
+            ticks,
+            heartbeats,
+            rt.kernel.open_channel(NodeId(1), NodeId(0)),
+        )
+    };
+    let (ticks, heartbeats, next_channel) = probe(2);
+    assert_eq!((ticks, heartbeats), (10, 20));
+    assert_eq!(
+        next_channel,
+        probe(1).2,
+        "no second set of heartbeat channels"
+    );
+}
+
+/// Enabling negotiation again replaces it: ten rounds in a second.
+#[test]
+fn negotiation_enabled_twice_runs_ten_rounds_a_second() {
+    let mut rt = counter_runtime();
+    for _ in 0..2 {
+        rt.enable_negotiation(NegotiateConfig::default());
+    }
+    rt.run_until(SimTime::from_secs(1));
+    assert_eq!(rt.negotiation_rounds(), 10);
+}
+
+/// The records of `rt`'s audit log, owned.
+fn audit_entries(rt: &Runtime) -> Vec<AuditEntry> {
+    rt.obs().audit.entries().iter().collect()
+}
+
+/// At an instant the detector and a negotiation round share, the
+/// detector's records come before the round's, whichever loop was
+/// enabled first: negotiation is enabled first here.
+#[test]
+fn at_a_shared_instant_the_detector_is_audited_before_the_negotiation_round() {
+    let (mut rt, _) = overload_run(CoordinationMode::Negotiated, false);
+    rt.set_fail_stop(true);
+    rt.set_repair_policy(RepairPolicy::FailoverMigrate);
+    rt.enable_negotiation(NegotiateConfig {
+        interval: SimDuration::from_millis(50),
+        migrate_above: 0.9,
+        ..NegotiateConfig::default()
+    });
+    rt.enable_failure_detector(DetectorConfig::new(
+        SimDuration::from_millis(50),
+        2.0,
+        NodeId(0),
+    ));
+    node_outage(&mut rt, 1, 800, 1400);
+    rt.run_until(SimTime::from_millis(2_500));
+    let detector =
+        |k: AuditKind| matches!(k, AuditKind::FailureSuspected | AuditKind::FailureCleared);
+    let round = |k: AuditKind| k.label().starts_with("budget_");
+    let entries = audit_entries(&rt);
+    let mut shared = 0;
+    for e in entries.iter().filter(|e| detector(e.event.kind())) {
+        let same = entries.iter().filter(|o| o.at_us == e.at_us);
+        let rounds: Vec<u64> = same
+            .filter(|o| round(o.event.kind()))
+            .map(|o| o.seq)
+            .collect();
+        shared += usize::from(!rounds.is_empty());
+        assert!(
+            rounds.iter().all(|&seq| seq > e.seq),
+            "{} at {} µs after a budget record",
+            e.event.kind().label(),
+            e.at_us
+        );
+    }
+    assert!(
+        shared >= 2,
+        "suspicion and clearance each share an instant with a round"
+    );
+}
+
+/// A repair planned at a tick is audited after that tick's RAML
+/// intercessions, whichever loop was enabled first: the detector is
+/// enabled first here. RAML's one rule files a plan the validator refuses
+/// at every tick, so each tick's RAML plan is numbered just before that
+/// tick's repair.
+#[test]
+fn a_repair_is_planned_after_the_ticks_raml_intercessions() {
+    let mut rt = counter_runtime();
+    rt.set_fail_stop(true);
+    rt.set_repair_policy(RepairPolicy::FailoverMigrate);
+    rt.enable_failure_detector(DetectorConfig::new(
+        SimDuration::from_millis(50),
+        2.0,
+        NodeId(1),
+    ));
+    let mut raml = Raml::new(SimDuration::from_millis(50));
+    let ghost = ReconfigAction::Migrate {
+        name: "ghost".into(),
+        to: NodeId(1),
+    };
+    raml.add_rule(Rule::new(
+        "every-tick",
+        Metric::Utilization(NodeId(1)),
+        RuleMonitor::new(TemporalOp::Implies, Cmp::Ge, 0.0),
+        Intercession::Reconfigure(ReconfigPlan::single(ghost)),
+        SimDuration::ZERO,
+    ));
+    rt.install_raml(raml);
+    node_outage(&mut rt, 0, 500, 5_000);
+    rt.run_until(SimTime::from_secs(2));
+    let entries = audit_entries(&rt);
+    let (at_us, repair) = entries
+        .iter()
+        .find_map(|e| match e.event {
+            AuditEvent::RepairPlanned {
+                by: RepairBy::Plan { id, .. },
+                ..
+            } => Some((e.at_us, id)),
+            _ => None,
+        })
+        .expect("the counter's host crashed and failover planned");
+    let submitted: Vec<u64> = entries
+        .iter()
+        .filter(|e| e.at_us == at_us)
+        .filter_map(|e| match e.event {
+            AuditEvent::PlanSubmitted { plan, .. } => Some(plan),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        submitted,
+        [repair - 1, repair],
+        "RAML's plan, then the repair"
     );
 }

@@ -14,7 +14,9 @@
 //! holds one slot, and a warm one allocates what its report and audit
 //! records keep, a transfer's state snapshot and a swap's replacement. The negotiator keeps its model, requests, scratch and
 //! outcome across rounds, so a warm round allocates nothing beyond the
-//! audit chunks its records open.
+//! audit chunks its records open. The meta tick reads the runtime in
+//! place, so a warm detector tick without suspicions and a warm RAML tick
+//! whose rules do not fire allocate nothing.
 
 #[path = "../../sim/tests/support/counting_alloc.rs"]
 mod counting_alloc;
@@ -25,9 +27,11 @@ use counting_alloc::{enroll, measured, measured_heap, unenroll, HeapDelta, GATE}
 
 use aas_core::component::{CallCtx, Component, StateSnapshot};
 use aas_core::connector::{ConnectorAspect, ConnectorSpec};
+use aas_core::detector::DetectorConfig;
 use aas_core::error::{ComponentError, StateError};
 use aas_core::interface::Interface;
 use aas_core::message::{Message, Name};
+use aas_core::raml::{Cmp, Constraint, Intercession, Metric, Raml, Rule, RuleMonitor, TemporalOp};
 use aas_core::reconfig::{ReconfigAction, ReconfigPlan, StateTransfer};
 use aas_core::registry::{ImplementationRegistry, Props};
 use aas_core::runtime::{NegotiateConfig, Runtime};
@@ -621,4 +625,58 @@ fn a_warm_plan_allocates_only_what_its_report_and_audit_keep() {
     );
     // The refusal text; the error's copy of the unknown name.
     assert_eq!(refused, (1 + 1, 1), "refused plan: (allocations, kept)");
+}
+
+/// `dispatch_allocs.rs`'s pipelines with no source started, the meta tick
+/// armed by `enable` and two virtual seconds run: what is left to run is
+/// the meta tick and the heartbeats it sends.
+fn warm_idle(enable: impl FnOnce(&mut Runtime)) -> Runtime {
+    let mut rt = media_pipelines::deploy_idle(8);
+    enable(&mut rt);
+    rt.run_for(SimDuration::from_millis(2_000));
+    rt
+}
+
+/// A warm detector tick that neither suspects nor clears anyone sends
+/// its heartbeats, evaluates and books its quiet tick without allocating:
+/// ten ticks and their heartbeats allocate nothing.
+#[test]
+fn a_warm_detector_tick_without_detector_events_allocates_nothing() {
+    let mut rt = warm_idle(|rt| {
+        let config = DetectorConfig::new(SimDuration::from_millis(100), 3.0, NodeId(0));
+        rt.enable_failure_detector(config);
+    });
+    let suspected = rt.obs().audit.len();
+    let ((), allocs) = allocs_of(|| rt.run_for(SimDuration::from_secs(1)));
+    assert_eq!(rt.obs().audit.len(), suspected, "no detector event");
+    assert_eq!(allocs, 0, "ten warm detector ticks");
+}
+
+/// A warm RAML tick whose constraint holds and whose rule does not fire
+/// reads its metrics off the runtime in place, with no snapshot: ten
+/// ticks allocate nothing. (Each tick built an `observe()` snapshot, four
+/// allocations, before RAML read the view.)
+#[test]
+fn a_warm_raml_tick_with_no_rule_firing_allocates_nothing() {
+    let mut rt = warm_idle(|rt| {
+        let mut raml = Raml::new(SimDuration::from_millis(100));
+        raml.add_constraint(Constraint::MaxMeanLatencyMs {
+            component: "tc0".into(),
+            limit_ms: 1e9,
+        });
+        raml.add_rule(Rule::new(
+            "never",
+            Metric::Utilization(NodeId(1)),
+            RuleMonitor::new(TemporalOp::Implies, Cmp::Gt, 2.0),
+            Intercession::Notify("overloaded".into()),
+            SimDuration::ZERO,
+        ));
+        rt.install_raml(raml);
+    });
+    let ((), allocs) = allocs_of(|| rt.run_for(SimDuration::from_secs(1)));
+    let raml = rt.raml().expect("installed");
+    assert_eq!(raml.snapshots_taken(), 30, "ten ticks measured");
+    assert_eq!(raml.rules()[0].fired_count(), 0);
+    assert!(raml.violations().is_empty());
+    assert_eq!(allocs, 0, "ten warm RAML ticks");
 }
