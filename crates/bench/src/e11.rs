@@ -86,9 +86,11 @@ fn pipelines_64() -> Runtime {
     rt
 }
 
-/// Prices every observation primitive. The unit test holds the medians
-/// of `counter.incr` and `gauge.set` to [`BUDGET_NS`] (a host-clock
-/// verdict is not an exact value, so the table does not record one).
+/// Prices every observation primitive. The budget is the table's title,
+/// not a verdict: a host-clock figure moves with the host's load, so
+/// neither the table nor a test asserts it. What a host cannot move,
+/// that a warm `counter.incr`, `gauge.set` and `histogram.observe`
+/// allocate nothing, `tests/e11_allocs.rs` holds.
 #[must_use]
 pub fn run(tier: Tier) -> Table {
     let mut table = Table::new(
@@ -143,29 +145,4 @@ pub fn run(tier: Tier) -> Table {
     );
 
     table
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::table::Value;
-
-    #[test]
-    fn per_message_primitives_are_within_budget() {
-        let table = run(Tier::Smoke);
-        // The three per-message primitives; the read rows after them are
-        // the meta level's cost per tick, not the message path's.
-        for row in table.rows.iter().take(3) {
-            let Value::Timed(ns) = &row[2] else {
-                panic!("ns/call is timed")
-            };
-            let ns = ns.quartiles().1;
-            let limit = if row[0] == ex("histogram.observe") {
-                1_000.0
-            } else {
-                BUDGET_NS
-            };
-            assert!(ns <= limit, "{}: {ns:.1} ns, limit {limit} ns", row[0]);
-        }
-    }
 }

@@ -5,13 +5,16 @@
 //! induces a low overload", modelled "using first order automata, which
 //! defines the states of collaboration", and generated by a
 //! "connector-factory … according to the description of elementary services
-//! and aspects that are selected for a specific collaboration".
+//! and aspects that are selected for a specific collaboration": here the
+//! [`ConnectorSpec::direct`] builder, whose `with_*` steps select the
+//! routing policy, the aspects and the protocol.
 //!
 //! A [`Connector`] mediates every message that crosses it: it enforces an
 //! optional LTS protocol, applies an aspect chain (logging, metering,
 //! encryption, compression, sequencing), and routes to one or more targets
 //! according to its [`RoutingPolicy`]. Connectors can be interchanged at
-//! run time without touching the components they glue.
+//! run time without touching the components they glue, at a final state
+//! of their protocol.
 
 use crate::lts::{Label, Lts, LtsRunner, ProtocolViolation};
 use crate::message::{Message, Name};
@@ -271,11 +274,13 @@ impl Connector {
         &self.stats
     }
 
-    /// Whether the connector's protocol (if any) is at a final state —
-    /// i.e. the collaboration is at a safe interchange point.
+    /// The state its protocol's runner is in, if that is not a final one.
+    /// `None` means the collaboration is at a safe interchange point, as a
+    /// connector without a protocol always is.
     #[must_use]
-    pub fn at_quiescent_point(&self) -> bool {
-        self.runner.as_ref().is_none_or(LtsRunner::at_final)
+    pub fn mid_collaboration(&self) -> Option<&str> {
+        let runner = self.runner.as_ref().filter(|r| !r.at_final());
+        runner.map(LtsRunner::current_state)
     }
 
     /// Whether the aspect chain includes [`ConnectorAspect::SequenceCheck`].
@@ -289,8 +294,9 @@ impl Connector {
 
     /// Feeds one message's sequence number on `flow` — the ids of its
     /// sender and receiver — to the sequence-check aspect. The runtime
-    /// calls this when it stamps the message at send time, right after
-    /// drawing `seq` from its own per-flow counter. The first number seen
+    /// calls this as the message is handed to its receiver, where the
+    /// receiver's own tracker sees it, so a loss or a reordering on the
+    /// way shows here too. The first number seen
     /// on a flow is its start: a connector put in mid-stream joins flows
     /// whose counters are already running. After that, a jump forward
     /// counts the numbers it skipped and a number at or before one seen
@@ -343,8 +349,8 @@ impl Connector {
                     size_factor *= ratio;
                     extra_cost += cost;
                 }
-                // Sequence checking happens after routing, when the final
-                // per-flow sequence number is known; see `observe_sequence`.
+                // Sequence checking happens at delivery; see
+                // `observe_sequence`.
                 ConnectorAspect::SequenceCheck => {}
             }
         }
@@ -364,93 +370,6 @@ impl Connector {
             size_factor,
             targets,
             violation,
-        }
-    }
-}
-
-/// Generates connectors from service and aspect descriptions — the paper's
-/// "connector-factory".
-///
-/// # Examples
-///
-/// ```
-/// use aas_core::connector::{ConnectorAspect, ConnectorFactory};
-///
-/// let spec = ConnectorFactory::new()
-///     .service("media-transfer")
-///     .aspect(ConnectorAspect::Compression { ratio: 0.5, cost: 0.2 })
-///     .aspect(ConnectorAspect::Metering)
-///     .generate();
-/// assert_eq!(spec.aspects.len(), 2);
-/// assert!(spec.name.contains("media-transfer"));
-/// ```
-#[derive(Debug, Default)]
-pub struct ConnectorFactory {
-    service: String,
-    aspects: Vec<ConnectorAspect>,
-    policy: RoutingPolicy,
-    request_reply: bool,
-}
-
-impl ConnectorFactory {
-    /// A fresh factory.
-    #[must_use]
-    pub fn new() -> Self {
-        ConnectorFactory::default()
-    }
-
-    /// Names the elementary service this connector glues.
-    #[must_use]
-    pub fn service(mut self, name: impl Into<String>) -> Self {
-        self.service = name.into();
-        self
-    }
-
-    /// Selects an aspect for the collaboration.
-    #[must_use]
-    pub fn aspect(mut self, aspect: ConnectorAspect) -> Self {
-        self.aspects.push(aspect);
-        self
-    }
-
-    /// Sets the routing policy.
-    #[must_use]
-    pub fn policy(mut self, policy: RoutingPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Generates a request/reply collaboration protocol for the connector.
-    #[must_use]
-    pub fn request_reply(mut self) -> Self {
-        self.request_reply = true;
-        self
-    }
-
-    /// Produces the connector spec.
-    #[must_use]
-    pub fn generate(self) -> ConnectorSpec {
-        let protocol = if self.request_reply {
-            let mut lts = Lts::new(format!("{}-proto", self.service));
-            let idle = lts.add_state("idle");
-            let busy = lts.add_state("busy");
-            lts.set_initial(idle);
-            lts.mark_final(idle);
-            lts.add_transition(idle, Label::recv("request"), busy);
-            lts.add_transition(busy, Label::recv("request.reply"), idle);
-            Some(lts)
-        } else {
-            None
-        };
-        // Each aspect makes the generated glue slightly heavier.
-        let base_cost = 0.01 + 0.005 * self.aspects.len() as f64;
-        ConnectorSpec {
-            name: format!("{}-connector", self.service),
-            policy: self.policy,
-            aspects: self.aspects,
-            protocol,
-            base_cost,
-            retry: None,
         }
     }
 }
@@ -569,12 +488,18 @@ mod tests {
 
     #[test]
     fn protocol_violation_is_surfaced_not_fatal() {
-        let spec = ConnectorFactory::new()
-            .service("svc")
-            .request_reply()
-            .generate();
-        let mut c = Connector::new(ConnectorId(0), spec);
-        assert!(c.at_quiescent_point());
+        let mut lts = Lts::new("svc-proto");
+        let idle = lts.add_state("idle");
+        let busy = lts.add_state("busy");
+        lts.set_initial(idle);
+        lts.mark_final(idle);
+        lts.add_transition(idle, Label::recv("request"), busy);
+        lts.add_transition(busy, Label::recv("request.reply"), idle);
+        let mut c = Connector::new(
+            ConnectorId(0),
+            ConnectorSpec::direct("svc").with_protocol(lts),
+        );
+        assert_eq!(c.mid_collaboration(), None);
         // Reply before request: violation.
         let m = c.mediate(&msg("request.reply", 0, "a"), SimTime::ZERO, 1);
         assert!(m.violation.is_some());
@@ -582,18 +507,7 @@ mod tests {
         // Proper request now steps the automaton.
         let m2 = c.mediate(&msg("request", 1, "a"), SimTime::ZERO, 1);
         assert!(m2.violation.is_none());
-        assert!(!c.at_quiescent_point());
-    }
-
-    #[test]
-    fn factory_cost_grows_with_aspects() {
-        let bare = ConnectorFactory::new().service("s").generate();
-        let loaded = ConnectorFactory::new()
-            .service("s")
-            .aspect(ConnectorAspect::Logging)
-            .aspect(ConnectorAspect::Metering)
-            .generate();
-        assert!(loaded.base_cost > bare.base_cost);
+        assert_eq!(c.mid_collaboration(), Some("busy"));
     }
 
     #[test]

@@ -173,8 +173,12 @@ impl AdaptationCoverage {
 ///   its submitted plans complete or fail;
 /// - `failover` plans immediately (no deferral — it does not wait for the
 ///   suspect), observes empty hosts, completes or fails;
-/// - `degrade` swaps a connector unconditionally, so it always plans and
-///   completes synchronously: it can neither defer, fail, nor observe;
+/// - `degrade` swaps a connector synchronously, so it plans and completes
+///   at once and can neither defer nor observe. A swap the runtime refuses
+///   (a backup connector that does not exist, a protocol that deadlocks
+///   with a bound target, a connector mid-collaboration) books
+///   `suspected/degrade/failed`, which this model leaves out: no harness
+///   that measures coverage configures such a backup;
 /// - `negotiate` is the resource-negotiation control plane (DESIGN.md
 ///   §2.10): a tick with grants but no structural action observes
 ///   (`steady/negotiate/observed`), a migration request compiled into a

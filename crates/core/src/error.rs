@@ -50,8 +50,8 @@ pub enum RuntimeError {
         /// Human-readable reason.
         reason: String,
     },
-    /// A binding was rejected because the participants' protocols can
-    /// deadlock (Wright-style composition-correctness check).
+    /// A bind or swap was rejected because the participants' protocols
+    /// can deadlock (Wright-style composition-correctness check).
     IncompatibleProtocols {
         /// The connector involved.
         connector: String,
@@ -59,6 +59,14 @@ pub enum RuntimeError {
         component: String,
         /// The joint deadlock states found.
         deadlocks: Vec<String>,
+    },
+    /// A connector swap was refused because the connector's collaboration
+    /// automaton is between final states, mid-round.
+    MidCollaboration {
+        /// The connector.
+        connector: String,
+        /// The state its automaton is in.
+        state: String,
     },
     /// A reconfiguration action failed while it was being applied; the
     /// plan was rolled back.
@@ -103,6 +111,12 @@ impl fmt::Display for RuntimeError {
                 write!(
                     f,
                     "incompatible protocols between connector `{connector}` and `{component}`"
+                )
+            }
+            RuntimeError::MidCollaboration { connector, state } => {
+                write!(
+                    f,
+                    "connector `{connector}` is mid-collaboration in state `{state}`"
                 )
             }
             RuntimeError::ReconfigFailed { action, reason } => {

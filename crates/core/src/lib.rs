@@ -18,7 +18,7 @@
 //!   analysis (Wright-style interconnection compatibility), plus a runtime
 //!   protocol enforcer.
 //! - [`connector`] — first-class connectors: routing policies, aspect
-//!   chains, collaboration automata, and the connector factory.
+//!   chains, collaboration automata, and the spec builder.
 //! - [`config`] — declarative configurations; diffing two configurations
 //!   yields the reconfiguration plan between them.
 //! - [`reconfig`] — plans, actions (structural / geographical /
@@ -87,9 +87,7 @@ pub mod runtime;
 
 pub use component::{CallCtx, Component, ComponentId, Lifecycle, StateSnapshot};
 pub use config::{BindingDecl, ComponentDecl, Configuration};
-pub use connector::{
-    Connector, ConnectorAspect, ConnectorFactory, ConnectorSpec, RetryPolicy, RoutingPolicy,
-};
+pub use connector::{Connector, ConnectorAspect, ConnectorSpec, RetryPolicy, RoutingPolicy};
 pub use detector::{DetectorConfig, DetectorEvent, FailureDetector};
 pub use error::{ComponentError, RuntimeError, StateError};
 pub use heal::RepairPolicy;

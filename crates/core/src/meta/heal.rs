@@ -185,6 +185,14 @@ impl MetaLevel {
             );
             return;
         }
+        self.repair_failed(node, label);
+    }
+
+    /// Books a repair of `node` by the policy labelled `label` that failed
+    /// — a plan that did not commit, or a connector adaptation refused.
+    /// The node stays queued, and a twin's choice gives way to the static
+    /// policy until the incident closes.
+    pub(super) fn repair_failed(&mut self, node: NodeId, label: &'static str) {
         self.coverage
             .record(DetectPhase::Suspected, label, PlanOutcome::Failed);
         if let Some(incident) = self.heal.incidents.get_mut(&node) {

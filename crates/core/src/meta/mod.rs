@@ -166,7 +166,8 @@ impl MetaLevel {
     /// policy of a [`PlanOrigin::Repair`] — asked for. A plan goes through
     /// the engine under `origin`; a connector adaptation is the
     /// lightweight path: the new connector mediates the very next
-    /// message, so a repair made that way is planned and complete here.
+    /// message, so a repair made that way is planned and complete here,
+    /// or, refused, failed as a repair plan that fails is.
     fn apply(
         &mut self,
         door: &mut Door<'_>,
@@ -178,8 +179,12 @@ impl MetaLevel {
             match cmd {
                 Intercession::Reconfigure(plan) => self.submit(door, plan, origin),
                 Intercession::AdaptConnector { name, spec } => {
-                    door.adapt_connector(&name, spec);
+                    let adapted = door.adapt_connector(&name, spec);
                     if let PlanOrigin::Repair { node, label } = origin {
+                        if adapted.is_err() {
+                            self.repair_failed(node, label);
+                            continue;
+                        }
                         self.note_repair_planned(door, node, label, RepairBy::Connector(name));
                         self.complete_repair(door, None, node, label, &[], now);
                     }

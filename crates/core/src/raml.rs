@@ -234,7 +234,12 @@ pub enum Intercession {
     /// channel blocking, state transfer).
     Reconfigure(ReconfigPlan),
     /// Interchange a connector in place — the lightweight adaptation path:
-    /// no quiescence, no blocking, takes effect on the next message.
+    /// no quiescence, no blocking, takes effect on the next message. The
+    /// swap is refused, and nothing changes, where a plan's
+    /// [`ReconfigAction::SwapConnector`](crate::reconfig::ReconfigAction::SwapConnector)
+    /// would be: the connector is unknown or mid-collaboration, or the new
+    /// protocol deadlocks with a bound target. A refused repair is booked
+    /// as a failed one and planned again at the detector's next instant.
     AdaptConnector {
         /// Connector to replace.
         name: String,

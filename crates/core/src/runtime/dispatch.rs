@@ -203,9 +203,15 @@ impl Runtime {
         };
         inst.inflight = inst.inflight.saturating_sub(1);
 
-        // Channel-preservation accounting (loss/dup/reorder detection).
+        // Channel-preservation accounting (loss/dup/reorder detection), at
+        // the receiver and on the connector's sequence check.
         if env.msg.kind != MessageKind::Reply {
             let _ = inst.tracker.observe(&env.msg.from, env.msg.seq);
+            let conn = env.via.and_then(|via| self.connectors.get_mut(via));
+            if let Some(conn) = conn.filter(|c| c.has_sequence_check()) {
+                let flow = (env.from.index() as u64, to.index() as u64);
+                conn.observe_sequence(flow, env.msg.seq);
+            }
         }
 
         // Latency metrics.
@@ -280,21 +286,6 @@ impl Runtime {
             let r = self.admit(from, to, copy, Some(via), mediation.extra_cost);
             self.send_on(ch, r, size);
         }
-
-        // Deferred connector interchange: apply once the collaboration
-        // automaton reaches a final (quiescent) state.
-        if self.pending_connector_swaps.contains_key(&via) {
-            let quiescent = self
-                .connectors
-                .get(via)
-                .is_some_and(Connector::at_quiescent_point);
-            if quiescent {
-                if let Some(spec) = self.pending_connector_swaps.remove(&via) {
-                    let name = self.connectors.name(via).clone();
-                    let _ = self.adapt_connector(&name, spec);
-                }
-            }
-        }
     }
 
     /// Stores a message headed from `from` to `to` as it is sent.
@@ -323,9 +314,7 @@ impl Runtime {
     /// stored message `r` at the moment it is sent, and registers pending
     /// requests.
     pub(super) fn stamp(&mut self, r: MsgRef) {
-        let Envelope {
-            msg, from, to, via, ..
-        } = &mut self.arena[r];
+        let Envelope { msg, from, to, .. } = &mut self.arena[r];
         msg.id = MessageId(self.next_msg_id);
         self.next_msg_id += 1;
         msg.from = self.instances.name(*from).clone();
@@ -334,12 +323,6 @@ impl Runtime {
             let seq = self.flow_seq.entry((*from, *to)).or_insert(0);
             msg.seq = *seq;
             *seq += 1;
-            if let Some(conn) = via.and_then(|via| self.connectors.get_mut(via)) {
-                if conn.has_sequence_check() {
-                    let flow = (from.index() as u64, to.index() as u64);
-                    conn.observe_sequence(flow, msg.seq);
-                }
-            }
         }
         if msg.kind == MessageKind::Request {
             self.pending_requests.insert(msg.id, msg.sent_at);

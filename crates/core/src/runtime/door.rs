@@ -207,9 +207,14 @@ impl Door<'_> {
         self.rt.exec.reports.push(report);
     }
 
-    /// Interchanges a connector in place: the lightweight path.
-    pub(crate) fn adapt_connector(&mut self, name: &str, spec: ConnectorSpec) {
-        let _ = self.rt.adapt_connector(name, spec);
+    /// Interchanges a connector in place: the lightweight path, refused
+    /// as [`Runtime::adapt_connector`] refuses it.
+    pub(crate) fn adapt_connector(
+        &mut self,
+        name: &str,
+        spec: ConnectorSpec,
+    ) -> Result<(), RuntimeError> {
+        self.rt.adapt_connector(name, spec)
     }
 
     /// Hands `text` to the embedder ([`Runtime::drain_events`]).

@@ -296,7 +296,6 @@ pub struct Runtime {
     pending_requests: BTreeMap<MessageId, SimTime>,
     next_msg_id: u64,
     next_connector_id: u64,
-    pending_connector_swaps: BTreeMap<ConnId, ConnectorSpec>,
     /// Transactional plan-execution state (see [`exec`]).
     exec: ExecState,
     /// The admission gate the negotiator throttles.
@@ -352,7 +351,6 @@ impl Runtime {
             pending_requests: BTreeMap::new(),
             next_msg_id: 1,
             next_connector_id: 1,
-            pending_connector_swaps: BTreeMap::new(),
             exec: ExecState::default(),
             gate: Gate::default(),
             fail_stop: false,

@@ -159,11 +159,18 @@ impl Runtime {
 
     /// Interchanges a connector in place — the **lightweight adaptation
     /// path**: no quiescence, no channel blocking; the new connector
-    /// mediates the very next message. Bindings are preserved.
+    /// mediates the very next message. Bindings are preserved. The swap
+    /// passes the checks of a [`ReconfigAction::SwapConnector`] plan: the
+    /// connector must be at a final state of its collaboration automaton
+    /// (one without a protocol always is), and the new spec's protocol
+    /// must not deadlock with any target it delivers to.
     ///
     /// # Errors
     ///
-    /// Fails if the connector does not exist.
+    /// Fails if the connector does not exist
+    /// ([`RuntimeError::UnknownConnector`]), is mid-collaboration
+    /// ([`RuntimeError::MidCollaboration`]), or the new protocol deadlocks
+    /// with a bound target ([`RuntimeError::IncompatibleProtocols`]).
     pub fn adapt_connector(&mut self, name: &str, spec: ConnectorSpec) -> Result<(), RuntimeError> {
         self.replace_connector(name, spec).map(drop)
     }
@@ -181,47 +188,5 @@ impl Runtime {
         self.next_connector_id += 1;
         let prior = self.connectors.insert(name, Connector::new(id, spec));
         Ok(prior.expect("checked"))
-    }
-
-    /// Interchanges a connector **at its next quiescent point**: if the
-    /// connector's collaboration automaton is mid-interaction (e.g. a
-    /// request awaiting its reply), the swap is deferred until the
-    /// automaton returns to a final state — "connectors are modeled using
-    /// first order automata, which defines the states of collaboration",
-    /// and those states gate safe interchange. Connectors without a
-    /// protocol are always quiescent and swap immediately.
-    ///
-    /// A later pending swap for the same connector replaces an earlier one.
-    /// Returns `true` if the swap applied immediately, `false` if deferred.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the connector does not exist.
-    pub fn adapt_connector_at_quiescence(
-        &mut self,
-        name: &str,
-        spec: ConnectorSpec,
-    ) -> Result<bool, RuntimeError> {
-        Shadow::live(self).swap_connector(name, &spec)?;
-        let id = self.connectors.id(name).expect("checked");
-        if self
-            .connectors
-            .get(id)
-            .expect("id is live")
-            .at_quiescent_point()
-        {
-            self.adapt_connector(name, spec)?;
-            Ok(true)
-        } else {
-            self.pending_connector_swaps.insert(id, spec);
-            Ok(false)
-        }
-    }
-
-    /// Connectors with a deferred interchange waiting for quiescence.
-    pub fn pending_connector_swaps(&self) -> impl Iterator<Item = &str> {
-        self.pending_connector_swaps
-            .keys()
-            .map(|id| self.connectors.name(*id).as_str())
     }
 }

@@ -592,11 +592,9 @@ fn empty_plan_succeeds_immediately() {
     assert_eq!(rt.reports()[0].actions_applied, 0);
 }
 
-#[test]
-fn quiescence_deferred_connector_swap() {
-    // Connector protocol: `frame` then `frame_ack` complete one
-    // collaboration round; between the two the connector is NOT at a
-    // quiescent point and interchange must wait.
+/// `fwd → counter` through `wire`, whose protocol makes two `tick`s one
+/// collaboration round: after one, the connector is mid-round in `busy`.
+fn round_runtime() -> Runtime {
     let mut rt = runtime(2);
     let mut cfg = Configuration::new();
     cfg.component("fwd", ComponentDecl::new("Forwarder", 1, NodeId(0)));
@@ -611,33 +609,97 @@ fn quiescence_deferred_connector_swap() {
     cfg.connector(ConnectorSpec::direct("wire").with_protocol(lts));
     cfg.bind(BindingDecl::new("fwd", "out", "wire", "counter", "in"));
     rt.deploy(&cfg).unwrap();
+    rt
+}
 
-    // One tick: automaton now at `busy` (mid-collaboration).
+#[test]
+fn connector_swap_is_refused_mid_collaboration() {
+    let mut rt = round_runtime();
+    let metering = || ConnectorSpec::direct("wire").with_aspect(ConnectorAspect::Metering);
+
+    // One tick: the automaton is at `busy`, mid-round. Every swap path
+    // refuses, naming the state, and changes nothing.
     rt.inject("fwd", Message::event("tick", Value::Null))
         .unwrap();
     rt.run_until(SimTime::from_secs(1));
-    let deferred = rt
-        .adapt_connector_at_quiescence(
-            "wire",
-            ConnectorSpec::direct("wire").with_aspect(ConnectorAspect::Metering),
+    let mid_round = RuntimeError::MidCollaboration {
+        connector: "wire".into(),
+        state: "busy".into(),
+    };
+    assert_eq!(
+        rt.adapt_connector("wire", metering()),
+        Err(mid_round.clone())
+    );
+    let door = rt.meta_call(|_, door| door.adapt_connector("wire", metering()));
+    assert_eq!(door, Err(mid_round));
+    let graph = rt.graph_fingerprint();
+    rt.request_reconfig(ReconfigPlan::single(ReconfigAction::SwapConnector {
+        name: "wire".into(),
+        spec: metering(),
+    }));
+    let report = rt.reports().last().unwrap();
+    assert_eq!(
+        report.failure.as_deref(),
+        Some(
+            "rejected: swap connector wire: connector `wire` is mid-collaboration in state `busy`"
         )
-        .unwrap();
-    assert!(!deferred, "mid-collaboration: must defer");
-    assert_eq!(rt.pending_connector_swaps().count(), 1);
+    );
+    assert_eq!(rt.graph_fingerprint(), graph);
 
-    // Second tick completes the round; the swap applies right after.
+    // The second tick completes the round: the same call now applies.
     rt.inject("fwd", Message::event("tick", Value::Null))
         .unwrap();
     rt.run_until(SimTime::from_secs(2));
-    assert_eq!(rt.pending_connector_swaps().count(), 0);
+    rt.adapt_connector("wire", metering()).unwrap();
     // The new connector has the metering aspect and fresh stats.
     rt.inject("fwd", Message::event("tick", Value::Null))
         .unwrap();
     rt.run_until(SimTime::from_secs(3));
     let snap = rt.observe();
     assert!(snap.connector("wire").unwrap().mean_metered_latency_ms > 0.0);
+    assert_eq!(snap.connector("wire").unwrap().mediated, 1);
     assert_eq!(snap.component("counter").unwrap().processed, 3);
     assert_eq!(snap.component("counter").unwrap().seq_anomalies, 0);
+    assert!(rt.check_settled().is_empty(), "{:?}", rt.check_settled());
+}
+
+#[test]
+fn a_swap_validated_at_a_final_state_rolls_back_if_applied_mid_round() {
+    let mut rt = round_runtime();
+    let graph = rt.graph_fingerprint();
+    // A busy `counter` holds the plan's migration open; meanwhile a tick
+    // through `wire` starts a round, so the swap meets it mid-round.
+    for _ in 0..30 {
+        rt.inject("counter", Message::request("tick", Value::Null))
+            .unwrap();
+    }
+    let plan: ReconfigPlan = [
+        ReconfigAction::Migrate {
+            name: "counter".into(),
+            to: NodeId(0),
+        },
+        ReconfigAction::SwapConnector {
+            name: "wire".into(),
+            spec: ConnectorSpec::direct("wire"),
+        },
+    ]
+    .into_iter()
+    .collect();
+    rt.request_reconfig(plan);
+    assert!(rt.reconfig_in_progress());
+    rt.inject("fwd", Message::event("tick", Value::Null))
+        .unwrap();
+    rt.run_until(SimTime::from_secs(2));
+
+    let report = rt.reports().last().unwrap();
+    assert_eq!(
+        report.failure.as_deref(),
+        Some("swap connector wire: connector `wire` is mid-collaboration in state `busy`")
+    );
+    assert_eq!(rt.graph_fingerprint(), graph, "rolled back");
+    let rolled_back = rt.obs().audit.of_kind(aas_obs::AuditKind::PlanRolledBack);
+    assert_eq!(rolled_back.len(), 1);
+    assert!(rt.check_settled().is_empty(), "{:?}", rt.check_settled());
 }
 
 #[test]
@@ -649,53 +711,69 @@ fn immediate_swap_when_already_quiescent() {
     cfg.connector(ConnectorSpec::direct("wire")); // no protocol
     cfg.bind(BindingDecl::new("fwd", "out", "wire", "counter", "in"));
     rt.deploy(&cfg).unwrap();
-    let applied = rt
-        .adapt_connector_at_quiescence("wire", ConnectorSpec::direct("wire"))
+    rt.inject("fwd", Message::event("tick", Value::Null))
         .unwrap();
-    assert!(applied, "protocol-free connectors are always quiescent");
+    rt.run_until(SimTime::from_secs(1));
+    // Protocol-free connectors are always at a final state.
+    rt.adapt_connector("wire", ConnectorSpec::direct("wire"))
+        .unwrap();
     assert!(matches!(
-        rt.adapt_connector_at_quiescence("ghost", ConnectorSpec::direct("g")),
+        rt.adapt_connector("ghost", ConnectorSpec::direct("g")),
         Err(RuntimeError::UnknownConnector(_))
     ));
 }
 
-#[test]
-fn bind_rejects_protocol_deadlock() {
-    // A component publishing a protocol that demands `hello` before
-    // serving, bound through a connector whose protocol never offers
-    // it: the composition-correctness check refuses the bind.
-    #[derive(Debug, Default)]
-    struct Picky;
-    impl Component for Picky {
-        fn type_name(&self) -> &str {
-            "Picky"
-        }
-        fn provided(&self) -> &Interface {
-            static OPS: [Signature; 1] = [Signature::one_way("request")];
-            static IFACE: Interface = Interface::fixed("Picky", &OPS);
-            &IFACE
-        }
-        fn on_message(&mut self, _: &mut CallCtx, _: Message) -> Result<(), ComponentError> {
-            Ok(())
-        }
-        fn snapshot(&self) -> StateSnapshot {
-            StateSnapshot::new("Picky", 1)
-        }
-        fn restore(&mut self, _: &StateSnapshot) -> Result<(), crate::error::StateError> {
-            Ok(())
-        }
-        fn protocol(&self) -> Option<crate::lts::Lts> {
-            let mut l = crate::lts::Lts::new("picky");
-            let s0 = l.add_state("hello-first");
-            let s1 = l.add_state("serving");
-            l.set_initial(s0);
-            l.mark_final(s1);
-            l.add_transition(s0, crate::lts::Label::recv("hello"), s1);
-            l.add_transition(s1, crate::lts::Label::recv("request"), s1);
-            // `hello` is also in the connector's alphabet below.
-            Some(l)
-        }
+/// Publishes a protocol that demands `hello` before it serves a
+/// `request`.
+#[derive(Debug, Default)]
+struct Picky;
+
+impl Component for Picky {
+    fn type_name(&self) -> &str {
+        "Picky"
     }
+    fn provided(&self) -> &Interface {
+        static OPS: [Signature; 1] = [Signature::one_way("request")];
+        static IFACE: Interface = Interface::fixed("Picky", &OPS);
+        &IFACE
+    }
+    fn on_message(&mut self, _: &mut CallCtx, _: Message) -> Result<(), ComponentError> {
+        Ok(())
+    }
+    fn snapshot(&self) -> StateSnapshot {
+        StateSnapshot::new("Picky", 1)
+    }
+    fn restore(&mut self, _: &StateSnapshot) -> Result<(), crate::error::StateError> {
+        Ok(())
+    }
+    fn protocol(&self) -> Option<crate::lts::Lts> {
+        let mut l = crate::lts::Lts::new("picky");
+        let s0 = l.add_state("hello-first");
+        let s1 = l.add_state("serving");
+        l.set_initial(s0);
+        l.mark_final(s1);
+        l.add_transition(s0, crate::lts::Label::recv("hello"), s1);
+        l.add_transition(s1, crate::lts::Label::recv("request"), s1);
+        Some(l)
+    }
+}
+
+/// A connector that hands over `request` and `hello`, but can only
+/// deliver `hello` *after* a request was seen: it deadlocks with
+/// [`Picky`] (each waits for the other).
+fn deadlocking(name: &str) -> ConnectorSpec {
+    let mut proto = crate::lts::Lts::new("conn");
+    let c0 = proto.add_state("start");
+    let c1 = proto.add_state("after-request");
+    proto.set_initial(c0);
+    proto.mark_final(c0);
+    proto.add_transition(c0, crate::lts::Label::send("request"), c1);
+    proto.add_transition(c1, crate::lts::Label::send("hello"), c0);
+    ConnectorSpec::direct(name).with_protocol(proto)
+}
+
+/// `fwd` on node 0 and a [`Picky`] on node 1, unbound.
+fn picky_runtime() -> Runtime {
     let mut reg = registry();
     reg.register("Picky", 1, |_| Box::new(Picky));
     let topo = Topology::clique(2, 100.0, SimDuration::from_millis(1), 1e6);
@@ -704,18 +782,13 @@ fn bind_rejects_protocol_deadlock() {
         .unwrap();
     rt.add_component("picky", &ComponentDecl::new("Picky", 1, NodeId(1)))
         .unwrap();
-    // Connector protocol: hands over `request` and `hello`, but can
-    // only deliver `hello` *after* a request was seen — deadlock with
-    // the picky server (each waits for the other).
-    let mut proto = crate::lts::Lts::new("conn");
-    let c0 = proto.add_state("start");
-    let c1 = proto.add_state("after-request");
-    proto.set_initial(c0);
-    proto.mark_final(c0);
-    proto.add_transition(c0, crate::lts::Label::send("request"), c1);
-    proto.add_transition(c1, crate::lts::Label::send("hello"), c0);
-    rt.add_connector(ConnectorSpec::direct("wire").with_protocol(proto))
-        .unwrap();
+    rt
+}
+
+#[test]
+fn bind_rejects_protocol_deadlock() {
+    let mut rt = picky_runtime();
+    rt.add_connector(deadlocking("wire")).unwrap();
     let err = rt
         .add_binding(BindingDecl::new("fwd", "out", "wire", "picky", "in"))
         .unwrap_err();
@@ -732,6 +805,39 @@ fn bind_rejects_protocol_deadlock() {
         .unwrap();
     rt.add_binding(BindingDecl::new("fwd", "out", "wire", "plain", "in"))
         .unwrap();
+}
+
+#[test]
+fn every_connector_swap_path_refuses_what_bind_refuses() {
+    // `fwd → picky` bound through a protocol-free `wire`; then `wire` is
+    // swapped for the connector `bind_rejects_protocol_deadlock` refuses.
+    let mut rt = picky_runtime();
+    rt.add_connector(ConnectorSpec::direct("wire")).unwrap();
+    rt.add_binding(BindingDecl::new("fwd", "out", "wire", "picky", "in"))
+        .unwrap();
+    let refused = |err: RuntimeError| {
+        matches!(err, RuntimeError::IncompatibleProtocols { ref connector, ref component, .. }
+            if connector == "wire" && component == "picky")
+    };
+    let graph = rt.graph_fingerprint();
+
+    assert!(refused(
+        rt.adapt_connector("wire", deadlocking("wire")).unwrap_err()
+    ));
+    let door = rt.meta_call(|_, door| door.adapt_connector("wire", deadlocking("wire")));
+    assert!(refused(door.unwrap_err()));
+    rt.request_reconfig(ReconfigPlan::single(ReconfigAction::SwapConnector {
+        name: "wire".into(),
+        spec: deadlocking("wire"),
+    }));
+    let report = rt.reports().last().unwrap();
+    assert!(!report.success);
+    assert_eq!(
+        report.failure.as_deref(),
+        Some("rejected: swap connector wire: incompatible protocols between connector `wire` and `picky`")
+    );
+    assert_eq!(rt.graph_fingerprint(), graph);
+    assert!(rt.check_settled().is_empty(), "{:?}", rt.check_settled());
 }
 
 #[test]

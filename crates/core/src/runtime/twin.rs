@@ -95,7 +95,6 @@ impl Runtime {
             pending_requests: self.pending_requests.clone(),
             next_msg_id: self.next_msg_id,
             next_connector_id: self.next_connector_id,
-            pending_connector_swaps: self.pending_connector_swaps.clone(),
             exec: self.exec.fork(),
             gate: self.gate.clone(),
             fail_stop: self.fail_stop,

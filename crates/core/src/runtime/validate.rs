@@ -7,8 +7,10 @@
 //! actions added, changed or removed, so validating costs what the plan
 //! is long, not what the graph is large. The rules refuse unknown names,
 //! duplicate additions, interface-incompatible swaps or rebinds,
-//! migration to a down or capacity-exhausted node, and removals of things
-//! still referenced, each with its own [`RuntimeError`].
+//! migration to a down or capacity-exhausted node, removals of things
+//! still referenced, a bind or swap whose connector and component
+//! protocols can deadlock, and a connector swap mid-collaboration, each
+//! with its own [`RuntimeError`].
 //!
 //! Before a [`ReconfigPlan`] blocks a single channel, every action is
 //! checked in order against the plan's shadow; the first refusal rejects
@@ -223,9 +225,11 @@ impl<'a> Shadow<'a> {
     }
 
     /// The rules of [`ReconfigAction::SwapImplementation`]: the component
-    /// exists, the replacement is registered, and it provides at least
-    /// what the current implementation provides. Hands back the
-    /// replacement it instantiated to compare interfaces, built with the
+    /// exists, the replacement is registered, it provides at least what
+    /// the current implementation provides, and its protocol passes the
+    /// [protocol gate](Shadow::protocol_gate) with every connector that
+    /// delivers to the component. Hands back the replacement it
+    /// instantiated to compare interfaces and protocols, built with the
     /// component's props, so the apply step installs that one.
     pub(super) fn swap_implementation(
         &self,
@@ -253,6 +257,15 @@ impl<'a> Shadow<'a> {
                     .collect::<Vec<_>>()
                     .join("; "),
             });
+        }
+        for b in self
+            .bindings()
+            .filter(|b| b.to.iter().any(|(t, _)| t == name))
+        {
+            let spec = self
+                .connector(&b.via)
+                .expect("a binding's connector exists");
+            self.protocol_gate(&b.via, spec, name, || replacement.protocol())?;
         }
         let swapped = ShadowComp {
             node: shadow.node,
@@ -305,8 +318,12 @@ impl<'a> Shadow<'a> {
         Ok(Edit::Connector(name, None))
     }
 
-    /// The rule of [`ReconfigAction::SwapConnector`]: the connector
-    /// exists.
+    /// The rules of [`ReconfigAction::SwapConnector`]: the connector
+    /// exists; a live one is at a final state of its collaboration
+    /// automaton, where the new one can take over; and the new spec passes
+    /// the [protocol gate](Shadow::protocol_gate) with every target of
+    /// every binding it mediates. A connector without a protocol is always
+    /// at a final state, so the swap takes effect on the next message.
     pub(super) fn swap_connector(
         &self,
         name: &'a str,
@@ -315,13 +332,28 @@ impl<'a> Shadow<'a> {
         if self.connector(name).is_none() {
             return Err(RuntimeError::UnknownConnector(name.to_owned()));
         }
+        if !self.edits.connectors.contains_key(name) {
+            let live = self.rt.connectors.by_name(name);
+            if let Some(state) = live.and_then(Connector::mid_collaboration) {
+                return Err(RuntimeError::MidCollaboration {
+                    connector: name.to_owned(),
+                    state: state.to_owned(),
+                });
+            }
+        }
+        for b in self.bindings().filter(|b| b.via == name) {
+            for (target, _) in &b.to {
+                let shadow = self.comp(target).expect("a binding's target exists");
+                self.protocol_gate(name, spec, target, || self.protocol(target, &shadow))?;
+            }
+        }
         Ok(Edit::Connector(name, Some(spec)))
     }
 
     /// The rules of [`ReconfigAction::Bind`]: the source, the connector
-    /// and every target exist, the source port is free, and where the
-    /// connector and a target both publish protocols their synchronous
-    /// product is deadlock-free (Wright-style composition correctness).
+    /// and every target exist, the source port is free, and the connector
+    /// passes the [protocol gate](Shadow::protocol_gate) with every
+    /// target.
     pub(super) fn bind(&self, decl: &'a BindingDecl) -> Result<Edit<'a>, RuntimeError> {
         if self.comp(&decl.from.0).is_none() {
             return Err(RuntimeError::UnknownComponent(decl.from.0.clone()));
@@ -339,20 +371,39 @@ impl<'a> Shadow<'a> {
             let shadow = self
                 .comp(inst)
                 .ok_or_else(|| RuntimeError::UnknownComponent(inst.clone()))?;
-            if let (Some(conn_proto), Some(comp_proto)) =
-                (conn_spec.protocol.as_ref(), self.protocol(inst, &shadow))
-            {
-                let report = crate::lts::check_compatibility(conn_proto, &comp_proto);
-                if !report.is_compatible() {
-                    return Err(RuntimeError::IncompatibleProtocols {
-                        connector: decl.via.clone(),
-                        component: inst.clone(),
-                        deadlocks: report.deadlocks,
-                    });
-                }
-            }
+            self.protocol_gate(&decl.via, conn_spec, inst, || self.protocol(inst, &shadow))?;
         }
         Ok(Edit::Binding(&decl.from, Some(decl)))
+    }
+
+    /// The protocol gate a bind and both kinds of swap pass: where the
+    /// connector `via`, built from `spec`, and the component `target` it
+    /// delivers to both publish protocols, their synchronous product is
+    /// deadlock-free (Wright-style composition correctness). The
+    /// connector is asked first, so a protocol-free one builds no
+    /// [`Lts`](crate::lts::Lts).
+    fn protocol_gate(
+        &self,
+        via: &str,
+        spec: &ConnectorSpec,
+        target: &str,
+        target_protocol: impl FnOnce() -> Option<crate::lts::Lts>,
+    ) -> Result<(), RuntimeError> {
+        let Some(conn_proto) = spec.protocol.as_ref() else {
+            return Ok(());
+        };
+        let Some(comp_proto) = target_protocol() else {
+            return Ok(());
+        };
+        let report = crate::lts::check_compatibility(conn_proto, &comp_proto);
+        if report.is_compatible() {
+            return Ok(());
+        }
+        Err(RuntimeError::IncompatibleProtocols {
+            connector: via.to_owned(),
+            component: target.to_owned(),
+            deadlocks: report.deadlocks,
+        })
     }
 
     /// The rule of [`ReconfigAction::Unbind`]: the port has a binding.

@@ -12,7 +12,10 @@
 //! instance table once per node. There each node listed the components it
 //! hosted and each component held a map of its custom means; the snapshot
 //! now keeps neither list, so [`AsRecorded`] lays them out again where
-//! `{:#?}` printed them.
+//! `{:#?}` printed them. One figure moved since, on purpose: `wire`'s
+//! `seq_anomalies` at the last two instants reads 26, the 5 + 21 its
+//! sinks count, since its sequence check runs at delivery (it read 0 when
+//! the check ran at send time, where no loss can show).
 
 use aas_core::config::{BindingDecl, ComponentDecl, Configuration};
 use aas_core::connector::{ConnectorAspect, ConnectorSpec};

@@ -38,12 +38,14 @@ use aas_sim::time::SimDuration;
 
 /// A part of the test graph. `Wide` serves `frame` and `reset`; `Narrow`
 /// only `frame`, so swapping a `Wide` for it breaks its interface;
-/// `Picky` publishes a protocol that deadlocks with [`strict`]'s.
+/// `Picky` publishes a protocol that deadlocks with [`strict`]'s; `Lax`
+/// serves what `Picky` serves and publishes no protocol.
 #[derive(Debug, Clone, Copy)]
 enum Part {
     Wide,
     Narrow,
     Picky,
+    Lax,
 }
 
 impl Component for Part {
@@ -52,16 +54,18 @@ impl Component for Part {
             Part::Wide => "Wide",
             Part::Narrow => "Narrow",
             Part::Picky => "Picky",
+            Part::Lax => "Lax",
         }
     }
     fn provided(&self) -> &Interface {
         static WIDE: [Signature; 2] = [Signature::one_way("frame"), Signature::one_way("reset")];
         static NARROW: [Signature; 1] = [Signature::one_way("frame")];
         static PICKY: [Signature; 1] = [Signature::one_way("request")];
-        static IFACES: [Interface; 3] = [
+        static IFACES: [Interface; 4] = [
             Interface::fixed("Wide", &WIDE),
             Interface::fixed("Narrow", &NARROW),
             Interface::fixed("Picky", &PICKY),
+            Interface::fixed("Lax", &PICKY),
         ];
         &IFACES[*self as usize]
     }
@@ -105,15 +109,15 @@ fn strict(name: &str) -> ConnectorSpec {
 
 fn registry() -> ImplementationRegistry {
     let mut r = ImplementationRegistry::new();
-    for part in [Part::Wide, Part::Narrow, Part::Picky] {
+    for part in [Part::Wide, Part::Narrow, Part::Picky, Part::Lax] {
         r.register(part.type_name().to_owned(), 1, move |_| Box::new(part));
     }
     r
 }
 
 /// Nodes 0–2 are a clique; node 3 has no capacity at all. `src` feeds
-/// `dst` over `wire`; `idle`, `holder` and `picky` are unbound; `spare`
-/// mediates nothing and `strict` deadlocks with `picky`.
+/// `dst` over `wire`; `idle`, `holder`, `picky` and `lax` are unbound;
+/// `spare` mediates nothing and `strict` deadlocks with `picky`.
 fn base() -> Runtime {
     let mut topo = Topology::clique(3, 1000.0, SimDuration::from_millis(2), 1e7);
     topo.add_node(NodeSpec::new("n3", 0.0));
@@ -124,6 +128,7 @@ fn base() -> Runtime {
     cfg.component("idle", ComponentDecl::new("Wide", 1, NodeId(0)));
     cfg.component("holder", ComponentDecl::new("Wide", 1, NodeId(0)));
     cfg.component("picky", ComponentDecl::new("Picky", 1, NodeId(1)));
+    cfg.component("lax", ComponentDecl::new("Lax", 1, NodeId(1)));
     cfg.connector(ConnectorSpec::direct("wire"));
     cfg.connector(ConnectorSpec::direct("spare"));
     cfg.connector(strict("strict"));
@@ -247,6 +252,12 @@ fn table() -> Vec<Row> {
             "swap idle -> Narrow v1 (weak): incompatible interface: operation `reset` removed",
         ),
         row(
+            swap("lax", "Picky"),
+            Some(|rt| rt.add_binding(BindingDecl::new("idle", "out", "strict", "lax", "in"))),
+            None,
+            "swap lax -> Picky v1 (weak): incompatible protocols between connector `strict` and `lax`",
+        ),
+        row(
             migrate("ghost", 1),
             None,
             None,
@@ -308,6 +319,15 @@ fn table() -> Vec<Row> {
             None,
             Some(|rt| rt.adapt_connector("ghost", ConnectorSpec::direct("ghost"))),
             "swap connector ghost: unknown connector `ghost`",
+        ),
+        row(
+            ReconfigAction::SwapConnector {
+                name: "spare".into(),
+                spec: strict("spare"),
+            },
+            Some(|rt| rt.add_binding(BindingDecl::new("idle", "out", "spare", "picky", "in"))),
+            Some(|rt| rt.adapt_connector("spare", strict("spare"))),
+            "swap connector spare: incompatible protocols between connector `spare` and `picky`",
         ),
         row(
             bind("ghost", "spare", "dst"),

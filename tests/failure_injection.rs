@@ -3,13 +3,15 @@
 
 use aas_core::component::{EchoComponent, Lifecycle};
 use aas_core::config::{BindingDecl, ComponentDecl, Configuration};
-use aas_core::connector::ConnectorSpec;
+use aas_core::connector::{ConnectorAspect, ConnectorSpec};
+use aas_core::coverage::{DetectPhase, PlanOutcome};
 use aas_core::detector::DetectorConfig;
 use aas_core::heal::RepairPolicy;
 use aas_core::message::{Message, Value};
 use aas_core::reconfig::{ReconfigAction, ReconfigPlan};
 use aas_core::registry::ImplementationRegistry;
 use aas_core::runtime::Runtime;
+use aas_obs::AuditKind;
 use aas_sim::fault::{FaultKind, FaultSchedule};
 use aas_sim::link::LinkId;
 use aas_sim::network::Topology;
@@ -52,7 +54,7 @@ fn two_stage_runtime() -> Runtime {
     let mut cfg = Configuration::new();
     cfg.component("coder", ComponentDecl::new("Transcoder", 1, NodeId(0)));
     cfg.component("sink", ComponentDecl::new("MediaSink", 1, NodeId(2)));
-    cfg.connector(ConnectorSpec::direct("wire"));
+    cfg.connector(ConnectorSpec::direct("wire").with_aspect(ConnectorAspect::SequenceCheck));
     cfg.bind(BindingDecl::new("coder", "out", "wire", "sink", "in"));
     rt.deploy(&cfg).expect("deploy");
     rt
@@ -129,8 +131,11 @@ fn node_crash_drops_frames_and_recovery_resumes() {
     assert!(snap.dropped > 0);
     assert_eq!(snap.dropped, rt.metrics().dropped, "each drop counted once");
     // The loss is visible as sequence gaps — exactly what the paper's
-    // channel-preservation machinery is meant to surface.
+    // channel-preservation machinery is meant to surface — at the sink and
+    // on the connector's sequence check alike.
     assert!(sink.seq_anomalies > 0);
+    let wire = snap.connector("wire").unwrap();
+    assert!(wire.seq_anomalies > 0, "the connector saw no loss");
     assert_faults_fired(&rt, 2); // NodeCrash + NodeRecover
 }
 
@@ -161,6 +166,40 @@ fn migration_to_node_that_dies_mid_plan_aborts_cleanly() {
     assert_eq!(snap.component("coder").unwrap().processed, 50);
     assert_eq!(snap.component("sink").unwrap().seq_anomalies, 0);
     assert_faults_fired(&rt, 1); // the destination's NodeCrash
+}
+
+#[test]
+fn a_refused_connector_repair_is_booked_failed_and_retried() {
+    let mut rt = two_stage_runtime();
+    rt.set_repair_policy(RepairPolicy::DegradeToBackup {
+        connector: "ghost".into(),
+        backup: Box::new(ConnectorSpec::direct("ghost")),
+    });
+    rt.enable_failure_detector(DetectorConfig::new(
+        SimDuration::from_millis(50),
+        2.0,
+        NodeId(2),
+    ));
+    let mut faults = FaultSchedule::new();
+    faults.at(SimTime::from_secs(1), FaultKind::NodeCrash(NodeId(0)));
+    rt.inject_faults(faults);
+    rt.run_until(SimTime::from_secs(3));
+
+    // No connector is named `ghost`: every attempt is refused, none is
+    // booked as completed, and the node stays queued for the next instant.
+    let audit = &rt.obs().audit;
+    assert!(audit.of_kind(AuditKind::RepairCompleted).is_empty());
+    assert!(audit.of_kind(AuditKind::RepairPlanned).is_empty());
+    assert_eq!(rt.metrics().mttr_ms.count(), 0);
+    let failed = (DetectPhase::Suspected, "degrade", PlanOutcome::Failed);
+    assert!(rt.adaptation_coverage().count(failed) > 1, "retried");
+    let completed = (DetectPhase::Suspected, "degrade", PlanOutcome::Completed);
+    assert_eq!(rt.adaptation_coverage().count(completed), 0);
+    assert!(
+        rt.check_invariants().is_empty(),
+        "{:?}",
+        rt.check_invariants()
+    );
 }
 
 #[test]
